@@ -40,7 +40,7 @@ from .classification import (
 )
 from .cyclotomic import CyclotomicInt, cyclotomic_polynomial
 from .errors import ConsistencyError, NonIntegerError
-from .polymat import SparsePoly, bareiss_rank, rank_mod_p
+from .polymat import SparsePoly, bareiss_rank
 from .surface import (
     betti_table,
     determinantal_generators,
@@ -96,7 +96,6 @@ __all__ = [
     "polytope_smoothness",
     "prime_and_primepower_counts",
     "projective_key",
-    "rank_mod_p",
     "singular_census",
     "ternary_product",
 ]

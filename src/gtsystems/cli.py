@@ -30,7 +30,6 @@ from .arrangements import (
 from .circulant import CirculantSpec, circulant_det_symbolic, coefficient_query, ternary_product
 from .classification import class_count_formulas, classify_moves, is_prime, prime_and_primepower_counts
 from .errors import ConsistencyError
-from .polymat import bareiss_rank
 from .surface import (
     betti_table,
     determinantal_generators,
@@ -41,9 +40,9 @@ from .wlp import (
     conjecture_scan,
     gt_verdict,
     is_artinian,
+    kernel_dimension,
     minimality_circulant,
     minimality_subset_oracle,
-    multiplication_matrix,
 )
 
 DEFAULT_SEED = 20260814
@@ -131,13 +130,12 @@ def cmd_gt_verdict(args):
         if args.d > 12:
             raise ValueError("--general-l sampling is supported for d <= 12")
         rng = random.Random(args.seed)
-        base_rows, _, _ = multiplication_matrix(ideal, args.d - 1)
-        base_rank = bareiss_rank(base_rows) if base_rows else 0
+        base_rank = verdict.dim_source - kernel_dimension(ideal)
         samples = []
         for _ in range(args.general_l):
             coeffs = tuple(rng.randint(1, 9) * rng.choice((-1, 1)) for _ in range(3))
-            rows, _, _ = multiplication_matrix(ideal, args.d - 1, coeffs)
-            samples.append({"coeffs": list(coeffs), "rank": bareiss_rank(rows) if rows else 0})
+            rank = verdict.dim_source - kernel_dimension(ideal, coeffs)
+            samples.append({"coeffs": list(coeffs), "rank": rank})
         agree = all(s["rank"] == base_rank for s in samples)
         results["general_form_samples"] = samples
         results["base_rank"] = base_rank

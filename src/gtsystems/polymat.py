@@ -2,15 +2,15 @@
 
 Polynomials map exponent tuples to nonzero coefficients; coefficients are
 either Python ints or CyclotomicInt values (never mixed within one term after
-promotion).  Ranks are computed by fraction-free Bareiss elimination over Z,
-with an optional modular fast path used as a certified lower bound.
+promotion).  Ranks are computed exactly by fraction-free Bareiss elimination
+over Z.
 """
 
 from __future__ import annotations
 
 from .cyclotomic import CyclotomicInt
 
-__all__ = ["SparsePoly", "IntMatrix", "bareiss_rank", "rank_mod_p"]
+__all__ = ["SparsePoly", "bareiss_rank"]
 
 
 def _is_zero_coeff(c):
@@ -213,29 +213,6 @@ class SparsePoly:
         return f"SparsePoly({self.nvars}, {self.render()})"
 
 
-class IntMatrix:
-    """Dense integer matrix with exact rank."""
-
-    __slots__ = ("rows", "cols", "data")
-
-    def __init__(self, data):
-        data = [list(r) for r in data]
-        self.rows = len(data)
-        self.cols = len(data[0]) if data else 0
-        if any(len(r) != self.cols for r in data):
-            raise ValueError("ragged rows")
-        self.data = data
-
-    def transpose(self):
-        return IntMatrix([[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
-
-    def rank(self):
-        return bareiss_rank(self.data)
-
-    def __repr__(self):
-        return f"IntMatrix({self.rows}x{self.cols})"
-
-
 def bareiss_rank(rows) -> int:
     """Rank over Q by fraction-free Bareiss elimination (exact divisions only)."""
     m = [list(r) for r in rows]
@@ -272,54 +249,4 @@ def bareiss_rank(rows) -> int:
         r += 1
         if r == nr:
             break
-    return r
-
-
-def rank_mod_p(rows, p: int = (1 << 31) - 1) -> int:
-    """Rank over GF(p); always a lower bound for the rank over Q."""
-    try:
-        import numpy as np
-    except ImportError:  # pragma: no cover - numpy is a declared dependency
-        return _rank_mod_p_python(rows, p)
-    if not rows:
-        return 0
-    m = np.array(rows, dtype=object) % p
-    m = m.astype(np.int64)
-    nr, nc = m.shape
-    r = 0
-    for col in range(nc):
-        if r == nr:
-            break
-        nz = np.nonzero(m[r:, col])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            m[[r, i]] = m[[i, r]]
-        inv = pow(int(m[r, col]), p - 2, p)
-        m[r] = (m[r] * inv) % p
-        factors = m[r + 1:, col].copy()
-        if factors.size:
-            m[r + 1:] = (m[r + 1:] - factors[:, None] * m[r][None, :]) % p
-        r += 1
-    return r
-
-
-def _rank_mod_p_python(rows, p):
-    m = [[v % p for v in r] for r in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    r = 0
-    for col in range(nc):
-        piv = next((i for i in range(r, nr) if m[i][col]), -1)
-        if piv < 0:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][col], p - 2, p)
-        m[r] = [(v * inv) % p for v in m[r]]
-        for i in range(nr):
-            if i != r and m[i][col]:
-                f = m[i][col]
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
-        r += 1
     return r

@@ -1,11 +1,14 @@
 """Command-line interface: exit codes, report schema, formats, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import gtsystems
 from gtsystems import __version__
 from gtsystems.cli import DEFAULT_SEED, main
 
@@ -93,6 +96,45 @@ class TestExitCodes:
         )
         assert proc.returncode == 0
         assert "subcommand" in proc.stdout or "usage" in proc.stdout
+
+
+class TestVerdictAtLargeD:
+    def test_repeated_weight_above_rank_report_limit(self, capsys):
+        code, out, _ = run_cli(capsys, "gt-verdict", "--d", "40", "--action", "0,1,1")
+        assert code == 0
+        verdict = json.loads(out)["results"]["verdict"]
+        assert verdict["mu"] == 42
+        assert verdict["fails_injectivity"] is True
+        assert verdict["fails_wlp_at_d_minus_1"] is False
+        assert verdict["is_togliatti"] is False  # mu 42 > d + 1
+
+    def test_beyond_product_limit(self, capsys):
+        code, out, _ = run_cli(capsys, "gt-verdict", "--d", "100", "--action", "0,1,3")
+        assert code == 0
+        verdict = json.loads(out)["results"]["verdict"]
+        assert verdict["fails_injectivity"] is True
+        assert verdict["is_togliatti"] is True
+
+
+class TestDependencies:
+    def test_runs_without_numpy(self):
+        # numpy is no dependency: with its import blocked, the subset oracle
+        # and a large verdict still run
+        script = (
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from gtsystems.cli import main\n"
+            "codes = [main(['minimal', '--d', '7', '--action', '0,1,3', '--subset-oracle']),\n"
+            "         main(['gt-verdict', '--d', '64', '--action', '0,1,3'])]\n"
+            "sys.exit(1 if any(codes) else 0)\n"
+        )
+        src = str(Path(gtsystems.__file__).resolve().parent.parent)
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert '"minimal_subset_oracle": true' in proc.stdout
+        assert '"command": "gt-verdict"' in proc.stdout
 
 
 class TestFormats:
