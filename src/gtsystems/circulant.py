@@ -1,32 +1,42 @@
-"""Circulant determinants expanded exactly over Z[zeta_d].
+"""Circulant determinants expanded exactly over Z by Newton's identities.
 
-The determinant of a circulant matrix is the product of its eigenvalue forms:
-factor j sends each symbol to itself scaled by zeta^(j * position).  Products
-are expanded incrementally; every coefficient of a factor is a single power of
-zeta, so each elementary multiplication is a rotation of a length-d integer
-vector rather than a full convolution.  Final coefficients must reduce to
-rational integers, which is asserted.
+The determinant of a circulant matrix is the product of its eigenvalue forms
+l_j = sum_k zeta^(j * position_k) v_k, j = 0..d-1.  It is computed without
+any cyclotomic arithmetic.  The power sums of the eigenvalue forms are
+
+    p_n = sum_j l_j^n = d * sum multinomial(n; al) v^al,
+
+over the exponent vectors al with |al| = n and sum_k al_k * position_k = 0
+(mod d), because sum_j zeta^(j*r) is d when r = 0 (mod d) and 0 otherwise.
+Newton's identities n * s_n = sum_(k=1..n) (-1)^(k-1) s_(n-k) p_k then give
+the elementary symmetric functions s_n of the eigenvalue forms, and the
+determinant is s_d.
+
+The division by n is exact: replacing zeta by another primitive d-th root of
+unity permutes the eigenvalue forms, so every s_n is Galois-invariant and has
+coefficients that are algebraic integers in Q, that is rational integers.  A
+nonzero remainder therefore means a bug and raises NonIntegerError.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .cyclotomic import CyclotomicInt, _reduce_vector
-from .errors import NonIntegerError
+from .errors import ConsistencyError, NonIntegerError
 from .polymat import SparsePoly
 
 __all__ = [
     "CirculantSpec",
     "circulant_det_oracle",
     "circulant_det_symbolic",
+    "circulant_product",
     "coefficient_query",
-    "expand_linear_product",
     "ternary_product",
 ]
 
 _GENERAL_LIMIT = 12
-_TERNARY_LIMIT = 64
+_TERNARY_LIMIT = 128
 
 
 @dataclass(frozen=True)
@@ -60,58 +70,97 @@ class CirculantSpec:
         return self.a is not None
 
 
-def expand_linear_product(d, nvars, factors):
-    """Expand a product of linear forms whose coefficients are integer
-    multiples of powers of zeta_d.
+def _admissible_exponents(d, shifts, n, target):
+    """The exponent vectors (al_1, ..., al_m) with sum al_k <= n and
+    sum al_k * shifts[k] = target (mod d).
 
-    Each factor is a list of (variable index, zeta exponent, integer scale)
-    triples.  Returns {exponent tuple: raw coefficient vector} with all-zero
-    vectors pruned after every multiplication.
+    All exponents but the last run freely; the last one solves a linear
+    congruence, so only admissible vectors are produced.
     """
-    zero_exp = (0,) * nvars
-    unit = (1,) + (0,) * (d - 1)
-    state = {zero_exp: unit}
-    for factor in factors:
-        nxt = {}
-        for exp, vec in state.items():
-            for var, m, scale in factor:
-                if scale == 0:
-                    continue
-                new_exp = exp[:var] + (exp[var] + 1,) + exp[var + 1:]
-                m %= d
-                rot = vec[-m:] + vec[:-m] if m else vec
-                if scale != 1:
-                    rot = tuple(scale * v for v in rot)
-                acc = nxt.get(new_exp)
-                if acc is None:
-                    nxt[new_exp] = rot
-                else:
-                    nxt[new_exp] = tuple(x + y for x, y in zip(acc, rot))
-        state = {e: v for e, v in nxt.items() if any(v)}
-    return state
+    if not shifts:
+        if target % d == 0:
+            yield ()
+        return
+    *free, last = shifts
+    g = math.gcd(last, d)
+    step = d // g
+    inverse = pow(last // g, -1, step)
+
+    def extend(i, room, residue, prefix):
+        if i == len(free):
+            if residue % g == 0:
+                for e in range(residue // g * inverse % step, room + 1, step):
+                    yield prefix + (e,)
+            return
+        c = free[i]
+        for e in range(room + 1):
+            yield from extend(i + 1, room - e, (residue - e * c) % d, prefix + (e,))
+
+    yield from extend(0, n, target % d, ())
 
 
-def _raw_to_integer_poly(d, nvars, state) -> SparsePoly:
-    terms = {}
-    for exp, vec in state.items():
-        red = _reduce_vector(d, vec)
-        if not any(red):
-            continue
-        if any(red[1:]):
-            raise NonIntegerError(
-                f"coefficient of {exp} is not a rational integer: {CyclotomicInt(d, vec)!r}"
-            )
-        terms[exp] = red[0]
-    return SparsePoly(nvars, terms, prune=False)
+def circulant_product(d, positions) -> SparsePoly:
+    """prod_(j=0..d-1) sum_k zeta_d^(j * positions[k]) v_k over Z, in the
+    variables v_0..v_(m-1) with m = len(positions), by Newton's identities."""
+    m = len(positions)
+    if d < 1 or m < 1:
+        raise ValueError("need d >= 1 and at least one position")
+    g = math.gcd(d, *positions)
+    if g > 1:
+        # zeta^(j*p) depends on j mod d/g only: the d factors are g copies of
+        # the factors of order d/g.
+        root = circulant_product(d // g, [p // g for p in positions])
+        product = root
+        for _ in range(g - 1):
+            product = product * root
+        return product
+    # A monomial of degree n is keyed by the exponents of v_1..v_(m-1) as
+    # digits in base d+1; the exponent of v_0 is n minus their sum.  No
+    # exponent exceeds d, so the key of a product is the sum of the keys.
+    base = d + 1
+    weights = [base ** k for k in range(m - 1)]
+    fact = [math.factorial(i) for i in range(d + 1)]
+    p0 = positions[0] % d
+    shifts = [(p - p0) % d for p in positions[1:]]
 
+    def exponents(key, n):
+        exps = []
+        for _ in range(m - 1):
+            key, e = divmod(key, base)
+            exps.append(e)
+        return (n - sum(exps), *exps)
 
-def _raw_to_cyclotomic_poly(d, nvars, state) -> SparsePoly:
-    terms = {}
-    for exp, vec in state.items():
-        c = CyclotomicInt(d, vec)
-        if not c.is_zero():
-            terms[exp] = c
-    return SparsePoly(nvars, terms, prune=False)
+    s = [{0: 1}]
+    signed_p = [None]  # signed_p[k] = (-1)^(k-1) p_k
+    for n in range(1, d + 1):
+        scale = d * fact[n] if n % 2 else -d * fact[n]
+        p_n = {}
+        for al in _admissible_exponents(d, shifts, n, -n * p0):
+            denom = fact[n - sum(al)]
+            key = 0
+            for e, w in zip(al, weights):
+                denom *= fact[e]
+                key += e * w
+            p_n[key] = scale // denom
+        signed_p.append(p_n)
+        acc = {}
+        for k in range(1, n + 1):
+            p_k = signed_p[k].items()
+            for ka, ca in s[n - k].items():
+                for kb, cb in p_k:
+                    key = ka + kb
+                    acc[key] = acc.get(key, 0) + ca * cb
+        s_n = {}
+        for key, total in acc.items():
+            q, r = divmod(total, n)
+            if r:
+                raise NonIntegerError(
+                    f"coefficient of {exponents(key, n)} in s_{n} is {total}/{n}, not an integer"
+                )
+            if q:
+                s_n[key] = q
+        s.append(s_n)
+    return SparsePoly(m, {exponents(key, d): c for key, c in s[d].items()}, prune=False)
 
 
 def circulant_det_symbolic(spec: CirculantSpec) -> SparsePoly:
@@ -121,8 +170,7 @@ def circulant_det_symbolic(spec: CirculantSpec) -> SparsePoly:
         return ternary_product(d, spec.a, spec.b)
     if d > _GENERAL_LIMIT:
         raise ValueError(f"general form supported for d <= {_GENERAL_LIMIT}")
-    factors = [[(k, (j * k) % d, 1) for k in range(d)] for j in range(d)]
-    return _raw_to_integer_poly(d, d, expand_linear_product(d, d, factors))
+    return circulant_product(d, range(d))
 
 
 def circulant_det_oracle(spec: CirculantSpec) -> SparsePoly:
@@ -182,30 +230,46 @@ def ternary_product(d, a, b) -> SparsePoly:
         raise ValueError(f"supported for 3 <= d <= {_TERNARY_LIMIT}")
     if not (0 < a < d and 0 < b < d and a != b):
         raise ValueError("need distinct nonzero positions a, b")
-    factors = [
-        [(0, 0, 1), (1, (a * j) % d, 1), (2, (b * j) % d, 1)]
-        for j in range(d)
-    ]
-    return _raw_to_integer_poly(d, 3, expand_linear_product(d, 3, factors))
+    return circulant_product(d, (0, a, b))
 
 
 def scaled_ternary_product(d, a, b, scales) -> SparsePoly:
-    """Like ternary_product but with integer scales on the three symbols."""
-    al, be, ga = scales
-    factors = [
-        [(0, 0, al), (1, (a * j) % d, be), (2, (b * j) % d, ga)]
-        for j in range(d)
-    ]
-    return _raw_to_integer_poly(d, 3, expand_linear_product(d, 3, factors))
+    """Like ternary_product but with integer scales on the three symbols.
+
+    The scaled product is P(s0*x, s1*y, s2*z) for P = circulant_product(d,
+    (0, a, b)), so the coefficient of x^i y^j z^k is scaled by s0^i s1^j s2^k.
+    """
+    s0, s1, s2 = scales
+    terms = {
+        (i, j, k): c * s0 ** i * s1 ** j * s2 ** k
+        for (i, j, k), c in circulant_product(d, (0, a, b)).terms.items()
+    }
+    return SparsePoly(3, terms)
 
 
 def cofactor_product(d, a, b) -> SparsePoly:
-    """The product over j = 1..d-1 only, kept with cyclotomic coefficients."""
-    factors = [
-        [(0, 0, 1), (1, (a * j) % d, 1), (2, (b * j) % d, 1)]
-        for j in range(1, d)
-    ]
-    return _raw_to_cyclotomic_poly(d, 3, expand_linear_product(d, 3, factors))
+    """The product over j = 1..d-1 only: ternary_product divided by x + y + z.
+
+    The divisor is monic in x, so the division runs over Z and the quotient
+    has integer coefficients; a nonzero remainder raises ConsistencyError.
+    """
+    product = ternary_product(d, a, b)
+    # rows[i][k] is the coefficient of x^i y^(d-i-k) z^k.  Dividing by
+    # x + (y + z) in x: the quotient row i-1 is rows[i] - (y + z) * row i.
+    rows = [[0] * (d - i + 1) for i in range(d + 1)]
+    for (i, _, k), c in product.terms.items():
+        rows[i][k] = c
+    terms = {}
+    row = rows[d]
+    for i in range(d - 1, -1, -1):
+        for k, c in enumerate(row):
+            if c:
+                terms[(i, d - 1 - i - k, k)] = c
+        times_ell = [u + v for u, v in zip(row + [0], [0] + row)]
+        row = [c - t for c, t in zip(rows[i], times_ell)]
+    if any(row):
+        raise ConsistencyError(f"x + y + z does not divide the ternary product at d={d}, a={a}, b={b}")
+    return SparsePoly(3, terms, prune=False)
 
 
 def coefficient_query(d, indices) -> int:

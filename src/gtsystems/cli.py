@@ -127,8 +127,6 @@ def cmd_gt_verdict(args):
     ]
     results = {"verdict": verdict.to_json()}
     if args.general_l:
-        if args.d > 12:
-            raise ValueError("--general-l sampling is supported for d <= 12")
         rng = random.Random(args.seed)
         base_rank = verdict.dim_source - kernel_dimension(ideal)
         samples = []

@@ -1,28 +1,12 @@
-"""Sparse multivariate polynomials and exact integer matrix rank.
+"""Sparse multivariate integer polynomials and exact integer matrix rank.
 
-Polynomials map exponent tuples to nonzero coefficients; coefficients are
-either Python ints or CyclotomicInt values (never mixed within one term after
-promotion).  Ranks are computed exactly by fraction-free Bareiss elimination
-over Z.
+Polynomials map exponent tuples to nonzero Python int coefficients.  Ranks
+are computed exactly by fraction-free Bareiss elimination over Z.
 """
 
 from __future__ import annotations
 
-from .cyclotomic import CyclotomicInt
-
 __all__ = ["SparsePoly", "bareiss_rank"]
-
-
-def _is_zero_coeff(c):
-    if isinstance(c, int):
-        return c == 0
-    return c.is_zero()
-
-
-def _promote(c, order):
-    if isinstance(c, int):
-        return CyclotomicInt.from_int(order, c)
-    return c
 
 
 class SparsePoly:
@@ -37,7 +21,7 @@ class SparsePoly:
         else:
             self.terms = dict(terms)
             if prune:
-                dead = [e for e, c in self.terms.items() if _is_zero_coeff(c)]
+                dead = [e for e, c in self.terms.items() if c == 0]
                 for e in dead:
                     del self.terms[e]
 
@@ -58,17 +42,11 @@ class SparsePoly:
         exp[i] = 1
         return cls.monomial(nvars, exp)
 
-    def cyclotomic_order(self):
-        for c in self.terms.values():
-            if isinstance(c, CyclotomicInt):
-                return c.order
-        return None
-
     def is_zero(self):
         return not self.terms
 
     def _coerced_pair(self, other):
-        if isinstance(other, (int, CyclotomicInt)):
+        if isinstance(other, int):
             other = SparsePoly(self.nvars, {(0,) * self.nvars: other})
         if not isinstance(other, SparsePoly):
             return None, None
@@ -80,17 +58,9 @@ class SparsePoly:
         a, b = self._coerced_pair(other)
         if a is None:
             return NotImplemented
-        order = a.cyclotomic_order() or b.cyclotomic_order()
         out = dict(a.terms)
-        if order is not None:
-            out = {e: _promote(c, order) for e, c in out.items()}
         for e, c in b.terms.items():
-            if order is not None:
-                c = _promote(c, order)
-            if e in out:
-                out[e] = out[e] + c
-            else:
-                out[e] = c
+            out[e] = out.get(e, 0) + c
         return SparsePoly(self.nvars, out)
 
     __radd__ = __add__
@@ -108,27 +78,18 @@ class SparsePoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, CyclotomicInt)):
-            if _is_zero_coeff(other):
+        if isinstance(other, int):
+            if other == 0:
                 return SparsePoly.zero(self.nvars)
             return SparsePoly(self.nvars, {e: c * other for e, c in self.terms.items()})
         a, b = self._coerced_pair(other)
         if a is None:
             return NotImplemented
-        order = a.cyclotomic_order() or b.cyclotomic_order()
         out = {}
         for ea, ca in a.terms.items():
-            if order is not None:
-                ca = _promote(ca, order)
             for eb, cb in b.terms.items():
-                if order is not None:
-                    cb = _promote(cb, order)
                 e = tuple(x + y for x, y in zip(ea, eb))
-                prod = ca * cb
-                if e in out:
-                    out[e] = out[e] + prod
-                else:
-                    out[e] = prod
+                out[e] = out.get(e, 0) + ca * cb
         return SparsePoly(self.nvars, out)
 
     __rmul__ = __mul__
@@ -138,16 +99,6 @@ class SparsePoly:
 
     def map_coefficients(self, fn):
         return SparsePoly(self.nvars, {e: fn(c) for e, c in self.terms.items()})
-
-    def to_integer_poly(self):
-        """Reduce all cyclotomic coefficients to rational integers."""
-        out = {}
-        for e, c in self.terms.items():
-            if isinstance(c, CyclotomicInt):
-                c = c.as_integer()
-            if c:
-                out[e] = c
-        return SparsePoly(self.nvars, out, prune=False)
 
     def support(self):
         return set(self.terms)
@@ -162,12 +113,11 @@ class SparsePoly:
     def to_json(self):
         out = []
         for e, c in self.terms_sorted():
-            coeff = c.to_json() if isinstance(c, CyclotomicInt) else c
-            out.append({"exp": list(e), "coeff": coeff})
+            out.append({"exp": list(e), "coeff": c})
         return out
 
     def __eq__(self, other):
-        a, b = self._coerced_pair(other) if isinstance(other, (SparsePoly, int, CyclotomicInt)) else (None, None)
+        a, b = self._coerced_pair(other) if isinstance(other, (SparsePoly, int)) else (None, None)
         if a is None:
             return NotImplemented
         return (a - b).is_zero()
@@ -190,11 +140,6 @@ class SparsePoly:
                 for i, p in enumerate(e)
                 if p
             )
-            if isinstance(c, CyclotomicInt):
-                cs = str(c)
-                piece = f"({cs})*{mono}" if mono else f"({cs})"
-                parts.append("+ " + piece)
-                continue
             sign = "- " if c < 0 else "+ "
             mag = abs(c)
             if not mono:

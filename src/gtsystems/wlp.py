@@ -106,9 +106,9 @@ class WlpVerdict:
 class KernelCertificate:
     """Explicit kernel element for multiplication by x+y+z at degree d-1.
 
-    cofactor is the product of the eigenvalue forms for j = 1..d-1 (cyclotomic
+    cofactor is the product of the eigenvalue forms for j = 1..d-1 (integer
     coefficients, monic of degree d-1 in x); product is (x+y+z) * cofactor,
-    which has integer coefficients and is supported on the invariant set.
+    which is supported on the invariant set.
     """
 
     action: Action
@@ -126,7 +126,7 @@ def kernel_certificate(action: Action) -> KernelCertificate:
     CirculantSpec.ternary(d, a, b)  # the domain of ternary_product
     cof = cofactor_product(d, a, b)
     ell = SparsePoly.variable(3, 0) + SparsePoly.variable(3, 1) + SparsePoly.variable(3, 2)
-    prod = (ell * cof).to_integer_poly()
+    prod = ell * cof
     ideal = invariant_monomials(Action(d, (0, a, b)))
     cert = KernelCertificate(Action(d, (0, a, b)), cof, prod)
     if cof.coefficient((d - 1, 0, 0)) != 1:

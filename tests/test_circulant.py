@@ -1,20 +1,59 @@
 """Symbolic circulant determinants and the ternary specialization."""
 
 import itertools
+import random
 
 import pytest
 
+from gtsystems import circulant
 from gtsystems.actions import Action, invariant_monomials
 from gtsystems.circulant import (
     CirculantSpec,
     circulant_det_oracle,
     circulant_det_symbolic,
+    circulant_product,
     coefficient_query,
     cofactor_product,
     scaled_ternary_product,
     ternary_product,
 )
+from gtsystems.cyclotomic import CyclotomicInt
+from gtsystems.errors import ConsistencyError
 from gtsystems.polymat import SparsePoly
+
+
+def rotation_oracle(d, nvars, factors):
+    """Independent oracle: expand a product of linear forms over Z[zeta_d].
+
+    Each factor is a list of (variable index, zeta exponent, integer scale)
+    triples.  A coefficient is a length-d integer vector in the power basis
+    of zeta, so multiplying by scale * zeta^m is a rotation of that vector.
+    Every final coefficient must reduce to a rational integer.
+    """
+    state = {(0,) * nvars: (1,) + (0,) * (d - 1)}
+    for factor in factors:
+        nxt = {}
+        for exp, vec in state.items():
+            for var, m, scale in factor:
+                if scale == 0:
+                    continue
+                new_exp = exp[:var] + (exp[var] + 1,) + exp[var + 1:]
+                m %= d
+                rot = vec[-m:] + vec[:-m] if m else vec
+                if scale != 1:
+                    rot = tuple(scale * v for v in rot)
+                acc = nxt.get(new_exp)
+                nxt[new_exp] = rot if acc is None else tuple(x + y for x, y in zip(acc, rot))
+        state = {e: v for e, v in nxt.items() if any(v)}
+    terms = {e: CyclotomicInt(d, vec).as_integer() for e, vec in state.items()}
+    return SparsePoly(nvars, terms)
+
+
+def ternary_oracle(d, a, b, scales=(1, 1, 1), js=None):
+    s0, s1, s2 = scales
+    js = range(d) if js is None else js
+    factors = [[(0, 0, s0), (1, a * j, s1), (2, b * j, s2)] for j in js]
+    return rotation_oracle(d, 3, factors)
 
 
 class TestGeneralCirculant:
@@ -99,7 +138,7 @@ class TestTernaryProduct:
     def test_cofactor_times_linear_form_is_full_product(self):
         # cofactor_product(d, a, b) collects the product of the d-1 conjugate
         # factors; multiplying back by (x + y + z) must recover the full
-        # invariant product exactly once coefficients are reduced to Z.
+        # invariant product exactly.
         for d, a in ((5, 2), (7, 3), (9, 4)):
             x = SparsePoly.variable(3, 0)
             y = SparsePoly.variable(3, 1)
@@ -107,14 +146,80 @@ class TestTernaryProduct:
             ell = x + y + z
             cof = cofactor_product(d, 1, a)
             full = ternary_product(d, 1, a)
-            assert (cof * ell).to_integer_poly().terms == full.terms
+            assert (cof * ell).terms == full.terms
 
     def test_cofactor_is_monic_in_x(self):
         cof = cofactor_product(7, 1, 3)
         assert cof.coefficient((6, 0, 0)) == 1
 
 
+class TestNewtonKernelAgainstRotationOracle:
+    # circulant_product expands the eigenvalue product over Z by Newton's
+    # identities; the oracle multiplies the d factors out over Z[zeta_d].
+
+    @pytest.mark.parametrize("d", range(3, 15))
+    def test_every_ternary_section(self, d):
+        for a, b in itertools.permutations(range(1, d), 2):
+            assert ternary_product(d, a, b).terms == ternary_oracle(d, a, b).terms, (d, a, b)
+
+    @pytest.mark.parametrize("d,a,b", [(40, 1, 3), (40, 7, 11), (40, 4, 20), (64, 1, 3)])
+    def test_large_sections(self, d, a, b):
+        assert ternary_product(d, a, b).terms == ternary_oracle(d, a, b).terms
+
+    def test_scaled_products_with_random_signed_scales(self):
+        rng = random.Random(7)
+        for d in range(3, 12):
+            for _ in range(3):
+                a, b = rng.sample(range(1, d), 2)
+                scales = tuple(rng.randint(1, 9) * rng.choice((-1, 1)) for _ in range(3))
+                got = scaled_ternary_product(d, a, b, scales)
+                assert got.terms == ternary_oracle(d, a, b, scales).terms, (d, a, b, scales)
+
+    @pytest.mark.parametrize("d", range(2, 8))
+    def test_general_form(self, d):
+        factors = [[(k, j * k, 1) for k in range(d)] for j in range(d)]
+        assert circulant_det_symbolic(CirculantSpec(d)).terms == rotation_oracle(d, d, factors).terms
+
+    @pytest.mark.parametrize("d", range(3, 15))
+    def test_cofactor(self, d):
+        ell = SparsePoly.variable(3, 0) + SparsePoly.variable(3, 1) + SparsePoly.variable(3, 2)
+        for a, b in itertools.combinations(range(1, d), 2):
+            cof = cofactor_product(d, a, b)
+            assert all(isinstance(c, int) for c in cof.terms.values())
+            assert cof.terms == ternary_oracle(d, a, b, js=range(1, d)).terms, (d, a, b)
+            assert (cof * ell).terms == ternary_product(d, a, b).terms, (d, a, b)
+
+    def test_repeated_and_zero_positions(self):
+        # positions need not be distinct or nonzero; a common factor g of d
+        # and the positions makes the product a g-th power
+        for d, positions in ((6, (0, 2, 2)), (8, (0, 0, 3)), (9, (3, 6, 0)), (4, (0, 0, 0))):
+            factors = [[(k, j * p, 1) for k, p in enumerate(positions)] for j in range(d)]
+            assert circulant_product(d, positions).terms == rotation_oracle(d, 3, factors).terms
+
+    def test_single_variable(self):
+        assert circulant_product(5, (2,)).terms == {(5,): 1}
+
+
 class TestSpecValidation:
     def test_rejects_oversized_general_order(self):
         with pytest.raises(ValueError):
             circulant_det_symbolic(CirculantSpec(40))
+
+    def test_ternary_limit(self):
+        assert len(ternary_product(circulant._TERNARY_LIMIT, 1, 3).terms) == 67
+        with pytest.raises(ValueError):
+            ternary_product(circulant._TERNARY_LIMIT + 1, 1, 3)
+        with pytest.raises(ValueError):
+            CirculantSpec.ternary(circulant._TERNARY_LIMIT + 1, 1, 3)
+
+    def test_cofactor_remainder_is_a_consistency_error(self, monkeypatch):
+        # x^d is not divisible by x + y + z
+        monkeypatch.setattr(circulant, "ternary_product", lambda d, a, b: SparsePoly.monomial(3, (d, 0, 0)))
+        with pytest.raises(ConsistencyError):
+            cofactor_product(5, 1, 2)
+
+    def test_kernel_rejects_empty_input(self):
+        with pytest.raises(ValueError):
+            circulant_product(5, ())
+        with pytest.raises(ValueError):
+            circulant_product(0, (0, 1))

@@ -109,11 +109,36 @@ class TestVerdictAtLargeD:
         assert verdict["is_togliatti"] is False  # mu 42 > d + 1
 
     def test_beyond_product_limit(self, capsys):
-        code, out, _ = run_cli(capsys, "gt-verdict", "--d", "100", "--action", "0,1,3")
+        code, out, _ = run_cli(capsys, "gt-verdict", "--d", "200", "--action", "0,1,3")
         assert code == 0
         verdict = json.loads(out)["results"]["verdict"]
         assert verdict["fails_injectivity"] is True
         assert verdict["is_togliatti"] is True
+
+    @pytest.mark.parametrize("argv,n", [
+        (("--d", "13", "--a", "4"), 1),
+        (("--d", "40", "--action", "0,1,3"), 2),
+    ])
+    def test_general_form_sampling_at_any_d(self, capsys, argv, n):
+        code, out, _ = run_cli(capsys, "gt-verdict", *argv, "--general-l", str(n))
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert len(results["general_form_samples"]) == n
+        assert all(s["rank"] == results["base_rank"] for s in results["general_form_samples"])
+
+
+class TestCirculantSection:
+    def test_section_above_former_limit(self, capsys):
+        code, out, _ = run_cli(capsys, "circulant", "--d", "100", "--a", "1", "--b", "3")
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["support_complete"] is True
+        assert results["n_terms"] == 53
+
+    def test_section_beyond_limit_is_invalid_input(self, capsys):
+        code, _, err = run_cli(capsys, "circulant", "--d", "129", "--a", "1", "--b", "3")
+        assert code == 1
+        assert "128" in err
 
 
 class TestDependencies:

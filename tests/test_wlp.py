@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from gtsystems import circulant
 from gtsystems.actions import Action, GTIdeal, invariant_monomials
 from gtsystems.circulant import ternary_product
 from gtsystems.polymat import bareiss_rank
@@ -203,12 +204,12 @@ class TestVerdicts:
         assert gt_verdict(Action(20, (0, 0, 1))).fails_injectivity
 
     def test_verdict_beyond_product_limit(self):
-        # the ternary product stops at d = 64; the verdict does not
-        v = gt_verdict(Action(100, (0, 1, 3)))
-        assert v.mu == 53
+        # the ternary product stops at d = 128; the verdict does not
+        v = gt_verdict(Action(200, (0, 1, 3)))
+        assert v.mu == 103
         assert v.fails_injectivity and v.is_togliatti
         assert v.rank is None
-        assert kernel_dimension(invariant_monomials(Action(100, (0, 1, 3)))) == 1
+        assert kernel_dimension(invariant_monomials(Action(200, (0, 1, 3)))) == 1
 
 
 class TestKernelCertificate:
@@ -226,7 +227,7 @@ class TestKernelCertificate:
         d, a = 5, 2
         ideal = invariant_monomials(Action(d, (0, 1, a)))
         cert = kernel_certificate(Action(d, (0, 1, a)))
-        cof = cert.cofactor.to_integer_poly()
+        cof = cert.cofactor
         src = quotient_basis(ideal, d - 1)
         tgt = quotient_basis(ideal, d)
         tgt_index = {m: i for i, m in enumerate(tgt)}
@@ -240,6 +241,15 @@ class TestKernelCertificate:
     def test_repeated_weights_rejected(self):
         with pytest.raises(ValueError):
             kernel_certificate(Action(5, (0, 1, 1)))
+
+    def test_domain_is_the_ternary_limit(self):
+        d = circulant._TERNARY_LIMIT
+        cert = kernel_certificate(Action(100, (0, 1, 3)))
+        assert cert.cofactor.coefficient((99, 0, 0)) == 1
+        assert cert.product.terms == ternary_product(100, 1, 3).terms
+        assert kernel_certificate(Action(d, (0, 1, 3))).support_in(invariant_monomials(Action(d, (0, 1, 3))))
+        with pytest.raises(ValueError):
+            kernel_certificate(Action(d + 1, (0, 1, 3)))
 
 
 class TestMinimality:
