@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .errors import ConsistencyError
+
 __all__ = [
     "Action",
     "GTIdeal",
@@ -148,7 +150,8 @@ def inverse_data(d, alpha):
         raise ValueError("alpha not invertible modulo d")
     b = pow(alpha, -1, d)
     k = (b * alpha - 1) // d
-    assert 1 < b < d and k > 0
+    if not (1 < b < d and k > 0):
+        raise ConsistencyError(f"inverse of {alpha} mod {d} gave b={b}, k={k}")
     return b, k
 
 
@@ -159,7 +162,7 @@ def n_sequence(d, a):
     n1 = (-pow(a, -1, d)) % d
     seq = [(n1 * m) % d for m in range(1, d)]
     if 0 in seq or len(set(seq)) != d - 1:
-        raise AssertionError("n-sequence must be a permutation of 1..d-1")
+        raise ConsistencyError("n-sequence must be a permutation of 1..d-1")
     return seq
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .actions import Action, invariant_monomials
 from .circulant import scaled_ternary_product
-from .cyclotomic import CyclotomicInt
+from .cyclotomic import CyclotomicInt, OrderMismatchError
 from .errors import ConsistencyError
 from .polymat import SparsePoly
 
@@ -40,14 +40,16 @@ __all__ = [
 
 def _coerce(d, value):
     if isinstance(value, CyclotomicInt):
-        assert value.order == d
+        if value.order != d:
+            raise OrderMismatchError(f"coordinate lies in Z[zeta_{value.order}], not Z[zeta_{d}]")
         return value
     return CyclotomicInt.from_int(d, value)
 
 
 def _triple(d, coords):
     t = tuple(_coerce(d, v) for v in coords)
-    assert len(t) == 3
+    if len(t) != 3:
+        raise ValueError(f"a projective triple needs 3 coordinates, got {len(t)}")
     if all(v.is_zero() for v in t):
         raise ValueError("zero triple is not a projective point")
     return t
@@ -89,11 +91,13 @@ def projective_key(d, triple):
     for vec in vecs:
         for c in vec:
             content = math.gcd(content, abs(c))
-    assert content > 0
+    if content == 0:
+        raise ConsistencyError("a nonzero triple has zero content")
     idx = next(i for i, v in enumerate(t) if not v.is_zero())
     pivot_vec = vecs[idx]
     # pivot * adj is the field norm of the pivot, a nonzero rational integer
-    assert pivot_vec[0] != 0 and not any(pivot_vec[1:])
+    if pivot_vec[0] == 0 or any(pivot_vec[1:]):
+        raise ConsistencyError("the norm of the pivot is not a nonzero rational integer")
     sign = 1 if pivot_vec[0] > 0 else -1
     return tuple(tuple(sign * c // content for c in vec) for vec in vecs)
 
@@ -247,7 +251,8 @@ def singular_census(arr: Arrangement) -> CensusReport:
     counts = {}
     for p in seen.values():
         mult = sum(1 for ln in lines if _dot(ln, p).is_zero())
-        assert mult >= 2
+        if mult < 2:
+            raise ConsistencyError(f"an intersection point lies on {mult} line(s)")
         counts[mult] = counts.get(mult, 0) + 1
     report = CensusReport(arr.name, d, arr.n_lines, tuple(sorted(counts.items())))
     if report.pair_identity() != math.comb(arr.n_lines, 2):
@@ -301,8 +306,8 @@ def freeness_diagnostic(census: CensusReport) -> FreenessReport:
         s = math.isqrt(disc)
         if s * s == disc and (c1 - s) % 2 == 0 and c1 - s >= 0:
             exponents = ((c1 - s) // 2, (c1 + s) // 2)
-            assert exponents[0] + exponents[1] == c1
-            assert exponents[0] * exponents[1] == c2
+            if exponents[0] + exponents[1] != c1 or exponents[0] * exponents[1] != c2:
+                raise ConsistencyError(f"exponents {exponents} do not split c1={c1}, c2={c2}")
     return FreenessReport(census.name, n, c1, c2, weight, disc, exponents)
 
 

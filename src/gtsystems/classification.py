@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from .actions import Action, invariant_monomials
+from .errors import ConsistencyError
 
 __all__ = [
     "ClassCountReport",
@@ -132,10 +133,10 @@ def classify_moves(d) -> ClassPartition:
         a = min(remaining)
         members = orbit(d, a)
         if not set(members) <= remaining:
-            raise AssertionError("moves did not produce a partition")
+            raise ConsistencyError("moves did not produce a partition")
         remaining -= set(members)
         if len(members) not in (2, 3, 4, 6):
-            raise AssertionError(f"unexpected class size {len(members)} at d={d}")
+            raise ConsistencyError(f"unexpected class size {len(members)} at d={d}")
         classes.append((members, _class_kind(d, members)))
     classes.sort(key=lambda c: c[0][0])
     return ClassPartition(d, tuple(classes))
@@ -294,7 +295,7 @@ def _formula_counts(d) -> ClassCounts:
     n2 = n21 + n22 + n23
     n6, rem6 = divmod(d - 2 - 2 * n2 - 3 * n3 - 4 * n4, 6)
     if rem4 or rem6:
-        raise AssertionError(f"count formulas not integral at d={d}")
+        raise ConsistencyError(f"count formulas not integral at d={d}")
     return ClassCounts(n21, n22, n23, n3, n4, n6)
 
 
@@ -364,7 +365,7 @@ def prime_and_primepower_counts(d) -> int:
         n, rem = divmod(p - 1, 6)
         if rem == 0:
             return n + 1
-        raise AssertionError("prime not of the form 6n+-1")
+        raise ConsistencyError("prime not of the form 6n+-1")
     if p == 2:
         return 1 if r == 2 else d // 4 + 1
     if p == 3 or p % 6 == 5:

@@ -27,7 +27,13 @@ from .arrangements import (
     random_scales,
     singular_census,
 )
-from .circulant import CirculantSpec, circulant_det_symbolic, coefficient_query, ternary_product
+from .circulant import (
+    _GENERAL_LIMIT,
+    CirculantSpec,
+    circulant_det_symbolic,
+    coefficient_query,
+    ternary_product,
+)
 from .classification import class_count_formulas, classify_moves, is_prime, prime_and_primepower_counts
 from .errors import ConsistencyError
 from .surface import (
@@ -46,7 +52,6 @@ from .wlp import (
 )
 
 DEFAULT_SEED = 20260814
-_CLI_GENERAL_LIMIT = 8
 
 
 class CliParser(argparse.ArgumentParser):
@@ -204,8 +209,6 @@ def cmd_circulant(args):
     checks = []
     if args.coeff:
         indices = [int(p) for p in args.coeff.split(",")]
-        if d > _CLI_GENERAL_LIMIT:
-            raise ValueError(f"coefficient queries are supported for d <= {_CLI_GENERAL_LIMIT}")
         value = coefficient_query(d, indices)
         s = sum(indices) % d
         inputs["coeff"] = indices
@@ -222,8 +225,9 @@ def cmd_circulant(args):
         if args.a is None or args.b is None:
             raise ValueError("the ternary section needs both --a and --b")
         CirculantSpec.ternary(d, args.a, args.b)
+        action = Action(d, (0, args.a, args.b))  # rejects a non-faithful section
         poly = ternary_product(d, args.a, args.b)
-        ideal = invariant_monomials(Action(d, (0, args.a, args.b)))
+        ideal = invariant_monomials(action)
         complete = poly.support() == set(ideal.generators)
         inputs.update({"a": args.a, "b": args.b})
         checks.append(
@@ -237,9 +241,9 @@ def cmd_circulant(args):
             "polynomial": poly.to_json(),
         }
     else:
-        if d > _CLI_GENERAL_LIMIT:
+        if d > _GENERAL_LIMIT:
             raise ValueError(
-                f"the full symbolic determinant is supported for d <= {_CLI_GENERAL_LIMIT}; "
+                f"the full symbolic determinant is supported for d <= {_GENERAL_LIMIT}; "
                 "pass --a/--b for a ternary section or --coeff for one coefficient"
             )
         det = circulant_det_symbolic(CirculantSpec.general(d))
@@ -498,62 +502,62 @@ def build_parser() -> CliParser:
 
     p = sub.add_parser("invariants", help="invariant monomials of an action")
     _add_common(p, action=True)
-    p.set_defaults(func=cmd_invariants)
 
     p = sub.add_parser("gt-verdict", help="weak Lefschetz failure verdict")
     _add_common(p, action=True, seed=True)
     p.add_argument("--general-l", type=int, default=0, dest="general_l",
                    help="also sample N random linear forms and compare ranks")
-    p.set_defaults(func=cmd_gt_verdict)
 
     p = sub.add_parser("minimal", help="minimality of the Togliatti system")
     _add_common(p, action=True)
     p.add_argument("--subset-oracle", action="store_true", dest="subset_oracle")
-    p.set_defaults(func=cmd_minimal)
 
     p = sub.add_parser("classify", help="equivalence classes of actions for one d")
     _add_common(p, action=True)
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("circulant", help="exact circulant determinant data")
     _add_common(p)
     p.add_argument("--a", type=int, default=None)
     p.add_argument("--b", type=int, default=None)
     p.add_argument("--coeff", default=None, help="comma-separated row indices")
-    p.set_defaults(func=cmd_circulant)
 
     p = sub.add_parser("conjecture-scan", help="scan (d,a,b) for minimality failures")
     _add_common(p, d=False)
     p.add_argument("--dmax", type=int, required=True)
     p.add_argument("--stream", action="store_true")
-    p.set_defaults(func=cmd_conjecture_scan)
 
     p = sub.add_parser("surface", help="toric surface invariants of the classical system")
     _add_common(p)
-    p.set_defaults(func=cmd_surface)
 
     p = sub.add_parser("arrangement", help="line arrangement census and freeness")
     _add_common(p)
     p.add_argument("--type", choices=("ceva", "hd", "fermat"), required=True)
-    p.set_defaults(func=cmd_arrangement)
 
     p = sub.add_parser("report", help="bundle all analyses for one (d, action)")
     _add_common(p, action=True, seed=True)
     p.add_argument("--general-l", type=int, default=0, dest="general_l")
-    p.set_defaults(func=cmd_report)
 
     return parser
 
 
+# built by the first call of main and reused: parse_args leaves the parser
+# unchanged, and its defaults are immutable, so calls cannot see each other
+_PARSER = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if not getattr(args, "func", None):
-        parser.print_usage(sys.stderr)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
+    if args.command is None:
+        _PARSER.print_usage(sys.stderr)
         print("gtsys: error: a command is required", file=sys.stderr)
         return 1
+    # looked up by name on every call, so a replaced cmd_* takes effect
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        report = args.func(args)
+        report = command(args)
     except ConsistencyError as exc:
         print(f"gtsys: consistency failure: {exc}", file=sys.stderr)
         return 2

@@ -12,7 +12,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from .errors import NonIntegerError
+from .errors import ConsistencyError, NonIntegerError
 
 __all__ = [
     "CycloPolynomial",
@@ -38,7 +38,8 @@ def _poly_mul(p, q):
 
 def _poly_divmod_exact(num, den):
     """Divide num by the monic polynomial den over Z, returning (quot, rem)."""
-    assert den[-1] == 1
+    if den[-1] != 1:
+        raise ConsistencyError("exact division needs a monic divisor")
     num = list(num)
     dn = len(den) - 1
     quot = [0] * max(1, len(num) - dn)
@@ -107,12 +108,13 @@ def cyclotomic_polynomial(d: int) -> CycloPolynomial:
                     den = _poly_mul(den, list(cyclotomic_polynomial(e).coeffs))
             den_deg = len(den) - 1
             if den[-1] != 1:
-                raise AssertionError("divisor product must be monic")
+                raise ConsistencyError("divisor product must be monic")
             quot, rem = _poly_divmod_exact(num, den)
             if any(rem) and rem != [0]:
-                raise AssertionError(f"x^{d}-1 not divisible by proper factors")
+                raise ConsistencyError(f"x^{d}-1 not divisible by proper factors")
             phi = CycloPolynomial(d, tuple(quot))
-            assert phi.coeffs[-1] == 1 and phi.degree == d - den_deg
+            if phi.coeffs[-1] != 1 or phi.degree != d - den_deg:
+                raise ConsistencyError(f"Phi_{d} is not monic of degree {d - den_deg}")
         _PHI_CACHE[d] = phi
         return phi
 

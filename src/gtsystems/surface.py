@@ -118,7 +118,7 @@ class _Lattice:
             u = (v[0] // n, v[1] // n)
             if self.contains(u):
                 return u, n
-        raise AssertionError("vector not in its own lattice")
+        raise ConsistencyError("vector not in its own lattice")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from gtsystems.arrangements import (
     random_scales,
     singular_census,
 )
-from gtsystems.cyclotomic import CyclotomicInt
+from gtsystems.cyclotomic import CyclotomicInt, OrderMismatchError
 
 
 def zeta_triple(d, exps, scale=1):
@@ -66,6 +66,15 @@ class TestProjectiveKey:
         q = cross(l1s, l2)
         assert projective_key(d, p) == projective_key(d, q)
         assert proportional(p, q)
+
+    def test_malformed_triples_are_value_errors(self):
+        # input checks, not asserts: they hold under python -O too
+        with pytest.raises(ValueError, match="3 coordinates"):
+            projective_key(5, (1, 2))
+        with pytest.raises(OrderMismatchError):
+            projective_key(5, (CyclotomicInt.one(7), 1, 1))
+        with pytest.raises(ValueError, match="zero triple"):
+            projective_key(5, (0, 0, 0))
 
 
 class TestArrangementConstruction:

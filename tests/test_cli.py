@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 import gtsystems
-from gtsystems import __version__
-from gtsystems.cli import DEFAULT_SEED, main
+from gtsystems import __version__, classification, cli
+from gtsystems.cli import DEFAULT_SEED, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -139,6 +139,127 @@ class TestCirculantSection:
         code, _, err = run_cli(capsys, "circulant", "--d", "129", "--a", "1", "--b", "3")
         assert code == 1
         assert "128" in err
+
+
+class TestCirculantLimits:
+    def test_non_faithful_section_rejected_before_expansion(self, capsys, monkeypatch):
+        def no_expansion(*args):
+            raise AssertionError("the section was expanded before validation")
+
+        monkeypatch.setattr(cli, "ternary_product", no_expansion)
+        code, _, err = run_cli(capsys, "circulant", "--d", "128", "--a", "32", "--b", "64")
+        assert code == 1
+        assert "gcd(0, 32, 64, 128) != 1: the action is not faithful" in err
+
+    def test_general_form_at_d9(self, capsys):
+        code, out, _ = run_cli(capsys, "circulant", "--d", "9")
+        assert code == 0
+        assert json.loads(out)["results"]["n_terms"] == 2704
+
+    def test_coefficient_query_at_d9(self, capsys):
+        code, out, _ = run_cli(capsys, "circulant", "--d", "9", "--coeff", "0,0,0,0,0,0,0,0,0")
+        assert code == 0
+        assert json.loads(out)["results"]["value"] == 1  # v_0^9: the diagonal
+
+    @pytest.mark.parametrize("extra", [(), ("--coeff", ",".join(["0"] * 13))])
+    def test_general_form_limit_is_the_library_limit(self, capsys, extra):
+        code, _, err = run_cli(capsys, "circulant", "--d", "13", *extra)
+        assert code == 1
+        assert "d <= 12" in err
+
+
+def _run_under_optimize(script):
+    src = str(Path(gtsystems.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env)
+
+
+class TestExitCodeContract:
+    def test_failed_cross_check_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(classification, "orbit", lambda d, a: (a,))
+        code, out, err = run_cli(capsys, "classify", "--d", "13")
+        assert code == 2
+        assert out == ""
+        assert "consistency failure: unexpected class size 1" in err
+
+    def test_exit_codes_hold_under_optimize(self):
+        script = (
+            "import sys\n"
+            "from gtsystems import classification\n"
+            "from gtsystems.cli import main\n"
+            "codes = [main(['invariants', '--d', '7', '--action', '0,1,3']),\n"
+            "         main(['invariants', '--d', '6', '--action', '0,2,4'])]\n"
+            "classification.orbit = lambda d, a: (a,)\n"
+            "codes.append(main(['classify', '--d', '13']))\n"
+            "print(codes, file=sys.stderr)\n"
+            "sys.exit(0 if codes == [0, 1, 2] else 3)\n"
+        )
+        proc = _run_under_optimize(script)
+        assert proc.returncode == 0, proc.stderr
+        assert "assert" not in proc.stderr.lower()
+
+
+class TestInProcessReuse:
+    """main builds its parser once and reuses it; the answers must not change."""
+
+    EXAMPLES = [
+        ("invariants", "--d", "7", "--action", "0,1,3"),
+        ("gt-verdict", "--d", "7", "--a", "3", "--format", "json"),
+        ("classify", "--d", "13", "--format", "md"),
+        ("circulant", "--d", "6", "--coeff", "0,0,1,3,3,5"),
+        ("conjecture-scan", "--dmax", "13", "--stream"),
+        ("surface", "--d", "9"),
+        ("arrangement", "--type", "hd", "--d", "3"),
+        ("report", "--d", "7", "--action", "0,1,3", "--out", "{out}"),
+        ("invariants", "--d", "7"),  # invalid input: no action
+        ("invariants", "--format", "yaml", "--d", "7", "--a", "3"),  # bad usage: argparse
+        ("gt-verdict", "--d", "5", "--a", "2", "--general-l", "2", "--format", "csv"),
+        ("report", "--d", "6", "--a", "5", "--format", "md"),
+    ]
+
+    @staticmethod
+    def _call(capsys, argv, out_path):
+        argv = [a.format(out=out_path) for a in argv]
+        code, out, err = run_cli(capsys, *argv)
+        written = None
+        if out_path.exists():
+            written = out_path.read_text()
+            out_path.unlink()
+        return code, out, err, written
+
+    def test_repeated_calls_match_fresh_parsers(self, capsys, monkeypatch, tmp_path):
+        out_path = tmp_path / "report.json"
+        fresh = []
+        for argv in self.EXAMPLES:
+            monkeypatch.setattr(cli, "_PARSER", None)  # a new parser for this call
+            fresh.append(self._call(capsys, argv, out_path))
+        assert [r[0] for r in fresh] == [0] * 8 + [1, 1, 0, 0]
+        monkeypatch.setattr(cli, "_PARSER", None)
+        self._call(capsys, self.EXAMPLES[0], out_path)
+        shared = cli._PARSER
+        for _ in range(2):
+            for argv, expected in zip(self.EXAMPLES, fresh):
+                assert self._call(capsys, argv, out_path) == expected, argv
+        assert cli._PARSER is shared
+
+    def test_build_parser_is_fresh_and_holds_no_functions(self):
+        assert build_parser() is not build_parser()
+        args = build_parser().parse_args(["surface", "--d", "5"])
+        assert not any(callable(v) for v in vars(args).values())
+
+    def test_replaced_command_takes_effect_after_first_call(self, capsys, monkeypatch):
+        code, out, _ = run_cli(capsys, "surface", "--d", "5")
+        assert code == 0 and cli._PARSER is not None
+
+        def stub(args):
+            return cli._report("surface", {"d": args.d}, {"stub": True}, [])
+
+        monkeypatch.setattr(cli, "cmd_surface", stub)
+        code, out, _ = run_cli(capsys, "surface", "--d", "5")
+        assert code == 0
+        assert json.loads(out)["results"] == {"stub": True}
 
 
 class TestDependencies:
