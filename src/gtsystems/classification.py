@@ -31,6 +31,8 @@ __all__ = [
 ]
 
 _FACTOR_LIMIT = 10 ** 6
+# classification needs the factorization of d for the closed-form counts
+_CLASSIFY_LIMIT = _FACTOR_LIMIT
 
 
 def factorize(n: int) -> dict:
@@ -123,22 +125,35 @@ class ClassPartition:
         }
 
 
+def _check_classify_limit(d):
+    if d > _CLASSIFY_LIMIT:
+        raise ValueError(f"classification supported for d <= {_CLASSIFY_LIMIT}")
+
+
 def classify_moves(d) -> ClassPartition:
-    """Partition {2, ..., d-1} into move-closure classes."""
+    """Partition {2, ..., d-1} into move-closure classes.
+
+    One ascending sweep: every a not yet placed is the least member of its
+    class, so the classes come out ordered by their least member.
+    """
+    _check_classify_limit(d)
     if d < 4:
         raise ValueError("need d >= 4")
-    remaining = set(range(2, d))
+    placed = bytearray(d)
     classes = []
-    while remaining:
-        a = min(remaining)
+    for a in range(2, d):
+        if placed[a]:
+            continue
         members = orbit(d, a)
-        if not set(members) <= remaining:
-            raise ConsistencyError("moves did not produce a partition")
-        remaining -= set(members)
         if len(members) not in (2, 3, 4, 6):
             raise ConsistencyError(f"unexpected class size {len(members)} at d={d}")
+        if members[0] != a:
+            raise ConsistencyError("moves did not produce a partition")
+        for m in members:
+            if not a <= m < d or placed[m]:
+                raise ConsistencyError("moves did not produce a partition")
+            placed[m] = 1
         classes.append((members, _class_kind(d, members)))
-    classes.sort(key=lambda c: c[0][0])
     return ClassPartition(d, tuple(classes))
 
 
@@ -339,15 +354,23 @@ class ClassCountReport:
         }
 
 
-def class_count_formulas(d) -> ClassCountReport:
+def class_count_formulas(d, partition: ClassPartition | None = None) -> ClassCountReport:
     """Evaluate the closed-form class counts and compare with the oracle.
 
     The oracle (move closure plus class typing) is authoritative; formula
-    deviations are reported as findings, not raised.
+    deviations are reported as findings, not raised.  A caller that already
+    holds ``classify_moves(d)`` passes it as ``partition``; otherwise it is
+    computed here.
     """
+    _check_classify_limit(d)
     if d < 5:
         raise ValueError("need d >= 5")
-    return ClassCountReport(d, _formula_counts(d), _oracle_counts(classify_moves(d)))
+    if partition is not None and partition.d != d:
+        raise ValueError(f"partition is for d={partition.d}, not d={d}")
+    formula = _formula_counts(d)
+    if partition is None:
+        partition = classify_moves(d)
+    return ClassCountReport(d, formula, _oracle_counts(partition))
 
 
 def prime_and_primepower_counts(d) -> int:

@@ -34,7 +34,12 @@ from .circulant import (
     coefficient_query,
     ternary_product,
 )
-from .classification import class_count_formulas, classify_moves, is_prime, prime_and_primepower_counts
+from .classification import (
+    _CLASSIFY_LIMIT,
+    class_count_formulas,
+    classify_moves,
+    prime_and_primepower_counts,
+)
 from .errors import ConsistencyError
 from .surface import (
     betti_table,
@@ -175,6 +180,8 @@ def cmd_minimal(args):
 
 def cmd_classify(args):
     d = args.d
+    if d > _CLASSIFY_LIMIT:
+        raise ValueError(f"classification supported for d <= {_CLASSIFY_LIMIT}")
     if getattr(args, "action", None) or getattr(args, "a", None) is not None:
         action = _parse_action(args)
         w = action.normalized().weights
@@ -186,7 +193,7 @@ def cmd_classify(args):
         _check("partition_sizes", "pass", f"{len(partition.classes)} classes"),
     ]
     if d >= 5:
-        report = class_count_formulas(d)
+        report = class_count_formulas(d, partition)
         results["counts"] = report.to_json()
         checks.append(
             _check(
@@ -362,7 +369,7 @@ def cmd_report(args):
         partition = classify_moves(d)
         sections["classification"] = partition.to_json()
         if d >= 5:
-            counts = class_count_formulas(d)
+            counts = class_count_formulas(d, partition)
             sections["class_counts"] = counts.to_json()
             checks.append(
                 _check("classify.formula_oracle_agreement",

@@ -4,7 +4,10 @@ import math
 
 import pytest
 
+from gtsystems import classification
 from gtsystems.classification import (
+    _CLASSIFY_LIMIT,
+    _class_kind,
     arithmetic_counts,
     canonical_ideal_key,
     class_count_formulas,
@@ -16,6 +19,7 @@ from gtsystems.classification import (
     prime_and_primepower_counts,
     totient,
 )
+from gtsystems.errors import ConsistencyError
 
 # Verbatim reference partitions for small primes.
 REFERENCE_PARTITIONS = {
@@ -78,6 +82,90 @@ class TestOrbitsAndPartitions:
                     assert set(members) == {2, d - 1, (d + 1) // 2}
 
 
+def quadratic_closure_oracle(d):
+    """The move closure as first written: repeatedly take the least value not
+    yet placed, close it under the moves, and sort the classes at the end.
+    Quadratic in d (``min`` over a set once per class); kept as the reference
+    for the one-sweep ``classify_moves``."""
+    remaining = set(range(2, d))
+    classes = []
+    while remaining:
+        members = orbit(d, min(remaining))
+        assert set(members) <= remaining
+        remaining -= set(members)
+        classes.append((members, _class_kind(d, members)))
+    classes.sort(key=lambda c: c[0][0])
+    return tuple(classes)
+
+
+def assert_ordered_partition(d, classes):
+    members = [a for m, _ in classes for a in m]
+    assert sorted(members) == list(range(2, d))
+    firsts = [m[0] for m, _ in classes]
+    assert firsts == sorted(set(firsts))
+    assert all(m[0] == min(m) for m, _ in classes)
+
+
+class TestSweepAgainstQuadraticClosure:
+    def test_every_d_up_to_1000(self):
+        for d in range(4, 1001):
+            part = classify_moves(d)
+            assert part.d == d
+            assert part.classes == quadratic_closure_oracle(d), d
+            assert_ordered_partition(d, part.classes)
+
+    @pytest.mark.parametrize("d", [2310, 15015])
+    def test_large_squarefree_d(self, d):
+        part = classify_moves(d)
+        assert part.classes == quadratic_closure_oracle(d)
+        assert_ordered_partition(d, part.classes)
+
+    def test_one_orbit_per_class(self, monkeypatch):
+        calls = []
+        real = classification.orbit
+
+        def counting_orbit(d, a):
+            calls.append(a)
+            return real(d, a)
+
+        monkeypatch.setattr(classification, "orbit", counting_orbit)
+        part = classify_moves(15015)
+        assert calls == [m[0] for m, _ in part.classes]
+
+    @pytest.mark.parametrize(
+        "bad_orbit",
+        [
+            lambda d, a: (a, d - 1),  # every class after the first overlaps it
+            lambda d, a: tuple(m for m in orbit(d, a) if m != 2),  # 2 is never placed
+            lambda d, a: (a, d),  # a member outside {2, ..., d-1}
+        ],
+        ids=["overlap", "misses_2", "out_of_range"],
+    )
+    def test_broken_moves_are_a_consistency_error(self, monkeypatch, bad_orbit):
+        monkeypatch.setattr(classification, "orbit", bad_orbit)
+        with pytest.raises(ConsistencyError, match="moves did not produce a partition"):
+            classify_moves(13)
+
+    def test_bad_class_size_is_a_consistency_error(self, monkeypatch):
+        monkeypatch.setattr(classification, "orbit", lambda d, a: (a,))
+        with pytest.raises(ConsistencyError, match="unexpected class size 1"):
+            classify_moves(13)
+
+
+class TestClassifyLimit:
+    def test_limit_is_the_factorization_limit(self):
+        assert _CLASSIFY_LIMIT == classification._FACTOR_LIMIT
+
+    @pytest.mark.parametrize("func", [classify_moves, class_count_formulas])
+    def test_limit_checked_before_any_orbit(self, monkeypatch, func):
+        def no_orbit(d, a):
+            raise AssertionError("orbit ran above the classification limit")
+
+        monkeypatch.setattr(classification, "orbit", no_orbit)
+        with pytest.raises(ValueError, match=f"d <= {_CLASSIFY_LIMIT}"):
+            func(_CLASSIFY_LIMIT + 1)
+
+
 class TestIdealEquivalenceOracle:
     def test_oracle_matches_partition(self):
         # Two values of a produce coordinate-permutation-equivalent invariant
@@ -128,6 +216,20 @@ class TestClassCountFormulas:
             r = class_count_formulas(d)
             assert r.findings == []
             assert r.formula == r.oracle
+
+    def test_given_partition_is_not_computed_again(self, monkeypatch):
+        expected = class_count_formulas(825)
+        part = classify_moves(825)
+
+        def no_partition(d):
+            raise AssertionError("the partition was computed again")
+
+        monkeypatch.setattr(classification, "classify_moves", no_partition)
+        assert class_count_formulas(825, part) == expected
+
+    def test_partition_for_another_d_rejected(self):
+        with pytest.raises(ValueError, match="partition is for d=13, not d=14"):
+            class_count_formulas(14, classify_moves(13))
 
     def test_known_mismatch_is_reported_not_raised(self):
         # The published two-element type-(ii) count evaluates to 4 at d=7

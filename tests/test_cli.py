@@ -168,6 +168,47 @@ class TestCirculantLimits:
         assert "d <= 12" in err
 
 
+class TestClassifyPartition:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("classify", "--d", "15015"),
+            ("classify", "--d", "13"),
+            ("report", "--d", "7", "--action", "0,1,3"),
+        ],
+    )
+    def test_one_partition_per_command(self, capsys, monkeypatch, argv):
+        calls = []
+        real = classification.classify_moves
+
+        def counting_classify_moves(d):
+            calls.append(d)
+            return real(d)
+
+        monkeypatch.setattr(cli, "classify_moves", counting_classify_moves)
+        monkeypatch.setattr(classification, "classify_moves", counting_classify_moves)
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert calls == [int(argv[2])]
+
+    def test_limit_checked_before_partition(self, capsys, monkeypatch):
+        def no_orbit(d, a):
+            raise AssertionError("the partition ran above the classification limit")
+
+        monkeypatch.setattr(classification, "orbit", no_orbit)
+        code, out, err = run_cli(capsys, "classify", "--d", str(classification._CLASSIFY_LIMIT + 1))
+        assert code == 1
+        assert out == ""
+        assert f"d <= {classification._CLASSIFY_LIMIT}" in err
+
+    def test_overlapping_classes_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(classification, "orbit", lambda d, a: (a, d - 1))
+        code, out, err = run_cli(capsys, "classify", "--d", "13")
+        assert code == 2
+        assert out == ""
+        assert "moves did not produce a partition" in err
+
+
 def _run_under_optimize(script):
     src = str(Path(gtsystems.__file__).resolve().parent.parent)
     path = os.environ.get("PYTHONPATH")
