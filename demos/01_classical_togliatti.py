@@ -9,7 +9,6 @@ failure.
 
 from gtsystems import (
     Action,
-    CirculantSpec,
     circulant_det_symbolic,
     gt_verdict,
     invariant_monomials,
@@ -28,10 +27,10 @@ verdict = gt_verdict(action)
 print(f"multiplication by x+y+z in degree 2 -> 3: rank {verdict.rank} of {verdict.dim_source}")
 print("fails injectivity:", verdict.fails_injectivity)
 print("generator bound mu <= d+1 holds:", verdict.generator_bound_ok)
-print("verdict:", "GT-system" if verdict.is_gt else "not a GT-system")
+print("verdict:", "GT-system" if verdict.is_togliatti else "not a GT-system")
 
 print("minimal (circulant route):", minimality_circulant(action))
 print("minimal (subset-removal oracle):", minimality_subset_oracle(ideal))
 
-det = circulant_det_symbolic(CirculantSpec(3))
+det = circulant_det_symbolic(3)
 print("3x3 symbolic circulant determinant:", det.render(names=("v0", "v1", "v2")))

@@ -25,17 +25,13 @@ from .arrangements import (
     singular_census,
 )
 from .circulant import (
-    CirculantSpec,
-    circulant_det_oracle,
     circulant_det_symbolic,
     coefficient_query,
     ternary_product,
 )
 from .classification import (
-    arithmetic_counts,
     class_count_formulas,
     classify_moves,
-    equivalent_ideal_oracle,
     prime_and_primepower_counts,
 )
 from .cyclotomic import CyclotomicInt, cyclotomic_polynomial
@@ -58,7 +54,6 @@ from .wlp import (
 
 __all__ = [
     "Action",
-    "CirculantSpec",
     "ConsistencyError",
     "CyclotomicInt",
     "GTIdeal",
@@ -67,13 +62,11 @@ __all__ = [
     "SparsePoly",
     "WlpVerdict",
     "__version__",
-    "arithmetic_counts",
     "bareiss_rank",
     "betti_table",
     "build_arrangement",
     "certificate_product_membership",
     "ceva_configuration",
-    "circulant_det_oracle",
     "circulant_det_symbolic",
     "class_count_formulas",
     "classify_moves",
@@ -81,7 +74,6 @@ __all__ = [
     "conjecture_scan",
     "cyclotomic_polynomial",
     "determinantal_generators",
-    "equivalent_ideal_oracle",
     "exponent_polytope_degree",
     "freeness_diagnostic",
     "generalized_classical",

@@ -10,7 +10,7 @@ package are always checked against it, never the other way round.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConsistencyError
 
@@ -37,7 +37,6 @@ class Action:
 
     d: int
     weights: tuple
-    source: tuple | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.d < 2:
@@ -50,12 +49,6 @@ class Action:
                 f"gcd{(*self.weights, self.d)} != 1: the action is not faithful"
             )
         object.__setattr__(self, "weights", w)
-
-    @property
-    def is_m_family(self):
-        """True when the normalized weights have the shape (0, 1, a)."""
-        w = self.normalized().weights
-        return w[0] == 0 and w[1] == 1
 
     def normalized(self) -> "Action":
         return normalize_action(self.d, *self.weights)
@@ -71,7 +64,7 @@ def normalize_action(d, a, b, c) -> Action:
     """Canonical representative: subtract the first weight, then sort ascending."""
     probe = Action(d, (a, b, c))  # validates gcd before normalizing
     shifted = sorted((w - probe.weights[0]) % d for w in probe.weights)
-    return Action(d, tuple(shifted), source=(a, b, c))
+    return Action(d, tuple(shifted))
 
 
 def monomial_str(exp, names=("x", "y", "z")):
@@ -166,15 +159,17 @@ def n_sequence(d, a):
     return seq
 
 
-def generalized_classical(d) -> GTIdeal:
-    """The system x^d, y^d, z^d, x^k y^k z^eps, ..., x^2 y^2 z^(d-4), xyz^(d-2).
-
-    Here k = floor(d/2) and eps = d mod 2; the monomial set coincides with the
-    invariant ideal of the action with weights (0, 2, 1).
-    """
+def _classical_exponents(d):
+    """The exponents of x^d, y^d, z^d, x^k y^k z^eps, ..., x^2 y^2 z^(d-4),
+    xyz^(d-2) in this order, with k = floor(d/2) and eps = d mod 2.  The
+    order numbers the variables of surface.determinantal_generators."""
     if d < 3:
         raise ValueError("need d >= 3")
     k = d // 2
-    gens = [(d, 0, 0), (0, d, 0), (0, 0, d)]
-    gens.extend((i, i, d - 2 * i) for i in range(k, 0, -1))
-    return GTIdeal(d, tuple(gens), action=Action(d, (0, 2, 1)))
+    return [(d, 0, 0), (0, d, 0), (0, 0, d)] + [(i, i, d - 2 * i) for i in range(k, 0, -1)]
+
+
+def generalized_classical(d) -> GTIdeal:
+    """The system x^d, y^d, z^d, x^k y^k z^eps, ..., xyz^(d-2), whose monomial
+    set coincides with the invariant ideal of the action with weights (0, 2, 1)."""
+    return GTIdeal(d, tuple(_classical_exponents(d)), action=Action(d, (0, 2, 1)))

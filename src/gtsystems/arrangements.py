@@ -37,6 +37,11 @@ __all__ = [
     "singular_census",
 ]
 
+# Largest d for which gtsys runs the census of each arrangement kind; the
+# census tests every candidate point against every line exactly, so its cost
+# grows quickly with d.
+_ARRANGEMENT_LIMITS = {"ceva": 8, "hd": 8, "fermat": 12}
+
 
 def _coerce(d, value):
     if isinstance(value, CyclotomicInt):

@@ -21,14 +21,11 @@ nonzero remainder therefore means a bug and raises NonIntegerError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ConsistencyError, NonIntegerError
 from .polymat import SparsePoly
 
 __all__ = [
-    "CirculantSpec",
-    "circulant_det_oracle",
     "circulant_det_symbolic",
     "circulant_product",
     "coefficient_query",
@@ -37,37 +34,6 @@ __all__ = [
 
 _GENERAL_LIMIT = 12
 _TERNARY_LIMIT = 128
-
-
-@dataclass(frozen=True)
-class CirculantSpec:
-    """A d x d circulant in the symbols v_0..v_(d-1), or its ternary section.
-
-    The ternary section keeps x at position 0, y at position a and z at
-    position b (all other symbols set to zero).
-    """
-
-    d: int
-    a: int | None = None
-    b: int | None = None
-
-    @classmethod
-    def general(cls, d):
-        if not 2 <= d <= _GENERAL_LIMIT:
-            raise ValueError(f"general form supported for 2 <= d <= {_GENERAL_LIMIT}")
-        return cls(d)
-
-    @classmethod
-    def ternary(cls, d, a, b):
-        if not 3 <= d <= _TERNARY_LIMIT:
-            raise ValueError(f"ternary form supported for 3 <= d <= {_TERNARY_LIMIT}")
-        if not 1 <= a < b <= d - 1:
-            raise ValueError("need 1 <= a < b <= d-1")
-        return cls(d, a, b)
-
-    @property
-    def is_ternary(self):
-        return self.a is not None
 
 
 def _admissible_exponents(d, shifts, n, target):
@@ -163,71 +129,18 @@ def circulant_product(d, positions) -> SparsePoly:
     return SparsePoly(m, {exponents(key, d): c for key, c in s[d].items()}, prune=False)
 
 
-def circulant_det_symbolic(spec: CirculantSpec) -> SparsePoly:
+def circulant_det_symbolic(d) -> SparsePoly:
     """det Circ(v_0..v_(d-1)) as the product of eigenvalue forms, over Z."""
-    d = spec.d
-    if spec.is_ternary:
-        return ternary_product(d, spec.a, spec.b)
-    if d > _GENERAL_LIMIT:
-        raise ValueError(f"general form supported for d <= {_GENERAL_LIMIT}")
+    if not 2 <= d <= _GENERAL_LIMIT:
+        raise ValueError(f"general form supported for 2 <= d <= {_GENERAL_LIMIT}")
     return circulant_product(d, range(d))
-
-
-def circulant_det_oracle(spec: CirculantSpec) -> SparsePoly:
-    """Same determinant by Laplace cofactor expansion of the symbolic matrix.
-
-    Entirely integer arithmetic, no roots of unity: an independent check of
-    the eigenvalue route.
-    """
-    d = spec.d
-    if d > 6:
-        raise ValueError("cofactor oracle supported for d <= 6")
-    mat = [
-        [SparsePoly.variable(d, (j - i) % d) for j in range(d)]
-        for i in range(d)
-    ]
-    det = _laplace_det(mat, d)
-    if spec.is_ternary:
-        return _specialize_ternary(det, spec)
-    return det
-
-
-def _laplace_det(mat, nvars):
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    total = SparsePoly.zero(nvars)
-    for j in range(n):
-        entry = mat[0][j]
-        if entry.is_zero():
-            continue
-        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
-        sub = _laplace_det(minor, nvars)
-        term = entry * sub
-        total = total + term if j % 2 == 0 else total - term
-    return total
-
-
-def _specialize_ternary(det: SparsePoly, spec: CirculantSpec) -> SparsePoly:
-    """Set v_0 -> x, v_a -> y, v_b -> z and all other symbols to zero."""
-    d = spec.d
-    keep = {0: 0, spec.a: 1, spec.b: 2}
-    terms = {}
-    for exp, c in det.terms.items():
-        if any(p and k not in keep for k, p in enumerate(exp)):
-            continue
-        new = [0, 0, 0]
-        for k, slot in keep.items():
-            new[slot] = exp[k]
-        terms[tuple(new)] = terms.get(tuple(new), 0) + c
-    return SparsePoly(3, terms)
 
 
 def ternary_product(d, a, b) -> SparsePoly:
     """The product over j of (x + zeta^(aj) y + zeta^(bj) z), with integer
     coefficients, equal to the circulant determinant of the ternary section."""
     if not 3 <= d <= _TERNARY_LIMIT:
-        raise ValueError(f"supported for 3 <= d <= {_TERNARY_LIMIT}")
+        raise ValueError(f"ternary form supported for 3 <= d <= {_TERNARY_LIMIT}")
     if not (0 < a < d and 0 < b < d and a != b):
         raise ValueError("need distinct nonzero positions a, b")
     return circulant_product(d, (0, a, b))
@@ -286,5 +199,4 @@ def coefficient_query(d, indices) -> int:
     exp = [0] * d
     for i in indices:
         exp[i] += 1
-    det = circulant_det_symbolic(CirculantSpec.general(d))
-    return det.coefficient(exp)
+    return circulant_det_symbolic(d).coefficient(exp)

@@ -3,27 +3,24 @@
 Two parameters a1, a2 in {2, ..., d-1} give ideals that agree up to a variable
 permutation exactly when they are connected by the moves a -> d-a+1 and
 a -> a^(-1) mod d (the latter only when a is invertible).  The closure under
-these moves is computed directly; every closed-form count in this module is
-compared against that closure or against brute scans.
+these moves is computed directly; every closed-form class count in this
+module is compared against that closure.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 
-from .actions import Action, invariant_monomials
 from .errors import ConsistencyError
 
 __all__ = [
     "ClassCountReport",
     "ClassCounts",
     "ClassPartition",
-    "arithmetic_counts",
     "class_count_formulas",
     "classify_moves",
-    "equivalent_ideal_oracle",
     "factorize",
     "is_prime",
     "orbit",
@@ -157,101 +154,10 @@ def classify_moves(d) -> ClassPartition:
     return ClassPartition(d, tuple(classes))
 
 
-def canonical_ideal_key(d, a):
-    """Invariant-set fingerprint stable under all 6 variable permutations."""
-    gens = invariant_monomials(Action(d, (0, 1, a))).generators
-    best = None
-    for sigma in permutations(range(3)):
-        key = tuple(sorted(tuple(g[sigma[i]] for i in range(3)) for g in gens))
-        if best is None or key < best:
-            best = key
-    return best
-
-
-def equivalent_ideal_oracle(d, a1, a2) -> bool:
-    """Do the invariant ideals of (0,1,a1) and (0,1,a2) agree up to permuting variables?"""
-    g1 = set(invariant_monomials(Action(d, (0, 1, a1))).generators)
-    g2 = set(invariant_monomials(Action(d, (0, 1, a2))).generators)
-    if len(g1) != len(g2):
-        return False
-    for sigma in permutations(range(3)):
-        if {tuple(g[sigma[i]] for i in range(3)) for g in g1} == g2:
-            return True
-    return False
-
-
-@dataclass(frozen=True)
-class ArithmeticCounts:
-    d: int
-    sqrt1_formula: int
-    sqrt1_scan: int
-    phi6_formula: int
-    phi6_scan: int
-    totient_formula: int
-    totient_scan: int
-
-    @property
-    def mismatches(self):
-        out = []
-        if self.sqrt1_formula != self.sqrt1_scan:
-            out.append("sqrt1")
-        if self.phi6_formula != self.phi6_scan:
-            out.append("phi6")
-        if self.totient_formula != self.totient_scan:
-            out.append("totient")
-        return out
-
-    def to_json(self):
-        return {
-            "d": self.d,
-            "sqrt1": {"formula": self.sqrt1_formula, "scan": self.sqrt1_scan},
-            "phi6": {"formula": self.phi6_formula, "scan": self.phi6_scan},
-            "totient": {"formula": self.totient_formula, "scan": self.totient_scan},
-            "mismatches": self.mismatches,
-        }
-
-
-def _sqrt1_count_formula(d):
-    fac = factorize(d)
-    alpha = fac.get(2, 0)
-    r = len([p for p in fac if p != 2])
-    if alpha <= 1:
-        return 2 ** r
-    if alpha == 2:
-        return 2 ** (r + 1)
-    return 2 ** (r + 2)
-
-
 def _phi6_compatible(fac):
     if fac.get(2, 0) > 0 or fac.get(3, 0) > 1:
         return False
     return all(p % 6 == 1 for p in fac if p > 3)
-
-
-def _phi6_count_formula(d):
-    fac = factorize(d)
-    if not _phi6_compatible(fac):
-        return 0
-    # index r of the fixed parametrization 2^a0 * 3^a1 * p2 ... pr
-    r = 1 + len([p for p in fac if p > 3])
-    return 2 ** (r - 1)
-
-
-def arithmetic_counts(d) -> ArithmeticCounts:
-    """Solution counts of x^2=1 and x^2-x+1=0 mod d, plus the totient, each
-    computed by closed form and re-checked by brute scan."""
-    sqrt1_scan = sum(1 for x in range(d) if (x * x) % d == 1)
-    phi6_scan = sum(1 for x in range(d) if (x * x - x + 1) % d == 0)
-    tot_scan = sum(1 for x in range(1, d + 1) if math.gcd(x, d) == 1)
-    return ArithmeticCounts(
-        d,
-        _sqrt1_count_formula(d),
-        sqrt1_scan,
-        _phi6_count_formula(d),
-        phi6_scan,
-        totient(d),
-        tot_scan,
-    )
 
 
 @dataclass(frozen=True)

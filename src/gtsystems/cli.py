@@ -18,8 +18,9 @@ import random
 import sys
 
 from . import __version__
-from .actions import Action, GTIdeal, generalized_classical, invariant_monomials
+from .actions import Action, generalized_classical, invariant_monomials
 from .arrangements import (
+    _ARRANGEMENT_LIMITS,
     build_arrangement,
     certificate_product_membership,
     ceva_configuration,
@@ -27,21 +28,15 @@ from .arrangements import (
     random_scales,
     singular_census,
 )
-from .circulant import (
-    _GENERAL_LIMIT,
-    CirculantSpec,
-    circulant_det_symbolic,
-    coefficient_query,
-    ternary_product,
-)
+from .circulant import circulant_det_symbolic, coefficient_query, ternary_product
 from .classification import (
-    _CLASSIFY_LIMIT,
     class_count_formulas,
     classify_moves,
     prime_and_primepower_counts,
 )
 from .errors import ConsistencyError
 from .surface import (
+    _SURFACE_RANGE,
     betti_table,
     determinantal_generators,
     exponent_polytope_degree,
@@ -180,8 +175,6 @@ def cmd_minimal(args):
 
 def cmd_classify(args):
     d = args.d
-    if d > _CLASSIFY_LIMIT:
-        raise ValueError(f"classification supported for d <= {_CLASSIFY_LIMIT}")
     if getattr(args, "action", None) or getattr(args, "a", None) is not None:
         action = _parse_action(args)
         w = action.normalized().weights
@@ -231,7 +224,8 @@ def cmd_circulant(args):
     elif args.a is not None or args.b is not None:
         if args.a is None or args.b is None:
             raise ValueError("the ternary section needs both --a and --b")
-        CirculantSpec.ternary(d, args.a, args.b)
+        if not 1 <= args.a < args.b <= d - 1:
+            raise ValueError("need 1 <= a < b <= d-1")
         action = Action(d, (0, args.a, args.b))  # rejects a non-faithful section
         poly = ternary_product(d, args.a, args.b)
         ideal = invariant_monomials(action)
@@ -248,12 +242,7 @@ def cmd_circulant(args):
             "polynomial": poly.to_json(),
         }
     else:
-        if d > _GENERAL_LIMIT:
-            raise ValueError(
-                f"the full symbolic determinant is supported for d <= {_GENERAL_LIMIT}; "
-                "pass --a/--b for a ternary section or --coeff for one coefficient"
-            )
-        det = circulant_det_symbolic(CirculantSpec.general(d))
+        det = circulant_det_symbolic(d)
         bad = [e for e in det.terms if sum(i * m for i, m in enumerate(e)) % d]
         if bad:
             raise ConsistencyError("determinant support violates the index-sum rule")
@@ -287,8 +276,9 @@ def cmd_conjecture_scan(args):
 
 def cmd_surface(args):
     d = args.d
-    if not 3 <= d <= 12:
-        raise ValueError("the surface suite is supported for 3 <= d <= 12")
+    if d not in _SURFACE_RANGE:
+        raise ValueError("the surface suite is supported for "
+                         f"{_SURFACE_RANGE.start} <= d <= {_SURFACE_RANGE[-1]}")
     ideal = generalized_classical(d)
     model = exponent_polytope_degree(ideal)
     smooth = polytope_smoothness(ideal)
@@ -316,9 +306,8 @@ def cmd_surface(args):
 def cmd_arrangement(args):
     d = args.d
     kind = args.type
-    limits = {"ceva": 8, "hd": 8, "fermat": 12}
-    if d > limits[kind]:
-        raise ValueError(f"arrangement {kind} is supported for d <= {limits[kind]}")
+    if d > _ARRANGEMENT_LIMITS[kind]:
+        raise ValueError(f"arrangement {kind} is supported for d <= {_ARRANGEMENT_LIMITS[kind]}")
     arr = build_arrangement(kind, d)
     census = singular_census(arr)
     free = freeness_diagnostic(census)
@@ -377,7 +366,7 @@ def cmd_report(args):
                        ", ".join(counts.findings) or "all fields agree")
             )
 
-    if 3 <= d <= 12:
+    if d in _SURFACE_RANGE:
         absorb("surface", cmd_surface(argparse.Namespace(d=d)))
 
     if d <= 9:
@@ -491,6 +480,17 @@ def _emit(text, out_path):
 # ---------------------------------------------------------------- wiring
 
 
+def _count(text):
+    """The --general-l value: a number of samples, so at least 0."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"the number of samples must be >= 0, got {n}")
+    return n
+
+
 def _add_common(p, *, d=True, action=False, seed=False):
     p.add_argument("--format", choices=("json", "md", "csv"), default="json")
     p.add_argument("--out", default=None, help="write the report to a file")
@@ -512,7 +512,7 @@ def build_parser() -> CliParser:
 
     p = sub.add_parser("gt-verdict", help="weak Lefschetz failure verdict")
     _add_common(p, action=True, seed=True)
-    p.add_argument("--general-l", type=int, default=0, dest="general_l",
+    p.add_argument("--general-l", type=_count, default=0, dest="general_l",
                    help="also sample N random linear forms and compare ranks")
 
     p = sub.add_parser("minimal", help="minimality of the Togliatti system")
@@ -542,7 +542,7 @@ def build_parser() -> CliParser:
 
     p = sub.add_parser("report", help="bundle all analyses for one (d, action)")
     _add_common(p, action=True, seed=True)
-    p.add_argument("--general-l", type=int, default=0, dest="general_l")
+    p.add_argument("--general-l", type=_count, default=0, dest="general_l")
 
     return parser
 

@@ -268,18 +268,6 @@ class CyclotomicInt:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = CyclotomicInt.one(self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def reduced(self):
         """Canonical coefficient vector modulo Phi_d (length deg Phi_d)."""
         r = self._reduced

@@ -97,9 +97,6 @@ class SparsePoly:
     def coefficient(self, exp):
         return self.terms.get(tuple(exp), 0)
 
-    def map_coefficients(self, fn):
-        return SparsePoly(self.nvars, {e: fn(c) for e, c in self.terms.items()})
-
     def support(self):
         return set(self.terms)
 

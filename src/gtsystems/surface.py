@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .actions import GTIdeal, monomial_str
+from .actions import GTIdeal, _classical_exponents
 from .errors import ConsistencyError
 from .polymat import SparsePoly
 
@@ -24,12 +24,14 @@ __all__ = [
     "LatticeModel",
     "SmoothnessReport",
     "betti_table",
-    "classical_parametrization",
     "complement_exponents",
     "determinantal_generators",
     "exponent_polytope_degree",
     "polytope_smoothness",
 ]
+
+# The orders d for which gtsys runs the surface suite of the classical system.
+_SURFACE_RANGE = range(3, 13)
 
 
 def _convex_hull(points):
@@ -237,16 +239,6 @@ def polytope_smoothness(ideal: GTIdeal) -> SmoothnessReport:
     return SmoothnessReport(smooth, index, tuple(vertices), tuple(gaps), interior)
 
 
-def classical_parametrization(d):
-    """Ordered monomials x^d, y^d, z^d, x^k y^k z^eps, ..., xyz^(d-2)."""
-    if d < 3:
-        raise ValueError("need d >= 3")
-    k = d // 2
-    out = [(d, 0, 0), (0, d, 0), (0, 0, d)]
-    out.extend((i, i, d - 2 * i) for i in range(k, 0, -1))
-    return out
-
-
 @dataclass(frozen=True)
 class GeneratorPresentation:
     d: int
@@ -320,7 +312,7 @@ def determinantal_generators(d) -> GeneratorPresentation:
         for j in range(i + 1, ncols):
             minors.append(row1[i] * row2[j] - row2[i] * row1[j])
 
-    params = classical_parametrization(d)
+    params = _classical_exponents(d)
     ok = all(_pullback(g, params).is_zero() for g in minors)
     if extra is not None:
         ok = ok and _pullback(extra, params).is_zero()

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .actions import Action, GTIdeal, invariant_monomials
-from .circulant import CirculantSpec, cofactor_product, ternary_product
+from .circulant import cofactor_product, ternary_product
 from .errors import ConsistencyError
 from .polymat import SparsePoly, bareiss_rank
 
@@ -82,7 +82,6 @@ class WlpVerdict:
     fails_wlp_at_d_minus_1: bool | None
     generator_bound_ok: bool
     is_togliatti: bool
-    is_gt: bool
     method: str
 
     def to_json(self):
@@ -97,7 +96,7 @@ class WlpVerdict:
             "fails_wlp_at_d_minus_1": self.fails_wlp_at_d_minus_1,
             "generator_bound_ok": self.generator_bound_ok,
             "is_togliatti": self.is_togliatti,
-            "is_gt": self.is_gt,
+            "is_gt": self.is_togliatti,  # the report's name for the same verdict
             "method": self.method,
         }
 
@@ -123,8 +122,7 @@ def kernel_certificate(action: Action) -> KernelCertificate:
     d = action.d
     w = action.normalized().weights
     a, b = w[1], w[2]
-    CirculantSpec.ternary(d, a, b)  # the domain of ternary_product
-    cof = cofactor_product(d, a, b)
+    cof = cofactor_product(d, a, b)  # ValueError outside the domain of ternary_product
     ell = SparsePoly.variable(3, 0) + SparsePoly.variable(3, 1) + SparsePoly.variable(3, 2)
     prod = ell * cof
     ideal = invariant_monomials(Action(d, (0, a, b)))
@@ -159,7 +157,6 @@ def gt_verdict(action: Action) -> WlpVerdict:
         fails_wlp_at_d_minus_1=rank < min(dim_src, dim_tgt),
         generator_bound_ok=bound_ok,
         is_togliatti=togliatti,
-        is_gt=togliatti,
         method="restriction",
     )
 

@@ -8,8 +8,6 @@ import pytest
 from gtsystems import circulant
 from gtsystems.actions import Action, invariant_monomials
 from gtsystems.circulant import (
-    CirculantSpec,
-    circulant_det_oracle,
     circulant_det_symbolic,
     circulant_product,
     coefficient_query,
@@ -56,15 +54,64 @@ def ternary_oracle(d, a, b, scales=(1, 1, 1), js=None):
     return rotation_oracle(d, 3, factors)
 
 
+def circulant_det_oracle(d) -> SparsePoly:
+    """det Circ(v_0..v_(d-1)) by Laplace cofactor expansion of the symbolic
+    matrix: integer arithmetic only, no roots of unity, so an independent
+    check of the eigenvalue route."""
+    if d > 6:
+        raise ValueError("cofactor oracle supported for d <= 6")
+    mat = [
+        [SparsePoly.variable(d, (j - i) % d) for j in range(d)]
+        for i in range(d)
+    ]
+    return _laplace_det(mat, d)
+
+
+def _laplace_det(mat, nvars):
+    n = len(mat)
+    if n == 1:
+        return mat[0][0]
+    total = SparsePoly.zero(nvars)
+    for j in range(n):
+        entry = mat[0][j]
+        if entry.is_zero():
+            continue
+        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
+        sub = _laplace_det(minor, nvars)
+        term = entry * sub
+        total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+def _specialize_ternary(det: SparsePoly, a, b) -> SparsePoly:
+    """Set v_0 -> x, v_a -> y, v_b -> z and all other symbols to zero."""
+    keep = {0: 0, a: 1, b: 2}
+    terms = {}
+    for exp, c in det.terms.items():
+        if any(p and k not in keep for k, p in enumerate(exp)):
+            continue
+        new = [0, 0, 0]
+        for k, slot in keep.items():
+            new[slot] = exp[k]
+        terms[tuple(new)] = terms.get(tuple(new), 0) + c
+    return SparsePoly(3, terms)
+
+
 class TestGeneralCirculant:
     @pytest.mark.parametrize("d", range(2, 6))
     def test_eigenvalue_product_equals_laplace_expansion(self, d):
         # The product of the d eigenvalue linear forms must equal the
         # cofactor-expansion determinant of the symbolic circulant matrix.
-        assert circulant_det_symbolic(CirculantSpec(d)).terms == circulant_det_oracle(CirculantSpec(d)).terms
+        assert circulant_det_symbolic(d).terms == circulant_det_oracle(d).terms
+
+    @pytest.mark.parametrize("d", range(3, 7))
+    def test_ternary_sections_equal_specialized_laplace_expansion(self, d):
+        det = circulant_det_oracle(d)
+        for a, b in itertools.combinations(range(1, d), 2):
+            assert ternary_product(d, a, b).terms == _specialize_ternary(det, a, b).terms, (d, a, b)
 
     def test_degree_three_closed_form(self):
-        det = circulant_det_symbolic(CirculantSpec(3))
+        det = circulant_det_symbolic(3)
         expected = {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1, (1, 1, 1): -3}
         assert det.terms == expected
 
@@ -72,7 +119,7 @@ class TestGeneralCirculant:
     def test_support_obeys_index_sum_congruence(self, d):
         # A monomial v_0^{e_0} ... v_{d-1}^{e_{d-1}} can only appear when
         # sum(i * e_i) = 0 mod d.
-        det = circulant_det_symbolic(CirculantSpec(d))
+        det = circulant_det_symbolic(d)
         assert not det.is_zero()
         for exp in det.support():
             assert sum(e for e in exp) == d
@@ -80,7 +127,7 @@ class TestGeneralCirculant:
 
     @pytest.mark.parametrize("d", (3, 5, 7))
     def test_all_admissible_coefficients_nonzero_for_small_odd_prime(self, d):
-        det = circulant_det_symbolic(CirculantSpec(d))
+        det = circulant_det_symbolic(d)
         support = det.support()
         for combo in itertools.combinations_with_replacement(range(d), d):
             if sum(combo) % d == 0:
@@ -96,7 +143,7 @@ class TestGeneralCirculant:
         assert coefficient_query(6, (0, 0, 1, 3, 3, 5)) == 0
 
     def test_coefficient_query_agrees_with_symbolic(self):
-        det = circulant_det_symbolic(CirculantSpec(5))
+        det = circulant_det_symbolic(5)
         for indices in [(0, 0, 0, 0, 0), (0, 1, 4, 2, 3), (1, 1, 1, 1, 1)]:
             exp = [0] * 5
             for i in indices:
@@ -120,7 +167,7 @@ class TestTernaryProduct:
         # Substituting (x, y, z, 0, ..., 0) style variable collapse: for d=3
         # the ternary product IS the 3x3 circulant determinant.
         prod = ternary_product(3, 1, 2)
-        det = circulant_det_symbolic(CirculantSpec(3))
+        det = circulant_det_symbolic(3)
         assert prod.terms == det.terms
 
     def test_scaled_product_with_unit_scales(self):
@@ -178,7 +225,7 @@ class TestNewtonKernelAgainstRotationOracle:
     @pytest.mark.parametrize("d", range(2, 8))
     def test_general_form(self, d):
         factors = [[(k, j * k, 1) for k in range(d)] for j in range(d)]
-        assert circulant_det_symbolic(CirculantSpec(d)).terms == rotation_oracle(d, d, factors).terms
+        assert circulant_det_symbolic(d).terms == rotation_oracle(d, d, factors).terms
 
     @pytest.mark.parametrize("d", range(3, 15))
     def test_cofactor(self, d):
@@ -202,15 +249,23 @@ class TestNewtonKernelAgainstRotationOracle:
 
 class TestSpecValidation:
     def test_rejects_oversized_general_order(self):
-        with pytest.raises(ValueError):
-            circulant_det_symbolic(CirculantSpec(40))
+        for d in (1, circulant._GENERAL_LIMIT + 1, 40):
+            with pytest.raises(ValueError, match=f"2 <= d <= {circulant._GENERAL_LIMIT}"):
+                circulant_det_symbolic(d)
+
+    def test_coefficient_query_checks_the_general_limit(self, monkeypatch):
+        def no_expansion(*args):
+            raise AssertionError("expanded above the general limit")
+
+        monkeypatch.setattr(circulant, "circulant_product", no_expansion)
+        d = circulant._GENERAL_LIMIT + 1
+        with pytest.raises(ValueError, match=f"d <= {circulant._GENERAL_LIMIT}"):
+            coefficient_query(d, [0] * d)
 
     def test_ternary_limit(self):
         assert len(ternary_product(circulant._TERNARY_LIMIT, 1, 3).terms) == 67
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"3 <= d <= {circulant._TERNARY_LIMIT}"):
             ternary_product(circulant._TERNARY_LIMIT + 1, 1, 3)
-        with pytest.raises(ValueError):
-            CirculantSpec.ternary(circulant._TERNARY_LIMIT + 1, 1, 3)
 
     def test_cofactor_remainder_is_a_consistency_error(self, monkeypatch):
         # x^d is not divisible by x + y + z

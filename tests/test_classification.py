@@ -1,18 +1,19 @@
 """Equivalence classes of weight-(0,1,a) actions and their counting formulas."""
 
 import math
+from dataclasses import dataclass
+from itertools import permutations
 
 import pytest
 
 from gtsystems import classification
+from gtsystems.actions import Action, invariant_monomials
 from gtsystems.classification import (
     _CLASSIFY_LIMIT,
     _class_kind,
-    arithmetic_counts,
-    canonical_ideal_key,
+    _phi6_compatible,
     class_count_formulas,
     classify_moves,
-    equivalent_ideal_oracle,
     factorize,
     is_prime,
     orbit,
@@ -29,6 +30,83 @@ REFERENCE_PARTITIONS = {
     13: {(2, 7, 12), (4, 10), (3, 5, 6, 8, 9, 11)},
     17: {(2, 9, 16), (3, 6, 8, 10, 12, 15), (4, 5, 7, 11, 13, 14)},
 }
+
+
+# ------------------------------------------------------------------ oracles
+# Ideal comparison monomial by monomial, independent of the moves; and the
+# closed-form solution counts of x^2 = 1 and x^2 - x + 1 = 0 mod d, which the
+# class-count formulas rest on, next to brute scans.
+
+
+def canonical_ideal_key(d, a):
+    """Invariant-set fingerprint stable under all 6 variable permutations."""
+    gens = invariant_monomials(Action(d, (0, 1, a))).generators
+    best = None
+    for sigma in permutations(range(3)):
+        key = tuple(sorted(tuple(g[sigma[i]] for i in range(3)) for g in gens))
+        if best is None or key < best:
+            best = key
+    return best
+
+
+def equivalent_ideal_oracle(d, a1, a2) -> bool:
+    """Do the invariant ideals of (0,1,a1) and (0,1,a2) agree up to permuting variables?"""
+    g1 = set(invariant_monomials(Action(d, (0, 1, a1))).generators)
+    g2 = set(invariant_monomials(Action(d, (0, 1, a2))).generators)
+    if len(g1) != len(g2):
+        return False
+    for sigma in permutations(range(3)):
+        if {tuple(g[sigma[i]] for i in range(3)) for g in g1} == g2:
+            return True
+    return False
+
+
+@dataclass(frozen=True)
+class ArithmeticCounts:
+    d: int
+    sqrt1_formula: int
+    sqrt1_scan: int
+    phi6_formula: int
+    phi6_scan: int
+    totient_formula: int
+    totient_scan: int
+
+
+def _sqrt1_count_formula(d):
+    fac = factorize(d)
+    alpha = fac.get(2, 0)
+    r = len([p for p in fac if p != 2])
+    if alpha <= 1:
+        return 2 ** r
+    if alpha == 2:
+        return 2 ** (r + 1)
+    return 2 ** (r + 2)
+
+
+def _phi6_count_formula(d):
+    fac = factorize(d)
+    if not _phi6_compatible(fac):
+        return 0
+    # index r of the fixed parametrization 2^a0 * 3^a1 * p2 ... pr
+    r = 1 + len([p for p in fac if p > 3])
+    return 2 ** (r - 1)
+
+
+def arithmetic_counts(d) -> ArithmeticCounts:
+    """Solution counts of x^2=1 and x^2-x+1=0 mod d, plus the totient, each
+    computed by closed form and by brute scan."""
+    sqrt1_scan = sum(1 for x in range(d) if (x * x) % d == 1)
+    phi6_scan = sum(1 for x in range(d) if (x * x - x + 1) % d == 0)
+    tot_scan = sum(1 for x in range(1, d + 1) if math.gcd(x, d) == 1)
+    return ArithmeticCounts(
+        d,
+        _sqrt1_count_formula(d),
+        sqrt1_scan,
+        _phi6_count_formula(d),
+        phi6_scan,
+        totient(d),
+        tot_scan,
+    )
 
 
 class TestBasicNumberTheory:

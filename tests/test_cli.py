@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import gtsystems
-from gtsystems import __version__, classification, cli
+from gtsystems import __version__, arrangements, classification, cli, surface
 from gtsystems.cli import DEFAULT_SEED, build_parser, main
 
 
@@ -83,6 +83,16 @@ class TestExitCodes:
     def test_missing_required_argument(self, capsys):
         code, _, _ = run_cli(capsys, "invariants")
         assert code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("gt-verdict", "--d", "7", "--a", "3", "--general-l", "-2"),
+        ("report", "--d", "7", "--a", "3", "--general-l", "-1"),
+    ])
+    def test_negative_general_l_rejected(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "argument --general-l: the number of samples must be >= 0" in err
 
     def test_oversized_request_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "circulant", "--d", "25")
@@ -166,6 +176,35 @@ class TestCirculantLimits:
         code, _, err = run_cli(capsys, "circulant", "--d", "13", *extra)
         assert code == 1
         assert "d <= 12" in err
+
+    @pytest.mark.parametrize("a,b", [(3, 2), (3, 3), (0, 2), (2, 7)])
+    def test_section_positions_rule(self, capsys, a, b):
+        code, _, err = run_cli(capsys, "circulant", "--d", "7", "--a", str(a), "--b", str(b))
+        assert code == 1
+        assert "need 1 <= a < b <= d-1" in err
+
+
+class TestLibraryLimits:
+    @pytest.mark.parametrize("kind", ["ceva", "hd", "fermat"])
+    def test_arrangement_limit(self, capsys, kind):
+        limit = arrangements._ARRANGEMENT_LIMITS[kind]
+        code, _, err = run_cli(capsys, "arrangement", "--type", kind, "--d", str(limit + 1))
+        assert code == 1
+        assert f"arrangement {kind} is supported for d <= {limit}" in err
+
+    def test_surface_range(self, capsys):
+        lo, hi = surface._SURFACE_RANGE[0], surface._SURFACE_RANGE[-1]
+        for d in (lo - 1, hi + 1):
+            code, _, err = run_cli(capsys, "surface", "--d", str(d))
+            assert code == 1
+            assert f"{lo} <= d <= {hi}" in err
+
+    def test_report_gates_surface_by_the_same_range(self, capsys):
+        hi = surface._SURFACE_RANGE[-1]
+        for d, present in ((hi, True), (hi + 1, False)):
+            code, out, _ = run_cli(capsys, "report", "--d", str(d), "--a", "2")
+            assert code == 0
+            assert ("surface" in json.loads(out)["results"]) is present
 
 
 class TestClassifyPartition:

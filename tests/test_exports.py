@@ -1,0 +1,51 @@
+"""Every exported name resolves, and names deleted from the API stay gone."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import gtsystems
+
+MODULES = [gtsystems] + [
+    importlib.import_module(f"gtsystems.{info.name}")
+    for info in pkgutil.iter_modules(gtsystems.__path__)
+]
+
+REMOVED = (
+    "CirculantSpec",
+    "circulant_det_oracle",
+    "equivalent_ideal_oracle",
+    "canonical_ideal_key",
+    "arithmetic_counts",
+    "ArithmeticCounts",
+    "classical_parametrization",
+)
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_every_exported_name_resolves(module):
+    names = getattr(module, "__all__", [])
+    assert len(names) == len(set(names))
+    for name in names:
+        assert hasattr(module, name), f"{module.__name__}.__all__ names missing {name!r}"
+
+
+def test_star_import():
+    namespace = {}
+    exec("from gtsystems import *", namespace)
+    assert set(gtsystems.__all__) <= set(namespace)
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_removed_names_are_gone(module):
+    for name in REMOVED:
+        assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_removed_members_are_gone():
+    assert not hasattr(gtsystems.Action, "is_m_family")
+    assert "source" not in gtsystems.Action.__dataclass_fields__
+    assert "is_gt" not in gtsystems.WlpVerdict.__dataclass_fields__
+    assert not hasattr(gtsystems.SparsePoly, "map_coefficients")
+    assert not hasattr(gtsystems.CyclotomicInt, "__pow__")

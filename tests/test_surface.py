@@ -4,10 +4,9 @@ import math
 
 import pytest
 
-from gtsystems.actions import Action, generalized_classical, invariant_monomials
+from gtsystems.actions import Action, _classical_exponents, generalized_classical, invariant_monomials
 from gtsystems.surface import (
     betti_table,
-    classical_parametrization,
     complement_exponents,
     determinantal_generators,
     exponent_polytope_degree,
@@ -55,8 +54,11 @@ class TestParametrizationAndGenerators:
     @pytest.mark.parametrize("d", range(3, 13))
     def test_parametrization_size(self, d):
         k = d // 2
-        monos = classical_parametrization(d)
+        monos = _classical_exponents(d)
         assert len(monos) == k + 3
+        assert monos[:3] == [(d, 0, 0), (0, d, 0), (0, 0, d)]
+        assert monos[3:] == [(i, i, d - 2 * i) for i in range(k, 0, -1)]
+        assert set(monos) == set(generalized_classical(d).generators)
 
     @pytest.mark.parametrize("d", range(3, 13))
     def test_pullbacks_vanish(self, d):

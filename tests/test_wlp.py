@@ -158,14 +158,14 @@ class TestVerdicts:
         assert (v.dim_source, v.dim_target) == (6, 6)
         assert v.rank == 5
         assert v.fails_injectivity and v.generator_bound_ok
-        assert v.is_togliatti and v.is_gt
+        assert v.is_togliatti and v.to_json()["is_gt"]
         assert v.method == "restriction"
 
     @pytest.mark.parametrize("d,a", [(5, 2), (7, 3), (11, 4), (13, 6)])
     def test_prime_actions_are_gt_systems(self, d, a):
         v = gt_verdict(Action(d, (0, 1, a)))
         assert v.mu == 3 + (d - 1) // 2
-        assert v.fails_injectivity and v.is_togliatti and v.is_gt
+        assert v.fails_injectivity and v.is_togliatti and v.to_json()["is_gt"]
 
     def test_injectivity_failure_has_corank_exactly_one_for_primes(self):
         for d, a in ((5, 2), (7, 3), (11, 2)):
