@@ -3,8 +3,9 @@
 Ceva's d^2 lines meet in 3d points of multiplicity d; adding the
 coordinate triangle gives the extended family, free exactly for small d;
 the Fermat arrangement of 3d lines has d^2 triple points plus 3 points of
-multiplicity d.  Every census is computed from exact cyclotomic incidence
-keys and double-checked against the pairing identity
+multiplicity d.  Every census meets each point once, at its first line
+pair, collects the lines through it by exact cyclotomic incidence tests,
+and is double-checked against the pairing identity
 sum_p C(mult(p), 2) = C(#lines, 2).
 """
 

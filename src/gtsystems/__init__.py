@@ -21,7 +21,6 @@ from .arrangements import (
     certificate_product_membership,
     ceva_configuration,
     freeness_diagnostic,
-    projective_key,
     singular_census,
 )
 from .circulant import (
@@ -87,7 +86,6 @@ __all__ = [
     "normalize_action",
     "polytope_smoothness",
     "prime_and_primepower_counts",
-    "projective_key",
     "singular_census",
     "ternary_product",
 ]

@@ -1,12 +1,11 @@
 """Line arrangements in the projective plane over Q(zeta_d).
 
 Lines and points are coordinate triples with entries in Z[zeta_d] and all
-incidence questions are decided exactly.  Deduplication up to projective
-scaling uses a canonical key: a triple is multiplied by the product of the
-Galois conjugates of its pivot coordinate, which makes the pivot a rational
-integer, and the resulting integer coefficient vectors are divided by their
-content and sign-normalized.  Two triples get the same key exactly when they
-are proportional over the field.
+incidence questions are decided exactly, by testing a dot product for zero.
+The census meets each intersection point once: the first line pair through
+it gives the point as their cross product, one pass of incidence tests gives
+the set of lines through it, and every pair inside that set is then marked
+as covered.  No canonical form of a point is needed.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 
 from .actions import Action, invariant_monomials
 from .circulant import scaled_ternary_product
-from .cyclotomic import CyclotomicInt, OrderMismatchError
+from .cyclotomic import CyclotomicInt
 from .errors import ConsistencyError
 from .polymat import SparsePoly
 
@@ -31,8 +30,6 @@ __all__ = [
     "ceva_configuration",
     "cross",
     "freeness_diagnostic",
-    "projective_key",
-    "proportional",
     "random_scales",
     "singular_census",
 ]
@@ -41,23 +38,6 @@ __all__ = [
 # census tests every candidate point against every line exactly, so its cost
 # grows quickly with d.
 _ARRANGEMENT_LIMITS = {"ceva": 8, "hd": 8, "fermat": 12}
-
-
-def _coerce(d, value):
-    if isinstance(value, CyclotomicInt):
-        if value.order != d:
-            raise OrderMismatchError(f"coordinate lies in Z[zeta_{value.order}], not Z[zeta_{d}]")
-        return value
-    return CyclotomicInt.from_int(d, value)
-
-
-def _triple(d, coords):
-    t = tuple(_coerce(d, v) for v in coords)
-    if len(t) != 3:
-        raise ValueError(f"a projective triple needs 3 coordinates, got {len(t)}")
-    if all(v.is_zero() for v in t):
-        raise ValueError("zero triple is not a projective point")
-    return t
 
 
 def cross(u, v):
@@ -74,37 +54,9 @@ def _dot(u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def proportional(u, v):
-    """Projective equality through vanishing of all 2x2 minors."""
-    return all(c.is_zero() for c in cross(u, v))
-
-
-def projective_key(d, triple):
-    """Canonical hashable form of a triple up to scaling by Q(zeta_d)."""
-    t = _triple(d, triple)
-    pivot = next(v for v in t if not v.is_zero())
-    adj = CyclotomicInt.one(d)
-    for k in range(2, d):
-        if math.gcd(k, d) == 1:
-            adj = adj * pivot.substitute_power(k)
-    vecs = []
-    for v in t:
-        red = list((v * adj).reduced())
-        red += [0] * (d - len(red))
-        vecs.append(red)
-    content = 0
-    for vec in vecs:
-        for c in vec:
-            content = math.gcd(content, abs(c))
-    if content == 0:
-        raise ConsistencyError("a nonzero triple has zero content")
-    idx = next(i for i, v in enumerate(t) if not v.is_zero())
-    pivot_vec = vecs[idx]
-    # pivot * adj is the field norm of the pivot, a nonzero rational integer
-    if pivot_vec[0] == 0 or any(pivot_vec[1:]):
-        raise ConsistencyError("the norm of the pivot is not a nonzero rational integer")
-    sign = 1 if pivot_vec[0] > 0 else -1
-    return tuple(tuple(sign * c // content for c in vec) for vec in vecs)
+def _lines_through(lines, p):
+    """Indices of the lines that pass through the point p."""
+    return [i for i, ln in enumerate(lines) if _dot(ln, p).is_zero()]
 
 
 def _zeta(d, k):
@@ -170,10 +122,13 @@ def build_arrangement(kind, d) -> Arrangement:
         lines += [(zero, one, -_zeta(d, j)) for j in range(d)]
     else:
         raise ValueError(f"unknown arrangement kind {kind!r}")
-    arr = Arrangement(d, kind, tuple(lines))
-    if len({projective_key(d, ln) for ln in arr.lines}) != arr.n_lines:
+    # every line is scaled to have 1 as its first nonzero coordinate, so two
+    # lines are the same projective line exactly when their coordinates agree
+    if any(next(c for c in ln if not c.is_zero()) != 1 for ln in lines):
+        raise ConsistencyError("a line is not scaled to a leading coordinate 1")
+    if len({tuple(c.reduced() for c in ln) for ln in lines}) != len(lines):
         raise ConsistencyError("arrangement contains a repeated line")
-    return arr
+    return Arrangement(d, kind, tuple(lines))
 
 
 @dataclass(frozen=True)
@@ -202,7 +157,7 @@ def ceva_configuration(d) -> CevaCertificate:
     points = _ceva_points(d)
     per_line = [0] * len(lines)
     for p in points:
-        hits = [i for i, ln in enumerate(lines) if _dot(ln, p).is_zero()]
+        hits = _lines_through(lines, p)
         if len(hits) != d:
             raise ConsistencyError(
                 f"distinguished point lies on {len(hits)} lines, expected {d}"
@@ -241,26 +196,36 @@ class CensusReport:
 def singular_census(arr: Arrangement) -> CensusReport:
     """Multiplicity census of the intersection points of an arrangement.
 
-    Candidate points come from pairwise intersections, are deduplicated by
-    canonical key, and the multiplicity of each is recounted directly as the
-    number of incident lines.  The census must satisfy the pairing identity
+    The line pairs are visited in order.  A pair not yet covered meets in a
+    new point p; the lines through p are found by exact incidence tests, and
+    every pair among them is marked as covered.  A zero cross product, or a
+    pair covered twice (two lines sharing two points), means a repeated line
+    and is an inconsistency.  The census must satisfy the pairing identity
     sum_h C(h,2) b_h = C(n,2), else a ConsistencyError is raised.
     """
-    d, lines = arr.d, arr.lines
-    seen = {}
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            p = cross(lines[i], lines[j])
-            key = projective_key(d, p)
-            seen.setdefault(key, p)
+    lines = arr.lines
+    n = len(lines)
+    covered = set()
     counts = {}
-    for p in seen.values():
-        mult = sum(1 for ln in lines if _dot(ln, p).is_zero())
-        if mult < 2:
-            raise ConsistencyError(f"an intersection point lies on {mult} line(s)")
-        counts[mult] = counts.get(mult, 0) + 1
-    report = CensusReport(arr.name, d, arr.n_lines, tuple(sorted(counts.items())))
-    if report.pair_identity() != math.comb(arr.n_lines, 2):
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (i, j) in covered:
+                continue
+            p = cross(lines[i], lines[j])
+            if all(c.is_zero() for c in p):
+                raise ConsistencyError(f"lines {i} and {j} are a repeated line")
+            through = _lines_through(lines, p)
+            if i not in through or j not in through:
+                raise ConsistencyError(f"the intersection of lines {i} and {j} misses one of them")
+            for k, u in enumerate(through):
+                for v in through[k + 1:]:
+                    if (u, v) in covered:
+                        raise ConsistencyError(
+                            f"lines {u} and {v} meet in two distinct points: a repeated line")
+                    covered.add((u, v))
+            counts[len(through)] = counts.get(len(through), 0) + 1
+    report = CensusReport(arr.name, arr.d, n, tuple(sorted(counts.items())))
+    if report.pair_identity() != math.comb(n, 2):
         raise ConsistencyError("census violates the pairwise intersection identity")
     return report
 
@@ -350,6 +315,6 @@ def certificate_product_membership(action: Action, scales) -> MembershipCertific
     return MembershipCertificate(act, scales, product, len(product.terms))
 
 
-def random_scales(rng, low=1, high=9):
-    """Three nonzero integer scales with random signs."""
-    return tuple(rng.randint(low, high) * rng.choice((-1, 1)) for _ in range(3))
+def random_scales(rng):
+    """Three nonzero integer scales in 1..9 with random signs."""
+    return tuple(rng.randint(1, 9) * rng.choice((-1, 1)) for _ in range(3))

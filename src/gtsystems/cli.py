@@ -136,7 +136,7 @@ def cmd_gt_verdict(args):
         base_rank = verdict.dim_source - kernel_dimension(ideal)
         samples = []
         for _ in range(args.general_l):
-            coeffs = tuple(rng.randint(1, 9) * rng.choice((-1, 1)) for _ in range(3))
+            coeffs = random_scales(rng)
             rank = verdict.dim_source - kernel_dimension(ideal, coeffs)
             samples.append({"coeffs": list(coeffs), "rank": rank})
         agree = all(s["rank"] == base_rank for s in samples)
@@ -338,6 +338,9 @@ def cmd_report(args):
         d=d, action=getattr(args, "action", None), a=getattr(args, "a", None),
         seed=args.seed, general_l=getattr(args, "general_l", 0), subset_oracle=False,
     )
+    # classify_moves refuses a d past its limit, so it runs before the
+    # invariant scan, whose cost grows as d^2
+    partition = classify_moves(d) if d >= 4 else None
     sections = {}
     checks = []
 
@@ -354,8 +357,7 @@ def cmd_report(args):
     if 0 < norm.weights[1] < norm.weights[2]:
         absorb("minimal", cmd_minimal(child))
 
-    if d >= 4:
-        partition = classify_moves(d)
+    if partition is not None:
         sections["classification"] = partition.to_json()
         if d >= 5:
             counts = class_count_formulas(d, partition)

@@ -285,15 +285,6 @@ class CyclotomicInt:
             raise NonIntegerError(f"not a rational integer: {self!r}")
         return r[0]
 
-    def substitute_power(self, k: int):
-        """Apply zeta -> zeta^k."""
-        d = self.order
-        out = [0] * d
-        for i, c in enumerate(self.coeffs):
-            if c:
-                out[(i * k) % d] += c
-        return CyclotomicInt(d, out)
-
     def to_json(self):
         r = self.reduced()
         return {"d": self.order, "coeffs": list(r) + [0] * (self.order - len(r))}

@@ -45,7 +45,7 @@ class SparsePoly:
     def is_zero(self):
         return not self.terms
 
-    def _coerced_pair(self, other):
+    def _as_pair(self, other):
         if isinstance(other, int):
             other = SparsePoly(self.nvars, {(0,) * self.nvars: other})
         if not isinstance(other, SparsePoly):
@@ -55,7 +55,7 @@ class SparsePoly:
         return self, other
 
     def __add__(self, other):
-        a, b = self._coerced_pair(other)
+        a, b = self._as_pair(other)
         if a is None:
             return NotImplemented
         out = dict(a.terms)
@@ -69,7 +69,7 @@ class SparsePoly:
         return SparsePoly(self.nvars, {e: -c for e, c in self.terms.items()}, prune=False)
 
     def __sub__(self, other):
-        a, b = self._coerced_pair(other)
+        a, b = self._as_pair(other)
         if a is None:
             return NotImplemented
         return a + (-b)
@@ -82,7 +82,7 @@ class SparsePoly:
             if other == 0:
                 return SparsePoly.zero(self.nvars)
             return SparsePoly(self.nvars, {e: c * other for e, c in self.terms.items()})
-        a, b = self._coerced_pair(other)
+        a, b = self._as_pair(other)
         if a is None:
             return NotImplemented
         out = {}
@@ -114,7 +114,7 @@ class SparsePoly:
         return out
 
     def __eq__(self, other):
-        a, b = self._coerced_pair(other) if isinstance(other, (SparsePoly, int)) else (None, None)
+        a, b = self._as_pair(other) if isinstance(other, (SparsePoly, int)) else (None, None)
         if a is None:
             return NotImplemented
         return (a - b).is_zero()

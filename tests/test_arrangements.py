@@ -1,23 +1,103 @@
-"""Exact projective line arrangements over the d-th cyclotomic field."""
+"""Exact projective line arrangements over the d-th cyclotomic field.
+
+The canonical projective key below is the census oracle: the key-based census
+dedupes the pair intersections by key and recounts each point's lines, an
+independent route to the line-set census in the library.
+"""
 
 import math
 import random
 
 import pytest
 
+from gtsystems import arrangements
 from gtsystems.actions import Action, invariant_monomials
 from gtsystems.arrangements import (
+    Arrangement,
+    CensusReport,
     build_arrangement,
     certificate_product_membership,
     ceva_configuration,
     cross,
     freeness_diagnostic,
-    projective_key,
-    proportional,
     random_scales,
     singular_census,
 )
 from gtsystems.cyclotomic import CyclotomicInt, OrderMismatchError
+from gtsystems.errors import ConsistencyError
+
+
+def substitute_power(a, k):
+    """The Galois conjugate of a under zeta -> zeta^k."""
+    d = a.order
+    out = [0] * d
+    for i, c in enumerate(a.coeffs):
+        if c:
+            out[(i * k) % d] += c
+    return CyclotomicInt(d, out)
+
+
+def _coerce(d, value):
+    if isinstance(value, CyclotomicInt):
+        if value.order != d:
+            raise OrderMismatchError(f"coordinate lies in Z[zeta_{value.order}], not Z[zeta_{d}]")
+        return value
+    return CyclotomicInt.from_int(d, value)
+
+
+def _triple(d, coords):
+    t = tuple(_coerce(d, v) for v in coords)
+    if len(t) != 3:
+        raise ValueError(f"a projective triple needs 3 coordinates, got {len(t)}")
+    if all(v.is_zero() for v in t):
+        raise ValueError("zero triple is not a projective point")
+    return t
+
+
+def proportional(u, v):
+    """Projective equality through vanishing of all 2x2 minors."""
+    return all(c.is_zero() for c in cross(u, v))
+
+
+def projective_key(d, triple):
+    """Canonical hashable form of a triple up to scaling by Q(zeta_d): the
+    triple times the Galois conjugates of its pivot has a rational integer
+    pivot, and its integer coefficient vectors are divided by their content
+    and sign-normalized."""
+    t = _triple(d, triple)
+    pivot = next(v for v in t if not v.is_zero())
+    adj = CyclotomicInt.one(d)
+    for k in range(2, d):
+        if math.gcd(k, d) == 1:
+            adj = adj * substitute_power(pivot, k)
+    vecs = []
+    for v in t:
+        red = list((v * adj).reduced())
+        red += [0] * (d - len(red))
+        vecs.append(red)
+    content = math.gcd(*(abs(c) for vec in vecs for c in vec))
+    pivot_vec = vecs[t.index(pivot)]
+    # pivot * adj is the field norm of the pivot, a nonzero rational integer
+    assert content and pivot_vec[0] and not any(pivot_vec[1:])
+    sign = 1 if pivot_vec[0] > 0 else -1
+    return tuple(tuple(sign * c // content for c in vec) for vec in vecs)
+
+
+def _census_by_keys(arr):
+    """Census oracle: dedupe the pair intersections by projective key, then
+    count the lines through each point."""
+    d, lines = arr.d, arr.lines
+    seen = {}
+    for i in range(len(lines)):
+        for j in range(i + 1, len(lines)):
+            p = cross(lines[i], lines[j])
+            seen.setdefault(projective_key(d, p), p)
+    counts = {}
+    for p in seen.values():
+        mult = sum(1 for ln in lines if (ln[0] * p[0] + ln[1] * p[1] + ln[2] * p[2]).is_zero())
+        assert mult >= 2
+        counts[mult] = counts.get(mult, 0) + 1
+    return CensusReport(arr.name, d, arr.n_lines, tuple(sorted(counts.items())))
 
 
 def zeta_triple(d, exps, scale=1):
@@ -77,6 +157,38 @@ class TestProjectiveKey:
             projective_key(5, (0, 0, 0))
 
 
+class TestSubstitutePower:
+    def test_substitute_power_is_ring_map(self):
+        rng = random.Random(7)
+        d = 7
+        for k in (2, 3, 5):
+            for _ in range(20):
+                a = CyclotomicInt(d, tuple(rng.randint(-5, 5) for _ in range(d)))
+                b = CyclotomicInt(d, tuple(rng.randint(-5, 5) for _ in range(d)))
+                assert substitute_power(a * b, k) == substitute_power(a, k) * substitute_power(b, k)
+                assert substitute_power(a + b, k) == substitute_power(a, k) + substitute_power(b, k)
+
+    def test_substitute_power_inverse(self):
+        d = 11
+        rng = random.Random(13)
+        a = CyclotomicInt(d, tuple(rng.randint(-5, 5) for _ in range(d)))
+        for k in range(1, d):
+            kinv = pow(k, -1, d)
+            assert substitute_power(substitute_power(a, k), kinv) == a
+
+    def test_norm_is_rational_integer(self):
+        # The product over all Galois conjugates lands in Z.
+        d = 7
+        rng = random.Random(21)
+        for _ in range(10):
+            a = CyclotomicInt(d, tuple(rng.randint(-3, 3) for _ in range(d)))
+            prod = CyclotomicInt.one(d)
+            for k in range(1, d):
+                if math.gcd(k, d) == 1:
+                    prod = prod * substitute_power(a, k)
+            prod.as_integer()  # must not raise
+
+
 class TestArrangementConstruction:
     @pytest.mark.parametrize("kind,d,n", [("ceva", 3, 9), ("ceva", 5, 25), ("hd", 3, 12), ("hd", 6, 39), ("fermat", 4, 12), ("fermat", 8, 24)])
     def test_line_counts(self, kind, d, n):
@@ -85,6 +197,24 @@ class TestArrangementConstruction:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             build_arrangement("wiggly", 5)
+
+    def test_line_not_scaled_to_leading_one_is_inconsistent(self, monkeypatch):
+        real = arrangements._ceva_lines
+
+        def scaled(d):
+            lines = real(d)
+            lines[1] = tuple(arrangements._zeta(d, 1) * c for c in lines[1])
+            return lines
+
+        monkeypatch.setattr(arrangements, "_ceva_lines", scaled)
+        with pytest.raises(ConsistencyError, match="leading coordinate 1"):
+            build_arrangement("ceva", 4)
+
+    def test_repeated_line_is_inconsistent(self, monkeypatch):
+        real = arrangements._ceva_lines
+        monkeypatch.setattr(arrangements, "_ceva_lines", lambda d: real(d) + real(d)[:1])
+        with pytest.raises(ConsistencyError, match="repeated line"):
+            build_arrangement("ceva", 4)
 
     @pytest.mark.parametrize("d", range(3, 9))
     def test_ceva_incidence_structure(self, d):
@@ -116,6 +246,56 @@ class TestSingularCensus:
         census = singular_census(build_arrangement("fermat", d))
         expected = {3: 12} if d == 3 else {3: d * d, d: 3}
         assert dict(census.counts) == expected
+
+
+class TestCensusClosedForms:
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_ceva(self, d):
+        census = singular_census(build_arrangement("ceva", d))
+        assert dict(census.counts) == {2: d * d * (d - 1) * (d - 2) // 2, d: 3 * d}
+
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_hd(self, d):
+        census = singular_census(build_arrangement("hd", d))
+        assert dict(census.counts) == {2: d * d * (d - 1) * (d - 2) // 2 + 3, d + 1: 3 * d}
+
+
+class TestCensusOracle:
+    @pytest.mark.parametrize("kind,d", [(k, d) for k in ("ceva", "hd") for d in range(3, 7)]
+                             + [("fermat", d) for d in range(3, 13)])
+    def test_matches_census_by_keys(self, kind, d):
+        arr = build_arrangement(kind, d)
+        assert singular_census(arr) == _census_by_keys(arr)
+
+    @pytest.mark.parametrize("kind,d", [("ceva", 5), ("hd", 4), ("fermat", 6)])
+    def test_one_cross_product_per_point(self, monkeypatch, kind, d):
+        calls = []
+
+        def counting_cross(u, v):
+            calls.append(1)
+            return cross(u, v)
+
+        monkeypatch.setattr(arrangements, "cross", counting_cross)
+        census = singular_census(build_arrangement(kind, d))
+        assert len(calls) == census.n_points
+
+    def test_repeated_scaled_line_is_inconsistent(self):
+        d = 4
+        lines = build_arrangement("ceva", d).lines
+        zeta = CyclotomicInt.zeta(d)
+        arr = Arrangement(d, "ceva", lines + (tuple(zeta * c for c in lines[2]),))
+        with pytest.raises(ConsistencyError, match="repeated line"):
+            singular_census(arr)
+
+    @pytest.mark.parametrize("tamper,message", [
+        (lambda found: sorted(set(found) | {0, 1}), "two distinct points"),
+        (lambda found: found[:1], "misses one of them"),
+    ], ids=["pair-on-two-points", "point-off-its-lines"])
+    def test_wrong_line_set_is_inconsistent(self, monkeypatch, tamper, message):
+        real = arrangements._lines_through
+        monkeypatch.setattr(arrangements, "_lines_through", lambda lines, p: tamper(real(lines, p)))
+        with pytest.raises(ConsistencyError, match=message):
+            singular_census(build_arrangement("fermat", 4))
 
 
 class TestFreeness:

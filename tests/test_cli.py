@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import gtsystems
-from gtsystems import __version__, arrangements, classification, cli, surface
+from gtsystems import __version__, arrangements, classification, cli, surface, wlp
 from gtsystems.cli import DEFAULT_SEED, build_parser, main
 
 
@@ -239,6 +239,18 @@ class TestClassifyPartition:
         assert code == 1
         assert out == ""
         assert f"d <= {classification._CLASSIFY_LIMIT}" in err
+
+    def test_report_checks_the_limit_before_any_section(self, capsys, monkeypatch):
+        def no_scan(action):
+            raise AssertionError("report scanned invariants above the classification limit")
+
+        monkeypatch.setattr(cli, "invariant_monomials", no_scan)
+        monkeypatch.setattr(wlp, "invariant_monomials", no_scan)
+        limit = classification._CLASSIFY_LIMIT
+        code, out, err = run_cli(capsys, "report", "--d", str(limit + 1), "--a", "3")
+        assert code == 1
+        assert out == ""
+        assert f"d <= {limit}" in err
 
     def test_overlapping_classes_exit_2(self, capsys, monkeypatch):
         monkeypatch.setattr(classification, "orbit", lambda d, a: (a, d - 1))

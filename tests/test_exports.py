@@ -20,6 +20,8 @@ REMOVED = (
     "arithmetic_counts",
     "ArithmeticCounts",
     "classical_parametrization",
+    "projective_key",
+    "proportional",
 )
 
 
@@ -49,3 +51,4 @@ def test_removed_members_are_gone():
     assert "is_gt" not in gtsystems.WlpVerdict.__dataclass_fields__
     assert not hasattr(gtsystems.SparsePoly, "map_coefficients")
     assert not hasattr(gtsystems.CyclotomicInt, "__pow__")
+    assert not hasattr(gtsystems.CyclotomicInt, "substitute_power")
