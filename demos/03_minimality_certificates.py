@@ -30,6 +30,6 @@ print("  cofactor monic in x^%d:" % (d - 1), cert.cofactor.coefficient((d - 1, 0
 print("  full product stays inside the ideal:", cert.product.support() <= set(ideal.generators))
 
 print()
-print("subset-removal oracle (tries every proper generator subset):",
+print("subset oracle (one elimination; kernel vector nonzero off the pure powers):",
       minimality_subset_oracle(ideal))
 print("generators:", ", ".join(monomial_str(m) for m in ideal.generators))

@@ -77,14 +77,6 @@ class Arrangement:
     def n_lines(self):
         return len(self.lines)
 
-    def to_json(self):
-        return {
-            "d": self.d,
-            "name": self.name,
-            "n_lines": self.n_lines,
-            "lines": [[str(c) for c in line] for line in self.lines],
-        }
-
 
 def _ceva_lines(d):
     return [

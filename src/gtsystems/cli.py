@@ -256,6 +256,8 @@ def cmd_circulant(args):
 def cmd_conjecture_scan(args):
     if args.dmax < 3:
         raise ValueError("--dmax must be at least 3")
+    if args.stream and args.format != "json":
+        raise ValueError("--stream prints JSON lines; it takes no --format " + args.format)
     scan = conjecture_scan(range(3, args.dmax + 1))
     findings = scan["findings"]
     checks = [

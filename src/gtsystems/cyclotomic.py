@@ -65,22 +65,6 @@ class CycloPolynomial:
     def degree(self):
         return len(self.coeffs) - 1
 
-    def __str__(self):
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if not c:
-                continue
-            if i == 0:
-                term = str(abs(c))
-            else:
-                term = "x" if i == 1 else f"x^{i}"
-                if abs(c) != 1:
-                    term = f"{abs(c)}*{term}"
-            parts.append(("- " if c < 0 else "+ ") + term)
-        text = " ".join(parts)
-        return text[2:] if text.startswith("+ ") else "-" + text[2:]
-
 
 _PHI_CACHE: dict = {}
 # reentrant: the computation for d recurses into the proper divisors of d
@@ -285,10 +269,6 @@ class CyclotomicInt:
             raise NonIntegerError(f"not a rational integer: {self!r}")
         return r[0]
 
-    def to_json(self):
-        r = self.reduced()
-        return {"d": self.order, "coeffs": list(r) + [0] * (self.order - len(r))}
-
     def __eq__(self, other):
         if isinstance(other, int):
             r = self.reduced()
@@ -298,12 +278,6 @@ class CyclotomicInt:
         if self.order != other.order:
             return False
         return (self - other).is_zero()
-
-    def __hash__(self):
-        return hash((self.order, self.reduced()))
-
-    def __bool__(self):
-        return not self.is_zero()
 
     def __str__(self):
         parts = []

@@ -6,7 +6,7 @@ are computed exactly by fraction-free Bareiss elimination over Z.
 
 from __future__ import annotations
 
-__all__ = ["SparsePoly", "bareiss_rank"]
+__all__ = ["SparsePoly", "bareiss_echelon", "bareiss_rank"]
 
 
 class SparsePoly:
@@ -155,14 +155,18 @@ class SparsePoly:
         return f"SparsePoly({self.nvars}, {self.render()})"
 
 
-def bareiss_rank(rows) -> int:
-    """Rank over Q by fraction-free Bareiss elimination (exact divisions only)."""
-    m = [list(r) for r in rows]
+def bareiss_echelon(m, pivot_cols=None) -> int:
+    """Reduce the integer matrix m (a list of row lists) in place to row
+    echelon form by fraction-free Bareiss elimination; return the number of
+    pivots.  Pivots are taken only among the first pivot_cols columns (all
+    by default), so when m is a matrix beside the identity, every row below
+    the pivots is zero on the left and holds an integer left-kernel vector of
+    the left block on the right.  Every division is exact."""
     nr = len(m)
     nc = len(m[0]) if nr else 0
     prev = 1
     r = 0
-    for col in range(nc):
+    for col in range(nc if pivot_cols is None else pivot_cols):
         # pick the remaining entry of least magnitude in this column to slow growth
         pivot_row = -1
         best = None
@@ -192,3 +196,8 @@ def bareiss_rank(rows) -> int:
         if r == nr:
             break
     return r
+
+
+def bareiss_rank(rows) -> int:
+    """Rank over Q: the pivot count of bareiss_echelon on a copy of rows."""
+    return bareiss_echelon([list(r) for r in rows])

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .actions import Action, GTIdeal, invariant_monomials
 from .circulant import cofactor_product, ternary_product
 from .errors import ConsistencyError
-from .polymat import SparsePoly, bareiss_rank
+from .polymat import SparsePoly, bareiss_echelon, bareiss_rank
 
 __all__ = [
     "WlpVerdict",
@@ -60,6 +60,12 @@ def _restriction_rows(ideal: GTIdeal, coeffs):
             row[j + m] = scale * math.comb(k, m) * (-al) ** (k - m) * (-be) ** m
         rows.append(row)
     return rows
+
+
+def _is_togliatti_system(ideal: GTIdeal, nullity: int) -> bool:
+    """Artinian, at most d+1 generators, and x + y + z fails injectivity from
+    degree d-1 to degree d, where nullity is the kernel dimension."""
+    return is_artinian(ideal) and ideal.mu <= ideal.d + 1 and nullity >= 1
 
 
 def kernel_dimension(ideal: GTIdeal, coeffs=(1, 1, 1)) -> int:
@@ -142,10 +148,8 @@ def gt_verdict(action: Action) -> WlpVerdict:
     mu = ideal.mu
     dim_src = d * (d + 1) // 2
     dim_tgt = (d + 1) * (d + 2) // 2 - mu
-    bound_ok = mu <= d + 1
-    rank = dim_src - kernel_dimension(ideal)
-    fails_inj = rank < dim_src
-    togliatti = is_artinian(ideal) and bound_ok and fails_inj
+    nullity = kernel_dimension(ideal)
+    rank = dim_src - nullity
     return WlpVerdict(
         action=action,
         d=d,
@@ -153,36 +157,35 @@ def gt_verdict(action: Action) -> WlpVerdict:
         dim_source=dim_src,
         dim_target=dim_tgt,
         rank=rank if d <= RANK_REPORT_LIMIT else None,
-        fails_injectivity=fails_inj,
+        fails_injectivity=nullity > 0,
         fails_wlp_at_d_minus_1=rank < min(dim_src, dim_tgt),
-        generator_bound_ok=bound_ok,
-        is_togliatti=togliatti,
+        generator_bound_ok=mu <= d + 1,
+        is_togliatti=_is_togliatti_system(ideal, nullity),
         method="restriction",
     )
-
-
-def _is_togliatti(ideal: GTIdeal, rows) -> bool:
-    """rows are the ideal's restriction rows (see _restriction_rows)."""
-    return (is_artinian(ideal) and ideal.mu <= ideal.d + 1
-            and bareiss_rank(rows) < ideal.mu)
 
 
 def minimality_subset_oracle(ideal: GTIdeal) -> bool:
     """True when no proper generator subset still gives a Togliatti system.
 
-    Kernels only grow when generators are added, so a Togliatti subset forces
-    a Togliatti subset of corank one; testing single removals suffices.  A
-    removal drops one column of E.
+    One elimination of E^T beside the identity, pivoting only in the columns
+    of E^T, gives the nullity of E and, in the identity part of the last row,
+    an integer kernel vector v.  Kernels only grow when generators are added,
+    so single removals suffice.  Removing a pure power breaks artinianness;
+    removing generator i keeps a kernel exactly when the nullity is 2 or more
+    or v_i = 0.  So the ideal is minimal exactly when the nullity is 1 and
+    v_i != 0 at every generator that is not a pure power.
     """
     rows = _restriction_rows(ideal, (1, 1, 1))
-    if not _is_togliatti(ideal, rows):
+    mu, width = len(rows), ideal.d + 1
+    m = [row + [int(i == j) for j in range(mu)] for i, row in enumerate(rows)]
+    nullity = mu - bareiss_echelon(m, width)
+    if not _is_togliatti_system(ideal, nullity):
         raise ValueError("minimality oracle expects a Togliatti system")
-    gens = ideal.generators
-    for i in range(len(gens)):
-        sub = GTIdeal(ideal.d, gens[:i] + gens[i + 1:])
-        if _is_togliatti(sub, rows[:i] + rows[i + 1:]):
-            return False
-    return True
+    v = m[-1][width:]
+    if not any(v) or any(sum(vi * row[c] for vi, row in zip(v, rows)) for c in range(width)):
+        raise ConsistencyError("the elimination's kernel vector is not in the kernel of E")
+    return nullity == 1 and all(vi or ideal.d in g for vi, g in zip(v, ideal.generators))
 
 
 def minimality_circulant(action: Action) -> bool:

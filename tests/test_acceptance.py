@@ -138,7 +138,7 @@ def test_criterion_06_circulant_suite():
 
 
 def test_criterion_07_product_support_and_minimality():
-    with criterion(7, "product support equals invariant set for d <= 30; subset-removal oracle confirms minimality for d <= 13"):
+    with criterion(7, "product support equals invariant set for d <= 30; the kernel-vector subset oracle confirms minimality for d <= 13"):
         for d in range(3, 31):
             for a in range(2, d):
                 prod = ternary_product(d, 1, a)

@@ -397,6 +397,14 @@ class TestFormats:
         assert len(units) == 9  # (d=3: 3 pairs) + (d=4: 6 pairs)
         assert all("status" in u for u in units)
 
+    @pytest.mark.parametrize("fmt", ["md", "csv"])
+    def test_stream_mode_rejects_other_formats(self, capsys, fmt):
+        code, out, err = run_cli(capsys, "conjecture-scan", "--dmax", "4", "--stream",
+                                 "--format", fmt)
+        assert code == 1
+        assert out == ""
+        assert err == f"gtsys: error: --stream prints JSON lines; it takes no --format {fmt}\n"
+
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "report.json"
         code, _, _ = run_cli(capsys, "minimal", "--d", "5", "--a", "2", "--out", str(target))

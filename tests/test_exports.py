@@ -52,3 +52,8 @@ def test_removed_members_are_gone():
     assert not hasattr(gtsystems.SparsePoly, "map_coefficients")
     assert not hasattr(gtsystems.CyclotomicInt, "__pow__")
     assert not hasattr(gtsystems.CyclotomicInt, "substitute_power")
+    assert not hasattr(gtsystems.CyclotomicInt, "to_json")
+    assert gtsystems.CyclotomicInt.__hash__ is None
+    assert not hasattr(gtsystems.CyclotomicInt, "__bool__")
+    assert not hasattr(gtsystems.arrangements.Arrangement, "to_json")
+    assert "__str__" not in vars(gtsystems.cyclotomic.CycloPolynomial)

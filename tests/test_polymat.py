@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from gtsystems.polymat import SparsePoly, bareiss_rank
+from gtsystems.polymat import SparsePoly, bareiss_echelon, bareiss_rank
 
 
 def fraction_rank(rows):
@@ -109,6 +109,24 @@ class TestExactRank:
                 rows[-1] = [k * x for x in rows[0]]
             exact = bareiss_rank(rows)
             assert exact == fraction_rank(rows), rows
+
+    def test_echelon_beside_identity_gives_the_left_kernel(self):
+        rng = random.Random(1968)
+        for _ in range(200):
+            nr, nc = rng.randint(1, 8), rng.randint(1, 6)
+            rows = [[rng.randint(-9, 9) for _ in range(nc)] for _ in range(nr)]
+            if nr >= 2 and rng.random() < 0.5:
+                rows[-1] = [2 * x - y for x, y in zip(rows[0], rows[1])]
+            m = [row + [int(i == j) for j in range(nr)] for i, row in enumerate(rows)]
+            rank = bareiss_echelon(m, nc)
+            assert rank == fraction_rank(rows), rows
+            # the rows below the pivots are zero on the left and independent
+            # left-kernel vectors of rows on the right
+            kernel = [row[nc:] for row in m[rank:]]
+            assert all(not any(row[:nc]) for row in m[rank:]), rows
+            for v in kernel:
+                assert all(sum(vi * r[c] for vi, r in zip(v, rows)) == 0 for c in range(nc))
+            assert fraction_rank(kernel) == nr - rank, rows
 
     def test_huge_entries_stay_exact(self):
         big = 10**30

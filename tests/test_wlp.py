@@ -1,12 +1,14 @@
 """Injectivity of multiplication by a linear form, verdicts, and minimality."""
 
 import math
+import random
 
 import pytest
 
-from gtsystems import circulant
+from gtsystems import circulant, polymat, wlp
 from gtsystems.actions import Action, GTIdeal, invariant_monomials
 from gtsystems.circulant import ternary_product
+from gtsystems.errors import ConsistencyError
 from gtsystems.polymat import bareiss_rank
 from gtsystems.wlp import (
     RANK_REPORT_LIMIT,
@@ -73,6 +75,34 @@ def oracle_rank(ideal, coeffs=(1, 1, 1)):
 def oracle_kernel(ideal, coeffs=(1, 1, 1)):
     rank, dim_src = oracle_rank(ideal, coeffs)
     return dim_src - rank
+
+
+def single_removal_oracle(ideal):
+    """Minimality by brute force: drop each generator in turn and ask whether
+    what is left is still a Togliatti system (artinian, at most d+1
+    generators, a nonzero kernel).  Kernels only grow when generators are
+    added, so a Togliatti subset forces a Togliatti subset of corank one and
+    single removals suffice.  It runs the restriction rank mu + 1 times."""
+
+    def togliatti(gens):
+        sub = GTIdeal(ideal.d, gens)
+        return is_artinian(sub) and sub.mu <= sub.d + 1 and kernel_dimension(sub) >= 1
+
+    gens = ideal.generators
+    if not togliatti(gens):
+        raise ValueError("minimality oracle expects a Togliatti system")
+    return not any(togliatti(gens[:i] + gens[i + 1:]) for i in range(len(gens)))
+
+
+def random_togliatti_candidates(rng, count):
+    """Seeded GTIdeals holding the three pure powers and at most d+1
+    generators in all, for 5 <= d <= 10."""
+    for _ in range(count):
+        d = rng.randint(5, 10)
+        pool = [(d - b - c, b, c) for b in range(d + 1) for c in range(d + 1 - b)
+                if d not in (d - b - c, b, c)]
+        extra = rng.sample(pool, rng.randint(1, d - 2))
+        yield GTIdeal(d, ((d, 0, 0), (0, d, 0), (0, 0, d), *extra))
 
 
 def faithful_units(d_values):
@@ -276,6 +306,111 @@ class TestMinimality:
                 circ = minimality_circulant(act)
                 if gt_verdict(act).is_togliatti:
                     assert circ == minimality_subset_oracle(invariant_monomials(act)), (d, a)
+
+    def test_kernel_vector_route_agrees_with_single_removals(self):
+        units = 0
+        for action in faithful_units(range(3, 17)):
+            ideal = invariant_monomials(action)
+            if gt_verdict(action).is_togliatti:
+                units += 1
+                assert minimality_subset_oracle(ideal) == single_removal_oracle(ideal), action
+        assert units == 493
+
+    def test_kernel_vector_route_agrees_on_random_ideals(self):
+        rng = random.Random(2016)
+        seen = {"togliatti": 0, "minimal": 0, "non_minimal": 0, "nullity_2+": 0}
+        for ideal in random_togliatti_candidates(rng, 6000):
+            try:
+                expected = single_removal_oracle(ideal)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    minimality_subset_oracle(ideal)
+                continue
+            assert minimality_subset_oracle(ideal) == expected, ideal.generators
+            seen["togliatti"] += 1
+            seen["minimal" if expected else "non_minimal"] += 1
+            seen["nullity_2+"] += kernel_dimension(ideal) >= 2
+        assert seen["togliatti"] >= 300, seen
+        assert min(seen.values()) > 0, seen
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """Records the matrix of every call of polymat's elimination loop, whether
+    made by wlp directly or through bareiss_rank."""
+    calls = []
+    real = polymat.bareiss_echelon
+
+    def spy(m, pivot_cols=None):
+        calls.append(m)
+        return real(m, pivot_cols)
+
+    monkeypatch.setattr(polymat, "bareiss_echelon", spy)
+    monkeypatch.setattr(wlp, "bareiss_echelon", spy)
+    return calls
+
+
+class TestKernelVector:
+    @pytest.mark.parametrize("d,weights", [(3, (0, 1, 2)), (7, (0, 1, 3)), (13, (0, 1, 4)),
+                                           (18, (0, 2, 9)), (24, (0, 1, 7))])
+    def test_one_elimination_per_call(self, eliminations, d, weights):
+        ideal = invariant_monomials(Action(d, weights))
+        minimality_subset_oracle(ideal)
+        assert len(eliminations) == 1
+
+    def test_kernel_vector_is_proportional_to_the_circulant_product(self, eliminations):
+        units = 0
+        for action in faithful_units(range(3, 17)):
+            d, (_, a, b) = action.d, action.weights
+            ideal = invariant_monomials(action)
+            if not 0 < a < b or kernel_dimension(ideal) != 1:
+                continue
+            units += 1
+            eliminations.clear()
+            minimality_subset_oracle(ideal)
+            (m,) = eliminations
+            v = m[-1][d + 1:]
+            product = ternary_product(d, a, b)
+            assert product.support() <= set(ideal.generators), action
+            c = [product.coefficient(g) for g in ideal.generators]
+            k = next(i for i, ci in enumerate(c) if ci)
+            assert v[k], action
+            assert all(vi * c[k] == ci * v[k] for vi, ci in zip(v, c)), action
+        assert units == 493
+
+    def test_nullity_two_is_not_minimal_whatever_the_kernel_vector(self, monkeypatch):
+        # The last row may hold any kernel vector.  Here the sum of the last
+        # two is nonzero at every generator, yet the ideal is not minimal.
+        ideal = GTIdeal(6, ((6, 0, 0), (5, 1, 0), (5, 0, 1), (1, 5, 0),
+                            (0, 6, 0), (0, 5, 1), (0, 0, 6)))
+        assert kernel_dimension(ideal) == 2
+        assert not single_removal_oracle(ideal)
+        real = polymat.bareiss_echelon
+
+        def summed(m, pivot_cols=None):
+            r = real(m, pivot_cols)
+            m[-1] = [a + b for a, b in zip(m[-2], m[-1])]
+            return r
+
+        monkeypatch.setattr(wlp, "bareiss_echelon", summed)
+        assert not minimality_subset_oracle(ideal)
+
+    @pytest.mark.parametrize("tamper", ["shift", "zero"])
+    def test_tampered_kernel_vector_is_caught(self, monkeypatch, tamper):
+        real = polymat.bareiss_echelon
+
+        def tampered(m, pivot_cols=None):
+            r = real(m, pivot_cols)
+            last = m[-1]
+            if tamper == "shift":
+                last[pivot_cols] += 1
+            else:
+                last[pivot_cols:] = [0] * (len(last) - pivot_cols)
+            return r
+
+        monkeypatch.setattr(wlp, "bareiss_echelon", tampered)
+        with pytest.raises(ConsistencyError):
+            minimality_subset_oracle(invariant_monomials(Action(7, (0, 1, 3))))
 
 
 class TestConjectureScan:
