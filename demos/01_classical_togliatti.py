@@ -30,7 +30,8 @@ print("generator bound mu <= d+1 holds:", verdict.generator_bound_ok)
 print("verdict:", "GT-system" if verdict.is_togliatti else "not a GT-system")
 
 print("minimal (circulant route):", minimality_circulant(action))
-print("minimal (subset-removal oracle):", minimality_subset_oracle(ideal))
+print("minimal (subset oracle, one elimination; kernel vector nonzero off the pure powers):",
+      minimality_subset_oracle(ideal))
 
 det = circulant_det_symbolic(3)
 print("3x3 symbolic circulant determinant:", det.render(names=("v0", "v1", "v2")))

@@ -136,11 +136,15 @@ def circulant_det_symbolic(d) -> SparsePoly:
     return circulant_product(d, range(d))
 
 
+def _check_ternary_limit(d):
+    if not 3 <= d <= _TERNARY_LIMIT:
+        raise ValueError(f"ternary form supported for 3 <= d <= {_TERNARY_LIMIT}")
+
+
 def ternary_product(d, a, b) -> SparsePoly:
     """The product over j of (x + zeta^(aj) y + zeta^(bj) z), with integer
     coefficients, equal to the circulant determinant of the ternary section."""
-    if not 3 <= d <= _TERNARY_LIMIT:
-        raise ValueError(f"ternary form supported for 3 <= d <= {_TERNARY_LIMIT}")
+    _check_ternary_limit(d)
     if not (0 < a < d and 0 < b < d and a != b):
         raise ValueError("need distinct nonzero positions a, b")
     return circulant_product(d, (0, a, b))

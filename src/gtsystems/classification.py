@@ -105,10 +105,6 @@ class ClassPartition:
     d: int
     classes: tuple  # tuple of (members tuple, kind str)
 
-    @property
-    def sizes(self):
-        return [len(m) for m, _ in self.classes]
-
     def count_by_kind(self, kind):
         return sum(1 for _, k in self.classes if k == kind)
 

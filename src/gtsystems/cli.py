@@ -28,7 +28,12 @@ from .arrangements import (
     random_scales,
     singular_census,
 )
-from .circulant import circulant_det_symbolic, coefficient_query, ternary_product
+from .circulant import (
+    _check_ternary_limit,
+    circulant_det_symbolic,
+    coefficient_query,
+    ternary_product,
+)
 from .classification import (
     class_count_formulas,
     classify_moves,
@@ -340,9 +345,14 @@ def cmd_report(args):
         d=d, action=getattr(args, "action", None), a=getattr(args, "a", None),
         seed=args.seed, general_l=getattr(args, "general_l", 0), subset_oracle=False,
     )
-    # classify_moves refuses a d past its limit, so it runs before the
-    # invariant scan, whose cost grows as d^2
+    norm = action.normalized()
+    minimal = 0 < norm.weights[1] < norm.weights[2]
+    # classify_moves refuses a d past its limit, and the minimal section one
+    # past the ternary limit, so both run before the invariant scan, whose
+    # cost grows as d^2
     partition = classify_moves(d) if d >= 4 else None
+    if minimal:
+        _check_ternary_limit(d)
     sections = {}
     checks = []
 
@@ -355,8 +365,7 @@ def cmd_report(args):
     absorb("invariants", cmd_invariants(child))
     absorb("verdict", cmd_gt_verdict(child))
 
-    norm = action.normalized()
-    if 0 < norm.weights[1] < norm.weights[2]:
+    if minimal:
         absorb("minimal", cmd_minimal(child))
 
     if partition is not None:

@@ -2,14 +2,14 @@
 d-th root of unity.
 
 Elements are stored as integer coefficient vectors of length d in the power
-basis 1, zeta, ..., zeta^(d-1).  Arithmetic only wraps exponents modulo d,
-which is cheap; reduction modulo the d-th cyclotomic polynomial happens lazily,
-only when a zero test, an equality test or a canonical form is requested.
+basis 1, zeta, ..., zeta^(d-1).  Arithmetic only wraps exponents modulo d;
+reduction modulo the d-th cyclotomic polynomial happens when a zero test, an
+equality test or a canonical form is requested, and is not remembered.
 """
 
 from __future__ import annotations
 
-import threading
+import functools
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, NonIntegerError
@@ -24,16 +24,6 @@ __all__ = [
 
 class OrderMismatchError(ValueError):
     """Raised when two elements built on different roots of unity are combined."""
-
-
-def _poly_mul(p, q):
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                if b:
-                    out[i + j] += a * b
-    return out
 
 
 def _poly_divmod_exact(num, den):
@@ -66,94 +56,43 @@ class CycloPolynomial:
         return len(self.coeffs) - 1
 
 
-_PHI_CACHE: dict = {}
-# reentrant: the computation for d recurses into the proper divisors of d
-_PHI_LOCK = threading.RLock()
-
-
+@functools.cache
 def cyclotomic_polynomial(d: int) -> CycloPolynomial:
-    """Return Phi_d, computed by exact division of x^d - 1 by all Phi_e, e|d, e<d."""
+    """Return Phi_d: x^d - 1 divided exactly by each Phi_e, e|d, e<d, in turn."""
     if d < 1:
         raise ValueError("order must be positive")
-    got = _PHI_CACHE.get(d)
-    if got is not None:
-        return got
-    with _PHI_LOCK:
-        got = _PHI_CACHE.get(d)
-        if got is not None:
-            return got
-        if d == 1:
-            phi = CycloPolynomial(1, (-1, 1))
-        else:
-            num = [-1] + [0] * (d - 1) + [1]
-            den = [1]
-            for e in range(1, d):
-                if d % e == 0:
-                    den = _poly_mul(den, list(cyclotomic_polynomial(e).coeffs))
-            den_deg = len(den) - 1
-            if den[-1] != 1:
-                raise ConsistencyError("divisor product must be monic")
-            quot, rem = _poly_divmod_exact(num, den)
-            if any(rem) and rem != [0]:
+    quot = [-1] + [0] * (d - 1) + [1]
+    degree = d
+    for e in range(1, d):
+        if d % e == 0:
+            phi_e = cyclotomic_polynomial(e)
+            quot, rem = _poly_divmod_exact(quot, phi_e.coeffs)
+            if any(rem):
                 raise ConsistencyError(f"x^{d}-1 not divisible by proper factors")
-            phi = CycloPolynomial(d, tuple(quot))
-            if phi.coeffs[-1] != 1 or phi.degree != d - den_deg:
-                raise ConsistencyError(f"Phi_{d} is not monic of degree {d - den_deg}")
-        _PHI_CACHE[d] = phi
-        return phi
+            degree -= phi_e.degree
+    phi = CycloPolynomial(d, tuple(quot))
+    if phi.coeffs[-1] != 1 or phi.degree != degree:
+        raise ConsistencyError(f"Phi_{d} is not monic of degree {degree}")
+    return phi
 
 
-_RED_CACHE: dict = {}
-_RED_LOCK = threading.Lock()
-
-
+@functools.cache
 def _reduction_rows(d: int):
-    """Rows expressing x^i mod Phi_d for i = deg(Phi_d), ..., d-1."""
-    got = _RED_CACHE.get(d)
-    if got is not None:
-        return got
-    with _RED_LOCK:
-        got = _RED_CACHE.get(d)
-        if got is not None:
-            return got
-        phi = cyclotomic_polynomial(d)
-        m = phi.degree
-        rows = []
-        if m < d:
-            base = [-c for c in phi.coeffs[:m]]
-            rows.append(tuple(base))
-            cur = base
-            for _ in range(m + 1, d):
-                nxt = [0] + cur[:-1]
-                top = cur[-1]
-                if top:
-                    for t in range(m):
-                        nxt[t] += top * base[t]
-                rows.append(tuple(nxt))
-                cur = nxt
-        got = (m, tuple(rows))
-        _RED_CACHE[d] = got
-        return got
-
-
-def _reduce_vector(d, coeffs):
-    m, rows = _reduction_rows(d)
-    res = list(coeffs[:m])
-    res.extend([0] * (m - len(res)))
-    for i in range(m, min(len(coeffs), d)):
-        c = coeffs[i]
-        if c:
-            row = rows[i - m]
-            for t in range(m):
-                if row[t]:
-                    res[t] += c * row[t]
-    return tuple(res)
+    """(m, rows) with m = deg Phi_d and rows[i - m] the nonzero (t, c) of
+    x^i mod Phi_d, for i = m, ..., d-1."""
+    phi = cyclotomic_polynomial(d).coeffs
+    m = len(phi) - 1
+    rows = []
+    for i in range(m, d):
+        _, rem = _poly_divmod_exact([0] * i + [1], phi)
+        rows.append(tuple((t, c) for t, c in enumerate(rem) if c))
+    return m, tuple(rows)
 
 
 class CyclotomicInt:
     """An element of Z[zeta_d] in the power basis."""
 
-    __slots__ = ("order", "coeffs", "_reduced")
+    __slots__ = ("order", "coeffs")
 
     def __init__(self, order, coeffs):
         if order < 1:
@@ -165,7 +104,6 @@ class CyclotomicInt:
             coeffs = coeffs + (0,) * (order - len(coeffs))
         self.order = order
         self.coeffs = coeffs
-        self._reduced = None
 
     @classmethod
     def from_int(cls, order, n):
@@ -185,18 +123,23 @@ class CyclotomicInt:
     def one(cls, order):
         return cls.from_int(order, 1)
 
-    def _check(self, other):
+    def _operand(self, other):
+        """other as an element of the same order; None when it is neither an
+        int nor an element."""
+        if isinstance(other, int):
+            return CyclotomicInt.from_int(self.order, other)
+        if not isinstance(other, CyclotomicInt):
+            return None
         if self.order != other.order:
             raise OrderMismatchError(
                 f"incompatible roots of unity: order {self.order} vs {other.order}"
             )
+        return other
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = CyclotomicInt.from_int(self.order, other)
-        if not isinstance(other, CyclotomicInt):
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
-        self._check(other)
         return CyclotomicInt(self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     __radd__ = __add__
@@ -205,60 +148,39 @@ class CyclotomicInt:
         return CyclotomicInt(self.order, [-a for a in self.coeffs])
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = CyclotomicInt.from_int(self.order, other)
-        if not isinstance(other, CyclotomicInt):
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
-        self._check(other)
         return CyclotomicInt(self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __rsub__(self, other):
         return (-self) + other
 
-    def _nonzero_terms(self):
-        return [(i, c) for i, c in enumerate(self.coeffs) if c]
-
     def __mul__(self, other):
-        if isinstance(other, int):
-            if other == 0:
-                return CyclotomicInt.zero(self.order)
-            return CyclotomicInt(self.order, [other * a for a in self.coeffs])
-        if not isinstance(other, CyclotomicInt):
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
-        self._check(other)
         d = self.order
-        a = self._nonzero_terms()
-        b = other._nonzero_terms()
-        long_coeffs = other.coeffs
-        if len(a) > len(b):
-            a, b = b, a
-            long_coeffs = self.coeffs
-        # single-term multiplications are rotations; they dominate product
-        # expansions where each factor coefficient is a power of zeta
-        if len(a) == 1:
-            i, c = a[0]
-            rot = long_coeffs[-i:] + long_coeffs[:-i] if i else long_coeffs
-            if c == 1:
-                return CyclotomicInt(d, rot)
-            return CyclotomicInt(d, [c * v for v in rot])
+        terms = [(j, e) for j, e in enumerate(other.coeffs) if e]
         out = [0] * d
-        for i, c in a:
-            for j, e in b:
-                k = i + j
-                if k >= d:
-                    k -= d
-                out[k] += c * e
+        for i, c in enumerate(self.coeffs):
+            if c:
+                for j, e in terms:
+                    # 0 <= i + j < 2d, so the negative index wraps to (i + j) mod d
+                    out[i + j - d] += c * e
         return CyclotomicInt(d, out)
 
     __rmul__ = __mul__
 
     def reduced(self):
         """Canonical coefficient vector modulo Phi_d (length deg Phi_d)."""
-        r = self._reduced
-        if r is None:
-            r = _reduce_vector(self.order, self.coeffs)
-            self._reduced = r
-        return r
+        m, rows = _reduction_rows(self.order)
+        res = list(self.coeffs[:m])
+        for c, row in zip(self.coeffs[m:], rows):
+            if c:
+                for t, r in row:
+                    res[t] += c * r
+        return tuple(res)
 
     def is_zero(self):
         return not any(self.reduced())
@@ -270,13 +192,11 @@ class CyclotomicInt:
         return r[0]
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            r = self.reduced()
-            return r[0] == other and not any(r[1:])
-        if not isinstance(other, CyclotomicInt):
-            return NotImplemented
-        if self.order != other.order:
+        if isinstance(other, CyclotomicInt) and self.order != other.order:
             return False
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
         return (self - other).is_zero()
 
     def __str__(self):

@@ -165,27 +165,39 @@ def gt_verdict(action: Action) -> WlpVerdict:
     )
 
 
-def minimality_subset_oracle(ideal: GTIdeal) -> bool:
-    """True when no proper generator subset still gives a Togliatti system.
-
-    One elimination of E^T beside the identity, pivoting only in the columns
-    of E^T, gives the nullity of E and, in the identity part of the last row,
-    an integer kernel vector v.  Kernels only grow when generators are added,
-    so single removals suffice.  Removing a pure power breaks artinianness;
-    removing generator i keeps a kernel exactly when the nullity is 2 or more
-    or v_i = 0.  So the ideal is minimal exactly when the nullity is 1 and
-    v_i != 0 at every generator that is not a pure power.
-    """
+def _nullity_and_kernel_vector(ideal: GTIdeal):
+    """The nullity of E and, when it is positive, an integer kernel vector v,
+    from one elimination of E^T beside the identity, pivoting only in the
+    columns of E^T: v is the identity part of the last row.  v.E = 0 is
+    checked."""
     rows = _restriction_rows(ideal, (1, 1, 1))
     mu, width = len(rows), ideal.d + 1
     m = [row + [int(i == j) for j in range(mu)] for i, row in enumerate(rows)]
     nullity = mu - bareiss_echelon(m, width)
+    v = m[-1][width:]
+    if nullity and (not any(v) or any(sum(vi * row[c] for vi, row in zip(v, rows))
+                                      for c in range(width))):
+        raise ConsistencyError("the elimination's kernel vector is not in the kernel of E")
+    return nullity, v
+
+
+def _is_minimal(ideal: GTIdeal, nullity: int, v) -> bool:
+    return nullity == 1 and all(vi or ideal.d in g for vi, g in zip(v, ideal.generators))
+
+
+def minimality_subset_oracle(ideal: GTIdeal) -> bool:
+    """True when no proper generator subset still gives a Togliatti system.
+
+    Kernels only grow when generators are added, so single removals suffice.
+    Removing a pure power breaks artinianness; removing generator i keeps a
+    kernel exactly when the nullity is 2 or more or v_i = 0, for the kernel
+    vector v of one elimination.  So the ideal is minimal exactly when the
+    nullity is 1 and v_i != 0 at every generator that is not a pure power.
+    """
+    nullity, v = _nullity_and_kernel_vector(ideal)
     if not _is_togliatti_system(ideal, nullity):
         raise ValueError("minimality oracle expects a Togliatti system")
-    v = m[-1][width:]
-    if not any(v) or any(sum(vi * row[c] for vi, row in zip(v, rows)) for c in range(width)):
-        raise ConsistencyError("the elimination's kernel vector is not in the kernel of E")
-    return nullity == 1 and all(vi or ideal.d in g for vi, g in zip(v, ideal.generators))
+    return _is_minimal(ideal, nullity, v)
 
 
 def minimality_circulant(action: Action) -> bool:
@@ -204,12 +216,14 @@ def conjecture_scan(d_values):
     """Scan actions (0, a, b) for failures of minimality.
 
     For every d and every 1 <= a < b <= d-1 with gcd(a, b, d) = 1 the
-    circulant route runs, and so does the verdict; every Togliatti unit is
-    confirmed independently by the subset oracle.  A unit is a counterexample
-    candidate exactly when one of the two minimality routes fails.  Pairs
-    with a == b provably keep the Lefschetz property and are recorded as
-    degenerate; units that are not Togliatti systems (for instance, more
-    than d+1 generators) are recorded as such without entering the oracle.
+    invariant ideal is built once.  The circulant route compares the support
+    of the ternary product with it, and one elimination of E gives both the
+    Togliatti verdict and, for every Togliatti unit, the independent
+    kernel-vector minimality check.  A unit is a counterexample candidate
+    exactly when one of the two minimality routes fails.  Pairs with a == b
+    provably keep the Lefschetz property and are recorded as degenerate;
+    units that are not Togliatti systems (for instance, more than d+1
+    generators, where no elimination runs) are recorded as such.
     """
     findings = []
     units = []
@@ -222,17 +236,20 @@ def conjecture_scan(d_values):
                 if a == b:
                     units.append({"d": d, "a": a, "b": b, "status": "degenerate_wlp"})
                     continue
-                action = Action(d, (0, a, b))
-                ideal = invariant_monomials(action)
+                ideal = invariant_monomials(Action(d, (0, a, b)))
                 unit = {
                     "d": d, "a": a, "b": b, "mu": ideal.mu,
-                    "minimal_circulant": minimality_circulant(action),
+                    "minimal_circulant":
+                        ternary_product(d, a, b).support() == set(ideal.generators),
                 }
                 bad = not unit["minimal_circulant"]
-                togliatti = gt_verdict(action).is_togliatti
+                togliatti = False
+                if ideal.mu <= d + 1:
+                    nullity, v = _nullity_and_kernel_vector(ideal)
+                    togliatti = _is_togliatti_system(ideal, nullity)
                 unit["togliatti"] = togliatti
                 if togliatti:
-                    unit["minimal_oracle"] = minimality_subset_oracle(ideal)
+                    unit["minimal_oracle"] = _is_minimal(ideal, nullity, v)
                     bad = bad or not unit["minimal_oracle"]
                 if bad:
                     unit["status"] = "counterexample"

@@ -1,4 +1,5 @@
-"""Exact arithmetic in Z[zeta_d]: cyclotomic polynomials and lazy-reduced integers."""
+"""Exact arithmetic in Z[zeta_d]: cyclotomic polynomials and integers in the
+power basis, reduced modulo Phi_d on demand."""
 
 import math
 import random
@@ -15,6 +16,18 @@ from gtsystems.cyclotomic import (
 
 def totient(n):
     return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+
+
+def long_division_remainder(num, phi, m):
+    """num mod phi by schoolbook division, phi monic of degree m; the
+    remainder padded to length m."""
+    rem = list(num) + [0] * max(0, m - len(num))
+    for top in range(len(rem) - 1, m - 1, -1):
+        c = rem[top]
+        for k, p in enumerate(phi):
+            rem[top - m + k] -= c * p
+    assert not any(rem[m:])
+    return tuple(rem[:m])
 
 
 KNOWN_PHI = {
@@ -123,7 +136,23 @@ class TestCyclotomicInt:
         with pytest.raises(OrderMismatchError):
             a + b
         with pytest.raises(OrderMismatchError):
+            a - b
+        with pytest.raises(OrderMismatchError):
             a * b
+
+    def test_mixed_order_elements_are_unequal(self):
+        # 1 in Z[zeta_5] and 1 in Z[zeta_7] are never compared as numbers
+        assert CyclotomicInt.one(5) != CyclotomicInt.one(7)
+        assert not CyclotomicInt.zero(3) == CyclotomicInt.zero(6)
+
+    def test_reduced_is_the_remainder_of_long_division(self):
+        rng = random.Random(7)
+        for d in range(1, 41):
+            phi = cyclotomic_polynomial(d).coeffs
+            m = len(phi) - 1
+            for _ in range(5):
+                coeffs = [rng.randint(-20, 20) for _ in range(d)]
+                assert CyclotomicInt(d, coeffs).reduced() == long_division_remainder(coeffs, phi, m)
 
     def test_minimal_polynomial_kills_zeta(self):
         for d in (5, 8, 9, 12):

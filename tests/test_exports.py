@@ -57,3 +57,10 @@ def test_removed_members_are_gone():
     assert not hasattr(gtsystems.CyclotomicInt, "__bool__")
     assert not hasattr(gtsystems.arrangements.Arrangement, "to_json")
     assert "__str__" not in vars(gtsystems.cyclotomic.CycloPolynomial)
+    assert not hasattr(gtsystems.classification.ClassPartition, "sizes")
+    cyclotomic = gtsystems.cyclotomic
+    for name in ("_PHI_LOCK", "_RED_LOCK", "_PHI_CACHE", "_RED_CACHE", "_poly_mul",
+                 "_reduce_vector", "threading"):
+        assert not hasattr(cyclotomic, name), name
+    assert "_reduced" not in gtsystems.CyclotomicInt.__slots__
+    assert not hasattr(gtsystems.CyclotomicInt, "_nonzero_terms")

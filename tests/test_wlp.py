@@ -443,3 +443,40 @@ class TestConjectureScan:
         for u in togliatti:
             assert u["minimal_circulant"] is True
             assert u["minimal_oracle"] is True
+
+    def test_one_enumeration_and_one_elimination_per_unit(self, eliminations, monkeypatch):
+        enumerations = []
+        real = wlp.invariant_monomials
+
+        def spy(action):
+            enumerations.append(action)
+            return real(action)
+
+        monkeypatch.setattr(wlp, "invariant_monomials", spy)
+        out = conjecture_scan(range(3, 13))
+        assert sum(u["status"] == "ok" for u in out["units"]) == 196
+        assert len(enumerations) == 196
+        assert len(eliminations) == 196
+
+    def test_units_agree_with_the_verdict_and_the_circulant_route(self):
+        units = [u for u in conjecture_scan(range(3, 17))["units"] if "mu" in u]
+        assert len(units) == 493
+        for u in units:
+            action = Action(u["d"], (0, u["a"], u["b"]))
+            verdict = gt_verdict(action)
+            assert (u["mu"], u["togliatti"]) == (verdict.mu, verdict.is_togliatti), u
+            assert u["minimal_circulant"] == minimality_circulant(action), u
+            assert u["minimal_oracle"] == minimality_subset_oracle(invariant_monomials(action)), u
+
+    def test_no_elimination_above_the_generator_bound(self, eliminations, monkeypatch):
+        # every degree-d monomial: mu > d + 1, so no unit is a Togliatti system
+        def everything(action):
+            d = action.d
+            return GTIdeal(d, tuple((d - j - k, j, k) for j in range(d + 1)
+                                    for k in range(d + 1 - j)), action=action)
+
+        monkeypatch.setattr(wlp, "invariant_monomials", everything)
+        units = [u for u in conjecture_scan([7])["units"] if "mu" in u]
+        assert units and eliminations == []
+        for u in units:
+            assert u["togliatti"] is False and "minimal_oracle" not in u
