@@ -26,6 +26,7 @@ from .errors import ConsistencyError, NonIntegerError
 from .polymat import SparsePoly
 
 __all__ = [
+    "check_ternary_limit",
     "circulant_det_symbolic",
     "circulant_product",
     "coefficient_query",
@@ -136,7 +137,8 @@ def circulant_det_symbolic(d) -> SparsePoly:
     return circulant_product(d, range(d))
 
 
-def _check_ternary_limit(d):
+def check_ternary_limit(d):
+    """Raise ValueError unless the ternary product is supported at order d."""
     if not 3 <= d <= _TERNARY_LIMIT:
         raise ValueError(f"ternary form supported for 3 <= d <= {_TERNARY_LIMIT}")
 
@@ -144,7 +146,7 @@ def _check_ternary_limit(d):
 def ternary_product(d, a, b) -> SparsePoly:
     """The product over j of (x + zeta^(aj) y + zeta^(bj) z), with integer
     coefficients, equal to the circulant determinant of the ternary section."""
-    _check_ternary_limit(d)
+    check_ternary_limit(d)
     if not (0 < a < d and 0 < b < d and a != b):
         raise ValueError("need distinct nonzero positions a, b")
     return circulant_product(d, (0, a, b))

@@ -29,7 +29,7 @@ from .arrangements import (
     singular_census,
 )
 from .circulant import (
-    _check_ternary_limit,
+    check_ternary_limit,
     circulant_det_symbolic,
     coefficient_query,
     ternary_product,
@@ -352,7 +352,7 @@ def cmd_report(args):
     # cost grows as d^2
     partition = classify_moves(d) if d >= 4 else None
     if minimal:
-        _check_ternary_limit(d)
+        check_ternary_limit(d)
     sections = {}
     checks = []
 

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .actions import Action, GTIdeal, invariant_monomials
-from .circulant import cofactor_product, ternary_product
+from .circulant import check_ternary_limit, cofactor_product, ternary_product
 from .errors import ConsistencyError
 from .polymat import SparsePoly, bareiss_echelon, bareiss_rank
 
@@ -200,6 +200,10 @@ def minimality_subset_oracle(ideal: GTIdeal) -> bool:
     return _is_minimal(ideal, nullity, v)
 
 
+def _support_is_invariant_set(d, a, b, ideal: GTIdeal) -> bool:
+    return ternary_product(d, a, b).support() == set(ideal.generators)
+
+
 def minimality_circulant(action: Action) -> bool:
     """Minimality via the determinant route: the expanded eigenvalue product
     must be supported on the whole invariant set."""
@@ -207,9 +211,8 @@ def minimality_circulant(action: Action) -> bool:
     a, b = norm.weights[1], norm.weights[2]
     if a == b:
         raise ValueError("repeated weights do not give a Togliatti system")
-    ideal = invariant_monomials(norm)
-    support = ternary_product(norm.d, a, b).support()
-    return support == set(ideal.generators)
+    check_ternary_limit(norm.d)  # before the invariant scan, whose cost grows as d^2
+    return _support_is_invariant_set(norm.d, a, b, invariant_monomials(norm))
 
 
 def conjecture_scan(d_values):
@@ -222,8 +225,7 @@ def conjecture_scan(d_values):
     kernel-vector minimality check.  A unit is a counterexample candidate
     exactly when one of the two minimality routes fails.  Pairs with a == b
     provably keep the Lefschetz property and are recorded as degenerate;
-    units that are not Togliatti systems (for instance, more than d+1
-    generators, where no elimination runs) are recorded as such.
+    units that are not Togliatti systems are recorded as such.
     """
     findings = []
     units = []
@@ -239,14 +241,11 @@ def conjecture_scan(d_values):
                 ideal = invariant_monomials(Action(d, (0, a, b)))
                 unit = {
                     "d": d, "a": a, "b": b, "mu": ideal.mu,
-                    "minimal_circulant":
-                        ternary_product(d, a, b).support() == set(ideal.generators),
+                    "minimal_circulant": _support_is_invariant_set(d, a, b, ideal),
                 }
                 bad = not unit["minimal_circulant"]
-                togliatti = False
-                if ideal.mu <= d + 1:
-                    nullity, v = _nullity_and_kernel_vector(ideal)
-                    togliatti = _is_togliatti_system(ideal, nullity)
+                nullity, v = _nullity_and_kernel_vector(ideal)
+                togliatti = _is_togliatti_system(ideal, nullity)
                 unit["togliatti"] = togliatti
                 if togliatti:
                     unit["minimal_oracle"] = _is_minimal(ideal, nullity, v)

@@ -264,6 +264,18 @@ class TestClassifyPartition:
         assert out == ""
         assert f"d <= {circulant._TERNARY_LIMIT}" in err
 
+    def test_minimal_checks_the_ternary_limit_before_the_scan(self, capsys, monkeypatch):
+        def no_scan(action):
+            raise AssertionError("minimal scanned invariants above the ternary limit")
+
+        monkeypatch.setattr(cli, "invariant_monomials", no_scan)
+        monkeypatch.setattr(wlp, "invariant_monomials", no_scan)
+        code, out, err = run_cli(capsys, "minimal", "--d", str(circulant._TERNARY_LIMIT + 1),
+                                 "--a", "3")
+        assert code == 1
+        assert out == ""
+        assert f"d <= {circulant._TERNARY_LIMIT}" in err
+
     def test_overlapping_classes_exit_2(self, capsys, monkeypatch):
         monkeypatch.setattr(classification, "orbit", lambda d, a: (a, d - 1))
         code, out, err = run_cli(capsys, "classify", "--d", "13")

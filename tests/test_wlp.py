@@ -467,16 +467,3 @@ class TestConjectureScan:
             assert (u["mu"], u["togliatti"]) == (verdict.mu, verdict.is_togliatti), u
             assert u["minimal_circulant"] == minimality_circulant(action), u
             assert u["minimal_oracle"] == minimality_subset_oracle(invariant_monomials(action)), u
-
-    def test_no_elimination_above_the_generator_bound(self, eliminations, monkeypatch):
-        # every degree-d monomial: mu > d + 1, so no unit is a Togliatti system
-        def everything(action):
-            d = action.d
-            return GTIdeal(d, tuple((d - j - k, j, k) for j in range(d + 1)
-                                    for k in range(d + 1 - j)), action=action)
-
-        monkeypatch.setattr(wlp, "invariant_monomials", everything)
-        units = [u for u in conjecture_scan([7])["units"] if "mu" in u]
-        assert units and eliminations == []
-        for u in units:
-            assert u["togliatti"] is False and "minimal_oracle" not in u
