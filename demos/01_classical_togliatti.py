@@ -23,13 +23,13 @@ ideal = invariant_monomials(action)
 print("action weights:", action.weights, "on K[x,y,z]_3")
 print("invariant monomials:", ", ".join(monomial_str(m) for m in ideal.generators))
 
-verdict = gt_verdict(action)
+verdict = gt_verdict(ideal)
 print(f"multiplication by x+y+z in degree 2 -> 3: rank {verdict.rank} of {verdict.dim_source}")
 print("fails injectivity:", verdict.fails_injectivity)
 print("generator bound mu <= d+1 holds:", verdict.generator_bound_ok)
 print("verdict:", "GT-system" if verdict.is_togliatti else "not a GT-system")
 
-print("minimal (circulant route):", minimality_circulant(action))
+print("minimal (circulant route):", minimality_circulant(ideal))
 print("minimal (subset oracle, one elimination; kernel vector nonzero off the pure powers):",
       minimality_subset_oracle(ideal))
 

@@ -18,6 +18,7 @@ from gtsystems import (
     certificate_product_membership,
     ceva_configuration,
     freeness_diagnostic,
+    invariant_monomials,
     singular_census,
 )
 from gtsystems.arrangements import random_scales
@@ -44,6 +45,6 @@ print("membership certificates (scaled conjugate products stay in the ideal):")
 rng = random.Random(0)
 for d, a in ((5, 2), (7, 3), (9, 4)):
     scales = random_scales(rng)
-    cert = certificate_product_membership(Action(d, (0, 1, a)), scales)
+    cert = certificate_product_membership(invariant_monomials(Action(d, (0, 1, a))), scales)
     print(f"  (d, a) = ({d}, {a}), scales {scales}: product supported on "
           f"{cert.support_size} invariant monomials")

@@ -50,7 +50,7 @@ class Action:
             )
         object.__setattr__(self, "weights", w)
 
-    def normalized(self) -> "Action":
+    def normalized(self) -> tuple:
         return normalize_action(self.d, *self.weights)
 
     def to_json(self):
@@ -60,11 +60,12 @@ class Action:
         return f"({self.weights[0]},{self.weights[1]},{self.weights[2]}) mod {self.d}"
 
 
-def normalize_action(d, a, b, c) -> Action:
-    """Canonical representative: subtract the first weight, then sort ascending."""
-    probe = Action(d, (a, b, c))  # validates gcd before normalizing
-    shifted = sorted((w - probe.weights[0]) % d for w in probe.weights)
-    return Action(d, tuple(shifted))
+def normalize_action(d, a, b, c) -> tuple:
+    """Canonical weights of a faithful action: subtract the first weight, then
+    sort.  A plain tuple, as they need not be faithful: (5,1,1) mod 6 gives
+    (0,2,2)."""
+    probe = Action(d, (a, b, c))
+    return tuple(sorted((w - probe.weights[0]) % d for w in probe.weights))
 
 
 def monomial_str(exp, names=("x", "y", "z")):

@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .actions import Action, invariant_monomials
-from .circulant import scaled_ternary_product
+from .actions import Action, GTIdeal
+from .circulant import circulant_product
 from .cyclotomic import CyclotomicInt
 from .errors import ConsistencyError
 from .polymat import SparsePoly
@@ -289,22 +289,23 @@ class MembershipCertificate:
         }
 
 
-def certificate_product_membership(action: Action, scales) -> MembershipCertificate:
-    """Expand prod_j (s0 x + s1 zeta^(aj) y + s2 zeta^(bj) z) for the
-    normalized weights (0, a, b) and certify that it is an integer form
-    supported on the invariant monomials, i.e. a member of the ideal's
-    degree-d piece whenever the scales are nonzero."""
+def certificate_product_membership(ideal: GTIdeal, scales) -> MembershipCertificate:
+    """Expand prod_j (s0 zeta^(aj) x + s1 zeta^(bj) y + s2 zeta^(cj) z) for
+    the weights (a, b, c) of the ideal's action and certify that it is an
+    integer form supported on the invariant monomials, i.e. a member of the
+    ideal's degree-d piece whenever the scales are nonzero."""
     scales = tuple(int(s) for s in scales)
     if len(scales) != 3 or any(s == 0 for s in scales):
         raise ValueError("need three nonzero integer scales")
-    act = action.normalized()
-    d = act.d
-    _, a, b = act.weights
-    product = scaled_ternary_product(d, a, b, scales)
-    allowed = set(invariant_monomials(act).generators)
-    if not set(product.terms) <= allowed:
+    # the scaled product is P(s0 x, s1 y, s2 z) for the unscaled product P
+    s0, s1, s2 = scales
+    product = SparsePoly(3, {
+        (i, j, k): c * s0 ** i * s1 ** j * s2 ** k
+        for (i, j, k), c in circulant_product(ideal.d, ideal.action.weights).terms.items()
+    })
+    if not set(product.terms) <= set(ideal.generators):
         raise ConsistencyError("product escapes the invariant monomial span")
-    return MembershipCertificate(act, scales, product, len(product.terms))
+    return MembershipCertificate(ideal.action, scales, product, len(product.terms))
 
 
 def random_scales(rng):

@@ -152,20 +152,6 @@ def ternary_product(d, a, b) -> SparsePoly:
     return circulant_product(d, (0, a, b))
 
 
-def scaled_ternary_product(d, a, b, scales) -> SparsePoly:
-    """Like ternary_product but with integer scales on the three symbols.
-
-    The scaled product is P(s0*x, s1*y, s2*z) for P = circulant_product(d,
-    (0, a, b)), so the coefficient of x^i y^j z^k is scaled by s0^i s1^j s2^k.
-    """
-    s0, s1, s2 = scales
-    terms = {
-        (i, j, k): c * s0 ** i * s1 ** j * s2 ** k
-        for (i, j, k), c in circulant_product(d, (0, a, b)).terms.items()
-    }
-    return SparsePoly(3, terms)
-
-
 def cofactor_product(d, a, b) -> SparsePoly:
     """The product over j = 1..d-1 only: ternary_product divided by x + y + z.
 

@@ -48,9 +48,9 @@ from .surface import (
     polytope_smoothness,
 )
 from .wlp import (
+    check_circulant_route,
     conjecture_scan,
     gt_verdict,
-    is_artinian,
     kernel_dimension,
     minimality_circulant,
     minimality_subset_oracle,
@@ -96,34 +96,36 @@ def _report(command, inputs, results, checks):
 # ---------------------------------------------------------------- commands
 
 
-def cmd_invariants(args):
-    action = _parse_action(args)
-    ideal = invariant_monomials(action)
+def _invariants_report(ideal):
+    d, action = ideal.d, ideal.action
     checks = [
         _check(
             "generator_bound",
-            "pass" if ideal.mu <= args.d + 1 else "finding",
-            f"mu={ideal.mu}, d+1={args.d + 1}",
+            "pass" if ideal.mu <= d + 1 else "finding",
+            f"mu={ideal.mu}, d+1={d + 1}",
         )
     ]
     results = {
         "action": action.to_json(),
-        "normalized": action.normalized().to_json(),
+        "normalized": {"d": d, "weights": list(action.normalized())},
         "mu": ideal.mu,
         "generators": ideal.generator_strings(),
         "exponents": [list(g) for g in ideal.generators],
         "artinian": ideal.has_pure_powers(),
     }
-    return _report("invariants", {"d": args.d, "action": str(action)}, results, checks)
+    return _report("invariants", {"d": d, "action": str(action)}, results, checks)
 
 
-def cmd_gt_verdict(args):
-    action = _parse_action(args)
-    ideal = invariant_monomials(action)
-    verdict = gt_verdict(action)
+def cmd_invariants(args):
+    return _invariants_report(invariant_monomials(_parse_action(args)))
+
+
+def _verdict_report(ideal, general_l, seed):
+    verdict = gt_verdict(ideal)
+    artinian = ideal.has_pure_powers()
     checks = [
-        _check("artinian", "pass" if is_artinian(ideal) else "finding",
-               "contains all three pure powers" if is_artinian(ideal) else "missing a pure power"),
+        _check("artinian", "pass" if artinian else "finding",
+               "contains all three pure powers" if artinian else "missing a pure power"),
         _check(
             "injectivity_fails",
             "pass" if verdict.fails_injectivity else "finding",
@@ -136,11 +138,11 @@ def cmd_gt_verdict(args):
         ),
     ]
     results = {"verdict": verdict.to_json()}
-    if args.general_l:
-        rng = random.Random(args.seed)
+    if general_l:
+        rng = random.Random(seed)
         base_rank = verdict.dim_source - kernel_dimension(ideal)
         samples = []
-        for _ in range(args.general_l):
+        for _ in range(general_l):
             coeffs = random_scales(rng)
             rank = verdict.dim_source - kernel_dimension(ideal, coeffs)
             samples.append({"coeffs": list(coeffs), "rank": rank})
@@ -151,14 +153,17 @@ def cmd_gt_verdict(args):
             _check("general_form_ranks_agree", "pass" if agree else "finding",
                    f"base rank {base_rank}")
         )
-    return _report("gt-verdict", {"d": args.d, "action": str(action)}, results, checks)
+    return _report("gt-verdict", {"d": ideal.d, "action": str(ideal.action)}, results, checks)
 
 
-def cmd_minimal(args):
-    action = _parse_action(args)
-    minimal_circ = minimality_circulant(action)
+def cmd_gt_verdict(args):
+    return _verdict_report(invariant_monomials(_parse_action(args)), args.general_l, args.seed)
+
+
+def _minimal_report(ideal, subset_oracle):
+    minimal_circ = minimality_circulant(ideal)
     results = {
-        "action": action.normalized().to_json(),
+        "action": {"d": ideal.d, "weights": list(ideal.action.normalized())},
         "minimal_circulant": minimal_circ,
         "minimal_subset_oracle": None,
     }
@@ -167,22 +172,27 @@ def cmd_minimal(args):
                "ternary product support equals the invariant set" if minimal_circ
                else "support misses part of the invariant set"),
     ]
-    if getattr(args, "subset_oracle", False):
-        ideal = invariant_monomials(action)
+    if subset_oracle:
         oracle = minimality_subset_oracle(ideal)
         results["minimal_subset_oracle"] = oracle
         checks.append(_check("minimal_subset_oracle", "pass" if oracle else "finding"))
         if oracle != minimal_circ:
             raise ConsistencyError("the two minimality routes disagree")
         checks.append(_check("routes_agree", "pass"))
-    return _report("minimal", {"d": args.d, "action": str(action)}, results, checks)
+    return _report("minimal", {"d": ideal.d, "action": str(ideal.action)}, results, checks)
+
+
+def cmd_minimal(args):
+    action = _parse_action(args)
+    check_circulant_route(action)  # before the invariant scan, whose cost grows as d^2
+    return _minimal_report(invariant_monomials(action), args.subset_oracle)
 
 
 def cmd_classify(args):
     d = args.d
     if getattr(args, "action", None) or getattr(args, "a", None) is not None:
         action = _parse_action(args)
-        w = action.normalized().weights
+        w = action.normalized()
         if w[0] != 0 or w[1] != 1 or not 2 <= w[2] <= d - 1:
             raise ValueError("classification requires an action of the shape (0,1,a) with 2 <= a <= d-1")
     partition = classify_moves(d)
@@ -286,6 +296,10 @@ def cmd_surface(args):
     if d not in _SURFACE_RANGE:
         raise ValueError("the surface suite is supported for "
                          f"{_SURFACE_RANGE.start} <= d <= {_SURFACE_RANGE[-1]}")
+    return _surface_report(d)
+
+
+def _surface_report(d):
     ideal = generalized_classical(d)
     model = exponent_polytope_degree(ideal)
     smooth = polytope_smoothness(ideal)
@@ -341,18 +355,14 @@ def cmd_arrangement(args):
 def cmd_report(args):
     action = _parse_action(args)
     d = args.d
-    child = argparse.Namespace(
-        d=d, action=getattr(args, "action", None), a=getattr(args, "a", None),
-        seed=args.seed, general_l=getattr(args, "general_l", 0), subset_oracle=False,
-    )
-    norm = action.normalized()
-    minimal = 0 < norm.weights[1] < norm.weights[2]
+    minimal = len(set(action.weights)) == 3
     # classify_moves refuses a d past its limit, and the minimal section one
     # past the ternary limit, so both run before the invariant scan, whose
     # cost grows as d^2
     partition = classify_moves(d) if d >= 4 else None
     if minimal:
         check_ternary_limit(d)
+    ideal = invariant_monomials(action)
     sections = {}
     checks = []
 
@@ -362,11 +372,11 @@ def cmd_report(args):
             _check(f"{prefix}.{c['name']}", c["status"], c["detail"]) for c in sub["checks"]
         )
 
-    absorb("invariants", cmd_invariants(child))
-    absorb("verdict", cmd_gt_verdict(child))
+    absorb("invariants", _invariants_report(ideal))
+    absorb("verdict", _verdict_report(ideal, args.general_l, args.seed))
 
     if minimal:
-        absorb("minimal", cmd_minimal(child))
+        absorb("minimal", _minimal_report(ideal, subset_oracle=False))
 
     if partition is not None:
         sections["classification"] = partition.to_json()
@@ -380,14 +390,14 @@ def cmd_report(args):
             )
 
     if d in _SURFACE_RANGE:
-        absorb("surface", cmd_surface(argparse.Namespace(d=d)))
+        absorb("surface", _surface_report(d))
 
     if d <= 9:
         rng = random.Random(args.seed)
         forms = []
         for _ in range(5):
             scales = random_scales(rng)
-            cert = certificate_product_membership(norm, scales)
+            cert = certificate_product_membership(ideal, scales)
             forms.append({"scales": list(scales), "support_size": cert.support_size})
         sections["membership"] = {"forms": forms}
         checks.append(_check("membership.random_forms", "pass", "5 forms in the ideal"))

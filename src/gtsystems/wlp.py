@@ -15,16 +15,16 @@ import math
 from dataclasses import dataclass
 
 from .actions import Action, GTIdeal, invariant_monomials
-from .circulant import check_ternary_limit, cofactor_product, ternary_product
+from .circulant import check_ternary_limit, circulant_product, cofactor_product
 from .errors import ConsistencyError
 from .polymat import SparsePoly, bareiss_echelon, bareiss_rank
 
 __all__ = [
     "WlpVerdict",
     "KernelCertificate",
+    "check_circulant_route",
     "conjecture_scan",
     "gt_verdict",
-    "is_artinian",
     "kernel_certificate",
     "kernel_dimension",
     "minimality_circulant",
@@ -36,11 +36,6 @@ __all__ = [
 # bench/expected print None above d = 16; the limit goes when they are
 # recorded again.
 RANK_REPORT_LIMIT = 16
-
-
-def is_artinian(ideal: GTIdeal) -> bool:
-    """An ideal generated in degree d is artinian iff it contains x^d, y^d, z^d."""
-    return ideal.has_pure_powers()
 
 
 def _restriction_rows(ideal: GTIdeal, coeffs):
@@ -65,7 +60,7 @@ def _restriction_rows(ideal: GTIdeal, coeffs):
 def _is_togliatti_system(ideal: GTIdeal, nullity: int) -> bool:
     """Artinian, at most d+1 generators, and x + y + z fails injectivity from
     degree d-1 to degree d, where nullity is the kernel dimension."""
-    return is_artinian(ideal) and ideal.mu <= ideal.d + 1 and nullity >= 1
+    return ideal.has_pure_powers() and ideal.mu <= ideal.d + 1 and nullity >= 1
 
 
 def kernel_dimension(ideal: GTIdeal, coeffs=(1, 1, 1)) -> int:
@@ -126,8 +121,7 @@ class KernelCertificate:
 
 def kernel_certificate(action: Action) -> KernelCertificate:
     d = action.d
-    w = action.normalized().weights
-    a, b = w[1], w[2]
+    _, a, b = action.normalized()
     cof = cofactor_product(d, a, b)  # ValueError outside the domain of ternary_product
     ell = SparsePoly.variable(3, 0) + SparsePoly.variable(3, 1) + SparsePoly.variable(3, 2)
     prod = ell * cof
@@ -140,18 +134,17 @@ def kernel_certificate(action: Action) -> KernelCertificate:
     return cert
 
 
-def gt_verdict(action: Action) -> WlpVerdict:
-    """Full verdict for the invariant ideal of the action at degree d-1 -> d,
-    from the exact kernel of multiplication by x + y + z."""
-    d = action.d
-    ideal = invariant_monomials(action)
+def gt_verdict(ideal: GTIdeal) -> WlpVerdict:
+    """Full verdict for the ideal at degree d-1 -> d, from the exact kernel
+    of multiplication by x + y + z."""
+    d = ideal.d
     mu = ideal.mu
     dim_src = d * (d + 1) // 2
     dim_tgt = (d + 1) * (d + 2) // 2 - mu
     nullity = kernel_dimension(ideal)
     rank = dim_src - nullity
     return WlpVerdict(
-        action=action,
+        action=ideal.action,
         d=d,
         mu=mu,
         dim_source=dim_src,
@@ -200,19 +193,24 @@ def minimality_subset_oracle(ideal: GTIdeal) -> bool:
     return _is_minimal(ideal, nullity, v)
 
 
-def _support_is_invariant_set(d, a, b, ideal: GTIdeal) -> bool:
-    return ternary_product(d, a, b).support() == set(ideal.generators)
-
-
-def minimality_circulant(action: Action) -> bool:
-    """Minimality via the determinant route: the expanded eigenvalue product
-    must be supported on the whole invariant set."""
-    norm = action.normalized()
-    a, b = norm.weights[1], norm.weights[2]
-    if a == b:
+def check_circulant_route(action: Action):
+    """Raise ValueError unless the circulant route applies to the action: three
+    distinct weights and d within the ternary limit.  It needs no ideal, so it
+    can run before the invariant scan."""
+    if len(set(action.weights)) < 3:
         raise ValueError("repeated weights do not give a Togliatti system")
-    check_ternary_limit(norm.d)  # before the invariant scan, whose cost grows as d^2
-    return _support_is_invariant_set(norm.d, a, b, invariant_monomials(norm))
+    check_ternary_limit(action.d)
+
+
+def minimality_circulant(ideal: GTIdeal) -> bool:
+    """Minimality via the determinant route: for the action's weights
+    (a, b, c), the product over j of zeta^(ja) x + zeta^(jb) y + zeta^(jc) z
+    must be supported on the whole invariant set.  No normal form is needed:
+    a shift of all weights changes the product by a sign, and a sort permutes
+    x, y, z in the product and in the ideal alike."""
+    action = ideal.action
+    check_circulant_route(action)
+    return circulant_product(ideal.d, action.weights).support() == set(ideal.generators)
 
 
 def conjecture_scan(d_values):
@@ -220,7 +218,7 @@ def conjecture_scan(d_values):
 
     For every d and every 1 <= a < b <= d-1 with gcd(a, b, d) = 1 the
     invariant ideal is built once.  The circulant route compares the support
-    of the ternary product with it, and one elimination of E gives both the
+    of the eigenvalue product with it, and one elimination of E gives both the
     Togliatti verdict and, for every Togliatti unit, the independent
     kernel-vector minimality check.  A unit is a counterexample candidate
     exactly when one of the two minimality routes fails.  Pairs with a == b
@@ -241,7 +239,7 @@ def conjecture_scan(d_values):
                 ideal = invariant_monomials(Action(d, (0, a, b)))
                 unit = {
                     "d": d, "a": a, "b": b, "mu": ideal.mu,
-                    "minimal_circulant": _support_is_invariant_set(d, a, b, ideal),
+                    "minimal_circulant": minimality_circulant(ideal),
                 }
                 bad = not unit["minimal_circulant"]
                 nullity, v = _nullity_and_kernel_vector(ideal)

@@ -36,12 +36,12 @@ def test_criterion_01_classical_degree_three():
         action = g.Action(3, (0, 1, 2))
         ideal = g.invariant_monomials(action)
         assert set(ideal.generators) == {(3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)}
-        verdict = gt_verdict(action)
+        verdict = gt_verdict(ideal)
         assert verdict.rank == 5
         assert verdict.dim_source == 6
         assert verdict.fails_injectivity
         assert verdict.to_json()["is_gt"]
-        assert minimality_circulant(action)
+        assert minimality_circulant(ideal)
         assert minimality_subset_oracle(ideal)
 
 
@@ -146,9 +146,9 @@ def test_criterion_07_product_support_and_minimality():
                 assert prod.support() == set(ideal.generators), (d, a)
         for d in range(3, 14):
             for a in range(2, d):
-                action = g.Action(d, (0, 1, a))
-                if gt_verdict(action).is_togliatti:
-                    assert minimality_subset_oracle(g.invariant_monomials(action)), (d, a)
+                ideal = g.invariant_monomials(g.Action(d, (0, 1, a)))
+                if gt_verdict(ideal).is_togliatti:
+                    assert minimality_subset_oracle(ideal), (d, a)
 
 
 def test_criterion_08_exceptional_action_order_42():
@@ -216,8 +216,8 @@ def test_criterion_10_arrangement_suite():
         rng = random.Random(20260814)
         for d in range(3, 10):
             for a in range(2, d):
-                action = g.Action(d, (0, 1, a))
-                gens = set(g.invariant_monomials(action).generators)
+                ideal = g.invariant_monomials(g.Action(d, (0, 1, a)))
+                gens = set(ideal.generators)
                 for _ in range(5):
-                    cert = g.certificate_product_membership(action, random_scales(rng))
+                    cert = g.certificate_product_membership(ideal, random_scales(rng))
                     assert cert.product.support() <= gens, (d, a)

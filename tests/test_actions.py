@@ -43,8 +43,26 @@ class TestAction:
             Action(1, (0, 1, 1))
 
     def test_normalize_action(self):
-        act = normalize_action(7, 0, 1, 3)
-        assert act.d == 7 and act.weights == (0, 1, 3)
+        assert normalize_action(7, 0, 1, 3) == (0, 1, 3)
+        assert normalize_action(7, 5, 2, 1) == (0, 3, 4)
+        assert Action(7, (5, 2, 1)).normalized() == (0, 3, 4)
+
+    @pytest.mark.parametrize("d,weights,shifted", [
+        (6, (5, 1, 1), (0, 2, 2)),
+        (16, (15, 15, 15), (0, 0, 0)),
+        (16, (15, 3, 11), (0, 4, 12)),
+        (9, (1, 1, 4), (0, 0, 3)),
+    ])
+    def test_faithful_action_with_unfaithful_shifted_weights(self, d, weights, shifted):
+        # the shifted weights share a factor with d, but the action is
+        # faithful, so it is accepted and normalizes to a plain tuple
+        assert Action(d, weights).normalized() == shifted
+        assert normalize_action(d, *weights) == shifted
+        assert math.gcd(*shifted, d) > 1
+
+    def test_normalize_action_checks_faithfulness(self):
+        with pytest.raises(InvalidActionError):
+            normalize_action(6, 0, 2, 4)
 
 
 class TestInvariantMonomials:

@@ -325,22 +325,24 @@ class TestFreeness:
 
 class TestMembershipCertificates:
     def test_unit_scales_reproduce_invariant_support(self):
-        cert = certificate_product_membership(Action(7, (0, 1, 3)), (1, 1, 1))
-        gens = set(invariant_monomials(Action(7, (0, 1, 3))).generators)
+        ideal = invariant_monomials(Action(7, (0, 1, 3)))
+        cert = certificate_product_membership(ideal, (1, 1, 1))
+        gens = set(ideal.generators)
         assert cert.product.support() == gens
 
     def test_random_scales_stay_inside_ideal(self):
         rng = random.Random(424242)
         for d, a in ((5, 2), (7, 3), (9, 5)):
-            gens = set(invariant_monomials(Action(d, (0, 1, a))).generators)
+            ideal = invariant_monomials(Action(d, (0, 1, a)))
+            gens = set(ideal.generators)
             for _ in range(5):
-                cert = certificate_product_membership(Action(d, (0, 1, a)), random_scales(rng))
+                cert = certificate_product_membership(ideal, random_scales(rng))
                 assert cert.product.support() <= gens
                 assert cert.support_size == len(cert.product.support())
 
     def test_zero_scale_rejected(self):
         with pytest.raises(ValueError):
-            certificate_product_membership(Action(5, (0, 1, 2)), (1, 0, 1))
+            certificate_product_membership(invariant_monomials(Action(5, (0, 1, 2))), (1, 0, 1))
 
     def test_random_scales_are_nonzero(self):
         rng = random.Random(7)

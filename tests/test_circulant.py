@@ -7,12 +7,12 @@ import pytest
 
 from gtsystems import circulant
 from gtsystems.actions import Action, invariant_monomials
+from gtsystems.arrangements import certificate_product_membership
 from gtsystems.circulant import (
     circulant_det_symbolic,
     circulant_product,
     coefficient_query,
     cofactor_product,
-    scaled_ternary_product,
     ternary_product,
 )
 from gtsystems.cyclotomic import CyclotomicInt
@@ -172,15 +172,17 @@ class TestTernaryProduct:
 
     def test_scaled_product_with_unit_scales(self):
         for d, a in ((5, 2), (7, 3)):
-            assert scaled_ternary_product(d, 1, a, (1, 1, 1)).terms == ternary_product(d, 1, a).terms
+            ideal = invariant_monomials(Action(d, (0, 1, a)))
+            cert = certificate_product_membership(ideal, (1, 1, 1))
+            assert cert.product.terms == ternary_product(d, 1, a).terms
 
     def test_scaled_product_support_containment(self):
         # Rescaling the variables never enlarges the support beyond the
         # invariant set (coefficients may additionally cancel).
+        ideal = invariant_monomials(Action(7, (0, 1, 3)))
         for scales in ((2, 3, 5), (-1, 4, 7), (1, -1, 1)):
-            prod = scaled_ternary_product(7, 1, 3, scales)
-            inv = set(invariant_monomials(Action(7, (0, 1, 3))).generators)
-            assert prod.support() <= inv
+            prod = certificate_product_membership(ideal, scales).product
+            assert prod.support() <= set(ideal.generators)
 
     def test_cofactor_times_linear_form_is_full_product(self):
         # cofactor_product(d, a, b) collects the product of the d-1 conjugate
@@ -219,8 +221,14 @@ class TestNewtonKernelAgainstRotationOracle:
             for _ in range(3):
                 a, b = rng.sample(range(1, d), 2)
                 scales = tuple(rng.randint(1, 9) * rng.choice((-1, 1)) for _ in range(3))
-                got = scaled_ternary_product(d, a, b, scales)
-                assert got.terms == ternary_oracle(d, a, b, scales).terms, (d, a, b, scales)
+                # (1, 1+a, 1+b) is faithful even where (0, a, b) is not, and
+                # the shift by 1 multiplies the product by
+                # zeta^(d(d-1)/2) = (-1)^(d-1)
+                ideal = invariant_monomials(Action(d, (1, 1 + a, 1 + b)))
+                got = certificate_product_membership(ideal, scales).product
+                sign = (-1) ** (d - 1)
+                want = {e: sign * c for e, c in ternary_oracle(d, a, b, scales).terms.items()}
+                assert got.terms == want, (d, a, b, scales)
 
     @pytest.mark.parametrize("d", range(2, 8))
     def test_general_form(self, d):

@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, report schema, formats, determinism."""
 
+import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import gtsystems
-from gtsystems import __version__, arrangements, circulant, classification, cli, surface, wlp
+from gtsystems import __version__, actions, arrangements, circulant, classification, cli, surface, wlp
 from gtsystems.cli import DEFAULT_SEED, build_parser, main
 
 
@@ -106,6 +108,133 @@ class TestExitCodes:
         )
         assert proc.returncode == 0
         assert "subcommand" in proc.stdout or "usage" in proc.stdout
+
+
+def _spy_invariant_monomials(monkeypatch):
+    """Count the invariant scans in every gtsystems module that holds the
+    function; the returned list grows by one action per scan."""
+    calls = []
+    real = actions.invariant_monomials
+
+    def spy(action):
+        calls.append(action)
+        return real(action)
+
+    for module in (gtsystems, actions, arrangements, circulant, classification, cli, surface, wlp):
+        if getattr(module, "invariant_monomials", None) is real:
+            monkeypatch.setattr(module, "invariant_monomials", spy)
+    return calls
+
+
+# faithful actions whose shifted weights share a factor with d
+UNFAITHFUL_SHIFTS = [
+    ("report", "5", "4,4,4"), ("report", "6", "5,1,1"), ("report", "9", "4,4,4"),
+    ("report", "12", "1,3,1"), ("invariants", "12", "5,7,5"), ("report", "16", "15,3,11"),
+    ("invariants", "16", "15,15,15"), ("report", "18", "9,11,11"), ("report", "20", "13,5,13"),
+    ("report", "24", "7,13,21"), ("report", "24", "20,5,17"), ("report", "26", "11,13,7"),
+    ("report", "34", "5,21,7"), ("report", "36", "29,25,1"),
+]
+
+
+class TestFaithfulActions:
+    @pytest.mark.parametrize("command,d,weights", UNFAITHFUL_SHIFTS)
+    def test_every_faithful_action_is_accepted(self, capsys, command, d, weights):
+        code, out, err = run_cli(capsys, command, "--d", d, "--action", weights)
+        assert code == 0, err
+        results = json.loads(out)["results"]
+        w = [int(v) for v in weights.split(",")]
+        shifted = sorted((v - w[0]) % int(d) for v in w)
+        assert math.gcd(*shifted, int(d)) > 1
+        invariants = results if command == "invariants" else results["invariants"]
+        assert invariants["normalized"] == {"d": int(d), "weights": shifted}
+        if command == "report":
+            assert ("minimal" in results) == (len(set(w)) == 3)
+
+    @pytest.mark.parametrize("d,weights", [c[1:] for c in UNFAITHFUL_SHIFTS if c[0] == "report"])
+    def test_report_agrees_with_an_equivalent_action(self, capsys, d, weights):
+        # a unit multiple of the weights, with x and z swapped, has the same
+        # ideal up to the swap, so every section but the echoed action agrees
+        n = int(d)
+        w = [int(v) for v in weights.split(",")]
+        unit = next(u for u in range(n - 1, 0, -1) if math.gcd(u, n) == 1)
+        other = ",".join(str(unit * v % n) for v in reversed(w))
+        reports = []
+        for action in (weights, other):
+            code, out, _ = run_cli(capsys, "report", "--d", d, "--action", action)
+            assert code == 0
+            reports.append(json.loads(out)["results"])
+        first, second = reports
+        for key in ("mu", "rank", "fails_injectivity", "is_togliatti"):
+            assert first["verdict"]["verdict"][key] == second["verdict"]["verdict"][key], key
+        assert first["invariants"]["mu"] == second["invariants"]["mu"]
+        assert first.get("minimal", {}).get("minimal_circulant") == \
+            second.get("minimal", {}).get("minimal_circulant")
+        sizes = [[f["support_size"] for f in r.get("membership", {}).get("forms", [])]
+                 for r in reports]
+        assert sizes[0] == sizes[1]
+
+    def test_minimal_on_unfaithful_shifted_weights(self, capsys):
+        # (1, 3, 5) mod 6 shifts to (0, 2, 4): three distinct weights, so the
+        # circulant route answers; the ideal is no Togliatti system, so the
+        # subset oracle refuses it
+        code, out, _ = run_cli(capsys, "minimal", "--d", "6", "--action", "1,3,5")
+        assert code == 0
+        assert json.loads(out)["results"]["action"] == {"d": 6, "weights": [0, 2, 4]}
+        code, out, err = run_cli(capsys, "minimal", "--d", "6", "--action", "1,3,5",
+                                 "--subset-oracle")
+        assert code == 1 and out == ""
+        assert err == "gtsys: error: minimality oracle expects a Togliatti system\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("--d", "9", "--action", "7,7,5"),
+        ("--d", "9", "--action", "4,8,8"),
+        ("--d", "9", "--action", "0,0,1", "--subset-oracle"),
+        ("--d", "3", "--a", "3"),
+        ("--d", "129", "--action", "0,0,1"),
+        ("--d", "200", "--action", "0,1,1"),
+        ("--d", "6", "--action", "5,1,1"),
+    ])
+    def test_repeated_weight_has_one_message(self, capsys, monkeypatch, argv):
+        scans = _spy_invariant_monomials(monkeypatch)
+        code, out, err = run_cli(capsys, "minimal", *argv)
+        assert code == 1 and out == ""
+        assert err == "gtsys: error: repeated weights do not give a Togliatti system\n"
+        assert scans == []
+
+    def test_non_faithful_input_is_still_rejected(self, capsys):
+        for command in ("invariants", "gt-verdict", "minimal", "report"):
+            code, out, err = run_cli(capsys, command, "--d", "6", "--action", "0,2,4")
+            assert code == 1 and out == ""
+            assert "the action is not faithful" in err
+
+
+class TestOneIdealPerCommand:
+    @pytest.mark.parametrize("argv", [
+        ("report", "--d", "7", "--action", "0,1,3"),
+        ("report", "--d", "9", "--action", "1,1,4", "--general-l", "2"),
+        ("gt-verdict", "--d", "7", "--a", "3"),
+        ("gt-verdict", "--d", "12", "--a", "5", "--general-l", "2"),
+        ("minimal", "--d", "13", "--a", "4", "--subset-oracle"),
+        ("invariants", "--d", "7", "--a", "3"),
+    ])
+    def test_one_invariant_scan_per_command(self, capsys, monkeypatch, argv):
+        scans = _spy_invariant_monomials(monkeypatch)
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert len(scans) == 1
+
+    def test_report_builds_no_namespace(self, monkeypatch):
+        args = build_parser().parse_args(["report", "--d", "7", "--action", "0,1,3"])
+
+        def no_namespace(*args, **kwargs):
+            raise AssertionError("report built a Namespace for its sections")
+
+        monkeypatch.setattr(argparse, "Namespace", no_namespace)
+        report = cli.cmd_report(args)
+        assert list(report["results"]) == [
+            "invariants", "verdict", "minimal", "classification", "class_counts",
+            "surface", "membership",
+        ]
 
 
 class TestVerdictAtLargeD:

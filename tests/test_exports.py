@@ -64,3 +64,6 @@ def test_removed_members_are_gone():
         assert not hasattr(cyclotomic, name), name
     assert "_reduced" not in gtsystems.CyclotomicInt.__slots__
     assert not hasattr(gtsystems.CyclotomicInt, "_nonzero_terms")
+    assert not hasattr(gtsystems.wlp, "_support_is_invariant_set")
+    assert not hasattr(gtsystems.wlp, "is_artinian")
+    assert not hasattr(gtsystems.circulant, "scaled_ternary_product")

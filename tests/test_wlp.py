@@ -1,5 +1,6 @@
 """Injectivity of multiplication by a linear form, verdicts, and minimality."""
 
+import itertools
 import math
 import random
 
@@ -7,6 +8,7 @@ import pytest
 
 from gtsystems import circulant, polymat, wlp
 from gtsystems.actions import Action, GTIdeal, invariant_monomials
+from gtsystems.arrangements import certificate_product_membership, random_scales
 from gtsystems.circulant import ternary_product
 from gtsystems.errors import ConsistencyError
 from gtsystems.polymat import bareiss_rank
@@ -14,7 +16,6 @@ from gtsystems.wlp import (
     RANK_REPORT_LIMIT,
     conjecture_scan,
     gt_verdict,
-    is_artinian,
     kernel_certificate,
     kernel_dimension,
     minimality_circulant,
@@ -86,7 +87,7 @@ def single_removal_oracle(ideal):
 
     def togliatti(gens):
         sub = GTIdeal(ideal.d, gens)
-        return is_artinian(sub) and sub.mu <= sub.d + 1 and kernel_dimension(sub) >= 1
+        return sub.has_pure_powers() and sub.mu <= sub.d + 1 and kernel_dimension(sub) >= 1
 
     gens = ideal.generators
     if not togliatti(gens):
@@ -119,9 +120,9 @@ def faithful_units(d_values):
 
 class TestQuotientStructure:
     def test_artinian_detection(self):
-        assert is_artinian(invariant_monomials(Action(5, (0, 1, 2))))
+        assert invariant_monomials(Action(5, (0, 1, 2))).has_pure_powers()
         no_z = GTIdeal(3, ((3, 0, 0), (0, 3, 0), (1, 1, 1)))
-        assert not is_artinian(no_z)
+        assert not no_z.has_pure_powers()
 
     def test_quotient_basis_counts(self):
         # Below the generation degree nothing is modded out, so the basis of
@@ -183,7 +184,7 @@ class TestRestriction:
 
 class TestVerdicts:
     def test_classical_degree_three(self):
-        v = gt_verdict(Action(3, (0, 1, 2)))
+        v = gt_verdict(invariant_monomials(Action(3, (0, 1, 2))))
         assert v.mu == 4
         assert (v.dim_source, v.dim_target) == (6, 6)
         assert v.rank == 5
@@ -193,22 +194,22 @@ class TestVerdicts:
 
     @pytest.mark.parametrize("d,a", [(5, 2), (7, 3), (11, 4), (13, 6)])
     def test_prime_actions_are_gt_systems(self, d, a):
-        v = gt_verdict(Action(d, (0, 1, a)))
+        v = gt_verdict(invariant_monomials(Action(d, (0, 1, a))))
         assert v.mu == 3 + (d - 1) // 2
         assert v.fails_injectivity and v.is_togliatti and v.to_json()["is_gt"]
 
     def test_injectivity_failure_has_corank_exactly_one_for_primes(self):
         for d, a in ((5, 2), (7, 3), (11, 2)):
-            v = gt_verdict(Action(d, (0, 1, a)))
+            v = gt_verdict(invariant_monomials(Action(d, (0, 1, a))))
             assert v.rank == v.dim_source - 1
 
     def test_degenerate_direction_is_not_togliatti(self):
-        v = gt_verdict(Action(3, (0, 1, 1)))
+        v = gt_verdict(invariant_monomials(Action(3, (0, 1, 1))))
         assert not v.is_togliatti  # mu = 5 exceeds d + 1 = 4
 
     def test_exact_verdict_above_rank_report_limit(self):
         d = RANK_REPORT_LIMIT + 1
-        v = gt_verdict(Action(d, (0, 1, 3)))
+        v = gt_verdict(invariant_monomials(Action(d, (0, 1, 3))))
         assert v.method == "restriction"
         assert v.rank is None
         assert v.fails_injectivity and v.fails_wlp_at_d_minus_1 and v.is_togliatti
@@ -217,25 +218,25 @@ class TestVerdicts:
     def test_verdict_above_rank_report_limit_agrees_with_oracle(self):
         d = RANK_REPORT_LIMIT + 1
         for weights in ((0, 1, 3), (0, 1, 1), (0, 0, 1)):
-            action = Action(d, weights)
-            v = gt_verdict(action)
-            rank, dim_src = oracle_rank(invariant_monomials(action))
+            ideal = invariant_monomials(Action(d, weights))
+            v = gt_verdict(ideal)
+            rank, dim_src = oracle_rank(ideal)
             assert v.dim_source == dim_src, weights
             assert v.fails_injectivity == (rank < dim_src), weights
             assert v.fails_wlp_at_d_minus_1 == (rank < min(dim_src, v.dim_target)), weights
 
     def test_repeated_weight_at_large_d(self):
         # (0, a, a) and (0, 0, c) used to raise above d = 16
-        v = gt_verdict(Action(40, (0, 1, 1)))
+        v = gt_verdict(invariant_monomials(Action(40, (0, 1, 1))))
         assert v.mu == 42
         assert v.fails_injectivity
         assert v.fails_wlp_at_d_minus_1 is False
         assert not v.is_togliatti  # mu 42 > d + 1
-        assert gt_verdict(Action(20, (0, 0, 1))).fails_injectivity
+        assert gt_verdict(invariant_monomials(Action(20, (0, 0, 1)))).fails_injectivity
 
     def test_verdict_beyond_product_limit(self):
         # the ternary product stops at d = 128; the verdict does not
-        v = gt_verdict(Action(200, (0, 1, 3)))
+        v = gt_verdict(invariant_monomials(Action(200, (0, 1, 3))))
         assert v.mu == 103
         assert v.fails_injectivity and v.is_togliatti
         assert v.rank is None
@@ -285,11 +286,35 @@ class TestKernelCertificate:
 class TestMinimality:
     @pytest.mark.parametrize("d,a", [(3, 2), (5, 2), (7, 3), (13, 4), (20, 9)])
     def test_circulant_route(self, d, a):
-        assert minimality_circulant(Action(d, (0, 1, a)))
+        assert minimality_circulant(invariant_monomials(Action(d, (0, 1, a))))
+
+    def test_own_weights_agree_with_the_normal_form(self):
+        # every faithful action with three distinct weights whose shifted
+        # weights (0, a, b) are faithful too: the product at the action's own
+        # weights decides minimality and counts membership terms as the
+        # normal form does
+        rng = random.Random(10)
+        actions = 0
+        for d in range(3, 11):
+            for weights in itertools.product(range(d), repeat=3):
+                if math.gcd(*weights, d) != 1 or len(set(weights)) < 3:
+                    continue
+                _, a, b = Action(d, weights).normalized()
+                if math.gcd(a, b, d) != 1:
+                    continue
+                actions += 1
+                ideal = invariant_monomials(Action(d, weights))
+                normal = ternary_product(d, a, b)
+                normal_ideal = invariant_monomials(Action(d, (0, a, b)))
+                assert minimality_circulant(ideal) == (
+                    normal.support() == set(normal_ideal.generators)), weights
+                cert = certificate_product_membership(ideal, random_scales(rng))
+                assert cert.support_size == len(normal.terms), (d, weights)
+        assert actions == 1782
 
     def test_circulant_route_rejects_equal_weights(self):
         with pytest.raises(ValueError):
-            minimality_circulant(Action(5, (0, 1, 1)))
+            minimality_circulant(invariant_monomials(Action(5, (0, 1, 1))))
 
     @pytest.mark.parametrize("d,a", [(3, 2), (5, 2), (7, 3), (11, 5)])
     def test_subset_oracle_route(self, d, a):
@@ -302,16 +327,16 @@ class TestMinimality:
     def test_routes_agree(self):
         for d in range(3, 11):
             for a in range(2, d):
-                act = Action(d, (0, 1, a))
-                circ = minimality_circulant(act)
-                if gt_verdict(act).is_togliatti:
-                    assert circ == minimality_subset_oracle(invariant_monomials(act)), (d, a)
+                ideal = invariant_monomials(Action(d, (0, 1, a)))
+                circ = minimality_circulant(ideal)
+                if gt_verdict(ideal).is_togliatti:
+                    assert circ == minimality_subset_oracle(ideal), (d, a)
 
     def test_kernel_vector_route_agrees_with_single_removals(self):
         units = 0
         for action in faithful_units(range(3, 17)):
             ideal = invariant_monomials(action)
-            if gt_verdict(action).is_togliatti:
+            if gt_verdict(ideal).is_togliatti:
                 units += 1
                 assert minimality_subset_oracle(ideal) == single_removal_oracle(ideal), action
         assert units == 493
@@ -462,8 +487,8 @@ class TestConjectureScan:
         units = [u for u in conjecture_scan(range(3, 17))["units"] if "mu" in u]
         assert len(units) == 493
         for u in units:
-            action = Action(u["d"], (0, u["a"], u["b"]))
-            verdict = gt_verdict(action)
+            ideal = invariant_monomials(Action(u["d"], (0, u["a"], u["b"])))
+            verdict = gt_verdict(ideal)
             assert (u["mu"], u["togliatti"]) == (verdict.mu, verdict.is_togliatti), u
-            assert u["minimal_circulant"] == minimality_circulant(action), u
-            assert u["minimal_oracle"] == minimality_subset_oracle(invariant_monomials(action)), u
+            assert u["minimal_circulant"] == minimality_circulant(ideal), u
+            assert u["minimal_oracle"] == minimality_subset_oracle(ideal), u
