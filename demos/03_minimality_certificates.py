@@ -3,9 +3,10 @@
 The product of the conjugate linear forms x + zeta^j y + zeta^(aj) z over
 all j lands inside the invariant ideal; dividing out the j = 0 factor
 leaves a degree-(d-1) cofactor that multiplication by x + y + z sends to
-zero in the quotient.  The same product also witnesses minimality: its
-support uses every invariant monomial, so removing any generator breaks
-the containment.
+zero in the quotient.  The kernel certificate reads the same product off
+the kernel vector of one elimination, with no expansion.  The product also
+witnesses minimality: its support uses every invariant monomial, so
+removing any generator breaks the containment.
 """
 
 from gtsystems import Action, invariant_monomials, kernel_certificate, ternary_product
@@ -22,9 +23,10 @@ print(" ", product.render())
 print("support size:", len(product.support()), " invariant monomials:", ideal.mu)
 print("support equals invariant set:", product.support() == set(ideal.generators))
 
-cert = kernel_certificate(action)
+cert = kernel_certificate(ideal)
 print()
-print("kernel certificate:")
+print("kernel certificate (product read off the kernel vector):")
+print("  equals the expanded product:", cert.product.terms == product.terms)
 print("  cofactor degree:", cert.cofactor.total_degree())
 print("  cofactor monic in x^%d:" % (d - 1), cert.cofactor.coefficient((d - 1, 0, 0)) == 1)
 print("  full product stays inside the ideal:", cert.product.support() <= set(ideal.generators))

@@ -289,19 +289,22 @@ class MembershipCertificate:
         }
 
 
-def certificate_product_membership(ideal: GTIdeal, scales) -> MembershipCertificate:
+def certificate_product_membership(ideal: GTIdeal, scales, product=None) -> MembershipCertificate:
     """Expand prod_j (s0 zeta^(aj) x + s1 zeta^(bj) y + s2 zeta^(cj) z) for
     the weights (a, b, c) of the ideal's action and certify that it is an
     integer form supported on the invariant monomials, i.e. a member of the
-    ideal's degree-d piece whenever the scales are nonzero."""
+    ideal's degree-d piece whenever the scales are nonzero.  product is the
+    unscaled product when the caller already has it; it is expanded
+    otherwise."""
     scales = tuple(int(s) for s in scales)
     if len(scales) != 3 or any(s == 0 for s in scales):
         raise ValueError("need three nonzero integer scales")
     # the scaled product is P(s0 x, s1 y, s2 z) for the unscaled product P
     s0, s1, s2 = scales
+    if product is None:
+        product = circulant_product(ideal.d, ideal.action.weights)
     product = SparsePoly(3, {
-        (i, j, k): c * s0 ** i * s1 ** j * s2 ** k
-        for (i, j, k), c in circulant_product(ideal.d, ideal.action.weights).terms.items()
+        (i, j, k): c * s0 ** i * s1 ** j * s2 ** k for (i, j, k), c in product.terms.items()
     })
     if not set(product.terms) <= set(ideal.generators):
         raise ConsistencyError("product escapes the invariant monomial span")

@@ -152,13 +152,14 @@ def ternary_product(d, a, b) -> SparsePoly:
     return circulant_product(d, (0, a, b))
 
 
-def cofactor_product(d, a, b) -> SparsePoly:
-    """The product over j = 1..d-1 only: ternary_product divided by x + y + z.
+def divide_by_ell(product: SparsePoly) -> SparsePoly:
+    """The quotient of a ternary form of degree d by x + y + z; for the
+    eigenvalue product, the product over j = 1..d-1 only.
 
     The divisor is monic in x, so the division runs over Z and the quotient
     has integer coefficients; a nonzero remainder raises ConsistencyError.
     """
-    product = ternary_product(d, a, b)
+    d = product.total_degree()
     # rows[i][k] is the coefficient of x^i y^(d-i-k) z^k.  Dividing by
     # x + (y + z) in x: the quotient row i-1 is rows[i] - (y + z) * row i.
     rows = [[0] * (d - i + 1) for i in range(d + 1)]
@@ -173,7 +174,7 @@ def cofactor_product(d, a, b) -> SparsePoly:
         times_ell = [u + v for u, v in zip(row + [0], [0] + row)]
         row = [c - t for c, t in zip(rows[i], times_ell)]
     if any(row):
-        raise ConsistencyError(f"x + y + z does not divide the ternary product at d={d}, a={a}, b={b}")
+        raise ConsistencyError(f"x + y + z does not divide the product of degree {d}")
     return SparsePoly(3, terms, prune=False)
 
 

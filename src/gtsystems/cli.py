@@ -29,8 +29,9 @@ from .arrangements import (
     singular_census,
 )
 from .circulant import (
-    check_ternary_limit,
+    _TERNARY_LIMIT,
     circulant_det_symbolic,
+    circulant_product,
     coefficient_query,
     ternary_product,
 )
@@ -48,11 +49,14 @@ from .surface import (
     polytope_smoothness,
 )
 from .wlp import (
-    check_circulant_route,
+    NOT_TOGLIATTI,
+    _eigenvalue_product,
+    _is_togliatti_system,
+    _nullity_and_kernel_vector,
+    check_minimality_route,
     conjecture_scan,
     gt_verdict,
     kernel_dimension,
-    minimality_circulant,
     minimality_subset_oracle,
 )
 
@@ -120,8 +124,8 @@ def cmd_invariants(args):
     return _invariants_report(invariant_monomials(_parse_action(args)))
 
 
-def _verdict_report(ideal, general_l, seed):
-    verdict = gt_verdict(ideal)
+def _verdict_report(ideal, nullity, general_l, seed):
+    verdict = gt_verdict(ideal, nullity)
     artinian = ideal.has_pure_powers()
     checks = [
         _check("artinian", "pass" if artinian else "finding",
@@ -140,7 +144,7 @@ def _verdict_report(ideal, general_l, seed):
     results = {"verdict": verdict.to_json()}
     if general_l:
         rng = random.Random(seed)
-        base_rank = verdict.dim_source - kernel_dimension(ideal)
+        base_rank = verdict.dim_source - nullity
         samples = []
         for _ in range(general_l):
             coeffs = random_scales(rng)
@@ -157,15 +161,29 @@ def _verdict_report(ideal, general_l, seed):
 
 
 def cmd_gt_verdict(args):
-    return _verdict_report(invariant_monomials(_parse_action(args)), args.general_l, args.seed)
+    ideal = invariant_monomials(_parse_action(args))
+    return _verdict_report(ideal, kernel_dimension(ideal), args.general_l, args.seed)
 
 
-def _minimal_report(ideal, subset_oracle):
-    minimal_circ = minimality_circulant(ideal)
+def _minimal_report(ideal, kernel, product, newton=None, subset_oracle=False):
+    """Minimality of a Togliatti system, decided by the kernel vector of its
+    one elimination: minimal exactly when the nullity is 1 and the eigenvalue
+    product read off v (product, None otherwise) has the whole invariant set
+    as support.  newton, the Newton-expanded product, is the cross-check: it
+    must equal product, or miss part of the invariant set where there is
+    none."""
+    minimal_circ = product is not None and product.support() == set(ideal.generators)
+    if newton is not None:
+        agree = (newton.terms == product.terms if product is not None
+                 else newton.support() != set(ideal.generators))
+        if not agree:
+            raise ConsistencyError("the Newton product disagrees with the kernel vector")
     results = {
         "action": {"d": ideal.d, "weights": list(ideal.action.normalized())},
         "minimal_circulant": minimal_circ,
         "minimal_subset_oracle": None,
+        "route": "kernel_vector",
+        "cross_check": None if newton is None else "newton_product",
     }
     checks = [
         _check("minimal_circulant", "pass" if minimal_circ else "finding",
@@ -173,7 +191,7 @@ def _minimal_report(ideal, subset_oracle):
                else "support misses part of the invariant set"),
     ]
     if subset_oracle:
-        oracle = minimality_subset_oracle(ideal)
+        oracle = minimality_subset_oracle(ideal, kernel)
         results["minimal_subset_oracle"] = oracle
         checks.append(_check("minimal_subset_oracle", "pass" if oracle else "finding"))
         if oracle != minimal_circ:
@@ -184,8 +202,14 @@ def _minimal_report(ideal, subset_oracle):
 
 def cmd_minimal(args):
     action = _parse_action(args)
-    check_circulant_route(action)  # before the invariant scan, whose cost grows as d^2
-    return _minimal_report(invariant_monomials(action), args.subset_oracle)
+    check_minimality_route(action)  # before the invariant scan, whose cost grows as d^2
+    ideal = invariant_monomials(action)
+    kernel = nullity, v = _nullity_and_kernel_vector(ideal)
+    if not _is_togliatti_system(ideal, nullity):
+        raise ValueError(NOT_TOGLIATTI)
+    product = _eigenvalue_product(ideal, v) if nullity == 1 else None
+    newton = circulant_product(ideal.d, action.weights) if ideal.d <= _TERNARY_LIMIT else None
+    return _minimal_report(ideal, kernel, product, newton, args.subset_oracle)
 
 
 def cmd_classify(args):
@@ -357,12 +381,16 @@ def cmd_report(args):
     d = args.d
     minimal = len(set(action.weights)) == 3
     # classify_moves refuses a d past its limit, and the minimal section one
-    # past the ternary limit, so both run before the invariant scan, whose
+    # past the minimality limit, so both run before the invariant scan, whose
     # cost grows as d^2
     partition = classify_moves(d) if d >= 4 else None
     if minimal:
-        check_ternary_limit(d)
+        check_minimality_route(action)
     ideal = invariant_monomials(action)
+    # one elimination: the verdict, the minimal section and the membership
+    # forms all read it, and with nullity 1 the eigenvalue product is v scaled
+    kernel = nullity, v = _nullity_and_kernel_vector(ideal)
+    product = _eigenvalue_product(ideal, v) if nullity == 1 else None
     sections = {}
     checks = []
 
@@ -373,10 +401,16 @@ def cmd_report(args):
         )
 
     absorb("invariants", _invariants_report(ideal))
-    absorb("verdict", _verdict_report(ideal, args.general_l, args.seed))
+    absorb("verdict", _verdict_report(ideal, nullity, args.general_l, args.seed))
 
-    if minimal:
-        absorb("minimal", _minimal_report(ideal, subset_oracle=False))
+    if minimal and _is_togliatti_system(ideal, nullity):
+        absorb("minimal", _minimal_report(ideal, kernel, product))
+    elif minimal:
+        # minimality is defined for Togliatti systems only
+        sections["minimal"] = {
+            "applies": False,
+            "reason": f"not a Togliatti system: mu={ideal.mu}, d+1={d + 1}, nullity={nullity}",
+        }
 
     if partition is not None:
         sections["classification"] = partition.to_json()
@@ -393,11 +427,13 @@ def cmd_report(args):
         absorb("surface", _surface_report(d))
 
     if d <= 9:
+        if product is None:
+            product = circulant_product(d, action.weights)
         rng = random.Random(args.seed)
         forms = []
         for _ in range(5):
             scales = random_scales(rng)
-            cert = certificate_product_membership(ideal, scales)
+            cert = certificate_product_membership(ideal, scales, product)
             forms.append({"scales": list(scales), "support_size": cert.support_size})
         sections["membership"] = {"forms": forms}
         checks.append(_check("membership.random_forms", "pass", "5 forms in the ideal"))

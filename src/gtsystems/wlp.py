@@ -7,6 +7,11 @@ L*R_(d-1): the forms of I_d that vanish on the line L = 0.  Restricting the
 mu generators to that line gives a (d+1) x mu integer matrix E, and the
 kernel has dimension mu - rank E (the exact sequence A/LA = R/(I, L)).  The
 rank of E is exact, by fraction-free elimination, at every d.
+
+For L = x + y + z the eigenvalue product of the action lies in that kernel,
+so when the kernel has dimension 1 its vector is the product's coefficient
+vector, scaled: one elimination gives the verdict, the Togliatti predicate,
+minimality and the product.
 """
 
 from __future__ import annotations
@@ -15,14 +20,14 @@ import math
 from dataclasses import dataclass
 
 from .actions import Action, GTIdeal, invariant_monomials
-from .circulant import check_ternary_limit, circulant_product, cofactor_product
+from .circulant import check_ternary_limit, circulant_product, divide_by_ell
 from .errors import ConsistencyError
 from .polymat import SparsePoly, bareiss_echelon, bareiss_rank
 
 __all__ = [
     "WlpVerdict",
     "KernelCertificate",
-    "check_circulant_route",
+    "check_minimality_route",
     "conjecture_scan",
     "gt_verdict",
     "kernel_certificate",
@@ -36,6 +41,11 @@ __all__ = [
 # bench/expected print None above d = 16; the limit goes when they are
 # recorded again.
 RANK_REPORT_LIMIT = 16
+
+# Largest d at which report and minimal decide minimality.  It is a size
+# limit of the one augmented elimination, whose entries grow with d: 0.2 s at
+# d = 256, several seconds past 400.
+MINIMALITY_LIMIT = 256
 
 
 def _restriction_rows(ideal: GTIdeal, coeffs):
@@ -55,6 +65,9 @@ def _restriction_rows(ideal: GTIdeal, coeffs):
             row[j + m] = scale * math.comb(k, m) * (-al) ** (k - m) * (-be) ** m
         rows.append(row)
     return rows
+
+
+NOT_TOGLIATTI = "minimality oracle expects a Togliatti system"
 
 
 def _is_togliatti_system(ideal: GTIdeal, nullity: int) -> bool:
@@ -106,9 +119,10 @@ class WlpVerdict:
 class KernelCertificate:
     """Explicit kernel element for multiplication by x+y+z at degree d-1.
 
-    cofactor is the product of the eigenvalue forms for j = 1..d-1 (integer
-    coefficients, monic of degree d-1 in x); product is (x+y+z) * cofactor,
-    which is supported on the invariant set.
+    product is the eigenvalue product of the ideal's action, read off the
+    kernel vector of E, and cofactor is product / (x + y + z): the product of
+    the eigenvalue forms for j = 1..d-1, with integer coefficients and
+    x^(d-1) coefficient +-1 (1 when the first weight is 0 or d is odd).
     """
 
     action: Action
@@ -119,29 +133,29 @@ class KernelCertificate:
         return self.product.support() <= set(ideal.generators)
 
 
-def kernel_certificate(action: Action) -> KernelCertificate:
-    d = action.d
-    _, a, b = action.normalized()
-    cof = cofactor_product(d, a, b)  # ValueError outside the domain of ternary_product
-    ell = SparsePoly.variable(3, 0) + SparsePoly.variable(3, 1) + SparsePoly.variable(3, 2)
-    prod = ell * cof
-    ideal = invariant_monomials(Action(d, (0, a, b)))
-    cert = KernelCertificate(Action(d, (0, a, b)), cof, prod)
-    if cof.coefficient((d - 1, 0, 0)) != 1:
-        raise ConsistencyError("cofactor is not monic in x^(d-1)")
-    if not cert.support_in(ideal):
-        raise ConsistencyError("certificate product escapes the invariant ideal")
-    return cert
+def kernel_certificate(ideal: GTIdeal) -> KernelCertificate:
+    """The kernel certificate of the invariant ideal of an action, a Togliatti
+    system whose kernel has dimension 1, from one elimination; no circulant
+    expansion is made."""
+    if ideal.action is None:
+        raise ValueError("the eigenvalue product needs the ideal's action")
+    nullity, v = _nullity_and_kernel_vector(ideal)
+    if nullity != 1 or not _is_togliatti_system(ideal, nullity):
+        raise ValueError("the kernel certificate needs a Togliatti system with nullity 1")
+    product = _eigenvalue_product(ideal, v)
+    return KernelCertificate(ideal.action, divide_by_ell(product), product)
 
 
-def gt_verdict(ideal: GTIdeal) -> WlpVerdict:
+def gt_verdict(ideal: GTIdeal, nullity: int | None = None) -> WlpVerdict:
     """Full verdict for the ideal at degree d-1 -> d, from the exact kernel
-    of multiplication by x + y + z."""
+    of multiplication by x + y + z.  A caller that has already eliminated E
+    passes its nullity, and no second elimination is made."""
     d = ideal.d
     mu = ideal.mu
     dim_src = d * (d + 1) // 2
     dim_tgt = (d + 1) * (d + 2) // 2 - mu
-    nullity = kernel_dimension(ideal)
+    if nullity is None:
+        nullity = kernel_dimension(ideal)
     rank = dim_src - nullity
     return WlpVerdict(
         action=ideal.action,
@@ -174,11 +188,39 @@ def _nullity_and_kernel_vector(ideal: GTIdeal):
     return nullity, v
 
 
+def _eigenvalue_product(ideal: GTIdeal, v) -> SparsePoly:
+    """The eigenvalue product prod_j (zeta^(ja) x + zeta^(jb) y + zeta^(jc) z)
+    of the ideal's action (a, b, c), read off the kernel vector v of E when
+    the nullity is 1.
+
+    The product is supported on the invariant set and has the factor x + y + z
+    (j = 0), so its coefficients on the generators are a kernel vector of E,
+    that is a multiple of v.  Its x^d coefficient is prod_j zeta^(ja) =
+    (-1)^(a(d-1)), so it is sum_i v_i g_i * (-1)^(a(d-1)) / v_(x^d), exactly
+    what circulant_product(d, (a, b, c)) expands.  An inexact division raises
+    ConsistencyError.
+    """
+    d = ideal.d
+    lead = v[0]  # the generators are in descending order, so x^d comes first
+    if ideal.generators[0] != (d, 0, 0) or not lead:
+        raise ConsistencyError("the kernel vector vanishes at x^d")
+    if ideal.action.weights[0] * (d - 1) % 2:
+        lead = -lead
+    terms = {}
+    for g, vi in zip(ideal.generators, v):
+        q, r = divmod(vi, lead)
+        if r:
+            raise ConsistencyError(f"the kernel vector is not a multiple of the product at {g}")
+        if q:
+            terms[g] = q
+    return SparsePoly(3, terms, prune=False)
+
+
 def _is_minimal(ideal: GTIdeal, nullity: int, v) -> bool:
     return nullity == 1 and all(vi or ideal.d in g for vi, g in zip(v, ideal.generators))
 
 
-def minimality_subset_oracle(ideal: GTIdeal) -> bool:
+def minimality_subset_oracle(ideal: GTIdeal, kernel=None) -> bool:
     """True when no proper generator subset still gives a Togliatti system.
 
     Kernels only grow when generators are added, so single removals suffice.
@@ -186,20 +228,23 @@ def minimality_subset_oracle(ideal: GTIdeal) -> bool:
     kernel exactly when the nullity is 2 or more or v_i = 0, for the kernel
     vector v of one elimination.  So the ideal is minimal exactly when the
     nullity is 1 and v_i != 0 at every generator that is not a pure power.
+    kernel is (nullity, v) from _nullity_and_kernel_vector, when the caller
+    has already eliminated E.
     """
-    nullity, v = _nullity_and_kernel_vector(ideal)
+    nullity, v = kernel or _nullity_and_kernel_vector(ideal)
     if not _is_togliatti_system(ideal, nullity):
-        raise ValueError("minimality oracle expects a Togliatti system")
+        raise ValueError(NOT_TOGLIATTI)
     return _is_minimal(ideal, nullity, v)
 
 
-def check_circulant_route(action: Action):
-    """Raise ValueError unless the circulant route applies to the action: three
-    distinct weights and d within the ternary limit.  It needs no ideal, so it
+def check_minimality_route(action: Action):
+    """Raise ValueError unless minimality is decided for the action: three
+    distinct weights and d within MINIMALITY_LIMIT.  It needs no ideal, so it
     can run before the invariant scan."""
     if len(set(action.weights)) < 3:
         raise ValueError("repeated weights do not give a Togliatti system")
-    check_ternary_limit(action.d)
+    if action.d > MINIMALITY_LIMIT:
+        raise ValueError(f"minimality has a size limit: it is decided for d <= {MINIMALITY_LIMIT}")
 
 
 def minimality_circulant(ideal: GTIdeal) -> bool:
@@ -209,7 +254,8 @@ def minimality_circulant(ideal: GTIdeal) -> bool:
     a shift of all weights changes the product by a sign, and a sort permutes
     x, y, z in the product and in the ideal alike."""
     action = ideal.action
-    check_circulant_route(action)
+    check_minimality_route(action)
+    check_ternary_limit(ideal.d)
     return circulant_product(ideal.d, action.weights).support() == set(ideal.generators)
 
 

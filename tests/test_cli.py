@@ -1,17 +1,21 @@
 """Command-line interface: exit codes, report schema, formats, determinism."""
 
 import argparse
+import importlib
 import json
 import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import gtsystems
-from gtsystems import __version__, actions, arrangements, circulant, classification, cli, surface, wlp
+from gtsystems import (
+    __version__, actions, arrangements, circulant, classification, cli, polymat, surface, wlp,
+)
 from gtsystems.cli import DEFAULT_SEED, build_parser, main
 
 
@@ -174,16 +178,12 @@ class TestFaithfulActions:
         assert sizes[0] == sizes[1]
 
     def test_minimal_on_unfaithful_shifted_weights(self, capsys):
-        # (1, 3, 5) mod 6 shifts to (0, 2, 4): three distinct weights, so the
-        # circulant route answers; the ideal is no Togliatti system, so the
-        # subset oracle refuses it
-        code, out, _ = run_cli(capsys, "minimal", "--d", "6", "--action", "1,3,5")
-        assert code == 0
-        assert json.loads(out)["results"]["action"] == {"d": 6, "weights": [0, 2, 4]}
-        code, out, err = run_cli(capsys, "minimal", "--d", "6", "--action", "1,3,5",
-                                 "--subset-oracle")
-        assert code == 1 and out == ""
-        assert err == "gtsys: error: minimality oracle expects a Togliatti system\n"
+        # (1, 3, 5) mod 6 shifts to (0, 2, 4): three distinct weights, but the
+        # ideal is no Togliatti system, so minimality is not defined for it
+        for extra in ((), ("--subset-oracle",)):
+            code, out, err = run_cli(capsys, "minimal", "--d", "6", "--action", "1,3,5", *extra)
+            assert code == 1 and out == ""
+            assert err == "gtsys: error: minimality oracle expects a Togliatti system\n"
 
     @pytest.mark.parametrize("argv", [
         ("--d", "9", "--action", "7,7,5"),
@@ -235,6 +235,141 @@ class TestOneIdealPerCommand:
             "invariants", "verdict", "minimal", "classification", "class_counts",
             "surface", "membership",
         ]
+
+
+def _spy_eliminations(monkeypatch):
+    """Count the calls of polymat's elimination loop, made by wlp directly or
+    through bareiss_rank."""
+    calls = []
+    real = polymat.bareiss_echelon
+
+    def spy(m, pivot_cols=None):
+        calls.append(len(m))
+        return real(m, pivot_cols)
+
+    monkeypatch.setattr(polymat, "bareiss_echelon", spy)
+    monkeypatch.setattr(wlp, "bareiss_echelon", spy)
+    return calls
+
+
+def _spy_circulant_products(monkeypatch):
+    """Count the Newton expansions in every module that holds the function."""
+    calls = []
+    real = circulant.circulant_product
+
+    def spy(d, positions):
+        calls.append((d, tuple(positions)))
+        return real(d, positions)
+
+    for module in (arrangements, circulant, cli, wlp):
+        if getattr(module, "circulant_product", None) is real:
+            monkeypatch.setattr(module, "circulant_product", spy)
+    return calls
+
+
+# the pool's report requests whose ideal has three distinct weights but is no
+# Togliatti system (mu > d + 1)
+NOT_TOGLIATTI_REPORTS = [
+    ("16", "15,3,11"), ("24", "7,13,21"), ("24", "20,5,17"),
+    ("26", "11,13,7"), ("34", "5,21,7"), ("36", "29,25,1"),
+]
+
+
+class TestTogliattiFirst:
+    @pytest.mark.parametrize("d,weights", NOT_TOGLIATTI_REPORTS)
+    def test_report_minimal_section_does_not_apply(self, capsys, d, weights):
+        code, out, err = run_cli(capsys, "report", "--d", d, "--action", weights)
+        assert code == 0, err
+        report = json.loads(out)
+        minimal = report["results"]["minimal"]
+        assert minimal["applies"] is False
+        assert minimal["reason"].startswith("not a Togliatti system")
+        assert "minimal_circulant" not in minimal
+        assert report["results"]["verdict"]["verdict"]["is_togliatti"] is False
+        assert not [c for c in report["checks"] if c["name"].startswith("minimal.")]
+
+    def test_minimal_refuses_an_ideal_that_is_no_togliatti_system(self, capsys):
+        code, out, err = run_cli(capsys, "minimal", "--d", "6", "--action", "1,3,5")
+        assert code == 1 and out == ""
+        assert err == f"gtsys: error: {wlp.NOT_TOGLIATTI}\n"
+
+    @pytest.mark.parametrize("argv,cross_check", [
+        (("minimal", "--d", "7", "--action", "0,1,3"), "newton_product"),
+        (("minimal", "--d", "13", "--a", "4", "--subset-oracle"), "newton_product"),
+        (("minimal", "--d", "200", "--a", "3"), None),
+    ])
+    def test_minimal_names_its_route(self, capsys, argv, cross_check):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        results = json.loads(out)["results"]
+        assert results["route"] == "kernel_vector"
+        assert results["cross_check"] == cross_check
+        assert results["minimal_circulant"] is True
+
+    def test_report_names_its_route(self, capsys):
+        code, out, _ = run_cli(capsys, "report", "--d", "7", "--action", "0,1,3")
+        assert code == 0
+        minimal = json.loads(out)["results"]["minimal"]
+        assert minimal["route"] == "kernel_vector"
+        assert minimal["cross_check"] is None
+
+    def test_newton_disagreement_exits_2(self, capsys, monkeypatch):
+        real = circulant.circulant_product
+        monkeypatch.setattr(cli, "circulant_product", lambda d, w: real(d, w) * 2)
+        code, out, err = run_cli(capsys, "minimal", "--d", "7", "--action", "0,1,3")
+        assert code == 2 and out == ""
+        assert "the Newton product disagrees with the kernel vector" in err
+
+
+class TestOneEliminationPerCommand:
+    @pytest.mark.parametrize("argv,eliminations,products", [
+        (("report", "--d", "7", "--action", "0,1,3"), 1, 0),
+        (("report", "--d", "7", "--action", "0,1,3", "--general-l", "2"), 3, 0),
+        (("report", "--d", "9", "--action", "1,1,4"), 1, 1),  # repeated weight, nullity 12
+        (("report", "--d", "16", "--action", "15,3,11"), 1, 0),
+        (("gt-verdict", "--d", "7", "--a", "3"), 1, 0),
+        (("gt-verdict", "--d", "7", "--a", "3", "--general-l", "2"), 3, 0),
+        (("minimal", "--d", "7", "--action", "0,1,3"), 1, 1),
+        (("minimal", "--d", "13", "--a", "4", "--subset-oracle"), 1, 1),
+        (("minimal", "--d", "200", "--a", "3"), 1, 0),
+    ])
+    def test_counts(self, capsys, monkeypatch, argv, eliminations, products):
+        elims = _spy_eliminations(monkeypatch)
+        expansions = _spy_circulant_products(monkeypatch)
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert len(elims) == eliminations
+        assert len(expansions) == products
+
+    def test_minimal_at_the_minimality_limit_is_fast(self, capsys):
+        d = wlp.MINIMALITY_LIMIT
+        assert d >= 256
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "minimal", "--d", "256", "--a", "3")
+        elapsed = time.perf_counter() - start
+        assert code == 0, err
+        assert json.loads(out)["results"]["minimal_circulant"] is True
+        assert elapsed < 1.0, elapsed
+
+
+class TestBenchContract:
+    """The interactive pool of the benchmark, replayed through main and
+    checked against its recorded answers; only reads bench/."""
+
+    def test_interactive_pool(self, capsys, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+        answers = importlib.import_module("answers")
+        workloads = importlib.import_module("workloads")
+        expected = answers.load("interactive")
+        verdicts = {}
+        for argv in workloads.load_pool():
+            argv = workloads.with_seed(argv, 1)
+            code, out, _ = run_cli(capsys, *argv)
+            verdict = answers.check(argv, expected[answers.key(argv)], code, out)
+            verdicts.setdefault(verdict, []).append(" ".join(argv))
+        assert answers.WRONG not in verdicts, verdicts[answers.WRONG]
+        assert len(verdicts[answers.KNOWN_FAILURE]) == 5, verdicts[answers.KNOWN_FAILURE]
+        assert all(a.startswith("minimal") for a in verdicts[answers.KNOWN_FAILURE])
 
 
 class TestVerdictAtLargeD:
@@ -381,29 +516,19 @@ class TestClassifyPartition:
         assert out == ""
         assert f"d <= {limit}" in err
 
-    def test_report_checks_the_ternary_limit_before_any_section(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("command", ["report", "minimal"])
+    def test_minimality_limit_checked_before_the_scan(self, capsys, monkeypatch, command):
         def no_scan(action):
-            raise AssertionError("report scanned invariants above the ternary limit")
+            raise AssertionError(f"{command} scanned invariants above the minimality limit")
 
         monkeypatch.setattr(cli, "invariant_monomials", no_scan)
         monkeypatch.setattr(wlp, "invariant_monomials", no_scan)
-        code, out, err = run_cli(capsys, "report", "--d", str(circulant._TERNARY_LIMIT + 1),
-                                 "--a", "3")
+        limit = wlp.MINIMALITY_LIMIT
+        code, out, err = run_cli(capsys, command, "--d", str(limit + 1), "--a", "3")
         assert code == 1
         assert out == ""
-        assert f"d <= {circulant._TERNARY_LIMIT}" in err
-
-    def test_minimal_checks_the_ternary_limit_before_the_scan(self, capsys, monkeypatch):
-        def no_scan(action):
-            raise AssertionError("minimal scanned invariants above the ternary limit")
-
-        monkeypatch.setattr(cli, "invariant_monomials", no_scan)
-        monkeypatch.setattr(wlp, "invariant_monomials", no_scan)
-        code, out, err = run_cli(capsys, "minimal", "--d", str(circulant._TERNARY_LIMIT + 1),
-                                 "--a", "3")
-        assert code == 1
-        assert out == ""
-        assert f"d <= {circulant._TERNARY_LIMIT}" in err
+        assert err == ("gtsys: error: minimality has a size limit: "
+                       f"it is decided for d <= {limit}\n")
 
     def test_overlapping_classes_exit_2(self, capsys, monkeypatch):
         monkeypatch.setattr(classification, "orbit", lambda d, a: (a, d - 1))

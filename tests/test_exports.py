@@ -67,3 +67,5 @@ def test_removed_members_are_gone():
     assert not hasattr(gtsystems.wlp, "_support_is_invariant_set")
     assert not hasattr(gtsystems.wlp, "is_artinian")
     assert not hasattr(gtsystems.circulant, "scaled_ternary_product")
+    assert not hasattr(gtsystems.circulant, "cofactor_product")
+    assert not hasattr(gtsystems.wlp, "check_circulant_route")

@@ -9,9 +9,9 @@ import pytest
 from gtsystems import circulant, polymat, wlp
 from gtsystems.actions import Action, GTIdeal, invariant_monomials
 from gtsystems.arrangements import certificate_product_membership, random_scales
-from gtsystems.circulant import ternary_product
+from gtsystems.circulant import circulant_product, ternary_product
 from gtsystems.errors import ConsistencyError
-from gtsystems.polymat import bareiss_rank
+from gtsystems.polymat import SparsePoly, bareiss_rank
 from gtsystems.wlp import (
     RANK_REPORT_LIMIT,
     conjecture_scan,
@@ -246,9 +246,9 @@ class TestVerdicts:
 class TestKernelCertificate:
     @pytest.mark.parametrize("d,a", [(3, 2), (5, 2), (7, 3), (12, 5)])
     def test_product_support_inside_ideal(self, d, a):
-        cert = kernel_certificate(Action(d, (0, 1, a)))
-        gens = set(invariant_monomials(Action(d, (0, 1, a))).generators)
-        assert cert.product.support() <= gens
+        ideal = invariant_monomials(Action(d, (0, 1, a)))
+        cert = kernel_certificate(ideal)
+        assert cert.product.support() <= set(ideal.generators)
         assert not cert.cofactor.is_zero()
         assert cert.product.terms == ternary_product(d, 1, a).terms
 
@@ -257,7 +257,7 @@ class TestKernelCertificate:
         # the multiplication matrix: the image must be zero mod the ideal.
         d, a = 5, 2
         ideal = invariant_monomials(Action(d, (0, 1, a)))
-        cert = kernel_certificate(Action(d, (0, 1, a)))
+        cert = kernel_certificate(ideal)
         cof = cert.cofactor
         src = quotient_basis(ideal, d - 1)
         tgt = quotient_basis(ideal, d)
@@ -270,17 +270,37 @@ class TestKernelCertificate:
         assert len(tgt_index) == len(tgt)
 
     def test_repeated_weights_rejected(self):
-        with pytest.raises(ValueError):
-            kernel_certificate(Action(5, (0, 1, 1)))
+        # x^5 and (y, z)^5: mu = 7 > d + 1, no Togliatti system
+        with pytest.raises(ValueError, match="Togliatti system with nullity 1"):
+            kernel_certificate(invariant_monomials(Action(5, (0, 1, 1))))
 
-    def test_domain_is_the_ternary_limit(self):
-        d = circulant._TERNARY_LIMIT
-        cert = kernel_certificate(Action(100, (0, 1, 3)))
+    def test_works_past_the_ternary_limit(self):
+        # the ternary product stops at circulant._TERNARY_LIMIT; the kernel
+        # vector does not
+        cert = kernel_certificate(invariant_monomials(Action(100, (0, 1, 3))))
         assert cert.cofactor.coefficient((99, 0, 0)) == 1
         assert cert.product.terms == ternary_product(100, 1, 3).terms
-        assert kernel_certificate(Action(d, (0, 1, 3))).support_in(invariant_monomials(Action(d, (0, 1, 3))))
-        with pytest.raises(ValueError):
-            kernel_certificate(Action(d + 1, (0, 1, 3)))
+        d = 200
+        assert d > circulant._TERNARY_LIMIT
+        ideal = invariant_monomials(Action(d, (0, 1, 3)))
+        cert = kernel_certificate(ideal)
+        assert cert.cofactor.coefficient((d - 1, 0, 0)) == 1
+        assert cert.cofactor.total_degree() == d - 1
+        assert cert.support_in(ideal)
+        ell = SparsePoly.variable(3, 0) + SparsePoly.variable(3, 1) + SparsePoly.variable(3, 2)
+        assert (cert.cofactor * ell).terms == cert.product.terms  # the division is exact
+
+    def test_needs_the_action(self):
+        with pytest.raises(ValueError, match="action"):
+            kernel_certificate(GTIdeal(3, invariant_monomials(Action(3, (0, 1, 2))).generators))
+
+    def test_inexact_cofactor_is_a_consistency_error(self, monkeypatch):
+        # x^d is not divisible by x + y + z
+        ideal = invariant_monomials(Action(5, (0, 1, 2)))
+        monkeypatch.setattr(wlp, "_eigenvalue_product",
+                            lambda ideal, v: SparsePoly.monomial(3, (5, 0, 0)))
+        with pytest.raises(ConsistencyError):
+            kernel_certificate(ideal)
 
 
 class TestMinimality:
@@ -436,6 +456,63 @@ class TestKernelVector:
         monkeypatch.setattr(wlp, "bareiss_echelon", tampered)
         with pytest.raises(ConsistencyError):
             minimality_subset_oracle(invariant_monomials(Action(7, (0, 1, 3))))
+
+
+class TestEigenvalueProductFromKernel:
+    # With nullity 1 the eigenvalue product is the kernel vector v of E,
+    # divided by its x^d entry and signed by (-1)^(a(d-1)).  The elimination
+    # depends on the generators only, so one per ideal serves every action
+    # that has it.
+
+    def test_equals_the_newton_product_at_the_actions_own_weights(self):
+        kernels = {}
+        checked = signed = 0
+        for d in range(3, 17):
+            for weights in itertools.product(range(d), repeat=3):
+                if math.gcd(*weights, d) != 1 or len(set(weights)) < 3:
+                    continue
+                ideal = invariant_monomials(Action(d, weights))
+                if ideal.generators not in kernels:
+                    kernels[ideal.generators] = wlp._nullity_and_kernel_vector(ideal)
+                nullity, v = kernels[ideal.generators]
+                if nullity != 1 or not wlp._is_togliatti_system(ideal, nullity):
+                    continue
+                product = wlp._eigenvalue_product(ideal, v)
+                assert product.terms == circulant_product(d, weights).terms, (d, weights)
+                checked += 1
+                signed += product.coefficient((d, 0, 0)) == -1
+        assert checked == 12468
+        assert signed > 0  # odd first weight at even d
+
+    def test_integral_for_every_unit_up_to_40(self):
+        kernels = {}
+        units = 0
+        for action in faithful_units(range(3, 41)):
+            _, a, b = action.weights
+            if not 0 < a < b:
+                continue
+            ideal = invariant_monomials(action)
+            if ideal.generators not in kernels:
+                nullity, v = wlp._nullity_and_kernel_vector(ideal)
+                # raises ConsistencyError on an inexact division
+                kernels[ideal.generators] = (
+                    wlp._eigenvalue_product(ideal, v) if nullity == 1 else None)
+            product = kernels[ideal.generators]
+            if product is None:
+                continue
+            units += 1
+            assert product.coefficient((action.d, 0, 0)) == 1
+            assert all(isinstance(c, int) for c in product.terms.values())
+        assert units == 8410
+
+    def test_inexact_division_is_a_consistency_error(self):
+        ideal = invariant_monomials(Action(7, (0, 1, 3)))
+        nullity, v = wlp._nullity_and_kernel_vector(ideal)
+        assert nullity == 1
+        with pytest.raises(ConsistencyError):
+            wlp._eigenvalue_product(ideal, [2 * v[0]] + v[1:])
+        with pytest.raises(ConsistencyError):
+            wlp._eigenvalue_product(ideal, [0] + v[1:])
 
 
 class TestConjectureScan:
