@@ -48,17 +48,7 @@ from .surface import (
     exponent_polytope_degree,
     polytope_smoothness,
 )
-from .wlp import (
-    NOT_TOGLIATTI,
-    _eigenvalue_product,
-    _is_togliatti_system,
-    _nullity_and_kernel_vector,
-    check_minimality_route,
-    conjecture_scan,
-    gt_verdict,
-    kernel_dimension,
-    minimality_subset_oracle,
-)
+from .wlp import check_minimality_route, conjecture_scan, kernel_dimension, restriction
 
 DEFAULT_SEED = 20260814
 
@@ -124,8 +114,8 @@ def cmd_invariants(args):
     return _invariants_report(invariant_monomials(_parse_action(args)))
 
 
-def _verdict_report(ideal, nullity, general_l, seed):
-    verdict = gt_verdict(ideal, nullity)
+def _verdict_report(r, general_l, seed):
+    ideal, verdict = r.ideal, r.verdict()
     artinian = ideal.has_pure_powers()
     checks = [
         _check("artinian", "pass" if artinian else "finding",
@@ -144,7 +134,7 @@ def _verdict_report(ideal, nullity, general_l, seed):
     results = {"verdict": verdict.to_json()}
     if general_l:
         rng = random.Random(seed)
-        base_rank = verdict.dim_source - nullity
+        base_rank = verdict.dim_source - r.nullity
         samples = []
         for _ in range(general_l):
             coeffs = random_scales(rng)
@@ -162,54 +152,47 @@ def _verdict_report(ideal, nullity, general_l, seed):
 
 def cmd_gt_verdict(args):
     ideal = invariant_monomials(_parse_action(args))
-    return _verdict_report(ideal, kernel_dimension(ideal), args.general_l, args.seed)
+    return _verdict_report(restriction(ideal), args.general_l, args.seed)
 
 
-def _minimal_report(ideal, kernel, product, newton=None, subset_oracle=False):
-    """Minimality of a Togliatti system, decided by the kernel vector of its
-    one elimination: minimal exactly when the nullity is 1 and the eigenvalue
-    product read off v (product, None otherwise) has the whole invariant set
-    as support.  newton, the Newton-expanded product, is the cross-check: it
-    must equal product, or miss part of the invariant set where there is
-    none."""
-    minimal_circ = product is not None and product.support() == set(ideal.generators)
-    if newton is not None:
+def _minimal_report(r, cross_check=False, subset_oracle=False):
+    """Minimality of a Togliatti system, read off its restriction r.  With
+    cross_check, up to the ternary limit, the Newton-expanded product must
+    equal r.product, or miss part of the invariant set where there is none;
+    routes_agree says it was found equal."""
+    ideal, minimal, product = r.ideal, r.minimal, r.product
+    newton = None
+    if cross_check and ideal.d <= _TERNARY_LIMIT:
+        newton = circulant_product(ideal.d, ideal.action.weights)
         agree = (newton.terms == product.terms if product is not None
                  else newton.support() != set(ideal.generators))
         if not agree:
             raise ConsistencyError("the Newton product disagrees with the kernel vector")
     results = {
         "action": {"d": ideal.d, "weights": list(ideal.action.normalized())},
-        "minimal_circulant": minimal_circ,
+        "minimal_circulant": minimal,
         "minimal_subset_oracle": None,
         "route": "kernel_vector",
         "cross_check": None if newton is None else "newton_product",
     }
     checks = [
-        _check("minimal_circulant", "pass" if minimal_circ else "finding",
-               "ternary product support equals the invariant set" if minimal_circ
+        _check("minimal_circulant", "pass" if minimal else "finding",
+               "ternary product support equals the invariant set" if minimal
                else "support misses part of the invariant set"),
     ]
     if subset_oracle:
-        oracle = minimality_subset_oracle(ideal, kernel)
-        results["minimal_subset_oracle"] = oracle
-        checks.append(_check("minimal_subset_oracle", "pass" if oracle else "finding"))
-        if oracle != minimal_circ:
-            raise ConsistencyError("the two minimality routes disagree")
-        checks.append(_check("routes_agree", "pass"))
+        results["minimal_subset_oracle"] = minimal
+        checks.append(_check("minimal_subset_oracle", "pass" if minimal else "finding"))
+        if newton is not None and product is not None:
+            checks.append(_check("routes_agree", "pass"))
     return _report("minimal", {"d": ideal.d, "action": str(ideal.action)}, results, checks)
 
 
 def cmd_minimal(args):
     action = _parse_action(args)
     check_minimality_route(action)  # before the invariant scan, whose cost grows as d^2
-    ideal = invariant_monomials(action)
-    kernel = nullity, v = _nullity_and_kernel_vector(ideal)
-    if not _is_togliatti_system(ideal, nullity):
-        raise ValueError(NOT_TOGLIATTI)
-    product = _eigenvalue_product(ideal, v) if nullity == 1 else None
-    newton = circulant_product(ideal.d, action.weights) if ideal.d <= _TERNARY_LIMIT else None
-    return _minimal_report(ideal, kernel, product, newton, args.subset_oracle)
+    r = restriction(invariant_monomials(action))
+    return _minimal_report(r, cross_check=True, subset_oracle=args.subset_oracle)
 
 
 def cmd_classify(args):
@@ -388,9 +371,8 @@ def cmd_report(args):
         check_minimality_route(action)
     ideal = invariant_monomials(action)
     # one elimination: the verdict, the minimal section and the membership
-    # forms all read it, and with nullity 1 the eigenvalue product is v scaled
-    kernel = nullity, v = _nullity_and_kernel_vector(ideal)
-    product = _eigenvalue_product(ideal, v) if nullity == 1 else None
+    # forms all read it
+    r = restriction(ideal)
     sections = {}
     checks = []
 
@@ -401,15 +383,15 @@ def cmd_report(args):
         )
 
     absorb("invariants", _invariants_report(ideal))
-    absorb("verdict", _verdict_report(ideal, nullity, args.general_l, args.seed))
+    absorb("verdict", _verdict_report(r, args.general_l, args.seed))
 
-    if minimal and _is_togliatti_system(ideal, nullity):
-        absorb("minimal", _minimal_report(ideal, kernel, product))
+    if minimal and r.togliatti:
+        absorb("minimal", _minimal_report(r))
     elif minimal:
         # minimality is defined for Togliatti systems only
         sections["minimal"] = {
             "applies": False,
-            "reason": f"not a Togliatti system: mu={ideal.mu}, d+1={d + 1}, nullity={nullity}",
+            "reason": f"not a Togliatti system: mu={ideal.mu}, d+1={d + 1}, nullity={r.nullity}",
         }
 
     if partition is not None:
@@ -427,8 +409,7 @@ def cmd_report(args):
         absorb("surface", _surface_report(d))
 
     if d <= 9:
-        if product is None:
-            product = circulant_product(d, action.weights)
+        product = r.product if r.product is not None else circulant_product(d, action.weights)
         rng = random.Random(args.seed)
         forms = []
         for _ in range(5):

@@ -10,14 +10,16 @@ rank of E is exact, by fraction-free elimination, at every d.
 
 For L = x + y + z the eigenvalue product of the action lies in that kernel,
 so when the kernel has dimension 1 its vector is the product's coefficient
-vector, scaled: one elimination gives the verdict, the Togliatti predicate,
-minimality and the product.
+vector, scaled.  restriction(ideal) makes that one elimination, and the
+verdict, the Togliatti predicate, minimality and the product are read off
+the Restriction it returns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .actions import Action, GTIdeal, invariant_monomials
 from .circulant import check_ternary_limit, circulant_product, divide_by_ell
@@ -27,6 +29,7 @@ from .polymat import SparsePoly, bareiss_echelon, bareiss_rank
 __all__ = [
     "WlpVerdict",
     "KernelCertificate",
+    "Restriction",
     "check_minimality_route",
     "conjecture_scan",
     "gt_verdict",
@@ -34,6 +37,7 @@ __all__ = [
     "kernel_dimension",
     "minimality_circulant",
     "minimality_subset_oracle",
+    "restriction",
 ]
 
 # The verdict reports the exact rank only up to this d.  The check detail of
@@ -70,10 +74,9 @@ def _restriction_rows(ideal: GTIdeal, coeffs):
 NOT_TOGLIATTI = "minimality oracle expects a Togliatti system"
 
 
-def _is_togliatti_system(ideal: GTIdeal, nullity: int) -> bool:
-    """Artinian, at most d+1 generators, and x + y + z fails injectivity from
-    degree d-1 to degree d, where nullity is the kernel dimension."""
-    return ideal.has_pure_powers() and ideal.mu <= ideal.d + 1 and nullity >= 1
+def _candidate(ideal: GTIdeal) -> bool:
+    """All three pure powers and at most d+1 generators."""
+    return ideal.has_pure_powers() and ideal.mu <= ideal.d + 1
 
 
 def kernel_dimension(ideal: GTIdeal, coeffs=(1, 1, 1)) -> int:
@@ -116,6 +119,98 @@ class WlpVerdict:
 
 
 @dataclass(frozen=True)
+class Restriction:
+    """E at x + y + z for an ideal, eliminated once by restriction(ideal): the
+    nullity and, for a Togliatti system, the checked kernel vector v."""
+
+    ideal: GTIdeal
+    nullity: int
+    v: tuple[int, ...] | None
+
+    @property
+    def togliatti(self) -> bool:
+        """A Togliatti candidate on which x + y + z fails injectivity."""
+        return self.nullity >= 1 and _candidate(self.ideal)
+
+    def verdict(self) -> WlpVerdict:
+        d, mu = self.ideal.d, self.ideal.mu
+        dim_src, dim_tgt = d * (d + 1) // 2, (d + 1) * (d + 2) // 2 - mu
+        rank = dim_src - self.nullity
+        return WlpVerdict(
+            action=self.ideal.action, d=d, mu=mu, dim_source=dim_src, dim_target=dim_tgt,
+            rank=rank if d <= RANK_REPORT_LIMIT else None,
+            fails_injectivity=self.nullity > 0,
+            fails_wlp_at_d_minus_1=rank < min(dim_src, dim_tgt),
+            generator_bound_ok=mu <= d + 1, is_togliatti=self.togliatti, method="restriction",
+        )
+
+    @property
+    def minimal(self) -> bool:
+        """No proper generator subset is still a Togliatti system; ValueError
+        unless this ideal is one.  Kernels only grow when generators are
+        added, so single removals suffice: removing a pure power breaks
+        artinianness, and removing generator i keeps a kernel exactly when
+        the nullity is 2 or more or v_i = 0."""
+        if not self.togliatti:
+            raise ValueError(NOT_TOGLIATTI)
+        d, gens = self.ideal.d, self.ideal.generators
+        return self.nullity == 1 and all(vi or d in g for vi, g in zip(self.v, gens))
+
+    @cached_property
+    def product(self) -> SparsePoly | None:
+        """The eigenvalue product prod_j (zeta^(ja) x + zeta^(jb) y + zeta^(jc) z)
+        of the ideal's action (a, b, c) when the nullity is 1, else None.
+
+        Its coefficients on the generators lie in the kernel of E (it is
+        supported on the invariant set and divisible by x + y + z), so they
+        are a multiple of v, and its x^d coefficient is (-1)^(a(d-1)): it is
+        sum_i v_i g_i * (-1)^(a(d-1)) / v_(x^d), what circulant_product
+        expands.  An inexact division, or a support that is the whole
+        generator set where minimal is False or the other way round, raises
+        ConsistencyError."""
+        ideal, v = self.ideal, self.v
+        if self.nullity != 1 or v is None or ideal.action is None:
+            return None
+        d = ideal.d
+        lead = v[0]  # the generators are in descending order, so x^d comes first
+        if ideal.generators[0] != (d, 0, 0) or not lead:
+            raise ConsistencyError("the kernel vector vanishes at x^d")
+        if ideal.action.weights[0] * (d - 1) % 2:
+            lead = -lead
+        terms = {}
+        for g, vi in zip(ideal.generators, v):
+            q, r = divmod(vi, lead)
+            if r:
+                raise ConsistencyError(f"the kernel vector is not a multiple of the product at {g}")
+            if q:
+                terms[g] = q
+        if (len(terms) == ideal.mu) != self.minimal:
+            raise ConsistencyError("the product's support disagrees with minimality")
+        return SparsePoly(3, terms, prune=False)
+
+
+def restriction(ideal: GTIdeal) -> Restriction:
+    """Eliminate E at x + y + z once.  Only a Togliatti candidate (all three
+    pure powers, at most d+1 generators) is eliminated as E^T beside the
+    identity, pivoting only in the columns of E^T: with a kernel, the
+    identity part of the last row is a kernel vector v, and v.E = 0 is
+    checked.  No other ideal is a Togliatti system, so nothing reads its v
+    and the plain elimination of kernel_dimension serves."""
+    if not _candidate(ideal):
+        return Restriction(ideal, kernel_dimension(ideal), None)
+    rows = _restriction_rows(ideal, (1, 1, 1))
+    mu, width = len(rows), ideal.d + 1
+    m = [row + [int(i == j) for j in range(mu)] for i, row in enumerate(rows)]
+    nullity = mu - bareiss_echelon(m, width)
+    if not nullity:
+        return Restriction(ideal, 0, None)
+    v = tuple(m[-1][width:])
+    if not any(v) or any(sum(vi * row[c] for vi, row in zip(v, rows)) for c in range(width)):
+        raise ConsistencyError("the elimination's kernel vector is not in the kernel of E")
+    return Restriction(ideal, nullity, v)
+
+
+@dataclass(frozen=True)
 class KernelCertificate:
     """Explicit kernel element for multiplication by x+y+z at degree d-1.
 
@@ -139,102 +234,22 @@ def kernel_certificate(ideal: GTIdeal) -> KernelCertificate:
     expansion is made."""
     if ideal.action is None:
         raise ValueError("the eigenvalue product needs the ideal's action")
-    nullity, v = _nullity_and_kernel_vector(ideal)
-    if nullity != 1 or not _is_togliatti_system(ideal, nullity):
+    product = restriction(ideal).product
+    if product is None:
         raise ValueError("the kernel certificate needs a Togliatti system with nullity 1")
-    product = _eigenvalue_product(ideal, v)
     return KernelCertificate(ideal.action, divide_by_ell(product), product)
 
 
-def gt_verdict(ideal: GTIdeal, nullity: int | None = None) -> WlpVerdict:
+def gt_verdict(ideal: GTIdeal) -> WlpVerdict:
     """Full verdict for the ideal at degree d-1 -> d, from the exact kernel
-    of multiplication by x + y + z.  A caller that has already eliminated E
-    passes its nullity, and no second elimination is made."""
-    d = ideal.d
-    mu = ideal.mu
-    dim_src = d * (d + 1) // 2
-    dim_tgt = (d + 1) * (d + 2) // 2 - mu
-    if nullity is None:
-        nullity = kernel_dimension(ideal)
-    rank = dim_src - nullity
-    return WlpVerdict(
-        action=ideal.action,
-        d=d,
-        mu=mu,
-        dim_source=dim_src,
-        dim_target=dim_tgt,
-        rank=rank if d <= RANK_REPORT_LIMIT else None,
-        fails_injectivity=nullity > 0,
-        fails_wlp_at_d_minus_1=rank < min(dim_src, dim_tgt),
-        generator_bound_ok=mu <= d + 1,
-        is_togliatti=_is_togliatti_system(ideal, nullity),
-        method="restriction",
-    )
+    of multiplication by x + y + z."""
+    return restriction(ideal).verdict()
 
 
-def _nullity_and_kernel_vector(ideal: GTIdeal):
-    """The nullity of E and, when it is positive, an integer kernel vector v,
-    from one elimination of E^T beside the identity, pivoting only in the
-    columns of E^T: v is the identity part of the last row.  v.E = 0 is
-    checked."""
-    rows = _restriction_rows(ideal, (1, 1, 1))
-    mu, width = len(rows), ideal.d + 1
-    m = [row + [int(i == j) for j in range(mu)] for i, row in enumerate(rows)]
-    nullity = mu - bareiss_echelon(m, width)
-    v = m[-1][width:]
-    if nullity and (not any(v) or any(sum(vi * row[c] for vi, row in zip(v, rows))
-                                      for c in range(width))):
-        raise ConsistencyError("the elimination's kernel vector is not in the kernel of E")
-    return nullity, v
-
-
-def _eigenvalue_product(ideal: GTIdeal, v) -> SparsePoly:
-    """The eigenvalue product prod_j (zeta^(ja) x + zeta^(jb) y + zeta^(jc) z)
-    of the ideal's action (a, b, c), read off the kernel vector v of E when
-    the nullity is 1.
-
-    The product is supported on the invariant set and has the factor x + y + z
-    (j = 0), so its coefficients on the generators are a kernel vector of E,
-    that is a multiple of v.  Its x^d coefficient is prod_j zeta^(ja) =
-    (-1)^(a(d-1)), so it is sum_i v_i g_i * (-1)^(a(d-1)) / v_(x^d), exactly
-    what circulant_product(d, (a, b, c)) expands.  An inexact division raises
-    ConsistencyError.
-    """
-    d = ideal.d
-    lead = v[0]  # the generators are in descending order, so x^d comes first
-    if ideal.generators[0] != (d, 0, 0) or not lead:
-        raise ConsistencyError("the kernel vector vanishes at x^d")
-    if ideal.action.weights[0] * (d - 1) % 2:
-        lead = -lead
-    terms = {}
-    for g, vi in zip(ideal.generators, v):
-        q, r = divmod(vi, lead)
-        if r:
-            raise ConsistencyError(f"the kernel vector is not a multiple of the product at {g}")
-        if q:
-            terms[g] = q
-    return SparsePoly(3, terms, prune=False)
-
-
-def _is_minimal(ideal: GTIdeal, nullity: int, v) -> bool:
-    return nullity == 1 and all(vi or ideal.d in g for vi, g in zip(v, ideal.generators))
-
-
-def minimality_subset_oracle(ideal: GTIdeal, kernel=None) -> bool:
-    """True when no proper generator subset still gives a Togliatti system.
-
-    Kernels only grow when generators are added, so single removals suffice.
-    Removing a pure power breaks artinianness; removing generator i keeps a
-    kernel exactly when the nullity is 2 or more or v_i = 0, for the kernel
-    vector v of one elimination.  So the ideal is minimal exactly when the
-    nullity is 1 and v_i != 0 at every generator that is not a pure power.
-    kernel is (nullity, v) from _nullity_and_kernel_vector, when the caller
-    has already eliminated E.
-    """
-    nullity, v = kernel or _nullity_and_kernel_vector(ideal)
-    if not _is_togliatti_system(ideal, nullity):
-        raise ValueError(NOT_TOGLIATTI)
-    return _is_minimal(ideal, nullity, v)
+def minimality_subset_oracle(ideal: GTIdeal) -> bool:
+    """True when no proper generator subset still gives a Togliatti system;
+    see Restriction.minimal."""
+    return restriction(ideal).minimal
 
 
 def check_minimality_route(action: Action):
@@ -264,13 +279,17 @@ def conjecture_scan(d_values):
 
     For every d and every 1 <= a < b <= d-1 with gcd(a, b, d) = 1 the
     invariant ideal is built once.  The circulant route compares the support
-    of the eigenvalue product with it, and one elimination of E gives both the
+    of the eigenvalue product with it, and its one restriction gives both the
     Togliatti verdict and, for every Togliatti unit, the independent
     kernel-vector minimality check.  A unit is a counterexample candidate
     exactly when one of the two minimality routes fails.  Pairs with a == b
     provably keep the Lefschetz property and are recorded as degenerate;
-    units that are not Togliatti systems are recorded as such.
+    units that are not Togliatti systems are recorded as such.  The largest
+    d is checked against the ternary limit before the first unit.
     """
+    dmax = max(d_values, default=0)
+    if dmax >= 3:
+        check_ternary_limit(dmax)
     findings = []
     units = []
     for d in d_values:
@@ -288,11 +307,10 @@ def conjecture_scan(d_values):
                     "minimal_circulant": minimality_circulant(ideal),
                 }
                 bad = not unit["minimal_circulant"]
-                nullity, v = _nullity_and_kernel_vector(ideal)
-                togliatti = _is_togliatti_system(ideal, nullity)
-                unit["togliatti"] = togliatti
+                r = restriction(ideal)
+                togliatti = unit["togliatti"] = r.togliatti
                 if togliatti:
-                    unit["minimal_oracle"] = _is_minimal(ideal, nullity, v)
+                    unit["minimal_oracle"] = r.minimal
                     bad = bad or not unit["minimal_oracle"]
                 if bad:
                     unit["status"] = "counterexample"

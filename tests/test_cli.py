@@ -238,13 +238,13 @@ class TestOneIdealPerCommand:
 
 
 def _spy_eliminations(monkeypatch):
-    """Count the calls of polymat's elimination loop, made by wlp directly or
-    through bareiss_rank."""
+    """Record the row width of every call of polymat's elimination loop, made
+    by wlp directly or through bareiss_rank."""
     calls = []
     real = polymat.bareiss_echelon
 
     def spy(m, pivot_cols=None):
-        calls.append(len(m))
+        calls.append(len(m[0]))
         return real(m, pivot_cols)
 
     monkeypatch.setattr(polymat, "bareiss_echelon", spy)
@@ -313,6 +313,22 @@ class TestTogliattiFirst:
         assert minimal["route"] == "kernel_vector"
         assert minimal["cross_check"] is None
 
+    @pytest.mark.parametrize("argv,printed", [
+        (("minimal", "--d", "13", "--a", "4", "--subset-oracle"), True),
+        (("minimal", "--d", str(circulant._TERNARY_LIMIT), "--a", "3", "--subset-oracle"), True),
+        (("minimal", "--d", str(circulant._TERNARY_LIMIT + 1), "--a", "3", "--subset-oracle"),
+         False),
+        (("minimal", "--d", "13", "--a", "4"), False),
+    ])
+    def test_routes_agree_only_after_the_newton_cross_check(self, capsys, argv, printed):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        report = json.loads(out)
+        names = [c["name"] for c in report["checks"]]
+        assert ("routes_agree" in names) == printed
+        assert (report["results"]["cross_check"] == "newton_product") == (
+            int(argv[2]) <= circulant._TERNARY_LIMIT)
+
     def test_newton_disagreement_exits_2(self, capsys, monkeypatch):
         real = circulant.circulant_product
         monkeypatch.setattr(cli, "circulant_product", lambda d, w: real(d, w) * 2)
@@ -340,6 +356,20 @@ class TestOneEliminationPerCommand:
         assert code == 0, err
         assert len(elims) == eliminations
         assert len(expansions) == products
+
+    @pytest.mark.parametrize("argv,width", [
+        # no Togliatti candidate (mu > d + 1): the plain elimination
+        (("report", "--d", "16", "--action", "15,3,11"), lambda d, mu: d + 1),
+        (("report", "--d", "200", "--action", "0,0,1"), lambda d, mu: d + 1),
+        # a candidate: E^T beside the mu x mu identity
+        (("report", "--d", "7", "--action", "0,1,3"), lambda d, mu: d + 1 + mu),
+    ])
+    def test_identity_block_only_for_togliatti_candidates(self, capsys, monkeypatch, argv, width):
+        elims = _spy_eliminations(monkeypatch)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        d, mu = int(argv[2]), json.loads(out)["results"]["invariants"]["mu"]
+        assert elims == [width(d, mu)]
 
     def test_minimal_at_the_minimality_limit_is_fast(self, capsys):
         d = wlp.MINIMALITY_LIMIT
@@ -370,6 +400,19 @@ class TestBenchContract:
         assert answers.WRONG not in verdicts, verdicts[answers.WRONG]
         assert len(verdicts[answers.KNOWN_FAILURE]) == 5, verdicts[answers.KNOWN_FAILURE]
         assert all(a.startswith("minimal") for a in verdicts[answers.KNOWN_FAILURE])
+
+
+class TestConjectureScanLimit:
+    def test_dmax_past_the_ternary_limit_fails_before_any_unit(self, capsys, monkeypatch):
+        def no_scan(action):
+            raise AssertionError(f"scanned {action}")
+
+        monkeypatch.setattr(wlp, "invariant_monomials", no_scan)
+        code, out, err = run_cli(capsys, "conjecture-scan", "--dmax",
+                                 str(circulant._TERNARY_LIMIT + 1))
+        assert code == 1 and out == ""
+        limit = circulant._TERNARY_LIMIT
+        assert err == f"gtsys: error: ternary form supported for 3 <= d <= {limit}\n"
 
 
 class TestVerdictAtLargeD:

@@ -1,6 +1,7 @@
 """Every exported name resolves, and names deleted from the API stay gone."""
 
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -69,3 +70,21 @@ def test_removed_members_are_gone():
     assert not hasattr(gtsystems.circulant, "scaled_ternary_product")
     assert not hasattr(gtsystems.circulant, "cofactor_product")
     assert not hasattr(gtsystems.wlp, "check_circulant_route")
+
+
+def test_cli_holds_no_private_wlp_object():
+    cli, wlp = gtsystems.cli, gtsystems.wlp
+    private = {n for n in vars(wlp) if n.startswith("_") and not n.startswith("__")}
+    held = [n for n, obj in vars(cli).items()
+            if n.startswith("_") and not n.startswith("__")
+            and (n in private or getattr(obj, "__module__", None) == wlp.__name__)]
+    assert held == []
+
+
+def test_one_restriction_per_ideal_api():
+    wlp = gtsystems.wlp
+    for fn in (wlp.gt_verdict, wlp.minimality_subset_oracle):
+        assert list(inspect.signature(fn).parameters) == ["ideal"], fn.__name__
+    for name in ("_nullity_and_kernel_vector", "_eigenvalue_product", "_is_minimal",
+                 "_is_togliatti_system"):
+        assert not hasattr(wlp, name), name

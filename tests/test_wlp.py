@@ -1,5 +1,6 @@
 """Injectivity of multiplication by a linear form, verdicts, and minimality."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -20,6 +21,7 @@ from gtsystems.wlp import (
     kernel_dimension,
     minimality_circulant,
     minimality_subset_oracle,
+    restriction,
 )
 
 # ------------------------------------------------------------------ oracle
@@ -78,21 +80,23 @@ def oracle_kernel(ideal, coeffs=(1, 1, 1)):
     return dim_src - rank
 
 
+def togliatti_oracle(ideal):
+    """A Togliatti system: artinian, at most d+1 generators, a nonzero kernel
+    by the plain elimination."""
+    return ideal.has_pure_powers() and ideal.mu <= ideal.d + 1 and kernel_dimension(ideal) >= 1
+
+
 def single_removal_oracle(ideal):
     """Minimality by brute force: drop each generator in turn and ask whether
-    what is left is still a Togliatti system (artinian, at most d+1
-    generators, a nonzero kernel).  Kernels only grow when generators are
-    added, so a Togliatti subset forces a Togliatti subset of corank one and
-    single removals suffice.  It runs the restriction rank mu + 1 times."""
-
-    def togliatti(gens):
-        sub = GTIdeal(ideal.d, gens)
-        return sub.has_pure_powers() and sub.mu <= sub.d + 1 and kernel_dimension(sub) >= 1
-
+    what is left is still a Togliatti system.  Kernels only grow when
+    generators are added, so a Togliatti subset forces a Togliatti subset of
+    corank one and single removals suffice.  It runs the restriction rank
+    mu + 1 times."""
     gens = ideal.generators
-    if not togliatti(gens):
+    if not togliatti_oracle(ideal):
         raise ValueError("minimality oracle expects a Togliatti system")
-    return not any(togliatti(gens[:i] + gens[i + 1:]) for i in range(len(gens)))
+    return not any(togliatti_oracle(GTIdeal(ideal.d, gens[:i] + gens[i + 1:]))
+                   for i in range(len(gens)))
 
 
 def random_togliatti_candidates(rng, count):
@@ -180,6 +184,28 @@ class TestRestriction:
         ideal = invariant_monomials(Action(5, (0, 1, 2)))
         for coeffs in ((0, 1, 1), (1, 0, 1), (0, 0, 1)):
             assert kernel_dimension(ideal, coeffs) == oracle_kernel(ideal, coeffs), coeffs
+
+
+class TestCandidateRule:
+    def test_restriction_agrees_with_the_plain_elimination(self):
+        # every faithful action with 3 <= d <= 12: only a Togliatti candidate
+        # is eliminated beside the identity, and v is kept exactly for the
+        # Togliatti systems
+        seen = {"actions": 0, "togliatti": 0, "non_candidates": 0}
+        for d in range(3, 13):
+            for weights in itertools.product(range(d), repeat=3):
+                if math.gcd(*weights, d) != 1:
+                    continue
+                ideal = invariant_monomials(Action(d, weights))
+                r = restriction(ideal)
+                assert r.nullity == kernel_dimension(ideal), (d, weights)
+                assert r.togliatti == togliatti_oracle(ideal), (d, weights)
+                assert (r.v is not None) == r.togliatti, (d, weights)
+                seen["actions"] += 1
+                seen["togliatti"] += r.togliatti
+                seen["non_candidates"] += ideal.mu > d + 1
+        # every candidate among them is a Togliatti system
+        assert seen == {"actions": 5534, "togliatti": 3780, "non_candidates": 1754}, seen
 
 
 class TestVerdicts:
@@ -297,8 +323,8 @@ class TestKernelCertificate:
     def test_inexact_cofactor_is_a_consistency_error(self, monkeypatch):
         # x^d is not divisible by x + y + z
         ideal = invariant_monomials(Action(5, (0, 1, 2)))
-        monkeypatch.setattr(wlp, "_eigenvalue_product",
-                            lambda ideal, v: SparsePoly.monomial(3, (5, 0, 0)))
+        monkeypatch.setattr(wlp.Restriction, "product",
+                            property(lambda r: SparsePoly.monomial(3, (5, 0, 0))))
         with pytest.raises(ConsistencyError):
             kernel_certificate(ideal)
 
@@ -365,16 +391,18 @@ class TestMinimality:
         rng = random.Random(2016)
         seen = {"togliatti": 0, "minimal": 0, "non_minimal": 0, "nullity_2+": 0}
         for ideal in random_togliatti_candidates(rng, 6000):
+            r = restriction(ideal)
             try:
                 expected = single_removal_oracle(ideal)
             except ValueError:
+                assert not r.togliatti
                 with pytest.raises(ValueError):
-                    minimality_subset_oracle(ideal)
+                    r.minimal
                 continue
-            assert minimality_subset_oracle(ideal) == expected, ideal.generators
+            assert r.minimal == expected, ideal.generators
             seen["togliatti"] += 1
             seen["minimal" if expected else "non_minimal"] += 1
-            seen["nullity_2+"] += kernel_dimension(ideal) >= 2
+            seen["nullity_2+"] += r.nullity >= 2
         assert seen["togliatti"] >= 300, seen
         assert min(seen.values()) > 0, seen
 
@@ -412,9 +440,8 @@ class TestKernelVector:
                 continue
             units += 1
             eliminations.clear()
-            minimality_subset_oracle(ideal)
-            (m,) = eliminations
-            v = m[-1][d + 1:]
+            v = restriction(ideal).v
+            assert len(eliminations) == 1
             product = ternary_product(d, a, b)
             assert product.support() <= set(ideal.generators), action
             c = [product.coefficient(g) for g in ideal.generators]
@@ -473,11 +500,13 @@ class TestEigenvalueProductFromKernel:
                     continue
                 ideal = invariant_monomials(Action(d, weights))
                 if ideal.generators not in kernels:
-                    kernels[ideal.generators] = wlp._nullity_and_kernel_vector(ideal)
-                nullity, v = kernels[ideal.generators]
-                if nullity != 1 or not wlp._is_togliatti_system(ideal, nullity):
+                    kernels[ideal.generators] = restriction(ideal)
+                # the same elimination, read for this action's weights
+                r = dataclasses.replace(kernels[ideal.generators], ideal=ideal)
+                if r.nullity != 1 or not r.togliatti:
+                    assert r.product is None
                     continue
-                product = wlp._eigenvalue_product(ideal, v)
+                product = r.product
                 assert product.terms == circulant_product(d, weights).terms, (d, weights)
                 checked += 1
                 signed += product.coefficient((d, 0, 0)) == -1
@@ -493,10 +522,8 @@ class TestEigenvalueProductFromKernel:
                 continue
             ideal = invariant_monomials(action)
             if ideal.generators not in kernels:
-                nullity, v = wlp._nullity_and_kernel_vector(ideal)
                 # raises ConsistencyError on an inexact division
-                kernels[ideal.generators] = (
-                    wlp._eigenvalue_product(ideal, v) if nullity == 1 else None)
+                kernels[ideal.generators] = restriction(ideal).product
             product = kernels[ideal.generators]
             if product is None:
                 continue
@@ -506,13 +533,23 @@ class TestEigenvalueProductFromKernel:
         assert units == 8410
 
     def test_inexact_division_is_a_consistency_error(self):
-        ideal = invariant_monomials(Action(7, (0, 1, 3)))
-        nullity, v = wlp._nullity_and_kernel_vector(ideal)
-        assert nullity == 1
+        r = restriction(invariant_monomials(Action(7, (0, 1, 3))))
+        v = r.v
+        assert r.nullity == 1 and r.product is not None
         with pytest.raises(ConsistencyError):
-            wlp._eigenvalue_product(ideal, [2 * v[0]] + v[1:])
+            dataclasses.replace(r, v=(2 * v[0],) + v[1:]).product
         with pytest.raises(ConsistencyError):
-            wlp._eigenvalue_product(ideal, [0] + v[1:])
+            dataclasses.replace(r, v=(0,) + v[1:]).product
+
+    def test_support_must_match_minimality(self):
+        # v vanishing at z^d leaves the ideal minimal (pure powers are not
+        # read), but the product then misses a generator
+        r = restriction(invariant_monomials(Action(7, (0, 1, 3))))
+        assert r.ideal.generators[-1] == (0, 0, 7)
+        tampered = dataclasses.replace(r, v=r.v[:-1] + (0,))
+        assert tampered.minimal
+        with pytest.raises(ConsistencyError, match="support"):
+            tampered.product
 
 
 class TestConjectureScan:
@@ -545,6 +582,16 @@ class TestConjectureScan:
         for u in togliatti:
             assert u["minimal_circulant"] is True
             assert u["minimal_oracle"] is True
+
+    def test_ternary_limit_checked_before_the_first_unit(self, monkeypatch):
+        def no_scan(action):
+            raise AssertionError(f"scanned {action}")
+
+        monkeypatch.setattr(wlp, "invariant_monomials", no_scan)
+        with pytest.raises(ValueError, match=f"d <= {circulant._TERNARY_LIMIT}"):
+            conjecture_scan(range(3, circulant._TERNARY_LIMIT + 2))
+        with pytest.raises(ValueError):
+            conjecture_scan([circulant._TERNARY_LIMIT + 1, 5])
 
     def test_one_enumeration_and_one_elimination_per_unit(self, eliminations, monkeypatch):
         enumerations = []
