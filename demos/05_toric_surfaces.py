@@ -3,9 +3,10 @@
 The systems (x^d, y^d, z^d, x^k y^k z^eps, ..., xyz^(d-2)) define toric
 surfaces.  The exponent polytope computes the degree (it always equals d),
 lattice data decides smoothness (odd d smooth, even d singular), and the
-minors of a 2-row matrix of linear and quadratic entries present the
-ideal, with a closed-form Betti table whose alternating sums vanish and
-whose h-polynomial evaluates to d at 1.
+binomial 2x2 minors of a 2-row matrix of monomial entries present the
+ideal: each minor m - n vanishes on the surface because the exponent images
+of m and n under the parametrization agree.  The closed-form Betti table
+has vanishing alternating sums and an h-polynomial that evaluates to d at 1.
 """
 
 import math

@@ -6,7 +6,9 @@ ideal: its degree is the normalized hull area divided by the index of the
 difference lattice.  The complementary degree-d monomials parametrize the
 variety cut out by the inverse system; smoothness is decided there, by
 checking that every hull edge is fully populated and that the primitive edge
-directions at each vertex form a basis of the difference lattice.
+directions at each vertex form a basis of the difference lattice.  The
+presentation of the classical surface is built from binomials, and each one
+is checked by comparing the exponent images of its two terms.
 """
 
 from __future__ import annotations
@@ -64,41 +66,29 @@ def _normalized_area(hull):
     return abs(s)
 
 
-def _hermite_basis(vectors):
-    """Upper-triangular basis [(a, b), (0, c)] of the lattice the vectors span."""
-    rows = [list(v) for v in vectors if v != (0, 0)]
-    lead = None
-    for row in rows:
-        if row[0] == 0:
-            continue
-        if lead is None:
-            lead = row
-            continue
-        while row[0]:
-            if abs(row[0]) < abs(lead[0]):
-                lead, row = row, lead
-            q = row[0] // lead[0]
-            row[0] -= q * lead[0]
-            row[1] -= q * lead[1]
-    c = 0
-    for row in rows:
-        if row is not lead and row[1]:
-            c = math.gcd(c, abs(row[1]))
-    if lead is None:
-        return None if c == 0 else ((0, c), None)
-    if c:
-        lead[1] %= c
-    return ((abs(lead[0]), lead[1] if lead[0] > 0 else -lead[1]), (0, c) if c else None)
-
-
 class _Lattice:
-    """Rank-2 sublattice of Z^2 described by a Hermite basis."""
+    """Rank-2 sublattice of Z^2 with Hermite basis (a, b), (0, c)."""
 
     def __init__(self, vectors):
-        basis = _hermite_basis(vectors)
-        if basis is None or basis[1] is None:
+        rows = [list(v) for v in vectors if v != (0, 0)]
+        lead = None
+        for row in rows:
+            if row[0] == 0:
+                continue
+            if lead is None:
+                lead = row
+                continue
+            while row[0]:
+                if abs(row[0]) < abs(lead[0]):
+                    lead, row = row, lead
+                q = row[0] // lead[0]
+                row[0] -= q * lead[0]
+                row[1] -= q * lead[1]
+        c = math.gcd(*(row[1] for row in rows if row is not lead))
+        if lead is None or c == 0:
             raise ValueError("point configuration does not span a rank-2 lattice")
-        (self.a, self.b), (_, self.c) = basis
+        lead[1] %= c
+        self.a, self.b, self.c = abs(lead[0]), lead[1] if lead[0] > 0 else -lead[1], c
 
     @property
     def index(self):
@@ -141,24 +131,24 @@ class LatticeModel:
         }
 
 
-def _projected(generators):
-    return [(g[1], g[2]) for g in generators]
+def _hull_and_lattice(pts, name):
+    """Hull of the points and the lattice their differences span."""
+    hull = _convex_hull(pts)
+    if len(hull) < 3:
+        raise ValueError(f"{name} is degenerate")
+    base = pts[0]
+    return hull, _Lattice([(p[0] - base[0], p[1] - base[1]) for p in pts])
 
 
 def exponent_polytope_degree(ideal: GTIdeal) -> LatticeModel:
     """Degree of the image surface from the generator exponent polytope."""
-    pts = _projected(ideal.generators)
-    hull = _convex_hull(pts)
-    if len(hull) < 3:
-        raise ValueError("exponent polytope is degenerate")
+    pts = [(g[1], g[2]) for g in ideal.generators]
+    hull, lattice = _hull_and_lattice(pts, "exponent polytope")
     area = _normalized_area(hull)
-    base = pts[0]
-    lattice = _Lattice([(p[0] - base[0], p[1] - base[1]) for p in pts])
-    index = lattice.index
-    degree, rem = divmod(area, index)
+    degree, rem = divmod(area, lattice.index)
     if rem:
         raise ConsistencyError("lattice index does not divide the normalized area")
-    return LatticeModel(tuple(sorted(pts)), tuple(hull), area, index, degree)
+    return LatticeModel(tuple(sorted(pts)), tuple(hull), area, lattice.index, degree)
 
 
 def complement_exponents(ideal: GTIdeal):
@@ -204,31 +194,24 @@ def polytope_smoothness(ideal: GTIdeal) -> SmoothnessReport:
     """
     pts = complement_exponents(ideal)
     pset = set(pts)
-    hull = _convex_hull(pts)
-    if len(hull) < 3:
-        raise ValueError("complement configuration is degenerate")
-    base = pts[0]
-    lattice = _Lattice([(p[0] - base[0], p[1] - base[1]) for p in pts])
-    index = lattice.index
+    hull, lattice = _hull_and_lattice(pts, "complement configuration")
 
-    gaps = []
-    n = len(hull)
-    for i in range(n):
-        v, w = hull[i], hull[(i + 1) % n]
+    # one primitive step per hull edge; the edge back from vertex i is minus
+    # the step of edge i - 1
+    gaps, steps = [], []
+    for v, w in zip(hull, hull[1:] + hull[:1]):
         step, count = lattice.primitive((w[0] - v[0], w[1] - v[1]))
+        steps.append(step)
         for t in range(1, count):
             q = (v[0] + t * step[0], v[1] + t * step[1])
             if q not in pset:
                 gaps.append(q)
 
     vertices = []
-    for i in range(n):
-        v = hull[i]
-        nxt, prv = hull[(i + 1) % n], hull[(i - 1) % n]
-        u1, _ = lattice.primitive((nxt[0] - v[0], nxt[1] - v[1]))
-        u2, _ = lattice.primitive((prv[0] - v[0], prv[1] - v[1]))
-        det = u1[0] * u2[1] - u1[1] * u2[0]
-        vertices.append((v, det, abs(det) == index))
+    for i, v in enumerate(hull):
+        (u0, u1), (b0, b1) = steps[i], steps[i - 1]
+        det = u1 * b0 - u0 * b1  # det(step i, -step i-1)
+        vertices.append((v, det, abs(det) == lattice.index))
 
     interior = all(
         g.count(0) == 0
@@ -236,7 +219,7 @@ def polytope_smoothness(ideal: GTIdeal) -> SmoothnessReport:
         if sorted(g) != [0, 0, ideal.d]
     )
     smooth = not gaps and all(ok for _, _, ok in vertices)
-    return SmoothnessReport(smooth, index, tuple(vertices), tuple(gaps), interior)
+    return SmoothnessReport(smooth, lattice.index, tuple(vertices), tuple(gaps), interior)
 
 
 @dataclass(frozen=True)
@@ -252,10 +235,7 @@ class GeneratorPresentation:
 
     @property
     def generators(self):
-        gens = list(self.minors)
-        if self.extra_quadric is not None:
-            gens.append(self.extra_quadric)
-        return gens
+        return list(self.minors) + ([] if self.extra_quadric is None else [self.extra_quadric])
 
     def generator_strings(self):
         names = tuple(f"x{i}" for i in range(self.k + 3))
@@ -272,61 +252,52 @@ class GeneratorPresentation:
         }
 
 
-def _pullback(poly: SparsePoly, params):
-    out = SparsePoly.zero(3)
-    for exp, c in poly.terms.items():
-        tri = [0, 0, 0]
-        for i, e in enumerate(exp):
-            if e:
-                tri[0] += e * params[i][0]
-                tri[1] += e * params[i][1]
-                tri[2] += e * params[i][2]
-        out = out + SparsePoly.monomial(3, tuple(tri), c)
-    return out
-
-
 def determinantal_generators(d) -> GeneratorPresentation:
     """Presentation of the image surface of the degree-d classical system.
 
-    For odd d the ideal is the 2x2 minors of a 2 x (k+1) matrix; for even d
-    it is the minors of a 2 x k matrix together with one extra quadric.
-    All generators must pull back to zero under the parametrization, which is
-    verified here.
+    Every generator is a binomial in x0..x(k+2).  Both parities share the
+    2 x k matrix with rows x3..x(k+2) and x4..x(k+2), x2.  For odd d the
+    column (x0*x1, x3^2) is appended and the ideal is the 2x2 minors; for even
+    d the same column gives the extra quadric x0*x1 - x3^2.  A binomial m - n
+    pulls back to zero exactly when the exponent images of m and n under the
+    parametrization agree, which is verified here.
     """
     if d < 3:
         raise ValueError("need d >= 3")
     k = d // 2
     nv = k + 3
-    var = lambda i: SparsePoly.variable(nv, i)
+    mono = lambda *idx: tuple(idx.count(i) for i in range(nv))
+    row1 = [mono(i) for i in range(3, k + 3)]
+    row2 = [mono(i) for i in range(4, k + 3)] + [mono(2)]
+    column = (mono(0, 1), mono(3, 3))
     if d % 2:
-        row1 = [var(3 + j) for j in range(k - 1)] + [var(k + 2), var(0) * var(1)]
-        row2 = [var(4 + j) for j in range(k - 1)] + [var(2), var(3) * var(3)]
-        extra = None
-    else:
-        row1 = [var(3 + j) for j in range(k - 1)] + [var(k + 2)]
-        row2 = [var(4 + j) for j in range(k - 1)] + [var(2)]
-        extra = var(0) * var(1) - var(3) * var(3)
-    ncols = len(row1)
-    minors = []
-    for i in range(ncols):
-        for j in range(i + 1, ncols):
-            minors.append(row1[i] * row2[j] - row2[i] * row1[j])
+        row1.append(column[0])
+        row2.append(column[1])
+    plus = lambda m, n: tuple(map(sum, zip(m, n)))
+    minors = [
+        (plus(row1[i], row2[j]), plus(row2[i], row1[j]))
+        for i in range(len(row1))
+        for j in range(i + 1, len(row1))
+    ]
+    binomials = minors + ([] if d % 2 else [column])
 
     params = _classical_exponents(d)
-    ok = all(_pullback(g, params).is_zero() for g in minors)
-    if extra is not None:
-        ok = ok and _pullback(extra, params).is_zero()
-    if not ok:
+    # the image of x_i1*x_i2*... is params[i1] + params[i2] + ...
+    image = lambda e: [sum(c) for c in
+                       zip(*(params[i] for i, p in enumerate(e) for _ in range(p)))]
+    if any(image(m) != image(n) for m, n in binomials):
         raise ConsistencyError(f"pullback of a presentation generator is nonzero at d={d}")
 
-    gens = minors + ([extra] if extra is not None else [])
-    quadrics = sum(1 for g in gens if g.total_degree() == 2)
-    cubics = sum(1 for g in gens if g.total_degree() == 3)
+    degrees = [max(sum(m), sum(n)) for m, n in binomials]
+    quadrics, cubics = degrees.count(2), degrees.count(3)
     expected = (math.comb(k, 2), k) if d % 2 else (math.comb(k, 2) + 1, 0)
-    if quadrics + cubics != len(gens) or (quadrics, cubics) != expected:
+    if quadrics + cubics != len(binomials) or (quadrics, cubics) != expected:
         raise ConsistencyError(f"unexpected generator degrees at d={d}")
+    poly = lambda *terms: SparsePoly(nv, dict(zip(terms, (1, -1))))
+    gens = [poly(m, n) for m, n in binomials]
     return GeneratorPresentation(
-        d, k, (tuple(row1), tuple(row2)), tuple(minors), extra,
+        d, k, tuple(tuple(poly(e) for e in row) for row in (row1, row2)),
+        tuple(gens[:len(minors)]), None if d % 2 else gens[-1],
         quadrics, cubics, True,
     )
 
@@ -387,29 +358,19 @@ def betti_table(d) -> BettiTable:
     Even d: a mapping cone over the Eagon-Northcott complex of the 2 x k
     matrix, shifted copies accounting for the extra quadric; step 1 has rank
     1+C(k,2) in twist -2, step i >= 2 contributes i*C(k,i+1) in twist -(i+1)
-    and (i-1)*C(k,i) in twist -(i+2).
+    and (i-1)*C(k,i) in twist -(i+2).  One loop builds both: even d differs
+    only in the coefficient i-1 and the extra 1 in beta_(1,2).
     """
     if d < 3:
         raise ValueError("need d >= 3")
     k = d // 2
+    even = 1 - d % 2
     rows = [(0, 0, 1)]
-    if d % 2:
-        for i in range(1, k + 1):
-            r1 = i * math.comb(k, i + 1)
-            if r1:
-                rows.append((i, i + 1, r1))
-            r2 = i * math.comb(k, i)
-            if r2:
-                rows.append((i, i + 2, r2))
-    else:
-        rows.append((1, 2, 1 + math.comb(k, 2)))
-        for i in range(2, k + 1):
-            r1 = i * math.comb(k, i + 1)
-            if r1:
-                rows.append((i, i + 1, r1))
-            r2 = (i - 1) * math.comb(k, i)
-            if r2:
-                rows.append((i, i + 2, r2))
+    for i in range(1, k + 1):
+        for j, r in ((i + 1, i * math.comb(k, i + 1) + (even if i == 1 else 0)),
+                     (i + 2, (i - even) * math.comb(k, i))):
+            if r:
+                rows.append((i, j, r))
     table = BettiTable(d, k, tuple(rows))
     if table.alternating_sum() != 0:
         raise ConsistencyError(f"alternating rank sum nonzero at d={d}")

@@ -88,3 +88,24 @@ def test_one_restriction_per_ideal_api():
     for name in ("_nullity_and_kernel_vector", "_eigenvalue_product", "_is_minimal",
                  "_is_togliatti_system"):
         assert not hasattr(wlp, name), name
+
+
+def test_surface_api_is_unchanged():
+    surface = gtsystems.surface
+    for name in ("_pullback", "_hermite_basis", "_projected"):
+        assert not hasattr(surface, name), name
+    assert surface.__all__ == [
+        "BettiTable", "GeneratorPresentation", "LatticeModel", "SmoothnessReport",
+        "betti_table", "complement_exponents", "determinantal_generators",
+        "exponent_polytope_degree", "polytope_smoothness",
+    ]
+    fields = {
+        surface.GeneratorPresentation: ["d", "k", "matrix", "minors", "extra_quadric",
+                                        "quadric_count", "cubic_count", "pullbacks_vanish"],
+        surface.BettiTable: ["d", "k", "rows"],
+        surface.LatticeModel: ["points", "hull", "normalized_area", "lattice_index", "degree"],
+        surface.SmoothnessReport: ["smooth", "lattice_index", "vertices", "edge_gaps",
+                                   "interior_condition"],
+    }
+    for cls, names in fields.items():
+        assert list(cls.__dataclass_fields__) == names, cls.__name__

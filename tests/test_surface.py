@@ -4,14 +4,91 @@ import math
 
 import pytest
 
+from gtsystems import surface
 from gtsystems.actions import Action, _classical_exponents, generalized_classical, invariant_monomials
+from gtsystems.errors import ConsistencyError
+from gtsystems.polymat import SparsePoly
 from gtsystems.surface import (
+    SmoothnessReport,
     betti_table,
     complement_exponents,
     determinantal_generators,
     exponent_polytope_degree,
     polytope_smoothness,
 )
+
+
+# ------------------------------------------------------------------ oracles
+
+
+def presentation_oracle(d):
+    """The presentation built symbolically: SparsePoly 2x2 minors of the
+    odd/even matrix, each pulled back through the parametrization by
+    substituting monomials.  Returns (rows, generators, pullbacks)."""
+    k = d // 2
+    nv = k + 3
+    var = lambda i: SparsePoly.variable(nv, i)
+    if d % 2:
+        row1 = [var(3 + j) for j in range(k - 1)] + [var(k + 2), var(0) * var(1)]
+        row2 = [var(4 + j) for j in range(k - 1)] + [var(2), var(3) * var(3)]
+        extra = []
+    else:
+        row1 = [var(3 + j) for j in range(k - 1)] + [var(k + 2)]
+        row2 = [var(4 + j) for j in range(k - 1)] + [var(2)]
+        extra = [var(0) * var(1) - var(3) * var(3)]
+    gens = [
+        row1[i] * row2[j] - row2[i] * row1[j]
+        for i in range(len(row1))
+        for j in range(i + 1, len(row1))
+    ] + extra
+    params = [SparsePoly.monomial(3, e) for e in _classical_exponents(d)]
+    pullbacks = []
+    for g in gens:
+        out = SparsePoly.zero(3)
+        for exp, c in g.terms.items():
+            term = SparsePoly.monomial(3, (0, 0, 0), c)
+            for i, e in enumerate(exp):
+                for _ in range(e):
+                    term = term * params[i]
+            out = out + term
+        pullbacks.append(out)
+    return (row1, row2), gens, pullbacks
+
+
+def faithful_actions(d_values):
+    """Every faithful (0, a, b) with 0 <= a, b <= d-1."""
+    for d in d_values:
+        for a in range(d):
+            for b in range(d):
+                if math.gcd(a, b, d) == 1:
+                    yield Action(d, (0, a, b))
+
+
+def smoothness_oracle(ideal):
+    """The smoothness report with both edge directions at each vertex taken
+    separately, as primitive vectors of the vertex-to-neighbour differences."""
+    pts = complement_exponents(ideal)
+    hull = surface._convex_hull(pts)
+    lattice = surface._Lattice([(p[0] - pts[0][0], p[1] - pts[0][1]) for p in pts])
+    n = len(hull)
+    gaps, vertices = [], []
+    for i in range(n):
+        v, w = hull[i], hull[(i + 1) % n]
+        step, count = lattice.primitive((w[0] - v[0], w[1] - v[1]))
+        edge = [(v[0] + t * step[0], v[1] + t * step[1]) for t in range(1, count)]
+        gaps += [q for q in edge if q not in pts]
+    for i in range(n):
+        v, nxt, prv = hull[i], hull[(i + 1) % n], hull[(i - 1) % n]
+        u1, _ = lattice.primitive((nxt[0] - v[0], nxt[1] - v[1]))
+        u2, _ = lattice.primitive((prv[0] - v[0], prv[1] - v[1]))
+        det = u1[0] * u2[1] - u1[1] * u2[0]
+        vertices.append((v, det, abs(det) == lattice.index))
+    interior = all(0 not in g for g in ideal.generators if sorted(g) != [0, 0, ideal.d])
+    smooth = not gaps and all(ok for _, _, ok in vertices)
+    return SmoothnessReport(smooth, lattice.index, tuple(vertices), tuple(gaps), interior)
+
+
+# -------------------------------------------------------------------- tests
 
 
 class TestPolytopeDegree:
@@ -31,6 +108,34 @@ class TestPolytopeDegree:
         model = exponent_polytope_degree(invariant_monomials(Action(5, (0, 1, 2))))
         assert model.lattice_index == 5
         assert model.normalized_area == 25
+
+
+class TestGaloisCoveringDegree:
+    def test_degree_equals_d_for_every_faithful_action(self):
+        # the degree of the Galois covering is the order of the group
+        for action in faithful_actions(range(3, 17)):
+            model = exponent_polytope_degree(invariant_monomials(action))
+            assert model.degree == action.d, action
+
+    def test_smoothness_equals_the_two_directions_oracle(self):
+        for action in faithful_actions(range(3, 17)):
+            ideal = invariant_monomials(action)
+            assert polytope_smoothness(ideal) == smoothness_oracle(ideal), action
+
+    def test_one_primitive_per_hull_edge(self, monkeypatch):
+        calls = []
+        primitive = surface._Lattice.primitive
+
+        def spy(self, v):
+            calls.append(v)
+            return primitive(self, v)
+
+        monkeypatch.setattr(surface._Lattice, "primitive", spy)
+        for action in faithful_actions(range(3, 17)):
+            calls.clear()
+            report = polytope_smoothness(invariant_monomials(action))
+            # one edge per hull vertex, walked once
+            assert len(calls) == len(report.vertices), action
 
 
 class TestComplementAndSmoothness:
@@ -77,6 +182,25 @@ class TestParametrizationAndGenerators:
             assert gp.cubic_count == 0
             assert gp.extra_quadric is not None
 
+    def test_equals_the_symbolic_oracle(self):
+        for d in range(3, 41):
+            (row1, row2), gens, pullbacks = presentation_oracle(d)
+            gp = determinantal_generators(d)
+            names = tuple(f"x{i}" for i in range(d // 2 + 3))
+            assert gp.generator_strings() == [g.render(names) for g in gens], d
+            assert gp.matrix == (tuple(row1), tuple(row2)), d
+            assert gp.quadric_count == sum(g.total_degree() == 2 for g in gens), d
+            assert gp.cubic_count == sum(g.total_degree() == 3 for g in gens), d
+            assert all(p.is_zero() for p in pullbacks), d
+
+    @pytest.mark.parametrize("d", [5, 6, 9])
+    def test_wrong_parametrization_is_a_consistency_error(self, d, monkeypatch):
+        params = _classical_exponents(d)
+        params[2], params[3] = params[3], params[2]
+        monkeypatch.setattr(surface, "_classical_exponents", lambda _: params)
+        with pytest.raises(ConsistencyError, match=f"pullback .* nonzero at d={d}"):
+            determinantal_generators(d)
+
     def test_matrix_shape(self):
         gp = determinantal_generators(9)  # k = 4
         assert len(gp.matrix) == 2
@@ -109,14 +233,24 @@ class TestBettiTables:
     def test_odd_table_closed_form(self):
         # For odd d = 2k+1: beta_{i,i+1} = i*C(k, i+1) and
         # beta_{i,i+2} = i*C(k, i) for 1 <= i <= k.
-        for d in (5, 7, 9, 11):
+        for d in range(3, 42, 2):
             k = d // 2
-            bt = betti_table(d)
-            got = {(i, j): b for i, j, b in bt.rows if i > 0}
+            want = {}
             for i in range(1, k + 1):
-                lin = i * math.comb(k, i + 1)
-                quad = i * math.comb(k, i)
-                if lin:
-                    assert got[(i, i + 1)] == lin
-                if quad:
-                    assert got[(i, i + 2)] == quad
+                want[(i, i + 1)] = i * math.comb(k, i + 1)
+                want[(i, i + 2)] = i * math.comb(k, i)
+            got = {(i, j): b for i, j, b in betti_table(d).rows if i > 0}
+            assert got == {key: b for key, b in want.items() if b}, d
+
+    def test_even_table_closed_form(self):
+        # The mapping cone for even d = 2k: beta_{1,2} = 1 + C(k, 2), and
+        # for 2 <= i <= k, beta_{i,i+1} = i*C(k, i+1) and
+        # beta_{i,i+2} = (i-1)*C(k, i).
+        for d in range(4, 41, 2):
+            k = d // 2
+            want = {(1, 2): 1 + math.comb(k, 2)}
+            for i in range(2, k + 1):
+                want[(i, i + 1)] = i * math.comb(k, i + 1)
+                want[(i, i + 2)] = (i - 1) * math.comb(k, i)
+            got = {(i, j): b for i, j, b in betti_table(d).rows if i > 0}
+            assert got == {key: b for key, b in want.items() if b}, d
