@@ -2,9 +2,9 @@
 
 An action is a weight triple (a,b,c): the group generator scales the variables
 by zeta^a, zeta^b, zeta^c.  A degree-d monomial x^al y^be z^ga is invariant
-exactly when a*al + b*be + c*ga = 0 (mod d).  The enumeration below is a
-direct scan of the whole degree-d simplex; closed-form counts elsewhere in the
-package are always checked against it, never the other way round.
+exactly when a*al + b*be + c*ga = 0 (mod d).  The enumeration below solves
+that linear congruence for ga at each be, in O(d + mu) steps; the direct scan
+of the whole degree-d simplex is its oracle in the tests.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ __all__ = [
     "Action",
     "GTIdeal",
     "InvalidActionError",
+    "check_invariant_limit",
     "generalized_classical",
     "invariant_monomials",
     "inverse_data",
@@ -25,6 +26,11 @@ __all__ = [
     "n_sequence",
     "normalize_action",
 ]
+
+
+# Largest number of monomials invariant_monomials may yield, bounded before
+# the enumeration starts (check_invariant_limit).
+INVARIANT_LIMIT = 10**6
 
 
 class InvalidActionError(ValueError):
@@ -119,17 +125,48 @@ class GTIdeal:
         }
 
 
-def invariant_monomials(action: Action) -> GTIdeal:
-    """All invariant degree-d monomials of the action, by direct scan."""
+def _congruence(action: Action):
+    """(p, q, g, t) for the action (a, b, c) of order d: p = b - a and
+    q = c - a mod d, g = gcd(q, d), and t = g / gcd(p, g).  The invariant
+    monomials x^al y^be z^ga are those with q*ga = -p*be (mod d): there are
+    some for be exactly when g divides p*be, that is when t divides be, and
+    their ga then form one class modulo d / g."""
     d = action.d
     a, b, c = action.weights
+    p, q = (b - a) % d, (c - a) % d
+    g = math.gcd(q, d)
+    return p, q, g, g // math.gcd(p, g)
+
+
+def check_invariant_limit(action: Action):
+    """Raise ValueError when invariant_monomials could yield more than
+    INVARIANT_LIMIT monomials.  The n = d // t + 1 y-exponents be = k*t have
+    at most (d - k*t) // (d / g) + 1 monomials each; the bound sums these
+    without the floors, so it also bounds the n steps of the loop."""
+    d = action.d
+    _, _, g, t = _congruence(action)
+    n = d // t + 1
+    bound = n + n * (2 * d - t * (n - 1)) * g // (2 * d)
+    if bound > INVARIANT_LIMIT:
+        raise ValueError(
+            f"the invariant enumeration has a size limit of {INVARIANT_LIMIT} monomials "
+            f"(INVARIANT_LIMIT); the action {action} may have up to {bound}"
+        )
+
+
+def invariant_monomials(action: Action) -> GTIdeal:
+    """All invariant degree-d monomials of the action, by the linear
+    congruence of _congruence, solved once for each y-exponent that has
+    solutions: O(d / t + mu) steps, bounded first by check_invariant_limit."""
+    check_invariant_limit(action)
+    d = action.d
+    p, q, g, t = _congruence(action)
+    step = d // g
+    inverse = pow(q // g, -1, step)
     gens = []
-    for be in range(d + 1):
-        base = b * be
-        for ga in range(d + 1 - be):
-            al = d - be - ga
-            if (a * al + base + c * ga) % d == 0:
-                gens.append((al, be, ga))
+    for be in range(0, d + 1, t):
+        for ga in range(-p * be % d // g * inverse % step, d - be + 1, step):
+            gens.append((d - be - ga, be, ga))
     return GTIdeal(d, tuple(gens), action=action)
 
 

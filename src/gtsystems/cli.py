@@ -18,7 +18,7 @@ import random
 import sys
 
 from . import __version__
-from .actions import Action, generalized_classical, invariant_monomials
+from .actions import Action, check_invariant_limit, generalized_classical, invariant_monomials
 from .arrangements import (
     _ARRANGEMENT_LIMITS,
     build_arrangement,
@@ -36,6 +36,7 @@ from .circulant import (
     ternary_product,
 )
 from .classification import (
+    _check_classify_limit,
     class_count_formulas,
     classify_moves,
     prime_and_primepower_counts,
@@ -48,7 +49,13 @@ from .surface import (
     exponent_polytope_degree,
     polytope_smoothness,
 )
-from .wlp import check_minimality_route, conjecture_scan, kernel_dimension, restriction
+from .wlp import (
+    WlpVerdict,
+    check_minimality_route,
+    conjecture_scan,
+    kernel_dimension,
+    restriction,
+)
 
 DEFAULT_SEED = 20260814
 
@@ -114,8 +121,8 @@ def cmd_invariants(args):
     return _invariants_report(invariant_monomials(_parse_action(args)))
 
 
-def _verdict_report(r, general_l, seed):
-    ideal, verdict = r.ideal, r.verdict()
+def _verdict_report(ideal, nullity, general_l, seed):
+    verdict = WlpVerdict.from_nullity(ideal, nullity)
     artinian = ideal.has_pure_powers()
     checks = [
         _check("artinian", "pass" if artinian else "finding",
@@ -134,7 +141,7 @@ def _verdict_report(r, general_l, seed):
     results = {"verdict": verdict.to_json()}
     if general_l:
         rng = random.Random(seed)
-        base_rank = verdict.dim_source - r.nullity
+        base_rank = verdict.dim_source - nullity
         samples = []
         for _ in range(general_l):
             coeffs = random_scales(rng)
@@ -152,7 +159,8 @@ def _verdict_report(r, general_l, seed):
 
 def cmd_gt_verdict(args):
     ideal = invariant_monomials(_parse_action(args))
-    return _verdict_report(restriction(ideal), args.general_l, args.seed)
+    # the verdict reads only the nullity: no identity block, no kernel vector
+    return _verdict_report(ideal, kernel_dimension(ideal), args.general_l, args.seed)
 
 
 def _minimal_report(r, cross_check=False, subset_oracle=False):
@@ -190,7 +198,7 @@ def _minimal_report(r, cross_check=False, subset_oracle=False):
 
 def cmd_minimal(args):
     action = _parse_action(args)
-    check_minimality_route(action)  # before the invariant scan, whose cost grows as d^2
+    check_minimality_route(action)  # before the invariant enumeration
     r = restriction(invariant_monomials(action))
     return _minimal_report(r, cross_check=True, subset_oracle=args.subset_oracle)
 
@@ -363,12 +371,15 @@ def cmd_report(args):
     action = _parse_action(args)
     d = args.d
     minimal = len(set(action.weights)) == 3
-    # classify_moves refuses a d past its limit, and the minimal section one
-    # past the minimality limit, so both run before the invariant scan, whose
-    # cost grows as d^2
-    partition = classify_moves(d) if d >= 4 else None
+    # every size limit first: the classify limit, the minimality limit when
+    # there is a minimal section, then the invariant limit, before the
+    # partition and the invariant enumeration
+    if d >= 4:
+        _check_classify_limit(d)
     if minimal:
         check_minimality_route(action)
+    check_invariant_limit(action)
+    partition = classify_moves(d) if d >= 4 else None
     ideal = invariant_monomials(action)
     # one elimination: the verdict, the minimal section and the membership
     # forms all read it
@@ -383,7 +394,7 @@ def cmd_report(args):
         )
 
     absorb("invariants", _invariants_report(ideal))
-    absorb("verdict", _verdict_report(r, args.general_l, args.seed))
+    absorb("verdict", _verdict_report(ideal, r.nullity, args.general_l, args.seed))
 
     if minimal and r.togliatti:
         absorb("minimal", _minimal_report(r))
@@ -499,9 +510,53 @@ def _render_csv(report):
     return buf.getvalue()
 
 
+_json_str = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+
+
+def _json_text(value, nl):
+    """value as json.dumps(value, indent=2, sort_keys=True) writes it, nested
+    at the line prefix nl, with the type tests in json's order; every dict or
+    list is one str.join.  A key that is no str, or a value of no JSON type,
+    raises TypeError."""
+    t = type(value)
+    if t is str:  # the common leaves first
+        return _json_str(value)
+    if t is int:
+        return int.__repr__(value)
+    if isinstance(value, str):
+        return _json_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value in (_INF, -_INF):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    inner = nl + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in value]) + nl + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        return "{" + inner + ("," + inner).join(
+            [_json_str(k) + ": " + _json_text(v, inner) for k, v in sorted(value.items())]
+        ) + nl + "}"
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
 def _render(report, fmt):
     if fmt == "json":
-        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+        return _json_text(report, "\n") + "\n"
     if fmt == "md":
         return _render_md(report)
     if fmt == "csv":

@@ -1,10 +1,13 @@
 """Sparse multivariate integer polynomials and exact integer matrix rank.
 
 Polynomials map exponent tuples to nonzero Python int coefficients.  Ranks
-are computed exactly by fraction-free Bareiss elimination over Z.
+are computed exactly by fraction-free elimination over Z that keeps every
+updated row primitive.
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 __all__ = ["SparsePoly", "bareiss_echelon", "bareiss_rank"]
 
@@ -157,17 +160,21 @@ class SparsePoly:
 
 def bareiss_echelon(m, pivot_cols=None) -> int:
     """Reduce the integer matrix m (a list of row lists) in place to row
-    echelon form by fraction-free Bareiss elimination; return the number of
-    pivots.  Pivots are taken only among the first pivot_cols columns (all
-    by default), so when m is a matrix beside the identity, every row below
-    the pivots is zero on the left and holds an integer left-kernel vector of
-    the left block on the right.  Every division is exact."""
+    echelon form by fraction-free elimination with primitive rows; return
+    the number of pivots.  Pivots are taken only among the first pivot_cols
+    columns (all by default), so when m is a matrix beside the identity,
+    every row below the pivots is zero on the left and holds an integer
+    left-kernel vector of the left block on the right.
+
+    The pivot is the remaining entry of least magnitude in its column.  A row
+    with entry f != 0 under the pivot p becomes (p/g)*row - (f/g)*pivot_row,
+    g = gcd(p, f), and is then divided by its content, so entries stay small
+    and a row with f = 0 is not touched; only the pivot row's nonzero columns
+    are read.  Every division is exact."""
     nr = len(m)
     nc = len(m[0]) if nr else 0
-    prev = 1
     r = 0
     for col in range(nc if pivot_cols is None else pivot_cols):
-        # pick the remaining entry of least magnitude in this column to slow growth
         pivot_row = -1
         best = None
         for i in range(r, nr):
@@ -182,16 +189,24 @@ def bareiss_echelon(m, pivot_cols=None) -> int:
         if pivot_row < 0:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        piv = m[r][col]
+        mr = m[r]
+        piv = mr[col]
+        support = [(j, mr[j]) for j in range(col + 1, nc) if mr[j]]
         for i in range(r + 1, nr):
             mi = m[i]
-            mr = m[r]
             f = mi[col]
-            if f == 0 and piv == prev:
-                continue  # update reduces to mi[j] * piv // prev == mi[j]
-            for j in range(col, nc):
-                mi[j] = (mi[j] * piv - f * mr[j]) // prev
-        prev = piv
+            if not f:
+                continue
+            g = gcd(piv, f)
+            p, q = piv // g, f // g
+            if p != 1:
+                mi = m[i] = [x * p for x in mi]
+            mi[col] = 0
+            for j, x in support:
+                mi[j] -= q * x
+            c = gcd(*mi)
+            if c > 1:
+                m[i] = [x // c for x in mi]
         r += 1
         if r == nr:
             break

@@ -11,8 +11,8 @@ rank of E is exact, by fraction-free elimination, at every d.
 For L = x + y + z the eigenvalue product of the action lies in that kernel,
 so when the kernel has dimension 1 its vector is the product's coefficient
 vector, scaled.  restriction(ideal) makes that one elimination, and the
-verdict, the Togliatti predicate, minimality and the product are read off
-the Restriction it returns.
+Togliatti predicate, minimality and the product are read off the Restriction
+it returns; the verdict needs only the nullity (WlpVerdict.from_nullity).
 """
 
 from __future__ import annotations
@@ -46,9 +46,10 @@ __all__ = [
 # recorded again.
 RANK_REPORT_LIMIT = 16
 
-# Largest d at which report and minimal decide minimality.  It is a size
-# limit of the one augmented elimination, whose entries grow with d: 0.2 s at
-# d = 256, several seconds past 400.
+# Largest d at which report and minimal decide minimality.  The one
+# augmented elimination takes 0.02-0.03 s at d = 256 and 0.10-0.15 s at
+# d = 420 (Python 3.11, one Xeon core), so the limit is a contract, not a
+# cost: raising it changes which requests are answered.
 MINIMALITY_LIMIT = 256
 
 
@@ -77,6 +78,11 @@ NOT_TOGLIATTI = "minimality oracle expects a Togliatti system"
 def _candidate(ideal: GTIdeal) -> bool:
     """All three pure powers and at most d+1 generators."""
     return ideal.has_pure_powers() and ideal.mu <= ideal.d + 1
+
+
+def _togliatti(ideal: GTIdeal, nullity: int) -> bool:
+    """A Togliatti candidate on which x + y + z fails injectivity."""
+    return nullity >= 1 and _candidate(ideal)
 
 
 def kernel_dimension(ideal: GTIdeal, coeffs=(1, 1, 1)) -> int:
@@ -117,6 +123,22 @@ class WlpVerdict:
             "method": self.method,
         }
 
+    @classmethod
+    def from_nullity(cls, ideal: GTIdeal, nullity: int) -> WlpVerdict:
+        """The verdict from the nullity of E at x + y + z, which is the
+        dimension of the kernel at degree d-1 -> d."""
+        d, mu = ideal.d, ideal.mu
+        dim_src, dim_tgt = d * (d + 1) // 2, (d + 1) * (d + 2) // 2 - mu
+        rank = dim_src - nullity
+        return cls(
+            action=ideal.action, d=d, mu=mu, dim_source=dim_src, dim_target=dim_tgt,
+            rank=rank if d <= RANK_REPORT_LIMIT else None,
+            fails_injectivity=nullity > 0,
+            fails_wlp_at_d_minus_1=rank < min(dim_src, dim_tgt),
+            generator_bound_ok=mu <= d + 1, is_togliatti=_togliatti(ideal, nullity),
+            method="restriction",
+        )
+
 
 @dataclass(frozen=True)
 class Restriction:
@@ -129,20 +151,7 @@ class Restriction:
 
     @property
     def togliatti(self) -> bool:
-        """A Togliatti candidate on which x + y + z fails injectivity."""
-        return self.nullity >= 1 and _candidate(self.ideal)
-
-    def verdict(self) -> WlpVerdict:
-        d, mu = self.ideal.d, self.ideal.mu
-        dim_src, dim_tgt = d * (d + 1) // 2, (d + 1) * (d + 2) // 2 - mu
-        rank = dim_src - self.nullity
-        return WlpVerdict(
-            action=self.ideal.action, d=d, mu=mu, dim_source=dim_src, dim_target=dim_tgt,
-            rank=rank if d <= RANK_REPORT_LIMIT else None,
-            fails_injectivity=self.nullity > 0,
-            fails_wlp_at_d_minus_1=rank < min(dim_src, dim_tgt),
-            generator_bound_ok=mu <= d + 1, is_togliatti=self.togliatti, method="restriction",
-        )
+        return _togliatti(self.ideal, self.nullity)
 
     @property
     def minimal(self) -> bool:
@@ -242,8 +251,9 @@ def kernel_certificate(ideal: GTIdeal) -> KernelCertificate:
 
 def gt_verdict(ideal: GTIdeal) -> WlpVerdict:
     """Full verdict for the ideal at degree d-1 -> d, from the exact kernel
-    of multiplication by x + y + z."""
-    return restriction(ideal).verdict()
+    of multiplication by x + y + z: one plain elimination, as the verdict
+    reads no kernel vector."""
+    return WlpVerdict.from_nullity(ideal, kernel_dimension(ideal))
 
 
 def minimality_subset_oracle(ideal: GTIdeal) -> bool:

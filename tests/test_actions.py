@@ -1,13 +1,16 @@
 """Diagonal cyclic group actions and their invariant monomial ideals."""
 
 import math
+import random
 
 import pytest
 
+from gtsystems import actions
 from gtsystems.actions import (
     Action,
     GTIdeal,
     InvalidActionError,
+    check_invariant_limit,
     generalized_classical,
     invariant_monomials,
     inverse_data,
@@ -17,15 +20,19 @@ from gtsystems.actions import (
 )
 
 
+def simplex(d):
+    return [(i, j, d - i - j) for i in range(d, -1, -1) for j in range(d - i, -1, -1)]
+
+
 def brute_invariants(d, weights):
     """Independent O(d^2) oracle: scan all degree-d exponent triples."""
-    out = []
-    for i in range(d, -1, -1):
-        for j in range(d - i, -1, -1):
-            k = d - i - j
-            if (i * weights[0] + j * weights[1] + k * weights[2]) % d == 0:
-                out.append((i, j, k))
-    return set(out)
+    a, b, c = weights
+    return {m for m in simplex(d) if (m[0] * a + m[1] * b + m[2] * c) % d == 0}
+
+
+def faithful_actions(d):
+    return [(a, b, c) for a in range(d) for b in range(d) for c in range(d)
+            if math.gcd(a, b, c, d) == 1]
 
 
 class TestAction:
@@ -81,6 +88,31 @@ class TestInvariantMonomials:
                 ideal = invariant_monomials(act)
                 assert set(ideal.generators) == brute_invariants(d, act.weights), (d, a, b)
 
+    @pytest.mark.parametrize("d", range(2, 25))
+    def test_congruence_equals_the_scan_on_every_faithful_action(self, d):
+        mons = simplex(d)
+        for a, b, c in faithful_actions(d):
+            scan = {m for m in mons if (m[0] * a + m[1] * b + m[2] * c) % d == 0}
+            assert set(invariant_monomials(Action(d, (a, b, c))).generators) == scan, (d, a, b, c)
+
+    def test_congruence_equals_the_scan_on_random_actions(self):
+        rng = random.Random(2016)
+        checked = 0
+        while checked < 150:
+            d = rng.randint(25, 200)
+            weights = tuple(rng.randrange(d) for _ in range(3))
+            if math.gcd(*weights, d) != 1:
+                continue
+            # a common divisor of d and the shifted weights makes mu large
+            if rng.random() < 0.3:
+                g = rng.choice([k for k in range(2, 13) if d % k == 0] or [1])
+                weights = (weights[0], weights[0] + g * weights[1], weights[0] + g * weights[2])
+                if math.gcd(*weights, d) != 1:
+                    continue
+            ideal = invariant_monomials(Action(d, weights))
+            assert set(ideal.generators) == brute_invariants(d, weights), (d, weights)
+            checked += 1
+
     def test_pure_powers_always_invariant(self):
         for d in (3, 5, 8, 13):
             for a in range(2, d):
@@ -109,6 +141,47 @@ class TestInvariantMonomials:
         assert invariant_monomials(Action(16, (0, 1, 9))).mu == 14
         for d in (8, 16, 32):
             assert invariant_monomials(Action(d, (0, 1, d // 2 + 1))).mu == 3 * d // 4 + 2
+
+
+class TestInvariantLimit:
+    def _bound_holds(self, monkeypatch, d, weights):
+        # with the limit one below mu the check must refuse: its bound is at
+        # least the number of monomials
+        mu = len(brute_invariants(d, weights))
+        action = Action(d, weights)
+        monkeypatch.setattr(actions, "INVARIANT_LIMIT", mu - 1)
+        with pytest.raises(ValueError, match="INVARIANT_LIMIT"):
+            check_invariant_limit(action)
+        with pytest.raises(ValueError, match="size limit"):
+            invariant_monomials(action)
+        monkeypatch.undo()
+
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_bound_is_at_least_mu_on_every_faithful_action(self, monkeypatch, d):
+        for weights in faithful_actions(d):
+            self._bound_holds(monkeypatch, d, weights)
+
+    def test_bound_is_at_least_mu_on_random_actions(self, monkeypatch):
+        rng = random.Random(17)
+        for d in rng.sample(range(13, 120), 40):
+            for weights in ((0, 1, rng.randrange(d)), (1, 1, 1), (0, 0, 1), (0, 1, 0),
+                            (0, d // 2, 1), (1, 1 + rng.randrange(d), 1)):
+                if math.gcd(*weights, d) == 1:
+                    self._bound_holds(monkeypatch, d, weights)
+
+    @pytest.mark.parametrize("d,weights", [(10**8, (0, 1, 3)), (10**18, (0, 1, 1)),
+                                           (5000, (1, 1, 1)), (2 * 10**6, (0, 1, 0))])
+    def test_refused_before_any_enumeration(self, d, weights):
+        # none of these could be enumerated in a test's lifetime
+        with pytest.raises(ValueError, match=f"size limit of {actions.INVARIANT_LIMIT} monomials"):
+            invariant_monomials(Action(d, weights))
+
+    def test_limit_value(self):
+        assert actions.INVARIANT_LIMIT == 10**6
+        # the fully degenerate action at d = 1412 has 998 991 monomials and passes
+        check_invariant_limit(Action(1412, (1, 1, 1)))
+        with pytest.raises(ValueError):
+            check_invariant_limit(Action(1413, (1, 1, 1)))
 
 
 class TestSequencesAndHelpers:

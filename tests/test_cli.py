@@ -363,13 +363,33 @@ class TestOneEliminationPerCommand:
         (("report", "--d", "200", "--action", "0,0,1"), lambda d, mu: d + 1),
         # a candidate: E^T beside the mu x mu identity
         (("report", "--d", "7", "--action", "0,1,3"), lambda d, mu: d + 1 + mu),
+        (("minimal", "--d", "7", "--action", "0,1,3"), lambda d, mu: d + 1 + mu),
+        (("minimal", "--d", "13", "--a", "4", "--subset-oracle"), lambda d, mu: d + 1 + mu),
+        # the verdict reads only the nullity: the plain elimination, also on
+        # a Togliatti candidate
+        (("gt-verdict", "--d", "7", "--a", "3"), lambda d, mu: d + 1),
+        (("gt-verdict", "--d", "40", "--action", "0,1,3"), lambda d, mu: d + 1),
+        (("gt-verdict", "--d", "16", "--action", "15,3,11"), lambda d, mu: d + 1),
     ])
     def test_identity_block_only_for_togliatti_candidates(self, capsys, monkeypatch, argv, width):
         elims = _spy_eliminations(monkeypatch)
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, err
-        d, mu = int(argv[2]), json.loads(out)["results"]["invariants"]["mu"]
+        d = int(argv[2])
+        mu = actions.invariant_monomials(cli._parse_action(build_parser().parse_args(argv))).mu
         assert elims == [width(d, mu)]
+
+    def test_gt_verdict_sampling_is_plain_throughout(self, capsys, monkeypatch):
+        elims = _spy_eliminations(monkeypatch)
+        code, out, err = run_cli(capsys, "gt-verdict", "--d", "7", "--a", "3", "--general-l", "3")
+        assert code == 0, err
+        assert elims == [8] * 4
+        assert json.loads(out)["results"]["verdict"]["is_togliatti"] is True
+
+    def test_library_verdict_is_plain(self, monkeypatch):
+        elims = _spy_eliminations(monkeypatch)
+        verdict = wlp.gt_verdict(actions.invariant_monomials(actions.Action(13, (0, 1, 4))))
+        assert verdict.is_togliatti and elims == [14]
 
     def test_minimal_at_the_minimality_limit_is_fast(self, capsys):
         d = wlp.MINIMALITY_LIMIT
@@ -512,6 +532,30 @@ class TestLibraryLimits:
             code, out, _ = run_cli(capsys, "report", "--d", str(d), "--a", "2")
             assert code == 0
             assert ("surface" in json.loads(out)["results"]) is present
+
+
+class TestInvariantLimit:
+    @pytest.mark.parametrize("argv", [
+        ("invariants", "--d", "100000000", "--a", "3"),
+        ("gt-verdict", "--d", "100000000", "--a", "3"),
+        ("invariants", "--d", "5000", "--action", "1,1,1"),
+    ])
+    def test_refused_at_once_with_the_limit_named(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert err.startswith(f"gtsys: error: the invariant enumeration has a size limit of "
+                              f"{actions.INVARIANT_LIMIT} monomials (INVARIANT_LIMIT)")
+
+    def test_report_checks_it_before_the_partition(self, capsys, monkeypatch):
+        def no_partition(d):
+            raise AssertionError("report partitioned above the invariant limit")
+
+        monkeypatch.setattr(cli, "classify_moves", no_partition)
+        code, out, err = run_cli(capsys, "report", "--d", "5000", "--action", "1,1,1")
+        assert code == 1 and out == ""
+        assert "(INVARIANT_LIMIT)" in err
 
 
 class TestClassifyPartition:

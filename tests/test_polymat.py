@@ -1,10 +1,13 @@
 """Sparse integer polynomials and exact matrix rank."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from gtsystems import wlp
+from gtsystems.actions import Action, invariant_monomials
 from gtsystems.polymat import SparsePoly, bareiss_echelon, bareiss_rank
 
 
@@ -26,6 +29,44 @@ def fraction_rank(rows):
                 m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
         rank += 1
     return rank
+
+
+def bareiss_oracle(m, pivot_cols=None):
+    """Independent oracle: the classical fraction-free Bareiss elimination,
+    which scales every row below the pivot at every step and divides by the
+    previous pivot, with the same pivot rule (least magnitude) and the same
+    in-place contract as bareiss_echelon."""
+    nr = len(m)
+    nc = len(m[0]) if nr else 0
+    prev = 1
+    r = 0
+    for col in range(nc if pivot_cols is None else pivot_cols):
+        pivot_row = -1
+        best = None
+        for i in range(r, nr):
+            v = m[i][col]
+            if v and (best is None or abs(v) < best):
+                best, pivot_row = abs(v), i
+        if pivot_row < 0:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        piv, mr = m[r][col], m[r]
+        for i in range(r + 1, nr):
+            mi = m[i]
+            f = mi[col]
+            for j in range(col, nc):
+                q, rem = divmod(mi[j] * piv - f * mr[j], prev)
+                assert rem == 0
+                mi[j] = q
+        prev = piv
+        r += 1
+        if r == nr:
+            break
+    return r
+
+
+def beside_identity(rows):
+    return [row + [int(i == j) for j in range(len(rows))] for i, row in enumerate(rows)]
 
 
 class TestSparsePoly:
@@ -128,6 +169,36 @@ class TestExactRank:
                 assert all(sum(vi * r[c] for vi, r in zip(v, rows)) == 0 for c in range(nc))
             assert fraction_rank(kernel) == nr - rank, rows
 
+    def test_updated_rows_are_primitive_and_untouched_rows_kept(self):
+        # pivot 2 in column 0: a row with 0 there is not touched; a row with
+        # f becomes (2/g)*row - (f/g)*pivot row, g = gcd(2, f), over its content
+        rows = [[2, 4, 6, 1], [0, 3, 5, 7], [4, 2, 8, 2], [6, 0, 0, 4], [5, 5, 5, 5]]
+        m = [list(r) for r in rows]
+        kept = m[1]
+        assert bareiss_echelon(m, 1) == 1
+        assert m[0] == rows[0] and m[1] is kept and kept == rows[1]
+        assert m[2] == [0, -3, -2, 0]  # row - 2*pivot row = 0, -6, -4, 0, content 2
+        assert m[3] == [0, -12, -18, 1]  # row - 3*pivot row, content 1
+        assert m[4] == [0, -2, -4, 1]  # 2*row - 5*pivot row = 0, -10, -20, 5, content 5
+
+    def test_agrees_with_the_bareiss_oracle_random(self):
+        rng = random.Random(4140)
+        for _ in range(300):
+            nr, nc = rng.randint(1, 9), rng.randint(1, 7)
+            lo, hi = rng.choice([(-1, 1), (-9, 9), (0, 3), (-10**12, 10**12)])
+            rows = [[rng.randint(lo, hi) if rng.random() < 0.6 else 0 for _ in range(nc)]
+                    for _ in range(nr)]
+            if nr >= 3 and rng.random() < 0.5:
+                rows[-1] = [3 * x - 2 * y for x, y in zip(rows[0], rows[1])]
+            new, old = beside_identity(rows), beside_identity(rows)
+            rank = bareiss_echelon(new, nc)
+            assert rank == bareiss_oracle(old, nc) == fraction_rank(rows), rows
+            kernel_new = [row[nc:] for row in new[rank:]]
+            kernel_old = [row[nc:] for row in old[rank:]]
+            assert all(not any(row[:nc]) for row in new[rank:]), rows
+            # both bottom blocks span the same left kernel
+            assert fraction_rank(kernel_new + kernel_old) == nr - rank, rows
+
     def test_huge_entries_stay_exact(self):
         big = 10**30
         rows = [[big, big + 1], [big - 1, big]]
@@ -135,3 +206,55 @@ class TestExactRank:
         assert bareiss_rank(rows) == 2
         rows2 = [[big, big], [big, big]]
         assert bareiss_rank(rows2) == 1
+
+
+def _candidates(d_values, weights=None):
+    """The distinct Togliatti candidates (all pure powers, mu <= d + 1) among
+    the invariant ideals of (0, a, b), 1 <= a < b <= d - 1; the elimination
+    reads only the generators, so each ideal is eliminated once."""
+    seen = {}
+    for d in d_values:
+        pairs = weights or [(a, b) for a in range(1, d) for b in range(a + 1, d)]
+        for a, b in pairs:
+            if math.gcd(a, b, d) != 1:
+                continue
+            ideal = invariant_monomials(Action(d, (0, a, b)))
+            if ideal.has_pure_powers() and ideal.mu <= d + 1:
+                seen.setdefault(ideal.generators, ideal)
+    return list(seen.values())
+
+
+class TestRestrictionAgainstBareiss:
+    """The restriction matrices E^T at x + y + z beside the identity, as
+    wlp.restriction eliminates them: the primitive-row engine and the
+    Bareiss oracle give the same nullity and proportional kernel vectors v."""
+
+    @staticmethod
+    def _agree(ideal):
+        rows = wlp._restriction_rows(ideal, (1, 1, 1))
+        mu, width = len(rows), ideal.d + 1
+        new, old = beside_identity(rows), beside_identity(rows)
+        rank = bareiss_echelon(new, width)
+        assert rank == bareiss_oracle(old, width), ideal.generators
+        nullity = mu - rank
+        if nullity == 1:
+            v, w = new[-1][width:], old[-1][width:]
+            k = next(i for i, x in enumerate(w) if x)
+            assert all(vi * w[k] == wi * v[k] for vi, wi in zip(v, w)), ideal.generators
+            assert math.gcd(*v) == 1  # the last update left the row primitive
+        return nullity
+
+    def test_every_candidate_up_to_40(self):
+        ideals = _candidates(range(3, 41))
+        assert len(ideals) == 1122
+        # every one is a Togliatti system with a one-dimensional kernel
+        assert {self._agree(ideal) for ideal in ideals} == {1}
+
+    @pytest.mark.parametrize("d,pairs", [
+        (128, [(1, 3), (2, 5), (1, 65), (3, 7)]),
+        (256, [(1, 3), (2, 5)]),
+    ])
+    def test_large_d(self, d, pairs):
+        ideals = _candidates([d], pairs)
+        assert len(ideals) == len(pairs)
+        assert {self._agree(ideal) for ideal in ideals} == {1}
