@@ -21,7 +21,7 @@ from gtsystems import (
     invariant_monomials,
     singular_census,
 )
-from gtsystems.arrangements import random_scales
+from gtsystems.wlp import random_scales
 
 print("Ceva configurations (d^2 lines, 3d points, d per point, 3 per line):")
 for d in (3, 5, 8):

@@ -6,50 +6,31 @@ arithmetic; no floating point is involved anywhere."""
 
 __version__ = "0.1.0"
 
-from .actions import (
-    Action,
-    GTIdeal,
-    InvalidActionError,
-    generalized_classical,
-    invariant_monomials,
-    inverse_data,
-    n_sequence,
-    normalize_action,
-)
-from .arrangements import (
-    build_arrangement,
-    certificate_product_membership,
-    ceva_configuration,
-    freeness_diagnostic,
-    singular_census,
-)
-from .circulant import (
-    circulant_det_symbolic,
-    coefficient_query,
-    ternary_product,
-)
-from .classification import (
-    class_count_formulas,
-    classify_moves,
-    prime_and_primepower_counts,
-)
-from .cyclotomic import CyclotomicInt, cyclotomic_polynomial
-from .errors import ConsistencyError, NonIntegerError
-from .polymat import SparsePoly, bareiss_rank
-from .surface import (
-    betti_table,
-    determinantal_generators,
-    exponent_polytope_degree,
-    polytope_smoothness,
-)
-from .wlp import (
-    WlpVerdict,
-    conjecture_scan,
-    gt_verdict,
-    kernel_certificate,
-    minimality_circulant,
-    minimality_subset_oracle,
-)
+import importlib
+
+# where each exported name is defined; __getattr__ below imports the module
+# on the first access of one of its names, so `import gtsystems` loads none
+_ORIGIN = {
+    name: module
+    for module, names in {
+        "actions": ("Action", "GTIdeal", "InvalidActionError", "generalized_classical",
+                    "invariant_monomials", "inverse_data", "n_sequence", "normalize_action"),
+        "arrangements": ("build_arrangement", "certificate_product_membership",
+                         "ceva_configuration", "freeness_diagnostic", "singular_census"),
+        "circulant": ("circulant_det_symbolic", "coefficient_query", "ternary_product"),
+        "classification": ("class_count_formulas", "classify_moves",
+                           "prime_and_primepower_counts"),
+        "cyclotomic": ("CyclotomicInt", "cyclotomic_polynomial"),
+        "errors": ("ConsistencyError", "NonIntegerError"),
+        "polymat": ("SparsePoly", "bareiss_rank"),
+        "surface": ("betti_table", "determinantal_generators", "exponent_polytope_degree",
+                    "polytope_smoothness"),
+        "wlp": ("WlpVerdict", "conjecture_scan", "gt_verdict", "kernel_certificate",
+                "minimality_circulant", "minimality_subset_oracle"),
+    }.items()
+    for name in names
+}
+_SUBMODULES = frozenset(_ORIGIN.values()) | {"cli"}
 
 __all__ = [
     "Action",
@@ -89,3 +70,21 @@ __all__ = [
     "singular_census",
     "ternary_product",
 ]
+
+
+def __getattr__(name):
+    """An exported name or a submodule, imported on its first access and
+    kept in the package namespace, so later accesses do not come here."""
+    if name in _ORIGIN:
+        value = getattr(importlib.import_module("." + _ORIGIN[name], __name__), name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module("." + name, __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    """Every name, loaded or not."""
+    return sorted(set(globals()) | set(__all__) | _SUBMODULES)

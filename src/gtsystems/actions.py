@@ -3,8 +3,9 @@
 An action is a weight triple (a,b,c): the group generator scales the variables
 by zeta^a, zeta^b, zeta^c.  A degree-d monomial x^al y^be z^ga is invariant
 exactly when a*al + b*be + c*ga = 0 (mod d).  The enumeration below solves
-that linear congruence for ga at each be, in O(d + mu) steps; the direct scan
-of the whole degree-d simplex is its oracle in the tests.
+that linear congruence for be at each al, in O(d + mu) steps, and so yields
+the monomials in descending lexicographic order; the direct scan of the whole
+degree-d simplex is its oracle in the tests.
 """
 
 from __future__ import annotations
@@ -98,10 +99,14 @@ class GTIdeal:
     action: Action | None = None
 
     def __post_init__(self):
-        gens = tuple(sorted({tuple(g) for g in self.generators}, reverse=True))
+        gens = tuple(map(tuple, self.generators))
+        # one pass tells a strictly descending input, which needs no sort
+        if any(g <= h for g, h in zip(gens, gens[1:])):
+            gens = tuple(sorted(set(gens), reverse=True))
+        d = self.d
         for g in gens:
-            if len(g) != 3 or any(v < 0 for v in g) or sum(g) != self.d:
-                raise ValueError(f"bad degree-{self.d} generator {g}")
+            if len(g) != 3 or min(g) < 0 or sum(g) != d:
+                raise ValueError(f"bad degree-{d} generator {g}")
         object.__setattr__(self, "generators", gens)
 
     @property
@@ -142,7 +147,9 @@ def check_invariant_limit(action: Action):
     """Raise ValueError when invariant_monomials could yield more than
     INVARIANT_LIMIT monomials.  The n = d // t + 1 y-exponents be = k*t have
     at most (d - k*t) // (d / g) + 1 monomials each; the bound sums these
-    without the floors, so it also bounds the n steps of the loop."""
+    without the floors.  It is at least n + n*g // 2, more than d / 2 as
+    n*g > d, so twice it also bounds the at most d + 1 steps of the loop of
+    invariant_monomials."""
     d = action.d
     _, _, g, t = _congruence(action)
     n = d // t + 1
@@ -155,18 +162,27 @@ def check_invariant_limit(action: Action):
 
 
 def invariant_monomials(action: Action) -> GTIdeal:
-    """All invariant degree-d monomials of the action, by the linear
-    congruence of _congruence, solved once for each y-exponent that has
-    solutions: O(d / t + mu) steps, bounded first by check_invariant_limit."""
+    """All invariant degree-d monomials of the action (a, b, c), in descending
+    lexicographic order, bounded first by check_invariant_limit.  With
+    n = be + ga = d - al the condition reads r*be = s*n (mod d) for r = b - c
+    and s = a - c.  It has solutions exactly when h = gcd(r, d) divides s*n,
+    that is when t = h / gcd(s, h) divides n, and their be then form one class
+    modulo d / h.  So it is solved once for each x-exponent al = d - n with
+    solutions, al descending and be descending inside: O(d / t + mu) steps."""
     check_invariant_limit(action)
     d = action.d
-    p, q, g, t = _congruence(action)
-    step = d // g
-    inverse = pow(q // g, -1, step)
+    a, b, c = action.weights
+    r, s = (b - c) % d, (a - c) % d
+    h = math.gcd(r, d)
+    t = h // math.gcd(s, h)
+    step = d // h
+    inverse = pow(r // h, -1, step)
     gens = []
-    for be in range(0, d + 1, t):
-        for ga in range(-p * be % d // g * inverse % step, d - be + 1, step):
-            gens.append((d - be - ga, be, ga))
+    for n in range(0, d + 1, t):
+        # the largest be <= n in the class of s*n/h * inverse; none below 0
+        be0 = s * n // h * inverse % step
+        for be in range(n - (n - be0) % step, -1, -step):
+            gens.append((d - n, be, n - be))
     return GTIdeal(d, tuple(gens), action=action)
 
 

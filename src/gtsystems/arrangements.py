@@ -30,7 +30,6 @@ __all__ = [
     "ceva_configuration",
     "cross",
     "freeness_diagnostic",
-    "random_scales",
     "singular_census",
 ]
 
@@ -309,8 +308,3 @@ def certificate_product_membership(ideal: GTIdeal, scales, product=None) -> Memb
     if not set(product.terms) <= set(ideal.generators):
         raise ConsistencyError("product escapes the invariant monomial span")
     return MembershipCertificate(ideal.action, scales, product, len(product.terms))
-
-
-def random_scales(rng):
-    """Three nonzero integer scales in 1..9 with random signs."""
-    return tuple(rng.randint(1, 9) * rng.choice((-1, 1)) for _ in range(3))

@@ -11,23 +11,12 @@ input, 2 when an internal cross-check fails.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
-import random
 import sys
 
 from . import __version__
 from .actions import Action, check_invariant_limit, generalized_classical, invariant_monomials
-from .arrangements import (
-    _ARRANGEMENT_LIMITS,
-    build_arrangement,
-    certificate_product_membership,
-    ceva_configuration,
-    freeness_diagnostic,
-    random_scales,
-    singular_census,
-)
 from .circulant import (
     _TERNARY_LIMIT,
     circulant_det_symbolic,
@@ -35,27 +24,19 @@ from .circulant import (
     coefficient_query,
     ternary_product,
 )
-from .classification import (
-    _check_classify_limit,
-    class_count_formulas,
-    classify_moves,
-    prime_and_primepower_counts,
-)
 from .errors import ConsistencyError
-from .surface import (
-    _SURFACE_RANGE,
-    betti_table,
-    determinantal_generators,
-    exponent_polytope_degree,
-    polytope_smoothness,
-)
 from .wlp import (
     WlpVerdict,
     check_minimality_route,
     conjecture_scan,
     kernel_dimension,
+    random_scales,
     restriction,
 )
+
+# classification, surface and arrangements (with cyclotomic), csv and random
+# are imported by the commands that use them, on their first call: the
+# per-ideal commands and their fresh processes never load them
 
 DEFAULT_SEED = 20260814
 
@@ -140,6 +121,8 @@ def _verdict_report(ideal, nullity, general_l, seed):
     ]
     results = {"verdict": verdict.to_json()}
     if general_l:
+        import random
+
         rng = random.Random(seed)
         base_rank = verdict.dim_source - nullity
         samples = []
@@ -204,19 +187,21 @@ def cmd_minimal(args):
 
 
 def cmd_classify(args):
+    from . import classification
+
     d = args.d
     if getattr(args, "action", None) or getattr(args, "a", None) is not None:
         action = _parse_action(args)
         w = action.normalized()
         if w[0] != 0 or w[1] != 1 or not 2 <= w[2] <= d - 1:
             raise ValueError("classification requires an action of the shape (0,1,a) with 2 <= a <= d-1")
-    partition = classify_moves(d)
+    partition = classification.classify_moves(d)
     results = {"partition": partition.to_json()}
     checks = [
         _check("partition_sizes", "pass", f"{len(partition.classes)} classes"),
     ]
     if d >= 5:
-        report = class_count_formulas(d, partition)
+        report = classification.class_count_formulas(d, partition)
         results["counts"] = report.to_json()
         checks.append(
             _check(
@@ -227,7 +212,7 @@ def cmd_classify(args):
             )
         )
     try:
-        results["closed_form_count"] = prime_and_primepower_counts(d)
+        results["closed_form_count"] = classification.prime_and_primepower_counts(d)
     except ValueError:
         pass
     return _report("classify", {"d": d}, results, checks)
@@ -307,19 +292,23 @@ def cmd_conjecture_scan(args):
 
 
 def cmd_surface(args):
+    from . import surface
+
     d = args.d
-    if d not in _SURFACE_RANGE:
+    if d not in surface._SURFACE_RANGE:
         raise ValueError("the surface suite is supported for "
-                         f"{_SURFACE_RANGE.start} <= d <= {_SURFACE_RANGE[-1]}")
+                         f"{surface._SURFACE_RANGE.start} <= d <= {surface._SURFACE_RANGE[-1]}")
     return _surface_report(d)
 
 
 def _surface_report(d):
+    from . import surface
+
     ideal = generalized_classical(d)
-    model = exponent_polytope_degree(ideal)
-    smooth = polytope_smoothness(ideal)
-    pres = determinantal_generators(d)
-    betti = betti_table(d)
+    model = surface.exponent_polytope_degree(ideal)
+    smooth = surface.polytope_smoothness(ideal)
+    pres = surface.determinantal_generators(d)
+    betti = surface.betti_table(d)
     checks = [
         _check("degree_equals_d", "pass" if model.degree == d else "finding",
                f"degree {model.degree}"),
@@ -340,13 +329,16 @@ def _surface_report(d):
 
 
 def cmd_arrangement(args):
+    from . import arrangements
+
     d = args.d
     kind = args.type
-    if d > _ARRANGEMENT_LIMITS[kind]:
-        raise ValueError(f"arrangement {kind} is supported for d <= {_ARRANGEMENT_LIMITS[kind]}")
-    arr = build_arrangement(kind, d)
-    census = singular_census(arr)
-    free = freeness_diagnostic(census)
+    limit = arrangements._ARRANGEMENT_LIMITS[kind]
+    if d > limit:
+        raise ValueError(f"arrangement {kind} is supported for d <= {limit}")
+    arr = arrangements.build_arrangement(kind, d)
+    census = arrangements.singular_census(arr)
+    free = arrangements.freeness_diagnostic(census)
     results = {
         "lines": arr.n_lines,
         "census": census.to_json()["census"],
@@ -360,7 +352,7 @@ def cmd_arrangement(args):
                "pass" if free.exponents else "finding", free.status),
     ]
     if kind == "ceva":
-        cert = ceva_configuration(d)
+        cert = arrangements.ceva_configuration(d)
         results["incidence"] = cert.to_json()
         checks.append(_check("incidence_certificate", "pass",
                              f"{cert.n_points} points x {cert.n_lines} lines"))
@@ -368,6 +360,8 @@ def cmd_arrangement(args):
 
 
 def cmd_report(args):
+    from . import classification, surface
+
     action = _parse_action(args)
     d = args.d
     minimal = len(set(action.weights)) == 3
@@ -375,11 +369,11 @@ def cmd_report(args):
     # there is a minimal section, then the invariant limit, before the
     # partition and the invariant enumeration
     if d >= 4:
-        _check_classify_limit(d)
+        classification._check_classify_limit(d)
     if minimal:
         check_minimality_route(action)
     check_invariant_limit(action)
-    partition = classify_moves(d) if d >= 4 else None
+    partition = classification.classify_moves(d) if d >= 4 else None
     ideal = invariant_monomials(action)
     # one elimination: the verdict, the minimal section and the membership
     # forms all read it
@@ -408,7 +402,7 @@ def cmd_report(args):
     if partition is not None:
         sections["classification"] = partition.to_json()
         if d >= 5:
-            counts = class_count_formulas(d, partition)
+            counts = classification.class_count_formulas(d, partition)
             sections["class_counts"] = counts.to_json()
             checks.append(
                 _check("classify.formula_oracle_agreement",
@@ -416,16 +410,20 @@ def cmd_report(args):
                        ", ".join(counts.findings) or "all fields agree")
             )
 
-    if d in _SURFACE_RANGE:
+    if d in surface._SURFACE_RANGE:
         absorb("surface", _surface_report(d))
 
     if d <= 9:
+        import random
+
+        from . import arrangements
+
         product = r.product if r.product is not None else circulant_product(d, action.weights)
         rng = random.Random(args.seed)
         forms = []
         for _ in range(5):
             scales = random_scales(rng)
-            cert = certificate_product_membership(ideal, scales, product)
+            cert = arrangements.certificate_product_membership(ideal, scales, product)
             forms.append({"scales": list(scales), "support_size": cert.support_size})
         sections["membership"] = {"forms": forms}
         checks.append(_check("membership.random_forms", "pass", "5 forms in the ideal"))
@@ -495,6 +493,8 @@ def _flatten(prefix, value, rows):
 
 
 def _render_csv(report):
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["section", "key", "value", "detail"])

@@ -37,6 +37,7 @@ __all__ = [
     "kernel_dimension",
     "minimality_circulant",
     "minimality_subset_oracle",
+    "random_scales",
     "restriction",
 ]
 
@@ -62,12 +63,19 @@ def _restriction_rows(ideal: GTIdeal, coeffs):
     if ga == 0:
         raise ValueError("the linear form needs a nonzero z coefficient")
     d = ideal.d
+    # the powers 0..d of -al, -be and ga, built once per call
+    pa, pb, pg = [1], [1], [1]
+    for _ in range(d):
+        pa.append(pa[-1] * -al)
+        pb.append(pb[-1] * -be)
+        pg.append(pg[-1] * ga)
+    comb = math.comb
     rows = []
     for i, j, k in ideal.generators:
         row = [0] * (d + 1)
-        scale = ga ** (i + j)
+        scale = pg[i + j]
         for m in range(k + 1):
-            row[j + m] = scale * math.comb(k, m) * (-al) ** (k - m) * (-be) ** m
+            row[j + m] = scale * comb(k, m) * pa[k - m] * pb[m]
         rows.append(row)
     return rows
 
@@ -91,6 +99,13 @@ def kernel_dimension(ideal: GTIdeal, coeffs=(1, 1, 1)) -> int:
     the quotient; the z coefficient must be nonzero."""
     rows = _restriction_rows(ideal, coeffs)
     return len(rows) - bareiss_rank(rows)
+
+
+def random_scales(rng):
+    """Three nonzero integer scales in 1..9 with random signs: the
+    coefficients of a random linear form for kernel_dimension, or the scales
+    of a membership certificate."""
+    return tuple(rng.randint(1, 9) * rng.choice((-1, 1)) for _ in range(3))
 
 
 @dataclass(frozen=True)
@@ -214,7 +229,13 @@ def restriction(ideal: GTIdeal) -> Restriction:
     if not nullity:
         return Restriction(ideal, 0, None)
     v = tuple(m[-1][width:])
-    if not any(v) or any(sum(vi * row[c] for vi, row in zip(v, rows)) for c in range(width)):
+    # v.E over the k + 1 columns j..j+k where generator (i, j, k) is nonzero
+    acc = [0] * width
+    for vi, row, (_, j, k) in zip(v, rows, ideal.generators):
+        if vi:
+            for c in range(j, j + k + 1):
+                acc[c] += vi * row[c]
+    if not any(v) or any(acc):
         raise ConsistencyError("the elimination's kernel vector is not in the kernel of E")
     return Restriction(ideal, nullity, v)
 

@@ -12,10 +12,9 @@ from conftest import ACCEPTANCE_RESULTS
 from test_circulant import circulant_det_oracle
 
 import gtsystems as g
-from gtsystems.arrangements import random_scales
 from gtsystems.circulant import circulant_det_symbolic, coefficient_query, ternary_product
 from gtsystems.classification import class_count_formulas, classify_moves, is_prime, prime_and_primepower_counts
-from gtsystems.wlp import gt_verdict, minimality_circulant, minimality_subset_oracle
+from gtsystems.wlp import gt_verdict, minimality_circulant, minimality_subset_oracle, random_scales
 
 
 @contextmanager

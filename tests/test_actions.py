@@ -143,6 +143,45 @@ class TestInvariantMonomials:
             assert invariant_monomials(Action(d, (0, 1, d // 2 + 1))).mu == 3 * d // 4 + 2
 
 
+    def test_enumeration_is_in_descending_order(self, monkeypatch):
+        # GTIdeal sorts only an input that is not strictly descending, so with
+        # sorted unavailable every enumeration must already be in order
+        def no_sort(*args, **kwargs):
+            raise AssertionError("the enumeration was sorted")
+
+        monkeypatch.setattr(actions, "sorted", no_sort, raising=False)
+        rng = random.Random(1018)
+        cases = [(d, w) for d in range(2, 13) for w in faithful_actions(d)]
+        while len(cases) < 5000:
+            d = rng.randint(13, 120)
+            w = tuple(rng.randrange(d) for _ in range(3))
+            if math.gcd(*w, d) == 1:
+                cases.append((d, w))
+        for d, weights in cases:
+            ideal = invariant_monomials(Action(d, weights))
+            assert list(ideal.generators) == sorted(brute_invariants(d, weights), reverse=True)
+
+
+class TestGTIdeal:
+    def test_unordered_input_is_sorted_and_deduplicated(self):
+        gens = [[0, 3, 0], (3, 0, 0), (1, 1, 1), (3, 0, 0), (0, 0, 3)]
+        ideal = GTIdeal(3, gens)
+        assert ideal.generators == ((3, 0, 0), (1, 1, 1), (0, 3, 0), (0, 0, 3))
+        assert GTIdeal(3, ((3, 0, 0), (3, 0, 0))).generators == ((3, 0, 0),)
+
+    def test_ordered_input_is_kept(self):
+        gens = ((3, 0, 0), (1, 1, 1), (0, 3, 0), (0, 0, 3))
+        assert GTIdeal(3, gens).generators == gens
+        assert GTIdeal(3, [list(g) for g in gens]).generators == gens
+
+    @pytest.mark.parametrize("bad", [(2, 0, 0), (4, -1, 0), (1, 1, 1, 0), (3, 0)])
+    def test_every_generator_is_validated_in_either_order(self, bad):
+        ordered = sorted([(3, 0, 0), (0, 0, 3), bad], reverse=True)
+        for gens in (ordered, ordered[::-1]):
+            with pytest.raises(ValueError, match="bad degree-3 generator"):
+                GTIdeal(3, gens)
+
+
 class TestInvariantLimit:
     def _bound_holds(self, monkeypatch, d, weights):
         # with the limit one below mu the check must refuse: its bound is at

@@ -20,11 +20,11 @@ from gtsystems.arrangements import (
     ceva_configuration,
     cross,
     freeness_diagnostic,
-    random_scales,
     singular_census,
 )
 from gtsystems.cyclotomic import CyclotomicInt, OrderMismatchError
 from gtsystems.errors import ConsistencyError
+from gtsystems.wlp import random_scales
 
 
 def substitute_power(a, k):

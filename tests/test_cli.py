@@ -552,7 +552,7 @@ class TestInvariantLimit:
         def no_partition(d):
             raise AssertionError("report partitioned above the invariant limit")
 
-        monkeypatch.setattr(cli, "classify_moves", no_partition)
+        monkeypatch.setattr(classification, "classify_moves", no_partition)
         code, out, err = run_cli(capsys, "report", "--d", "5000", "--action", "1,1,1")
         assert code == 1 and out == ""
         assert "(INVARIANT_LIMIT)" in err
@@ -575,7 +575,6 @@ class TestClassifyPartition:
             calls.append(d)
             return real(d)
 
-        monkeypatch.setattr(cli, "classify_moves", counting_classify_moves)
         monkeypatch.setattr(classification, "classify_moves", counting_classify_moves)
         code, _, _ = run_cli(capsys, *argv)
         assert code == 0

@@ -1,0 +1,94 @@
+"""A fresh gtsys process imports only the modules its command runs.
+
+Each case runs in its own interpreter, so the modules it finds loaded are
+exactly those the package and the command imported.  The children inherit
+this interpreter's -O, so the checks also hold under python -O.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+# the modules that only the census, surface and classification commands use
+HEAVY = ("arrangements", "classification", "cyclotomic", "surface")
+
+SUBMODULES = ("actions", "arrangements", "circulant", "classification", "cli",
+              "cyclotomic", "errors", "polymat", "surface", "wlp")
+
+
+def fresh(code, *args):
+    """Run code in a new interpreter with src on the path; its stdout."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+    flags = ["-O"] * sys.flags.optimize
+    proc = subprocess.run([sys.executable, *flags, "-c", code, *args],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def loaded_after(argv):
+    """(exit code, loaded gtsystems submodules) of one command in a new
+    process; the command's own output is dropped."""
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from gtsystems import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(sys.argv[1:])\n"
+        "print(json.dumps([code, sorted(n for n in sys.modules if n.startswith('gtsystems.'))]))\n"
+    )
+    exit_code, names = json.loads(fresh(code, *argv))
+    return exit_code, {n.partition(".")[2] for n in names}
+
+
+@pytest.mark.parametrize("argv", [
+    ("minimal", "--d", "7", "--action", "0,1,3", "--subset-oracle"),
+    ("gt-verdict", "--d", "7", "--a", "3", "--general-l", "2"),
+    ("invariants", "--d", "7", "--a", "3"),
+    ("conjecture-scan", "--dmax", "5"),
+    ("circulant", "--d", "6"),
+])
+def test_per_ideal_commands_load_no_heavy_module(argv):
+    code, loaded = loaded_after(argv)
+    assert code == 0
+    assert not loaded & set(HEAVY), sorted(loaded & set(HEAVY))
+    assert {"cli", "actions", "wlp", "circulant", "polymat", "errors"} <= loaded
+
+
+def test_report_loads_every_module():
+    code, loaded = loaded_after(("report", "--d", "7", "--action", "0,1,3"))
+    assert code == 0
+    assert loaded == set(SUBMODULES)
+
+
+def test_bare_import_loads_no_submodule_and_resolves_every_name():
+    code = (
+        "import json, sys\n"
+        "import gtsystems\n"
+        "before = sorted(n for n in sys.modules if n.startswith('gtsystems.'))\n"
+        "names = {}\n"
+        "for name in gtsystems.__all__:\n"
+        "    value = getattr(gtsystems, name)\n"
+        "    names[name] = getattr(value, '__module__', None)\n"
+        "subs = {n: getattr(gtsystems, n).__name__ for n in sys.argv[1:]}\n"
+        "try:\n"
+        "    gtsystems.projective_key\n"
+        "    missing = None\n"
+        "except AttributeError as exc:\n"
+        "    missing = str(exc)\n"
+        "print(json.dumps([before, names, subs, missing, sorted(dir(gtsystems))]))\n"
+    )
+    before, names, subs, missing, listed = json.loads(fresh(code, *SUBMODULES))
+    assert before == []
+    for name, module in names.items():
+        if name != "__version__":
+            assert module.startswith("gtsystems."), (name, module)
+    assert subs == {n: f"gtsystems.{n}" for n in SUBMODULES}
+    assert missing == "module 'gtsystems' has no attribute 'projective_key'"
+    assert set(names) | set(SUBMODULES) <= set(listed)

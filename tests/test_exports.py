@@ -34,6 +34,12 @@ def test_every_exported_name_resolves(module):
         assert hasattr(module, name), f"{module.__name__}.__all__ names missing {name!r}"
 
 
+def test_package_knows_where_each_export_lives():
+    assert set(gtsystems._ORIGIN) == set(gtsystems.__all__) - {"__version__"}
+    for name, module in gtsystems._ORIGIN.items():
+        assert getattr(gtsystems, name) is getattr(importlib.import_module(f"gtsystems.{module}"), name)
+
+
 def test_star_import():
     namespace = {}
     exec("from gtsystems import *", namespace)

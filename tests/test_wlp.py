@@ -2,14 +2,16 @@
 
 import dataclasses
 import itertools
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
 from gtsystems import circulant, polymat, wlp
 from gtsystems.actions import Action, GTIdeal, invariant_monomials
-from gtsystems.arrangements import certificate_product_membership, random_scales
+from gtsystems.arrangements import certificate_product_membership
 from gtsystems.circulant import circulant_product, ternary_product
 from gtsystems.errors import ConsistencyError
 from gtsystems.polymat import SparsePoly, bareiss_rank
@@ -21,6 +23,7 @@ from gtsystems.wlp import (
     kernel_dimension,
     minimality_circulant,
     minimality_subset_oracle,
+    random_scales,
     restriction,
 )
 
@@ -184,6 +187,41 @@ class TestRestriction:
         ideal = invariant_monomials(Action(5, (0, 1, 2)))
         for coeffs in ((0, 1, 1), (1, 0, 1), (0, 0, 1)):
             assert kernel_dimension(ideal, coeffs) == oracle_kernel(ideal, coeffs), coeffs
+
+
+def _restriction_rows_by_powers(ideal, coeffs):
+    """The rows of E^T as wlp built them before it kept the powers: three
+    powers taken per entry."""
+    al, be, ga = coeffs
+    rows = []
+    for i, j, k in ideal.generators:
+        row = [0] * (ideal.d + 1)
+        for m in range(k + 1):
+            row[j + m] = ga ** (i + j) * math.comb(k, m) * (-al) ** (k - m) * (-be) ** m
+        rows.append(row)
+    return rows
+
+
+def _pool_ideals():
+    """The invariant ideal of every request in the benchmark's interactive
+    pool (read only)."""
+    pool = json.loads((Path(__file__).resolve().parent.parent / "bench" / "expected"
+                       / "interactive_pool.json").read_text())
+    for argv in pool:
+        weights = tuple(int(w) for w in argv[argv.index("--action") + 1].split(","))
+        yield invariant_monomials(Action(int(argv[argv.index("--d") + 1]), weights))
+
+
+class TestRestrictionRows:
+    def test_rows_equal_the_power_formula_on_the_pool(self):
+        rng = random.Random(20261018)
+        seen = 0
+        for ideal in _pool_ideals():
+            for coeffs in ((1, 1, 1), random_scales(rng), random_scales(rng)):
+                assert wlp._restriction_rows(ideal, coeffs) == \
+                    _restriction_rows_by_powers(ideal, coeffs), (ideal.d, ideal.action, coeffs)
+            seen += 1
+        assert seen == 180
 
 
 class TestCandidateRule:
