@@ -25,8 +25,7 @@ _ORIGIN = {
         "polymat": ("SparsePoly", "bareiss_rank"),
         "surface": ("betti_table", "determinantal_generators", "exponent_polytope_degree",
                     "polytope_smoothness"),
-        "wlp": ("WlpVerdict", "conjecture_scan", "gt_verdict", "kernel_certificate",
-                "minimality_circulant", "minimality_subset_oracle"),
+        "wlp": ("WlpVerdict", "conjecture_scan", "kernel_dimension", "restriction"),
     }.items()
     for name in names
 }
@@ -57,16 +56,14 @@ __all__ = [
     "exponent_polytope_degree",
     "freeness_diagnostic",
     "generalized_classical",
-    "gt_verdict",
     "invariant_monomials",
     "inverse_data",
-    "kernel_certificate",
-    "minimality_circulant",
-    "minimality_subset_oracle",
+    "kernel_dimension",
     "n_sequence",
     "normalize_action",
     "polytope_smoothness",
     "prime_and_primepower_counts",
+    "restriction",
     "singular_census",
     "ternary_product",
 ]

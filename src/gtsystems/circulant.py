@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import ConsistencyError, NonIntegerError
+from .errors import NonIntegerError
 from .polymat import SparsePoly
 
 __all__ = [
@@ -150,32 +150,6 @@ def ternary_product(d, a, b) -> SparsePoly:
     if not (0 < a < d and 0 < b < d and a != b):
         raise ValueError("need distinct nonzero positions a, b")
     return circulant_product(d, (0, a, b))
-
-
-def divide_by_ell(product: SparsePoly) -> SparsePoly:
-    """The quotient of a ternary form of degree d by x + y + z; for the
-    eigenvalue product, the product over j = 1..d-1 only.
-
-    The divisor is monic in x, so the division runs over Z and the quotient
-    has integer coefficients; a nonzero remainder raises ConsistencyError.
-    """
-    d = product.total_degree()
-    # rows[i][k] is the coefficient of x^i y^(d-i-k) z^k.  Dividing by
-    # x + (y + z) in x: the quotient row i-1 is rows[i] - (y + z) * row i.
-    rows = [[0] * (d - i + 1) for i in range(d + 1)]
-    for (i, _, k), c in product.terms.items():
-        rows[i][k] = c
-    terms = {}
-    row = rows[d]
-    for i in range(d - 1, -1, -1):
-        for k, c in enumerate(row):
-            if c:
-                terms[(i, d - 1 - i - k, k)] = c
-        times_ell = [u + v for u, v in zip(row + [0], [0] + row)]
-        row = [c - t for c, t in zip(rows[i], times_ell)]
-    if any(row):
-        raise ConsistencyError(f"x + y + z does not divide the product of degree {d}")
-    return SparsePoly(3, terms, prune=False)
 
 
 def coefficient_query(d, indices) -> int:

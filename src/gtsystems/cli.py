@@ -671,7 +671,12 @@ def main(argv=None) -> int:
         text = "".join(json.dumps(u, sort_keys=True) + "\n" for u in stream_units)
     else:
         text = _render(report, args.format)
-    _emit(text, args.out)
+    try:
+        _emit(text, args.out)
+    except OSError as exc:
+        print(f"gtsys: error: cannot write {args.out or 'stdout'}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 1
     return 0
 
 

@@ -22,21 +22,16 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .actions import Action, GTIdeal, invariant_monomials
-from .circulant import check_ternary_limit, circulant_product, divide_by_ell
+from .circulant import check_ternary_limit, circulant_product
 from .errors import ConsistencyError
 from .polymat import SparsePoly, bareiss_echelon, bareiss_rank
 
 __all__ = [
     "WlpVerdict",
-    "KernelCertificate",
     "Restriction",
     "check_minimality_route",
     "conjecture_scan",
-    "gt_verdict",
-    "kernel_certificate",
     "kernel_dimension",
-    "minimality_circulant",
-    "minimality_subset_oracle",
     "random_scales",
     "restriction",
 ]
@@ -80,7 +75,7 @@ def _restriction_rows(ideal: GTIdeal, coeffs):
     return rows
 
 
-NOT_TOGLIATTI = "minimality oracle expects a Togliatti system"
+NOT_TOGLIATTI = "not a Togliatti system: minimality is defined only for a Togliatti system"
 
 
 def _candidate(ideal: GTIdeal) -> bool:
@@ -240,49 +235,6 @@ def restriction(ideal: GTIdeal) -> Restriction:
     return Restriction(ideal, nullity, v)
 
 
-@dataclass(frozen=True)
-class KernelCertificate:
-    """Explicit kernel element for multiplication by x+y+z at degree d-1.
-
-    product is the eigenvalue product of the ideal's action, read off the
-    kernel vector of E, and cofactor is product / (x + y + z): the product of
-    the eigenvalue forms for j = 1..d-1, with integer coefficients and
-    x^(d-1) coefficient +-1 (1 when the first weight is 0 or d is odd).
-    """
-
-    action: Action
-    cofactor: SparsePoly
-    product: SparsePoly
-
-    def support_in(self, ideal: GTIdeal) -> bool:
-        return self.product.support() <= set(ideal.generators)
-
-
-def kernel_certificate(ideal: GTIdeal) -> KernelCertificate:
-    """The kernel certificate of the invariant ideal of an action, a Togliatti
-    system whose kernel has dimension 1, from one elimination; no circulant
-    expansion is made."""
-    if ideal.action is None:
-        raise ValueError("the eigenvalue product needs the ideal's action")
-    product = restriction(ideal).product
-    if product is None:
-        raise ValueError("the kernel certificate needs a Togliatti system with nullity 1")
-    return KernelCertificate(ideal.action, divide_by_ell(product), product)
-
-
-def gt_verdict(ideal: GTIdeal) -> WlpVerdict:
-    """Full verdict for the ideal at degree d-1 -> d, from the exact kernel
-    of multiplication by x + y + z: one plain elimination, as the verdict
-    reads no kernel vector."""
-    return WlpVerdict.from_nullity(ideal, kernel_dimension(ideal))
-
-
-def minimality_subset_oracle(ideal: GTIdeal) -> bool:
-    """True when no proper generator subset still gives a Togliatti system;
-    see Restriction.minimal."""
-    return restriction(ideal).minimal
-
-
 def check_minimality_route(action: Action):
     """Raise ValueError unless minimality is decided for the action: three
     distinct weights and d within MINIMALITY_LIMIT.  It needs no ideal, so it
@@ -291,18 +243,6 @@ def check_minimality_route(action: Action):
         raise ValueError("repeated weights do not give a Togliatti system")
     if action.d > MINIMALITY_LIMIT:
         raise ValueError(f"minimality has a size limit: it is decided for d <= {MINIMALITY_LIMIT}")
-
-
-def minimality_circulant(ideal: GTIdeal) -> bool:
-    """Minimality via the determinant route: for the action's weights
-    (a, b, c), the product over j of zeta^(ja) x + zeta^(jb) y + zeta^(jc) z
-    must be supported on the whole invariant set.  No normal form is needed:
-    a shift of all weights changes the product by a sign, and a sort permutes
-    x, y, z in the product and in the ideal alike."""
-    action = ideal.action
-    check_minimality_route(action)
-    check_ternary_limit(ideal.d)
-    return circulant_product(ideal.d, action.weights).support() == set(ideal.generators)
 
 
 def conjecture_scan(d_values):
@@ -333,9 +273,10 @@ def conjecture_scan(d_values):
                     units.append({"d": d, "a": a, "b": b, "status": "degenerate_wlp"})
                     continue
                 ideal = invariant_monomials(Action(d, (0, a, b)))
+                product = circulant_product(d, (0, a, b))
                 unit = {
                     "d": d, "a": a, "b": b, "mu": ideal.mu,
-                    "minimal_circulant": minimality_circulant(ideal),
+                    "minimal_circulant": product.support() == set(ideal.generators),
                 }
                 bad = not unit["minimal_circulant"]
                 r = restriction(ideal)

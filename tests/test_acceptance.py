@@ -14,7 +14,7 @@ from test_circulant import circulant_det_oracle
 import gtsystems as g
 from gtsystems.circulant import circulant_det_symbolic, coefficient_query, ternary_product
 from gtsystems.classification import class_count_formulas, classify_moves, is_prime, prime_and_primepower_counts
-from gtsystems.wlp import gt_verdict, minimality_circulant, minimality_subset_oracle, random_scales
+from gtsystems.wlp import WlpVerdict, kernel_dimension, random_scales, restriction
 
 
 @contextmanager
@@ -35,13 +35,13 @@ def test_criterion_01_classical_degree_three():
         action = g.Action(3, (0, 1, 2))
         ideal = g.invariant_monomials(action)
         assert set(ideal.generators) == {(3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)}
-        verdict = gt_verdict(ideal)
+        verdict = WlpVerdict.from_nullity(ideal, kernel_dimension(ideal))
         assert verdict.rank == 5
         assert verdict.dim_source == 6
         assert verdict.fails_injectivity
         assert verdict.to_json()["is_gt"]
-        assert minimality_circulant(ideal)
-        assert minimality_subset_oracle(ideal)
+        assert ternary_product(3, 1, 2).support() == set(ideal.generators)
+        assert restriction(ideal).minimal
 
 
 def test_criterion_02_prime_generator_counts():
@@ -145,9 +145,9 @@ def test_criterion_07_product_support_and_minimality():
                 assert prod.support() == set(ideal.generators), (d, a)
         for d in range(3, 14):
             for a in range(2, d):
-                ideal = g.invariant_monomials(g.Action(d, (0, 1, a)))
-                if gt_verdict(ideal).is_togliatti:
-                    assert minimality_subset_oracle(ideal), (d, a)
+                r = restriction(g.invariant_monomials(g.Action(d, (0, 1, a))))
+                if r.togliatti:
+                    assert r.minimal, (d, a)
 
 
 def test_criterion_08_exceptional_action_order_42():

@@ -12,11 +12,9 @@ from gtsystems.circulant import (
     circulant_det_symbolic,
     circulant_product,
     coefficient_query,
-    divide_by_ell,
     ternary_product,
 )
 from gtsystems.cyclotomic import CyclotomicInt
-from gtsystems.errors import ConsistencyError
 from gtsystems.polymat import SparsePoly
 
 
@@ -47,10 +45,9 @@ def rotation_oracle(d, nvars, factors):
     return SparsePoly(nvars, terms)
 
 
-def ternary_oracle(d, a, b, scales=(1, 1, 1), js=None):
+def ternary_oracle(d, a, b, scales=(1, 1, 1)):
     s0, s1, s2 = scales
-    js = range(d) if js is None else js
-    factors = [[(0, 0, s0), (1, a * j, s1), (2, b * j, s2)] for j in js]
+    factors = [[(0, 0, s0), (1, a * j, s1), (2, b * j, s2)] for j in range(d)]
     return rotation_oracle(d, 3, factors)
 
 
@@ -184,23 +181,6 @@ class TestTernaryProduct:
             prod = certificate_product_membership(ideal, scales).product
             assert prod.support() <= set(ideal.generators)
 
-    def test_cofactor_times_linear_form_is_full_product(self):
-        # divide_by_ell leaves the product of the d-1 conjugate factors;
-        # multiplying back by (x + y + z) must recover the full invariant
-        # product exactly.
-        for d, a in ((5, 2), (7, 3), (9, 4)):
-            x = SparsePoly.variable(3, 0)
-            y = SparsePoly.variable(3, 1)
-            z = SparsePoly.variable(3, 2)
-            ell = x + y + z
-            full = ternary_product(d, 1, a)
-            cof = divide_by_ell(full)
-            assert (cof * ell).terms == full.terms
-
-    def test_cofactor_is_monic_in_x(self):
-        cof = divide_by_ell(ternary_product(7, 1, 3))
-        assert cof.coefficient((6, 0, 0)) == 1
-
 
 class TestNewtonKernelAgainstRotationOracle:
     # circulant_product expands the eigenvalue product over Z by Newton's
@@ -235,15 +215,6 @@ class TestNewtonKernelAgainstRotationOracle:
         factors = [[(k, j * k, 1) for k in range(d)] for j in range(d)]
         assert circulant_det_symbolic(d).terms == rotation_oracle(d, d, factors).terms
 
-    @pytest.mark.parametrize("d", range(3, 15))
-    def test_cofactor(self, d):
-        ell = SparsePoly.variable(3, 0) + SparsePoly.variable(3, 1) + SparsePoly.variable(3, 2)
-        for a, b in itertools.combinations(range(1, d), 2):
-            cof = divide_by_ell(ternary_product(d, a, b))
-            assert all(isinstance(c, int) for c in cof.terms.values())
-            assert cof.terms == ternary_oracle(d, a, b, js=range(1, d)).terms, (d, a, b)
-            assert (cof * ell).terms == ternary_product(d, a, b).terms, (d, a, b)
-
     def test_repeated_and_zero_positions(self):
         # positions need not be distinct or nonzero; a common factor g of d
         # and the positions makes the product a g-th power
@@ -274,11 +245,6 @@ class TestSpecValidation:
         assert len(ternary_product(circulant._TERNARY_LIMIT, 1, 3).terms) == 67
         with pytest.raises(ValueError, match=f"3 <= d <= {circulant._TERNARY_LIMIT}"):
             ternary_product(circulant._TERNARY_LIMIT + 1, 1, 3)
-
-    def test_cofactor_remainder_is_a_consistency_error(self):
-        # x^d is not divisible by x + y + z
-        with pytest.raises(ConsistencyError, match="does not divide"):
-            divide_by_ell(SparsePoly.monomial(3, (5, 0, 0)))
 
     def test_kernel_rejects_empty_input(self):
         with pytest.raises(ValueError):

@@ -14,15 +14,12 @@ from gtsystems.actions import Action, GTIdeal, invariant_monomials
 from gtsystems.arrangements import certificate_product_membership
 from gtsystems.circulant import circulant_product, ternary_product
 from gtsystems.errors import ConsistencyError
-from gtsystems.polymat import SparsePoly, bareiss_rank
+from gtsystems.polymat import bareiss_rank
 from gtsystems.wlp import (
     RANK_REPORT_LIMIT,
+    WlpVerdict,
     conjecture_scan,
-    gt_verdict,
-    kernel_certificate,
     kernel_dimension,
-    minimality_circulant,
-    minimality_subset_oracle,
     random_scales,
     restriction,
 )
@@ -248,7 +245,8 @@ class TestCandidateRule:
 
 class TestVerdicts:
     def test_classical_degree_three(self):
-        v = gt_verdict(invariant_monomials(Action(3, (0, 1, 2))))
+        ideal = invariant_monomials(Action(3, (0, 1, 2)))
+        v = WlpVerdict.from_nullity(ideal, kernel_dimension(ideal))
         assert v.mu == 4
         assert (v.dim_source, v.dim_target) == (6, 6)
         assert v.rank == 5
@@ -258,32 +256,37 @@ class TestVerdicts:
 
     @pytest.mark.parametrize("d,a", [(5, 2), (7, 3), (11, 4), (13, 6)])
     def test_prime_actions_are_gt_systems(self, d, a):
-        v = gt_verdict(invariant_monomials(Action(d, (0, 1, a))))
+        ideal = invariant_monomials(Action(d, (0, 1, a)))
+        v = WlpVerdict.from_nullity(ideal, kernel_dimension(ideal))
         assert v.mu == 3 + (d - 1) // 2
         assert v.fails_injectivity and v.is_togliatti and v.to_json()["is_gt"]
 
     def test_injectivity_failure_has_corank_exactly_one_for_primes(self):
         for d, a in ((5, 2), (7, 3), (11, 2)):
-            v = gt_verdict(invariant_monomials(Action(d, (0, 1, a))))
+            ideal = invariant_monomials(Action(d, (0, 1, a)))
+            v = WlpVerdict.from_nullity(ideal, kernel_dimension(ideal))
             assert v.rank == v.dim_source - 1
 
     def test_degenerate_direction_is_not_togliatti(self):
-        v = gt_verdict(invariant_monomials(Action(3, (0, 1, 1))))
+        ideal = invariant_monomials(Action(3, (0, 1, 1)))
+        v = WlpVerdict.from_nullity(ideal, kernel_dimension(ideal))
         assert not v.is_togliatti  # mu = 5 exceeds d + 1 = 4
 
     def test_exact_verdict_above_rank_report_limit(self):
         d = RANK_REPORT_LIMIT + 1
-        v = gt_verdict(invariant_monomials(Action(d, (0, 1, 3))))
+        ideal = invariant_monomials(Action(d, (0, 1, 3)))
+        nullity = kernel_dimension(ideal)
+        assert nullity == 1
+        v = WlpVerdict.from_nullity(ideal, nullity)
         assert v.method == "restriction"
         assert v.rank is None
         assert v.fails_injectivity and v.fails_wlp_at_d_minus_1 and v.is_togliatti
-        assert kernel_dimension(invariant_monomials(Action(d, (0, 1, 3)))) == 1
 
     def test_verdict_above_rank_report_limit_agrees_with_oracle(self):
         d = RANK_REPORT_LIMIT + 1
         for weights in ((0, 1, 3), (0, 1, 1), (0, 0, 1)):
             ideal = invariant_monomials(Action(d, weights))
-            v = gt_verdict(ideal)
+            v = WlpVerdict.from_nullity(ideal, kernel_dimension(ideal))
             rank, dim_src = oracle_rank(ideal)
             assert v.dim_source == dim_src, weights
             assert v.fails_injectivity == (rank < dim_src), weights
@@ -291,86 +294,31 @@ class TestVerdicts:
 
     def test_repeated_weight_at_large_d(self):
         # (0, a, a) and (0, 0, c) used to raise above d = 16
-        v = gt_verdict(invariant_monomials(Action(40, (0, 1, 1))))
+        ideal = invariant_monomials(Action(40, (0, 1, 1)))
+        v = WlpVerdict.from_nullity(ideal, kernel_dimension(ideal))
         assert v.mu == 42
         assert v.fails_injectivity
         assert v.fails_wlp_at_d_minus_1 is False
         assert not v.is_togliatti  # mu 42 > d + 1
-        assert gt_verdict(invariant_monomials(Action(20, (0, 0, 1)))).fails_injectivity
+        ideal = invariant_monomials(Action(20, (0, 0, 1)))
+        assert WlpVerdict.from_nullity(ideal, kernel_dimension(ideal)).fails_injectivity
 
     def test_verdict_beyond_product_limit(self):
         # the ternary product stops at d = 128; the verdict does not
-        v = gt_verdict(invariant_monomials(Action(200, (0, 1, 3))))
+        ideal = invariant_monomials(Action(200, (0, 1, 3)))
+        nullity = kernel_dimension(ideal)
+        assert nullity == 1
+        v = WlpVerdict.from_nullity(ideal, nullity)
         assert v.mu == 103
         assert v.fails_injectivity and v.is_togliatti
         assert v.rank is None
-        assert kernel_dimension(invariant_monomials(Action(200, (0, 1, 3)))) == 1
-
-
-class TestKernelCertificate:
-    @pytest.mark.parametrize("d,a", [(3, 2), (5, 2), (7, 3), (12, 5)])
-    def test_product_support_inside_ideal(self, d, a):
-        ideal = invariant_monomials(Action(d, (0, 1, a)))
-        cert = kernel_certificate(ideal)
-        assert cert.product.support() <= set(ideal.generators)
-        assert not cert.cofactor.is_zero()
-        assert cert.product.terms == ternary_product(d, 1, a).terms
-
-    def test_cofactor_really_lies_in_kernel(self):
-        # Reduce the cofactor into the degree-(d-1) quotient basis and apply
-        # the multiplication matrix: the image must be zero mod the ideal.
-        d, a = 5, 2
-        ideal = invariant_monomials(Action(d, (0, 1, a)))
-        cert = kernel_certificate(ideal)
-        cof = cert.cofactor
-        src = quotient_basis(ideal, d - 1)
-        tgt = quotient_basis(ideal, d)
-        tgt_index = {m: i for i, m in enumerate(tgt)}
-        vec = [cof.coefficient(m) for m in src]
-        assert any(vec)
-        rows, _, _ = multiplication_matrix(ideal, d - 1)
-        image = [sum(rows[i][j] * vec[j] for j in range(len(src))) for i in range(len(tgt))]
-        assert not any(image), image
-        assert len(tgt_index) == len(tgt)
-
-    def test_repeated_weights_rejected(self):
-        # x^5 and (y, z)^5: mu = 7 > d + 1, no Togliatti system
-        with pytest.raises(ValueError, match="Togliatti system with nullity 1"):
-            kernel_certificate(invariant_monomials(Action(5, (0, 1, 1))))
-
-    def test_works_past_the_ternary_limit(self):
-        # the ternary product stops at circulant._TERNARY_LIMIT; the kernel
-        # vector does not
-        cert = kernel_certificate(invariant_monomials(Action(100, (0, 1, 3))))
-        assert cert.cofactor.coefficient((99, 0, 0)) == 1
-        assert cert.product.terms == ternary_product(100, 1, 3).terms
-        d = 200
-        assert d > circulant._TERNARY_LIMIT
-        ideal = invariant_monomials(Action(d, (0, 1, 3)))
-        cert = kernel_certificate(ideal)
-        assert cert.cofactor.coefficient((d - 1, 0, 0)) == 1
-        assert cert.cofactor.total_degree() == d - 1
-        assert cert.support_in(ideal)
-        ell = SparsePoly.variable(3, 0) + SparsePoly.variable(3, 1) + SparsePoly.variable(3, 2)
-        assert (cert.cofactor * ell).terms == cert.product.terms  # the division is exact
-
-    def test_needs_the_action(self):
-        with pytest.raises(ValueError, match="action"):
-            kernel_certificate(GTIdeal(3, invariant_monomials(Action(3, (0, 1, 2))).generators))
-
-    def test_inexact_cofactor_is_a_consistency_error(self, monkeypatch):
-        # x^d is not divisible by x + y + z
-        ideal = invariant_monomials(Action(5, (0, 1, 2)))
-        monkeypatch.setattr(wlp.Restriction, "product",
-                            property(lambda r: SparsePoly.monomial(3, (5, 0, 0))))
-        with pytest.raises(ConsistencyError):
-            kernel_certificate(ideal)
 
 
 class TestMinimality:
     @pytest.mark.parametrize("d,a", [(3, 2), (5, 2), (7, 3), (13, 4), (20, 9)])
     def test_circulant_route(self, d, a):
-        assert minimality_circulant(invariant_monomials(Action(d, (0, 1, a))))
+        ideal = invariant_monomials(Action(d, (0, 1, a)))
+        assert circulant_product(d, (0, 1, a)).support() == set(ideal.generators)
 
     def test_own_weights_agree_with_the_normal_form(self):
         # every faithful action with three distinct weights whose shifted
@@ -390,39 +338,40 @@ class TestMinimality:
                 ideal = invariant_monomials(Action(d, weights))
                 normal = ternary_product(d, a, b)
                 normal_ideal = invariant_monomials(Action(d, (0, a, b)))
-                assert minimality_circulant(ideal) == (
+                assert (circulant_product(d, weights).support() == set(ideal.generators)) == (
                     normal.support() == set(normal_ideal.generators)), weights
                 cert = certificate_product_membership(ideal, random_scales(rng))
                 assert cert.support_size == len(normal.terms), (d, weights)
         assert actions == 1782
 
-    def test_circulant_route_rejects_equal_weights(self):
-        with pytest.raises(ValueError):
-            minimality_circulant(invariant_monomials(Action(5, (0, 1, 1))))
+    def test_minimality_route_rejects_equal_weights(self):
+        with pytest.raises(ValueError, match="repeated weights"):
+            wlp.check_minimality_route(Action(5, (0, 1, 1)))
 
     @pytest.mark.parametrize("d,a", [(3, 2), (5, 2), (7, 3), (11, 5)])
     def test_subset_oracle_route(self, d, a):
-        assert minimality_subset_oracle(invariant_monomials(Action(d, (0, 1, a))))
+        assert restriction(invariant_monomials(Action(d, (0, 1, a)))).minimal
 
     def test_subset_oracle_requires_togliatti(self):
         with pytest.raises(ValueError):
-            minimality_subset_oracle(invariant_monomials(Action(3, (0, 1, 1))))
+            restriction(invariant_monomials(Action(3, (0, 1, 1)))).minimal
 
     def test_routes_agree(self):
         for d in range(3, 11):
             for a in range(2, d):
                 ideal = invariant_monomials(Action(d, (0, 1, a)))
-                circ = minimality_circulant(ideal)
-                if gt_verdict(ideal).is_togliatti:
-                    assert circ == minimality_subset_oracle(ideal), (d, a)
+                circ = circulant_product(d, (0, 1, a)).support() == set(ideal.generators)
+                r = restriction(ideal)
+                if r.togliatti:
+                    assert circ == r.minimal, (d, a)
 
     def test_kernel_vector_route_agrees_with_single_removals(self):
         units = 0
         for action in faithful_units(range(3, 17)):
-            ideal = invariant_monomials(action)
-            if gt_verdict(ideal).is_togliatti:
+            r = restriction(invariant_monomials(action))
+            if r.togliatti:
                 units += 1
-                assert minimality_subset_oracle(ideal) == single_removal_oracle(ideal), action
+                assert r.minimal == single_removal_oracle(r.ideal), action
         assert units == 493
 
     def test_kernel_vector_route_agrees_on_random_ideals(self):
@@ -465,8 +414,7 @@ class TestKernelVector:
     @pytest.mark.parametrize("d,weights", [(3, (0, 1, 2)), (7, (0, 1, 3)), (13, (0, 1, 4)),
                                            (18, (0, 2, 9)), (24, (0, 1, 7))])
     def test_one_elimination_per_call(self, eliminations, d, weights):
-        ideal = invariant_monomials(Action(d, weights))
-        minimality_subset_oracle(ideal)
+        restriction(invariant_monomials(Action(d, weights))).minimal
         assert len(eliminations) == 1
 
     def test_kernel_vector_is_proportional_to_the_circulant_product(self, eliminations):
@@ -503,7 +451,7 @@ class TestKernelVector:
             return r
 
         monkeypatch.setattr(wlp, "bareiss_echelon", summed)
-        assert not minimality_subset_oracle(ideal)
+        assert not restriction(ideal).minimal
 
     @pytest.mark.parametrize("tamper", ["shift", "zero"])
     def test_tampered_kernel_vector_is_caught(self, monkeypatch, tamper):
@@ -520,7 +468,7 @@ class TestKernelVector:
 
         monkeypatch.setattr(wlp, "bareiss_echelon", tampered)
         with pytest.raises(ConsistencyError):
-            minimality_subset_oracle(invariant_monomials(Action(7, (0, 1, 3))))
+            restriction(invariant_monomials(Action(7, (0, 1, 3))))
 
 
 class TestEigenvalueProductFromKernel:
@@ -578,6 +526,34 @@ class TestEigenvalueProductFromKernel:
             dataclasses.replace(r, v=(2 * v[0],) + v[1:]).product
         with pytest.raises(ConsistencyError):
             dataclasses.replace(r, v=(0,) + v[1:]).product
+
+    @pytest.mark.parametrize("d,a", [(3, 2), (5, 2), (7, 3), (12, 5), (100, 3)])
+    def test_product_support_inside_ideal(self, d, a):
+        ideal = invariant_monomials(Action(d, (0, 1, a)))
+        product = restriction(ideal).product
+        assert product.support() <= set(ideal.generators)
+        assert product.terms == ternary_product(d, 1, a).terms
+
+    def test_works_past_the_ternary_limit(self):
+        # the ternary product stops at circulant._TERNARY_LIMIT; the kernel
+        # vector does not
+        d = 200
+        assert d > circulant._TERNARY_LIMIT
+        ideal = invariant_monomials(Action(d, (0, 1, 3)))
+        product = restriction(ideal).product
+        assert product.coefficient((d, 0, 0)) == 1
+        assert product.total_degree() == d
+        assert product.support() <= set(ideal.generators)
+
+    def test_needs_the_action(self):
+        ideal = GTIdeal(3, invariant_monomials(Action(3, (0, 1, 2))).generators)
+        r = restriction(ideal)
+        assert r.nullity == 1 and r.togliatti
+        assert r.product is None
+
+    def test_repeated_weights_have_no_product(self):
+        # x^5 and (y, z)^5: mu = 7 > d + 1, no Togliatti system
+        assert restriction(invariant_monomials(Action(5, (0, 1, 1)))).product is None
 
     def test_support_must_match_minimality(self):
         # v vanishing at z^d leaves the ideal minimal (pure powers are not
@@ -649,8 +625,10 @@ class TestConjectureScan:
         units = [u for u in conjecture_scan(range(3, 17))["units"] if "mu" in u]
         assert len(units) == 493
         for u in units:
-            ideal = invariant_monomials(Action(u["d"], (0, u["a"], u["b"])))
-            verdict = gt_verdict(ideal)
+            weights = (0, u["a"], u["b"])
+            ideal = invariant_monomials(Action(u["d"], weights))
+            verdict = WlpVerdict.from_nullity(ideal, kernel_dimension(ideal))
             assert (u["mu"], u["togliatti"]) == (verdict.mu, verdict.is_togliatti), u
-            assert u["minimal_circulant"] == minimality_circulant(ideal), u
-            assert u["minimal_oracle"] == minimality_subset_oracle(ideal), u
+            circ = circulant_product(u["d"], weights).support() == set(ideal.generators)
+            assert u["minimal_circulant"] == circ, u
+            assert u["minimal_oracle"] == restriction(ideal).minimal, u
