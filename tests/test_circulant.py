@@ -45,9 +45,10 @@ def rotation_oracle(d, nvars, factors):
     return SparsePoly(nvars, terms)
 
 
-def ternary_oracle(d, a, b, scales=(1, 1, 1)):
+def ternary_oracle(d, a, b, scales=(1, 1, 1), js=None):
     s0, s1, s2 = scales
-    factors = [[(0, 0, s0), (1, a * j, s1), (2, b * j, s2)] for j in range(d)]
+    js = range(d) if js is None else js
+    factors = [[(0, 0, s0), (1, a * j, s1), (2, b * j, s2)] for j in js]
     return rotation_oracle(d, 3, factors)
 
 

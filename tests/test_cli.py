@@ -388,6 +388,12 @@ class TestOneEliminationPerCommand:
         assert elims == [8] * 4
         assert json.loads(out)["results"]["verdict"]["is_togliatti"] is True
 
+    def test_library_verdict_is_plain(self, monkeypatch):
+        elims = _spy_eliminations(monkeypatch)
+        ideal = actions.invariant_monomials(actions.Action(13, (0, 1, 4)))
+        verdict = wlp.WlpVerdict.from_nullity(ideal, wlp.kernel_dimension(ideal))
+        assert verdict.is_togliatti and elims == [14]
+
     def test_minimal_at_the_minimality_limit_is_fast(self, capsys):
         d = wlp.MINIMALITY_LIMIT
         assert d >= 256

@@ -8,13 +8,14 @@ import random
 from pathlib import Path
 
 import pytest
+from test_circulant import ternary_oracle
 
 from gtsystems import circulant, polymat, wlp
 from gtsystems.actions import Action, GTIdeal, invariant_monomials
 from gtsystems.arrangements import certificate_product_membership
 from gtsystems.circulant import circulant_product, ternary_product
 from gtsystems.errors import ConsistencyError
-from gtsystems.polymat import bareiss_rank
+from gtsystems.polymat import SparsePoly, bareiss_rank
 from gtsystems.wlp import (
     RANK_REPORT_LIMIT,
     WlpVerdict,
@@ -526,6 +527,43 @@ class TestEigenvalueProductFromKernel:
             dataclasses.replace(r, v=(2 * v[0],) + v[1:]).product
         with pytest.raises(ConsistencyError):
             dataclasses.replace(r, v=(0,) + v[1:]).product
+
+    @pytest.mark.parametrize("d", range(3, 15))
+    def test_conjugate_factors_lie_in_the_kernel(self, d):
+        # The factor j = 0 of the product is x + y + z.  The other d - 1
+        # factors, multiplied out over Z[zeta_d] by the rotation oracle, give
+        # an integral form of degree d - 1 that times x + y + z is the
+        # product, and that multiplication by x + y + z sends into the ideal.
+        ell = SparsePoly.variable(3, 0) + SparsePoly.variable(3, 1) + SparsePoly.variable(3, 2)
+        checked = 0
+        for a, b in itertools.combinations(range(1, d), 2):
+            if math.gcd(a, b, d) != 1:
+                continue
+            ideal = invariant_monomials(Action(d, (0, a, b)))
+            product = restriction(ideal).product
+            if product is None:
+                continue
+            checked += 1
+            cofactor = ternary_oracle(d, a, b, js=range(1, d))
+            assert all(isinstance(c, int) for c in cofactor.terms.values()), (d, a, b)
+            assert (cofactor * ell).terms == product.terms, (d, a, b)
+            rows, src, _ = multiplication_matrix(ideal, d - 1)
+            vec = [cofactor.coefficient(m) for m in src]
+            assert any(vec)
+            assert not any(sum(r * c for r, c in zip(row, vec)) for row in rows), (d, a, b)
+        assert checked > 0
+
+    @pytest.mark.parametrize("d,weights", [(3, (0, 1, 2)), (7, (0, 1, 3)), (13, (0, 1, 4)),
+                                           (18, (0, 2, 9)), (24, (0, 1, 7))])
+    def test_kernel_vector_vanishes_on_the_line(self, d, weights):
+        # sum v_i g_i restricted to x + y + z = 0 is the binary form
+        # sum v_i g_i(1, t, -1 - t) of degree d; it vanishes at d + 1 points
+        r = restriction(invariant_monomials(Action(d, weights)))
+        assert r.nullity == 1 and any(r.v)
+        for t in range(d + 1):
+            value = sum(vi * t ** j * (-1 - t) ** k
+                        for vi, (_, j, k) in zip(r.v, r.ideal.generators))
+            assert value == 0, (d, weights, t)
 
     @pytest.mark.parametrize("d,a", [(3, 2), (5, 2), (7, 3), (12, 5), (100, 3)])
     def test_product_support_inside_ideal(self, d, a):
