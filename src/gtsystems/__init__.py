@@ -15,8 +15,8 @@ _ORIGIN = {
     for module, names in {
         "actions": ("Action", "GTIdeal", "InvalidActionError", "generalized_classical",
                     "invariant_monomials", "inverse_data", "n_sequence", "normalize_action"),
-        "arrangements": ("build_arrangement", "certificate_product_membership",
-                         "ceva_configuration", "freeness_diagnostic", "singular_census"),
+        "arrangements": ("build_arrangement", "ceva_configuration", "freeness_diagnostic",
+                         "singular_census"),
         "circulant": ("circulant_det_symbolic", "coefficient_query", "ternary_product"),
         "classification": ("class_count_formulas", "classify_moves",
                            "prime_and_primepower_counts"),
@@ -31,42 +31,7 @@ _ORIGIN = {
 }
 _SUBMODULES = frozenset(_ORIGIN.values()) | {"cli"}
 
-__all__ = [
-    "Action",
-    "ConsistencyError",
-    "CyclotomicInt",
-    "GTIdeal",
-    "InvalidActionError",
-    "NonIntegerError",
-    "SparsePoly",
-    "WlpVerdict",
-    "__version__",
-    "bareiss_rank",
-    "betti_table",
-    "build_arrangement",
-    "certificate_product_membership",
-    "ceva_configuration",
-    "circulant_det_symbolic",
-    "class_count_formulas",
-    "classify_moves",
-    "coefficient_query",
-    "conjecture_scan",
-    "cyclotomic_polynomial",
-    "determinantal_generators",
-    "exponent_polytope_degree",
-    "freeness_diagnostic",
-    "generalized_classical",
-    "invariant_monomials",
-    "inverse_data",
-    "kernel_dimension",
-    "n_sequence",
-    "normalize_action",
-    "polytope_smoothness",
-    "prime_and_primepower_counts",
-    "restriction",
-    "singular_census",
-    "ternary_product",
-]
+__all__ = sorted([*_ORIGIN, "__version__"])
 
 
 def __getattr__(name):

@@ -13,20 +13,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .actions import Action, GTIdeal
-from .circulant import circulant_product
 from .cyclotomic import CyclotomicInt
 from .errors import ConsistencyError
-from .polymat import SparsePoly
 
 __all__ = [
     "Arrangement",
     "CensusReport",
     "CevaCertificate",
     "FreenessReport",
-    "MembershipCertificate",
     "build_arrangement",
-    "certificate_product_membership",
     "ceva_configuration",
     "cross",
     "freeness_diagnostic",
@@ -270,41 +265,3 @@ def freeness_diagnostic(census: CensusReport) -> FreenessReport:
             if exponents[0] + exponents[1] != c1 or exponents[0] * exponents[1] != c2:
                 raise ConsistencyError(f"exponents {exponents} do not split c1={c1}, c2={c2}")
     return FreenessReport(census.name, n, c1, c2, weight, disc, exponents)
-
-
-@dataclass(frozen=True)
-class MembershipCertificate:
-    action: Action
-    scales: tuple
-    product: SparsePoly
-    support_size: int
-
-    def to_json(self):
-        return {
-            "action": self.action.to_json(),
-            "scales": list(self.scales),
-            "support_size": self.support_size,
-            "product": self.product.to_json(),
-        }
-
-
-def certificate_product_membership(ideal: GTIdeal, scales, product=None) -> MembershipCertificate:
-    """Expand prod_j (s0 zeta^(aj) x + s1 zeta^(bj) y + s2 zeta^(cj) z) for
-    the weights (a, b, c) of the ideal's action and certify that it is an
-    integer form supported on the invariant monomials, i.e. a member of the
-    ideal's degree-d piece whenever the scales are nonzero.  product is the
-    unscaled product when the caller already has it; it is expanded
-    otherwise."""
-    scales = tuple(int(s) for s in scales)
-    if len(scales) != 3 or any(s == 0 for s in scales):
-        raise ValueError("need three nonzero integer scales")
-    # the scaled product is P(s0 x, s1 y, s2 z) for the unscaled product P
-    s0, s1, s2 = scales
-    if product is None:
-        product = circulant_product(ideal.d, ideal.action.weights)
-    product = SparsePoly(3, {
-        (i, j, k): c * s0 ** i * s1 ** j * s2 ** k for (i, j, k), c in product.terms.items()
-    })
-    if not set(product.terms) <= set(ideal.generators):
-        raise ConsistencyError("product escapes the invariant monomial span")
-    return MembershipCertificate(ideal.action, scales, product, len(product.terms))

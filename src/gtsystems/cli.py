@@ -17,13 +17,7 @@ import sys
 
 from . import __version__
 from .actions import Action, check_invariant_limit, generalized_classical, invariant_monomials
-from .circulant import (
-    _TERNARY_LIMIT,
-    circulant_det_symbolic,
-    circulant_product,
-    coefficient_query,
-    ternary_product,
-)
+from .circulant import circulant_det_symbolic, coefficient_query, ternary_product
 from .errors import ConsistencyError
 from .wlp import (
     WlpVerdict,
@@ -36,7 +30,8 @@ from .wlp import (
 
 # classification, surface and arrangements (with cyclotomic), csv and random
 # are imported by the commands that use them, on their first call: the
-# per-ideal commands and their fresh processes never load them
+# per-ideal commands and their fresh processes never load them, and report
+# loads no arrangements
 
 DEFAULT_SEED = 20260814
 
@@ -55,12 +50,12 @@ def _check(name, status, detail=""):
 
 
 def _parse_action(args) -> Action:
-    if getattr(args, "action", None):
+    if args.action:
         parts = [int(p) for p in args.action.split(",")]
         if len(parts) != 3:
             raise ValueError("--action expects three comma-separated weights")
         return Action(args.d, tuple(parts))
-    if getattr(args, "a", None) is not None:
+    if args.a is not None:
         return Action(args.d, (0, 1, args.a))
     raise ValueError("an action is required: pass --action a,b,c or --a")
 
@@ -148,23 +143,17 @@ def cmd_gt_verdict(args):
 
 def _minimal_report(r, cross_check=False, subset_oracle=False):
     """Minimality of a Togliatti system, read off its restriction r.  With
-    cross_check, up to the ternary limit, the Newton-expanded product must
-    equal r.product, or miss part of the invariant set where there is none;
-    routes_agree says it was found equal."""
+    cross_check, r.newton_product() compares the Newton-expanded product
+    with r.product; cross_check and routes_agree say that it did, that is
+    up to the ternary limit with nullity 1."""
     ideal, minimal, product = r.ideal, r.minimal, r.product
-    newton = None
-    if cross_check and ideal.d <= _TERNARY_LIMIT:
-        newton = circulant_product(ideal.d, ideal.action.weights)
-        agree = (newton.terms == product.terms if product is not None
-                 else newton.support() != set(ideal.generators))
-        if not agree:
-            raise ConsistencyError("the Newton product disagrees with the kernel vector")
+    compared = cross_check and r.newton_product() is not None and product is not None
     results = {
         "action": {"d": ideal.d, "weights": list(ideal.action.normalized())},
         "minimal_circulant": minimal,
         "minimal_subset_oracle": None,
         "route": "kernel_vector",
-        "cross_check": None if newton is None else "newton_product",
+        "cross_check": "newton_product" if compared else None,
     }
     checks = [
         _check("minimal_circulant", "pass" if minimal else "finding",
@@ -174,7 +163,7 @@ def _minimal_report(r, cross_check=False, subset_oracle=False):
     if subset_oracle:
         results["minimal_subset_oracle"] = minimal
         checks.append(_check("minimal_subset_oracle", "pass" if minimal else "finding"))
-        if newton is not None and product is not None:
+        if compared:
             checks.append(_check("routes_agree", "pass"))
     return _report("minimal", {"d": ideal.d, "action": str(ideal.action)}, results, checks)
 
@@ -190,11 +179,6 @@ def cmd_classify(args):
     from . import classification
 
     d = args.d
-    if getattr(args, "action", None) or getattr(args, "a", None) is not None:
-        action = _parse_action(args)
-        w = action.normalized()
-        if w[0] != 0 or w[1] != 1 or not 2 <= w[2] <= d - 1:
-            raise ValueError("classification requires an action of the shape (0,1,a) with 2 <= a <= d-1")
     partition = classification.classify_moves(d)
     results = {"partition": partition.to_json()}
     checks = [
@@ -274,21 +258,17 @@ def cmd_conjecture_scan(args):
     if args.stream and args.format != "json":
         raise ValueError("--stream prints JSON lines; it takes no --format " + args.format)
     scan = conjecture_scan(range(3, args.dmax + 1))
+    if args.stream:
+        # JSON lines, one per unit, in place of a report; printed when the
+        # scan has ended
+        return "".join(json.dumps(u, sort_keys=True) + "\n" for u in scan["units"])
     findings = scan["findings"]
     checks = [
         _check("no_counterexamples", "pass" if not findings else "finding",
                f"{len(findings)} counterexample candidate(s)")
     ]
-    results = {
-        "n_units": len(scan["units"]),
-        "findings": findings,
-    }
-    if not args.stream:
-        results["units"] = scan["units"]
-    report = _report("conjecture-scan", {"dmax": args.dmax}, results, checks)
-    if args.stream:
-        report["_stream_units"] = scan["units"]
-    return report
+    results = {"n_units": len(scan["units"]), "findings": findings, "units": scan["units"]}
+    return _report("conjecture-scan", {"dmax": args.dmax}, results, checks)
 
 
 def cmd_surface(args):
@@ -416,15 +396,13 @@ def cmd_report(args):
     if d <= 9:
         import random
 
-        from . import arrangements
-
-        product = r.product if r.product is not None else circulant_product(d, action.weights)
+        # scaling the variables by nonzero integers keeps the support, so
+        # every form has the product's support size
+        product = r.product if r.product is not None else r.newton_product()
+        support_size = len(product.terms)
         rng = random.Random(args.seed)
-        forms = []
-        for _ in range(5):
-            scales = random_scales(rng)
-            cert = arrangements.certificate_product_membership(ideal, scales, product)
-            forms.append({"scales": list(scales), "support_size": cert.support_size})
+        forms = [{"scales": list(random_scales(rng)), "support_size": support_size}
+                 for _ in range(5)]
         sections["membership"] = {"forms": forms}
         checks.append(_check("membership.random_forms", "pass", "5 forms in the ideal"))
 
@@ -615,7 +593,7 @@ def build_parser() -> CliParser:
     p.add_argument("--subset-oracle", action="store_true", dest="subset_oracle")
 
     p = sub.add_parser("classify", help="equivalence classes of actions for one d")
-    _add_common(p, action=True)
+    _add_common(p)
 
     p = sub.add_parser("circulant", help="exact circulant determinant data")
     _add_common(p)
@@ -666,11 +644,8 @@ def main(argv=None) -> int:
     except (ValueError, OverflowError) as exc:
         print(f"gtsys: error: {exc}", file=sys.stderr)
         return 1
-    stream_units = report.pop("_stream_units", None)
-    if stream_units is not None:
-        text = "".join(json.dumps(u, sort_keys=True) + "\n" for u in stream_units)
-    else:
-        text = _render(report, args.format)
+    # a report is rendered; --stream returns its lines as text
+    text = report if isinstance(report, str) else _render(report, args.format)
     try:
         _emit(text, args.out)
     except OSError as exc:

@@ -13,6 +13,8 @@ so when the kernel has dimension 1 its vector is the product's coefficient
 vector, scaled.  restriction(ideal) makes that one elimination, and the
 Togliatti predicate, minimality and the product are read off the Restriction
 it returns; the verdict needs only the nullity (WlpVerdict.from_nullity).
+Restriction.newton_product() is the one cross-check of the product against
+its Newton expansion, for minimal, report and conjecture_scan alike.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .actions import Action, GTIdeal, invariant_monomials
-from .circulant import check_ternary_limit, circulant_product
+from .circulant import _TERNARY_LIMIT, check_ternary_limit, circulant_product
 from .errors import ConsistencyError
 from .polymat import SparsePoly, bareiss_echelon, bareiss_rank
 
@@ -99,7 +101,7 @@ def kernel_dimension(ideal: GTIdeal, coeffs=(1, 1, 1)) -> int:
 def random_scales(rng):
     """Three nonzero integer scales in 1..9 with random signs: the
     coefficients of a random linear form for kernel_dimension, or the scales
-    of a membership certificate."""
+    of a membership form of report."""
     return tuple(rng.randint(1, 9) * rng.choice((-1, 1)) for _ in range(3))
 
 
@@ -207,6 +209,23 @@ class Restriction:
             raise ConsistencyError("the product's support disagrees with minimality")
         return SparsePoly(3, terms, prune=False)
 
+    def newton_product(self) -> SparsePoly | None:
+        """The eigenvalue product expanded by Newton's identities
+        (circulant_product) at the action's own weights, or None past the
+        ternary limit or without an action.  Its support must lie in the
+        generator set, and with nullity 1 it must equal self.product term by
+        term; otherwise ConsistencyError.  With any other nullity nothing is
+        compared with v."""
+        ideal = self.ideal
+        if ideal.action is None or ideal.d > _TERNARY_LIMIT:
+            return None
+        newton = circulant_product(ideal.d, ideal.action.weights)
+        if not newton.support() <= set(ideal.generators):
+            raise ConsistencyError("product escapes the invariant monomial span")
+        if self.product is not None and newton.terms != self.product.terms:
+            raise ConsistencyError("the Newton product disagrees with the kernel vector")
+        return newton
+
 
 def restriction(ideal: GTIdeal) -> Restriction:
     """Eliminate E at x + y + z once.  Only a Togliatti candidate (all three
@@ -249,14 +268,16 @@ def conjecture_scan(d_values):
     """Scan actions (0, a, b) for failures of minimality.
 
     For every d and every 1 <= a < b <= d-1 with gcd(a, b, d) = 1 the
-    invariant ideal is built once.  The circulant route compares the support
-    of the eigenvalue product with it, and its one restriction gives both the
-    Togliatti verdict and, for every Togliatti unit, the independent
-    kernel-vector minimality check.  A unit is a counterexample candidate
-    exactly when one of the two minimality routes fails.  Pairs with a == b
-    provably keep the Lefschetz property and are recorded as degenerate;
-    units that are not Togliatti systems are recorded as such.  The largest
-    d is checked against the ternary limit before the first unit.
+    invariant ideal is built and eliminated once.  Its restriction gives the
+    Togliatti verdict and, for every Togliatti unit, the kernel-vector
+    minimality; its newton_product() gives the circulant route, the support
+    of the Newton-expanded product compared with the generator set, and with
+    nullity 1 checks that product against v term by term (a mismatch raises
+    ConsistencyError).  A unit is a counterexample candidate exactly when
+    one of the two minimality routes fails.  Pairs with a == b provably keep
+    the Lefschetz property and are recorded as degenerate; units that are
+    not Togliatti systems are recorded as such.  The largest d is checked
+    against the ternary limit before the first unit.
     """
     dmax = max(d_values, default=0)
     if dmax >= 3:
@@ -273,13 +294,12 @@ def conjecture_scan(d_values):
                     units.append({"d": d, "a": a, "b": b, "status": "degenerate_wlp"})
                     continue
                 ideal = invariant_monomials(Action(d, (0, a, b)))
-                product = circulant_product(d, (0, a, b))
+                r = restriction(ideal)
                 unit = {
                     "d": d, "a": a, "b": b, "mu": ideal.mu,
-                    "minimal_circulant": product.support() == set(ideal.generators),
+                    "minimal_circulant": r.newton_product().support() == set(ideal.generators),
                 }
                 bad = not unit["minimal_circulant"]
-                r = restriction(ideal)
                 togliatti = unit["togliatti"] = r.togliatti
                 if togliatti:
                     unit["minimal_oracle"] = r.minimal

@@ -11,12 +11,10 @@ import random
 import pytest
 
 from gtsystems import arrangements
-from gtsystems.actions import Action, invariant_monomials
 from gtsystems.arrangements import (
     Arrangement,
     CensusReport,
     build_arrangement,
-    certificate_product_membership,
     ceva_configuration,
     cross,
     freeness_diagnostic,
@@ -24,7 +22,6 @@ from gtsystems.arrangements import (
 )
 from gtsystems.cyclotomic import CyclotomicInt, OrderMismatchError
 from gtsystems.errors import ConsistencyError
-from gtsystems.wlp import random_scales
 
 
 def substitute_power(a, k):
@@ -321,32 +318,3 @@ class TestFreeness:
         assert fr.c1 == 3 * d - 1
         assert fr.exponents[0] + fr.exponents[1] == fr.c1
         assert fr.exponents[0] * fr.exponents[1] == fr.c2
-
-
-class TestMembershipCertificates:
-    def test_unit_scales_reproduce_invariant_support(self):
-        ideal = invariant_monomials(Action(7, (0, 1, 3)))
-        cert = certificate_product_membership(ideal, (1, 1, 1))
-        gens = set(ideal.generators)
-        assert cert.product.support() == gens
-
-    def test_random_scales_stay_inside_ideal(self):
-        rng = random.Random(424242)
-        for d, a in ((5, 2), (7, 3), (9, 5)):
-            ideal = invariant_monomials(Action(d, (0, 1, a)))
-            gens = set(ideal.generators)
-            for _ in range(5):
-                cert = certificate_product_membership(ideal, random_scales(rng))
-                assert cert.product.support() <= gens
-                assert cert.support_size == len(cert.product.support())
-
-    def test_zero_scale_rejected(self):
-        with pytest.raises(ValueError):
-            certificate_product_membership(invariant_monomials(Action(5, (0, 1, 2))), (1, 0, 1))
-
-    def test_random_scales_are_nonzero(self):
-        rng = random.Random(7)
-        for _ in range(50):
-            scales = random_scales(rng)
-            assert len(scales) == 3
-            assert all(s != 0 for s in scales)

@@ -101,6 +101,13 @@ class TestExitCodes:
         assert out == ""
         assert "argument --general-l: the number of samples must be >= 0" in err
 
+    @pytest.mark.parametrize("option", [("--a", "3"), ("--action", "0,1,3")])
+    def test_classify_takes_no_action(self, capsys, option):
+        # the classes depend on d alone
+        code, out, err = run_cli(capsys, "classify", "--d", "13", *option)
+        assert code == 1 and out == ""
+        assert err.endswith(f"gtsys: error: unrecognized arguments: {' '.join(option)}\n")
+
     def test_oversized_request_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "circulant", "--d", "25")
         assert code == 1
@@ -263,9 +270,8 @@ def _spy_circulant_products(monkeypatch):
         calls.append((d, tuple(positions)))
         return real(d, positions)
 
-    for module in (arrangements, circulant, cli, wlp):
-        if getattr(module, "circulant_product", None) is real:
-            monkeypatch.setattr(module, "circulant_product", spy)
+    for module in (circulant, wlp):
+        monkeypatch.setattr(module, "circulant_product", spy)
     return calls
 
 
@@ -333,10 +339,35 @@ class TestTogliattiFirst:
 
     def test_newton_disagreement_exits_2(self, capsys, monkeypatch):
         real = circulant.circulant_product
-        monkeypatch.setattr(cli, "circulant_product", lambda d, w: real(d, w) * 2)
+        monkeypatch.setattr(wlp, "circulant_product", lambda d, w: real(d, w) * 2)
         code, out, err = run_cli(capsys, "minimal", "--d", "7", "--action", "0,1,3")
         assert code == 2 and out == ""
         assert "the Newton product disagrees with the kernel vector" in err
+
+    def test_scan_newton_disagreement_exits_2(self, capsys, monkeypatch):
+        # the same products' supports agree; the scan compares every term
+        real = circulant.circulant_product
+        monkeypatch.setattr(wlp, "circulant_product", lambda d, w: real(d, w) * 2)
+        code, out, err = run_cli(capsys, "conjecture-scan", "--dmax", "5")
+        assert code == 2 and out == ""
+        assert err == "gtsys: consistency failure: the Newton product disagrees with the kernel vector\n"
+
+    def test_nullity_two_is_not_minimal_and_not_cross_checked(self, capsys, monkeypatch):
+        # a Togliatti system with nullity 2 is not minimal, whatever the
+        # Newton product's support; nothing is compared with v
+        real = wlp.restriction
+
+        def nullity_two(ideal):
+            return wlp.Restriction(ideal, 2, real(ideal).v)
+
+        monkeypatch.setattr(cli, "restriction", nullity_two)
+        for extra in ((), ("--subset-oracle",)):
+            code, out, err = run_cli(capsys, "minimal", "--d", "7", "--action", "0,1,3", *extra)
+            assert code == 0, err
+            report = json.loads(out)
+            assert report["results"]["minimal_circulant"] is False
+            assert report["results"]["cross_check"] is None
+            assert "routes_agree" not in [c["name"] for c in report["checks"]]
 
 
 class TestOneEliminationPerCommand:

@@ -28,6 +28,8 @@ REMOVED = (
     "kernel_certificate",
     "KernelCertificate",
     "divide_by_ell",
+    "certificate_product_membership",
+    "MembershipCertificate",
 )
 
 

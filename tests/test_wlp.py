@@ -12,7 +12,6 @@ from test_circulant import ternary_oracle
 
 from gtsystems import circulant, polymat, wlp
 from gtsystems.actions import Action, GTIdeal, invariant_monomials
-from gtsystems.arrangements import certificate_product_membership
 from gtsystems.circulant import circulant_product, ternary_product
 from gtsystems.errors import ConsistencyError
 from gtsystems.polymat import SparsePoly, bareiss_rank
@@ -210,6 +209,14 @@ def _pool_ideals():
         yield invariant_monomials(Action(int(argv[argv.index("--d") + 1]), weights))
 
 
+def test_random_scales_are_nonzero():
+    rng = random.Random(7)
+    for _ in range(50):
+        scales = random_scales(rng)
+        assert len(scales) == 3
+        assert all(s != 0 for s in scales)
+
+
 class TestRestrictionRows:
     def test_rows_equal_the_power_formula_on_the_pool(self):
         rng = random.Random(20261018)
@@ -326,7 +333,6 @@ class TestMinimality:
         # weights (0, a, b) are faithful too: the product at the action's own
         # weights decides minimality and counts membership terms as the
         # normal form does
-        rng = random.Random(10)
         actions = 0
         for d in range(3, 11):
             for weights in itertools.product(range(d), repeat=3):
@@ -341,8 +347,9 @@ class TestMinimality:
                 normal_ideal = invariant_monomials(Action(d, (0, a, b)))
                 assert (circulant_product(d, weights).support() == set(ideal.generators)) == (
                     normal.support() == set(normal_ideal.generators)), weights
-                cert = certificate_product_membership(ideal, random_scales(rng))
-                assert cert.support_size == len(normal.terms), (d, weights)
+                r = restriction(ideal)
+                product = r.product if r.product is not None else r.newton_product()
+                assert len(product.terms) == len(normal.terms), (d, weights)
         assert actions == 1782
 
     def test_minimality_route_rejects_equal_weights(self):
@@ -592,6 +599,39 @@ class TestEigenvalueProductFromKernel:
     def test_repeated_weights_have_no_product(self):
         # x^5 and (y, z)^5: mu = 7 > d + 1, no Togliatti system
         assert restriction(invariant_monomials(Action(5, (0, 1, 1)))).product is None
+
+    def test_newton_product_equals_the_kernel_product(self):
+        r = restriction(invariant_monomials(Action(7, (0, 1, 3))))
+        assert r.nullity == 1
+        assert r.newton_product().terms == r.product.terms == ternary_product(7, 1, 3).terms
+
+    def test_newton_product_stops_at_the_ternary_limit_and_needs_the_action(self, monkeypatch):
+        def no_expansion(d, positions):
+            raise AssertionError(f"expanded at d = {d}")
+
+        monkeypatch.setattr(wlp, "circulant_product", no_expansion)
+        d = circulant._TERNARY_LIMIT + 1
+        assert restriction(invariant_monomials(Action(d, (0, 1, 3)))).newton_product() is None
+        ideal = GTIdeal(3, invariant_monomials(Action(3, (0, 1, 2))).generators)
+        assert restriction(ideal).newton_product() is None
+
+    def test_newton_product_must_stay_in_the_ideal(self):
+        # the ideal of (0, 1, 3) mod 7 without x^4 y z^2, which the product has
+        ideal = invariant_monomials(Action(7, (0, 1, 3)))
+        assert (4, 1, 2) in ideal.generators
+        smaller = GTIdeal(7, [g for g in ideal.generators if g != (4, 1, 2)], ideal.action)
+        with pytest.raises(ConsistencyError, match="escapes the invariant monomial span"):
+            wlp.Restriction(smaller, 2, None).newton_product()
+
+    def test_newton_product_is_compared_only_with_nullity_one(self, monkeypatch):
+        real = circulant_product
+        monkeypatch.setattr(wlp, "circulant_product", lambda d, w: real(d, w) * 2)
+        r = restriction(invariant_monomials(Action(7, (0, 1, 3))))
+        with pytest.raises(ConsistencyError, match="disagrees with the kernel vector"):
+            r.newton_product()
+        # nullity 2: no product is read off v, and nothing is compared
+        doubled = dataclasses.replace(r, nullity=2).newton_product()
+        assert doubled.terms == {g: 2 * c for g, c in r.product.terms.items()}
 
     def test_support_must_match_minimality(self):
         # v vanishing at z^d leaves the ideal minimal (pure powers are not
