@@ -14,7 +14,7 @@ _ORIGIN = {
     name: module
     for module, names in {
         "actions": ("Action", "GTIdeal", "InvalidActionError", "generalized_classical",
-                    "invariant_monomials", "inverse_data", "n_sequence", "normalize_action"),
+                    "invariant_monomials", "normalize_action"),
         "arrangements": ("build_arrangement", "ceva_configuration", "freeness_diagnostic",
                          "singular_census"),
         "circulant": ("circulant_det_symbolic", "coefficient_query", "ternary_product"),

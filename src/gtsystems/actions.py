@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConsistencyError
-
 __all__ = [
     "Action",
     "GTIdeal",
@@ -22,9 +20,7 @@ __all__ = [
     "check_invariant_limit",
     "generalized_classical",
     "invariant_monomials",
-    "inverse_data",
     "monomial_str",
-    "n_sequence",
     "normalize_action",
 ]
 
@@ -184,33 +180,6 @@ def invariant_monomials(action: Action) -> GTIdeal:
         for be in range(n - (n - be0) % step, -1, -step):
             gens.append((d - n, be, n - be))
     return GTIdeal(d, tuple(gens), action=action)
-
-
-def inverse_data(d, alpha):
-    """Return (b, k) with b*alpha = 1 + k*d, b minimal positive.
-
-    Requires 2 <= alpha <= d-1 and gcd(alpha, d) = 1; then 1 < b < d and k > 0.
-    """
-    if not 2 <= alpha <= d - 1:
-        raise ValueError("alpha out of range")
-    if math.gcd(alpha, d) != 1:
-        raise ValueError("alpha not invertible modulo d")
-    b = pow(alpha, -1, d)
-    k = (b * alpha - 1) // d
-    if not (1 < b < d and k > 0):
-        raise ConsistencyError(f"inverse of {alpha} mod {d} gave b={b}, k={k}")
-    return b, k
-
-
-def n_sequence(d, a):
-    """The sequence n_m = (n_1 * m) mod d where a*n_1 = -1 (mod d), m = 1..d-1."""
-    if math.gcd(a, d) != 1:
-        raise ValueError("a not invertible modulo d")
-    n1 = (-pow(a, -1, d)) % d
-    seq = [(n1 * m) % d for m in range(1, d)]
-    if 0 in seq or len(set(seq)) != d - 1:
-        raise ConsistencyError("n-sequence must be a permutation of 1..d-1")
-    return seq
 
 
 def _classical_exponents(d):

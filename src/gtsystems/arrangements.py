@@ -232,17 +232,6 @@ class FreenessReport:
             return "necessary condition fails"
         return "splits with integer exponents"
 
-    def to_json(self):
-        return {
-            "name": self.name,
-            "n_lines": self.n_lines,
-            "c1": self.c1,
-            "c2": self.c2,
-            "discriminant": self.discriminant,
-            "exponents": list(self.exponents) if self.exponents else None,
-            "status": self.status,
-        }
-
 
 def freeness_diagnostic(census: CensusReport) -> FreenessReport:
     """Numerical freeness test from the census.

@@ -127,7 +127,7 @@ def circulant_product(d, positions) -> SparsePoly:
             if q:
                 s_n[key] = q
         s.append(s_n)
-    return SparsePoly(m, {exponents(key, d): c for key, c in s[d].items()}, prune=False)
+    return SparsePoly(m, {exponents(key, d): c for key, c in s[d].items()})
 
 
 def circulant_det_symbolic(d) -> SparsePoly:

@@ -17,7 +17,7 @@ import sys
 
 from . import __version__
 from .actions import Action, check_invariant_limit, generalized_classical, invariant_monomials
-from .circulant import circulant_det_symbolic, coefficient_query, ternary_product
+from .circulant import check_ternary_limit, circulant_det_symbolic, coefficient_query
 from .errors import ConsistencyError
 from .wlp import (
     WlpVerdict,
@@ -206,6 +206,8 @@ def cmd_circulant(args):
     d = args.d
     inputs = {"d": d}
     checks = []
+    if args.coeff is not None and (args.a is not None or args.b is not None):
+        raise ValueError("--coeff queries the general form; it takes no --a or --b")
     if args.coeff:
         indices = [int(p) for p in args.coeff.split(",")]
         value = coefficient_query(d, indices)
@@ -226,8 +228,10 @@ def cmd_circulant(args):
         if not 1 <= args.a < args.b <= d - 1:
             raise ValueError("need 1 <= a < b <= d-1")
         action = Action(d, (0, args.a, args.b))  # rejects a non-faithful section
-        poly = ternary_product(d, args.a, args.b)
+        check_ternary_limit(d)
         ideal = invariant_monomials(action)
+        # the Newton product, cross-checked against the ideal and against v
+        poly = restriction(ideal).newton_product()
         complete = poly.support() == set(ideal.generators)
         inputs.update({"a": args.a, "b": args.b})
         checks.append(
@@ -570,8 +574,9 @@ def _add_common(p, *, d=True, action=False, seed=False):
     if d:
         p.add_argument("--d", type=int, required=True)
     if action:
-        p.add_argument("--action", default=None, help="three weights a,b,c")
-        p.add_argument("--a", type=int, default=None, help="shortcut for --action 0,1,a")
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--action", default=None, help="three weights a,b,c")
+        group.add_argument("--a", type=int, default=None, help="shortcut for --action 0,1,a")
     if seed:
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 

@@ -153,9 +153,6 @@ class CyclotomicInt:
             return NotImplemented
         return CyclotomicInt(self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = self._operand(other)
         if other is None:

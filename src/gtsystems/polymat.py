@@ -17,16 +17,9 @@ class SparsePoly:
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars, terms=None, prune=True):
+    def __init__(self, nvars, terms=()):
         self.nvars = nvars
-        if terms is None:
-            self.terms = {}
-        else:
-            self.terms = dict(terms)
-            if prune:
-                dead = [e for e, c in self.terms.items() if c == 0]
-                for e in dead:
-                    del self.terms[e]
+        self.terms = {e: c for e, c in dict(terms).items() if c}
 
     @classmethod
     def zero(cls, nvars):
@@ -69,16 +62,13 @@ class SparsePoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return SparsePoly(self.nvars, {e: -c for e, c in self.terms.items()}, prune=False)
+        return SparsePoly(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         a, b = self._as_pair(other)
         if a is None:
             return NotImplemented
         return a + (-b)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -121,9 +111,6 @@ class SparsePoly:
         if a is None:
             return NotImplemented
         return (a - b).is_zero()
-
-    def __hash__(self):
-        raise TypeError("SparsePoly is not hashable")
 
     def __str__(self):
         return self.render()

@@ -102,15 +102,17 @@ class _Lattice:
         return (y - k * self.b) % self.c == 0
 
     def primitive(self, v):
-        """Largest Lambda-divisor u of v with v = n*u; returns (u, n)."""
-        g = math.gcd(abs(v[0]), abs(v[1]))
-        if g == 0:
+        """Largest Lambda-divisor u of v with v = n*u; returns (u, n).  In the
+        basis, v = k*(a, b) + l*(0, c), and v/n lies in the lattice exactly
+        when n divides both k and l, so n = gcd(k, l)."""
+        x, y = v
+        if x == y == 0:
             raise ValueError("zero vector has no primitive direction")
-        for n in sorted((k for k in range(1, g + 1) if g % k == 0), reverse=True):
-            u = (v[0] // n, v[1] // n)
-            if self.contains(u):
-                return u, n
-        raise ConsistencyError("vector not in its own lattice")
+        if not self.contains(v):
+            raise ConsistencyError("vector not in its own lattice")
+        k = x // self.a
+        n = math.gcd(k, (y - k * self.b) // self.c)
+        return (x // n, y // n), n
 
 
 @dataclass(frozen=True)
@@ -309,10 +311,6 @@ class BettiTable:
     d: int
     k: int
     rows: tuple  # (homological step i, twist j, rank)
-
-    @property
-    def length(self):
-        return max(i for i, _, _ in self.rows)
 
     def alternating_sum(self):
         return sum((-1) ** i * r for i, _, r in self.rows)

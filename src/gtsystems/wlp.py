@@ -207,7 +207,7 @@ class Restriction:
                 terms[g] = q
         if (len(terms) == ideal.mu) != self.minimal:
             raise ConsistencyError("the product's support disagrees with minimality")
-        return SparsePoly(3, terms, prune=False)
+        return SparsePoly(3, terms)
 
     def newton_product(self) -> SparsePoly | None:
         """The eigenvalue product expanded by Newton's identities

@@ -13,9 +13,7 @@ from gtsystems.actions import (
     check_invariant_limit,
     generalized_classical,
     invariant_monomials,
-    inverse_data,
     monomial_str,
-    n_sequence,
     normalize_action,
 )
 
@@ -224,18 +222,26 @@ class TestInvariantLimit:
 
 
 class TestSequencesAndHelpers:
-    def test_n_sequence_defining_property(self):
-        # n_m is the unique residue in [1, d-1] with m + a * n_m = 0 mod d,
-        # i.e. the z-exponent pairing with y-exponent m in an invariant monomial.
-        for d, a in ((7, 3), (11, 2), (13, 4)):
-            seq = n_sequence(d, a)
-            for m, nm in enumerate(seq, start=1):
-                assert (m + a * nm) % d == 0
-                assert 1 <= nm <= d - 1
-
-    def test_inverse_data(self):
-        inv, _ = inverse_data(7, 3)
-        assert (3 * inv) % 7 == 1
+    def test_closed_form_of_the_0_1_a_ideal(self):
+        # the paper's description of the ideal of (0, 1, a), a a unit mod d:
+        # the pure powers and x^(d-m-n_m) y^m z^(n_m) for m = 1..d-1 with
+        # m + n_m <= d, where n_m = -m * a^(-1) mod d is the one z-exponent
+        # in 0..d with m + a * n_m = 0 mod d
+        pairs = 0
+        for d in range(3, 61):
+            for a in range(2, d):
+                if math.gcd(a, d) != 1:
+                    continue
+                inverse = pow(a, -1, d)
+                want = {(d, 0, 0), (0, d, 0), (0, 0, d)}
+                for m in range(1, d):
+                    n_m = -m * inverse % d
+                    if m + n_m <= d:
+                        want.add((d - m - n_m, m, n_m))
+                ideal = invariant_monomials(Action(d, (0, 1, a)))
+                assert ideal.mu == len(want) and set(ideal.generators) == want, (d, a)
+                pairs += 1
+        assert pairs == 1042
 
     def test_monomial_str(self):
         assert monomial_str((2, 0, 1)) == "x^2z"

@@ -108,6 +108,22 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err.endswith(f"gtsys: error: unrecognized arguments: {' '.join(option)}\n")
 
+    @pytest.mark.parametrize("command", ["invariants", "gt-verdict", "minimal", "report"])
+    def test_action_and_a_conflict(self, capsys, command):
+        # both name the action, so neither may be dropped in silence
+        code, out, err = run_cli(capsys, command, "--d", "7", "--action", "0,1,3", "--a", "5")
+        assert code == 1 and out == ""
+        assert "[--action ACTION | --a A]" in err
+        assert err.endswith("error: argument --a: not allowed with argument --action\n")
+
+    @pytest.mark.parametrize("section", [("--a", "1", "--b", "3"), ("--a", "1"), ("--b", "3")])
+    def test_circulant_coeff_conflicts_with_the_section(self, capsys, section):
+        # a coefficient of the general form and a ternary section are two answers
+        code, out, err = run_cli(capsys, "circulant", "--d", "7", "--coeff", "0,0,0,0,0,0,0",
+                                 *section)
+        assert code == 1 and out == ""
+        assert err == "gtsys: error: --coeff queries the general form; it takes no --a or --b\n"
+
     def test_oversized_request_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "circulant", "--d", "25")
         assert code == 1
@@ -517,10 +533,25 @@ class TestCirculantLimits:
         def no_expansion(*args):
             raise AssertionError("the section was expanded before validation")
 
-        monkeypatch.setattr(cli, "ternary_product", no_expansion)
+        monkeypatch.setattr(wlp, "circulant_product", no_expansion)
         code, _, err = run_cli(capsys, "circulant", "--d", "128", "--a", "32", "--b", "64")
         assert code == 1
         assert "gcd(0, 32, 64, 128) != 1: the action is not faithful" in err
+
+    @pytest.mark.parametrize("change,message", [
+        (lambda p: p * 2, "the Newton product disagrees with the kernel vector"),
+        (lambda p: p + polymat.SparsePoly.monomial(3, (6, 1, 0)),
+         "product escapes the invariant monomial span"),
+    ], ids=["doubled", "outside_the_ideal"])
+    def test_section_goes_through_the_newton_cross_check(self, capsys, monkeypatch, change,
+                                                         message):
+        # a wrong Newton product is a failed cross-check, not a finding
+        real = circulant.circulant_product
+        for module in (circulant, wlp):
+            monkeypatch.setattr(module, "circulant_product", lambda d, w: change(real(d, w)))
+        code, out, err = run_cli(capsys, "circulant", "--d", "7", "--a", "1", "--b", "3")
+        assert code == 2 and out == ""
+        assert err == f"gtsys: consistency failure: {message}\n"
 
     def test_general_form_at_d9(self, capsys):
         code, out, _ = run_cli(capsys, "circulant", "--d", "9")

@@ -1,6 +1,7 @@
 """Every exported name resolves, and names deleted from the API stay gone."""
 
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -30,6 +31,8 @@ REMOVED = (
     "divide_by_ell",
     "certificate_product_membership",
     "MembershipCertificate",
+    "inverse_data",
+    "n_sequence",
 )
 
 
@@ -83,6 +86,12 @@ def test_removed_members_are_gone():
     assert not hasattr(gtsystems.circulant, "scaled_ternary_product")
     assert not hasattr(gtsystems.circulant, "cofactor_product")
     assert not hasattr(gtsystems.wlp, "check_circulant_route")
+    assert not hasattr(gtsystems.arrangements.FreenessReport, "to_json")
+    assert not hasattr(gtsystems.surface.BettiTable, "length")
+    for cls in (gtsystems.SparsePoly, gtsystems.CyclotomicInt):
+        assert not hasattr(cls, "__rsub__"), cls.__name__
+    assert gtsystems.SparsePoly.__hash__ is None
+    assert "prune" not in inspect.signature(gtsystems.SparsePoly).parameters
 
 
 def test_cli_holds_no_private_wlp_object():

@@ -1,6 +1,7 @@
 """Toric-surface invariants of the generalized classical family."""
 
 import math
+import random
 
 import pytest
 
@@ -138,6 +139,38 @@ class TestGaloisCoveringDegree:
             assert len(calls) == len(report.vertices), action
 
 
+class TestLatticePrimitive:
+    def test_largest_lattice_divisor(self):
+        # v = n*u with u in the lattice, and no u/m with m > 1 is
+        rng = random.Random(11)
+        checked = 0
+        while checked < 3000:
+            gens = [(rng.randint(-12, 12), rng.randint(-12, 12)) for _ in range(rng.randint(2, 4))]
+            try:
+                lattice = surface._Lattice(gens)
+            except ValueError:  # rank below 2
+                continue
+            coeffs = [rng.randint(-6, 6) for _ in gens]
+            v = tuple(sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(2))
+            if v == (0, 0):
+                continue
+            u, n = lattice.primitive(v)
+            assert (n * u[0], n * u[1]) == v and lattice.contains(u), (gens, v)
+            g = math.gcd(*u)
+            for m in range(2, g + 1):
+                if g % m == 0:
+                    assert not lattice.contains((u[0] // m, u[1] // m)), (gens, v, m)
+            checked += 1
+
+    def test_errors(self):
+        lattice = surface._Lattice([(2, 0), (0, 3)])
+        assert lattice.primitive((4, -6)) == ((2, -3), 2)
+        with pytest.raises(ValueError, match="zero vector has no primitive direction"):
+            lattice.primitive((0, 0))
+        with pytest.raises(ConsistencyError, match="vector not in its own lattice"):
+            lattice.primitive((1, 0))
+
+
 class TestComplementAndSmoothness:
     @pytest.mark.parametrize("d", range(3, 13))
     def test_complement_size(self, d):
@@ -227,7 +260,7 @@ class TestBettiTables:
     def test_resolution_length(self, d):
         # The resolution of the coordinate ring has length k = codimension.
         bt = betti_table(d)
-        assert bt.length == bt.k
+        assert max(i for i, _, _ in bt.rows) == bt.k
         assert bt.k == d // 2
 
     def test_odd_table_closed_form(self):
