@@ -11,7 +11,8 @@ degree-d simplex is its oracle in the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from ._record import Record
 
 __all__ = [
     "Action",
@@ -34,24 +35,22 @@ class InvalidActionError(ValueError):
     """Weight triple does not generate a faithful action of Z/d."""
 
 
-@dataclass(frozen=True)
-class Action:
+class Action(Record):
     """Weights of a diagonal Z/d action on (x, y, z)."""
 
-    d: int
-    weights: tuple
+    __slots__ = ("d", "weights")
 
-    def __post_init__(self):
-        if self.d < 2:
+    def __init__(self, d, weights):
+        if d < 2:
             raise InvalidActionError("order must be at least 2")
-        w = tuple(v % self.d for v in self.weights)
+        w = tuple(v % d for v in weights)
         if len(w) != 3:
             raise InvalidActionError("need exactly three weights")
-        if math.gcd(*w, self.d) != 1:
+        if math.gcd(*w, d) != 1:
             raise InvalidActionError(
-                f"gcd{(*self.weights, self.d)} != 1: the action is not faithful"
+                f"gcd{(*weights, d)} != 1: the action is not faithful"
             )
-        object.__setattr__(self, "weights", w)
+        super().__init__(d, w)
 
     def normalized(self) -> tuple:
         return normalize_action(self.d, *self.weights)
@@ -81,8 +80,7 @@ def monomial_str(exp, names=("x", "y", "z")):
     )
 
 
-@dataclass(frozen=True)
-class GTIdeal:
+class GTIdeal(Record):
     """Artinian monomial ideal generated in a single degree d.
 
     Generators are exponent triples summing to d, kept in descending
@@ -90,20 +88,17 @@ class GTIdeal:
     full invariant ideal of one.
     """
 
-    d: int
-    generators: tuple
-    action: Action | None = None
+    __slots__ = ("d", "generators", "action")
 
-    def __post_init__(self):
-        gens = tuple(map(tuple, self.generators))
+    def __init__(self, d, generators, action=None):
+        gens = tuple(map(tuple, generators))
         # one pass tells a strictly descending input, which needs no sort
         if any(g <= h for g, h in zip(gens, gens[1:])):
             gens = tuple(sorted(set(gens), reverse=True))
-        d = self.d
         for g in gens:
             if len(g) != 3 or min(g) < 0 or sum(g) != d:
                 raise ValueError(f"bad degree-{d} generator {g}")
-        object.__setattr__(self, "generators", gens)
+        super().__init__(d, gens, action)
 
     @property
     def mu(self):

@@ -11,8 +11,8 @@ as covered.  No canonical form of a point is needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .cyclotomic import CyclotomicInt
 from .errors import ConsistencyError
 
@@ -61,11 +61,8 @@ def _int(d, n):
     return CyclotomicInt.from_int(d, n)
 
 
-@dataclass(frozen=True)
-class Arrangement:
-    d: int
-    name: str
-    lines: tuple
+class Arrangement(Record):
+    __slots__ = ("d", "name", "lines")
 
     @property
     def n_lines(self):
@@ -117,13 +114,8 @@ def build_arrangement(kind, d) -> Arrangement:
     return Arrangement(d, kind, tuple(lines))
 
 
-@dataclass(frozen=True)
-class CevaCertificate:
-    d: int
-    n_lines: int
-    n_points: int
-    lines_per_point: int
-    points_per_line: int
+class CevaCertificate(Record):
+    __slots__ = ("d", "n_lines", "n_points", "lines_per_point", "points_per_line")
 
     def to_json(self):
         return {
@@ -155,12 +147,13 @@ def ceva_configuration(d) -> CevaCertificate:
     return CevaCertificate(d, len(lines), len(points), d, 3)
 
 
-@dataclass(frozen=True)
-class CensusReport:
-    name: str
-    d: int
-    n_lines: int
-    counts: tuple  # sorted (multiplicity, number of points)
+class CensusReport(Record):
+    __slots__ = (
+        "name",
+        "d",
+        "n_lines",
+        "counts",  # sorted (multiplicity, number of points)
+    )
 
     @property
     def n_points(self):
@@ -216,15 +209,8 @@ def singular_census(arr: Arrangement) -> CensusReport:
     return report
 
 
-@dataclass(frozen=True)
-class FreenessReport:
-    name: str
-    n_lines: int
-    c1: int
-    c2: int
-    weight: int
-    discriminant: int
-    exponents: tuple | None
+class FreenessReport(Record):
+    __slots__ = ("name", "n_lines", "c1", "c2", "weight", "discriminant", "exponents")
 
     @property
     def status(self):

@@ -10,9 +10,9 @@ module is compared against that closure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 
+from ._record import Record
 from .errors import ConsistencyError
 
 __all__ = [
@@ -100,10 +100,11 @@ def _class_kind(d, members):
     return "2iii"
 
 
-@dataclass(frozen=True)
-class ClassPartition:
-    d: int
-    classes: tuple  # tuple of (members tuple, kind str)
+class ClassPartition(Record):
+    __slots__ = (
+        "d",
+        "classes",  # tuple of (members tuple, kind str)
+    )
 
     def count_by_kind(self, kind):
         return sum(1 for _, k in self.classes if k == kind)
@@ -156,14 +157,8 @@ def _phi6_compatible(fac):
     return all(p % 6 == 1 for p in fac if p > 3)
 
 
-@dataclass(frozen=True)
-class ClassCounts:
-    N21: int
-    N22: int
-    N23: int
-    N3: int
-    N4: int
-    N6: int
+class ClassCounts(Record):
+    __slots__ = ("N21", "N22", "N23", "N3", "N4", "N6")
 
     @property
     def N2(self):
@@ -227,11 +222,8 @@ def _oracle_counts(partition: ClassPartition) -> ClassCounts:
     )
 
 
-@dataclass(frozen=True)
-class ClassCountReport:
-    d: int
-    formula: ClassCounts
-    oracle: ClassCounts
+class ClassCountReport(Record):
+    __slots__ = ("d", "formula", "oracle")
 
     @property
     def matches(self):

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import sys
+from _json import encode_basestring_ascii as _json_str
 
 from . import __version__
 from .actions import Action, check_invariant_limit, generalized_classical, invariant_monomials
@@ -28,10 +28,12 @@ from .wlp import (
     restriction,
 )
 
-# classification, surface and arrangements (with cyclotomic), csv and random
-# are imported by the commands that use them, on their first call: the
-# per-ideal commands and their fresh processes never load them, and report
-# loads no arrangements
+# classification, surface and arrangements (with cyclotomic), csv, json and
+# random are imported by the commands that use them, on their first call: the
+# per-ideal commands and their fresh processes never load them, report loads
+# no arrangements, and json loads only for --stream and csv.  The records
+# are plain frozen classes (_record), so no gtsys process imports
+# dataclasses, and with it inspect
 
 DEFAULT_SEED = 20260814
 
@@ -208,7 +210,7 @@ def cmd_circulant(args):
     checks = []
     if args.coeff is not None and (args.a is not None or args.b is not None):
         raise ValueError("--coeff queries the general form; it takes no --a or --b")
-    if args.coeff:
+    if args.coeff is not None:
         indices = [int(p) for p in args.coeff.split(",")]
         value = coefficient_query(d, indices)
         s = sum(indices) % d
@@ -263,6 +265,8 @@ def cmd_conjecture_scan(args):
         raise ValueError("--stream prints JSON lines; it takes no --format " + args.format)
     scan = conjecture_scan(range(3, args.dmax + 1))
     if args.stream:
+        import json
+
         # JSON lines, one per unit, in place of a report; printed when the
         # scan has ended
         return "".join(json.dumps(u, sort_keys=True) + "\n" for u in scan["units"])
@@ -469,6 +473,8 @@ def _flatten(prefix, value, rows):
         for k in value:
             _flatten(f"{prefix}.{k}" if prefix else str(k), value[k], rows)
     elif isinstance(value, list):
+        import json
+
         rows.append((prefix, json.dumps(value, sort_keys=True)))
     else:
         rows.append((prefix, value))
@@ -492,7 +498,6 @@ def _render_csv(report):
     return buf.getvalue()
 
 
-_json_str = json.encoder.encode_basestring_ascii
 _INF = float("inf")
 
 

@@ -10,8 +10,8 @@ equality test or a canonical form is requested, and is not remembered.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import ConsistencyError, NonIntegerError
 
 __all__ = [
@@ -44,12 +44,10 @@ def _poly_divmod_exact(num, den):
     return quot, num
 
 
-@dataclass(frozen=True)
-class CycloPolynomial:
+class CycloPolynomial(Record):
     """The d-th cyclotomic polynomial with coefficients in ascending degree."""
 
-    d: int
-    coeffs: tuple
+    __slots__ = ("d", "coeffs")
 
     @property
     def degree(self):

@@ -14,8 +14,8 @@ is checked by comparing the exponent images of its two terms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .actions import GTIdeal, _classical_exponents
 from .errors import ConsistencyError
 from .polymat import SparsePoly
@@ -115,13 +115,8 @@ class _Lattice:
         return (x // n, y // n), n
 
 
-@dataclass(frozen=True)
-class LatticeModel:
-    points: tuple
-    hull: tuple
-    normalized_area: int
-    lattice_index: int
-    degree: int
+class LatticeModel(Record):
+    __slots__ = ("points", "hull", "normalized_area", "lattice_index", "degree")
 
     def to_json(self):
         return {
@@ -165,13 +160,14 @@ def complement_exponents(ideal: GTIdeal):
     ]
 
 
-@dataclass(frozen=True)
-class SmoothnessReport:
-    smooth: bool
-    lattice_index: int
-    vertices: tuple  # (vertex, det, ok) per hull corner
-    edge_gaps: tuple  # lattice points missing from hull edges
-    interior_condition: bool  # every non-pure-power generator uses all three variables
+class SmoothnessReport(Record):
+    __slots__ = (
+        "smooth",
+        "lattice_index",
+        "vertices",  # (vertex, det, ok) per hull corner
+        "edge_gaps",  # lattice points missing from hull edges
+        "interior_condition",  # every non-pure-power generator uses all three variables
+    )
 
     def to_json(self):
         return {
@@ -224,16 +220,17 @@ def polytope_smoothness(ideal: GTIdeal) -> SmoothnessReport:
     return SmoothnessReport(smooth, lattice.index, tuple(vertices), tuple(gaps), interior)
 
 
-@dataclass(frozen=True)
-class GeneratorPresentation:
-    d: int
-    k: int
-    matrix: tuple  # 2 x ncols entries as SparsePoly
-    minors: tuple
-    extra_quadric: SparsePoly | None
-    quadric_count: int
-    cubic_count: int
-    pullbacks_vanish: bool
+class GeneratorPresentation(Record):
+    __slots__ = (
+        "d",
+        "k",
+        "matrix",  # 2 x ncols entries as SparsePoly
+        "minors",
+        "extra_quadric",
+        "quadric_count",
+        "cubic_count",
+        "pullbacks_vanish",
+    )
 
     @property
     def generators(self):
@@ -304,13 +301,14 @@ def determinantal_generators(d) -> GeneratorPresentation:
     )
 
 
-@dataclass(frozen=True)
-class BettiTable:
+class BettiTable(Record):
     """Graded ranks beta_(i,j) of the free resolution of the surface ideal."""
 
-    d: int
-    k: int
-    rows: tuple  # (homological step i, twist j, rank)
+    __slots__ = (
+        "d",
+        "k",
+        "rows",  # (homological step i, twist j, rank)
+    )
 
     def alternating_sum(self):
         return sum((-1) ** i * r for i, _, r in self.rows)

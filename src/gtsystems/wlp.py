@@ -20,9 +20,9 @@ its Newton expansion, for minimal, report and conjecture_scan alike.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
+from ._record import Record
 from .actions import Action, GTIdeal, invariant_monomials
 from .circulant import _TERNARY_LIMIT, check_ternary_limit, circulant_product
 from .errors import ConsistencyError
@@ -105,19 +105,9 @@ def random_scales(rng):
     return tuple(rng.randint(1, 9) * rng.choice((-1, 1)) for _ in range(3))
 
 
-@dataclass(frozen=True)
-class WlpVerdict:
-    action: Action | None
-    d: int
-    mu: int
-    dim_source: int
-    dim_target: int
-    rank: int | None
-    fails_injectivity: bool
-    fails_wlp_at_d_minus_1: bool | None
-    generator_bound_ok: bool
-    is_togliatti: bool
-    method: str
+class WlpVerdict(Record):
+    __slots__ = ("action", "d", "mu", "dim_source", "dim_target", "rank", "fails_injectivity",
+                 "fails_wlp_at_d_minus_1", "generator_bound_ok", "is_togliatti", "method")
 
     def to_json(self):
         return {
@@ -152,14 +142,11 @@ class WlpVerdict:
         )
 
 
-@dataclass(frozen=True)
-class Restriction:
+class Restriction(Record):
     """E at x + y + z for an ideal, eliminated once by restriction(ideal): the
     nullity and, for a Togliatti system, the checked kernel vector v."""
 
-    ideal: GTIdeal
-    nullity: int
-    v: tuple[int, ...] | None
+    __slots__ = ("ideal", "nullity", "v", "__dict__")  # __dict__ holds product
 
     @property
     def togliatti(self) -> bool:

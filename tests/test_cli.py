@@ -124,6 +124,12 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err == "gtsys: error: --coeff queries the general form; it takes no --a or --b\n"
 
+    def test_empty_coeff_is_refused(self, capsys):
+        # an empty query names no coefficient; it is not the general form
+        code, out, err = run_cli(capsys, "circulant", "--d", "5", "--coeff", "")
+        assert code == 1 and out == ""
+        assert err.startswith("gtsys: error: ")
+
     def test_oversized_request_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "circulant", "--d", "25")
         assert code == 1

@@ -21,6 +21,13 @@ HEAVY = ("arrangements", "classification", "cyclotomic", "surface")
 SUBMODULES = ("actions", "arrangements", "circulant", "classification", "cli",
               "cyclotomic", "errors", "polymat", "surface", "wlp")
 
+# the frozen-record base, which every module with a record imports
+RECORD = "_record"
+
+# standard library modules that no gtsys process loads: the records are not
+# dataclasses, and json loads only for --stream and csv
+UNUSED_STDLIB = ("dataclasses", "inspect", "json")
+
 
 def fresh(code, *args):
     """Run code in a new interpreter with src on the path; its stdout."""
@@ -34,17 +41,39 @@ def fresh(code, *args):
 
 
 def loaded_after(argv):
-    """(exit code, loaded gtsystems submodules) of one command in a new
-    process; the command's own output is dropped."""
+    """(exit code, loaded gtsystems submodules, loaded top-level modules) of
+    one command in a new process; the command's own output is dropped, and
+    the modules are listed before json is imported to print them."""
     code = (
-        "import contextlib, io, json, sys\n"
+        "import contextlib, io, sys\n"
         "from gtsystems import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = cli.main(sys.argv[1:])\n"
-        "print(json.dumps([code, sorted(n for n in sys.modules if n.startswith('gtsystems.'))]))\n"
+        "names = sorted(sys.modules)\n"
+        "import json\n"
+        "print(json.dumps([code, names]))\n"
     )
     exit_code, names = json.loads(fresh(code, *argv))
-    return exit_code, {n.partition(".")[2] for n in names}
+    return (exit_code, {n.partition(".")[2] for n in names if n.startswith("gtsystems.")},
+            {n for n in names if "." not in n})
+
+
+@pytest.mark.parametrize("argv", [
+    ("invariants", "--d", "7", "--a", "3"),
+    ("gt-verdict", "--d", "7", "--a", "3", "--general-l", "2"),
+    ("minimal", "--d", "7", "--action", "0,1,3", "--subset-oracle"),
+    ("report", "--d", "7", "--action", "0,1,3"),
+    ("classify", "--d", "12"),
+    ("circulant", "--d", "6"),
+    ("conjecture-scan", "--dmax", "5"),
+    ("surface", "--d", "6"),
+    ("arrangement", "--type", "fermat", "--d", "3"),
+], ids=lambda argv: argv[0])
+def test_no_command_loads_dataclasses_inspect_or_json(argv):
+    code, loaded, top = loaded_after(argv)
+    assert code == 0
+    assert RECORD in loaded
+    assert not top & set(UNUSED_STDLIB), sorted(top & set(UNUSED_STDLIB))
 
 
 @pytest.mark.parametrize("argv", [
@@ -55,18 +84,18 @@ def loaded_after(argv):
     ("circulant", "--d", "6"),
 ])
 def test_per_ideal_commands_load_no_heavy_module(argv):
-    code, loaded = loaded_after(argv)
+    code, loaded, _ = loaded_after(argv)
     assert code == 0
     assert not loaded & set(HEAVY), sorted(loaded & set(HEAVY))
-    assert {"cli", "actions", "wlp", "circulant", "polymat", "errors"} <= loaded
+    assert {"cli", "actions", "wlp", "circulant", "polymat", "errors", RECORD} <= loaded
 
 
 def test_report_loads_no_census_module():
     # the membership forms read the restriction's product: no arrangements,
     # and with them no cyclotomic
-    code, loaded = loaded_after(("report", "--d", "7", "--action", "0,1,3"))
+    code, loaded, _ = loaded_after(("report", "--d", "7", "--action", "0,1,3"))
     assert code == 0
-    assert loaded == set(SUBMODULES) - {"arrangements", "cyclotomic"}
+    assert loaded == set(SUBMODULES) - {"arrangements", "cyclotomic"} | {RECORD}
 
 
 def test_bare_import_loads_no_submodule_and_resolves_every_name():
@@ -84,10 +113,12 @@ def test_bare_import_loads_no_submodule_and_resolves_every_name():
         "    missing = None\n"
         "except AttributeError as exc:\n"
         "    missing = str(exc)\n"
-        "print(json.dumps([before, names, subs, missing, sorted(dir(gtsystems))]))\n"
+        "unused = sorted({'dataclasses', 'inspect'} & set(sys.modules))\n"
+        "print(json.dumps([before, names, subs, missing, sorted(dir(gtsystems)), unused]))\n"
     )
-    before, names, subs, missing, listed = json.loads(fresh(code, *SUBMODULES))
+    before, names, subs, missing, listed, unused = json.loads(fresh(code, *SUBMODULES))
     assert before == []
+    assert unused == []
     for name, module in names.items():
         if name != "__version__":
             assert module.startswith("gtsystems."), (name, module)

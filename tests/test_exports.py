@@ -1,7 +1,9 @@
 """Every exported name resolves, and names deleted from the API stay gone."""
 
+import copy
 import importlib
 import inspect
+import pickle
 import pkgutil
 
 import pytest
@@ -64,8 +66,8 @@ def test_removed_names_are_gone(module):
 
 def test_removed_members_are_gone():
     assert not hasattr(gtsystems.Action, "is_m_family")
-    assert "source" not in gtsystems.Action.__dataclass_fields__
-    assert "is_gt" not in gtsystems.WlpVerdict.__dataclass_fields__
+    assert "source" not in gtsystems.Action._fields
+    assert "is_gt" not in gtsystems.WlpVerdict._fields
     assert not hasattr(gtsystems.SparsePoly, "map_coefficients")
     assert not hasattr(gtsystems.CyclotomicInt, "__pow__")
     assert not hasattr(gtsystems.CyclotomicInt, "substitute_power")
@@ -123,13 +125,80 @@ def test_surface_api_is_unchanged():
         "betti_table", "complement_exponents", "determinantal_generators",
         "exponent_polytope_degree", "polytope_smoothness",
     ]
-    fields = {
-        surface.GeneratorPresentation: ["d", "k", "matrix", "minors", "extra_quadric",
-                                        "quadric_count", "cubic_count", "pullbacks_vanish"],
-        surface.BettiTable: ["d", "k", "rows"],
-        surface.LatticeModel: ["points", "hull", "normalized_area", "lattice_index", "degree"],
-        surface.SmoothnessReport: ["smooth", "lattice_index", "vertices", "edge_gaps",
-                                   "interior_condition"],
-    }
-    for cls, names in fields.items():
-        assert list(cls.__dataclass_fields__) == names, cls.__name__
+
+
+# every record, with its fields in order
+RECORD_FIELDS = {
+    "actions.Action": ("d", "weights"),
+    "actions.GTIdeal": ("d", "generators", "action"),
+    "wlp.WlpVerdict": ("action", "d", "mu", "dim_source", "dim_target", "rank",
+                       "fails_injectivity", "fails_wlp_at_d_minus_1", "generator_bound_ok",
+                       "is_togliatti", "method"),
+    "wlp.Restriction": ("ideal", "nullity", "v"),
+    "classification.ClassPartition": ("d", "classes"),
+    "classification.ClassCounts": ("N21", "N22", "N23", "N3", "N4", "N6"),
+    "classification.ClassCountReport": ("d", "formula", "oracle"),
+    "surface.LatticeModel": ("points", "hull", "normalized_area", "lattice_index", "degree"),
+    "surface.SmoothnessReport": ("smooth", "lattice_index", "vertices", "edge_gaps",
+                                 "interior_condition"),
+    "surface.GeneratorPresentation": ("d", "k", "matrix", "minors", "extra_quadric",
+                                      "quadric_count", "cubic_count", "pullbacks_vanish"),
+    "surface.BettiTable": ("d", "k", "rows"),
+    "arrangements.Arrangement": ("d", "name", "lines"),
+    "arrangements.CevaCertificate": ("d", "n_lines", "n_points", "lines_per_point",
+                                     "points_per_line"),
+    "arrangements.CensusReport": ("name", "d", "n_lines", "counts"),
+    "arrangements.FreenessReport": ("name", "n_lines", "c1", "c2", "weight", "discriminant",
+                                    "exponents"),
+    "cyclotomic.CycloPolynomial": ("d", "coeffs"),
+}
+
+
+def test_record_fields_are_pinned():
+    from gtsystems._record import Record
+
+    found = {f"{m.__name__.partition('.')[2]}.{n}" for m in MODULES for n, obj in vars(m).items()
+             if isinstance(obj, type) and issubclass(obj, Record) and obj is not Record
+             and obj.__module__ == m.__name__}
+    assert found == set(RECORD_FIELDS)
+    for path, names in RECORD_FIELDS.items():
+        module, _, name = path.partition(".")
+        cls = getattr(importlib.import_module(f"gtsystems.{module}"), name)
+        assert cls._fields == names, path
+        # the fields live in slots; only Restriction's instances keep a
+        # __dict__, for the cached product
+        assert (cls.__dictoffset__ != 0) == (name == "Restriction"), path
+
+
+def test_records_behave_as_frozen_dataclasses():
+    from gtsystems import Action, GTIdeal, InvalidActionError, invariant_monomials, restriction
+    from gtsystems.cyclotomic import CycloPolynomial
+
+    a = Action(7, (7, 8, 10))
+    with pytest.raises(AttributeError, match="cannot assign to field 'd'"):
+        a.d = 8
+    with pytest.raises(AttributeError, match="cannot delete field 'weights'"):
+        del a.weights
+    # equal fields: equal records with equal hashes; the same fields in another
+    # class never compare equal
+    assert a == Action(7, (0, 1, 3)) and hash(a) == hash(Action(7, (0, 1, 3)))
+    assert a != Action(7, (0, 1, 4))
+    assert a != CycloPolynomial(7, (0, 1, 3)) and CycloPolynomial(7, (0, 1, 3)) != a
+    ideal = invariant_monomials(a)
+    shuffled = GTIdeal(7, sorted(ideal.generators), action=a)
+    assert shuffled == ideal and hash(shuffled) == hash(ideal)
+    assert repr(a) == "Action(d=7, weights=(0, 1, 3))"
+    assert repr(GTIdeal(2, ((2, 0, 0),))) == "GTIdeal(d=2, generators=((2, 0, 0),), action=None)"
+    # replace runs __init__ again: the weights are normalised and checked
+    assert a.replace(d=5) == Action(5, (0, 1, 3))
+    with pytest.raises(InvalidActionError):
+        a.replace(weights=(0, 7, 14))
+    with pytest.raises(TypeError):
+        a.replace(source="paper")
+    # and it carries over no cached property
+    r = restriction(ideal)
+    assert r.product is not None and "product" in vars(r)
+    assert r.replace() == r and "product" not in vars(r.replace())
+    # copy and pickle rebuild through __init__ too
+    assert copy.copy(r) == r and "product" not in vars(copy.copy(r))
+    assert pickle.loads(pickle.dumps(ideal)) == ideal

@@ -1,6 +1,5 @@
 """Injectivity of multiplication by a linear form, verdicts, and minimality."""
 
-import dataclasses
 import itertools
 import json
 import math
@@ -496,7 +495,7 @@ class TestEigenvalueProductFromKernel:
                 if ideal.generators not in kernels:
                     kernels[ideal.generators] = restriction(ideal)
                 # the same elimination, read for this action's weights
-                r = dataclasses.replace(kernels[ideal.generators], ideal=ideal)
+                r = kernels[ideal.generators].replace(ideal=ideal)
                 if r.nullity != 1 or not r.togliatti:
                     assert r.product is None
                     continue
@@ -531,9 +530,9 @@ class TestEigenvalueProductFromKernel:
         v = r.v
         assert r.nullity == 1 and r.product is not None
         with pytest.raises(ConsistencyError):
-            dataclasses.replace(r, v=(2 * v[0],) + v[1:]).product
+            r.replace(v=(2 * v[0],) + v[1:]).product
         with pytest.raises(ConsistencyError):
-            dataclasses.replace(r, v=(0,) + v[1:]).product
+            r.replace(v=(0,) + v[1:]).product
 
     @pytest.mark.parametrize("d", range(3, 15))
     def test_conjugate_factors_lie_in_the_kernel(self, d):
@@ -630,7 +629,7 @@ class TestEigenvalueProductFromKernel:
         with pytest.raises(ConsistencyError, match="disagrees with the kernel vector"):
             r.newton_product()
         # nullity 2: no product is read off v, and nothing is compared
-        doubled = dataclasses.replace(r, nullity=2).newton_product()
+        doubled = r.replace(nullity=2).newton_product()
         assert doubled.terms == {g: 2 * c for g, c in r.product.terms.items()}
 
     def test_support_must_match_minimality(self):
@@ -638,7 +637,7 @@ class TestEigenvalueProductFromKernel:
         # read), but the product then misses a generator
         r = restriction(invariant_monomials(Action(7, (0, 1, 3))))
         assert r.ideal.generators[-1] == (0, 0, 7)
-        tampered = dataclasses.replace(r, v=r.v[:-1] + (0,))
+        tampered = r.replace(v=r.v[:-1] + (0,))
         assert tampered.minimal
         with pytest.raises(ConsistencyError, match="support"):
             tampered.product
