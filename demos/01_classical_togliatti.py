@@ -5,7 +5,8 @@ diagonal action with weights (0, 1, 2).  Multiplication by x + y + z on
 the quotient drops rank exactly once between degrees 2 and 3, and the
 system is minimal: no proper subset of the generators reproduces the
 failure.  One elimination, restriction(ideal), gives the verdict, the
-Togliatti property and minimality.
+Togliatti property and minimality; its newton_product() expands the product
+of the conjugate forms by Newton's identities, the circulant route.
 """
 
 from gtsystems import (
@@ -14,7 +15,6 @@ from gtsystems import (
     circulant_det_symbolic,
     invariant_monomials,
     restriction,
-    ternary_product,
 )
 from gtsystems.actions import monomial_str
 
@@ -32,7 +32,7 @@ print("generator bound mu <= d+1 holds:", verdict.generator_bound_ok)
 print("verdict:", "GT-system" if r.togliatti else "not a GT-system")
 
 print("minimal (circulant route, Newton-expanded product on every generator):",
-      ternary_product(3, 1, 2).support() == set(ideal.generators))
+      r.newton_product().support() == set(ideal.generators))
 print("minimal (kernel vector nonzero off the pure powers):", r.minimal)
 
 det = circulant_det_symbolic(3)

@@ -5,25 +5,26 @@ all j lands inside the invariant ideal.  Its j = 0 factor is x + y + z, so
 the product of the other d - 1 factors is a form of degree d - 1 that
 multiplication by x + y + z sends to zero in the quotient.  One
 elimination, restriction(ideal), reads the product off the kernel vector of
-E, with no expansion.  The product also witnesses minimality: its support
-uses every invariant monomial, so removing any generator breaks the
-containment.
+E, with no expansion; its newton_product() expands the same product by
+Newton's identities and checks it against the kernel vector.  The product
+also witnesses minimality: its support uses every invariant monomial, so
+removing any generator breaks the containment.
 """
 
-from gtsystems import Action, invariant_monomials, restriction, ternary_product
+from gtsystems import Action, invariant_monomials, restriction
 from gtsystems.actions import monomial_str
 
 d, a = 7, 3
 action = Action(d, (0, 1, a))
 ideal = invariant_monomials(action)
+r = restriction(ideal)
 
-product = ternary_product(d, 1, a)
+product = r.newton_product()  # expanded by Newton's identities
 print(f"product of the {d} conjugate forms at (d, a) = ({d}, {a}):")
 print(" ", product.render())
 print("support size:", len(product.support()), " invariant monomials:", ideal.mu)
 print("support equals invariant set:", product.support() == set(ideal.generators))
 
-r = restriction(ideal)
 print()
 print(f"one elimination of E: nullity {r.nullity}, kernel vector v = {r.v}")
 print("product read off v equals the expanded product:", r.product.terms == product.terms)

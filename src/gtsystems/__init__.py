@@ -17,7 +17,7 @@ _ORIGIN = {
                     "invariant_monomials", "normalize_action"),
         "arrangements": ("build_arrangement", "ceva_configuration", "freeness_diagnostic",
                          "singular_census"),
-        "circulant": ("circulant_det_symbolic", "coefficient_query", "ternary_product"),
+        "circulant": ("circulant_det_symbolic", "coefficient_query"),
         "classification": ("class_count_formulas", "classify_moves",
                            "prime_and_primepower_counts"),
         "cyclotomic": ("CyclotomicInt", "cyclotomic_polynomial"),

@@ -30,7 +30,6 @@ __all__ = [
     "circulant_det_symbolic",
     "circulant_product",
     "coefficient_query",
-    "ternary_product",
 ]
 
 _GENERAL_LIMIT = 12
@@ -68,19 +67,12 @@ def _admissible_exponents(d, shifts, n, target):
 
 def circulant_product(d, positions) -> SparsePoly:
     """prod_(j=0..d-1) sum_k zeta_d^(j * positions[k]) v_k over Z, in the
-    variables v_0..v_(m-1) with m = len(positions), by Newton's identities."""
+    variables v_0..v_(m-1) with m = len(positions), by Newton's identities.
+    The positions are any integers: both the power sums and the Galois
+    argument hold also when they share a factor with d."""
     m = len(positions)
     if d < 1 or m < 1:
         raise ValueError("need d >= 1 and at least one position")
-    g = math.gcd(d, *positions)
-    if g > 1:
-        # zeta^(j*p) depends on j mod d/g only: the d factors are g copies of
-        # the factors of order d/g.
-        root = circulant_product(d // g, [p // g for p in positions])
-        product = root
-        for _ in range(g - 1):
-            product = product * root
-        return product
     # A monomial of degree n is keyed by the exponents of v_1..v_(m-1) as
     # digits in base d+1; the exponent of v_0 is n minus their sum.  No
     # exponent exceeds d, so the key of a product is the sum of the keys.
@@ -141,15 +133,6 @@ def check_ternary_limit(d):
     """Raise ValueError unless the ternary product is supported at order d."""
     if not 3 <= d <= _TERNARY_LIMIT:
         raise ValueError(f"ternary form supported for 3 <= d <= {_TERNARY_LIMIT}")
-
-
-def ternary_product(d, a, b) -> SparsePoly:
-    """The product over j of (x + zeta^(aj) y + zeta^(bj) z), with integer
-    coefficients, equal to the circulant determinant of the ternary section."""
-    check_ternary_limit(d)
-    if not (0 < a < d and 0 < b < d and a != b):
-        raise ValueError("need distinct nonzero positions a, b")
-    return circulant_product(d, (0, a, b))
 
 
 def coefficient_query(d, indices) -> int:

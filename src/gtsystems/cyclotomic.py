@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import functools
 
-from ._record import Record
 from .errors import ConsistencyError, NonIntegerError
 
 __all__ = [
-    "CycloPolynomial",
     "CyclotomicInt",
     "OrderMismatchError",
     "cyclotomic_polynomial",
@@ -44,19 +42,10 @@ def _poly_divmod_exact(num, den):
     return quot, num
 
 
-class CycloPolynomial(Record):
-    """The d-th cyclotomic polynomial with coefficients in ascending degree."""
-
-    __slots__ = ("d", "coeffs")
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-
 @functools.cache
-def cyclotomic_polynomial(d: int) -> CycloPolynomial:
-    """Return Phi_d: x^d - 1 divided exactly by each Phi_e, e|d, e<d, in turn."""
+def cyclotomic_polynomial(d: int) -> tuple:
+    """Return the coefficients of Phi_d in ascending degree: x^d - 1 divided
+    exactly by each Phi_e, e|d, e<d, in turn."""
     if d < 1:
         raise ValueError("order must be positive")
     quot = [-1] + [0] * (d - 1) + [1]
@@ -64,12 +53,12 @@ def cyclotomic_polynomial(d: int) -> CycloPolynomial:
     for e in range(1, d):
         if d % e == 0:
             phi_e = cyclotomic_polynomial(e)
-            quot, rem = _poly_divmod_exact(quot, phi_e.coeffs)
+            quot, rem = _poly_divmod_exact(quot, phi_e)
             if any(rem):
                 raise ConsistencyError(f"x^{d}-1 not divisible by proper factors")
-            degree -= phi_e.degree
-    phi = CycloPolynomial(d, tuple(quot))
-    if phi.coeffs[-1] != 1 or phi.degree != degree:
+            degree -= len(phi_e) - 1
+    phi = tuple(quot)
+    if phi[-1] != 1 or len(phi) - 1 != degree:
         raise ConsistencyError(f"Phi_{d} is not monic of degree {degree}")
     return phi
 
@@ -78,7 +67,7 @@ def cyclotomic_polynomial(d: int) -> CycloPolynomial:
 def _reduction_rows(d: int):
     """(m, rows) with m = deg Phi_d and rows[i - m] the nonzero (t, c) of
     x^i mod Phi_d, for i = m, ..., d-1."""
-    phi = cyclotomic_polynomial(d).coeffs
+    phi = cyclotomic_polynomial(d)
     m = len(phi) - 1
     rows = []
     for i in range(m, d):

@@ -13,79 +13,14 @@ __all__ = ["SparsePoly", "bareiss_echelon", "bareiss_rank"]
 
 
 class SparsePoly:
-    """Polynomial stored as {exponent tuple: coefficient}."""
+    """Polynomial stored as {exponent tuple: coefficient}: built once, then
+    only read, compared and rendered; it has no ring arithmetic."""
 
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars, terms=()):
         self.nvars = nvars
         self.terms = {e: c for e, c in dict(terms).items() if c}
-
-    @classmethod
-    def zero(cls, nvars):
-        return cls(nvars)
-
-    @classmethod
-    def monomial(cls, nvars, exp, coeff=1):
-        exp = tuple(exp)
-        if len(exp) != nvars:
-            raise ValueError("exponent length does not match variable count")
-        return cls(nvars, {exp: coeff})
-
-    @classmethod
-    def variable(cls, nvars, i):
-        exp = [0] * nvars
-        exp[i] = 1
-        return cls.monomial(nvars, exp)
-
-    def is_zero(self):
-        return not self.terms
-
-    def _as_pair(self, other):
-        if isinstance(other, int):
-            other = SparsePoly(self.nvars, {(0,) * self.nvars: other})
-        if not isinstance(other, SparsePoly):
-            return None, None
-        if other.nvars != self.nvars:
-            raise ValueError("variable count mismatch")
-        return self, other
-
-    def __add__(self, other):
-        a, b = self._as_pair(other)
-        if a is None:
-            return NotImplemented
-        out = dict(a.terms)
-        for e, c in b.terms.items():
-            out[e] = out.get(e, 0) + c
-        return SparsePoly(self.nvars, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return SparsePoly(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        a, b = self._as_pair(other)
-        if a is None:
-            return NotImplemented
-        return a + (-b)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            if other == 0:
-                return SparsePoly.zero(self.nvars)
-            return SparsePoly(self.nvars, {e: c * other for e, c in self.terms.items()})
-        a, b = self._as_pair(other)
-        if a is None:
-            return NotImplemented
-        out = {}
-        for ea, ca in a.terms.items():
-            for eb, cb in b.terms.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                out[e] = out.get(e, 0) + ca * cb
-        return SparsePoly(self.nvars, out)
-
-    __rmul__ = __mul__
 
     def coefficient(self, exp):
         return self.terms.get(tuple(exp), 0)
@@ -97,9 +32,6 @@ class SparsePoly:
         """Terms in descending lexicographic order of exponent vectors."""
         return sorted(self.terms.items(), key=lambda t: t[0], reverse=True)
 
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
-
     def to_json(self):
         out = []
         for e, c in self.terms_sorted():
@@ -107,10 +39,9 @@ class SparsePoly:
         return out
 
     def __eq__(self, other):
-        a, b = self._as_pair(other) if isinstance(other, (SparsePoly, int)) else (None, None)
-        if a is None:
+        if not isinstance(other, SparsePoly):
             return NotImplemented
-        return (a - b).is_zero()
+        return self.nvars == other.nvars and self.terms == other.terms
 
     def __str__(self):
         return self.render()

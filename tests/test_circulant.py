@@ -1,17 +1,19 @@
 """Symbolic circulant determinants and the ternary specialization."""
 
 import itertools
+import math
 import random
 
 import pytest
+from polyring import add, mul, variable
 
 from gtsystems import circulant
 from gtsystems.actions import Action, invariant_monomials
 from gtsystems.circulant import (
+    check_ternary_limit,
     circulant_det_symbolic,
     circulant_product,
     coefficient_query,
-    ternary_product,
 )
 from gtsystems.cyclotomic import CyclotomicInt
 from gtsystems.polymat import SparsePoly
@@ -56,26 +58,18 @@ def circulant_det_oracle(d) -> SparsePoly:
     check of the eigenvalue route."""
     if d > 6:
         raise ValueError("cofactor oracle supported for d <= 6")
-    mat = [
-        [SparsePoly.variable(d, (j - i) % d) for j in range(d)]
-        for i in range(d)
-    ]
-    return _laplace_det(mat, d)
+    mat = [[variable(d, (j - i) % d) for j in range(d)] for i in range(d)]
+    return SparsePoly(d, _laplace_det(mat))
 
 
-def _laplace_det(mat, nvars):
-    n = len(mat)
-    if n == 1:
+def _laplace_det(mat):
+    if len(mat) == 1:
         return mat[0][0]
-    total = SparsePoly.zero(nvars)
-    for j in range(n):
-        entry = mat[0][j]
-        if entry.is_zero():
-            continue
-        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
-        sub = _laplace_det(minor, nvars)
-        term = entry * sub
-        total = total + term if j % 2 == 0 else total - term
+    total = {}
+    for j, entry in enumerate(mat[0]):
+        if entry:
+            minor = [row[:j] + row[j + 1:] for row in mat[1:]]
+            total = add(total, mul(entry, _laplace_det(minor)), (-1) ** j)
     return total
 
 
@@ -104,7 +98,8 @@ class TestGeneralCirculant:
     def test_ternary_sections_equal_specialized_laplace_expansion(self, d):
         det = circulant_det_oracle(d)
         for a, b in itertools.combinations(range(1, d), 2):
-            assert ternary_product(d, a, b).terms == _specialize_ternary(det, a, b).terms, (d, a, b)
+            assert circulant_product(d, (0, a, b)).terms == _specialize_ternary(det, a, b).terms, (
+                d, a, b)
 
     def test_degree_three_closed_form(self):
         det = circulant_det_symbolic(3)
@@ -116,7 +111,7 @@ class TestGeneralCirculant:
         # A monomial v_0^{e_0} ... v_{d-1}^{e_{d-1}} can only appear when
         # sum(i * e_i) = 0 mod d.
         det = circulant_det_symbolic(d)
-        assert not det.is_zero()
+        assert det.terms
         for exp in det.support():
             assert sum(e for e in exp) == d
             assert sum(i * e for i, e in enumerate(exp)) % d == 0
@@ -155,14 +150,14 @@ class TestTernaryProduct:
     @pytest.mark.parametrize("d", range(3, 16))
     def test_support_equals_invariant_set(self, d):
         for a in range(2, d):
-            prod = ternary_product(d, 1, a)
+            prod = circulant_product(d, (0, 1, a))
             ideal = invariant_monomials(Action(d, (0, 1, a)))
             assert prod.support() == set(ideal.generators), (d, a)
 
     def test_classical_case_is_circulant_determinant_specialization(self):
         # Substituting (x, y, z, 0, ..., 0) style variable collapse: for d=3
         # the ternary product IS the 3x3 circulant determinant.
-        prod = ternary_product(3, 1, 2)
+        prod = circulant_product(3, (0, 1, 2))
         det = circulant_det_symbolic(3)
         assert prod.terms == det.terms
 
@@ -174,11 +169,12 @@ class TestNewtonKernelAgainstRotationOracle:
     @pytest.mark.parametrize("d", range(3, 15))
     def test_every_ternary_section(self, d):
         for a, b in itertools.permutations(range(1, d), 2):
-            assert ternary_product(d, a, b).terms == ternary_oracle(d, a, b).terms, (d, a, b)
+            assert circulant_product(d, (0, a, b)).terms == ternary_oracle(d, a, b).terms, (
+                d, a, b)
 
     @pytest.mark.parametrize("d,a,b", [(40, 1, 3), (40, 7, 11), (40, 4, 20), (64, 1, 3)])
     def test_large_sections(self, d, a, b):
-        assert ternary_product(d, a, b).terms == ternary_oracle(d, a, b).terms
+        assert circulant_product(d, (0, a, b)).terms == ternary_oracle(d, a, b).terms
 
     def test_shifted_weights_change_only_the_sign(self):
         rng = random.Random(7)
@@ -204,6 +200,18 @@ class TestNewtonKernelAgainstRotationOracle:
             factors = [[(k, j * p, 1) for k, p in enumerate(positions)] for j in range(d)]
             assert circulant_product(d, positions).terms == rotation_oracle(d, 3, factors).terms
 
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_sections_sharing_a_factor_with_d(self, d, monkeypatch):
+        # the Newton loop is exact also when d and the positions share a
+        # factor g: the product is then a g-th power, which nothing
+        # special-cases, and circulant_product does not call itself
+        real = circulant.circulant_product
+        monkeypatch.setattr(circulant, "circulant_product", lambda *args: pytest.fail("recursed"))
+        for a, b in itertools.product(range(d), repeat=2):
+            if math.gcd(d, a, b) == 1:
+                continue
+            assert real(d, (0, a, b)).terms == ternary_oracle(d, a, b).terms, (d, a, b)
+
     def test_single_variable(self):
         assert circulant_product(5, (2,)).terms == {(5,): 1}
 
@@ -224,9 +232,10 @@ class TestSpecValidation:
             coefficient_query(d, [0] * d)
 
     def test_ternary_limit(self):
-        assert len(ternary_product(circulant._TERNARY_LIMIT, 1, 3).terms) == 67
+        check_ternary_limit(circulant._TERNARY_LIMIT)
+        assert len(circulant_product(circulant._TERNARY_LIMIT, (0, 1, 3)).terms) == 67
         with pytest.raises(ValueError, match=f"3 <= d <= {circulant._TERNARY_LIMIT}"):
-            ternary_product(circulant._TERNARY_LIMIT + 1, 1, 3)
+            check_ternary_limit(circulant._TERNARY_LIMIT + 1)
 
     def test_kernel_rejects_empty_input(self):
         with pytest.raises(ValueError):

@@ -12,12 +12,19 @@ import time
 from pathlib import Path
 
 import pytest
+from polyring import add
 
 import gtsystems
 from gtsystems import (
     __version__, actions, arrangements, circulant, classification, cli, polymat, surface, wlp,
 )
 from gtsystems.cli import DEFAULT_SEED, build_parser, main
+
+
+def _doubled(product):
+    """product (circulant_product) with every coefficient doubled: a wrong
+    Newton product."""
+    return lambda d, w: polymat.SparsePoly(3, add({}, product(d, w).terms, 2))
 
 
 def run_cli(capsys, *argv):
@@ -361,7 +368,7 @@ class TestTogliattiFirst:
 
     def test_newton_disagreement_exits_2(self, capsys, monkeypatch):
         real = circulant.circulant_product
-        monkeypatch.setattr(wlp, "circulant_product", lambda d, w: real(d, w) * 2)
+        monkeypatch.setattr(wlp, "circulant_product", _doubled(real))
         code, out, err = run_cli(capsys, "minimal", "--d", "7", "--action", "0,1,3")
         assert code == 2 and out == ""
         assert "the Newton product disagrees with the kernel vector" in err
@@ -369,7 +376,7 @@ class TestTogliattiFirst:
     def test_scan_newton_disagreement_exits_2(self, capsys, monkeypatch):
         # the same products' supports agree; the scan compares every term
         real = circulant.circulant_product
-        monkeypatch.setattr(wlp, "circulant_product", lambda d, w: real(d, w) * 2)
+        monkeypatch.setattr(wlp, "circulant_product", _doubled(real))
         code, out, err = run_cli(capsys, "conjecture-scan", "--dmax", "5")
         assert code == 2 and out == ""
         assert err == "gtsys: consistency failure: the Newton product disagrees with the kernel vector\n"
@@ -545,8 +552,9 @@ class TestCirculantLimits:
         assert "gcd(0, 32, 64, 128) != 1: the action is not faithful" in err
 
     @pytest.mark.parametrize("change,message", [
-        (lambda p: p * 2, "the Newton product disagrees with the kernel vector"),
-        (lambda p: p + polymat.SparsePoly.monomial(3, (6, 1, 0)),
+        (lambda p: polymat.SparsePoly(3, add({}, p.terms, 2)),
+         "the Newton product disagrees with the kernel vector"),
+        (lambda p: polymat.SparsePoly(3, add(p.terms, {(6, 1, 0): 1})),
          "product escapes the invariant monomial span"),
     ], ids=["doubled", "outside_the_ideal"])
     def test_section_goes_through_the_newton_cross_check(self, capsys, monkeypatch, change,
@@ -627,6 +635,18 @@ class TestInvariantLimit:
         code, out, err = run_cli(capsys, "report", "--d", "5000", "--action", "1,1,1")
         assert code == 1 and out == ""
         assert "(INVARIANT_LIMIT)" in err
+
+
+class TestEliminationLimit:
+    @pytest.mark.parametrize("command", ["gt-verdict", "report"])
+    def test_refused_at_once_with_the_limit_named(self, capsys, command):
+        # mu = d + 2 passes the invariant limit; E would have 10^10 cells
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, command, "--d", "100000", "--action", "0,0,1")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert err.startswith(f"gtsys: error: the elimination has a size limit of "
+                              f"{wlp.ELIMINATION_LIMIT} matrix cells (ELIMINATION_LIMIT)")
 
 
 class TestClassifyPartition:

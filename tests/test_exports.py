@@ -35,6 +35,8 @@ REMOVED = (
     "MembershipCertificate",
     "inverse_data",
     "n_sequence",
+    "ternary_product",
+    "CycloPolynomial",
 )
 
 
@@ -75,7 +77,6 @@ def test_removed_members_are_gone():
     assert gtsystems.CyclotomicInt.__hash__ is None
     assert not hasattr(gtsystems.CyclotomicInt, "__bool__")
     assert not hasattr(gtsystems.arrangements.Arrangement, "to_json")
-    assert "__str__" not in vars(gtsystems.cyclotomic.CycloPolynomial)
     assert not hasattr(gtsystems.classification.ClassPartition, "sizes")
     cyclotomic = gtsystems.cyclotomic
     for name in ("_PHI_LOCK", "_RED_LOCK", "_PHI_CACHE", "_RED_CACHE", "_poly_mul",
@@ -94,6 +95,10 @@ def test_removed_members_are_gone():
         assert not hasattr(cls, "__rsub__"), cls.__name__
     assert gtsystems.SparsePoly.__hash__ is None
     assert "prune" not in inspect.signature(gtsystems.SparsePoly).parameters
+    # SparsePoly is read-only: no ring arithmetic, no constructors beside __init__
+    for name in ("zero", "monomial", "variable", "is_zero", "_as_pair", "__add__", "__radd__",
+                 "__neg__", "__sub__", "__mul__", "__rmul__", "total_degree"):
+        assert not hasattr(gtsystems.SparsePoly, name), name
 
 
 def test_cli_holds_no_private_wlp_object():
@@ -150,7 +155,6 @@ RECORD_FIELDS = {
     "arrangements.CensusReport": ("name", "d", "n_lines", "counts"),
     "arrangements.FreenessReport": ("name", "n_lines", "c1", "c2", "weight", "discriminant",
                                     "exponents"),
-    "cyclotomic.CycloPolynomial": ("d", "coeffs"),
 }
 
 
@@ -172,7 +176,7 @@ def test_record_fields_are_pinned():
 
 def test_records_behave_as_frozen_dataclasses():
     from gtsystems import Action, GTIdeal, InvalidActionError, invariant_monomials, restriction
-    from gtsystems.cyclotomic import CycloPolynomial
+    from gtsystems.classification import ClassPartition
 
     a = Action(7, (7, 8, 10))
     with pytest.raises(AttributeError, match="cannot assign to field 'd'"):
@@ -183,7 +187,7 @@ def test_records_behave_as_frozen_dataclasses():
     # class never compare equal
     assert a == Action(7, (0, 1, 3)) and hash(a) == hash(Action(7, (0, 1, 3)))
     assert a != Action(7, (0, 1, 4))
-    assert a != CycloPolynomial(7, (0, 1, 3)) and CycloPolynomial(7, (0, 1, 3)) != a
+    assert a != ClassPartition(7, (0, 1, 3)) and ClassPartition(7, (0, 1, 3)) != a
     ideal = invariant_monomials(a)
     shuffled = GTIdeal(7, sorted(ideal.generators), action=a)
     assert shuffled == ideal and hash(shuffled) == hash(ideal)

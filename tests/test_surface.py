@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from polyring import add, mul, variable
 
 from gtsystems import surface
 from gtsystems.actions import Action, _classical_exponents, generalized_classical, invariant_monomials
@@ -23,37 +24,40 @@ from gtsystems.surface import (
 
 
 def presentation_oracle(d):
-    """The presentation built symbolically: SparsePoly 2x2 minors of the
-    odd/even matrix, each pulled back through the parametrization by
-    substituting monomials.  Returns (rows, generators, pullbacks)."""
+    """The presentation built symbolically: the 2x2 minors of the odd/even
+    matrix, multiplied out as dict polynomials, each pulled back through the
+    parametrization by substituting monomials.  Returns (rows, generators,
+    pullbacks), the rows and generators as SparsePoly and the pullbacks as
+    dicts."""
     k = d // 2
     nv = k + 3
-    var = lambda i: SparsePoly.variable(nv, i)
+    var = lambda i: variable(nv, i)
     if d % 2:
-        row1 = [var(3 + j) for j in range(k - 1)] + [var(k + 2), var(0) * var(1)]
-        row2 = [var(4 + j) for j in range(k - 1)] + [var(2), var(3) * var(3)]
+        row1 = [var(3 + j) for j in range(k - 1)] + [var(k + 2), mul(var(0), var(1))]
+        row2 = [var(4 + j) for j in range(k - 1)] + [var(2), mul(var(3), var(3))]
         extra = []
     else:
         row1 = [var(3 + j) for j in range(k - 1)] + [var(k + 2)]
         row2 = [var(4 + j) for j in range(k - 1)] + [var(2)]
-        extra = [var(0) * var(1) - var(3) * var(3)]
+        extra = [add(mul(var(0), var(1)), mul(var(3), var(3)), -1)]
     gens = [
-        row1[i] * row2[j] - row2[i] * row1[j]
+        add(mul(row1[i], row2[j]), mul(row2[i], row1[j]), -1)
         for i in range(len(row1))
         for j in range(i + 1, len(row1))
     ] + extra
-    params = [SparsePoly.monomial(3, e) for e in _classical_exponents(d)]
+    params = [{e: 1} for e in _classical_exponents(d)]
     pullbacks = []
     for g in gens:
-        out = SparsePoly.zero(3)
-        for exp, c in g.terms.items():
-            term = SparsePoly.monomial(3, (0, 0, 0), c)
+        out = {}
+        for exp, c in g.items():
+            term = {(0, 0, 0): c}
             for i, e in enumerate(exp):
                 for _ in range(e):
-                    term = term * params[i]
-            out = out + term
+                    term = mul(term, params[i])
+            out = add(out, term)
         pullbacks.append(out)
-    return (row1, row2), gens, pullbacks
+    poly = lambda p: SparsePoly(nv, p)
+    return ([*map(poly, row1)], [*map(poly, row2)]), [*map(poly, gens)], pullbacks
 
 
 def faithful_actions(d_values):
@@ -222,9 +226,10 @@ class TestParametrizationAndGenerators:
             names = tuple(f"x{i}" for i in range(d // 2 + 3))
             assert gp.generator_strings() == [g.render(names) for g in gens], d
             assert gp.matrix == (tuple(row1), tuple(row2)), d
-            assert gp.quadric_count == sum(g.total_degree() == 2 for g in gens), d
-            assert gp.cubic_count == sum(g.total_degree() == 3 for g in gens), d
-            assert all(p.is_zero() for p in pullbacks), d
+            degrees = [{sum(e) for e in g.terms} for g in gens]
+            assert gp.quadric_count == degrees.count({2}), d
+            assert gp.cubic_count == degrees.count({3}), d
+            assert not any(pullbacks), d
 
     @pytest.mark.parametrize("d", [5, 6, 9])
     def test_wrong_parametrization_is_a_consistency_error(self, d, monkeypatch):

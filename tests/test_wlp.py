@@ -7,11 +7,12 @@ import random
 from pathlib import Path
 
 import pytest
+from polyring import add, mul
 from test_circulant import ternary_oracle
 
 from gtsystems import circulant, polymat, wlp
 from gtsystems.actions import Action, GTIdeal, invariant_monomials
-from gtsystems.circulant import circulant_product, ternary_product
+from gtsystems.circulant import circulant_product
 from gtsystems.errors import ConsistencyError
 from gtsystems.polymat import SparsePoly, bareiss_rank
 from gtsystems.wlp import (
@@ -228,6 +229,36 @@ class TestRestrictionRows:
         assert seen == 180
 
 
+class TestEliminationLimit:
+    def test_every_elimination_refuses_past_it(self):
+        # (0, 0, 1) at d = 100000: 100002 generators, 10^10 cells of E
+        ideal = invariant_monomials(Action(100000, (0, 0, 1)))
+        assert ideal.mu * (ideal.d + 1) > wlp.ELIMINATION_LIMIT
+        message = f"size limit of {wlp.ELIMINATION_LIMIT} matrix cells \\(ELIMINATION_LIMIT\\)"
+        for route in (kernel_dimension, restriction, lambda i: kernel_dimension(i, (2, -3, 5))):
+            with pytest.raises(ValueError, match=message):
+                route(ideal)
+
+    def test_the_limit_is_inclusive(self, monkeypatch):
+        ideal = invariant_monomials(Action(7, (0, 1, 3)))
+        monkeypatch.setattr(wlp, "ELIMINATION_LIMIT", ideal.mu * 8)
+        assert restriction(ideal).nullity == 1
+        monkeypatch.setattr(wlp, "ELIMINATION_LIMIT", ideal.mu * 8 - 1)
+        with pytest.raises(ValueError, match="ELIMINATION_LIMIT"):
+            restriction(ideal)
+
+    def test_no_ideal_up_to_the_minimality_limit_is_refused(self):
+        # an ideal of degree d has at most the (d+1)(d+2)/2 monomials of degree d
+        d = wlp.MINIMALITY_LIMIT
+        assert (d + 1) * (d + 2) // 2 * (d + 1) <= wlp.ELIMINATION_LIMIT
+        assert kernel_dimension(invariant_monomials(Action(d, (0, 0, 1)))) == 1
+
+    def test_the_interactive_pool_stays_far_below_it(self):
+        # at most 3480 cells: the repeated-weight (6, 6, 13) at d = 28, mu = 120
+        cells = max(ideal.mu * (ideal.d + 1) for ideal in _pool_ideals())
+        assert 1000 * cells < wlp.ELIMINATION_LIMIT
+
+
 class TestCandidateRule:
     def test_restriction_agrees_with_the_plain_elimination(self):
         # every faithful action with 3 <= d <= 12: only a Togliatti candidate
@@ -342,7 +373,7 @@ class TestMinimality:
                     continue
                 actions += 1
                 ideal = invariant_monomials(Action(d, weights))
-                normal = ternary_product(d, a, b)
+                normal = circulant_product(d, (0, a, b))
                 normal_ideal = invariant_monomials(Action(d, (0, a, b)))
                 assert (circulant_product(d, weights).support() == set(ideal.generators)) == (
                     normal.support() == set(normal_ideal.generators)), weights
@@ -435,7 +466,7 @@ class TestKernelVector:
             eliminations.clear()
             v = restriction(ideal).v
             assert len(eliminations) == 1
-            product = ternary_product(d, a, b)
+            product = circulant_product(d, (0, a, b))
             assert product.support() <= set(ideal.generators), action
             c = [product.coefficient(g) for g in ideal.generators]
             k = next(i for i, ci in enumerate(c) if ci)
@@ -540,7 +571,7 @@ class TestEigenvalueProductFromKernel:
         # factors, multiplied out over Z[zeta_d] by the rotation oracle, give
         # an integral form of degree d - 1 that times x + y + z is the
         # product, and that multiplication by x + y + z sends into the ideal.
-        ell = SparsePoly.variable(3, 0) + SparsePoly.variable(3, 1) + SparsePoly.variable(3, 2)
+        ell = {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1}
         checked = 0
         for a, b in itertools.combinations(range(1, d), 2):
             if math.gcd(a, b, d) != 1:
@@ -552,7 +583,7 @@ class TestEigenvalueProductFromKernel:
             checked += 1
             cofactor = ternary_oracle(d, a, b, js=range(1, d))
             assert all(isinstance(c, int) for c in cofactor.terms.values()), (d, a, b)
-            assert (cofactor * ell).terms == product.terms, (d, a, b)
+            assert mul(cofactor.terms, ell) == product.terms, (d, a, b)
             rows, src, _ = multiplication_matrix(ideal, d - 1)
             vec = [cofactor.coefficient(m) for m in src]
             assert any(vec)
@@ -576,7 +607,7 @@ class TestEigenvalueProductFromKernel:
         ideal = invariant_monomials(Action(d, (0, 1, a)))
         product = restriction(ideal).product
         assert product.support() <= set(ideal.generators)
-        assert product.terms == ternary_product(d, 1, a).terms
+        assert product.terms == circulant_product(d, (0, 1, a)).terms
 
     def test_works_past_the_ternary_limit(self):
         # the ternary product stops at circulant._TERNARY_LIMIT; the kernel
@@ -586,7 +617,7 @@ class TestEigenvalueProductFromKernel:
         ideal = invariant_monomials(Action(d, (0, 1, 3)))
         product = restriction(ideal).product
         assert product.coefficient((d, 0, 0)) == 1
-        assert product.total_degree() == d
+        assert {sum(e) for e in product.terms} == {d}
         assert product.support() <= set(ideal.generators)
 
     def test_needs_the_action(self):
@@ -602,7 +633,7 @@ class TestEigenvalueProductFromKernel:
     def test_newton_product_equals_the_kernel_product(self):
         r = restriction(invariant_monomials(Action(7, (0, 1, 3))))
         assert r.nullity == 1
-        assert r.newton_product().terms == r.product.terms == ternary_product(7, 1, 3).terms
+        assert r.newton_product().terms == r.product.terms == circulant_product(7, (0, 1, 3)).terms
 
     def test_newton_product_stops_at_the_ternary_limit_and_needs_the_action(self, monkeypatch):
         def no_expansion(d, positions):
@@ -624,7 +655,8 @@ class TestEigenvalueProductFromKernel:
 
     def test_newton_product_is_compared_only_with_nullity_one(self, monkeypatch):
         real = circulant_product
-        monkeypatch.setattr(wlp, "circulant_product", lambda d, w: real(d, w) * 2)
+        monkeypatch.setattr(wlp, "circulant_product",
+                            lambda d, w: SparsePoly(3, add({}, real(d, w).terms, 2)))
         r = restriction(invariant_monomials(Action(7, (0, 1, 3))))
         with pytest.raises(ConsistencyError, match="disagrees with the kernel vector"):
             r.newton_product()
