@@ -4,7 +4,7 @@ The ideal (x^3, y^3, z^3, xyz) is the invariant ideal of the order-3
 diagonal action with weights (0, 1, 2).  Multiplication by x + y + z on
 the quotient drops rank exactly once between degrees 2 and 3, and the
 system is minimal: no proper subset of the generators reproduces the
-failure.  One elimination, restriction(ideal), gives the verdict, the
+failure.  One call, restriction(ideal), gives the verdict, the
 Togliatti property and minimality; its newton_product() expands the product
 of the conjugate forms by Newton's identities, the circulant route.
 """
@@ -24,7 +24,7 @@ ideal = invariant_monomials(action)
 print("action weights:", action.weights, "on K[x,y,z]_3")
 print("invariant monomials:", ", ".join(monomial_str(m) for m in ideal.generators))
 
-r = restriction(ideal)  # one elimination of E at x + y + z
+r = restriction(ideal)  # E at x + y + z, decided once by its unit pivots
 verdict = WlpVerdict.from_nullity(ideal, r.nullity)
 print(f"multiplication by x+y+z in degree 2 -> 3: rank {verdict.rank} of {verdict.dim_source}")
 print("fails injectivity:", verdict.fails_injectivity)

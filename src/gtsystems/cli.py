@@ -16,7 +16,7 @@ import sys
 from _json import encode_basestring_ascii as _json_str
 
 from . import __version__
-from .actions import Action, check_invariant_limit, generalized_classical, invariant_monomials
+from .actions import Action, generalized_classical, invariant_monomials
 from .circulant import check_ternary_limit, circulant_det_symbolic, coefficient_query
 from .errors import ConsistencyError
 from .wlp import (
@@ -354,18 +354,18 @@ def cmd_report(args):
     d = args.d
     minimal = len(set(action.weights)) == 3
     # every size limit first: the classify limit, the minimality limit when
-    # there is a minimal section, then the invariant limit, before the
-    # partition and the invariant enumeration
+    # there is a minimal section and the invariant limit before the invariant
+    # enumeration, then the elimination limit inside restriction, before the
+    # partition
     if d >= 4:
         classification._check_classify_limit(d)
     if minimal:
         check_minimality_route(action)
-    check_invariant_limit(action)
-    partition = classification.classify_moves(d) if d >= 4 else None
     ideal = invariant_monomials(action)
-    # one elimination: the verdict, the minimal section and the membership
+    # one restriction: the verdict, the minimal section and the membership
     # forms all read it
     r = restriction(ideal)
+    partition = classification.classify_moves(d) if d >= 4 else None
     sections = {}
     checks = []
 

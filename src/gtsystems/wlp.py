@@ -6,15 +6,34 @@ degree d of R/I, R = K[x,y,z].  I is generated in degree d, so
 L*R_(d-1): the forms of I_d that vanish on the line L = 0.  Restricting the
 mu generators to that line gives a (d+1) x mu integer matrix E, and the
 kernel has dimension mu - rank E (the exact sequence A/LA = R/(I, L)).  The
-rank of E is exact, by fraction-free elimination, at every d.
+rank of E is exact at every d.
+
+At L = x + y + z, row (i, j, k) of E^T is (-1)^k C(k, m) at column j + m, so
+its first entry is +-1, at column j, and rows with distinct first columns
+are independent.  L is symmetric in x, y, z, so reading the x or the z
+exponent as the first column (with another variable eliminated on the line)
+gives a matrix of the same rank with the same left kernel.  Let f rows of
+one such matrix have distinct first columns.  If f = min(mu, d+1), the rank
+is f.  If f = mu - 1, one forward substitution through the f unit pivots,
+in integers and without division, either leaves the last row a nonzero
+residual (nullity 0) or gives a kernel vector v (nullity 1), and v.E = 0 is
+checked on every column.  These unit pivots decide E for an action whose
+shifted weights are faithful exactly when some weight difference is a unit
+mod d, which is the paper's family: with b - a a unit, only x^d and y^d
+share a z exponent.  Otherwise, for instance (0, 2, 5) at d = 840 or
+shifted weights that share a factor with d, and for every other linear
+form, E is eliminated fraction-free (polymat.bareiss_echelon).  The rows of
+E are signed binomial rows, built once per exponent by the recurrence
+C(k, m+1) = C(k, m) (k - m) / (m + 1).
 
 For L = x + y + z the eigenvalue product of the action lies in that kernel,
 so when the kernel has dimension 1 its vector is the product's coefficient
-vector, scaled.  restriction(ideal) makes that one elimination, and the
-Togliatti predicate, minimality and the product are read off the Restriction
-it returns; the verdict needs only the nullity (WlpVerdict.from_nullity).
-Restriction.newton_product() is the one cross-check of the product against
-its Newton expansion, for minimal, report and conjecture_scan alike.
+vector, scaled.  restriction(ideal) decides E once, by its unit pivots or
+by one elimination, and the Togliatti predicate, minimality and the product
+are read off the Restriction it returns; the verdict needs only the nullity
+(WlpVerdict.from_nullity).  Restriction.newton_product() is the one
+cross-check of the product against its Newton expansion, for minimal,
+report and conjecture_scan alike.
 """
 
 from __future__ import annotations
@@ -44,51 +63,156 @@ __all__ = [
 # recorded again.
 RANK_REPORT_LIMIT = 16
 
-# Largest d at which report and minimal decide minimality.  The one
-# augmented elimination takes 0.02-0.03 s at d = 256 and 0.10-0.15 s at
-# d = 420 (Python 3.11, one Xeon core), so the limit is a contract, not a
-# cost: raising it changes which requests are answered.
+# Largest d at which report and minimal decide minimality.  The augmented
+# elimination, where the unit pivots leave E to it, takes 0.02-0.03 s at
+# d = 256 and 0.10-0.15 s at d = 420 (Python 3.11, one Xeon core), so the
+# limit is a contract, not a cost: raising it changes which requests are
+# answered.
 MINIMALITY_LIMIT = 256
 
 # Largest number of cells mu * (d+1) of the restriction matrix E, checked
-# before its first row is built, so kernel_dimension, restriction and every
-# command that eliminates refuse a matrix whose elimination would run for
-# minutes or exhaust memory, instead of starting it.  The plain elimination
-# of (0, 0, 1) at d = 3000 (9 million cells) takes 17 s and 154 MiB
-# (Python 3.11, one Xeon core).
+# before either route, so kernel_dimension, restriction and every command
+# that decides E refuse a matrix whose elimination would run for minutes or
+# exhaust memory, instead of starting it, also where the unit pivots would
+# decide it at once.  The plain elimination of (0, 2, 5) at d = 2520 (3.2
+# million cells) takes 3.4 s (Python 3.11, one Xeon core).
 ELIMINATION_LIMIT = 10**7
+
+_ONES = (1, 1, 1)
+
+# The variable orders of the unit-pivot route: (the exponent read as the
+# first column, the exponent eliminated on the line); (1, 2) is E itself.
+_ORDERS = ((1, 2), (0, 2), (2, 1))
+
+
+def _check_elimination_limit(ideal: GTIdeal):
+    """Raise ValueError when E has more than ELIMINATION_LIMIT cells."""
+    cells = ideal.mu * (ideal.d + 1)
+    if cells > ELIMINATION_LIMIT:
+        raise ValueError(
+            f"the elimination has a size limit of {ELIMINATION_LIMIT} matrix cells "
+            f"(ELIMINATION_LIMIT); the ideal at d = {ideal.d} with {ideal.mu} generators "
+            f"needs {cells}"
+        )
+
+
+class _SignedBinomials(dict):
+    """k -> the coefficients (-1)^k C(k, m), m = 0..k, of (-(s + t))^k, built
+    on first use by C(k, m+1) = C(k, m) (k - m) / (m + 1) over half the row;
+    one per call, so no row outlives the call that built it."""
+
+    def __missing__(self, k):
+        c = -1 if k % 2 else 1
+        row = [c] * (k + 1)
+        for m in range(k // 2):
+            c = c * (k - m) // (m + 1)
+            row[m + 1] = row[k - m - 1] = c
+        self[k] = row
+        return row
 
 
 def _restriction_rows(ideal: GTIdeal, coeffs):
     """The transpose of E: row i is generator i restricted to the line
     al*x + be*y + ga*z = 0, that is g_i(ga*s, ga*t, -al*s - be*t), in the
     basis s^(d-k) t^k, k = 0..d.  This is ga^d * g_i(s, t, -(al*s + be*t)/ga),
-    so the entries are integers.  ValueError past ELIMINATION_LIMIT."""
+    so the entries are integers: ga^(i+j) (-1)^k C(k, m) al^(k-m) be^m at
+    column j + m, the signed binomial row itself when coeffs = (1, 1, 1)."""
     al, be, ga = coeffs
     if ga == 0:
         raise ValueError("the linear form needs a nonzero z coefficient")
     d = ideal.d
-    cells = ideal.mu * (d + 1)
-    if cells > ELIMINATION_LIMIT:
-        raise ValueError(
-            f"the elimination has a size limit of {ELIMINATION_LIMIT} matrix cells "
-            f"(ELIMINATION_LIMIT); the ideal at d = {d} with {ideal.mu} generators needs {cells}"
-        )
-    # the powers 0..d of -al, -be and ga, built once per call
+    binomials = _SignedBinomials()
+    rows = []
+    if tuple(coeffs) == _ONES:
+        for _, j, k in ideal.generators:
+            row = [0] * (d + 1)
+            row[j:j + k + 1] = binomials[k]
+            rows.append(row)
+        return rows
+    # the powers 0..d of al, be and ga, built once per call
     pa, pb, pg = [1], [1], [1]
     for _ in range(d):
-        pa.append(pa[-1] * -al)
-        pb.append(pb[-1] * -be)
+        pa.append(pa[-1] * al)
+        pb.append(pb[-1] * be)
         pg.append(pg[-1] * ga)
-    comb = math.comb
-    rows = []
     for i, j, k in ideal.generators:
         row = [0] * (d + 1)
         scale = pg[i + j]
-        for m in range(k + 1):
-            row[j + m] = scale * comb(k, m) * pa[k - m] * pb[m]
+        for m, c in enumerate(binomials[k]):
+            row[j + m] = scale * c * pa[k - m] * pb[m]
         rows.append(row)
     return rows
+
+
+def _first_columns(generators, key):
+    """({first column: generator index}, [indices of the later rows]): the
+    first generator with a given exponent at key holds that column's unit
+    pivot, and every later one is left over."""
+    pivot, rest = {}, []
+    for n, g in enumerate(generators):
+        if g[key] in pivot:
+            rest.append(n)
+        else:
+            pivot[g[key]] = n
+    return pivot, rest
+
+
+def _substitute(ideal: GTIdeal, order, pivot, r, binomials):
+    """Row r of E^T, in the variable order `order`, reduced by the unit
+    pivots column by column: a kernel vector v with v_r = 1, or None when a
+    column without a pivot keeps a nonzero residual.  Each pivot row is
+    used at most once, so it costs O(sum of k)."""
+    key, elim = order
+    gens = ideal.generators
+    v = [0] * ideal.mu
+    v[r] = 1
+    residual = [0] * (ideal.d + 1)
+    j = gens[r][key]
+    first = binomials[gens[r][elim]]
+    residual[j:j + len(first)] = first
+    for c in range(j, ideal.d + 1):
+        x = residual[c]
+        if not x:
+            continue
+        n = pivot.get(c)
+        if n is None:
+            return None
+        row = binomials[gens[n][elim]]
+        f = v[n] = -x * row[0]  # row[0] is +-1
+        end = c + len(row)
+        residual[c:end] = [a + f * e for a, e in zip(residual[c:end], row)]
+    return v
+
+
+def _check_kernel_vector(ideal: GTIdeal, v, binomials):
+    """ConsistencyError unless v != 0 and v.E = 0, summed over the k + 1
+    columns j..j+k where generator (i, j, k) is nonzero."""
+    acc = [0] * (ideal.d + 1)
+    for vi, (_, j, k) in zip(v, ideal.generators):
+        if vi:
+            acc[j:j + k + 1] = [a + vi * e for a, e in zip(acc[j:j + k + 1], binomials[k])]
+    if not any(v) or any(acc):
+        raise ConsistencyError("the kernel vector is not in the kernel of E")
+
+
+def _unit_pivots(ideal: GTIdeal):
+    """(nullity, v) of E at x + y + z read off its unit pivots in the variable
+    order with the most distinct first columns, or None when they do not
+    decide it (see the module docstring); v is the checked kernel vector
+    when a substitution finds one, else None."""
+    d, mu, gens = ideal.d, ideal.mu, ideal.generators
+    order = max(_ORDERS, key=lambda o: len({g[o[0]] for g in gens}))
+    pivot, rest = _first_columns(gens, order[0])
+    if len(pivot) == min(mu, d + 1):
+        return mu - len(pivot), None
+    if len(rest) != 1:
+        return None
+    binomials = _SignedBinomials()
+    v = _substitute(ideal, order, pivot, rest[0], binomials)
+    if v is None:
+        return 0, None
+    _check_kernel_vector(ideal, v, binomials)
+    return 1, tuple(v)
 
 
 NOT_TOGLIATTI = "not a Togliatti system: minimality is defined only for a Togliatti system"
@@ -104,10 +228,20 @@ def _togliatti(ideal: GTIdeal, nullity: int) -> bool:
     return nullity >= 1 and _candidate(ideal)
 
 
-def kernel_dimension(ideal: GTIdeal, coeffs=(1, 1, 1)) -> int:
+def kernel_dimension(ideal: GTIdeal, coeffs=_ONES) -> int:
     """Exact dimension of the kernel of multiplication by
     coeffs[0]*x + coeffs[1]*y + coeffs[2]*z from degree d-1 to degree d of
-    the quotient; the z coefficient must be nonzero."""
+    the quotient; the z coefficient must be nonzero.  At x + y + z the unit
+    pivots decide it where they can; elsewhere E is eliminated."""
+    _check_elimination_limit(ideal)
+    if tuple(coeffs) == _ONES:
+        decided = _unit_pivots(ideal)
+        if decided is not None:
+            return decided[0]
+    return _eliminated_nullity(ideal, coeffs)
+
+
+def _eliminated_nullity(ideal: GTIdeal, coeffs) -> int:
     rows = _restriction_rows(ideal, coeffs)
     return len(rows) - bareiss_rank(rows)
 
@@ -157,10 +291,11 @@ class WlpVerdict(Record):
 
 
 class Restriction(Record):
-    """E at x + y + z for an ideal, eliminated once by restriction(ideal): the
-    nullity and, for a Togliatti system, the checked kernel vector v."""
+    """E at x + y + z for an ideal, decided once by restriction(ideal): the
+    nullity, for a Togliatti system the checked kernel vector v, and the
+    route that decided it, "unit_pivots" or "elimination" (not printed)."""
 
-    __slots__ = ("ideal", "nullity", "v", "__dict__")  # __dict__ holds product
+    __slots__ = ("ideal", "nullity", "v", "route", "__dict__")  # __dict__ holds product
 
     @property
     def togliatti(self) -> bool:
@@ -229,30 +364,32 @@ class Restriction(Record):
 
 
 def restriction(ideal: GTIdeal) -> Restriction:
-    """Eliminate E at x + y + z once.  Only a Togliatti candidate (all three
-    pure powers, at most d+1 generators) is eliminated as E^T beside the
-    identity, pivoting only in the columns of E^T: with a kernel, the
-    identity part of the last row is a kernel vector v, and v.E = 0 is
-    checked.  No other ideal is a Togliatti system, so nothing reads its v
-    and the plain elimination of kernel_dimension serves."""
-    if not _candidate(ideal):
-        return Restriction(ideal, kernel_dimension(ideal), None)
-    rows = _restriction_rows(ideal, (1, 1, 1))
+    """Decide E at x + y + z once: by its unit pivots where they decide it,
+    else by elimination.  Only a Togliatti candidate (all three pure powers,
+    at most d+1 generators) is eliminated as E^T beside the identity,
+    pivoting only in the columns of E^T: with a kernel, the identity part of
+    the last row is a kernel vector v, and v.E = 0 is checked.  No other
+    ideal is a Togliatti system, so nothing reads its v and the plain
+    elimination serves."""
+    _check_elimination_limit(ideal)
+    candidate = _candidate(ideal)
+    decided = _unit_pivots(ideal)
+    if decided is not None:
+        nullity, v = decided
+        return Restriction(ideal, nullity, v if candidate else None, "unit_pivots")
+    if not candidate:
+        return Restriction(ideal, _eliminated_nullity(ideal, _ONES), None, "elimination")
+    rows = _restriction_rows(ideal, _ONES)
     mu, width = len(rows), ideal.d + 1
-    m = [row + [int(i == j) for j in range(mu)] for i, row in enumerate(rows)]
+    # row i of the identity is the slice of this unit row that puts its 1 at i
+    unit = [0] * (mu - 1) + [1] + [0] * (mu - 1)
+    m = [row + unit[mu - 1 - i:2 * mu - 1 - i] for i, row in enumerate(rows)]
     nullity = mu - bareiss_echelon(m, width)
     if not nullity:
-        return Restriction(ideal, 0, None)
+        return Restriction(ideal, 0, None, "elimination")
     v = tuple(m[-1][width:])
-    # v.E over the k + 1 columns j..j+k where generator (i, j, k) is nonzero
-    acc = [0] * width
-    for vi, row, (_, j, k) in zip(v, rows, ideal.generators):
-        if vi:
-            for c in range(j, j + k + 1):
-                acc[c] += vi * row[c]
-    if not any(v) or any(acc):
-        raise ConsistencyError("the elimination's kernel vector is not in the kernel of E")
-    return Restriction(ideal, nullity, v)
+    _check_kernel_vector(ideal, v, _SignedBinomials())
+    return Restriction(ideal, nullity, v, "elimination")
 
 
 def check_minimality_route(action: Action):

@@ -290,6 +290,22 @@ def _spy_eliminations(monkeypatch):
     return calls
 
 
+def _spy_unit_pivots(monkeypatch):
+    """The route of every decision of E at x + y + z: "unit_pivots" where the
+    unit pivots decided it, "elimination" where they left it to the
+    elimination."""
+    routes = []
+    real = wlp._unit_pivots
+
+    def spy(ideal):
+        decided = real(ideal)
+        routes.append("elimination" if decided is None else "unit_pivots")
+        return decided
+
+    monkeypatch.setattr(wlp, "_unit_pivots", spy)
+    return routes
+
+
 def _spy_circulant_products(monkeypatch):
     """Count the Newton expansions in every module that holds the function."""
     calls = []
@@ -387,7 +403,7 @@ class TestTogliattiFirst:
         real = wlp.restriction
 
         def nullity_two(ideal):
-            return wlp.Restriction(ideal, 2, real(ideal).v)
+            return real(ideal).replace(nullity=2)
 
         monkeypatch.setattr(cli, "restriction", nullity_two)
         for extra in ((), ("--subset-oracle",)):
@@ -399,24 +415,34 @@ class TestTogliattiFirst:
             assert "routes_agree" not in [c["name"] for c in report["checks"]]
 
 
-class TestOneEliminationPerCommand:
-    @pytest.mark.parametrize("argv,eliminations,products", [
-        (("report", "--d", "7", "--action", "0,1,3"), 1, 0),
-        (("report", "--d", "7", "--action", "0,1,3", "--general-l", "2"), 3, 0),
-        (("report", "--d", "9", "--action", "1,1,4"), 1, 1),  # repeated weight, nullity 12
-        (("report", "--d", "16", "--action", "15,3,11"), 1, 0),
-        (("gt-verdict", "--d", "7", "--a", "3"), 1, 0),
-        (("gt-verdict", "--d", "7", "--a", "3", "--general-l", "2"), 3, 0),
-        (("minimal", "--d", "7", "--action", "0,1,3"), 1, 1),
-        (("minimal", "--d", "13", "--a", "4", "--subset-oracle"), 1, 1),
-        (("minimal", "--d", "200", "--a", "3"), 1, 0),
+class TestOneRestrictionPerCommand:
+    # (0, 2, 5) mod 30 has no weight difference that is a unit mod 30, and
+    # (15, 3, 11) mod 16 has shifted weights (0, 4, 12): their pivots leave E
+    # to the elimination, E^T beside the identity for a Togliatti candidate
+    @pytest.mark.parametrize("argv,routes,widths,products", [
+        (("report", "--d", "7", "--action", "0,1,3"), ["unit_pivots"], [], 0),
+        (("report", "--d", "7", "--action", "0,1,3", "--general-l", "2"),
+         ["unit_pivots"], [8, 8], 0),
+        # repeated weight, nullity 12: the 10 columns are covered
+        (("report", "--d", "9", "--action", "1,1,4"), ["unit_pivots"], [], 1),
+        (("report", "--d", "16", "--action", "15,3,11"), ["elimination"], [17], 0),
+        (("report", "--d", "30", "--action", "0,2,5"), ["elimination"], [31 + 21], 0),
+        (("gt-verdict", "--d", "7", "--a", "3"), ["unit_pivots"], [], 0),
+        (("gt-verdict", "--d", "7", "--a", "3", "--general-l", "2"), ["unit_pivots"], [8, 8], 0),
+        (("gt-verdict", "--d", "30", "--action", "0,2,5"), ["elimination"], [31], 0),
+        (("minimal", "--d", "7", "--action", "0,1,3"), ["unit_pivots"], [], 1),
+        (("minimal", "--d", "13", "--a", "4", "--subset-oracle"), ["unit_pivots"], [], 1),
+        (("minimal", "--d", "200", "--a", "3"), ["unit_pivots"], [], 0),
+        (("minimal", "--d", "30", "--action", "0,2,5"), ["elimination"], [31 + 21], 1),
     ])
-    def test_counts(self, capsys, monkeypatch, argv, eliminations, products):
+    def test_counts(self, capsys, monkeypatch, argv, routes, widths, products):
+        decided = _spy_unit_pivots(monkeypatch)
         elims = _spy_eliminations(monkeypatch)
         expansions = _spy_circulant_products(monkeypatch)
         code, _, err = run_cli(capsys, *argv)
         assert code == 0, err
-        assert len(elims) == eliminations
+        assert decided == routes
+        assert elims == widths
         assert len(expansions) == products
 
     @pytest.mark.parametrize("argv,width", [
@@ -434,6 +460,8 @@ class TestOneEliminationPerCommand:
         (("gt-verdict", "--d", "16", "--action", "15,3,11"), lambda d, mu: d + 1),
     ])
     def test_identity_block_only_for_togliatti_candidates(self, capsys, monkeypatch, argv, width):
+        # the elimination alone, as where the unit pivots do not decide E
+        monkeypatch.setattr(wlp, "_unit_pivots", lambda ideal: None)
         elims = _spy_eliminations(monkeypatch)
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, err
@@ -441,18 +469,35 @@ class TestOneEliminationPerCommand:
         mu = actions.invariant_monomials(cli._parse_action(build_parser().parse_args(argv))).mu
         assert elims == [width(d, mu)]
 
-    def test_gt_verdict_sampling_is_plain_throughout(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("pivots,widths", [(True, [8] * 3), (False, [8] * 4)])
+    def test_gt_verdict_sampling_is_plain_throughout(self, capsys, monkeypatch, pivots, widths):
+        if not pivots:
+            monkeypatch.setattr(wlp, "_unit_pivots", lambda ideal: None)
         elims = _spy_eliminations(monkeypatch)
         code, out, err = run_cli(capsys, "gt-verdict", "--d", "7", "--a", "3", "--general-l", "3")
         assert code == 0, err
-        assert elims == [8] * 4
+        assert elims == widths
         assert json.loads(out)["results"]["verdict"]["is_togliatti"] is True
 
-    def test_library_verdict_is_plain(self, monkeypatch):
+    @pytest.mark.parametrize("pivots,widths", [(True, []), (False, [14])])
+    def test_library_verdict_is_plain(self, monkeypatch, pivots, widths):
+        if not pivots:
+            monkeypatch.setattr(wlp, "_unit_pivots", lambda ideal: None)
         elims = _spy_eliminations(monkeypatch)
         ideal = actions.invariant_monomials(actions.Action(13, (0, 1, 4)))
         verdict = wlp.WlpVerdict.from_nullity(ideal, wlp.kernel_dimension(ideal))
-        assert verdict.is_togliatti and elims == [14]
+        assert verdict.is_togliatti and elims == widths
+
+    def test_gt_verdict_at_d_3000_needs_no_elimination(self, capsys, monkeypatch):
+        # (0, 0, 1): y^j x^(d-j) covers every column, so the rank is d + 1
+        decided = _spy_unit_pivots(monkeypatch)
+        elims = _spy_eliminations(monkeypatch)
+        code, out, err = run_cli(capsys, "gt-verdict", "--d", "3000", "--action", "0,0,1")
+        assert code == 0, err
+        assert decided == ["unit_pivots"] and elims == []
+        verdict = json.loads(out)["results"]["verdict"]
+        assert (verdict["mu"], verdict["fails_injectivity"], verdict["is_togliatti"]) == (
+            3002, True, False)
 
     def test_minimal_at_the_minimality_limit_is_fast(self, capsys):
         d = wlp.MINIMALITY_LIMIT
@@ -647,6 +692,15 @@ class TestEliminationLimit:
         assert code == 1 and out == ""
         assert err.startswith(f"gtsys: error: the elimination has a size limit of "
                               f"{wlp.ELIMINATION_LIMIT} matrix cells (ELIMINATION_LIMIT)")
+
+    def test_report_is_refused_before_the_partition(self, capsys, monkeypatch):
+        def no_partition(d):
+            raise AssertionError("report partitioned past the elimination limit")
+
+        monkeypatch.setattr(classification, "classify_moves", no_partition)
+        code, out, err = run_cli(capsys, "report", "--d", "100000", "--action", "0,0,1")
+        assert code == 1 and out == ""
+        assert "(ELIMINATION_LIMIT)" in err
 
 
 class TestClassifyPartition:

@@ -13,6 +13,7 @@ from test_circulant import ternary_oracle
 from gtsystems import circulant, polymat, wlp
 from gtsystems.actions import Action, GTIdeal, invariant_monomials
 from gtsystems.circulant import circulant_product
+from gtsystems.cli import main
 from gtsystems.errors import ConsistencyError
 from gtsystems.polymat import SparsePoly, bareiss_rank
 from gtsystems.wlp import (
@@ -228,6 +229,12 @@ class TestRestrictionRows:
             seen += 1
         assert seen == 180
 
+    @pytest.mark.parametrize("d,coeffs", [(420, (1, 1, 1)), (840, (1, 1, 1)), (420, (2, -3, 5))])
+    def test_rows_equal_the_power_formula_at_large_d(self, d, coeffs):
+        # outside the paper's family: the rows the elimination runs on
+        ideal = invariant_monomials(Action(d, (0, 2, 5)))
+        assert wlp._restriction_rows(ideal, coeffs) == _restriction_rows_by_powers(ideal, coeffs)
+
 
 class TestEliminationLimit:
     def test_every_elimination_refuses_past_it(self):
@@ -279,6 +286,121 @@ class TestCandidateRule:
                 seen["non_candidates"] += ideal.mu > d + 1
         # every candidate among them is a Togliatti system
         assert seen == {"actions": 5534, "togliatti": 3780, "non_candidates": 1754}, seen
+
+
+def _shifted_faithful(d, weights):
+    a, b, c = weights
+    return math.gcd(b - a, c - a, d) == 1
+
+
+def _unit_difference(d, weights):
+    a, b, c = weights
+    return any(math.gcd(w, d) == 1 for w in (b - a, c - a, c - b))
+
+
+class TestUnitPivots:
+    """The unit-pivot route against the elimination, which it bypasses."""
+
+    @staticmethod
+    def _compare(ideal, decided, eliminated):
+        nullity, v = decided
+        assert nullity == eliminated.nullity, ideal
+        if v is None:
+            return
+        assert nullity == 1 and any(v), ideal
+        if eliminated.v is not None:
+            w = eliminated.v
+            k = next(i for i, wi in enumerate(w) if wi)
+            assert all(vi * w[k] == wi * v[k] for vi, wi in zip(v, w)), ideal
+        else:
+            assert not wlp._candidate(ideal), ideal
+
+    def test_agrees_with_the_elimination_on_every_small_action(self, monkeypatch):
+        # every faithful (a, b, c) with a in {0, 1} and 3 <= d <= 30
+        real = wlp._unit_pivots
+        monkeypatch.setattr(wlp, "_unit_pivots", lambda ideal: None)
+        seen = {"ideals": 0, "decided": 0, "kernel_vectors": 0}
+        for d in range(3, 31):
+            for weights in itertools.product((0, 1), range(d), range(d)):
+                if math.gcd(*weights, d) != 1:
+                    continue
+                ideal = invariant_monomials(Action(d, weights))
+                decided = real(ideal)
+                seen["ideals"] += 1
+                if _shifted_faithful(d, weights):
+                    # exactly the paper's family
+                    assert (decided is not None) == _unit_difference(d, weights), (d, weights)
+                if decided is None:
+                    continue
+                self._compare(ideal, decided, restriction(ideal))
+                seen["decided"] += 1
+                seen["kernel_vectors"] += decided[1] is not None
+        assert seen == {"ideals": 17222, "decided": 15950, "kernel_vectors": 13792}, seen
+
+    def test_agrees_with_the_elimination_on_random_ideals(self, monkeypatch):
+        # the random Togliatti candidates of TestMinimality, without an action
+        real = wlp._unit_pivots
+        monkeypatch.setattr(wlp, "_unit_pivots", lambda ideal: None)
+        seen = {"decided": 0, "kernel_vectors": 0, "nullity_0": 0}
+        for ideal in random_togliatti_candidates(random.Random(2016), 6000):
+            decided = real(ideal)
+            if decided is None:
+                continue
+            self._compare(ideal, decided, restriction(ideal))
+            seen["decided"] += 1
+            seen["kernel_vectors"] += decided[1] is not None
+            seen["nullity_0"] += decided[0] == 0
+        assert min(seen.values()) > 0, seen
+
+    def test_kernel_dimension_and_restriction_take_it_at_x_plus_y_plus_z_only(
+            self, eliminations, pivot_decisions):
+        ideal = invariant_monomials(Action(13, (0, 1, 4)))
+        assert kernel_dimension(ideal) == restriction(ideal).nullity == 1
+        assert len(pivot_decisions) == 2 and eliminations == []
+        assert kernel_dimension(ideal, (2, -3, 5)) == 1
+        assert len(pivot_decisions) == 2 and len(eliminations) == 1
+
+    @pytest.mark.parametrize("tamper", ["shift", "zero"])
+    def test_tampered_kernel_vector_is_caught(self, monkeypatch, tamper):
+        real = wlp._substitute
+
+        def tampered(*args):
+            v = real(*args)
+            if tamper == "shift":
+                v[1] += 1
+            else:
+                v[:] = [0] * len(v)
+            return v
+
+        monkeypatch.setattr(wlp, "_substitute", tampered)
+        ideal = invariant_monomials(Action(7, (0, 1, 3)))
+        for route in (restriction, kernel_dimension):
+            with pytest.raises(ConsistencyError, match="not in the kernel of E"):
+                route(ideal)
+
+    def test_a_repeated_first_column_taken_as_distinct_exits_2(self, capsys, monkeypatch):
+        # the later of two rows with one first column also takes that pivot
+        def mutant(generators, key):
+            pivot, rest = {}, []
+            for n, g in enumerate(generators):
+                if g[key] in pivot:
+                    rest.append(n)
+                pivot[g[key]] = n
+            return pivot, rest
+
+        monkeypatch.setattr(wlp, "_first_columns", mutant)
+        for argv in (["minimal", "--d", "7", "--action", "0,1,3"],
+                     ["gt-verdict", "--d", "13", "--a", "4"]):
+            assert main(argv) == 2, argv
+            out, err = capsys.readouterr()
+            assert out == "" and "not in the kernel of E" in err
+
+    def test_past_the_elimination_at_large_d(self, eliminations):
+        # (0, 0, 1): the d + 1 columns y^j are covered, nullity mu - d - 1 = 1
+        ideal = invariant_monomials(Action(3000, (0, 0, 1)))
+        r = restriction(ideal)
+        assert (r.route, r.nullity, r.v) == ("unit_pivots", 1, None)
+        assert eliminations == []
 
 
 class TestVerdicts:
@@ -448,11 +570,45 @@ def eliminations(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def pivot_decisions(monkeypatch):
+    """Records the answer of every call of the unit-pivot route, None where
+    it left E to the elimination."""
+    calls = []
+    real = wlp._unit_pivots
+
+    def spy(ideal):
+        calls.append(real(ideal))
+        return calls[-1]
+
+    monkeypatch.setattr(wlp, "_unit_pivots", spy)
+    return calls
+
+
+@pytest.fixture
+def no_unit_pivots(monkeypatch):
+    """Forces the elimination: the unit-pivot route decides nothing."""
+    monkeypatch.setattr(wlp, "_unit_pivots", lambda ideal: None)
+
+
 class TestKernelVector:
-    @pytest.mark.parametrize("d,weights", [(3, (0, 1, 2)), (7, (0, 1, 3)), (13, (0, 1, 4)),
-                                           (18, (0, 2, 9)), (24, (0, 1, 7))])
-    def test_one_elimination_per_call(self, eliminations, d, weights):
-        restriction(invariant_monomials(Action(d, weights))).minimal
+    @pytest.mark.parametrize("d,weights,route", [
+        (3, (0, 1, 2), "unit_pivots"), (7, (0, 1, 3), "unit_pivots"),
+        (13, (0, 1, 4), "unit_pivots"), (18, (0, 2, 9), "unit_pivots"),
+        (24, (0, 1, 7), "unit_pivots"),
+        # no weight difference is a unit mod 30: the pivots leave E to the elimination
+        (30, (0, 2, 5), "elimination"), (30, (0, 3, 5), "elimination"),
+    ])
+    def test_one_restriction_per_call(self, eliminations, pivot_decisions, d, weights, route):
+        r = restriction(invariant_monomials(Action(d, weights)))
+        assert r.minimal
+        assert r.route == route
+        assert len(pivot_decisions) == 1
+        assert len(eliminations) == (route == "elimination")
+
+    def test_one_elimination_when_the_pivots_are_bypassed(self, eliminations, no_unit_pivots):
+        r = restriction(invariant_monomials(Action(7, (0, 1, 3))))
+        assert r.minimal and r.route == "elimination"
         assert len(eliminations) == 1
 
     def test_kernel_vector_is_proportional_to_the_circulant_product(self, eliminations):
@@ -463,9 +619,10 @@ class TestKernelVector:
             if not 0 < a < b or kernel_dimension(ideal) != 1:
                 continue
             units += 1
-            eliminations.clear()
-            v = restriction(ideal).v
-            assert len(eliminations) == 1
+            r = restriction(ideal)
+            # below d = 30 some weight difference of a faithful (0, a, b) is a unit
+            assert r.route == "unit_pivots", action
+            v = r.v
             product = circulant_product(d, (0, a, b))
             assert product.support() <= set(ideal.generators), action
             c = [product.coefficient(g) for g in ideal.generators]
@@ -473,6 +630,7 @@ class TestKernelVector:
             assert v[k], action
             assert all(vi * c[k] == ci * v[k] for vi, ci in zip(v, c)), action
         assert units == 493
+        assert eliminations == []
 
     def test_nullity_two_is_not_minimal_whatever_the_kernel_vector(self, monkeypatch):
         # The last row may hold any kernel vector.  Here the sum of the last
@@ -492,7 +650,7 @@ class TestKernelVector:
         assert not restriction(ideal).minimal
 
     @pytest.mark.parametrize("tamper", ["shift", "zero"])
-    def test_tampered_kernel_vector_is_caught(self, monkeypatch, tamper):
+    def test_tampered_kernel_vector_is_caught(self, monkeypatch, no_unit_pivots, tamper):
         real = polymat.bareiss_echelon
 
         def tampered(m, pivot_cols=None):
@@ -651,7 +809,7 @@ class TestEigenvalueProductFromKernel:
         assert (4, 1, 2) in ideal.generators
         smaller = GTIdeal(7, [g for g in ideal.generators if g != (4, 1, 2)], ideal.action)
         with pytest.raises(ConsistencyError, match="escapes the invariant monomial span"):
-            wlp.Restriction(smaller, 2, None).newton_product()
+            wlp.Restriction(smaller, 2, None, "elimination").newton_product()
 
     def test_newton_product_is_compared_only_with_nullity_one(self, monkeypatch):
         real = circulant_product
@@ -716,7 +874,8 @@ class TestConjectureScan:
         with pytest.raises(ValueError):
             conjecture_scan([circulant._TERNARY_LIMIT + 1, 5])
 
-    def test_one_enumeration_and_one_elimination_per_unit(self, eliminations, monkeypatch):
+    def test_one_enumeration_and_one_restriction_per_unit(self, eliminations, pivot_decisions,
+                                                           monkeypatch):
         enumerations = []
         real = wlp.invariant_monomials
 
@@ -728,7 +887,18 @@ class TestConjectureScan:
         out = conjecture_scan(range(3, 13))
         assert sum(u["status"] == "ok" for u in out["units"]) == 196
         assert len(enumerations) == 196
-        assert len(eliminations) == 196
+        # every unit below d = 30 is in the paper's family: no elimination
+        assert len(pivot_decisions) == 196 and None not in pivot_decisions
+        assert eliminations == []
+
+    def test_units_outside_the_family_are_eliminated_once(self, eliminations, pivot_decisions):
+        out = conjecture_scan([30])
+        units = [u for u in out["units"] if "mu" in u]
+        outside = [u for u in units
+                   if all(math.gcd(w, 30) > 1 for w in (u["a"], u["b"], u["b"] - u["a"]))]
+        assert len(outside) == 24 and out["findings"] == []
+        assert len(pivot_decisions) == len(units)
+        assert pivot_decisions.count(None) == len(eliminations) == len(outside)
 
     def test_units_agree_with_the_verdict_and_the_circulant_route(self):
         units = [u for u in conjecture_scan(range(3, 17))["units"] if "mu" in u]
