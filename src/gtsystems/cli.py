@@ -139,8 +139,7 @@ def _verdict_report(ideal, nullity, general_l, seed):
 
 def cmd_gt_verdict(args):
     ideal = invariant_monomials(_parse_action(args))
-    # the verdict reads only the nullity: no identity block, no kernel vector
-    return _verdict_report(ideal, kernel_dimension(ideal), args.general_l, args.seed)
+    return _verdict_report(ideal, restriction(ideal).nullity, args.general_l, args.seed)
 
 
 def _minimal_report(r, cross_check=False, subset_oracle=False):

@@ -1,8 +1,8 @@
 """Sparse multivariate integer polynomials and exact integer matrix rank.
 
 Polynomials map exponent tuples to nonzero Python int coefficients.  Ranks
-are computed exactly by fraction-free elimination over Z that keeps every
-updated row primitive.
+are computed exactly by fraction-free elimination over Z, whose step
+(fraction_free_step) keeps every updated row primitive.
 """
 
 from __future__ import annotations
@@ -76,23 +76,33 @@ class SparsePoly:
         return f"SparsePoly({self.nvars}, {self.render()})"
 
 
-def bareiss_echelon(m, pivot_cols=None) -> int:
-    """Reduce the integer matrix m (a list of row lists) in place to row
-    echelon form by fraction-free elimination with primitive rows; return
-    the number of pivots.  Pivots are taken only among the first pivot_cols
-    columns (all by default), so when m is a matrix beside the identity,
-    every row below the pivots is zero on the left and holds an integer
-    left-kernel vector of the left block on the right.
+def fraction_free_step(row, col, piv, support):
+    """row, with entry f != 0 at col, as (p/g)*row - (f/g)*pivot row over its
+    content, g = gcd(p, f), for a pivot row with p = piv at col and the
+    (column, entry) pairs support after it; row itself may be changed."""
+    f = row[col]
+    g = gcd(piv, f)
+    p, q = piv // g, f // g
+    if p != 1:
+        row = [x * p for x in row]
+    row[col] = 0
+    for j, x in support:
+        row[j] -= q * x
+    c = gcd(*row)
+    if c > 1:
+        row = [x // c for x in row]
+    return row
 
-    The pivot is the remaining entry of least magnitude in its column.  A row
-    with entry f != 0 under the pivot p becomes (p/g)*row - (f/g)*pivot_row,
-    g = gcd(p, f), and is then divided by its content, so entries stay small
-    and a row with f = 0 is not touched; only the pivot row's nonzero columns
-    are read.  Every division is exact."""
+
+def bareiss_echelon(m) -> int:
+    """Reduce the integer matrix m (a list of row lists) in place to row
+    echelon form and return the number of pivots.  The pivot is the
+    remaining entry of least magnitude in its column, and each row with a
+    nonzero entry under it takes one fraction_free_step."""
     nr = len(m)
     nc = len(m[0]) if nr else 0
     r = 0
-    for col in range(nc if pivot_cols is None else pivot_cols):
+    for col in range(nc):
         pivot_row = -1
         best = None
         for i in range(r, nr):
@@ -111,20 +121,8 @@ def bareiss_echelon(m, pivot_cols=None) -> int:
         piv = mr[col]
         support = [(j, mr[j]) for j in range(col + 1, nc) if mr[j]]
         for i in range(r + 1, nr):
-            mi = m[i]
-            f = mi[col]
-            if not f:
-                continue
-            g = gcd(piv, f)
-            p, q = piv // g, f // g
-            if p != 1:
-                mi = m[i] = [x * p for x in mi]
-            mi[col] = 0
-            for j, x in support:
-                mi[j] -= q * x
-            c = gcd(*mi)
-            if c > 1:
-                m[i] = [x // c for x in mi]
+            if m[i][col]:
+                m[i] = fraction_free_step(m[i], col, piv, support)
         r += 1
         if r == nr:
             break

@@ -9,28 +9,45 @@ kernel has dimension mu - rank E (the exact sequence A/LA = R/(I, L)).  The
 rank of E is exact at every d.
 
 At L = x + y + z, row (i, j, k) of E^T is (-1)^k C(k, m) at column j + m, so
-its first entry is +-1, at column j, and rows with distinct first columns
-are independent.  L is symmetric in x, y, z, so reading the x or the z
-exponent as the first column (with another variable eliminated on the line)
-gives a matrix of the same rank with the same left kernel.  Let f rows of
-one such matrix have distinct first columns.  If f = min(mu, d+1), the rank
-is f.  If f = mu - 1, one forward substitution through the f unit pivots,
-in integers and without division, either leaves the last row a nonzero
-residual (nullity 0) or gives a kernel vector v (nullity 1), and v.E = 0 is
-checked on every column.  These unit pivots decide E for an action whose
-shifted weights are faithful exactly when some weight difference is a unit
-mod d, which is the paper's family: with b - a a unit, only x^d and y^d
-share a z exponent.  Otherwise, for instance (0, 2, 5) at d = 840 or
-shifted weights that share a factor with d, and for every other linear
-form, E is eliminated fraction-free (polymat.bareiss_echelon).  The rows of
-E are signed binomial rows, built once per exponent by the recurrence
-C(k, m+1) = C(k, m) (k - m) / (m + 1).
+its first entry is +-1, at column j.  L is symmetric in x, y, z, so reading
+the x or the z exponent as the first column (with another variable
+eliminated on the line) gives a matrix of the same rank with the same left
+kernel; restriction takes the order with the most distinct first columns.
+The first row at each first column is a unit pivot; the other, leftover,
+rows are swept once through the columns, left to right.  A unit pivot
+takes x times its row off a leftover row with entry x, with no scaling.
+At a free column, one without a unit pivot, the leftover row of least
+magnitude there becomes a pivot and clears the others by one fraction-free
+step (polymat.fraction_free_step), which leaves them primitive.  No row
+becomes a pivot past the last free column, so a leftover row that starts
+there is counted, not built.  A Togliatti candidate sweeps on to the end:
+its leftover rows carry their combinations of the generators and end
+zero, so the combinations span the left kernel.  In the paper's family
+(some weight difference a unit mod d) one row is left over.
+
+The entries stay small because the sweep is a Gaussian elimination in
+column order: after column c a leftover row is, over Q, the one vector of
+its coset modulo the pivot rows that vanishes at every pivot column up to
+c, so its entries are quotients of minors of E^T (Cramer), and the
+primitive integer row divides those minors (Bareiss).  A leftover row
+pushed through every unit pivot before a free-column pivot meets it has no
+such bound.  Any other linear form is eliminated fraction-free
+(polymat.bareiss_rank).
+
+The nullity is 1 for the ideal of an action (a, b, c) whose shifted weights
+(0, p, q) = (0, b-a, c-a) are faithful.  Its monomials are invariant under
+rho = diag(1, zeta^p, zeta^q), so a form f of I_d that x + y + z divides is
+divided by the d conjugates x + zeta^(tp) y + zeta^(tq) z, t = 0..d-1,
+which are distinct (gcd(p, q, d) = 1) with x-coefficient 1, so pairwise
+coprime.  So f is a multiple of their product P, which is invariant and
+lies in I_d.  restriction raises ConsistencyError on any other nullity of
+that full invariant ideal, not of a subset, whose nullity may be 0.
 
 For L = x + y + z the eigenvalue product of the action lies in that kernel,
 so when the kernel has dimension 1 its vector is the product's coefficient
-vector, scaled.  restriction(ideal) decides E once, by its unit pivots or
-by one elimination, and the Togliatti predicate, minimality and the product
-are read off the Restriction it returns; the verdict needs only the nullity
+vector, scaled.  restriction(ideal) decides E once, by the sweep, and the
+Togliatti predicate, minimality and the product are read off the
+Restriction it returns; the verdict needs only the nullity
 (WlpVerdict.from_nullity).  Restriction.newton_product() is the one
 cross-check of the product against its Newton expansion, for minimal,
 report and conjecture_scan alike.
@@ -45,7 +62,7 @@ from ._record import Record
 from .actions import Action, GTIdeal, invariant_monomials
 from .circulant import _TERNARY_LIMIT, check_ternary_limit, circulant_product
 from .errors import ConsistencyError
-from .polymat import SparsePoly, bareiss_echelon, bareiss_rank
+from .polymat import SparsePoly, bareiss_rank, fraction_free_step
 
 __all__ = [
     "WlpVerdict",
@@ -63,25 +80,21 @@ __all__ = [
 # recorded again.
 RANK_REPORT_LIMIT = 16
 
-# Largest d at which report and minimal decide minimality.  The augmented
-# elimination, where the unit pivots leave E to it, takes 0.02-0.03 s at
-# d = 256 and 0.10-0.15 s at d = 420 (Python 3.11, one Xeon core), so the
-# limit is a contract, not a cost: raising it changes which requests are
-# answered.
+# Largest d at which report and minimal decide minimality: a contract, not
+# a cost, as the sweep takes at most 0.01 s at d <= 256 and 0.02-0.03 s
+# for (0, 3, 7) at d = 420 (Python 3.11, one Xeon core).
 MINIMALITY_LIMIT = 256
 
-# Largest number of cells mu * (d+1) of the restriction matrix E, checked
-# before either route, so kernel_dimension, restriction and every command
-# that decides E refuse a matrix whose elimination would run for minutes or
-# exhaust memory, instead of starting it, also where the unit pivots would
-# decide it at once.  The plain elimination of (0, 2, 5) at d = 2520 (3.2
-# million cells) takes 3.4 s (Python 3.11, one Xeon core).
+# Largest number of cells mu * (d+1) of E, checked before the sweep or the
+# elimination starts, so that no command runs for minutes or exhausts memory
+# on one; the sweep of (0, 2, 5) at d = 2520 (3.2 million cells) takes
+# 2.5-3.7 s (Python 3.11, one Xeon core, shared).
 ELIMINATION_LIMIT = 10**7
 
 _ONES = (1, 1, 1)
 
-# The variable orders of the unit-pivot route: (the exponent read as the
-# first column, the exponent eliminated on the line); (1, 2) is E itself.
+# The variable orders of the sweep: (the exponent read as the first column,
+# the exponent eliminated on the line); (1, 2) is E itself.
 _ORDERS = ((1, 2), (0, 2), (2, 1))
 
 
@@ -116,19 +129,13 @@ def _restriction_rows(ideal: GTIdeal, coeffs):
     al*x + be*y + ga*z = 0, that is g_i(ga*s, ga*t, -al*s - be*t), in the
     basis s^(d-k) t^k, k = 0..d.  This is ga^d * g_i(s, t, -(al*s + be*t)/ga),
     so the entries are integers: ga^(i+j) (-1)^k C(k, m) al^(k-m) be^m at
-    column j + m, the signed binomial row itself when coeffs = (1, 1, 1)."""
+    column j + m."""
     al, be, ga = coeffs
     if ga == 0:
         raise ValueError("the linear form needs a nonzero z coefficient")
     d = ideal.d
     binomials = _SignedBinomials()
     rows = []
-    if tuple(coeffs) == _ONES:
-        for _, j, k in ideal.generators:
-            row = [0] * (d + 1)
-            row[j:j + k + 1] = binomials[k]
-            rows.append(row)
-        return rows
     # the powers 0..d of al, be and ga, built once per call
     pa, pb, pg = [1], [1], [1]
     for _ in range(d):
@@ -144,46 +151,6 @@ def _restriction_rows(ideal: GTIdeal, coeffs):
     return rows
 
 
-def _first_columns(generators, key):
-    """({first column: generator index}, [indices of the later rows]): the
-    first generator with a given exponent at key holds that column's unit
-    pivot, and every later one is left over."""
-    pivot, rest = {}, []
-    for n, g in enumerate(generators):
-        if g[key] in pivot:
-            rest.append(n)
-        else:
-            pivot[g[key]] = n
-    return pivot, rest
-
-
-def _substitute(ideal: GTIdeal, order, pivot, r, binomials):
-    """Row r of E^T, in the variable order `order`, reduced by the unit
-    pivots column by column: a kernel vector v with v_r = 1, or None when a
-    column without a pivot keeps a nonzero residual.  Each pivot row is
-    used at most once, so it costs O(sum of k)."""
-    key, elim = order
-    gens = ideal.generators
-    v = [0] * ideal.mu
-    v[r] = 1
-    residual = [0] * (ideal.d + 1)
-    j = gens[r][key]
-    first = binomials[gens[r][elim]]
-    residual[j:j + len(first)] = first
-    for c in range(j, ideal.d + 1):
-        x = residual[c]
-        if not x:
-            continue
-        n = pivot.get(c)
-        if n is None:
-            return None
-        row = binomials[gens[n][elim]]
-        f = v[n] = -x * row[0]  # row[0] is +-1
-        end = c + len(row)
-        residual[c:end] = [a + f * e for a, e in zip(residual[c:end], row)]
-    return v
-
-
 def _check_kernel_vector(ideal: GTIdeal, v, binomials):
     """ConsistencyError unless v != 0 and v.E = 0, summed over the k + 1
     columns j..j+k where generator (i, j, k) is nonzero."""
@@ -193,26 +160,6 @@ def _check_kernel_vector(ideal: GTIdeal, v, binomials):
             acc[j:j + k + 1] = [a + vi * e for a, e in zip(acc[j:j + k + 1], binomials[k])]
     if not any(v) or any(acc):
         raise ConsistencyError("the kernel vector is not in the kernel of E")
-
-
-def _unit_pivots(ideal: GTIdeal):
-    """(nullity, v) of E at x + y + z read off its unit pivots in the variable
-    order with the most distinct first columns, or None when they do not
-    decide it (see the module docstring); v is the checked kernel vector
-    when a substitution finds one, else None."""
-    d, mu, gens = ideal.d, ideal.mu, ideal.generators
-    order = max(_ORDERS, key=lambda o: len({g[o[0]] for g in gens}))
-    pivot, rest = _first_columns(gens, order[0])
-    if len(pivot) == min(mu, d + 1):
-        return mu - len(pivot), None
-    if len(rest) != 1:
-        return None
-    binomials = _SignedBinomials()
-    v = _substitute(ideal, order, pivot, rest[0], binomials)
-    if v is None:
-        return 0, None
-    _check_kernel_vector(ideal, v, binomials)
-    return 1, tuple(v)
 
 
 NOT_TOGLIATTI = "not a Togliatti system: minimality is defined only for a Togliatti system"
@@ -231,17 +178,10 @@ def _togliatti(ideal: GTIdeal, nullity: int) -> bool:
 def kernel_dimension(ideal: GTIdeal, coeffs=_ONES) -> int:
     """Exact dimension of the kernel of multiplication by
     coeffs[0]*x + coeffs[1]*y + coeffs[2]*z from degree d-1 to degree d of
-    the quotient; the z coefficient must be nonzero.  At x + y + z the unit
-    pivots decide it where they can; elsewhere E is eliminated."""
-    _check_elimination_limit(ideal)
+    the quotient; the z coefficient must be nonzero."""
     if tuple(coeffs) == _ONES:
-        decided = _unit_pivots(ideal)
-        if decided is not None:
-            return decided[0]
-    return _eliminated_nullity(ideal, coeffs)
-
-
-def _eliminated_nullity(ideal: GTIdeal, coeffs) -> int:
+        return restriction(ideal).nullity
+    _check_elimination_limit(ideal)
     rows = _restriction_rows(ideal, coeffs)
     return len(rows) - bareiss_rank(rows)
 
@@ -292,10 +232,9 @@ class WlpVerdict(Record):
 
 class Restriction(Record):
     """E at x + y + z for an ideal, decided once by restriction(ideal): the
-    nullity, for a Togliatti system the checked kernel vector v, and the
-    route that decided it, "unit_pivots" or "elimination" (not printed)."""
+    nullity and, for a Togliatti system, the checked kernel vector v."""
 
-    __slots__ = ("ideal", "nullity", "v", "route", "__dict__")  # __dict__ holds product
+    __slots__ = ("ideal", "nullity", "v", "__dict__")  # __dict__ holds product
 
     @property
     def togliatti(self) -> bool:
@@ -364,32 +303,66 @@ class Restriction(Record):
 
 
 def restriction(ideal: GTIdeal) -> Restriction:
-    """Decide E at x + y + z once: by its unit pivots where they decide it,
-    else by elimination.  Only a Togliatti candidate (all three pure powers,
-    at most d+1 generators) is eliminated as E^T beside the identity,
-    pivoting only in the columns of E^T: with a kernel, the identity part of
-    the last row is a kernel vector v, and v.E = 0 is checked.  No other
-    ideal is a Togliatti system, so nothing reads its v and the plain
-    elimination serves."""
+    """Decide E at x + y + z once, by the sweep of the module docstring: for
+    a Togliatti candidate with a kernel the last leftover row gives v, and
+    v.E = 0 is checked; other ideals are no Togliatti systems and get no v."""
     _check_elimination_limit(ideal)
+    d, mu, gens = ideal.d, ideal.mu, ideal.generators
     candidate = _candidate(ideal)
-    decided = _unit_pivots(ideal)
-    if decided is not None:
-        nullity, v = decided
-        return Restriction(ideal, nullity, v if candidate else None, "unit_pivots")
-    if not candidate:
-        return Restriction(ideal, _eliminated_nullity(ideal, _ONES), None, "elimination")
-    rows = _restriction_rows(ideal, _ONES)
-    mu, width = len(rows), ideal.d + 1
-    # row i of the identity is the slice of this unit row that puts its 1 at i
-    unit = [0] * (mu - 1) + [1] + [0] * (mu - 1)
-    m = [row + unit[mu - 1 - i:2 * mu - 1 - i] for i, row in enumerate(rows)]
-    nullity = mu - bareiss_echelon(m, width)
-    if not nullity:
-        return Restriction(ideal, 0, None, "elimination")
-    v = tuple(m[-1][width:])
-    _check_kernel_vector(ideal, v, _SignedBinomials())
-    return Restriction(ideal, nullity, v, "elimination")
+    width = d + 1
+    firsts, key, elim = max((({g[k] for g in gens}, k, e) for k, e in _ORDERS),
+                            key=lambda t: len(t[0]))
+    binomials = _SignedBinomials()
+    nullity = mu - len(firsts)  # less one for each pivot at a free column
+    # a leftover row that starts past the last free column is only counted
+    stop = width if candidate else max(set(range(width)) - firsts, default=-1) + 1
+    units = [None] * width  # column -> the generator of its unit pivot
+    rows = []  # the leftover rows, with their combinations for a candidate
+    for n, g in enumerate(gens):
+        c = g[key]
+        if units[c] is None:
+            units[c] = n
+        elif c < stop:
+            row = binomials[g[elim]]
+            left = [0] * (width + mu if candidate else width)
+            left[c:c + len(row)] = row
+            if candidate:
+                left[width + n] = 1
+            rows.append(left)
+    for c in range(stop):
+        n = units[c]
+        if n is not None:
+            for left in rows:
+                x = left[c]
+                if x:
+                    row = binomials[gens[n][elim]]
+                    f = -x * row[0]  # row[0] is +-1
+                    end = c + len(row)
+                    left[c:end] = [a + f * e for a, e in zip(left[c:end], row)]
+                    if candidate:
+                        left[width + n] += f
+            continue
+        for left in rows:
+            if left[c]:
+                break
+        else:
+            continue
+        live = [i for i, left in enumerate(rows) if left[c]]
+        row = rows.pop(min(live, key=lambda i: abs(rows[i][c])))
+        nullity -= 1
+        support = [(j, row[j]) for j in range(c + 1, len(row)) if row[j]]
+        rows = [fraction_free_step(left, c, row[c], support) if left[c] else left
+                for left in rows]
+    v = None
+    if candidate and nullity:
+        v = tuple(rows[-1][width:])
+        _check_kernel_vector(ideal, v, binomials)
+    if nullity != 1 and ideal.action is not None:
+        w = ideal.action.weights
+        if (math.gcd(w[1] - w[0], w[2] - w[0], d) == 1
+                and gens == invariant_monomials(ideal.action).generators):
+            raise ConsistencyError(f"nullity {nullity} of E where the shifted weights are faithful")
+    return Restriction(ideal, nullity, v)
 
 
 def check_minimality_route(action: Action):
@@ -406,7 +379,7 @@ def conjecture_scan(d_values):
     """Scan actions (0, a, b) for failures of minimality.
 
     For every d and every 1 <= a < b <= d-1 with gcd(a, b, d) = 1 the
-    invariant ideal is built and eliminated once.  Its restriction gives the
+    invariant ideal is built and its E decided once.  Its restriction gives the
     Togliatti verdict and, for every Togliatti unit, the kernel-vector
     minimality; its newton_product() gives the circulant route, the support
     of the Newton-expanded product compared with the generator set, and with

@@ -276,34 +276,17 @@ class TestOneIdealPerCommand:
 
 
 def _spy_eliminations(monkeypatch):
-    """Record the row width of every call of polymat's elimination loop, made
-    by wlp directly or through bareiss_rank."""
+    """Record the row width of every call of polymat's elimination loop: the
+    general linear forms of --general-l, which bareiss_rank eliminates."""
     calls = []
     real = polymat.bareiss_echelon
 
-    def spy(m, pivot_cols=None):
+    def spy(m):
         calls.append(len(m[0]))
-        return real(m, pivot_cols)
+        return real(m)
 
     monkeypatch.setattr(polymat, "bareiss_echelon", spy)
-    monkeypatch.setattr(wlp, "bareiss_echelon", spy)
     return calls
-
-
-def _spy_unit_pivots(monkeypatch):
-    """The route of every decision of E at x + y + z: "unit_pivots" where the
-    unit pivots decided it, "elimination" where they left it to the
-    elimination."""
-    routes = []
-    real = wlp._unit_pivots
-
-    def spy(ideal):
-        decided = real(ideal)
-        routes.append("elimination" if decided is None else "unit_pivots")
-        return decided
-
-    monkeypatch.setattr(wlp, "_unit_pivots", spy)
-    return routes
 
 
 def _spy_circulant_products(monkeypatch):
@@ -416,85 +399,83 @@ class TestTogliattiFirst:
 
 
 class TestOneRestrictionPerCommand:
-    # (0, 2, 5) mod 30 has no weight difference that is a unit mod 30, and
-    # (15, 3, 11) mod 16 has shifted weights (0, 4, 12): their pivots leave E
-    # to the elimination, E^T beside the identity for a Togliatti candidate
-    @pytest.mark.parametrize("argv,routes,widths,products", [
-        (("report", "--d", "7", "--action", "0,1,3"), ["unit_pivots"], [], 0),
-        (("report", "--d", "7", "--action", "0,1,3", "--general-l", "2"),
-         ["unit_pivots"], [8, 8], 0),
-        # repeated weight, nullity 12: the 10 columns are covered
-        (("report", "--d", "9", "--action", "1,1,4"), ["unit_pivots"], [], 1),
-        (("report", "--d", "16", "--action", "15,3,11"), ["elimination"], [17], 0),
-        (("report", "--d", "30", "--action", "0,2,5"), ["elimination"], [31 + 21], 0),
-        (("gt-verdict", "--d", "7", "--a", "3"), ["unit_pivots"], [], 0),
-        (("gt-verdict", "--d", "7", "--a", "3", "--general-l", "2"), ["unit_pivots"], [8, 8], 0),
-        (("gt-verdict", "--d", "30", "--action", "0,2,5"), ["elimination"], [31], 0),
-        (("minimal", "--d", "7", "--action", "0,1,3"), ["unit_pivots"], [], 1),
-        (("minimal", "--d", "13", "--a", "4", "--subset-oracle"), ["unit_pivots"], [], 1),
-        (("minimal", "--d", "200", "--a", "3"), ["unit_pivots"], [], 0),
-        (("minimal", "--d", "30", "--action", "0,2,5"), ["elimination"], [31 + 21], 1),
+    # (0, 2, 5) mod 30 has no weight difference that is a unit mod 30: seven
+    # rows of E are left over, and the sweep takes fraction-free steps at its
+    # free columns.  In the paper's family one row is left over and it takes
+    # none, nor where the unit pivots alone reach the rank: (1, 1, 4) mod 9,
+    # and (15, 3, 11) mod 16, whose 25 leftover rows are zero at its one free
+    # column
+    @pytest.mark.parametrize("argv,stepped,widths,products", [
+        (("report", "--d", "7", "--action", "0,1,3"), False, [], 0),
+        (("report", "--d", "7", "--action", "0,1,3", "--general-l", "2"), False, [8, 8], 0),
+        # repeated weight, nullity 12: the 10 columns all have a unit pivot
+        (("report", "--d", "9", "--action", "1,1,4"), False, [], 1),
+        (("report", "--d", "16", "--action", "15,3,11"), False, [], 0),
+        (("report", "--d", "30", "--action", "0,2,5"), True, [], 0),
+        (("gt-verdict", "--d", "7", "--a", "3"), False, [], 0),
+        (("gt-verdict", "--d", "7", "--a", "3", "--general-l", "2"), False, [8, 8], 0),
+        (("gt-verdict", "--d", "30", "--action", "0,2,5"), True, [], 0),
+        (("minimal", "--d", "7", "--action", "0,1,3"), False, [], 1),
+        (("minimal", "--d", "13", "--a", "4", "--subset-oracle"), False, [], 1),
+        (("minimal", "--d", "200", "--a", "3"), False, [], 0),
+        (("minimal", "--d", "30", "--action", "0,2,5"), True, [], 1),
     ])
-    def test_counts(self, capsys, monkeypatch, argv, routes, widths, products):
-        decided = _spy_unit_pivots(monkeypatch)
+    def test_counts(self, capsys, monkeypatch, sweeps, argv, stepped, widths, products):
         elims = _spy_eliminations(monkeypatch)
         expansions = _spy_circulant_products(monkeypatch)
         code, _, err = run_cli(capsys, *argv)
         assert code == 0, err
-        assert decided == routes
+        assert len(sweeps) == 1
+        assert bool(sweeps[0][1]) == stepped
         assert elims == widths
         assert len(expansions) == products
 
-    @pytest.mark.parametrize("argv,width", [
-        # no Togliatti candidate (mu > d + 1): the plain elimination
-        (("report", "--d", "16", "--action", "15,3,11"), lambda d, mu: d + 1),
-        (("report", "--d", "200", "--action", "0,0,1"), lambda d, mu: d + 1),
-        # a candidate: E^T beside the mu x mu identity
-        (("report", "--d", "7", "--action", "0,1,3"), lambda d, mu: d + 1 + mu),
-        (("minimal", "--d", "7", "--action", "0,1,3"), lambda d, mu: d + 1 + mu),
-        (("minimal", "--d", "13", "--a", "4", "--subset-oracle"), lambda d, mu: d + 1 + mu),
-        # the verdict reads only the nullity: the plain elimination, also on
-        # a Togliatti candidate
-        (("gt-verdict", "--d", "7", "--a", "3"), lambda d, mu: d + 1),
-        (("gt-verdict", "--d", "40", "--action", "0,1,3"), lambda d, mu: d + 1),
-        (("gt-verdict", "--d", "16", "--action", "15,3,11"), lambda d, mu: d + 1),
+    @pytest.mark.parametrize("argv,candidate", [
+        # no Togliatti candidate (mu > d + 1): the leftover rows of E alone
+        (("report", "--d", "16", "--action", "15,3,11"), False),
+        (("gt-verdict", "--d", "16", "--action", "15,3,11"), False),
+        (("report", "--d", "200", "--action", "0,0,1"), False),
+        # a candidate: each leftover row carries its combination of the
+        # generators, and v is checked, whichever command asks
+        (("report", "--d", "7", "--action", "0,1,3"), True),
+        (("minimal", "--d", "13", "--a", "4", "--subset-oracle"), True),
+        (("gt-verdict", "--d", "7", "--a", "3"), True),
+        (("report", "--d", "30", "--action", "0,2,5"), True),
+        (("minimal", "--d", "30", "--action", "0,2,5"), True),
+        (("gt-verdict", "--d", "30", "--action", "0,2,5"), True),
     ])
-    def test_identity_block_only_for_togliatti_candidates(self, capsys, monkeypatch, argv, width):
-        # the elimination alone, as where the unit pivots do not decide E
-        monkeypatch.setattr(wlp, "_unit_pivots", lambda ideal: None)
-        elims = _spy_eliminations(monkeypatch)
+    def test_kernel_vector_only_for_togliatti_candidates(self, capsys, monkeypatch, sweeps, argv,
+                                                         candidate):
+        checked = []
+        real = wlp._check_kernel_vector
+        monkeypatch.setattr(wlp, "_check_kernel_vector",
+                            lambda ideal, v, binomials: checked.append(v) or real(ideal, v, binomials))
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, err
-        d = int(argv[2])
-        mu = actions.invariant_monomials(cli._parse_action(build_parser().parse_args(argv))).mu
-        assert elims == [width(d, mu)]
+        (ideal, widths), = sweeps
+        assert set(widths) <= {ideal.d + 1 + (ideal.mu if candidate else 0)}
+        assert len(checked) == candidate
 
-    @pytest.mark.parametrize("pivots,widths", [(True, [8] * 3), (False, [8] * 4)])
-    def test_gt_verdict_sampling_is_plain_throughout(self, capsys, monkeypatch, pivots, widths):
-        if not pivots:
-            monkeypatch.setattr(wlp, "_unit_pivots", lambda ideal: None)
+    def test_gt_verdict_eliminates_only_the_general_forms(self, capsys, monkeypatch, sweeps):
         elims = _spy_eliminations(monkeypatch)
         code, out, err = run_cli(capsys, "gt-verdict", "--d", "7", "--a", "3", "--general-l", "3")
         assert code == 0, err
-        assert elims == widths
+        assert len(sweeps) == 1 and elims == [8] * 3
         assert json.loads(out)["results"]["verdict"]["is_togliatti"] is True
 
-    @pytest.mark.parametrize("pivots,widths", [(True, []), (False, [14])])
-    def test_library_verdict_is_plain(self, monkeypatch, pivots, widths):
-        if not pivots:
-            monkeypatch.setattr(wlp, "_unit_pivots", lambda ideal: None)
+    def test_library_verdict_is_one_restriction(self, monkeypatch, sweeps):
         elims = _spy_eliminations(monkeypatch)
         ideal = actions.invariant_monomials(actions.Action(13, (0, 1, 4)))
         verdict = wlp.WlpVerdict.from_nullity(ideal, wlp.kernel_dimension(ideal))
-        assert verdict.is_togliatti and elims == widths
+        assert verdict.is_togliatti and sweeps == [(ideal, [])] and elims == []
 
-    def test_gt_verdict_at_d_3000_needs_no_elimination(self, capsys, monkeypatch):
-        # (0, 0, 1): y^j x^(d-j) covers every column, so the rank is d + 1
-        decided = _spy_unit_pivots(monkeypatch)
+    def test_gt_verdict_at_d_3000_needs_no_elimination(self, capsys, monkeypatch, sweeps):
+        # (0, 0, 1): y^j x^(d-j) gives every column a unit pivot, so the rank
+        # is d + 1 and no fraction-free step is taken
         elims = _spy_eliminations(monkeypatch)
         code, out, err = run_cli(capsys, "gt-verdict", "--d", "3000", "--action", "0,0,1")
         assert code == 0, err
-        assert decided == ["unit_pivots"] and elims == []
+        assert len(sweeps) == 1 and sweeps[0][1] == [] and elims == []
         verdict = json.loads(out)["results"]["verdict"]
         assert (verdict["mu"], verdict["fails_injectivity"], verdict["is_togliatti"]) == (
             3002, True, False)

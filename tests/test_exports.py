@@ -139,7 +139,7 @@ RECORD_FIELDS = {
     "wlp.WlpVerdict": ("action", "d", "mu", "dim_source", "dim_target", "rank",
                        "fails_injectivity", "fails_wlp_at_d_minus_1", "generator_bound_ok",
                        "is_togliatti", "method"),
-    "wlp.Restriction": ("ideal", "nullity", "v", "route"),
+    "wlp.Restriction": ("ideal", "nullity", "v"),
     "classification.ClassPartition": ("d", "classes"),
     "classification.ClassCounts": ("N21", "N22", "N23", "N3", "N4", "N6"),
     "classification.ClassCountReport": ("d", "formula", "oracle"),

@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from gtsystems import wlp
-from gtsystems.actions import Action, invariant_monomials
-from gtsystems.polymat import SparsePoly, bareiss_echelon, bareiss_rank
+from gtsystems import polymat, wlp
+from gtsystems.actions import Action, GTIdeal, invariant_monomials
+from gtsystems.polymat import SparsePoly, bareiss_echelon, bareiss_rank, fraction_free_step
 
 
 def fraction_rank(rows):
@@ -35,7 +35,9 @@ def bareiss_oracle(m, pivot_cols=None):
     """Independent oracle: the classical fraction-free Bareiss elimination,
     which scales every row below the pivot at every step and divides by the
     previous pivot, with the same pivot rule (least magnitude) and the same
-    in-place contract as bareiss_echelon."""
+    in-place contract as bareiss_echelon.  Pivots are taken only among the
+    first pivot_cols columns (all by default), so beside the identity the
+    rows below the pivots hold the left kernel of the left block."""
     nr = len(m)
     nc = len(m[0]) if nr else 0
     prev = 1
@@ -136,35 +138,32 @@ class TestExactRank:
             exact = bareiss_rank(rows)
             assert exact == fraction_rank(rows), rows
 
-    def test_echelon_beside_identity_gives_the_left_kernel(self):
-        rng = random.Random(1968)
-        for _ in range(200):
-            nr, nc = rng.randint(1, 8), rng.randint(1, 6)
-            rows = [[rng.randint(-9, 9) for _ in range(nc)] for _ in range(nr)]
-            if nr >= 2 and rng.random() < 0.5:
-                rows[-1] = [2 * x - y for x, y in zip(rows[0], rows[1])]
-            m = [row + [int(i == j) for j in range(nr)] for i, row in enumerate(rows)]
-            rank = bareiss_echelon(m, nc)
-            assert rank == fraction_rank(rows), rows
-            # the rows below the pivots are zero on the left and independent
-            # left-kernel vectors of rows on the right
-            kernel = [row[nc:] for row in m[rank:]]
-            assert all(not any(row[:nc]) for row in m[rank:]), rows
-            for v in kernel:
-                assert all(sum(vi * r[c] for vi, r in zip(v, rows)) == 0 for c in range(nc))
-            assert fraction_rank(kernel) == nr - rank, rows
+    def test_fraction_free_step_leaves_rows_primitive(self):
+        # pivot 2 in column 0: a row with f there becomes
+        # (2/g)*row - (f/g)*pivot row, g = gcd(2, f), over its content
+        pivot = [2, 4, 6, 1]
+        support = [(j, x) for j, x in enumerate(pivot) if j and x]
+        assert fraction_free_step([4, 2, 8, 2], 0, 2, support) == [0, -3, -2, 0]  # content 2
+        assert fraction_free_step([6, 0, 0, 4], 0, 2, support) == [0, -12, -18, 1]  # content 1
+        # 2*row - 5*pivot row = 0, -10, -20, 5, content 5
+        assert fraction_free_step([5, 5, 5, 5], 0, 2, support) == [0, -2, -4, 1]
+        # pivot -1: -row - 3*pivot row = 0, -7, 0, 0, content 7
+        assert fraction_free_step([3, 1, 0, 0], 0, -1, [(1, 2)]) == [0, -1, 0, 0]
 
-    def test_updated_rows_are_primitive_and_untouched_rows_kept(self):
-        # pivot 2 in column 0: a row with 0 there is not touched; a row with
-        # f becomes (2/g)*row - (f/g)*pivot row, g = gcd(2, f), over its content
+    def test_only_rows_with_an_entry_under_the_pivot_are_stepped(self, monkeypatch):
         rows = [[2, 4, 6, 1], [0, 3, 5, 7], [4, 2, 8, 2], [6, 0, 0, 4], [5, 5, 5, 5]]
+        stepped = []
+        real = polymat.fraction_free_step
+
+        def spy(row, col, piv, support):
+            stepped.append((col, list(row)))
+            return real(row, col, piv, support)
+
+        monkeypatch.setattr(polymat, "fraction_free_step", spy)
         m = [list(r) for r in rows]
-        kept = m[1]
-        assert bareiss_echelon(m, 1) == 1
-        assert m[0] == rows[0] and m[1] is kept and kept == rows[1]
-        assert m[2] == [0, -3, -2, 0]  # row - 2*pivot row = 0, -6, -4, 0, content 2
-        assert m[3] == [0, -12, -18, 1]  # row - 3*pivot row, content 1
-        assert m[4] == [0, -2, -4, 1]  # 2*row - 5*pivot row = 0, -10, -20, 5, content 5
+        assert bareiss_echelon(m) == fraction_rank(rows) == 4
+        assert [row for col, row in stepped if col == 0] == [rows[2], rows[3], rows[4]]
+        assert all(math.gcd(*row) == 1 for row in m if any(row))
 
     def test_agrees_with_the_bareiss_oracle_random(self):
         rng = random.Random(4140)
@@ -175,14 +174,14 @@ class TestExactRank:
                     for _ in range(nr)]
             if nr >= 3 and rng.random() < 0.5:
                 rows[-1] = [3 * x - 2 * y for x, y in zip(rows[0], rows[1])]
-            new, old = beside_identity(rows), beside_identity(rows)
-            rank = bareiss_echelon(new, nc)
-            assert rank == bareiss_oracle(old, nc) == fraction_rank(rows), rows
-            kernel_new = [row[nc:] for row in new[rank:]]
-            kernel_old = [row[nc:] for row in old[rank:]]
-            assert all(not any(row[:nc]) for row in new[rank:]), rows
-            # both bottom blocks span the same left kernel
-            assert fraction_rank(kernel_new + kernel_old) == nr - rank, rows
+            new, old = [list(r) for r in rows], [list(r) for r in rows]
+            rank = bareiss_echelon(new)
+            assert rank == bareiss_oracle(old) == fraction_rank(rows), rows
+            # echelon form: zero below the pivots, the row space kept
+            assert all(not any(row) for row in new[rank:]), rows
+            leads = [next(j for j, x in enumerate(row) if x) for row in new[:rank]]
+            assert leads == sorted(set(leads)), rows
+            assert fraction_rank(new[:rank] + rows) == rank, rows
 
     def test_huge_entries_stay_exact(self):
         big = 10**30
@@ -209,24 +208,48 @@ def _candidates(d_values, weights=None):
     return list(seen.values())
 
 
+def signed_binomial_rows(ideal):
+    """E^T at x + y + z, built entry by entry: row (i, j, k) holds
+    (-1)^k C(k, m) at column j + m."""
+    rows = []
+    for _, j, k in ideal.generators:
+        row = [0] * (ideal.d + 1)
+        for m in range(k + 1):
+            row[j + m] = (-1) ** k * math.comb(k, m)
+        rows.append(row)
+    return rows
+
+
 class TestRestrictionAgainstBareiss:
-    """The restriction matrices E^T at x + y + z beside the identity, as
-    wlp.restriction eliminates them: the primitive-row engine and the
-    Bareiss oracle give the same nullity and proportional kernel vectors v."""
+    """wlp.restriction against the classical Bareiss elimination of E^T
+    beside the identity: the same nullity, and for a Togliatti candidate a
+    v in the oracle's left kernel, proportional to it with nullity 1."""
 
     @staticmethod
     def _agree(ideal):
-        rows = wlp._restriction_rows(ideal, (1, 1, 1))
+        r = wlp.restriction(ideal)
+        rows = signed_binomial_rows(ideal)
         mu, width = len(rows), ideal.d + 1
-        new, old = beside_identity(rows), beside_identity(rows)
-        rank = bareiss_echelon(new, width)
-        assert rank == bareiss_oracle(old, width), ideal.generators
-        nullity = mu - rank
+        candidate = ideal.has_pure_powers() and mu <= width
+        if not candidate:
+            # only the rank: E itself, d + 1 rows
+            assert r.v is None, ideal.generators
+            assert r.nullity == mu - bareiss_oracle([list(c) for c in zip(*rows)]), ideal.generators
+            return r.nullity
+        old = beside_identity(rows)
+        nullity = mu - bareiss_oracle(old, width)
+        assert r.nullity == nullity, ideal.generators
+        if not nullity:
+            assert r.v is None, ideal.generators
+            return 0
+        v, kernel = r.v, [row[width:] for row in old[mu - nullity:]]
+        assert any(v) and fraction_rank(kernel + [list(v)]) == nullity, ideal.generators
         if nullity == 1:
-            v, w = new[-1][width:], old[-1][width:]
+            w = kernel[0]
             k = next(i for i, x in enumerate(w) if x)
             assert all(vi * w[k] == wi * v[k] for vi, wi in zip(v, w)), ideal.generators
-            assert math.gcd(*v) == 1  # the last update left the row primitive
+            # one leftover row keeps its 1; a fraction-free step leaves it primitive
+            assert math.gcd(*v) == 1
         return nullity
 
     def test_every_candidate_up_to_40(self):
@@ -243,3 +266,28 @@ class TestRestrictionAgainstBareiss:
         ideals = _candidates([d], pairs)
         assert len(ideals) == len(pairs)
         assert {self._agree(ideal) for ideal in ideals} == {1}
+
+    @pytest.mark.parametrize("d,weights,nullity", [
+        # no Togliatti candidates; E has a free column, one without a unit pivot
+        (16, (15, 3, 11), 25),
+        (90, (1, 31, 61), 1306),
+        # outside the paper's family: fraction-free steps at the free columns
+        (30, (0, 2, 5), 1), (30, (0, 3, 5), 1),
+    ])
+    def test_free_columns(self, d, weights, nullity):
+        assert self._agree(invariant_monomials(Action(d, weights))) == nullity
+
+    def test_random_ideals(self):
+        # ideals without an action, candidates and not; nullity 2 and more
+        # and nullity 0 among them
+        rng = random.Random(2016)
+        seen = {}
+        for _ in range(1500):
+            d = rng.randint(3, 10)
+            monomials = [(d - b - c, b, c) for b in range(d + 1) for c in range(d + 1 - b)]
+            gens = rng.sample(monomials, rng.randint(1, min(len(monomials), d + 4)))
+            if rng.random() < 0.7:
+                gens += [(d, 0, 0), (0, d, 0), (0, 0, d)]
+            nullity = self._agree(GTIdeal(d, gens))
+            seen[min(nullity, 2)] = seen.get(min(nullity, 2), 0) + 1
+        assert sorted(seen) == [0, 1, 2] and min(seen.values()) > 50, seen

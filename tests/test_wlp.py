@@ -1,16 +1,18 @@
 """Injectivity of multiplication by a linear form, verdicts, and minimality."""
 
+import inspect
 import itertools
 import json
 import math
 import random
+import textwrap
 from pathlib import Path
 
 import pytest
 from polyring import add, mul
 from test_circulant import ternary_oracle
 
-from gtsystems import circulant, polymat, wlp
+from gtsystems import circulant, cli, polymat, wlp
 from gtsystems.actions import Action, GTIdeal, invariant_monomials
 from gtsystems.circulant import circulant_product
 from gtsystems.cli import main
@@ -81,17 +83,24 @@ def oracle_kernel(ideal, coeffs=(1, 1, 1)):
     return dim_src - rank
 
 
+def plain_nullity(ideal):
+    """mu - rank E at x + y + z by the plain elimination (bareiss_rank) of the
+    power-formula rows: independent of the sweep of wlp.restriction."""
+    rows = _restriction_rows_by_powers(ideal, (1, 1, 1))
+    return len(rows) - bareiss_rank(rows)
+
+
 def togliatti_oracle(ideal):
     """A Togliatti system: artinian, at most d+1 generators, a nonzero kernel
     by the plain elimination."""
-    return ideal.has_pure_powers() and ideal.mu <= ideal.d + 1 and kernel_dimension(ideal) >= 1
+    return ideal.has_pure_powers() and ideal.mu <= ideal.d + 1 and plain_nullity(ideal) >= 1
 
 
 def single_removal_oracle(ideal):
     """Minimality by brute force: drop each generator in turn and ask whether
     what is left is still a Togliatti system.  Kernels only grow when
     generators are added, so a Togliatti subset forces a Togliatti subset of
-    corank one and single removals suffice.  It runs the restriction rank
+    corank one and single removals suffice.  It runs the plain elimination
     mu + 1 times."""
     gens = ideal.generators
     if not togliatti_oracle(ideal):
@@ -268,9 +277,8 @@ class TestEliminationLimit:
 
 class TestCandidateRule:
     def test_restriction_agrees_with_the_plain_elimination(self):
-        # every faithful action with 3 <= d <= 12: only a Togliatti candidate
-        # is eliminated beside the identity, and v is kept exactly for the
-        # Togliatti systems
+        # every faithful action with 3 <= d <= 12: the sweep's nullity is the
+        # plain elimination's, and v is kept exactly for the Togliatti systems
         seen = {"actions": 0, "togliatti": 0, "non_candidates": 0}
         for d in range(3, 13):
             for weights in itertools.product(range(d), repeat=3):
@@ -278,7 +286,7 @@ class TestCandidateRule:
                     continue
                 ideal = invariant_monomials(Action(d, weights))
                 r = restriction(ideal)
-                assert r.nullity == kernel_dimension(ideal), (d, weights)
+                assert r.nullity == plain_nullity(ideal), (d, weights)
                 assert r.togliatti == togliatti_oracle(ideal), (d, weights)
                 assert (r.v is not None) == r.togliatti, (d, weights)
                 seen["actions"] += 1
@@ -293,114 +301,123 @@ def _shifted_faithful(d, weights):
     return math.gcd(b - a, c - a, d) == 1
 
 
-def _unit_difference(d, weights):
-    a, b, c = weights
-    return any(math.gcd(w, d) == 1 for w in (b - a, c - a, c - b))
+def mutant_restriction(monkeypatch, old, new):
+    """Replace wlp.restriction, for wlp and cli alike, by a copy of its source
+    with the one line `old` replaced by `new`."""
+    source = textwrap.dedent(inspect.getsource(wlp.restriction))
+    assert source.count(old) == 1, old
+    namespace = dict(vars(wlp))
+    exec(compile(source.replace(old, new), wlp.__file__, "exec"), namespace)
+    for module in (wlp, cli):
+        monkeypatch.setattr(module, "restriction", namespace["restriction"])
+    return namespace
 
 
-class TestUnitPivots:
-    """The unit-pivot route against the elimination, which it bypasses."""
+class TestSweep:
+    """The column sweep, its checked invariant and its mutants."""
 
-    @staticmethod
-    def _compare(ideal, decided, eliminated):
-        nullity, v = decided
-        assert nullity == eliminated.nullity, ideal
-        if v is None:
-            return
-        assert nullity == 1 and any(v), ideal
-        if eliminated.v is not None:
-            w = eliminated.v
-            k = next(i for i, wi in enumerate(w) if wi)
-            assert all(vi * w[k] == wi * v[k] for vi, wi in zip(v, w)), ideal
-        else:
-            assert not wlp._candidate(ideal), ideal
-
-    def test_agrees_with_the_elimination_on_every_small_action(self, monkeypatch):
-        # every faithful (a, b, c) with a in {0, 1} and 3 <= d <= 30
-        real = wlp._unit_pivots
-        monkeypatch.setattr(wlp, "_unit_pivots", lambda ideal: None)
-        seen = {"ideals": 0, "decided": 0, "kernel_vectors": 0}
-        for d in range(3, 31):
-            for weights in itertools.product((0, 1), range(d), range(d)):
-                if math.gcd(*weights, d) != 1:
+    def test_nullity_one_wherever_the_shifted_weights_are_faithful(self):
+        # every faithful (a, b, c) with 0 <= a <= b <= c < d <= 30; restriction
+        # raises ConsistencyError on a nullity other than 1 where (0, b-a, c-a)
+        # is faithful, so the sweep is held against the conjugate-forms proof
+        seen = {"actions": 0, "shifted_faithful": 0}
+        for d in range(2, 31):
+            for a, b, c in itertools.combinations_with_replacement(range(d), 3):
+                if math.gcd(a, b, c, d) != 1:
                     continue
-                ideal = invariant_monomials(Action(d, weights))
-                decided = real(ideal)
-                seen["ideals"] += 1
-                if _shifted_faithful(d, weights):
-                    # exactly the paper's family
-                    assert (decided is not None) == _unit_difference(d, weights), (d, weights)
-                if decided is None:
-                    continue
-                self._compare(ideal, decided, restriction(ideal))
-                seen["decided"] += 1
-                seen["kernel_vectors"] += decided[1] is not None
-        assert seen == {"ideals": 17222, "decided": 15950, "kernel_vectors": 13792}, seen
+                r = restriction(invariant_monomials(Action(d, (a, b, c))))
+                seen["actions"] += 1
+                if _shifted_faithful(d, (a, b, c)):
+                    assert r.nullity == 1, (d, (a, b, c))
+                    seen["shifted_faithful"] += 1
+        assert seen == {"actions": 37066, "shifted_faithful": 32325}, seen
 
-    def test_agrees_with_the_elimination_on_random_ideals(self, monkeypatch):
-        # the random Togliatti candidates of TestMinimality, without an action
-        real = wlp._unit_pivots
-        monkeypatch.setattr(wlp, "_unit_pivots", lambda ideal: None)
-        seen = {"decided": 0, "kernel_vectors": 0, "nullity_0": 0}
-        for ideal in random_togliatti_candidates(random.Random(2016), 6000):
-            decided = real(ideal)
-            if decided is None:
-                continue
-            self._compare(ideal, decided, restriction(ideal))
-            seen["decided"] += 1
-            seen["kernel_vectors"] += decided[1] is not None
-            seen["nullity_0"] += decided[0] == 0
-        assert min(seen.values()) > 0, seen
+    @pytest.mark.parametrize("d,weights,nullity", [(4, (1, 1, 1), 10), (9, (1, 1, 4), 12)])
+    def test_the_invariant_leaves_shifted_weights_with_a_common_factor(self, d, weights, nullity):
+        assert restriction(invariant_monomials(Action(d, weights))).nullity == nullity
+
+    def test_the_invariant_leaves_a_subset_labelled_with_the_action(self):
+        # (0, 1, 3) mod 7 without x^4 y z^2, a term of the product: nullity 0
+        # is correct for this subset, which is not the action's invariant ideal
+        ideal = invariant_monomials(Action(7, (0, 1, 3)))
+        smaller = GTIdeal(7, [g for g in ideal.generators if g != (4, 1, 2)], ideal.action)
+        assert _shifted_faithful(7, ideal.action.weights)
+        r = restriction(smaller)
+        assert (r.nullity, r.v, r.togliatti) == (0, None, False)
+        assert kernel_dimension(smaller) == 0
 
     def test_kernel_dimension_and_restriction_take_it_at_x_plus_y_plus_z_only(
-            self, eliminations, pivot_decisions):
+            self, eliminations, sweeps):
         ideal = invariant_monomials(Action(13, (0, 1, 4)))
-        assert kernel_dimension(ideal) == restriction(ideal).nullity == 1
-        assert len(pivot_decisions) == 2 and eliminations == []
+        assert kernel_dimension(ideal) == wlp.restriction(ideal).nullity == 1
+        assert len(sweeps) == 2 and eliminations == []
         assert kernel_dimension(ideal, (2, -3, 5)) == 1
-        assert len(pivot_decisions) == 2 and len(eliminations) == 1
+        assert len(sweeps) == 2 and len(eliminations) == 1
 
-    @pytest.mark.parametrize("tamper", ["shift", "zero"])
-    def test_tampered_kernel_vector_is_caught(self, monkeypatch, tamper):
-        real = wlp._substitute
-
-        def tampered(*args):
-            v = real(*args)
-            if tamper == "shift":
-                v[1] += 1
-            else:
-                v[:] = [0] * len(v)
-            return v
-
-        monkeypatch.setattr(wlp, "_substitute", tampered)
-        ideal = invariant_monomials(Action(7, (0, 1, 3)))
-        for route in (restriction, kernel_dimension):
-            with pytest.raises(ConsistencyError, match="not in the kernel of E"):
-                route(ideal)
-
-    def test_a_repeated_first_column_taken_as_distinct_exits_2(self, capsys, monkeypatch):
-        # the later of two rows with one first column also takes that pivot
-        def mutant(generators, key):
-            pivot, rest = {}, []
-            for n, g in enumerate(generators):
-                if g[key] in pivot:
-                    rest.append(n)
-                pivot[g[key]] = n
-            return pivot, rest
-
-        monkeypatch.setattr(wlp, "_first_columns", mutant)
+    def test_a_skipped_unit_pivot_update_exits_2(self, capsys, monkeypatch):
+        # the first nonzero entry at a unit pivot column is left in place
+        skipped = []
+        namespace = mutant_restriction(monkeypatch, "                if x:\n",
+                                       "                if x and (skipped or skipped.append(x)):\n")
+        namespace["skipped"] = skipped
         for argv in (["minimal", "--d", "7", "--action", "0,1,3"],
                      ["gt-verdict", "--d", "13", "--a", "4"]):
+            skipped.clear()
             assert main(argv) == 2, argv
             out, err = capsys.readouterr()
             assert out == "" and "not in the kernel of E" in err
+            assert len(skipped) == 1
 
-    def test_past_the_elimination_at_large_d(self, eliminations):
-        # (0, 0, 1): the d + 1 columns y^j are covered, nullity mu - d - 1 = 1
+    @pytest.mark.parametrize("argv", [
+        ["minimal", "--d", "7", "--action", "0,1,3"],
+        ["gt-verdict", "--d", "3000", "--action", "0,0,1"],
+        ["conjecture-scan", "--dmax", "5"],
+    ])
+    def test_a_nullity_off_by_one_exits_2(self, capsys, monkeypatch, argv):
+        mutant_restriction(monkeypatch, "nullity = mu - len(firsts)",
+                           "nullity = mu - len(firsts) + 1")
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and "nullity 2 of E where the shifted weights are faithful" in err
+
+    @pytest.mark.parametrize("tamper", ["shift", "zero"])
+    def test_tampered_kernel_vector_is_caught(self, monkeypatch, tamper):
+        # (0, 1, 3) mod 7: one leftover row, no fraction-free step
+        tampered = {"shift": "v = tuple(rows[-1][width:-1]) + (rows[-1][-1] + 1,)",
+                    "zero": "v = (0,) * mu"}[tamper]
+        mutant_restriction(monkeypatch, "v = tuple(rows[-1][width:])", tampered)
+        ideal = invariant_monomials(Action(7, (0, 1, 3)))
+        for route in (wlp.restriction, kernel_dimension):
+            with pytest.raises(ConsistencyError, match="not in the kernel of E"):
+                route(ideal)
+
+    def test_past_the_elimination_at_large_d(self, eliminations, sweeps):
+        # (0, 0, 1): the d + 1 columns y^j have unit pivots, nullity mu - d - 1 = 1
         ideal = invariant_monomials(Action(3000, (0, 0, 1)))
-        r = restriction(ideal)
-        assert (r.route, r.nullity, r.v) == ("unit_pivots", 1, None)
-        assert eliminations == []
+        r = wlp.restriction(ideal)
+        assert (r.nullity, r.v) == (1, None)
+        assert sweeps == [(ideal, [])] and eliminations == []
+
+    def test_combinations_only_for_togliatti_candidates(self, sweeps):
+        # random ideals without an action, with and without the pure powers:
+        # the rows of a fraction-free step carry the mu combination entries
+        # exactly for a candidate
+        rng = random.Random(23)
+        stepped = {True: 0, False: 0}
+        for _ in range(1500):
+            d = rng.randint(3, 12)
+            monomials = [(d - b - c, b, c) for b in range(d + 1) for c in range(d + 1 - b)]
+            gens = rng.sample(monomials, rng.randint(1, len(monomials)))
+            if rng.random() < 0.5:
+                gens += [(d, 0, 0), (0, d, 0), (0, 0, d)]
+            ideal = GTIdeal(d, gens)
+            r = wlp.restriction(ideal)
+            candidate = wlp._candidate(ideal)
+            widths = sweeps[-1][1]
+            assert set(widths) <= {d + 1 + (ideal.mu if candidate else 0)}, gens
+            assert (r.v is not None) == (candidate and r.nullity > 0), gens
+            stepped[candidate] += bool(widths)
+        assert min(stepped.values()) > 0, stepped
 
 
 class TestVerdicts:
@@ -556,62 +573,34 @@ class TestMinimality:
 
 @pytest.fixture
 def eliminations(monkeypatch):
-    """Records the matrix of every call of polymat's elimination loop, whether
-    made by wlp directly or through bareiss_rank."""
+    """Records the matrix of every call of polymat's elimination loop, which
+    bareiss_rank makes for a linear form other than x + y + z."""
     calls = []
     real = polymat.bareiss_echelon
 
-    def spy(m, pivot_cols=None):
+    def spy(m):
         calls.append(m)
-        return real(m, pivot_cols)
+        return real(m)
 
     monkeypatch.setattr(polymat, "bareiss_echelon", spy)
-    monkeypatch.setattr(wlp, "bareiss_echelon", spy)
     return calls
-
-
-@pytest.fixture
-def pivot_decisions(monkeypatch):
-    """Records the answer of every call of the unit-pivot route, None where
-    it left E to the elimination."""
-    calls = []
-    real = wlp._unit_pivots
-
-    def spy(ideal):
-        calls.append(real(ideal))
-        return calls[-1]
-
-    monkeypatch.setattr(wlp, "_unit_pivots", spy)
-    return calls
-
-
-@pytest.fixture
-def no_unit_pivots(monkeypatch):
-    """Forces the elimination: the unit-pivot route decides nothing."""
-    monkeypatch.setattr(wlp, "_unit_pivots", lambda ideal: None)
 
 
 class TestKernelVector:
-    @pytest.mark.parametrize("d,weights,route", [
-        (3, (0, 1, 2), "unit_pivots"), (7, (0, 1, 3), "unit_pivots"),
-        (13, (0, 1, 4), "unit_pivots"), (18, (0, 2, 9), "unit_pivots"),
-        (24, (0, 1, 7), "unit_pivots"),
-        # no weight difference is a unit mod 30: the pivots leave E to the elimination
-        (30, (0, 2, 5), "elimination"), (30, (0, 3, 5), "elimination"),
+    @pytest.mark.parametrize("d,weights,stepped", [
+        (3, (0, 1, 2), False), (7, (0, 1, 3), False), (13, (0, 1, 4), False),
+        (18, (0, 2, 9), False), (24, (0, 1, 7), False),
+        # no weight difference is a unit mod 30: rows are left over past the
+        # free columns, and the sweep takes fraction-free steps there
+        (30, (0, 2, 5), True), (30, (0, 3, 5), True),
     ])
-    def test_one_restriction_per_call(self, eliminations, pivot_decisions, d, weights, route):
-        r = restriction(invariant_monomials(Action(d, weights)))
+    def test_one_restriction_per_call(self, eliminations, sweeps, d, weights, stepped):
+        r = wlp.restriction(invariant_monomials(Action(d, weights)))
         assert r.minimal
-        assert r.route == route
-        assert len(pivot_decisions) == 1
-        assert len(eliminations) == (route == "elimination")
+        assert len(sweeps) == 1 and bool(sweeps[0][1]) == stepped
+        assert eliminations == []
 
-    def test_one_elimination_when_the_pivots_are_bypassed(self, eliminations, no_unit_pivots):
-        r = restriction(invariant_monomials(Action(7, (0, 1, 3))))
-        assert r.minimal and r.route == "elimination"
-        assert len(eliminations) == 1
-
-    def test_kernel_vector_is_proportional_to_the_circulant_product(self, eliminations):
+    def test_kernel_vector_is_proportional_to_the_circulant_product(self, eliminations, sweeps):
         units = 0
         for action in faithful_units(range(3, 17)):
             d, (_, a, b) = action.d, action.weights
@@ -619,10 +608,7 @@ class TestKernelVector:
             if not 0 < a < b or kernel_dimension(ideal) != 1:
                 continue
             units += 1
-            r = restriction(ideal)
-            # below d = 30 some weight difference of a faithful (0, a, b) is a unit
-            assert r.route == "unit_pivots", action
-            v = r.v
+            v = wlp.restriction(ideal).v
             product = circulant_product(d, (0, a, b))
             assert product.support() <= set(ideal.generators), action
             c = [product.coefficient(g) for g in ideal.generators]
@@ -630,41 +616,47 @@ class TestKernelVector:
             assert v[k], action
             assert all(vi * c[k] == ci * v[k] for vi, ci in zip(v, c)), action
         assert units == 493
+        # below d = 30 some weight difference of a faithful (0, a, b) is a
+        # unit: one row is left over, and no fraction-free step is taken
+        assert all(widths == [] for _, widths in sweeps)
         assert eliminations == []
 
     def test_nullity_two_is_not_minimal_whatever_the_kernel_vector(self, monkeypatch):
         # The last row may hold any kernel vector.  Here the sum of the last
-        # two is nonzero at every generator, yet the ideal is not minimal.
+        # two is nonzero at every generator but the pure power z^6, which
+        # minimality does not read, yet the ideal is not minimal.
         ideal = GTIdeal(6, ((6, 0, 0), (5, 1, 0), (5, 0, 1), (1, 5, 0),
                             (0, 6, 0), (0, 5, 1), (0, 0, 6)))
         assert kernel_dimension(ideal) == 2
         assert not single_removal_oracle(ideal)
-        real = polymat.bareiss_echelon
-
-        def summed(m, pivot_cols=None):
-            r = real(m, pivot_cols)
-            m[-1] = [a + b for a, b in zip(m[-2], m[-1])]
-            return r
-
-        monkeypatch.setattr(wlp, "bareiss_echelon", summed)
-        assert not restriction(ideal).minimal
+        mutant_restriction(monkeypatch, "v = tuple(rows[-1][width:])",
+                           "v = tuple(map(sum, zip(rows[-2][width:], rows[-1][width:])))")
+        r = wlp.restriction(ideal)
+        assert r.nullity == 2 and all(r.v[:-1])
+        assert not r.minimal
 
     @pytest.mark.parametrize("tamper", ["shift", "zero"])
-    def test_tampered_kernel_vector_is_caught(self, monkeypatch, no_unit_pivots, tamper):
-        real = polymat.bareiss_echelon
+    def test_tampered_fraction_free_step_is_caught(self, monkeypatch, tamper):
+        # (0, 2, 5) mod 30: the combination part of the first stepped row is
+        # tampered with, and v, read off the last row, is checked
+        ideal = invariant_monomials(Action(30, (0, 2, 5)))
+        real = wlp.fraction_free_step
+        width = ideal.d + 1
+        steps = []
 
-        def tampered(m, pivot_cols=None):
-            r = real(m, pivot_cols)
-            last = m[-1]
-            if tamper == "shift":
-                last[pivot_cols] += 1
-            else:
-                last[pivot_cols:] = [0] * (len(last) - pivot_cols)
-            return r
+        def tampered(row, *args):
+            row = real(row, *args)
+            if not steps:
+                if tamper == "shift":
+                    row[-1] += 1
+                else:
+                    row[width:] = [0] * ideal.mu
+            steps.append(row)
+            return row
 
-        monkeypatch.setattr(wlp, "bareiss_echelon", tampered)
-        with pytest.raises(ConsistencyError):
-            restriction(invariant_monomials(Action(7, (0, 1, 3))))
+        monkeypatch.setattr(wlp, "fraction_free_step", tampered)
+        with pytest.raises(ConsistencyError, match="not in the kernel of E"):
+            restriction(ideal)
 
 
 class TestEigenvalueProductFromKernel:
@@ -809,7 +801,7 @@ class TestEigenvalueProductFromKernel:
         assert (4, 1, 2) in ideal.generators
         smaller = GTIdeal(7, [g for g in ideal.generators if g != (4, 1, 2)], ideal.action)
         with pytest.raises(ConsistencyError, match="escapes the invariant monomial span"):
-            wlp.Restriction(smaller, 2, None, "elimination").newton_product()
+            wlp.Restriction(smaller, 2, None).newton_product()
 
     def test_newton_product_is_compared_only_with_nullity_one(self, monkeypatch):
         real = circulant_product
@@ -874,7 +866,7 @@ class TestConjectureScan:
         with pytest.raises(ValueError):
             conjecture_scan([circulant._TERNARY_LIMIT + 1, 5])
 
-    def test_one_enumeration_and_one_restriction_per_unit(self, eliminations, pivot_decisions,
+    def test_one_enumeration_and_one_restriction_per_unit(self, eliminations, sweeps,
                                                            monkeypatch):
         enumerations = []
         real = wlp.invariant_monomials
@@ -887,18 +879,21 @@ class TestConjectureScan:
         out = conjecture_scan(range(3, 13))
         assert sum(u["status"] == "ok" for u in out["units"]) == 196
         assert len(enumerations) == 196
-        # every unit below d = 30 is in the paper's family: no elimination
-        assert len(pivot_decisions) == 196 and None not in pivot_decisions
+        # every unit below d = 30 is in the paper's family: one leftover row,
+        # no fraction-free step
+        assert len(sweeps) == 196 and all(widths == [] for _, widths in sweeps)
         assert eliminations == []
 
-    def test_units_outside_the_family_are_eliminated_once(self, eliminations, pivot_decisions):
+    def test_units_outside_the_family_take_fraction_free_steps(self, eliminations, sweeps):
         out = conjecture_scan([30])
         units = [u for u in out["units"] if "mu" in u]
         outside = [u for u in units
                    if all(math.gcd(w, 30) > 1 for w in (u["a"], u["b"], u["b"] - u["a"]))]
         assert len(outside) == 24 and out["findings"] == []
-        assert len(pivot_decisions) == len(units)
-        assert pivot_decisions.count(None) == len(eliminations) == len(outside)
+        assert len(sweeps) == len(units)
+        stepped = [ideal.action.weights[1:] for ideal, widths in sweeps if widths]
+        assert stepped == [(u["a"], u["b"]) for u in outside]
+        assert eliminations == []
 
     def test_units_agree_with_the_verdict_and_the_circulant_route(self):
         units = [u for u in conjecture_scan(range(3, 17))["units"] if "mu" in u]
