@@ -22,7 +22,7 @@ _ORIGIN = {
                            "prime_and_primepower_counts"),
         "cyclotomic": ("CyclotomicInt", "cyclotomic_polynomial"),
         "errors": ("ConsistencyError", "NonIntegerError"),
-        "polymat": ("SparsePoly", "bareiss_rank"),
+        "polymat": ("SparsePoly",),
         "surface": ("betti_table", "determinantal_generators", "exponent_polytope_degree",
                     "polytope_smoothness"),
         "wlp": ("WlpVerdict", "conjecture_scan", "kernel_dimension", "restriction"),

@@ -1,15 +1,15 @@
-"""Sparse multivariate integer polynomials and exact integer matrix rank.
+"""Sparse multivariate integer polynomials and the fraction-free step of
+the column sweep that decides E (wlp.restriction).
 
-Polynomials map exponent tuples to nonzero Python int coefficients.  Ranks
-are computed exactly by fraction-free elimination over Z, whose step
-(fraction_free_step) keeps every updated row primitive.
+Polynomials map exponent tuples to nonzero Python int coefficients.  The
+step (fraction_free_step) keeps every updated row primitive.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-__all__ = ["SparsePoly", "bareiss_echelon", "bareiss_rank"]
+__all__ = ["SparsePoly"]
 
 
 class SparsePoly:
@@ -92,43 +92,3 @@ def fraction_free_step(row, col, piv, support):
     if c > 1:
         row = [x // c for x in row]
     return row
-
-
-def bareiss_echelon(m) -> int:
-    """Reduce the integer matrix m (a list of row lists) in place to row
-    echelon form and return the number of pivots.  The pivot is the
-    remaining entry of least magnitude in its column, and each row with a
-    nonzero entry under it takes one fraction_free_step."""
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    r = 0
-    for col in range(nc):
-        pivot_row = -1
-        best = None
-        for i in range(r, nr):
-            v = m[i][col]
-            if v:
-                a = abs(v)
-                if best is None or a < best:
-                    best = a
-                    pivot_row = i
-                    if a == 1:
-                        break
-        if pivot_row < 0:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        mr = m[r]
-        piv = mr[col]
-        support = [(j, mr[j]) for j in range(col + 1, nc) if mr[j]]
-        for i in range(r + 1, nr):
-            if m[i][col]:
-                m[i] = fraction_free_step(m[i], col, piv, support)
-        r += 1
-        if r == nr:
-            break
-    return r
-
-
-def bareiss_rank(rows) -> int:
-    """Rank over Q: the pivot count of bareiss_echelon on a copy of rows."""
-    return bareiss_echelon([list(r) for r in rows])

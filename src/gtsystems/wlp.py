@@ -31,8 +31,15 @@ its coset modulo the pivot rows that vanishes at every pivot column up to
 c, so its entries are quotients of minors of E^T (Cramer), and the
 primitive integer row divides those minors (Bareiss).  A leftover row
 pushed through every unit pivot before a free-column pivot meets it has no
-such bound.  Any other linear form is eliminated fraction-free
-(polymat.bareiss_rank).
+such bound.
+
+No other linear form al*x + be*y + ga*z, ga != 0, needs an elimination of
+its own (kernel_dimension).  With al and be nonzero too, scaling x, y and z
+by al, be and ga maps a monomial ideal to itself and x + y + z to the form,
+so the two kernels have the same dimension, the sweep's nullity (Migliore,
+Miro-Roig and Nagel, Trans. AMS 2011).  With al or be zero, each generator
+restricts to one monomial on the line, or to 0, and the rank of E is the
+number of distinct monomials.
 
 The nullity is 1 for the ideal of an action (a, b, c) whose shifted weights
 (0, p, q) = (0, b-a, c-a) are faithful.  Its monomials are invariant under
@@ -62,7 +69,7 @@ from ._record import Record
 from .actions import Action, GTIdeal, invariant_monomials
 from .circulant import _TERNARY_LIMIT, check_ternary_limit, circulant_product
 from .errors import ConsistencyError
-from .polymat import SparsePoly, bareiss_rank, fraction_free_step
+from .polymat import SparsePoly, fraction_free_step
 
 __all__ = [
     "WlpVerdict",
@@ -85,28 +92,16 @@ RANK_REPORT_LIMIT = 16
 # for (0, 3, 7) at d = 420 (Python 3.11, one Xeon core).
 MINIMALITY_LIMIT = 256
 
-# Largest number of cells mu * (d+1) of E, checked before the sweep or the
-# elimination starts, so that no command runs for minutes or exhausts memory
-# on one; the sweep of (0, 2, 5) at d = 2520 (3.2 million cells) takes
-# 2.5-3.7 s (Python 3.11, one Xeon core, shared).
+# Largest number of cells mu * (d+1) of E, checked before the sweep starts,
+# so that no command runs for minutes or exhausts memory on one.  The worst
+# case measured inside it is (0, 2, 5) at d = 4440 (9.9 million cells): the
+# sweep takes 22-26 s and peaks at 632 MiB resident (Python 3.11, one Xeon
+# core, shared); at d = 2520 (3.2 million cells) it takes 2.5-3.7 s.
 ELIMINATION_LIMIT = 10**7
-
-_ONES = (1, 1, 1)
 
 # The variable orders of the sweep: (the exponent read as the first column,
 # the exponent eliminated on the line); (1, 2) is E itself.
 _ORDERS = ((1, 2), (0, 2), (2, 1))
-
-
-def _check_elimination_limit(ideal: GTIdeal):
-    """Raise ValueError when E has more than ELIMINATION_LIMIT cells."""
-    cells = ideal.mu * (ideal.d + 1)
-    if cells > ELIMINATION_LIMIT:
-        raise ValueError(
-            f"the elimination has a size limit of {ELIMINATION_LIMIT} matrix cells "
-            f"(ELIMINATION_LIMIT); the ideal at d = {ideal.d} with {ideal.mu} generators "
-            f"needs {cells}"
-        )
 
 
 class _SignedBinomials(dict):
@@ -122,33 +117,6 @@ class _SignedBinomials(dict):
             row[m + 1] = row[k - m - 1] = c
         self[k] = row
         return row
-
-
-def _restriction_rows(ideal: GTIdeal, coeffs):
-    """The transpose of E: row i is generator i restricted to the line
-    al*x + be*y + ga*z = 0, that is g_i(ga*s, ga*t, -al*s - be*t), in the
-    basis s^(d-k) t^k, k = 0..d.  This is ga^d * g_i(s, t, -(al*s + be*t)/ga),
-    so the entries are integers: ga^(i+j) (-1)^k C(k, m) al^(k-m) be^m at
-    column j + m."""
-    al, be, ga = coeffs
-    if ga == 0:
-        raise ValueError("the linear form needs a nonzero z coefficient")
-    d = ideal.d
-    binomials = _SignedBinomials()
-    rows = []
-    # the powers 0..d of al, be and ga, built once per call
-    pa, pb, pg = [1], [1], [1]
-    for _ in range(d):
-        pa.append(pa[-1] * al)
-        pb.append(pb[-1] * be)
-        pg.append(pg[-1] * ga)
-    for i, j, k in ideal.generators:
-        row = [0] * (d + 1)
-        scale = pg[i + j]
-        for m, c in enumerate(binomials[k]):
-            row[j + m] = scale * c * pa[k - m] * pb[m]
-        rows.append(row)
-    return rows
 
 
 def _check_kernel_vector(ideal: GTIdeal, v, binomials):
@@ -175,15 +143,22 @@ def _togliatti(ideal: GTIdeal, nullity: int) -> bool:
     return nullity >= 1 and _candidate(ideal)
 
 
-def kernel_dimension(ideal: GTIdeal, coeffs=_ONES) -> int:
+def kernel_dimension(ideal: GTIdeal, coeffs=(1, 1, 1)) -> int:
     """Exact dimension of the kernel of multiplication by
-    coeffs[0]*x + coeffs[1]*y + coeffs[2]*z from degree d-1 to degree d of
-    the quotient; the z coefficient must be nonzero."""
-    if tuple(coeffs) == _ONES:
+    al*x + be*y + ga*z, (al, be, ga) = coeffs, from degree d-1 to degree d
+    of the quotient; ga must be nonzero.  With al and be nonzero it is the
+    nullity of E at x + y + z, by the scaling of the module docstring.
+    Otherwise z = -(al*x + be*y)/ga on the line takes x^i y^j z^k to a
+    nonzero multiple of x^(i+k) y^j (be = 0) or of x^i y^(j+k) (al = 0);
+    with al = be = 0, to x^i y^j, or to 0 when k > 0."""
+    al, be, ga = coeffs
+    if ga == 0:
+        raise ValueError("the linear form needs a nonzero z coefficient")
+    if al and be:
         return restriction(ideal).nullity
-    _check_elimination_limit(ideal)
-    rows = _restriction_rows(ideal, coeffs)
-    return len(rows) - bareiss_rank(rows)
+    images = {(i + k, j) if al else (i, j + k)
+              for i, j, k in ideal.generators if al or be or not k}
+    return ideal.mu - len(images)
 
 
 def random_scales(rng):
@@ -306,10 +281,15 @@ def restriction(ideal: GTIdeal) -> Restriction:
     """Decide E at x + y + z once, by the sweep of the module docstring: for
     a Togliatti candidate with a kernel the last leftover row gives v, and
     v.E = 0 is checked; other ideals are no Togliatti systems and get no v."""
-    _check_elimination_limit(ideal)
     d, mu, gens = ideal.d, ideal.mu, ideal.generators
-    candidate = _candidate(ideal)
     width = d + 1
+    if mu * width > ELIMINATION_LIMIT:
+        raise ValueError(
+            f"the elimination has a size limit of {ELIMINATION_LIMIT} matrix cells "
+            f"(ELIMINATION_LIMIT); the ideal at d = {d} with {mu} generators "
+            f"needs {mu * width}"
+        )
+    candidate = _candidate(ideal)
     firsts, key, elim = max((({g[k] for g in gens}, k, e) for k, e in _ORDERS),
                             key=lambda t: len(t[0]))
     binomials = _SignedBinomials()

@@ -275,20 +275,6 @@ class TestOneIdealPerCommand:
         ]
 
 
-def _spy_eliminations(monkeypatch):
-    """Record the row width of every call of polymat's elimination loop: the
-    general linear forms of --general-l, which bareiss_rank eliminates."""
-    calls = []
-    real = polymat.bareiss_echelon
-
-    def spy(m):
-        calls.append(len(m[0]))
-        return real(m)
-
-    monkeypatch.setattr(polymat, "bareiss_echelon", spy)
-    return calls
-
-
 def _spy_circulant_products(monkeypatch):
     """Count the Newton expansions in every module that holds the function."""
     calls = []
@@ -404,30 +390,31 @@ class TestOneRestrictionPerCommand:
     # free columns.  In the paper's family one row is left over and it takes
     # none, nor where the unit pivots alone reach the rank: (1, 1, 4) mod 9,
     # and (15, 3, 11) mod 16, whose 25 leftover rows are zero at its one free
-    # column
-    @pytest.mark.parametrize("argv,stepped,widths,products", [
-        (("report", "--d", "7", "--action", "0,1,3"), False, [], 0),
-        (("report", "--d", "7", "--action", "0,1,3", "--general-l", "2"), False, [8, 8], 0),
+    # column.  Each --general-l form is one more sweep of the same ideal
+    @pytest.mark.parametrize("argv,stepped,restrictions,products", [
+        (("report", "--d", "7", "--action", "0,1,3"), False, 1, 0),
+        (("report", "--d", "7", "--action", "0,1,3", "--general-l", "2"), False, 3, 0),
         # repeated weight, nullity 12: the 10 columns all have a unit pivot
-        (("report", "--d", "9", "--action", "1,1,4"), False, [], 1),
-        (("report", "--d", "16", "--action", "15,3,11"), False, [], 0),
-        (("report", "--d", "30", "--action", "0,2,5"), True, [], 0),
-        (("gt-verdict", "--d", "7", "--a", "3"), False, [], 0),
-        (("gt-verdict", "--d", "7", "--a", "3", "--general-l", "2"), False, [8, 8], 0),
-        (("gt-verdict", "--d", "30", "--action", "0,2,5"), True, [], 0),
-        (("minimal", "--d", "7", "--action", "0,1,3"), False, [], 1),
-        (("minimal", "--d", "13", "--a", "4", "--subset-oracle"), False, [], 1),
-        (("minimal", "--d", "200", "--a", "3"), False, [], 0),
-        (("minimal", "--d", "30", "--action", "0,2,5"), True, [], 1),
+        (("report", "--d", "9", "--action", "1,1,4"), False, 1, 1),
+        (("report", "--d", "16", "--action", "15,3,11"), False, 1, 0),
+        (("report", "--d", "30", "--action", "0,2,5"), True, 1, 0),
+        (("report", "--d", "30", "--action", "0,2,5", "--general-l", "1"), True, 2, 0),
+        (("gt-verdict", "--d", "7", "--a", "3"), False, 1, 0),
+        (("gt-verdict", "--d", "7", "--a", "3", "--general-l", "2"), False, 3, 0),
+        (("gt-verdict", "--d", "30", "--action", "0,2,5"), True, 1, 0),
+        (("gt-verdict", "--d", "30", "--action", "0,2,5", "--general-l", "3"), True, 4, 0),
+        (("minimal", "--d", "7", "--action", "0,1,3"), False, 1, 1),
+        (("minimal", "--d", "13", "--a", "4", "--subset-oracle"), False, 1, 1),
+        (("minimal", "--d", "200", "--a", "3"), False, 1, 0),
+        (("minimal", "--d", "30", "--action", "0,2,5"), True, 1, 1),
     ])
-    def test_counts(self, capsys, monkeypatch, sweeps, argv, stepped, widths, products):
-        elims = _spy_eliminations(monkeypatch)
+    def test_counts(self, capsys, monkeypatch, sweeps, argv, stepped, restrictions, products):
         expansions = _spy_circulant_products(monkeypatch)
         code, _, err = run_cli(capsys, *argv)
         assert code == 0, err
-        assert len(sweeps) == 1
-        assert bool(sweeps[0][1]) == stepped
-        assert elims == widths
+        assert len(sweeps) == restrictions
+        assert len({ideal for ideal, _ in sweeps}) == 1
+        assert all(bool(widths) == stepped for _, widths in sweeps)
         assert len(expansions) == products
 
     @pytest.mark.parametrize("argv,candidate", [
@@ -456,29 +443,41 @@ class TestOneRestrictionPerCommand:
         assert set(widths) <= {ideal.d + 1 + (ideal.mu if candidate else 0)}
         assert len(checked) == candidate
 
-    def test_gt_verdict_eliminates_only_the_general_forms(self, capsys, monkeypatch, sweeps):
-        elims = _spy_eliminations(monkeypatch)
+    def test_gt_verdict_sweeps_once_per_general_form(self, capsys, sweeps):
         code, out, err = run_cli(capsys, "gt-verdict", "--d", "7", "--a", "3", "--general-l", "3")
         assert code == 0, err
-        assert len(sweeps) == 1 and elims == [8] * 3
-        assert json.loads(out)["results"]["verdict"]["is_togliatti"] is True
+        assert len(sweeps) == 4 and len({ideal for ideal, _ in sweeps}) == 1
+        results = json.loads(out)["results"]
+        assert results["verdict"]["is_togliatti"] is True
+        assert [s["rank"] for s in results["general_form_samples"]] == [results["base_rank"]] * 3
 
-    def test_library_verdict_is_one_restriction(self, monkeypatch, sweeps):
-        elims = _spy_eliminations(monkeypatch)
+    def test_library_verdict_is_one_restriction(self, sweeps):
         ideal = actions.invariant_monomials(actions.Action(13, (0, 1, 4)))
         verdict = wlp.WlpVerdict.from_nullity(ideal, wlp.kernel_dimension(ideal))
-        assert verdict.is_togliatti and sweeps == [(ideal, [])] and elims == []
+        assert verdict.is_togliatti and sweeps == [(ideal, [])]
 
-    def test_gt_verdict_at_d_3000_needs_no_elimination(self, capsys, monkeypatch, sweeps):
+    def test_gt_verdict_at_d_3000_needs_no_elimination(self, capsys, sweeps):
         # (0, 0, 1): y^j x^(d-j) gives every column a unit pivot, so the rank
         # is d + 1 and no fraction-free step is taken
-        elims = _spy_eliminations(monkeypatch)
         code, out, err = run_cli(capsys, "gt-verdict", "--d", "3000", "--action", "0,0,1")
         assert code == 0, err
-        assert len(sweeps) == 1 and sweeps[0][1] == [] and elims == []
+        assert len(sweeps) == 1 and sweeps[0][1] == []
         verdict = json.loads(out)["results"]["verdict"]
         assert (verdict["mu"], verdict["fails_injectivity"], verdict["is_togliatti"]) == (
             3002, True, False)
+
+    def test_general_forms_at_d_3000_need_no_elimination(self, capsys, sweeps):
+        # each general form is the sweep of x + y + z again, not an
+        # elimination of its own
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "gt-verdict", "--d", "3000", "--action", "0,0,1",
+                                 "--general-l", "2")
+        elapsed = time.perf_counter() - start
+        assert code == 0, err
+        assert len(sweeps) == 3 and all(widths == [] for _, widths in sweeps)
+        results = json.loads(out)["results"]
+        assert [s["rank"] for s in results["general_form_samples"]] == [results["base_rank"]] * 2
+        assert elapsed < 1.0, elapsed
 
     def test_minimal_at_the_minimality_limit_is_fast(self, capsys):
         d = wlp.MINIMALITY_LIMIT

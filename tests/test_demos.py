@@ -52,15 +52,20 @@ def test_readme_block_runs(block):
     assert proc.stdout
 
 
-def test_all_eight_readme_gtsys_examples_found():
-    assert len(README_GTSYS) == 8
+def test_all_nine_readme_gtsys_examples_found():
+    assert len(README_GTSYS) == 9
 
 
-def _readme_claim(command, out, cwd):
+def _readme_claim(argv, out, cwd):
     """The fact that the README's comment on the example states."""
+    command = argv[0]
     if command == "invariants":  # 6 generators, artinian: true
         results = json.loads(out)["results"]
         assert (results["mu"], results["artinian"]) == (6, True)
+    elif "--general-l" in argv:  # a random form: rank 1125749, as at x+y+z
+        results = json.loads(out)["results"]
+        assert results["base_rank"] == 1125749
+        assert [s["rank"] for s in results["general_form_samples"]] == [1125749]
     elif command == "gt-verdict":  # rank 27 of 28: injectivity fails
         verdict = json.loads(out)["results"]["verdict"]
         assert (verdict["rank"], verdict["dim_source"], verdict["fails_injectivity"]) == (
@@ -90,11 +95,15 @@ def _readme_claim(command, out, cwd):
         raise AssertionError(f"no claim checked for {command}")
 
 
-@pytest.mark.parametrize("line", README_GTSYS, ids=lambda line: line.split()[1])
+def _example_id(line):
+    return line.split()[1] + ("-general-l" if "--general-l" in line else "")
+
+
+@pytest.mark.parametrize("line", README_GTSYS, ids=_example_id)
 def test_readme_gtsys_example(line, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     argv = shlex.split(line, comments=True)[1:]
     assert main(argv) == 0
     out, err = capsys.readouterr()
     assert err == ""
-    _readme_claim(argv[0], out, tmp_path)
+    _readme_claim(argv, out, tmp_path)

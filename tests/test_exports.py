@@ -1,5 +1,6 @@
 """Every exported name resolves, and names deleted from the API stay gone."""
 
+import ast
 import copy
 import importlib
 import inspect
@@ -37,6 +38,10 @@ REMOVED = (
     "n_sequence",
     "ternary_product",
     "CycloPolynomial",
+    "bareiss_echelon",
+    "bareiss_rank",
+    "_restriction_rows",
+    "_check_elimination_limit",
 )
 
 
@@ -119,6 +124,21 @@ def test_one_restriction_per_ideal_api():
     for name in ("_nullity_and_kernel_vector", "_eigenvalue_product", "_is_minimal",
                  "_is_togliatti_system"):
         assert not hasattr(wlp, name), name
+
+
+def test_one_rank_engine():
+    # the column sweep of wlp.restriction is the only caller of the
+    # fraction-free step, and polymat exports nothing else
+    assert gtsystems.polymat.__all__ == ["SparsePoly"]
+    callers = set()
+    for module in MODULES[1:]:
+        for fn in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Call) and "fraction_free_step" in (
+                            getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                        callers.add(f"{module.__name__}.{fn.name}")
+    assert callers == {"gtsystems.wlp.restriction"}
 
 
 def test_surface_api_is_unchanged():

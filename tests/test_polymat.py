@@ -1,4 +1,5 @@
-"""Read-only sparse integer polynomials and exact matrix rank."""
+"""Read-only sparse integer polynomials, the fraction-free step, and the
+exact rank oracles that the tests hold the column sweep against."""
 
 import math
 import random
@@ -6,9 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from gtsystems import polymat, wlp
+from gtsystems import wlp
 from gtsystems.actions import Action, GTIdeal, invariant_monomials
-from gtsystems.polymat import SparsePoly, bareiss_echelon, bareiss_rank, fraction_free_step
+from gtsystems.polymat import SparsePoly, fraction_free_step
 
 
 def fraction_rank(rows):
@@ -34,8 +35,9 @@ def fraction_rank(rows):
 def bareiss_oracle(m, pivot_cols=None):
     """Independent oracle: the classical fraction-free Bareiss elimination,
     which scales every row below the pivot at every step and divides by the
-    previous pivot, with the same pivot rule (least magnitude) and the same
-    in-place contract as bareiss_echelon.  Pivots are taken only among the
+    previous pivot.  The pivot is the remaining entry of least magnitude in
+    its column.  m (a list of row lists) is reduced in place to row echelon
+    form and the number of pivots returned.  Pivots are taken only among the
     first pivot_cols columns (all by default), so beside the identity the
     rows below the pivots hold the left kernel of the left block."""
     nr = len(m)
@@ -98,45 +100,22 @@ class TestSparsePoly:
 
 
 class TestExactRank:
-    def test_identity_and_zero(self):
-        assert bareiss_rank([[1, 0], [0, 1]]) == 2
-        assert bareiss_rank([[0, 0], [0, 0]]) == 0
-        assert bareiss_rank([]) == 0
-
-    def test_rank_one_outer_product(self):
-        u = [2, -3, 5]
-        v = [7, 1, -4, 9]
-        rows = [[a * b for b in v] for a in u]
-        assert bareiss_rank(rows) == 1
-
-    def test_dependent_rows(self):
-        rows = [[1, 2, 3], [4, 5, 6], [5, 7, 9]]  # row3 = row1 + row2
-        assert bareiss_rank(rows) == 2
-
-    def test_rank_unchanged_by_row_scaling(self):
-        # Regression guard: the fraction-free update must stay exact when a
-        # pivot row is skipped because its leading entry is zero.  Matrices
-        # whose entries are far from +-1 exercise the non-unit pivot path.
-        rows = [
-            [0, -6, -7, 0],
-            [-6, 0, 0, -7],
-            [0, -12, -14, 0],
-            [-7, -6, 0, 0],
-        ]
-        assert bareiss_rank(rows) == fraction_rank(rows) == 3
-
-    def test_bareiss_agrees_with_fraction_oracle_random(self):
-        rng = random.Random(1234)
-        for _ in range(250):
-            nr = rng.randint(1, 8)
-            nc = rng.randint(1, 8)
-            lo, hi = rng.choice([(-1, 1), (-9, 9), (0, 1), (-500, 500)])
-            rows = [[rng.randint(lo, hi) for _ in range(nc)] for _ in range(nr)]
-            if nr >= 2 and rng.random() < 0.4:
-                k = rng.randint(-3, 3)
-                rows[-1] = [k * x for x in rows[0]]
-            exact = bareiss_rank(rows)
-            assert exact == fraction_rank(rows), rows
+    @pytest.mark.parametrize("rows,rank", [
+        ([[1, 0], [0, 1]], 2),
+        ([[0, 0], [0, 0]], 0),
+        ([], 0),
+        # an outer product
+        ([[a * b for b in (7, 1, -4, 9)] for a in (2, -3, 5)], 1),
+        # row 3 = row 1 + row 2
+        ([[1, 2, 3], [4, 5, 6], [5, 7, 9]], 2),
+        # entries far from +-1, and a pivot row skipped for its zero lead
+        ([[0, -6, -7, 0], [-6, 0, 0, -7], [0, -12, -14, 0], [-7, -6, 0, 0]], 3),
+        # determinant big^2 - (big + 1)(big - 1) = 1
+        ([[10**30, 10**30 + 1], [10**30 - 1, 10**30]], 2),
+        ([[10**30, 10**30], [10**30, 10**30]], 1),
+    ])
+    def test_oracles_on_hand_made_matrices(self, rows, rank):
+        assert bareiss_oracle([list(r) for r in rows]) == fraction_rank(rows) == rank
 
     def test_fraction_free_step_leaves_rows_primitive(self):
         # pivot 2 in column 0: a row with f there becomes
@@ -150,22 +129,7 @@ class TestExactRank:
         # pivot -1: -row - 3*pivot row = 0, -7, 0, 0, content 7
         assert fraction_free_step([3, 1, 0, 0], 0, -1, [(1, 2)]) == [0, -1, 0, 0]
 
-    def test_only_rows_with_an_entry_under_the_pivot_are_stepped(self, monkeypatch):
-        rows = [[2, 4, 6, 1], [0, 3, 5, 7], [4, 2, 8, 2], [6, 0, 0, 4], [5, 5, 5, 5]]
-        stepped = []
-        real = polymat.fraction_free_step
-
-        def spy(row, col, piv, support):
-            stepped.append((col, list(row)))
-            return real(row, col, piv, support)
-
-        monkeypatch.setattr(polymat, "fraction_free_step", spy)
-        m = [list(r) for r in rows]
-        assert bareiss_echelon(m) == fraction_rank(rows) == 4
-        assert [row for col, row in stepped if col == 0] == [rows[2], rows[3], rows[4]]
-        assert all(math.gcd(*row) == 1 for row in m if any(row))
-
-    def test_agrees_with_the_bareiss_oracle_random(self):
+    def test_the_bareiss_oracle_agrees_with_the_fraction_oracle_random(self):
         rng = random.Random(4140)
         for _ in range(300):
             nr, nc = rng.randint(1, 9), rng.randint(1, 7)
@@ -174,22 +138,14 @@ class TestExactRank:
                     for _ in range(nr)]
             if nr >= 3 and rng.random() < 0.5:
                 rows[-1] = [3 * x - 2 * y for x, y in zip(rows[0], rows[1])]
-            new, old = [list(r) for r in rows], [list(r) for r in rows]
-            rank = bareiss_echelon(new)
-            assert rank == bareiss_oracle(old) == fraction_rank(rows), rows
+            m = [list(r) for r in rows]
+            rank = bareiss_oracle(m)
+            assert rank == fraction_rank(rows), rows
             # echelon form: zero below the pivots, the row space kept
-            assert all(not any(row) for row in new[rank:]), rows
-            leads = [next(j for j, x in enumerate(row) if x) for row in new[:rank]]
+            assert all(not any(row) for row in m[rank:]), rows
+            leads = [next(j for j, x in enumerate(row) if x) for row in m[:rank]]
             assert leads == sorted(set(leads)), rows
-            assert fraction_rank(new[:rank] + rows) == rank, rows
-
-    def test_huge_entries_stay_exact(self):
-        big = 10**30
-        rows = [[big, big + 1], [big - 1, big]]
-        # determinant = big^2 - (big+1)(big-1) = 1, so full rank
-        assert bareiss_rank(rows) == 2
-        rows2 = [[big, big], [big, big]]
-        assert bareiss_rank(rows2) == 1
+            assert fraction_rank(m[:rank] + rows) == rank, rows
 
 
 def _candidates(d_values, weights=None):

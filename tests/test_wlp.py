@@ -11,13 +11,14 @@ from pathlib import Path
 import pytest
 from polyring import add, mul
 from test_circulant import ternary_oracle
+from test_polymat import bareiss_oracle, signed_binomial_rows
 
-from gtsystems import circulant, cli, polymat, wlp
+from gtsystems import circulant, cli, wlp
 from gtsystems.actions import Action, GTIdeal, invariant_monomials
 from gtsystems.circulant import circulant_product
 from gtsystems.cli import main
 from gtsystems.errors import ConsistencyError
-from gtsystems.polymat import SparsePoly, bareiss_rank
+from gtsystems.polymat import SparsePoly
 from gtsystems.wlp import (
     RANK_REPORT_LIMIT,
     WlpVerdict,
@@ -31,7 +32,9 @@ from gtsystems.wlp import (
 # The matrix of multiplication by a linear form from degree j to degree j+1
 # of the quotient, on its monomial basis.  It knows nothing of the
 # restriction to the line L = 0 that kernel_dimension uses, so it is an
-# independent check of it.
+# independent check of it.  Its rank, and the plain nullity below, come
+# from the classical Bareiss elimination of the tests (bareiss_oracle),
+# which shares no code with the sweep.
 
 
 def _monomials_of_degree(j):
@@ -72,10 +75,15 @@ def multiplication_matrix(ideal, j, coeffs=(1, 1, 1)):
     return rows, src, tgt
 
 
+def exact_rank(rows):
+    """Rank over Q by bareiss_oracle, on a copy of rows."""
+    return bareiss_oracle([list(r) for r in rows])
+
+
 def oracle_rank(ideal, coeffs=(1, 1, 1)):
     """(rank, dim source) of the degree d-1 -> d map by Bareiss."""
     rows, src, _ = multiplication_matrix(ideal, ideal.d - 1, coeffs)
-    return bareiss_rank(rows), len(src)
+    return exact_rank(rows), len(src)
 
 
 def oracle_kernel(ideal, coeffs=(1, 1, 1)):
@@ -84,10 +92,10 @@ def oracle_kernel(ideal, coeffs=(1, 1, 1)):
 
 
 def plain_nullity(ideal):
-    """mu - rank E at x + y + z by the plain elimination (bareiss_rank) of the
-    power-formula rows: independent of the sweep of wlp.restriction."""
-    rows = _restriction_rows_by_powers(ideal, (1, 1, 1))
-    return len(rows) - bareiss_rank(rows)
+    """mu - rank E at x + y + z by the plain elimination (exact_rank) of the
+    rows built from math.comb: independent of the sweep of wlp.restriction."""
+    rows = signed_binomial_rows(ideal)
+    return len(rows) - exact_rank(rows)
 
 
 def togliatti_oracle(ideal):
@@ -162,7 +170,7 @@ class TestMultiplicationMatrix:
         base, _ = oracle_rank(ideal)
         for coeffs in ((-6, -6, -7), (1, 1, 1), (3, -5, 11), (-1, -3, 8)):
             rows, src, _ = multiplication_matrix(ideal, 4, coeffs)
-            assert bareiss_rank(rows) == base, coeffs
+            assert exact_rank(rows) == base, coeffs
             assert kernel_dimension(ideal, coeffs) == len(src) - base, coeffs
 
     def test_zero_coefficient_drops_rank_or_not(self):
@@ -170,43 +178,50 @@ class TestMultiplicationMatrix:
         # still computed exactly (here x alone is far from injective).
         ideal = invariant_monomials(Action(5, (0, 1, 2)))
         rows, src, _ = multiplication_matrix(ideal, 4, (1, 0, 0))
-        assert bareiss_rank(rows) < len(src)
+        assert exact_rank(rows) < len(src)
 
 
 class TestRestriction:
-    FORMS = ((1, 1, 1), (3, -5, 11), (-2, 7, 4))
+    # x + y + z and two more forms with al*be*ga != 0, which are one sweep
+    # each, and five with al or be zero, which are a count of monomials
+    FORMS = ((1, 1, 1), (3, -5, 11), (-2, 7, 4),
+             (0, 1, 1), (1, 0, 1), (0, 0, 1), (0, 2, -3), (5, 0, 1))
 
-    def test_kernel_agrees_with_quotient_oracle(self):
-        # 284 units, each at x+y+z and at two forms with nonzero coefficients
+    @pytest.mark.parametrize("coeffs", FORMS, ids=str)
+    def test_kernel_agrees_with_quotient_oracle(self, coeffs):
+        # every faithful unit with d <= 12: 284 units with 104 distinct
+        # ideals, and the kernel reads only the generators
+        ideals = {}
         for action in faithful_units(range(3, 13)):
             ideal = invariant_monomials(action)
-            for coeffs in self.FORMS:
-                assert kernel_dimension(ideal, coeffs) == oracle_kernel(ideal, coeffs), (
-                    action, coeffs)
+            ideals.setdefault(ideal.generators, ideal)
+        assert len(ideals) == 104
+        for ideal in ideals.values():
+            assert kernel_dimension(ideal, coeffs) == oracle_kernel(ideal, coeffs), ideal.action
+
+    @pytest.mark.parametrize("coeffs", FORMS, ids=str)
+    def test_kernel_agrees_with_quotient_oracle_on_random_ideals(self, coeffs):
+        # 300 seeded ideals without an action, with and without the pure
+        # powers; nullity 0, 1 and 2 or more among them at every form
+        rng = random.Random(2011)
+        seen = set()
+        for _ in range(300):
+            d = rng.randint(2, 9)
+            monomials = _monomials_of_degree(d)
+            gens = rng.sample(monomials, rng.randint(1, len(monomials)))
+            if rng.random() < 0.5:
+                gens += [(d, 0, 0), (0, d, 0), (0, 0, d)]
+            ideal = GTIdeal(d, gens)
+            nullity = kernel_dimension(ideal, coeffs)
+            assert nullity == oracle_kernel(ideal, coeffs), ideal.generators
+            seen.add(min(nullity, 2))
+        assert seen == {0, 1, 2}, seen
 
     def test_zero_z_coefficient_rejected(self):
         ideal = invariant_monomials(Action(5, (0, 1, 2)))
-        with pytest.raises(ValueError):
-            kernel_dimension(ideal, (1, 1, 0))
-
-    def test_zero_x_or_y_coefficient_is_still_exact(self):
-        # only the z coefficient is divided out on the line
-        ideal = invariant_monomials(Action(5, (0, 1, 2)))
-        for coeffs in ((0, 1, 1), (1, 0, 1), (0, 0, 1)):
-            assert kernel_dimension(ideal, coeffs) == oracle_kernel(ideal, coeffs), coeffs
-
-
-def _restriction_rows_by_powers(ideal, coeffs):
-    """The rows of E^T as wlp built them before it kept the powers: three
-    powers taken per entry."""
-    al, be, ga = coeffs
-    rows = []
-    for i, j, k in ideal.generators:
-        row = [0] * (ideal.d + 1)
-        for m in range(k + 1):
-            row[j + m] = ga ** (i + j) * math.comb(k, m) * (-al) ** (k - m) * (-be) ** m
-        rows.append(row)
-    return rows
+        for coeffs in ((1, 1, 0), (0, 0, 0), (3, 0, 0)):
+            with pytest.raises(ValueError, match="nonzero z coefficient"):
+                kernel_dimension(ideal, coeffs)
 
 
 def _pool_ideals():
@@ -228,21 +243,12 @@ def test_random_scales_are_nonzero():
 
 
 class TestRestrictionRows:
-    def test_rows_equal_the_power_formula_on_the_pool(self):
-        rng = random.Random(20261018)
-        seen = 0
-        for ideal in _pool_ideals():
-            for coeffs in ((1, 1, 1), random_scales(rng), random_scales(rng)):
-                assert wlp._restriction_rows(ideal, coeffs) == \
-                    _restriction_rows_by_powers(ideal, coeffs), (ideal.d, ideal.action, coeffs)
-            seen += 1
-        assert seen == 180
-
-    @pytest.mark.parametrize("d,coeffs", [(420, (1, 1, 1)), (840, (1, 1, 1)), (420, (2, -3, 5))])
-    def test_rows_equal_the_power_formula_at_large_d(self, d, coeffs):
-        # outside the paper's family: the rows the elimination runs on
-        ideal = invariant_monomials(Action(d, (0, 2, 5)))
-        assert wlp._restriction_rows(ideal, coeffs) == _restriction_rows_by_powers(ideal, coeffs)
+    @pytest.mark.parametrize("d", [420, 840])
+    def test_signed_binomials_equal_math_comb(self, d):
+        # outside the paper's family: the rows the sweep of (0, 2, 5) reads
+        binomials = wlp._SignedBinomials()
+        for _, _, k in invariant_monomials(Action(d, (0, 2, 5))).generators:
+            assert binomials[k] == [(-1) ** k * math.comb(k, m) for m in range(k + 1)], k
 
 
 class TestEliminationLimit:
@@ -254,6 +260,13 @@ class TestEliminationLimit:
         for route in (kernel_dimension, restriction, lambda i: kernel_dimension(i, (2, -3, 5))):
             with pytest.raises(ValueError, match=message):
                 route(ideal)
+
+    def test_a_form_with_al_or_be_zero_needs_no_elimination(self):
+        # each generator restricts to one monomial, so E is never built: the
+        # d + 1 monomials x^i y^j are distinct, and z^d vanishes or meets x^d
+        ideal = invariant_monomials(Action(100000, (0, 0, 1)))
+        for coeffs in ((0, 0, 1), (1, 0, 1), (0, 1, 1)):
+            assert kernel_dimension(ideal, coeffs) == 1, coeffs
 
     def test_the_limit_is_inclusive(self, monkeypatch):
         ideal = invariant_monomials(Action(7, (0, 1, 3)))
@@ -346,13 +359,35 @@ class TestSweep:
         assert (r.nullity, r.v, r.togliatti) == (0, None, False)
         assert kernel_dimension(smaller) == 0
 
-    def test_kernel_dimension_and_restriction_take_it_at_x_plus_y_plus_z_only(
-            self, eliminations, sweeps):
+    def test_kernel_dimension_is_one_sweep_where_al_and_be_are_nonzero(self, sweeps):
         ideal = invariant_monomials(Action(13, (0, 1, 4)))
         assert kernel_dimension(ideal) == wlp.restriction(ideal).nullity == 1
-        assert len(sweeps) == 2 and eliminations == []
         assert kernel_dimension(ideal, (2, -3, 5)) == 1
-        assert len(sweeps) == 2 and len(eliminations) == 1
+        assert sweeps == [(ideal, [])] * 3
+        # al or be zero: the distinct monomials on the line are counted
+        for coeffs in ((0, 2, 5), (3, 0, -1), (0, 0, 7)):
+            assert kernel_dimension(ideal, coeffs) == oracle_kernel(ideal, coeffs), coeffs
+        assert len(sweeps) == 3
+
+    def test_only_rows_with_an_entry_at_a_free_column_are_stepped(self, monkeypatch, sweeps):
+        # (0, 2, 5) mod 30: 21 generators at 14 distinct first columns leave
+        # 7 rows over, and nullity 1 makes 6 of them pivots at free columns.
+        # At each of those just one other row has an entry: 6 steps, where
+        # stepping every row left would take 6 + 5 + ... + 1 = 21
+        ideal = invariant_monomials(Action(30, (0, 2, 5)))
+        assert ideal.mu == 21 and max(len({g[k] for g in ideal.generators}) for k in range(3)) == 14
+        entries = []
+        step = wlp.fraction_free_step
+
+        def spy(row, col, *args):
+            entries.append((col, row[col]))
+            return step(row, col, *args)
+
+        monkeypatch.setattr(wlp, "fraction_free_step", spy)
+        assert wlp.restriction(ideal).nullity == 1
+        assert [col for col, _ in entries] == [1, 3, 5, 7, 11, 13]
+        assert all(entry for _, entry in entries)
+        assert len(sweeps) == 1 and len(sweeps[0][1]) == 6
 
     def test_a_skipped_unit_pivot_update_exits_2(self, capsys, monkeypatch):
         # the first nonzero entry at a unit pivot column is left in place
@@ -391,12 +426,12 @@ class TestSweep:
             with pytest.raises(ConsistencyError, match="not in the kernel of E"):
                 route(ideal)
 
-    def test_past_the_elimination_at_large_d(self, eliminations, sweeps):
+    def test_past_the_elimination_at_large_d(self, sweeps):
         # (0, 0, 1): the d + 1 columns y^j have unit pivots, nullity mu - d - 1 = 1
         ideal = invariant_monomials(Action(3000, (0, 0, 1)))
         r = wlp.restriction(ideal)
         assert (r.nullity, r.v) == (1, None)
-        assert sweeps == [(ideal, [])] and eliminations == []
+        assert sweeps == [(ideal, [])]
 
     def test_combinations_only_for_togliatti_candidates(self, sweeps):
         # random ideals without an action, with and without the pure powers:
@@ -571,21 +606,6 @@ class TestMinimality:
         assert min(seen.values()) > 0, seen
 
 
-@pytest.fixture
-def eliminations(monkeypatch):
-    """Records the matrix of every call of polymat's elimination loop, which
-    bareiss_rank makes for a linear form other than x + y + z."""
-    calls = []
-    real = polymat.bareiss_echelon
-
-    def spy(m):
-        calls.append(m)
-        return real(m)
-
-    monkeypatch.setattr(polymat, "bareiss_echelon", spy)
-    return calls
-
-
 class TestKernelVector:
     @pytest.mark.parametrize("d,weights,stepped", [
         (3, (0, 1, 2), False), (7, (0, 1, 3), False), (13, (0, 1, 4), False),
@@ -594,13 +614,12 @@ class TestKernelVector:
         # free columns, and the sweep takes fraction-free steps there
         (30, (0, 2, 5), True), (30, (0, 3, 5), True),
     ])
-    def test_one_restriction_per_call(self, eliminations, sweeps, d, weights, stepped):
+    def test_one_restriction_per_call(self, sweeps, d, weights, stepped):
         r = wlp.restriction(invariant_monomials(Action(d, weights)))
         assert r.minimal
         assert len(sweeps) == 1 and bool(sweeps[0][1]) == stepped
-        assert eliminations == []
 
-    def test_kernel_vector_is_proportional_to_the_circulant_product(self, eliminations, sweeps):
+    def test_kernel_vector_is_proportional_to_the_circulant_product(self, sweeps):
         units = 0
         for action in faithful_units(range(3, 17)):
             d, (_, a, b) = action.d, action.weights
@@ -619,7 +638,6 @@ class TestKernelVector:
         # below d = 30 some weight difference of a faithful (0, a, b) is a
         # unit: one row is left over, and no fraction-free step is taken
         assert all(widths == [] for _, widths in sweeps)
-        assert eliminations == []
 
     def test_nullity_two_is_not_minimal_whatever_the_kernel_vector(self, monkeypatch):
         # The last row may hold any kernel vector.  Here the sum of the last
@@ -866,8 +884,7 @@ class TestConjectureScan:
         with pytest.raises(ValueError):
             conjecture_scan([circulant._TERNARY_LIMIT + 1, 5])
 
-    def test_one_enumeration_and_one_restriction_per_unit(self, eliminations, sweeps,
-                                                           monkeypatch):
+    def test_one_enumeration_and_one_restriction_per_unit(self, sweeps, monkeypatch):
         enumerations = []
         real = wlp.invariant_monomials
 
@@ -882,9 +899,8 @@ class TestConjectureScan:
         # every unit below d = 30 is in the paper's family: one leftover row,
         # no fraction-free step
         assert len(sweeps) == 196 and all(widths == [] for _, widths in sweeps)
-        assert eliminations == []
 
-    def test_units_outside_the_family_take_fraction_free_steps(self, eliminations, sweeps):
+    def test_units_outside_the_family_take_fraction_free_steps(self, sweeps):
         out = conjecture_scan([30])
         units = [u for u in out["units"] if "mu" in u]
         outside = [u for u in units
@@ -893,7 +909,6 @@ class TestConjectureScan:
         assert len(sweeps) == len(units)
         stepped = [ideal.action.weights[1:] for ideal, widths in sweeps if widths]
         assert stepped == [(u["a"], u["b"]) for u in outside]
-        assert eliminations == []
 
     def test_units_agree_with_the_verdict_and_the_circulant_route(self):
         units = [u for u in conjecture_scan(range(3, 17))["units"] if "mu" in u]
