@@ -390,19 +390,20 @@ class TestOneRestrictionPerCommand:
     # free columns.  In the paper's family one row is left over and it takes
     # none, nor where the unit pivots alone reach the rank: (1, 1, 4) mod 9,
     # and (15, 3, 11) mod 16, whose 25 leftover rows are zero at its one free
-    # column.  Each --general-l form is one more sweep of the same ideal
+    # column.  A --general-l form takes the nullity of x + y + z: no sweep of
+    # its own
     @pytest.mark.parametrize("argv,stepped,restrictions,products", [
         (("report", "--d", "7", "--action", "0,1,3"), False, 1, 0),
-        (("report", "--d", "7", "--action", "0,1,3", "--general-l", "2"), False, 3, 0),
+        (("report", "--d", "7", "--action", "0,1,3", "--general-l", "2"), False, 1, 0),
         # repeated weight, nullity 12: the 10 columns all have a unit pivot
         (("report", "--d", "9", "--action", "1,1,4"), False, 1, 1),
         (("report", "--d", "16", "--action", "15,3,11"), False, 1, 0),
         (("report", "--d", "30", "--action", "0,2,5"), True, 1, 0),
-        (("report", "--d", "30", "--action", "0,2,5", "--general-l", "1"), True, 2, 0),
+        (("report", "--d", "30", "--action", "0,2,5", "--general-l", "1"), True, 1, 0),
         (("gt-verdict", "--d", "7", "--a", "3"), False, 1, 0),
-        (("gt-verdict", "--d", "7", "--a", "3", "--general-l", "2"), False, 3, 0),
+        (("gt-verdict", "--d", "7", "--a", "3", "--general-l", "2"), False, 1, 0),
         (("gt-verdict", "--d", "30", "--action", "0,2,5"), True, 1, 0),
-        (("gt-verdict", "--d", "30", "--action", "0,2,5", "--general-l", "3"), True, 4, 0),
+        (("gt-verdict", "--d", "30", "--action", "0,2,5", "--general-l", "3"), True, 1, 0),
         (("minimal", "--d", "7", "--action", "0,1,3"), False, 1, 1),
         (("minimal", "--d", "13", "--a", "4", "--subset-oracle"), False, 1, 1),
         (("minimal", "--d", "200", "--a", "3"), False, 1, 0),
@@ -443,13 +444,17 @@ class TestOneRestrictionPerCommand:
         assert set(widths) <= {ideal.d + 1 + (ideal.mu if candidate else 0)}
         assert len(checked) == candidate
 
-    def test_gt_verdict_sweeps_once_per_general_form(self, capsys, sweeps):
+    def test_gt_verdict_sweeps_once_whatever_the_general_forms(self, capsys, sweeps):
         code, out, err = run_cli(capsys, "gt-verdict", "--d", "7", "--a", "3", "--general-l", "3")
         assert code == 0, err
-        assert len(sweeps) == 4 and len({ideal for ideal, _ in sweeps}) == 1
+        (ideal, _), = sweeps
         results = json.loads(out)["results"]
         assert results["verdict"]["is_togliatti"] is True
-        assert [s["rank"] for s in results["general_form_samples"]] == [results["base_rank"]] * 3
+        # each sample's rank is the library's rank at its own form
+        dim_source = results["verdict"]["dim_source"]
+        assert [s["rank"] for s in results["general_form_samples"]] == [
+            dim_source - wlp.kernel_dimension(ideal, tuple(s["coeffs"]))
+            for s in results["general_form_samples"]] == [results["base_rank"]] * 3
 
     def test_library_verdict_is_one_restriction(self, sweeps):
         ideal = actions.invariant_monomials(actions.Action(13, (0, 1, 4)))
@@ -467,14 +472,14 @@ class TestOneRestrictionPerCommand:
             3002, True, False)
 
     def test_general_forms_at_d_3000_need_no_elimination(self, capsys, sweeps):
-        # each general form is the sweep of x + y + z again, not an
-        # elimination of its own
+        # each general form takes the nullity of the one sweep of x + y + z,
+        # not an elimination or a sweep of its own
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "gt-verdict", "--d", "3000", "--action", "0,0,1",
                                  "--general-l", "2")
         elapsed = time.perf_counter() - start
         assert code == 0, err
-        assert len(sweeps) == 3 and all(widths == [] for _, widths in sweeps)
+        assert len(sweeps) == 1 and sweeps[0][1] == []
         results = json.loads(out)["results"]
         assert [s["rank"] for s in results["general_form_samples"]] == [results["base_rank"]] * 2
         assert elapsed < 1.0, elapsed
@@ -795,7 +800,8 @@ class TestExitCodeContract:
 
 
 class TestInProcessReuse:
-    """main builds its parser once and reuses it; the answers must not change."""
+    """main builds each command's parser once and reuses it; the answers must
+    not change."""
 
     EXAMPLES = [
         ("invariants", "--d", "7", "--action", "0,1,3"),
@@ -826,16 +832,20 @@ class TestInProcessReuse:
         out_path = tmp_path / "report.json"
         fresh = []
         for argv in self.EXAMPLES:
-            monkeypatch.setattr(cli, "_PARSER", None)  # a new parser for this call
+            monkeypatch.setattr(cli, "_PARSERS", {})  # a new parser for this call
             fresh.append(self._call(capsys, argv, out_path))
+            assert list(cli._PARSERS) == [argv[0]]
         assert [r[0] for r in fresh] == [0] * 8 + [1, 1, 0, 0]
-        monkeypatch.setattr(cli, "_PARSER", None)
-        self._call(capsys, self.EXAMPLES[0], out_path)
-        shared = cli._PARSER
+        monkeypatch.setattr(cli, "_PARSERS", {})
+        for argv in self.EXAMPLES:
+            self._call(capsys, argv, out_path)
+        shared = dict(cli._PARSERS)
+        assert set(shared) == {argv[0] for argv in self.EXAMPLES}
         for _ in range(2):
             for argv, expected in zip(self.EXAMPLES, fresh):
                 assert self._call(capsys, argv, out_path) == expected, argv
-        assert cli._PARSER is shared
+        assert cli._PARSERS == shared
+        assert all(cli._PARSERS[name] is parser for name, parser in shared.items())
 
     def test_build_parser_is_fresh_and_holds_no_functions(self):
         assert build_parser() is not build_parser()
@@ -843,8 +853,9 @@ class TestInProcessReuse:
         assert not any(callable(v) for v in vars(args).values())
 
     def test_replaced_command_takes_effect_after_first_call(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_PARSERS", {})
         code, out, _ = run_cli(capsys, "surface", "--d", "5")
-        assert code == 0 and cli._PARSER is not None
+        assert code == 0 and list(cli._PARSERS) == ["surface"]
 
         def stub(args):
             return cli._report("surface", {"d": args.d}, {"stub": True}, [])
@@ -853,6 +864,78 @@ class TestInProcessReuse:
         code, out, _ = run_cli(capsys, "surface", "--d", "5")
         assert code == 0
         assert json.loads(out)["results"] == {"stub": True}
+
+
+class TestOneParserPerCommand:
+    """main parses a call that starts with a command by that command's parser
+    alone; every exit, message and Namespace is build_parser()'s."""
+
+    COMMANDS = list(cli._COMMANDS)
+    FAILURES = [
+        ("-h",), (), ("rep",), ("rep", "--d", "7"),
+        ("--format", "json", "report", "--d", "7", "--a", "3"),
+        *[(name, "-h") for name in COMMANDS],
+        *[(name,) for name in COMMANDS],  # a missing --d or --dmax
+        *[(name, "--d", "x") for name in COMMANDS],
+        *[(name, "--format", "xml", "--d", "7") for name in COMMANDS],
+        *[(name, "--d", "7", "extra") for name in COMMANDS],
+        ("report", "--d", "7", "--action", "0,1,3", "--a", "4"),
+        ("invariants", "--d", "7", "--action", "0,1,3", "--a", "4"),
+        ("gt-verdict", "--d", "7", "--a", "3", "--general-l", "-1"),
+        ("report", "--d", "7", "--a", "3", "--general-l", "x"),
+        ("report", "--d", "7", "--a", "3", "extra", "more"),
+        ("minimal", "--d", "7", "--action", "0,1,3", "--subset-oracle", "--bogus"),
+        ("arrangement", "--type", "square", "--d", "3"),
+        ("conjecture-scan", "--dmax", "5", "--stream", "--dmin", "3"),
+    ]
+    VALID = [
+        ("invariants", "--d", "7", "--action=0,1,3"),
+        ("invariants", "--d", "7", "--a", "-1"),
+        ("invariants", "--d=7", "--a=-1", "--format", "md"),
+        ("gt-verdict", "--d", "7", "--a", "3", "--general-l", "2", "--seed", "4"),
+        ("gt-verdict", "--d", "7", "--act", "0,1,3"),  # an abbreviation
+        ("minimal", "--d", "7", "--action", "0,1,3", "--subset-oracle"),
+        ("classify", "--out", "x.json", "--d", "12"),
+        ("circulant", "--d", "6", "--coeff", "0,0,1,3,3,5"),
+        ("circulant", "--d", "12", "--a", "1", "--b", "5", "--format", "csv"),
+        ("conjecture-scan", "--dmax", "5", "--stream"),
+        ("conjecture-scan", "--dm", "5"),  # an abbreviation
+        ("conjecture-scan", "--dmax", "5", "--d", "7"),  # --d abbreviates --dmax here
+        ("surface", "--d", "5"),
+        ("arrangement", "--type", "hd", "--d", "3"),
+        ("report", "--d", "7", "--action", "0,1,3", "--general-l", "0"),
+    ]
+
+    @staticmethod
+    def _outcome(capsys, call):
+        """(exit code of a SystemExit, stdout, stderr, return value) of call()."""
+        try:
+            result, code = call(), None
+        except SystemExit as exc:
+            result, code = None, exc.code
+        out, err = capsys.readouterr()
+        return code, out, err, result
+
+    @pytest.mark.parametrize("argv", FAILURES + VALID, ids=lambda argv: " ".join(argv) or "none")
+    def test_main_parses_as_the_full_parser(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)  # --out x.json writes the stub's empty report here
+        code, out, err, reference = self._outcome(
+            capsys, lambda: build_parser().parse_args(list(argv)))
+        parsed = []
+        for name in self.COMMANDS:
+            monkeypatch.setattr(cli, "cmd_" + name.replace("-", "_"),
+                                lambda args: parsed.append(args) or "")
+        got = self._outcome(capsys, lambda: main(list(argv)))
+        if reference is None:  # a usage error, or help
+            assert (argv in self.FAILURES, got, parsed) == (True, (code, out, err, None), [])
+        elif reference.command is None:
+            usage = build_parser().format_usage()
+            assert got == (None, "", usage + "gtsys: error: a command is required\n", 1)
+            assert parsed == []
+        else:
+            assert argv in self.VALID
+            assert got == (None, "", "", 0) and parsed == [reference]
+            assert parsed[0].command == argv[0]
 
 
 class TestDependencies:

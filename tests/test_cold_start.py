@@ -125,3 +125,25 @@ def test_bare_import_loads_no_submodule_and_resolves_every_name():
     assert subs == {n: f"gtsystems.{n}" for n in SUBMODULES}
     assert missing == "module 'gtsystems' has no attribute 'projective_key'"
     assert set(names) | set(SUBMODULES) <= set(listed)
+
+
+@pytest.mark.parametrize("argv,built", [
+    (("minimal", "--d", "7", "--action", "0,1,3"), ["gtsys minimal"]),
+    (("report", "--d", "7", "--action", "0,1,3"), ["gtsys report"]),
+])
+def test_a_call_builds_only_its_commands_parser(argv, built):
+    # the full parser would add one parser for gtsys and one per command
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from gtsystems import cli\n"
+        "built = []\n"
+        "init = cli.CliParser.__init__\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    built.append(kwargs.get('prog'))\n"
+        "    init(self, *args, **kwargs)\n"
+        "cli.CliParser.__init__ = counted\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(sys.argv[1:])\n"
+        "print(json.dumps([code, built]))\n"
+    )
+    assert json.loads(fresh(code, *argv)) == [0, built]
