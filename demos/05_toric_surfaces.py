@@ -7,34 +7,27 @@ binomial 2x2 minors of a 2-row matrix of monomial entries present the
 ideal: each minor m - n vanishes on the surface because the exponent images
 of m and n under the parametrization agree.  The closed-form Betti table
 has vanishing alternating sums and an h-polynomial that evaluates to d at 1.
+classical_suite(d) holds all four results for one d, computed once.
 """
 
 import math
 
-from gtsystems import (
-    betti_table,
-    determinantal_generators,
-    exponent_polytope_degree,
-    generalized_classical,
-    polytope_smoothness,
-)
+from gtsystems import classical_suite
 
 print(" d | degree | smooth | quadrics | cubics | h(1)")
 print("---+--------+--------+----------+--------+-----")
 for d in range(3, 13):
-    ideal = generalized_classical(d)
-    model = exponent_polytope_degree(ideal)
-    smooth = polytope_smoothness(ideal).smooth
-    gp = determinantal_generators(d)
-    table = betti_table(d)
-    h1 = sum(table.h_polynomial())
-    print(f"{d:2d} | {model.degree:6d} | {str(smooth):6s} | {gp.quadric_count:8d} | {gp.cubic_count:6d} | {h1:4d}")
+    suite = classical_suite(d)  # computed once per d, then kept
+    gp = suite.presentation
+    h1 = sum(suite.betti.h_polynomial())
+    print(f"{d:2d} | {suite.degree_model.degree:6d} | {str(suite.smoothness.smooth):6s} | {gp.quadric_count:8d} | {gp.cubic_count:6d} | {h1:4d}")
 
 print()
 d = 9
 k = d // 2
+suite = classical_suite(d)
 print(f"full Betti table at d = {d} (k = {k}):")
-for i, j, b in betti_table(d).rows:
+for i, j, b in suite.betti.rows:
     print(f"  beta_{{{i},{j}}} = {b}")
 print("expected counts: C(k,2) =", math.comb(k, 2), "quadrics and k =", k, "cubics")
-print("pullbacks of all minors vanish:", determinantal_generators(d).pullbacks_vanish)
+print("pullbacks of all minors vanish:", suite.presentation.pullbacks_vanish)

@@ -23,8 +23,8 @@ _ORIGIN = {
         "cyclotomic": ("CyclotomicInt", "cyclotomic_polynomial"),
         "errors": ("ConsistencyError", "NonIntegerError"),
         "polymat": ("SparsePoly",),
-        "surface": ("betti_table", "determinantal_generators", "exponent_polytope_degree",
-                    "polytope_smoothness"),
+        "surface": ("betti_table", "classical_suite", "determinantal_generators",
+                    "exponent_polytope_degree", "polytope_smoothness"),
         "wlp": ("WlpVerdict", "conjecture_scan", "kernel_dimension", "restriction"),
     }.items()
     for name in names

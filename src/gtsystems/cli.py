@@ -16,7 +16,7 @@ import sys
 from _json import encode_basestring_ascii as _json_str
 
 from . import __version__
-from .actions import Action, generalized_classical, invariant_monomials
+from .actions import Action, invariant_monomials
 from .circulant import check_ternary_limit, circulant_det_symbolic, coefficient_query
 from .errors import ConsistencyError
 from .wlp import (
@@ -275,23 +275,18 @@ def cmd_conjecture_scan(args):
 
 
 def cmd_surface(args):
-    from . import surface
-
-    d = args.d
-    if d not in surface._SURFACE_RANGE:
-        raise ValueError("the surface suite is supported for "
-                         f"{surface._SURFACE_RANGE.start} <= d <= {surface._SURFACE_RANGE[-1]}")
-    return _surface_report(d)
+    return _surface_report(args.d)
 
 
 def _surface_report(d):
+    """The surface report of the classical system of degree d, built anew on
+    every call from surface.classical_suite(d), which is computed once per d
+    and checks the range of d."""
     from . import surface
 
-    ideal = generalized_classical(d)
-    model = surface.exponent_polytope_degree(ideal)
-    smooth = surface.polytope_smoothness(ideal)
-    pres = surface.determinantal_generators(d)
-    betti = surface.betti_table(d)
+    suite = surface.classical_suite(d)
+    model, smooth = suite.degree_model, suite.smoothness
+    pres, betti = suite.presentation, suite.betti
     checks = [
         _check("degree_equals_d", "pass" if model.degree == d else "finding",
                f"degree {model.degree}"),
@@ -302,7 +297,7 @@ def _surface_report(d):
                "smooth" if smooth.smooth else "singular boundary configuration"),
     ]
     results = {
-        "ideal": ideal.to_json(),
+        "ideal": suite.ideal.to_json(),
         "degree_model": model.to_json(),
         "smoothness": smooth.to_json(),
         "presentation": pres.to_json(),

@@ -9,30 +9,38 @@ checking that every hull edge is fully populated and that the primitive edge
 directions at each vertex form a basis of the difference lattice.  The
 presentation of the classical surface is built from binomials, and each one
 is checked by comparing the exponent images of its two terms.
+
+classical_suite(d) gathers the whole suite of the degree-d classical system
+and is computed once per d per process; it is the one place that checks the
+range of d the suite supports.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 from ._record import Record
-from .actions import GTIdeal, _classical_exponents
+from .actions import GTIdeal, _classical_exponents, generalized_classical
 from .errors import ConsistencyError
 from .polymat import SparsePoly
 
 __all__ = [
     "BettiTable",
+    "ClassicalSuite",
     "GeneratorPresentation",
     "LatticeModel",
     "SmoothnessReport",
     "betti_table",
+    "classical_suite",
     "complement_exponents",
     "determinantal_generators",
     "exponent_polytope_degree",
     "polytope_smoothness",
 ]
 
-# The orders d for which gtsys runs the surface suite of the classical system.
+# The orders d for which classical_suite runs the surface suite of the
+# classical system.
 _SURFACE_RANGE = range(3, 13)
 
 
@@ -374,3 +382,28 @@ def betti_table(d) -> BettiTable:
     if sum(h) != d:
         raise ConsistencyError(f"h-polynomial does not evaluate to d at d={d}")
     return table
+
+
+class ClassicalSuite(Record):
+    """The surface suite of the degree-d classical system: the ideal, and the
+    degree model, smoothness report, presentation and Betti table of its
+    image surface."""
+
+    __slots__ = ("ideal", "degree_model", "smoothness", "presentation", "betti")
+
+
+@functools.cache
+def classical_suite(d) -> ClassicalSuite:
+    """The suite for 3 <= d <= 12 (_SURFACE_RANGE), computed on the first call
+    for each d, with every consistency check, and then kept for the process.
+    Any other d raises ValueError.  A raise is never kept, so the memo holds
+    at most len(_SURFACE_RANGE) records, and a failed computation runs again
+    on the next call.  The record is frozen, and its parts are frozen records,
+    tuples and read-only polynomials, so callers share it safely; their
+    to_json builds new dicts on every call."""
+    if d not in _SURFACE_RANGE:
+        raise ValueError("the surface suite is supported for "
+                         f"{_SURFACE_RANGE.start} <= d <= {_SURFACE_RANGE[-1]}")
+    ideal = generalized_classical(d)
+    return ClassicalSuite(ideal, exponent_polytope_degree(ideal), polytope_smoothness(ideal),
+                          determinantal_generators(d), betti_table(d))

@@ -38,3 +38,16 @@ def sweeps(monkeypatch):
         monkeypatch.setattr(module, "restriction", restriction)
     monkeypatch.setattr(wlp, "fraction_free_step", step)
     return calls
+
+
+@pytest.fixture
+def fresh_suite():
+    """surface.classical_suite with an empty memo at the start and at the end
+    of the test.  A test that patches surface internals and then goes through
+    cli needs it: otherwise the answer comes from a suite computed earlier in
+    the process, and a patched computation could outlive the test."""
+    from gtsystems import surface
+
+    surface.classical_suite.cache_clear()
+    yield surface.classical_suite
+    surface.classical_suite.cache_clear()

@@ -633,7 +633,7 @@ class TestLibraryLimits:
         for d in (lo - 1, hi + 1):
             code, _, err = run_cli(capsys, "surface", "--d", str(d))
             assert code == 1
-            assert f"{lo} <= d <= {hi}" in err
+            assert err == f"gtsys: error: the surface suite is supported for {lo} <= d <= {hi}\n"
 
     def test_report_gates_surface_by_the_same_range(self, capsys):
         hi = surface._SURFACE_RANGE[-1]
@@ -641,6 +641,56 @@ class TestLibraryLimits:
             code, out, _ = run_cli(capsys, "report", "--d", str(d), "--a", "2")
             assert code == 0
             assert ("surface" in json.loads(out)["results"]) is present
+
+
+class TestSurfaceSuiteMemo:
+    """surface.classical_suite computes the suite once per d; surface and
+    report's surface section build their dicts from it on every call."""
+
+    @pytest.mark.parametrize("d", surface._SURFACE_RANGE)
+    def test_cold_and_warm_calls_print_the_same(self, d, capsys, fresh_suite):
+        calls = [("surface", "--d", str(d), "--format", fmt) for fmt in ("json", "md", "csv")]
+        calls += [("report", "--d", str(d), "--action", "0,1,2", "--format", fmt)
+                  for fmt in ("json", "md", "csv")]
+        for argv in calls:
+            fresh_suite.cache_clear()
+            cold = run_cli(capsys, *argv)
+            assert fresh_suite.cache_info().currsize == 1, argv
+            warm = run_cli(capsys, *argv)
+            assert cold[0] == 0 and cold == warm, argv
+
+    def test_each_suite_function_runs_once_per_d(self, capsys, monkeypatch, fresh_suite):
+        names = ("exponent_polytope_degree", "polytope_smoothness", "determinantal_generators",
+                 "betti_table")
+        runs = []
+
+        def spy(name, real):
+            def counted(arg):
+                runs.append((name, getattr(arg, "d", arg)))
+                return real(arg)
+            return counted
+
+        for name in names:
+            monkeypatch.setattr(surface, name, spy(name, getattr(surface, name)))
+        for d in surface._SURFACE_RANGE:
+            for argv in (("report", "--d", str(d), "--a", "1"),
+                         ("surface", "--d", str(d)),
+                         ("report", "--d", str(d), "--a", "2"),
+                         ("report", "--d", str(d), "--action", "0,1,2", "--format", "md")):
+                assert run_cli(capsys, *argv)[0] == 0, argv
+        assert sorted(runs) == sorted((name, d) for name in names for d in surface._SURFACE_RANGE)
+
+    def test_a_failed_computation_is_not_kept(self, capsys, monkeypatch, fresh_suite):
+        params = actions._classical_exponents(9)
+        params[2], params[3] = params[3], params[2]
+        monkeypatch.setattr(surface, "_classical_exponents", lambda _: params)
+        code, out, err = run_cli(capsys, "surface", "--d", "9")
+        assert (code, out) == (2, "")
+        assert err == "gtsys: consistency failure: pullback of a presentation generator is nonzero at d=9\n"
+        assert fresh_suite.cache_info().currsize == 0
+        monkeypatch.undo()
+        code, out, _ = run_cli(capsys, "surface", "--d", "9")
+        assert code == 0 and json.loads(out)["results"]["presentation"]["pullbacks_vanish"]
 
 
 class TestInvariantLimit:

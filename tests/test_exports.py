@@ -146,9 +146,9 @@ def test_surface_api_is_unchanged():
     for name in ("_pullback", "_hermite_basis", "_projected"):
         assert not hasattr(surface, name), name
     assert surface.__all__ == [
-        "BettiTable", "GeneratorPresentation", "LatticeModel", "SmoothnessReport",
-        "betti_table", "complement_exponents", "determinantal_generators",
-        "exponent_polytope_degree", "polytope_smoothness",
+        "BettiTable", "ClassicalSuite", "GeneratorPresentation", "LatticeModel",
+        "SmoothnessReport", "betti_table", "classical_suite", "complement_exponents",
+        "determinantal_generators", "exponent_polytope_degree", "polytope_smoothness",
     ]
 
 
@@ -169,6 +169,7 @@ RECORD_FIELDS = {
     "surface.GeneratorPresentation": ("d", "k", "matrix", "minors", "extra_quadric",
                                       "quadric_count", "cubic_count", "pullbacks_vanish"),
     "surface.BettiTable": ("d", "k", "rows"),
+    "surface.ClassicalSuite": ("ideal", "degree_model", "smoothness", "presentation", "betti"),
     "arrangements.Arrangement": ("d", "name", "lines"),
     "arrangements.CevaCertificate": ("d", "n_lines", "n_points", "lines_per_point",
                                      "points_per_line"),

@@ -292,3 +292,31 @@ class TestBettiTables:
                 want[(i, i + 2)] = (i - 1) * math.comb(k, i)
             got = {(i, j): b for i, j, b in betti_table(d).rows if i > 0}
             assert got == {key: b for key, b in want.items() if b}, d
+
+
+class TestClassicalSuite:
+    @pytest.mark.parametrize("d", surface._SURFACE_RANGE)
+    def test_suite_is_the_four_results(self, d, fresh_suite):
+        suite = fresh_suite(d)
+        ideal = generalized_classical(d)
+        assert suite == surface.ClassicalSuite(
+            ideal, exponent_polytope_degree(ideal), polytope_smoothness(ideal),
+            determinantal_generators(d), betti_table(d),
+        )
+        assert fresh_suite(d) is suite
+        with pytest.raises(AttributeError):
+            suite.betti = None
+
+    def test_memo_holds_only_the_range(self, fresh_suite):
+        lo, hi = surface._SURFACE_RANGE[0], surface._SURFACE_RANGE[-1]
+        refused = []
+        for _ in range(2):
+            for d in range(-1, 21):
+                try:
+                    fresh_suite(d)
+                except ValueError as exc:
+                    assert str(exc) == f"the surface suite is supported for {lo} <= d <= {hi}"
+                    refused.append(d)
+        outside = [d for d in range(-1, 21) if d not in surface._SURFACE_RANGE]
+        assert refused == outside * 2
+        assert fresh_suite.cache_info().currsize == len(surface._SURFACE_RANGE)
