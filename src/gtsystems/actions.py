@@ -2,10 +2,10 @@
 
 An action is a weight triple (a,b,c): the group generator scales the variables
 by zeta^a, zeta^b, zeta^c.  A degree-d monomial x^al y^be z^ga is invariant
-exactly when a*al + b*be + c*ga = 0 (mod d).  The enumeration below solves
-that linear congruence for be at each al, in O(d + mu) steps, and so yields
-the monomials in descending lexicographic order; the direct scan of the whole
-degree-d simplex is its oracle in the tests.
+exactly when a*al + b*be + c*ga = 0 (mod d).  invariant_exponents is the one
+solver of that congruence, for any weights and degree: the invariant ideal,
+the bound of check_invariant_limit and the Newton power sums of circulant all
+read it.  The direct scan of the simplex is its oracle in the tests.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 
 from ._record import Record
+from .polymat import monomial_str
 
 __all__ = [
     "Action",
@@ -20,6 +21,7 @@ __all__ = [
     "InvalidActionError",
     "check_invariant_limit",
     "generalized_classical",
+    "invariant_exponents",
     "invariant_monomials",
     "monomial_str",
     "normalize_action",
@@ -70,16 +72,6 @@ def normalize_action(d, a, b, c) -> tuple:
     return tuple(sorted((w - probe.weights[0]) % d for w in probe.weights))
 
 
-def monomial_str(exp, names=("x", "y", "z")):
-    if not any(exp):
-        return "1"
-    return "".join(
-        names[i] + (f"^{p}" if p > 1 else "")
-        for i, p in enumerate(exp)
-        if p
-    )
-
-
 class GTIdeal(Record):
     """Artinian monomial ideal generated in a single degree d.
 
@@ -121,30 +113,57 @@ class GTIdeal(Record):
         }
 
 
-def _congruence(action: Action):
-    """(p, q, g, t) for the action (a, b, c) of order d: p = b - a and
-    q = c - a mod d, g = gcd(q, d), and t = g / gcd(p, g).  The invariant
-    monomials x^al y^be z^ga are those with q*ga = -p*be (mod d): there are
-    some for be exactly when g divides p*be, that is when t divides be, and
-    their ga then form one class modulo d / g."""
-    d = action.d
-    a, b, c = action.weights
-    p, q = (b - a) % d, (c - a) % d
-    g = math.gcd(q, d)
-    return p, q, g, g // math.gcd(p, g)
+def _extended(states, w):
+    """Each state (prefix, s, room) of invariant_exponents followed by one
+    more exponent e of weight w, from e = room down to 0."""
+    for prefix, s, room in states:
+        for e in range(room, -1, -1):
+            yield prefix + (e,), s + w * e, room - e
+
+
+def invariant_exponents(d, weights, n):
+    """Every exponent vector al with |al| = n and sum al_k * weights[k] = 0
+    (mod d), for any number of weights, as a list in descending
+    lexicographic order.  The leading coordinates are chosen largest first,
+    one generator per coordinate.  With s their weighted sum and r = n minus
+    their sum, the last two (be, r - be), of weights b and c, solve
+    (b - c)*be = -(s + c*r) (mod d).  That has solutions exactly when
+    h = gcd(b - c, d) divides s + c*r, and they form one class modulo d / h,
+    listed from the largest be <= r down."""
+    if len(weights) == 1:
+        return [(n,)] if n * weights[0] % d == 0 else []
+    *lead, b, c = weights
+    h = math.gcd(b - c, d)
+    step = d // h
+    inverse = pow((b - c) // h, -1, step)
+    states = [((), 0, n)]
+    for w in lead:
+        states = _extended(states, w)
+    found = []
+    for prefix, s, r in states:
+        rhs = -(s + c * r) % d
+        if rhs % h == 0:
+            be0 = rhs // h * inverse % step
+            for be in range(r - (r - be0) % step, -1, -step):
+                found.append(prefix + (be, r - be))
+    return found
 
 
 def check_invariant_limit(action: Action):
     """Raise ValueError when invariant_monomials could yield more than
-    INVARIANT_LIMIT monomials.  The n = d // t + 1 y-exponents be = k*t have
-    at most (d - k*t) // (d / g) + 1 monomials each; the bound sums these
-    without the floors.  It is at least n + n*g // 2, more than d / 2 as
-    n*g > d, so twice it also bounds the at most d + 1 steps of the loop of
-    invariant_monomials."""
+    INVARIANT_LIMIT monomials.  In the classes of invariant_exponents, with
+    h = gcd(b - c, d) and t = h / gcd(a - c, h), the last two exponents of
+    x^(d-n) y^be z^ga have solutions exactly when t divides n (a*d = 0), and
+    then at most n*h/d + 1 of them.  Summed over the N = d // t + 1 values
+    n = k*t that is N + t*h*N*(N - 1) / (2d), which is N + h*N/2 as t
+    divides d.  It is exact for (1, 1, 1), and more than d/2 as h >= t, so
+    twice it also bounds the d + 1 x-exponents that the enumeration visits."""
     d = action.d
-    _, _, g, t = _congruence(action)
+    a, b, c = action.weights
+    h = math.gcd(b - c, d)
+    t = h // math.gcd(a - c, h)
     n = d // t + 1
-    bound = n + n * (2 * d - t * (n - 1)) * g // (2 * d)
+    bound = n + n * h // 2
     if bound > INVARIANT_LIMIT:
         raise ValueError(
             f"the invariant enumeration has a size limit of {INVARIANT_LIMIT} monomials "
@@ -153,28 +172,12 @@ def check_invariant_limit(action: Action):
 
 
 def invariant_monomials(action: Action) -> GTIdeal:
-    """All invariant degree-d monomials of the action (a, b, c), in descending
-    lexicographic order, bounded first by check_invariant_limit.  With
-    n = be + ga = d - al the condition reads r*be = s*n (mod d) for r = b - c
-    and s = a - c.  It has solutions exactly when h = gcd(r, d) divides s*n,
-    that is when t = h / gcd(s, h) divides n, and their be then form one class
-    modulo d / h.  So it is solved once for each x-exponent al = d - n with
-    solutions, al descending and be descending inside: O(d / t + mu) steps."""
+    """All invariant degree-d monomials of the action, in descending
+    lexicographic order (invariant_exponents at n = d), bounded first by
+    check_invariant_limit."""
     check_invariant_limit(action)
     d = action.d
-    a, b, c = action.weights
-    r, s = (b - c) % d, (a - c) % d
-    h = math.gcd(r, d)
-    t = h // math.gcd(s, h)
-    step = d // h
-    inverse = pow(r // h, -1, step)
-    gens = []
-    for n in range(0, d + 1, t):
-        # the largest be <= n in the class of s*n/h * inverse; none below 0
-        be0 = s * n // h * inverse % step
-        for be in range(n - (n - be0) % step, -1, -step):
-            gens.append((d - n, be, n - be))
-    return GTIdeal(d, tuple(gens), action=action)
+    return GTIdeal(d, tuple(invariant_exponents(d, action.weights, d)), action)
 
 
 def _classical_exponents(d):

@@ -28,7 +28,7 @@ __all__ = [
     "singular_census",
 ]
 
-# Largest d for which gtsys runs the census of each arrangement kind; the
+# Largest d for which build_arrangement builds each arrangement kind; the
 # census tests every candidate point against every line exactly, so its cost
 # grows quickly with d.
 _ARRANGEMENT_LIMITS = {"ceva": 8, "hd": 8, "fermat": 12}
@@ -91,20 +91,23 @@ def _coordinate_lines(d):
 
 def build_arrangement(kind, d) -> Arrangement:
     """kind 'ceva' (d^2 lines), 'hd' (ceva plus the coordinate triangle) or
-    'fermat' (the 3d lines splitting x^d-y^d, x^d-z^d, y^d-z^d)."""
+    'fermat' (the 3d lines splitting x^d-y^d, x^d-z^d, y^d-z^d), for
+    3 <= d <= _ARRANGEMENT_LIMITS[kind]."""
     if d < 3:
         raise ValueError("need d >= 3")
+    if kind not in _ARRANGEMENT_LIMITS:
+        raise ValueError(f"unknown arrangement kind {kind!r}")
+    if d > _ARRANGEMENT_LIMITS[kind]:
+        raise ValueError(f"arrangement {kind} is supported for d <= {_ARRANGEMENT_LIMITS[kind]}")
     if kind == "ceva":
         lines = _ceva_lines(d)
     elif kind == "hd":
         lines = _coordinate_lines(d) + _ceva_lines(d)
-    elif kind == "fermat":
+    else:
         one, zero = _int(d, 1), _int(d, 0)
         lines = [(one, -_zeta(d, j), zero) for j in range(d)]
         lines += [(one, zero, -_zeta(d, j)) for j in range(d)]
         lines += [(zero, one, -_zeta(d, j)) for j in range(d)]
-    else:
-        raise ValueError(f"unknown arrangement kind {kind!r}")
     # every line is scaled to have 1 as its first nonzero coordinate, so two
     # lines are the same projective line exactly when their coordinates agree
     if any(next(c for c in ln if not c.is_zero()) != 1 for ln in lines):

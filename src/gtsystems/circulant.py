@@ -8,6 +8,8 @@ any cyclotomic arithmetic.  The power sums of the eigenvalue forms are
 
 over the exponent vectors al with |al| = n and sum_k al_k * position_k = 0
 (mod d), because sum_j zeta^(j*r) is d when r = 0 (mod d) and 0 otherwise.
+Those are invariant_exponents(d, positions, n), the solver of the same
+congruence that lists the invariant monomials (actions).
 Newton's identities n * s_n = sum_(k=1..n) (-1)^(k-1) s_(n-k) p_k then give
 the elementary symmetric functions s_n of the eigenvalue forms, and the
 determinant is s_d.
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import math
 
+from .actions import invariant_exponents
 from .errors import NonIntegerError
 from .polymat import SparsePoly
 
@@ -34,35 +37,6 @@ __all__ = [
 
 _GENERAL_LIMIT = 12
 _TERNARY_LIMIT = 128
-
-
-def _admissible_exponents(d, shifts, n, target):
-    """The exponent vectors (al_1, ..., al_m) with sum al_k <= n and
-    sum al_k * shifts[k] = target (mod d).
-
-    All exponents but the last run freely; the last one solves a linear
-    congruence, so only admissible vectors are produced.
-    """
-    if not shifts:
-        if target % d == 0:
-            yield ()
-        return
-    *free, last = shifts
-    g = math.gcd(last, d)
-    step = d // g
-    inverse = pow(last // g, -1, step)
-
-    def extend(i, room, residue, prefix):
-        if i == len(free):
-            if residue % g == 0:
-                for e in range(residue // g * inverse % step, room + 1, step):
-                    yield prefix + (e,)
-            return
-        c = free[i]
-        for e in range(room + 1):
-            yield from extend(i + 1, room - e, (residue - e * c) % d, prefix + (e,))
-
-    yield from extend(0, n, target % d, ())
 
 
 def circulant_product(d, positions) -> SparsePoly:
@@ -79,8 +53,6 @@ def circulant_product(d, positions) -> SparsePoly:
     base = d + 1
     weights = [base ** k for k in range(m - 1)]
     fact = [math.factorial(i) for i in range(d + 1)]
-    p0 = positions[0] % d
-    shifts = [(p - p0) % d for p in positions[1:]]
 
     def exponents(key, n):
         exps = []
@@ -94,10 +66,10 @@ def circulant_product(d, positions) -> SparsePoly:
     for n in range(1, d + 1):
         scale = d * fact[n] if n % 2 else -d * fact[n]
         p_n = {}
-        for al in _admissible_exponents(d, shifts, n, -n * p0):
-            denom = fact[n - sum(al)]
+        for al in invariant_exponents(d, positions, n):
+            denom = fact[al[0]]
             key = 0
-            for e, w in zip(al, weights):
+            for e, w in zip(al[1:], weights):
                 denom *= fact[e]
                 key += e * w
             p_n[key] = scale // denom

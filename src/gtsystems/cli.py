@@ -311,9 +311,6 @@ def cmd_arrangement(args):
 
     d = args.d
     kind = args.type
-    limit = arrangements._ARRANGEMENT_LIMITS[kind]
-    if d > limit:
-        raise ValueError(f"arrangement {kind} is supported for d <= {limit}")
     arr = arrangements.build_arrangement(kind, d)
     census = arrangements.singular_census(arr)
     free = arrangements.freeness_diagnostic(census)
@@ -630,11 +627,6 @@ def _add_arrangement(p):
     p.add_argument("--type", choices=("ceva", "hd", "fermat"), required=True)
 
 
-def _add_report(p):
-    _add_common(p, action=True, seed=True)
-    p.add_argument("--general-l", type=_count, default=0, dest="general_l")
-
-
 # every command once, in the order of the help: its help line and the
 # function that adds its arguments to a parser
 _COMMANDS = {
@@ -646,7 +638,7 @@ _COMMANDS = {
     "conjecture-scan": ("scan (d,a,b) for minimality failures", _add_scan),
     "surface": ("toric surface invariants of the classical system", _add_common),
     "arrangement": ("line arrangement census and freeness", _add_arrangement),
-    "report": ("bundle all analyses for one (d, action)", _add_report),
+    "report": ("bundle all analyses for one (d, action)", _add_verdict),
 }
 
 

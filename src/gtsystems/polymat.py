@@ -1,5 +1,6 @@
-"""Sparse multivariate integer polynomials and the fraction-free step of
-the column sweep that decides E (wlp.restriction).
+"""Sparse multivariate integer polynomials, the monomial renderer they share
+with actions.GTIdeal, and the fraction-free step of the column sweep that
+decides E (wlp.restriction).
 
 Polynomials map exponent tuples to nonzero Python int coefficients.  The
 step (fraction_free_step) keeps every updated row primitive.
@@ -10,6 +11,17 @@ from __future__ import annotations
 from math import gcd
 
 __all__ = ["SparsePoly"]
+
+
+def monomial_str(exp, names=("x", "y", "z")):
+    """The monomial of the exponents exp, as x^2z; the constant one is 1."""
+    if not any(exp):
+        return "1"
+    return "".join(
+        names[i] + (f"^{p}" if p > 1 else "")
+        for i, p in enumerate(exp)
+        if p
+    )
 
 
 class SparsePoly:
@@ -53,19 +65,15 @@ class SparsePoly:
             names = ("x", "y", "z") if self.nvars == 3 else tuple(f"x{i}" for i in range(self.nvars))
         parts = []
         for e, c in self.terms_sorted():
-            mono = "".join(
-                f"{names[i]}" + (f"^{p}" if p > 1 else "")
-                for i, p in enumerate(e)
-                if p
-            )
+            mono = monomial_str(e, names)
             sign = "- " if c < 0 else "+ "
             mag = abs(c)
-            if not mono:
-                piece = str(mag)
-            elif mag == 1:
+            if mag == 1:
                 piece = mono
-            else:
+            elif any(e):
                 piece = f"{mag}*{mono}"
+            else:
+                piece = str(mag)
             parts.append(sign + piece)
         text = " ".join(parts)
         if text.startswith("+ "):

@@ -1,6 +1,7 @@
 """Diagonal cyclic group actions and their invariant monomial ideals."""
 
 import math
+import operator
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from gtsystems.actions import (
     InvalidActionError,
     check_invariant_limit,
     generalized_classical,
+    invariant_exponents,
     invariant_monomials,
     monomial_str,
     normalize_action,
@@ -158,6 +160,36 @@ class TestInvariantMonomials:
         for d, weights in cases:
             ideal = invariant_monomials(Action(d, weights))
             assert list(ideal.generators) == sorted(brute_invariants(d, weights), reverse=True)
+
+
+def simplex_points(m, n):
+    """Every exponent vector of length m >= 1 with |al| = n."""
+    if m == 1:
+        return [(n,)]
+    return [(e,) + rest for e in range(n + 1) for rest in simplex_points(m - 1, n - e)]
+
+
+def brute_exponents(d, weights, n):
+    """The simplex scan, filtered by the congruence and sorted descending."""
+    return sorted((al for al in simplex_points(len(weights), n)
+                   if sum(map(operator.mul, al, weights)) % d == 0), reverse=True)
+
+
+class TestInvariantExponents:
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_equals_the_scan_on_every_faithful_action(self, d):
+        for weights in faithful_actions(d):
+            assert invariant_exponents(d, weights, d) == sorted(
+                brute_invariants(d, weights), reverse=True), (d, weights)
+
+    def test_equals_the_scan_on_random_weights_and_degrees(self):
+        rng = random.Random(1611)
+        for _ in range(2000):
+            d = rng.randint(1, 40)
+            weights = [rng.randint(-2 * d, 2 * d) for _ in range(rng.randint(1, 5))]
+            n = rng.randint(0, d)
+            assert invariant_exponents(d, weights, n) == brute_exponents(d, weights, n), (
+                d, weights, n)
 
 
 class TestGTIdeal:

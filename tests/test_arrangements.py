@@ -195,6 +195,17 @@ class TestArrangementConstruction:
         with pytest.raises(ValueError):
             build_arrangement("wiggly", 5)
 
+    @pytest.mark.parametrize("kind", ["ceva", "hd", "fermat"])
+    def test_size_limit_is_checked_by_the_library(self, monkeypatch, kind):
+        # refused before a single line is built, however large d is
+        for name in ("_int", "_zeta", "_ceva_lines", "_coordinate_lines"):
+            monkeypatch.setattr(arrangements, name, lambda *args: pytest.fail("built a line"))
+        limit = arrangements._ARRANGEMENT_LIMITS[kind]
+        for d in (limit + 1, 20, 10**9):
+            with pytest.raises(ValueError) as info:
+                build_arrangement(kind, d)
+            assert str(info.value) == f"arrangement {kind} is supported for d <= {limit}"
+
     def test_line_not_scaled_to_leading_one_is_inconsistent(self, monkeypatch):
         real = arrangements._ceva_lines
 

@@ -215,6 +215,19 @@ class TestNewtonKernelAgainstRotationOracle:
     def test_single_variable(self):
         assert circulant_product(5, (2,)).terms == {(5,): 1}
 
+    def test_power_sums_read_the_invariant_exponents(self, monkeypatch):
+        # every p_n sums over invariant_exponents(d, positions, n), with the
+        # positions as given: negative and >= d alike
+        calls = []
+        real = circulant.invariant_exponents
+        monkeypatch.setattr(circulant, "invariant_exponents",
+                            lambda d, w, n: calls.append((d, tuple(w), n)) or real(d, w, n))
+        d, positions = 7, (-1, 5, 12)
+        factors = [[(k, j * p, 1) for k, p in enumerate(positions)] for j in range(d)]
+        assert circulant_product(d, positions).terms == rotation_oracle(d, 3, factors).terms
+        assert calls == [(d, positions, n) for n in range(1, d + 1)]
+        assert not hasattr(circulant, "_admissible_exponents")
+
 
 class TestSpecValidation:
     def test_rejects_oversized_general_order(self):

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 from polyring import add
+from test_wlp import oracle_rank
 
 import gtsystems
 from gtsystems import (
@@ -450,11 +451,12 @@ class TestOneRestrictionPerCommand:
         (ideal, _), = sweeps
         results = json.loads(out)["results"]
         assert results["verdict"]["is_togliatti"] is True
-        # each sample's rank is the library's rank at its own form
-        dim_source = results["verdict"]["dim_source"]
-        assert [s["rank"] for s in results["general_form_samples"]] == [
-            dim_source - wlp.kernel_dimension(ideal, tuple(s["coeffs"]))
-            for s in results["general_form_samples"]] == [results["base_rank"]] * 3
+        # each sample's rank is the rank of the multiplication map at its own
+        # form, by classical Bareiss: no sweep of the library is involved
+        samples = results["general_form_samples"]
+        assert [s["rank"] for s in samples] == [
+            oracle_rank(ideal, tuple(s["coeffs"]))[0] for s in samples] == [
+            results["base_rank"]] * 3
 
     def test_library_verdict_is_one_restriction(self, sweeps):
         ideal = actions.invariant_monomials(actions.Action(13, (0, 1, 4)))
@@ -621,12 +623,13 @@ class TestCirculantLimits:
 
 
 class TestLibraryLimits:
-    @pytest.mark.parametrize("kind", ["ceva", "hd", "fermat"])
-    def test_arrangement_limit(self, capsys, kind):
-        limit = arrangements._ARRANGEMENT_LIMITS[kind]
-        code, _, err = run_cli(capsys, "arrangement", "--type", kind, "--d", str(limit + 1))
-        assert code == 1
-        assert f"arrangement {kind} is supported for d <= {limit}" in err
+    @pytest.mark.parametrize("kind,limit", [("ceva", 8), ("hd", 8), ("fermat", 12)])
+    def test_arrangement_limit(self, capsys, kind, limit):
+        # build_arrangement checks the limit; the CLI prints its message as before
+        assert arrangements._ARRANGEMENT_LIMITS[kind] == limit
+        code, out, err = run_cli(capsys, "arrangement", "--type", kind, "--d", str(limit + 1))
+        assert (code, out, err) == (
+            1, "", f"gtsys: error: arrangement {kind} is supported for d <= {limit}\n")
 
     def test_surface_range(self, capsys):
         lo, hi = surface._SURFACE_RANGE[0], surface._SURFACE_RANGE[-1]
@@ -986,6 +989,12 @@ class TestOneParserPerCommand:
             assert argv in self.VALID
             assert got == (None, "", "", 0) and parsed == [reference]
             assert parsed[0].command == argv[0]
+
+    def test_report_and_gt_verdict_share_the_general_l_option(self, capsys):
+        assert cli._COMMANDS["report"][1] is cli._COMMANDS["gt-verdict"][1]
+        for name in ("report", "gt-verdict"):
+            code, out, _ = run_cli(capsys, name, "-h")
+            assert code == 0 and "also sample N random linear forms and compare ranks" in out
 
 
 class TestDependencies:

@@ -42,6 +42,8 @@ REMOVED = (
     "bareiss_rank",
     "_restriction_rows",
     "_check_elimination_limit",
+    "_congruence",
+    "_admissible_exponents",
 )
 
 

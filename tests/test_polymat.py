@@ -97,6 +97,17 @@ class TestSparsePoly:
                                {"exp": [0, 0, 0], "coeff": 2}]
         assert SparsePoly(2, {(0, 1): -1}).render(("s", "t")) == "-t"
         assert SparsePoly(3).render() == "0"
+        # a constant term prints as its magnitude, one included
+        assert str(SparsePoly(2, {(1, 0): 1, (0, 0): -1})) == "x0 - 1"
+        assert str(SparsePoly(1, {(0,): 1})) == "1"
+
+    def test_one_monomial_renderer(self):
+        from gtsystems import actions, polymat
+
+        assert actions.monomial_str is polymat.monomial_str
+        ideal = invariant_monomials(Action(7, (0, 1, 3)))
+        poly = SparsePoly(3, dict.fromkeys(ideal.generators, 1))
+        assert " + ".join(ideal.generator_strings()) == str(poly)
 
 
 class TestExactRank:
