@@ -149,6 +149,14 @@ def invariant_exponents(d, weights, n):
     return found
 
 
+def _class_bound(d, a, b, c):
+    """The bound N + h*N/2 of check_invariant_limit for the weights in this order."""
+    h = math.gcd(b - c, d)
+    t = h // math.gcd(a - c, h)
+    n = d // t + 1
+    return n + n * h // 2
+
+
 def check_invariant_limit(action: Action):
     """Raise ValueError when invariant_monomials could yield more than
     INVARIANT_LIMIT monomials.  In the classes of invariant_exponents, with
@@ -156,14 +164,15 @@ def check_invariant_limit(action: Action):
     x^(d-n) y^be z^ga have solutions exactly when t divides n (a*d = 0), and
     then at most n*h/d + 1 of them.  Summed over the N = d // t + 1 values
     n = k*t that is N + t*h*N*(N - 1) / (2d), which is N + h*N/2 as t
-    divides d.  It is exact for (1, 1, 1), and more than d/2 as h >= t, so
-    twice it also bounds the d + 1 x-exponents that the enumeration visits."""
+    divides d.  The number of monomials does not change when the variables
+    are permuted, so the bound is the least of that formula over the three
+    cyclic orders of the weights (swapping the last two weights keeps h and
+    t).  It is exact for (1, 1, 1) and for every action that moves one
+    variable only, and more than d/2 in every order, so twice it also bounds
+    the d + 1 x-exponents that the enumeration visits."""
     d = action.d
     a, b, c = action.weights
-    h = math.gcd(b - c, d)
-    t = h // math.gcd(a - c, h)
-    n = d // t + 1
-    bound = n + n * h // 2
+    bound = min(_class_bound(d, *w) for w in ((a, b, c), (b, c, a), (c, a, b)))
     if bound > INVARIANT_LIMIT:
         raise ValueError(
             f"the invariant enumeration has a size limit of {INVARIANT_LIMIT} monomials "

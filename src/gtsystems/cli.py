@@ -11,7 +11,9 @@ input, 2 when an internal cross-check fails.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
+import marshal
 import sys
 from _json import encode_basestring_ascii as _json_str
 
@@ -334,8 +336,47 @@ def cmd_arrangement(args):
     return _report("arrangement", {"d": d, "type": kind}, results, checks)
 
 
-def cmd_report(args):
+# the line prefix of a section of report's results in the report's JSON
+_SECTION_NL = "\n    "
+
+
+class _Section(dict):
+    """A d-only section of report: a new dict on every call, which md and csv
+    read, and in .json the JSON text of that dict as built, which _json_write
+    appends at _SECTION_NL.  To render a changed section, pass dict(section)."""
+
+    __slots__ = ("json",)
+
+
+@functools.lru_cache(maxsize=64)
+def _d_sections(d):
+    """report's sections that depend on d alone, built with every check on the
+    first call for each d, as (name, marshal bytes of the dict, JSON text at
+    _SECTION_NL), and their checks as (name, status, detail); a raise is never
+    kept.  The largest entry, the partition near d = 4460 (the largest d whose
+    report passes ELIMINATION_LIMIT), is 0.3 MiB, so the memo stays near 20 MiB."""
     from . import classification, surface
+
+    sections, checks = [], []
+    if d >= 4:
+        partition = classification.classify_moves(d)
+        sections.append(("classification", partition.to_json()))
+        if d >= 5:
+            counts = classification.class_count_formulas(d, partition)
+            sections.append(("class_counts", counts.to_json()))
+            checks.append(("classify.formula_oracle_agreement",
+                           "pass" if not counts.findings else "finding",
+                           ", ".join(counts.findings) or "all fields agree"))
+    if d in surface._SURFACE_RANGE:
+        sub = _surface_report(d)
+        sections.append(("surface", sub["results"]))
+        checks += ((f"surface.{c['name']}", c["status"], c["detail"]) for c in sub["checks"])
+    return (tuple((name, marshal.dumps(v), _json_text(v, _SECTION_NL)) for name, v in sections),
+            tuple(checks))
+
+
+def cmd_report(args):
+    from . import classification
 
     action = _parse_action(args)
     d = args.d
@@ -352,7 +393,7 @@ def cmd_report(args):
     # one restriction: the verdict, the minimal section and the membership
     # forms all read it
     r = restriction(ideal)
-    partition = classification.classify_moves(d) if d >= 4 else None
+    shared, shared_checks = _d_sections(d)
     sections = {}
     checks = []
 
@@ -374,19 +415,12 @@ def cmd_report(args):
             "reason": f"not a Togliatti system: mu={ideal.mu}, d+1={d + 1}, nullity={r.nullity}",
         }
 
-    if partition is not None:
-        sections["classification"] = partition.to_json()
-        if d >= 5:
-            counts = classification.class_count_formulas(d, partition)
-            sections["class_counts"] = counts.to_json()
-            checks.append(
-                _check("classify.formula_oracle_agreement",
-                       "pass" if not counts.findings else "finding",
-                       ", ".join(counts.findings) or "all fields agree")
-            )
-
-    if d in surface._SURFACE_RANGE:
-        absorb("surface", _surface_report(d))
+    # a new dict for each d-only section, from bytes no caller sees, so a
+    # caller that changes one changes no later report
+    for name, blob, text in shared:
+        section = sections[name] = _Section(marshal.loads(blob))
+        section.json = text
+    checks.extend(_check(*c) for c in shared_checks)
 
     if d <= 9:
         import random
@@ -492,8 +526,8 @@ def _json_write(value, nl, out):
     """Append value to out as json.dumps(value, indent=2, sort_keys=True)
     writes it, nested at the line prefix nl, with the type tests in json's
     order.  A container writes its str and int items itself, and recurses
-    for the rest.  A key that is no str, or a value of no JSON type, raises
-    TypeError."""
+    for the rest; a _Section at _SECTION_NL appends its stored text.  A key
+    that is no str, or a value of no JSON type, raises TypeError."""
     append = out.append
     if isinstance(value, str):
         append(_json_str(value))
@@ -530,6 +564,9 @@ def _json_write(value, nl, out):
             lead = sep
         append(nl + "]")
     elif isinstance(value, dict):
+        if type(value) is _Section and nl == _SECTION_NL:
+            append(value.json)
+            return
         if not value:
             append("{}")
             return
@@ -550,12 +587,15 @@ def _json_write(value, nl, out):
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+def _json_text(value, nl):
+    out = []
+    _json_write(value, nl, out)
+    return "".join(out)
+
+
 def _render(report, fmt):
     if fmt == "json":
-        out = []
-        _json_write(report, "\n", out)
-        out.append("\n")
-        return "".join(out)
+        return _json_text(report, "\n") + "\n"
     if fmt == "md":
         return _render_md(report)
     if fmt == "csv":

@@ -51,3 +51,21 @@ def fresh_suite():
     surface.classical_suite.cache_clear()
     yield surface.classical_suite
     surface.classical_suite.cache_clear()
+
+
+@pytest.fixture
+def fresh_memos():
+    """The memos kept between calls, cli._d_sections (report's sections that
+    depend on d alone) and surface.classical_suite, both empty at the start
+    and at the end of the test, as fresh_suite empties the one.  The fixture
+    is the function that empties them, for a cold call in the middle of a
+    test."""
+    from gtsystems import cli, surface
+
+    def clear():
+        cli._d_sections.cache_clear()
+        surface.classical_suite.cache_clear()
+
+    clear()
+    yield clear
+    clear()

@@ -245,6 +245,26 @@ class TestInvariantLimit:
         with pytest.raises(ValueError, match=f"size limit of {actions.INVARIANT_LIMIT} monomials"):
             invariant_monomials(Action(d, weights))
 
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_bound_holds_in_every_order_of_the_variables(self, monkeypatch, d):
+        # with the limit at 0 every action is refused, by a message that
+        # names the bound; faithful_actions lists each triple in every order
+        monkeypatch.setattr(actions, "INVARIANT_LIMIT", 0)
+        for weights in faithful_actions(d):
+            with pytest.raises(ValueError, match=r"may have up to \d+$") as info:
+                check_invariant_limit(Action(d, weights))
+            bound = int(str(info.value).rsplit(" ", 1)[1])
+            mu = len(invariant_exponents(d, weights, d))
+            assert bound >= mu, weights
+            if len(set(weights)) < 3:
+                # one variable moves (or none): exact in one order
+                assert bound == mu, weights
+
+    def test_one_moving_variable_passes_in_every_order(self):
+        # mu = d + 2 < INVARIANT_LIMIT whichever variable moves
+        for weights in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+            check_invariant_limit(Action(700000, weights))
+
     def test_limit_value(self):
         assert actions.INVARIANT_LIMIT == 10**6
         # the fully degenerate action at d = 1412 has 998 991 monomials and passes

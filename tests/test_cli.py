@@ -651,18 +651,18 @@ class TestSurfaceSuiteMemo:
     report's surface section build their dicts from it on every call."""
 
     @pytest.mark.parametrize("d", surface._SURFACE_RANGE)
-    def test_cold_and_warm_calls_print_the_same(self, d, capsys, fresh_suite):
+    def test_cold_and_warm_calls_print_the_same(self, d, capsys, fresh_memos):
         calls = [("surface", "--d", str(d), "--format", fmt) for fmt in ("json", "md", "csv")]
         calls += [("report", "--d", str(d), "--action", "0,1,2", "--format", fmt)
                   for fmt in ("json", "md", "csv")]
         for argv in calls:
-            fresh_suite.cache_clear()
+            fresh_memos()
             cold = run_cli(capsys, *argv)
-            assert fresh_suite.cache_info().currsize == 1, argv
+            assert surface.classical_suite.cache_info().currsize == 1, argv
             warm = run_cli(capsys, *argv)
             assert cold[0] == 0 and cold == warm, argv
 
-    def test_each_suite_function_runs_once_per_d(self, capsys, monkeypatch, fresh_suite):
+    def test_each_suite_function_runs_once_per_d(self, capsys, monkeypatch, fresh_memos):
         names = ("exponent_polytope_degree", "polytope_smoothness", "determinantal_generators",
                  "betti_table")
         runs = []
@@ -694,6 +694,84 @@ class TestSurfaceSuiteMemo:
         monkeypatch.undo()
         code, out, _ = run_cli(capsys, "surface", "--d", "9")
         assert code == 0 and json.loads(out)["results"]["presentation"]["pullbacks_vanish"]
+
+
+class TestReportMemo:
+    """report builds its d-only sections (classification, class_counts and
+    surface) and their JSON text once per d, in cli._d_sections."""
+
+    @pytest.mark.parametrize("d", [4, 5, 7, 12, 13, 40])
+    def test_cold_warm_and_fresh_process_print_the_same(self, d, capsys, fresh_memos):
+        for fmt in ("json", "md", "csv"):
+            argv = ("report", "--d", str(d), "--action", "1,2,4", "--format", fmt)
+            fresh_memos()
+            cold = run_cli(capsys, *argv)
+            warm = run_cli(capsys, *argv)
+            proc = _python("-m", "gtsystems.cli", *argv)
+            assert cold[0] == 0 and cold == warm == (proc.returncode, proc.stdout, proc.stderr)
+
+    def test_a_changed_report_changes_no_later_report(self, capsys, fresh_memos):
+        argv = ["report", "--d", "7", "--action", "0,1,3"]
+        cold = {fmt: run_cli(capsys, *argv, "--format", fmt) for fmt in ("json", "md", "csv")}
+        results = cli.cmd_report(cli._parse(argv))["results"]
+        results["classification"]["classes"][0]["members"].append(99)
+        results["classification"]["classes"].pop()
+        results["class_counts"]["formula"]["N21"] = -1
+        results["surface"]["betti"].clear()
+        del results["surface"]["ideal"]
+        for fmt in ("json", "md", "csv"):
+            assert run_cli(capsys, *argv, "--format", fmt) == cold[fmt], fmt
+
+    def test_a_section_renders_as_a_dict_elsewhere_or_once_changed(self, fresh_memos):
+        report = cli.cmd_report(cli._parse(["report", "--d", "7", "--a", "3"]))
+        built = cli._render(report, "json")
+        assert built == json.dumps(report, indent=2, sort_keys=True) + "\n"
+        for value in (report["results"], report["results"]["surface"]):
+            # at another depth the stored text does not fit: rendered anew
+            assert cli._render(value, "json") == json.dumps(value, indent=2, sort_keys=True) + "\n"
+        report["results"]["classification"]["d"] = 8
+        assert cli._render(report, "json") == built  # the text of the section as built
+        report["results"]["classification"] = dict(report["results"]["classification"])
+        assert cli._render(report, "json") == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+    def test_a_failed_partition_is_not_kept(self, capsys, monkeypatch, fresh_memos):
+        argv = ("report", "--d", "13", "--a", "2")
+        monkeypatch.setattr(classification, "orbit", lambda d, a: (a,))
+        assert run_cli(capsys, *argv) == (
+            2, "", "gtsys: consistency failure: unexpected class size 1 at d=13\n")
+        assert cli._d_sections.cache_info().currsize == 0
+        monkeypatch.undo()
+        calls = _spy_partitions(monkeypatch)
+        cold = run_cli(capsys, *argv)
+        assert cold[0] == 0 and calls == [13]
+        assert run_cli(capsys, *argv) == cold and calls == [13]
+
+    def test_a_failed_surface_suite_is_not_kept(self, capsys, monkeypatch, fresh_memos):
+        params = actions._classical_exponents(9)
+        params[2], params[3] = params[3], params[2]
+        monkeypatch.setattr(surface, "_classical_exponents", lambda _: params)
+        assert run_cli(capsys, "report", "--d", "9", "--a", "2") == (
+            2, "", "gtsys: consistency failure: pullback of a presentation generator is "
+                   "nonzero at d=9\n")
+        assert cli._d_sections.cache_info().currsize == 0
+        assert surface.classical_suite.cache_info().currsize == 0
+        monkeypatch.undo()
+        code, out, _ = run_cli(capsys, "report", "--d", "9", "--a", "2")
+        assert code == 0 and json.loads(out)["results"]["surface"]["presentation"]["pullbacks_vanish"]
+        assert cli._d_sections.cache_info().currsize == 1
+
+    def test_the_bound_holds_past_it(self, capsys, monkeypatch, fresh_memos):
+        bound = cli._d_sections.cache_info().maxsize
+        assert bound == 64
+        d_values = range(5, 5 + bound + 6)
+        for d in d_values:
+            assert run_cli(capsys, "report", "--d", str(d), "--a", "2")[0] == 0, d
+        assert cli._d_sections.cache_info().currsize == bound
+        calls = _spy_partitions(monkeypatch)
+        for d in (d_values[-1], d_values[0]):  # kept, then evicted
+            assert run_cli(capsys, "report", "--d", str(d), "--a", "2")[0] == 0, d
+        assert calls == [d_values[0]]
+        assert cli._d_sections.cache_info().currsize == bound
 
 
 class TestInvariantLimit:
@@ -741,6 +819,19 @@ class TestEliminationLimit:
         assert "(ELIMINATION_LIMIT)" in err
 
 
+def _spy_partitions(monkeypatch):
+    """The d of every classification.classify_moves call."""
+    calls = []
+    real = classification.classify_moves
+
+    def counting_classify_moves(d):
+        calls.append(d)
+        return real(d)
+
+    monkeypatch.setattr(classification, "classify_moves", counting_classify_moves)
+    return calls
+
+
 class TestClassifyPartition:
     @pytest.mark.parametrize(
         "argv",
@@ -750,18 +841,21 @@ class TestClassifyPartition:
             ("report", "--d", "7", "--action", "0,1,3"),
         ],
     )
-    def test_one_partition_per_command(self, capsys, monkeypatch, argv):
-        calls = []
-        real = classification.classify_moves
-
-        def counting_classify_moves(d):
-            calls.append(d)
-            return real(d)
-
-        monkeypatch.setattr(classification, "classify_moves", counting_classify_moves)
+    def test_one_partition_per_command(self, capsys, monkeypatch, argv, fresh_memos):
+        calls = _spy_partitions(monkeypatch)
         code, _, _ = run_cli(capsys, *argv)
         assert code == 0
         assert calls == [int(argv[2])]
+
+    def test_a_warm_report_makes_no_partition(self, capsys, monkeypatch, fresh_memos):
+        argv = ("report", "--d", "7", "--action", "0,1,3")
+        cold = run_cli(capsys, *argv)
+        calls = _spy_partitions(monkeypatch)
+        for action in ("0,1,3", "1,2,4", "0,0,1"):
+            code, _, err = run_cli(capsys, "report", "--d", "7", "--action", action)
+            assert code == 0, err
+        assert calls == []
+        assert run_cli(capsys, *argv) == cold
 
     def test_limit_checked_before_partition(self, capsys, monkeypatch):
         def no_orbit(d, a):
@@ -807,12 +901,16 @@ class TestClassifyPartition:
         assert "moves did not produce a partition" in err
 
 
-def _run_under_optimize(script):
+def _python(*args):
+    """A fresh interpreter on these sources, run with args."""
     src = str(Path(gtsystems.__file__).resolve().parent.parent)
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    return subprocess.run([sys.executable, "-O", "-c", script],
-                          capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def _run_under_optimize(script):
+    return _python("-O", "-c", script)
 
 
 class TestExitCodeContract:
