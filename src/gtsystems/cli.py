@@ -25,6 +25,7 @@ from .wlp import (
     WlpVerdict,
     check_minimality_route,
     conjecture_scan,
+    conjugate_nullity,
     random_scales,
     restriction,
 )
@@ -102,7 +103,8 @@ def cmd_invariants(args):
     return _invariants_report(invariant_monomials(_parse_action(args)))
 
 
-def _verdict_report(ideal, nullity, general_l, seed):
+def _verdict_report(ideal, general_l, seed):
+    nullity = conjugate_nullity(ideal.action)
     verdict = WlpVerdict.from_nullity(ideal, nullity)
     artinian = ideal.has_pure_powers()
     checks = [
@@ -126,7 +128,8 @@ def _verdict_report(ideal, nullity, general_l, seed):
         rng = random.Random(seed)
         base_rank = verdict.dim_source - nullity
         # every sampled form has nonzero coefficients, so its nullity is that
-        # of x + y + z (kernel_dimension): nothing is swept again
+        # of x + y + z, the count of conjugate forms (wlp docstring): nothing
+        # is swept
         results["general_form_samples"] = [
             {"coeffs": list(random_scales(rng)), "rank": base_rank} for _ in range(general_l)
         ]
@@ -136,8 +139,7 @@ def _verdict_report(ideal, nullity, general_l, seed):
 
 
 def cmd_gt_verdict(args):
-    ideal = invariant_monomials(_parse_action(args))
-    return _verdict_report(ideal, restriction(ideal).nullity, args.general_l, args.seed)
+    return _verdict_report(invariant_monomials(_parse_action(args)), args.general_l, args.seed)
 
 
 def _minimal_report(r, cross_check=False, subset_oracle=False):
@@ -390,8 +392,8 @@ def cmd_report(args):
     if minimal:
         check_minimality_route(action)
     ideal = invariant_monomials(action)
-    # one restriction: the verdict, the minimal section and the membership
-    # forms all read it
+    # one restriction, which holds its nullity against the count that the
+    # verdict reads: the minimal section and the membership forms read it
     r = restriction(ideal)
     shared, shared_checks = _d_sections(d)
     sections = {}
@@ -404,7 +406,7 @@ def cmd_report(args):
         )
 
     absorb("invariants", _invariants_report(ideal))
-    absorb("verdict", _verdict_report(ideal, r.nullity, args.general_l, args.seed))
+    absorb("verdict", _verdict_report(ideal, args.general_l, args.seed))
 
     if minimal and r.togliatti:
         absorb("minimal", _minimal_report(r))

@@ -33,29 +33,34 @@ primitive integer row divides those minors (Bareiss).  A leftover row
 pushed through every unit pivot before a free-column pivot meets it has no
 such bound.
 
-No other linear form al*x + be*y + ga*z, ga != 0, needs an elimination of
-its own (kernel_dimension).  With al and be nonzero too, scaling x, y and z
-by al, be and ga maps a monomial ideal to itself and x + y + z to the form,
-so the two kernels have the same dimension, the sweep's nullity (Migliore,
-Miro-Roig and Nagel, Trans. AMS 2011).  With al or be zero, each generator
-restricts to one monomial on the line, or to 0, and the rank of E is the
-number of distinct monomials.
+Any other form al*x + be*y + ga*z with al, be and ga nonzero has the same
+nullity: scaling x, y and z by al, be and ga maps a monomial ideal to itself
+and x + y + z to the form (Migliore, Miro-Roig and Nagel, Trans. AMS 2011).
 
-The nullity is 1 for the ideal of an action (a, b, c) whose shifted weights
-(0, p, q) = (0, b-a, c-a) are faithful.  Its monomials are invariant under
-rho = diag(1, zeta^p, zeta^q), so a form f of I_d that x + y + z divides is
-divided by the d conjugates x + zeta^(tp) y + zeta^(tq) z, t = 0..d-1,
-which are distinct (gcd(p, q, d) = 1) with x-coefficient 1, so pairwise
-coprime.  So f is a multiple of their product P, which is invariant and
-lies in I_d.  restriction raises ConsistencyError on any other nullity of
-that full invariant ideal, not of a subset, whose nullity may be 0.
+For the full invariant ideal of an action (a, b, c) the nullity is a count
+(conjugate_nullity).  Let g = gcd(b-a, c-a, d), d' = d/g and
+(p', q') = ((b-a)/g, (c-a)/g).
+1. x^i y^j z^k of degree d is invariant exactly when p'j + q'k = 0 (mod d'),
+   as a*d = 0; so every generator is invariant under
+   rho' = diag(1, zeta_d'^p', zeta_d'^q'), with gcd(p', q', d') = 1.
+2. A form f of I_d that L = x + y + z divides is rho'-invariant, so it is
+   divided by the d' conjugates L o rho'^t, t = 0..d'-1.  They are distinct
+   (gcd(p', q', d') = 1) with x-coefficient 1, so pairwise coprime, and
+   their product P' has degree d'.
+3. So f = P'h.  P' is rho'-invariant, so h is rho'-invariant of degree
+   d - d'; conversely every such P'h lies in I_d.
+4. The kernel is P' times the invariant forms of degree d - d', and the
+   nullity is their number, #{i + j + k = d - d' : p'j + q'k = 0 (mod d')}:
+   1 when g = 1, 10 for (1, 1, 1) mod 4 and 12 for (1, 1, 4) mod 9.
+The verdict reads that count and sweeps nothing.  restriction raises
+ConsistencyError when the nullity of a full invariant ideal is any other;
+a subset labelled with the action may have a smaller one.
 
 For L = x + y + z the eigenvalue product of the action lies in that kernel,
 so when the kernel has dimension 1 its vector is the product's coefficient
 vector, scaled.  restriction(ideal) decides E once, by the sweep, and the
 Togliatti predicate, minimality and the product are read off the
-Restriction it returns; the verdict needs only the nullity
-(WlpVerdict.from_nullity).  Restriction.newton_product() is the one
+Restriction it returns.  Restriction.newton_product() is the one
 cross-check of the product against its Newton expansion, for minimal,
 report and conjecture_scan alike.
 """
@@ -66,8 +71,8 @@ import math
 from functools import cached_property
 
 from ._record import Record
-from .actions import Action, GTIdeal, invariant_monomials
-from .circulant import _TERNARY_LIMIT, check_ternary_limit, circulant_product
+from .actions import Action, GTIdeal, invariant_exponents, invariant_monomials
+from .circulant import _TERNARY_LIMIT, circulant_product
 from .errors import ConsistencyError
 from .polymat import SparsePoly, fraction_free_step
 
@@ -76,7 +81,7 @@ __all__ = [
     "Restriction",
     "check_minimality_route",
     "conjecture_scan",
-    "kernel_dimension",
+    "conjugate_nullity",
     "random_scales",
     "restriction",
 ]
@@ -143,28 +148,19 @@ def _togliatti(ideal: GTIdeal, nullity: int) -> bool:
     return nullity >= 1 and _candidate(ideal)
 
 
-def kernel_dimension(ideal: GTIdeal, coeffs=(1, 1, 1)) -> int:
-    """Exact dimension of the kernel of multiplication by
-    al*x + be*y + ga*z, (al, be, ga) = coeffs, from degree d-1 to degree d
-    of the quotient; ga must be nonzero.  With al and be nonzero it is the
-    nullity of E at x + y + z, by the scaling of the module docstring.
-    Otherwise z = -(al*x + be*y)/ga on the line takes x^i y^j z^k to a
-    nonzero multiple of x^(i+k) y^j (be = 0) or of x^i y^(j+k) (al = 0);
-    with al = be = 0, to x^i y^j, or to 0 when k > 0."""
-    al, be, ga = coeffs
-    if ga == 0:
-        raise ValueError("the linear form needs a nonzero z coefficient")
-    if al and be:
-        return restriction(ideal).nullity
-    images = {(i + k, j) if al else (i, j + k)
-              for i, j, k in ideal.generators if al or be or not k}
-    return ideal.mu - len(images)
+def conjugate_nullity(action: Action) -> int:
+    """The nullity of E at x + y + z for the full invariant ideal of the
+    action: the number of invariant forms of degree d - d' (module
+    docstring), counted by invariant_exponents, so 1 when g = 1."""
+    d, (a, b, c) = action.d, action.weights
+    g = math.gcd(b - a, c - a, d)
+    return len(invariant_exponents(d, (0, b - a, c - a), d - d // g))
 
 
 def random_scales(rng):
     """Three nonzero integer scales in 1..9 with random signs: the
-    coefficients of a random linear form for kernel_dimension, or the scales
-    of a membership form of report."""
+    coefficients of a random linear form of gt-verdict --general-l, or the
+    scales of a membership form of report."""
     return tuple(rng.randint(1, 9) * rng.choice((-1, 1)) for _ in range(3))
 
 
@@ -191,7 +187,8 @@ class WlpVerdict(Record):
     @classmethod
     def from_nullity(cls, ideal: GTIdeal, nullity: int) -> WlpVerdict:
         """The verdict from the nullity of E at x + y + z, which is the
-        dimension of the kernel at degree d-1 -> d."""
+        dimension of the kernel at degree d-1 -> d: for the full invariant
+        ideal of an action, conjugate_nullity(action), hence the method."""
         d, mu = ideal.d, ideal.mu
         dim_src, dim_tgt = d * (d + 1) // 2, (d + 1) * (d + 2) // 2 - mu
         rank = dim_src - nullity
@@ -201,7 +198,7 @@ class WlpVerdict(Record):
             fails_injectivity=nullity > 0,
             fails_wlp_at_d_minus_1=rank < min(dim_src, dim_tgt),
             generator_bound_ok=mu <= d + 1, is_togliatti=_togliatti(ideal, nullity),
-            method="restriction",
+            method="conjugate_forms",
         )
 
 
@@ -337,11 +334,10 @@ def restriction(ideal: GTIdeal) -> Restriction:
     if candidate and nullity:
         v = tuple(rows[-1][width:])
         _check_kernel_vector(ideal, v, binomials)
-    if nullity != 1 and ideal.action is not None:
-        w = ideal.action.weights
-        if (math.gcd(w[1] - w[0], w[2] - w[0], d) == 1
-                and gens == invariant_monomials(ideal.action).generators):
-            raise ConsistencyError(f"nullity {nullity} of E where the shifted weights are faithful")
+    if ideal.action is not None:
+        count = conjugate_nullity(ideal.action)
+        if nullity != count and gens == invariant_monomials(ideal.action).generators:
+            raise ConsistencyError(f"nullity {nullity} of E where the conjugate forms give {count}")
     return Restriction(ideal, nullity, v)
 
 
@@ -370,9 +366,9 @@ def conjecture_scan(d_values):
     not Togliatti systems are recorded as such.  The largest d is checked
     against the ternary limit before the first unit.
     """
-    dmax = max(d_values, default=0)
-    if dmax >= 3:
-        check_ternary_limit(dmax)
+    if max(d_values, default=0) > _TERNARY_LIMIT:
+        raise ValueError(f"the conjecture scan has a size limit: its largest d (--dmax) "
+                         f"must be at most {_TERNARY_LIMIT}")
     findings = []
     units = []
     for d in d_values:

@@ -391,8 +391,8 @@ class TestOneRestrictionPerCommand:
     # free columns.  In the paper's family one row is left over and it takes
     # none, nor where the unit pivots alone reach the rank: (1, 1, 4) mod 9,
     # and (15, 3, 11) mod 16, whose 25 leftover rows are zero at its one free
-    # column.  A --general-l form takes the nullity of x + y + z: no sweep of
-    # its own
+    # column.  gt-verdict reads the count of conjugate forms and sweeps
+    # nothing, with or without --general-l
     @pytest.mark.parametrize("argv,stepped,restrictions,products", [
         (("report", "--d", "7", "--action", "0,1,3"), False, 1, 0),
         (("report", "--d", "7", "--action", "0,1,3", "--general-l", "2"), False, 1, 0),
@@ -401,10 +401,10 @@ class TestOneRestrictionPerCommand:
         (("report", "--d", "16", "--action", "15,3,11"), False, 1, 0),
         (("report", "--d", "30", "--action", "0,2,5"), True, 1, 0),
         (("report", "--d", "30", "--action", "0,2,5", "--general-l", "1"), True, 1, 0),
-        (("gt-verdict", "--d", "7", "--a", "3"), False, 1, 0),
-        (("gt-verdict", "--d", "7", "--a", "3", "--general-l", "2"), False, 1, 0),
-        (("gt-verdict", "--d", "30", "--action", "0,2,5"), True, 1, 0),
-        (("gt-verdict", "--d", "30", "--action", "0,2,5", "--general-l", "3"), True, 1, 0),
+        (("gt-verdict", "--d", "7", "--a", "3"), False, 0, 0),
+        (("gt-verdict", "--d", "7", "--a", "3", "--general-l", "2"), False, 0, 0),
+        (("gt-verdict", "--d", "30", "--action", "0,2,5"), True, 0, 0),
+        (("gt-verdict", "--d", "30", "--action", "0,2,5", "--general-l", "3"), True, 0, 0),
         (("minimal", "--d", "7", "--action", "0,1,3"), False, 1, 1),
         (("minimal", "--d", "13", "--a", "4", "--subset-oracle"), False, 1, 1),
         (("minimal", "--d", "200", "--a", "3"), False, 1, 0),
@@ -415,23 +415,20 @@ class TestOneRestrictionPerCommand:
         code, _, err = run_cli(capsys, *argv)
         assert code == 0, err
         assert len(sweeps) == restrictions
-        assert len({ideal for ideal, _ in sweeps}) == 1
+        assert len({ideal for ideal, _ in sweeps}) == min(restrictions, 1)
         assert all(bool(widths) == stepped for _, widths in sweeps)
         assert len(expansions) == products
 
     @pytest.mark.parametrize("argv,candidate", [
         # no Togliatti candidate (mu > d + 1): the leftover rows of E alone
         (("report", "--d", "16", "--action", "15,3,11"), False),
-        (("gt-verdict", "--d", "16", "--action", "15,3,11"), False),
         (("report", "--d", "200", "--action", "0,0,1"), False),
         # a candidate: each leftover row carries its combination of the
         # generators, and v is checked, whichever command asks
         (("report", "--d", "7", "--action", "0,1,3"), True),
         (("minimal", "--d", "13", "--a", "4", "--subset-oracle"), True),
-        (("gt-verdict", "--d", "7", "--a", "3"), True),
         (("report", "--d", "30", "--action", "0,2,5"), True),
         (("minimal", "--d", "30", "--action", "0,2,5"), True),
-        (("gt-verdict", "--d", "30", "--action", "0,2,5"), True),
     ])
     def test_kernel_vector_only_for_togliatti_candidates(self, capsys, monkeypatch, sweeps, argv,
                                                          candidate):
@@ -445,10 +442,11 @@ class TestOneRestrictionPerCommand:
         assert set(widths) <= {ideal.d + 1 + (ideal.mu if candidate else 0)}
         assert len(checked) == candidate
 
-    def test_gt_verdict_sweeps_once_whatever_the_general_forms(self, capsys, sweeps):
+    def test_gt_verdict_sweeps_nothing_whatever_the_general_forms(self, capsys, sweeps):
         code, out, err = run_cli(capsys, "gt-verdict", "--d", "7", "--a", "3", "--general-l", "3")
         assert code == 0, err
-        (ideal, _), = sweeps
+        assert sweeps == []
+        ideal = actions.invariant_monomials(actions.Action(7, (0, 1, 3)))
         results = json.loads(out)["results"]
         assert results["verdict"]["is_togliatti"] is True
         # each sample's rank is the rank of the multiplication map at its own
@@ -458,30 +456,29 @@ class TestOneRestrictionPerCommand:
             oracle_rank(ideal, tuple(s["coeffs"]))[0] for s in samples] == [
             results["base_rank"]] * 3
 
-    def test_library_verdict_is_one_restriction(self, sweeps):
+    def test_library_verdict_sweeps_nothing(self, sweeps):
         ideal = actions.invariant_monomials(actions.Action(13, (0, 1, 4)))
-        verdict = wlp.WlpVerdict.from_nullity(ideal, wlp.kernel_dimension(ideal))
-        assert verdict.is_togliatti and sweeps == [(ideal, [])]
+        verdict = wlp.WlpVerdict.from_nullity(ideal, wlp.conjugate_nullity(ideal.action))
+        assert verdict.is_togliatti and verdict.method == "conjugate_forms" and sweeps == []
 
     def test_gt_verdict_at_d_3000_needs_no_elimination(self, capsys, sweeps):
-        # (0, 0, 1): y^j x^(d-j) gives every column a unit pivot, so the rank
-        # is d + 1 and no fraction-free step is taken
+        # (0, 0, 1): the count of conjugate forms is 1, and nothing is swept
         code, out, err = run_cli(capsys, "gt-verdict", "--d", "3000", "--action", "0,0,1")
         assert code == 0, err
-        assert len(sweeps) == 1 and sweeps[0][1] == []
+        assert sweeps == []
         verdict = json.loads(out)["results"]["verdict"]
         assert (verdict["mu"], verdict["fails_injectivity"], verdict["is_togliatti"]) == (
             3002, True, False)
 
     def test_general_forms_at_d_3000_need_no_elimination(self, capsys, sweeps):
-        # each general form takes the nullity of the one sweep of x + y + z,
-        # not an elimination or a sweep of its own
+        # each general form takes the nullity of x + y + z, the count of
+        # conjugate forms, not an elimination or a sweep of its own
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "gt-verdict", "--d", "3000", "--action", "0,0,1",
                                  "--general-l", "2")
         elapsed = time.perf_counter() - start
         assert code == 0, err
-        assert len(sweeps) == 1 and sweeps[0][1] == []
+        assert sweeps == []
         results = json.loads(out)["results"]
         assert [s["rank"] for s in results["general_form_samples"]] == [results["base_rank"]] * 2
         assert elapsed < 1.0, elapsed
@@ -527,7 +524,8 @@ class TestConjectureScanLimit:
                                  str(circulant._TERNARY_LIMIT + 1))
         assert code == 1 and out == ""
         limit = circulant._TERNARY_LIMIT
-        assert err == f"gtsys: error: ternary form supported for 3 <= d <= {limit}\n"
+        assert err == (f"gtsys: error: the conjecture scan has a size limit: its largest d "
+                       f"(--dmax) must be at most {limit}\n")
 
 
 class TestVerdictAtLargeD:
@@ -799,15 +797,35 @@ class TestInvariantLimit:
 
 
 class TestEliminationLimit:
-    @pytest.mark.parametrize("command", ["gt-verdict", "report"])
-    def test_refused_at_once_with_the_limit_named(self, capsys, command):
+    def test_refused_at_once_with_the_limit_named(self, capsys):
         # mu = d + 2 passes the invariant limit; E would have 10^10 cells
         start = time.perf_counter()
-        code, out, err = run_cli(capsys, command, "--d", "100000", "--action", "0,0,1")
+        code, out, err = run_cli(capsys, "report", "--d", "100000", "--action", "0,0,1")
         assert time.perf_counter() - start < 1.0
         assert code == 1 and out == ""
         assert err.startswith(f"gtsys: error: the elimination has a size limit of "
                               f"{wlp.ELIMINATION_LIMIT} matrix cells (ELIMINATION_LIMIT)")
+
+    def test_gt_verdict_is_answered_past_it(self, capsys, sweeps):
+        # the verdict counts conjugate forms and builds no E
+        code, out, err = run_cli(capsys, "gt-verdict", "--d", "100000", "--action", "0,0,1")
+        assert code == 0, err
+        verdict = json.loads(out)["results"]["verdict"]
+        assert (verdict["mu"], verdict["fails_injectivity"], verdict["is_togliatti"]) == (
+            100002, True, False)
+        assert verdict["mu"] * 100001 > wlp.ELIMINATION_LIMIT and sweeps == []
+
+    def test_gt_verdict_past_it_in_a_fresh_process(self):
+        # (0, 2, 5): 50005 generators, 5 * 10^9 cells of E
+        start = time.perf_counter()
+        proc = _python("-m", "gtsystems.cli", "gt-verdict", "--d", "100000", "--action", "0,2,5")
+        elapsed = time.perf_counter() - start
+        assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+        verdict = json.loads(proc.stdout)["results"]["verdict"]
+        assert (verdict["mu"], verdict["rank"], verdict["fails_injectivity"],
+                verdict["is_togliatti"], verdict["method"]) == (
+            50005, None, True, True, "conjugate_forms")
+        assert elapsed < 2.0, elapsed
 
     def test_report_is_refused_before_the_partition(self, capsys, monkeypatch):
         def no_partition(d):

@@ -52,8 +52,8 @@ def test_readme_block_runs(block):
     assert proc.stdout
 
 
-def test_all_nine_readme_gtsys_examples_found():
-    assert len(README_GTSYS) == 9
+def test_all_ten_readme_gtsys_examples_found():
+    assert len(README_GTSYS) == 10
 
 
 def _readme_claim(argv, out, cwd):
@@ -66,6 +66,10 @@ def _readme_claim(argv, out, cwd):
         results = json.loads(out)["results"]
         assert results["base_rank"] == 1125749
         assert [s["rank"] for s in results["general_form_samples"]] == [1125749]
+    elif command == "gt-verdict" and "100000" in argv:  # mu 50005: a count, no elimination
+        verdict = json.loads(out)["results"]["verdict"]
+        assert (verdict["mu"], verdict["fails_injectivity"], verdict["method"]) == (
+            50005, True, "conjugate_forms")
     elif command == "gt-verdict":  # rank 27 of 28: injectivity fails
         verdict = json.loads(out)["results"]["verdict"]
         assert (verdict["rank"], verdict["dim_source"], verdict["fails_injectivity"]) == (
@@ -96,7 +100,8 @@ def _readme_claim(argv, out, cwd):
 
 
 def _example_id(line):
-    return line.split()[1] + ("-general-l" if "--general-l" in line else "")
+    return (line.split()[1] + ("-general-l" if "--general-l" in line else "")
+            + ("-d100000" if "--d 100000" in line else ""))
 
 
 @pytest.mark.parametrize("line", README_GTSYS, ids=_example_id)

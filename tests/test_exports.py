@@ -44,6 +44,7 @@ REMOVED = (
     "_check_elimination_limit",
     "_congruence",
     "_admissible_exponents",
+    "kernel_dimension",
 )
 
 
@@ -118,11 +119,11 @@ def test_cli_holds_no_private_wlp_object():
 
 
 def test_one_restriction_per_ideal_api():
-    from gtsystems import kernel_dimension, restriction
+    from gtsystems import conjugate_nullity, restriction
 
     wlp = gtsystems.wlp
-    assert {"restriction", "kernel_dimension"} <= set(gtsystems.__all__)
-    assert (restriction, kernel_dimension) == (wlp.restriction, wlp.kernel_dimension)
+    assert {"restriction", "conjugate_nullity"} <= set(gtsystems.__all__)
+    assert (restriction, conjugate_nullity) == (wlp.restriction, wlp.conjugate_nullity)
     for name in ("_nullity_and_kernel_vector", "_eigenvalue_product", "_is_minimal",
                  "_is_togliatti_system"):
         assert not hasattr(wlp, name), name
