@@ -10,12 +10,12 @@ input, 2 when an internal cross-check fails.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import io
 import marshal
 import sys
 from _json import encode_basestring_ascii as _json_str
+from types import SimpleNamespace
 
 from . import __version__
 from .actions import Action, invariant_monomials
@@ -35,20 +35,14 @@ from .wlp import (
 # per-ideal commands and their fresh processes never load them, report loads
 # no arrangements, and json loads only for --stream and csv.  The records
 # are plain frozen classes (_record), so no gtsys process imports
-# dataclasses, and with it inspect.  A call is parsed by its command's own
-# parser, built on first use; the full parser of all nine commands is built
-# only for help and usage errors (see main)
+# dataclasses, and with it inspect.  A plain call (full option names, each
+# once, values that do not start with -) is read from the option table
+# _COMMANDS, and loads no argparse, gettext or locale.  Any other call is
+# parsed by argparse: by its command's own parser, built on first use, and
+# by the full parser of all nine commands for help and usage errors (see
+# _parse)
 
 DEFAULT_SEED = 20260814
-
-
-class CliParser(argparse.ArgumentParser):
-    """argparse exits with 2 on bad usage; the contract here is 1."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        sys.exit(1)
 
 
 def _check(name, status, detail=""):
@@ -57,7 +51,11 @@ def _check(name, status, detail=""):
 
 def _parse_action(args) -> Action:
     if args.action:
-        parts = [int(p) for p in args.action.split(",")]
+        try:
+            parts = [int(p) for p in args.action.split(",")]
+        except ValueError:
+            raise ValueError("--action expects three comma-separated integer weights, "
+                             f"got {args.action!r}") from None
         if len(parts) != 3:
             raise ValueError("--action expects three comma-separated weights")
         return Action(args.d, tuple(parts))
@@ -615,81 +613,165 @@ def _emit(text, out_path):
 
 # ---------------------------------------------------------------- wiring
 
+# The most samples --general-l draws.  The samples cost time and memory
+# linearly: at the limit gt-verdict and report take 1.2-1.5 s with a peak
+# resident set of about 110 MiB as fresh processes printing JSON (Python
+# 3.11, one core of a shared Xeon host).
+GENERAL_L_LIMIT = 100_000
+
 
 def _count(text):
-    """The --general-l value: a number of samples, so at least 0."""
+    """The --general-l value: a number of samples, so at least 0 and at most
+    GENERAL_L_LIMIT.  A bad value raises argparse's ArgumentTypeError, a
+    usage error."""
     try:
         n = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"the number of samples must be >= 0, got {n}")
-    return n
+        problem = f"invalid int value: {text!r}"
+    else:
+        if 0 <= n <= GENERAL_L_LIMIT:
+            return n
+        problem = (f"the number of samples must be >= 0, got {n}" if n < 0 else
+                   f"the number of samples has a size limit of {GENERAL_L_LIMIT} "
+                   f"(GENERAL_L_LIMIT), got {n}")
+    import argparse
+
+    raise argparse.ArgumentTypeError(problem)
 
 
-def _add_common(p, *, d=True, action=False, seed=False):
-    p.add_argument("--format", choices=("json", "md", "csv"), default="json")
-    p.add_argument("--out", default=None, help="write the report to a file")
-    if d:
-        p.add_argument("--d", type=int, required=True)
-    if action:
-        group = p.add_mutually_exclusive_group()
-        group.add_argument("--action", default=None, help="three weights a,b,c")
-        group.add_argument("--a", type=int, default=None, help="shortcut for --action 0,1,a")
-    if seed:
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+# The options of the commands, each the option name and the keywords that
+# add_argument takes
+_FORMAT_OUT = (
+    ("--format", {"choices": ("json", "md", "csv"), "default": "json"}),
+    ("--out", {"default": None, "help": "write the report to a file"}),
+)
+_D = (("--d", {"type": int, "required": True}),)
+_ACTION = (
+    ("--action", {"default": None, "help": "three weights a,b,c"}),
+    ("--a", {"type": int, "default": None, "help": "shortcut for --action 0,1,a"}),
+)
+_VERDICT = _FORMAT_OUT + _D + _ACTION + (
+    ("--seed", {"type": int, "default": DEFAULT_SEED}),
+    ("--general-l", {"type": _count, "default": 0, "dest": "general_l",
+                     "help": "also sample N random linear forms and compare ranks"}),
+)
+# --action and --a name the action twice, so one call takes at most one
+_EXCLUSIVE = frozenset(("--action", "--a"))
 
-
-def _add_verdict(p):
-    _add_common(p, action=True, seed=True)
-    p.add_argument("--general-l", type=_count, default=0, dest="general_l",
-                   help="also sample N random linear forms and compare ranks")
-
-
-def _add_minimal(p):
-    _add_common(p, action=True)
-    p.add_argument("--subset-oracle", action="store_true", dest="subset_oracle")
-
-
-def _add_circulant(p):
-    _add_common(p)
-    p.add_argument("--a", type=int, default=None)
-    p.add_argument("--b", type=int, default=None)
-    p.add_argument("--coeff", default=None, help="comma-separated row indices")
-
-
-def _add_scan(p):
-    _add_common(p, d=False)
-    p.add_argument("--dmax", type=int, required=True)
-    p.add_argument("--stream", action="store_true")
-
-
-def _add_arrangement(p):
-    _add_common(p)
-    p.add_argument("--type", choices=("ceva", "hd", "fermat"), required=True)
-
-
-# every command once, in the order of the help: its help line and the
-# function that adds its arguments to a parser
+# every command once, in the order of the help: its help line, its options in
+# the order of its usage, and the names of those options that exclude each
+# other
 _COMMANDS = {
-    "invariants": ("invariant monomials of an action", lambda p: _add_common(p, action=True)),
-    "gt-verdict": ("weak Lefschetz failure verdict", _add_verdict),
-    "minimal": ("minimality of the Togliatti system", _add_minimal),
-    "classify": ("equivalence classes of actions for one d", _add_common),
-    "circulant": ("exact circulant determinant data", _add_circulant),
-    "conjecture-scan": ("scan (d,a,b) for minimality failures", _add_scan),
-    "surface": ("toric surface invariants of the classical system", _add_common),
-    "arrangement": ("line arrangement census and freeness", _add_arrangement),
-    "report": ("bundle all analyses for one (d, action)", _add_verdict),
+    "invariants": ("invariant monomials of an action", _FORMAT_OUT + _D + _ACTION, _EXCLUSIVE),
+    "gt-verdict": ("weak Lefschetz failure verdict", _VERDICT, _EXCLUSIVE),
+    "minimal": ("minimality of the Togliatti system", _FORMAT_OUT + _D + _ACTION + (
+        ("--subset-oracle", {"action": "store_true", "dest": "subset_oracle"}),
+    ), _EXCLUSIVE),
+    "classify": ("equivalence classes of actions for one d", _FORMAT_OUT + _D, frozenset()),
+    "circulant": ("exact circulant determinant data", _FORMAT_OUT + _D + (
+        ("--a", {"type": int, "default": None}),
+        ("--b", {"type": int, "default": None}),
+        ("--coeff", {"default": None, "help": "comma-separated row indices"}),
+    ), frozenset()),
+    "conjecture-scan": ("scan (d,a,b) for minimality failures", _FORMAT_OUT + (
+        ("--dmax", {"type": int, "required": True}),
+        ("--stream", {"action": "store_true"}),
+    ), frozenset()),
+    "surface": ("toric surface invariants of the classical system", _FORMAT_OUT + _D,
+                frozenset()),
+    "arrangement": ("line arrangement census and freeness", _FORMAT_OUT + _D + (
+        ("--type", {"choices": ("ceva", "hd", "fermat"), "required": True}),
+    ), frozenset()),
+    "report": ("bundle all analyses for one (d, action)", _VERDICT, _EXCLUSIVE),
 }
 
 
-def build_parser() -> CliParser:
+def _plain_form(options, exclusive):
+    """A command's options as _read_plain reads them: the keywords and the
+    dest of each option by name, the defaults of the options that are not
+    required by dest, the required names and the exclusive names."""
+    dests = {option: kw.get("dest") or option.lstrip("-").replace("-", "_")
+             for option, kw in options}
+    defaults = {
+        dests[option]: kw.get("default", False if kw.get("action") == "store_true" else None)
+        for option, kw in options if not kw.get("required")
+    }
+    required = frozenset(option for option, kw in options if kw.get("required"))
+    return dict(options), dests, defaults, required, exclusive
+
+
+_PLAIN_FORMS = {name: _plain_form(options, exclusive)
+                for name, (_, options, exclusive) in _COMMANDS.items()}
+
+
+def _read_plain(name, argv):
+    """The arguments of a plain call of command name with options argv, as
+    build_parser().parse_args gives them, or None for any other call.  A
+    plain call names each option in full and at most once, gives each option
+    but a flag one value that does not start with -, names no two exclusive
+    options and names every required option.  Values go through the
+    option's type and choices, as in argparse, and a value that either
+    refuses makes the call not plain: argparse parses it again and reports
+    or raises what it raises."""
+    keywords, dests, defaults, required, exclusive = _PLAIN_FORMS[name]
+    given = {}
+    rest = iter(argv)
+    for option in rest:
+        kw = keywords.get(option)
+        if kw is None or option in given:
+            return None
+        if kw.get("action") == "store_true":
+            given[option] = True
+            continue
+        text = next(rest, "-")  # a missing value is not plain either
+        if text.startswith("-"):
+            return None
+        value = text
+        if "type" in kw:
+            try:
+                value = kw["type"](text)
+            except Exception:  # argparse's to report, or to raise again
+                return None
+        if "choices" in kw and value not in kw["choices"]:
+            return None
+        given[option] = value
+    if not required <= given.keys() or len(exclusive & given.keys()) > 1:
+        return None
+    args = SimpleNamespace(command=name, **defaults)
+    for option, value in given.items():
+        setattr(args, dests[option], value)
+    return args
+
+
+@functools.cache
+def _parser_class():
+    """The parser class, defined on first use: only a call that is not plain
+    needs argparse, and with it gettext and locale."""
+    import argparse
+
+    class CliParser(argparse.ArgumentParser):
+        """argparse exits with 2 on bad usage; the contract here is 1."""
+
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            print(f"{self.prog}: error: {message}", file=sys.stderr)
+            sys.exit(1)
+
+    return CliParser
+
+
+def _add_options(parser, options, exclusive):
+    group = parser.add_mutually_exclusive_group() if exclusive else None
+    for option, kw in options:
+        (group if option in exclusive else parser).add_argument(option, **kw)
+
+
+def build_parser():
     """The full parser: every command, as a subparser."""
-    parser = CliParser(prog="gtsys", description=__doc__)
+    parser = _parser_class()(prog="gtsys", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
-    for name, (help_line, add_arguments) in _COMMANDS.items():
-        add_arguments(sub.add_parser(name, help=help_line))
+    for name, (help_line, options, exclusive) in _COMMANDS.items():
+        _add_options(sub.add_parser(name, help=help_line), options, exclusive)
     return parser
 
 
@@ -710,20 +792,24 @@ def _full_parser():
 def _command_parser(name):
     parser = _PARSERS.get(name)
     if parser is None:
-        parser = _PARSERS[name] = CliParser(prog=f"gtsys {name}")
-        _COMMANDS[name][1](parser)
+        parser = _PARSERS[name] = _parser_class()(prog=f"gtsys {name}")
+        _add_options(parser, *_COMMANDS[name][1:])
     return parser
 
 
 def _parse(argv):
-    """The Namespace that build_parser().parse_args(argv) gives, with its
-    exits.  A call that starts with a command is parsed by that command's
-    parser alone, and arguments it leaves over are the full parser's error,
-    as in the full parse; help, a missing or unknown command and an option
-    before the command go through the full parser."""
+    """The arguments that build_parser().parse_args(argv) gives, with its
+    exits.  A plain call (_read_plain) is read from the option table alone.
+    Any other call that starts with a command is parsed by that command's
+    parser, and arguments it leaves over are the full parser's error, as in
+    the full parse; help, a missing or unknown command and an option before
+    the command go through the full parser."""
     name = argv[0] if argv else None
     if name not in _COMMANDS:
         return _full_parser().parse_args(argv)
+    args = _read_plain(name, argv[1:])
+    if args is not None:
+        return args
     args, extra = _command_parser(name).parse_known_args(argv[1:])
     if extra:
         _full_parser().error("unrecognized arguments: " + " ".join(extra))

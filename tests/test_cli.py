@@ -12,6 +12,7 @@ import time
 from pathlib import Path
 
 import pytest
+import usage_bytes
 from polyring import add
 from test_wlp import oracle_rank
 
@@ -108,6 +109,32 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert "argument --general-l: the number of samples must be >= 0" in err
+
+    @pytest.mark.parametrize("n", [cli.GENERAL_L_LIMIT + 1, 10**9])
+    @pytest.mark.parametrize("command", ["gt-verdict", "report"])
+    def test_general_l_past_its_limit_is_refused(self, capsys, monkeypatch, command, n):
+        def no_sample(rng):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(cli, "random_scales", no_sample)
+        code, out, err = run_cli(capsys, command, "--d", "7", "--a", "3", "--general-l", str(n))
+        assert code == 1 and out == ""
+        assert err.endswith(f"gtsys {command}: error: argument --general-l: the number of "
+                            f"samples has a size limit of 100000 (GENERAL_L_LIMIT), got {n}\n")
+
+    def test_general_l_at_its_limit(self, capsys):
+        assert cli.GENERAL_L_LIMIT == 100000
+        code, out, _ = run_cli(capsys, "gt-verdict", "--d", "7", "--a", "3", "--general-l",
+                               str(cli.GENERAL_L_LIMIT))
+        assert code == 0
+        assert out.count('"coeffs"') == cli.GENERAL_L_LIMIT
+
+    @pytest.mark.parametrize("weights", ["1,2,x", "1,2,", "1,,2", "a,b,c"])
+    def test_action_that_is_no_integer_triple(self, capsys, weights):
+        code, out, err = run_cli(capsys, "invariants", "--d", "5", "--action", weights)
+        assert (code, out) == (1, "")
+        assert err == ("gtsys: error: --action expects three comma-separated integer weights, "
+                       f"got '{weights}'\n")
 
     @pytest.mark.parametrize("option", [("--a", "3"), ("--action", "0,1,3")])
     def test_classify_takes_no_action(self, capsys, option):
@@ -969,8 +996,9 @@ class TestExitCodeContract:
 
 
 class TestInProcessReuse:
-    """main builds each command's parser once and reuses it; the answers must
-    not change."""
+    """main reads a plain call from the option table and builds no parser; it
+    builds each command's parser once, for the other calls, and reuses it.
+    The answers must not change."""
 
     EXAMPLES = [
         ("invariants", "--d", "7", "--action", "0,1,3"),
@@ -985,7 +1013,10 @@ class TestInProcessReuse:
         ("invariants", "--format", "yaml", "--d", "7", "--a", "3"),  # bad usage: argparse
         ("gt-verdict", "--d", "5", "--a", "2", "--general-l", "2", "--format", "csv"),
         ("report", "--d", "6", "--a", "5", "--format", "md"),
+        ("minimal", "--d=13", "--a", "4"),  # --d=13 is argparse's to read
     ]
+    # the examples that are no plain call
+    NOT_PLAIN = [EXAMPLES[9], EXAMPLES[12]]
 
     @staticmethod
     def _call(capsys, argv, out_path):
@@ -1003,18 +1034,25 @@ class TestInProcessReuse:
         for argv in self.EXAMPLES:
             monkeypatch.setattr(cli, "_PARSERS", {})  # a new parser for this call
             fresh.append(self._call(capsys, argv, out_path))
-            assert list(cli._PARSERS) == [argv[0]]
-        assert [r[0] for r in fresh] == [0] * 8 + [1, 1, 0, 0]
+            # a plain call builds no parser
+            assert list(cli._PARSERS) == ([argv[0]] if argv in self.NOT_PLAIN else [])
+        assert [r[0] for r in fresh] == [0] * 8 + [1, 1, 0, 0, 0]
         monkeypatch.setattr(cli, "_PARSERS", {})
         for argv in self.EXAMPLES:
             self._call(capsys, argv, out_path)
         shared = dict(cli._PARSERS)
-        assert set(shared) == {argv[0] for argv in self.EXAMPLES}
+        assert set(shared) == {argv[0] for argv in self.NOT_PLAIN}
         for _ in range(2):
             for argv, expected in zip(self.EXAMPLES, fresh):
                 assert self._call(capsys, argv, out_path) == expected, argv
         assert cli._PARSERS == shared
         assert all(cli._PARSERS[name] is parser for name, parser in shared.items())
+
+    def test_repeated_parses_match_fresh_parsers(self, tmp_path):
+        for argv in self.EXAMPLES[:9] + self.EXAMPLES[10:]:
+            argv = [a.format(out=tmp_path) for a in argv]
+            for _ in range(2):
+                assert vars(cli._parse(argv)) == vars(build_parser().parse_args(argv)), argv
 
     def test_build_parser_is_fresh_and_holds_no_functions(self):
         assert build_parser() is not build_parser()
@@ -1024,7 +1062,7 @@ class TestInProcessReuse:
     def test_replaced_command_takes_effect_after_first_call(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_PARSERS", {})
         code, out, _ = run_cli(capsys, "surface", "--d", "5")
-        assert code == 0 and list(cli._PARSERS) == ["surface"]
+        assert code == 0 and cli._PARSERS == {}  # a plain call builds no parser
 
         def stub(args):
             return cli._report("surface", {"d": args.d}, {"stub": True}, [])
@@ -1036,8 +1074,9 @@ class TestInProcessReuse:
 
 
 class TestOneParserPerCommand:
-    """main parses a call that starts with a command by that command's parser
-    alone; every exit, message and Namespace is build_parser()'s."""
+    """main reads a plain call from the option table, and parses any other
+    call that starts with a command by that command's parser alone; every
+    exit, message and parsed value is build_parser()'s."""
 
     COMMANDS = list(cli._COMMANDS)
     FAILURES = [
@@ -1057,22 +1096,24 @@ class TestOneParserPerCommand:
         ("arrangement", "--type", "square", "--d", "3"),
         ("conjecture-scan", "--dmax", "5", "--stream", "--dmin", "3"),
     ]
-    VALID = [
-        ("invariants", "--d", "7", "--action=0,1,3"),
-        ("invariants", "--d", "7", "--a", "-1"),
-        ("invariants", "--d=7", "--a=-1", "--format", "md"),
+    PLAIN = [
         ("gt-verdict", "--d", "7", "--a", "3", "--general-l", "2", "--seed", "4"),
-        ("gt-verdict", "--d", "7", "--act", "0,1,3"),  # an abbreviation
         ("minimal", "--d", "7", "--action", "0,1,3", "--subset-oracle"),
         ("classify", "--out", "x.json", "--d", "12"),
         ("circulant", "--d", "6", "--coeff", "0,0,1,3,3,5"),
         ("circulant", "--d", "12", "--a", "1", "--b", "5", "--format", "csv"),
         ("conjecture-scan", "--dmax", "5", "--stream"),
-        ("conjecture-scan", "--dm", "5"),  # an abbreviation
-        ("conjecture-scan", "--dmax", "5", "--d", "7"),  # --d abbreviates --dmax here
         ("surface", "--d", "5"),
         ("arrangement", "--type", "hd", "--d", "3"),
         ("report", "--d", "7", "--action", "0,1,3", "--general-l", "0"),
+    ]
+    VALID = PLAIN + [
+        ("invariants", "--d", "7", "--action=0,1,3"),
+        ("invariants", "--d", "7", "--a", "-1"),
+        ("invariants", "--d=7", "--a=-1", "--format", "md"),
+        ("gt-verdict", "--d", "7", "--act", "0,1,3"),  # an abbreviation
+        ("conjecture-scan", "--dm", "5"),  # an abbreviation
+        ("conjecture-scan", "--dmax", "5", "--d", "7"),  # --d abbreviates --dmax here
     ]
 
     @staticmethod
@@ -1094,6 +1135,8 @@ class TestOneParserPerCommand:
         for name in self.COMMANDS:
             monkeypatch.setattr(cli, "cmd_" + name.replace("-", "_"),
                                 lambda args: parsed.append(args) or "")
+        monkeypatch.setattr(cli, "_PARSER", None)
+        monkeypatch.setattr(cli, "_PARSERS", {})
         got = self._outcome(capsys, lambda: main(list(argv)))
         if reference is None:  # a usage error, or help
             assert (argv in self.FAILURES, got, parsed) == (True, (code, out, err, None), [])
@@ -1103,14 +1146,42 @@ class TestOneParserPerCommand:
             assert parsed == []
         else:
             assert argv in self.VALID
-            assert got == (None, "", "", 0) and parsed == [reference]
+            assert got == (None, "", "", 0)
+            assert [vars(args) for args in parsed] == [vars(reference)]
             assert parsed[0].command == argv[0]
+            # a plain call builds no parser; any other, its command's alone
+            assert list(cli._PARSERS) == ([] if argv in self.PLAIN else [argv[0]])
+            assert cli._PARSER is None
 
     def test_report_and_gt_verdict_share_the_general_l_option(self, capsys):
         assert cli._COMMANDS["report"][1] is cli._COMMANDS["gt-verdict"][1]
         for name in ("report", "gt-verdict"):
             code, out, _ = run_cli(capsys, name, "-h")
             assert code == 0 and "also sample N random linear forms and compare ranks" in out
+
+
+class TestHelpAndUsageBytes:
+    """Help and usage errors print exactly the bytes recorded in
+    tests/usage_bytes.json for this Python version (see tests/usage_bytes.py),
+    so a change to how the parsers are built cannot move them."""
+
+    @pytest.fixture(scope="class")
+    def recorded(self):
+        recorded = usage_bytes.load().get(usage_bytes.version())
+        if recorded is None:
+            pytest.skip(f"no help bytes recorded for Python {usage_bytes.version()}")
+        return {tuple(r[0]): r for r in recorded}
+
+    def test_every_help_and_usage_failure_is_recorded(self, recorded):
+        assert usage_bytes.COMMANDS == tuple(cli._COMMANDS)
+        helps = [("-h",), ()] + [(name, "-h") for name in cli._COMMANDS]
+        failures = TestOneParserPerCommand.FAILURES
+        assert set(recorded) == set(usage_bytes.CALLS) == set(helps + failures)
+
+    @pytest.mark.parametrize("argv", usage_bytes.CALLS, ids=lambda argv: " ".join(argv) or "none")
+    def test_bytes_as_recorded(self, recorded, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", usage_bytes.COLUMNS)
+        assert usage_bytes.record(argv) == recorded[argv]
 
 
 class TestDependencies:

@@ -24,9 +24,12 @@ SUBMODULES = ("actions", "arrangements", "circulant", "classification", "cli",
 # the frozen-record base, which every module with a record imports
 RECORD = "_record"
 
-# standard library modules that no gtsys process loads: the records are not
-# dataclasses, and json loads only for --stream and csv
-UNUSED_STDLIB = ("dataclasses", "inspect", "json")
+# argparse and the modules it loads, only for a call that is not plain
+ARGPARSE = ("argparse", "gettext", "locale")
+
+# standard library modules that no plain gtsys call loads: the records are
+# not dataclasses, and json loads only for --stream and csv
+UNUSED_STDLIB = ("dataclasses", "inspect", "json", *ARGPARSE)
 
 
 def fresh(code, *args):
@@ -128,22 +131,51 @@ def test_bare_import_loads_no_submodule_and_resolves_every_name():
 
 
 @pytest.mark.parametrize("argv,built", [
-    (("minimal", "--d", "7", "--action", "0,1,3"), ["gtsys minimal"]),
-    (("report", "--d", "7", "--action", "0,1,3"), ["gtsys report"]),
+    (("minimal", "--d", "7", "--action", "0,1,3"), []),
+    (("report", "--d", "7", "--action", "0,1,3"), []),
+    (("minimal", "--d", "7", "--act", "0,1,3"), ["gtsys minimal"]),
+    (("report", "--d=7", "--action", "0,1,3"), ["gtsys report"]),
 ])
 def test_a_call_builds_only_its_commands_parser(argv, built):
+    # a plain call builds no parser, and any other call its command's alone:
     # the full parser would add one parser for gtsys and one per command
     code = (
         "import contextlib, io, json, sys\n"
         "from gtsystems import cli\n"
         "built = []\n"
-        "init = cli.CliParser.__init__\n"
+        "init = cli._parser_class().__init__\n"
         "def counted(self, *args, **kwargs):\n"
         "    built.append(kwargs.get('prog'))\n"
         "    init(self, *args, **kwargs)\n"
-        "cli.CliParser.__init__ = counted\n"
+        "cli._parser_class().__init__ = counted\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = cli.main(sys.argv[1:])\n"
         "print(json.dumps([code, built]))\n"
     )
     assert json.loads(fresh(code, *argv)) == [0, built]
+
+
+def imported_by(*argv):
+    """(exit code, the modules that python -X importtime -m gtsystems.cli
+    argv imports, interpreter start-up included)."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+    flags = ["-O"] * sys.flags.optimize
+    proc = subprocess.run([sys.executable, *flags, "-X", "importtime", "-m", "gtsystems.cli",
+                           *argv], capture_output=True, text=True, env=env)
+    names = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+             if line.startswith("import time:")}
+    return proc.returncode, names
+
+
+@pytest.mark.parametrize("argv,code,loads_argparse", [
+    (("gt-verdict", "--d", "7", "--a", "3"), 0, False),
+    (("report", "-h"), 0, True),
+    (("gt-verdict", "--d", "7", "--a", "3", "--general-l", "-1"), 1, True),
+    (("gt-verdict", "--d", "7", "--act", "0,1,3"), 0, True),
+])
+def test_argparse_loads_only_for_calls_that_are_not_plain(argv, code, loads_argparse):
+    got, names = imported_by(*argv)
+    assert "gtsystems.wlp" in names  # imported by the cli module that -m runs
+    assert got == code
+    assert {n: n in names for n in ARGPARSE} == dict.fromkeys(ARGPARSE, loads_argparse)
