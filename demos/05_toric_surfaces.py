@@ -7,7 +7,7 @@ binomial 2x2 minors of a 2-row matrix of monomial entries present the
 ideal: each minor m - n vanishes on the surface because the exponent images
 of m and n under the parametrization agree.  The closed-form Betti table
 has vanishing alternating sums and an h-polynomial that evaluates to d at 1.
-classical_suite(d) holds all four results for one d, computed once.
+classical_suite(d) holds all four results for one d, computed together.
 """
 
 import math
@@ -17,7 +17,7 @@ from gtsystems import classical_suite
 print(" d | degree | smooth | quadrics | cubics | h(1)")
 print("---+--------+--------+----------+--------+-----")
 for d in range(3, 13):
-    suite = classical_suite(d)  # computed once per d, then kept
+    suite = classical_suite(d)
     gp = suite.presentation
     h1 = sum(suite.betti.h_polynomial())
     print(f"{d:2d} | {suite.degree_model.degree:6d} | {str(suite.smoothness.smooth):6s} | {gp.quadric_count:8d} | {gp.cubic_count:6d} | {h1:4d}")

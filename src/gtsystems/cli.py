@@ -37,10 +37,8 @@ from .wlp import (
 # are plain frozen classes (_record), so no gtsys process imports
 # dataclasses, and with it inspect.  A plain call (full option names, each
 # once, values that do not start with -) is read from the option table
-# _COMMANDS, and loads no argparse, gettext or locale.  Any other call is
-# parsed by argparse: by its command's own parser, built on first use, and
-# by the full parser of all nine commands for help and usage errors (see
-# _parse)
+# _COMMANDS, and loads no argparse, gettext or locale; any other call is
+# parsed by the argparse parser of all nine commands, built for it (_parse)
 
 DEFAULT_SEED = 20260814
 
@@ -49,13 +47,18 @@ def _check(name, status, detail=""):
     return {"name": name, "status": status, "detail": str(detail)}
 
 
+def _integers(option, text, what):
+    """The integers in text, the comma-separated value of option; any other
+    value raises a ValueError that names the option and what it expects."""
+    try:
+        return [int(p) for p in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{option} expects {what}, got {text!r}") from None
+
+
 def _parse_action(args) -> Action:
     if args.action:
-        try:
-            parts = [int(p) for p in args.action.split(",")]
-        except ValueError:
-            raise ValueError("--action expects three comma-separated integer weights, "
-                             f"got {args.action!r}") from None
+        parts = _integers("--action", args.action, "three comma-separated integer weights")
         if len(parts) != 3:
             raise ValueError("--action expects three comma-separated weights")
         return Action(args.d, tuple(parts))
@@ -208,7 +211,7 @@ def cmd_circulant(args):
     if args.coeff is not None and (args.a is not None or args.b is not None):
         raise ValueError("--coeff queries the general form; it takes no --a or --b")
     if args.coeff is not None:
-        indices = [int(p) for p in args.coeff.split(",")]
+        indices = _integers("--coeff", args.coeff, "comma-separated integer row indices")
         value = coefficient_query(d, indices)
         s = sum(indices) % d
         inputs["coeff"] = indices
@@ -281,9 +284,8 @@ def cmd_surface(args):
 
 
 def _surface_report(d):
-    """The surface report of the classical system of degree d, built anew on
-    every call from surface.classical_suite(d), which is computed once per d
-    and checks the range of d."""
+    """The surface report of the classical system of degree d, computed anew
+    from surface.classical_suite(d), which checks the range of d."""
     from . import surface
 
     suite = surface.classical_suite(d)
@@ -760,67 +762,33 @@ def _parser_class():
     return CliParser
 
 
-def _add_options(parser, options, exclusive):
-    group = parser.add_mutually_exclusive_group() if exclusive else None
-    for option, kw in options:
-        (group if option in exclusive else parser).add_argument(option, **kw)
-
-
 def build_parser():
     """The full parser: every command, as a subparser."""
     parser = _parser_class()(prog="gtsys", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
     for name, (help_line, options, exclusive) in _COMMANDS.items():
-        _add_options(sub.add_parser(name, help=help_line), options, exclusive)
-    return parser
-
-
-# built on first use and reused: parse_args leaves a parser unchanged, and
-# its defaults are immutable, so calls cannot see each other.  _PARSERS holds
-# one parser per command, each the one build_parser gives that command
-_PARSER = None
-_PARSERS = {}
-
-
-def _full_parser():
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = build_parser()
-    return _PARSER
-
-
-def _command_parser(name):
-    parser = _PARSERS.get(name)
-    if parser is None:
-        parser = _PARSERS[name] = _parser_class()(prog=f"gtsys {name}")
-        _add_options(parser, *_COMMANDS[name][1:])
+        command = sub.add_parser(name, help=help_line)
+        group = command.add_mutually_exclusive_group() if exclusive else None
+        for option, kw in options:
+            (group if option in exclusive else command).add_argument(option, **kw)
     return parser
 
 
 def _parse(argv):
     """The arguments that build_parser().parse_args(argv) gives, with its
-    exits.  A plain call (_read_plain) is read from the option table alone.
-    Any other call that starts with a command is parsed by that command's
-    parser, and arguments it leaves over are the full parser's error, as in
-    the full parse; help, a missing or unknown command and an option before
-    the command go through the full parser."""
-    name = argv[0] if argv else None
-    if name not in _COMMANDS:
-        return _full_parser().parse_args(argv)
-    args = _read_plain(name, argv[1:])
-    if args is not None:
-        return args
-    args, extra = _command_parser(name).parse_known_args(argv[1:])
-    if extra:
-        _full_parser().error("unrecognized arguments: " + " ".join(extra))
-    args.command = name
-    return args
+    exits: a plain call (_read_plain) is read from the option table alone,
+    and any other call is parsed by build_parser()."""
+    if argv and argv[0] in _COMMANDS:
+        args = _read_plain(argv[0], argv[1:])
+        if args is not None:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     args = _parse(sys.argv[1:] if argv is None else list(argv))
     if args.command is None:
-        _full_parser().print_usage(sys.stderr)
+        build_parser().print_usage(sys.stderr)
         print("gtsys: error: a command is required", file=sys.stderr)
         return 1
     # looked up by name on every call, so a replaced cmd_* takes effect

@@ -10,14 +10,12 @@ directions at each vertex form a basis of the difference lattice.  The
 presentation of the classical surface is built from binomials, and each one
 is checked by comparing the exponent images of its two terms.
 
-classical_suite(d) gathers the whole suite of the degree-d classical system
-and is computed once per d per process; it is the one place that checks the
-range of d the suite supports.
+classical_suite(d) gathers the whole suite of the degree-d classical system;
+it is the one place that checks the range of d the suite supports.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 from ._record import Record
@@ -392,15 +390,9 @@ class ClassicalSuite(Record):
     __slots__ = ("ideal", "degree_model", "smoothness", "presentation", "betti")
 
 
-@functools.cache
 def classical_suite(d) -> ClassicalSuite:
-    """The suite for 3 <= d <= 12 (_SURFACE_RANGE), computed on the first call
-    for each d, with every consistency check, and then kept for the process.
-    Any other d raises ValueError.  A raise is never kept, so the memo holds
-    at most len(_SURFACE_RANGE) records, and a failed computation runs again
-    on the next call.  The record is frozen, and its parts are frozen records,
-    tuples and read-only polynomials, so callers share it safely; their
-    to_json builds new dicts on every call."""
+    """The suite for 3 <= d <= 12 (_SURFACE_RANGE), computed with every
+    consistency check; any other d raises ValueError."""
     if d not in _SURFACE_RANGE:
         raise ValueError("the surface suite is supported for "
                          f"{_SURFACE_RANGE.start} <= d <= {_SURFACE_RANGE[-1]}")

@@ -363,10 +363,10 @@ def conjecture_scan(d_values):
     ConsistencyError).  A unit is a counterexample candidate exactly when
     one of the two minimality routes fails.  Pairs with a == b provably keep
     the Lefschetz property and are recorded as degenerate; units that are
-    not Togliatti systems are recorded as such.  The largest d is checked
-    against the ternary limit before the first unit.
+    not Togliatti systems are recorded as such.  Before the first unit the
+    d values are checked against the ternary limit, up to the first past it.
     """
-    if max(d_values, default=0) > _TERNARY_LIMIT:
+    if any(d > _TERNARY_LIMIT for d in d_values):
         raise ValueError(f"the conjecture scan has a size limit: its largest d (--dmax) "
                          f"must be at most {_TERNARY_LIMIT}")
     findings = []

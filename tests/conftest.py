@@ -41,31 +41,14 @@ def sweeps(monkeypatch):
 
 
 @pytest.fixture
-def fresh_suite():
-    """surface.classical_suite with an empty memo at the start and at the end
-    of the test.  A test that patches surface internals and then goes through
-    cli needs it: otherwise the answer comes from a suite computed earlier in
-    the process, and a patched computation could outlive the test."""
-    from gtsystems import surface
-
-    surface.classical_suite.cache_clear()
-    yield surface.classical_suite
-    surface.classical_suite.cache_clear()
-
-
-@pytest.fixture
 def fresh_memos():
-    """The memos kept between calls, cli._d_sections (report's sections that
-    depend on d alone) and surface.classical_suite, both empty at the start
-    and at the end of the test, as fresh_suite empties the one.  The fixture
-    is the function that empties them, for a cold call in the middle of a
-    test."""
-    from gtsystems import cli, surface
+    """The memo kept between calls, cli._d_sections (report's sections that
+    depend on d alone), empty at the start and at the end of the test.  The
+    fixture is the function that empties it, for a cold call in the middle
+    of a test."""
+    from gtsystems import cli
 
-    def clear():
-        cli._d_sections.cache_clear()
-        surface.classical_suite.cache_clear()
-
+    clear = cli._d_sections.cache_clear
     clear()
     yield clear
     clear()

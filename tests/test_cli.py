@@ -159,11 +159,13 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err == "gtsys: error: --coeff queries the general form; it takes no --a or --b\n"
 
-    def test_empty_coeff_is_refused(self, capsys):
+    @pytest.mark.parametrize("coeff", ["", "1,x,2"])
+    def test_coeff_that_is_no_integer_list_is_refused(self, capsys, coeff):
         # an empty query names no coefficient; it is not the general form
-        code, out, err = run_cli(capsys, "circulant", "--d", "5", "--coeff", "")
+        code, out, err = run_cli(capsys, "circulant", "--d", "5", "--coeff", coeff)
         assert code == 1 and out == ""
-        assert err.startswith("gtsys: error: ")
+        assert err == ("gtsys: error: --coeff expects comma-separated integer row indices, "
+                       f"got {coeff!r}\n")
 
     def test_oversized_request_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "circulant", "--d", "25")
@@ -540,15 +542,31 @@ class TestBenchContract:
         assert len(verdicts[answers.KNOWN_FAILURE]) == 5, verdicts[answers.KNOWN_FAILURE]
         assert all(a.startswith("minimal") for a in verdicts[answers.KNOWN_FAILURE])
 
+    def test_every_call_is_plain(self, monkeypatch):
+        # the benchmark times the route of plain calls, the option table: a
+        # call that argparse parses would time the other route
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+        workloads = importlib.import_module("workloads")
+        run = importlib.import_module("run")
+        pool = workloads.load_pool()
+        calls = [argv for seed in (1, DEFAULT_SEED)
+                 for argv in next(workloads.interactive_passes(pool, seed))]
+        calls += [*workloads.SCAN, *workloads.SCAN_TOY, *workloads.BATCH, *workloads.BATCH_TOY,
+                  run.WARMUP]
+        assert len(calls) == 2 * len(pool) + 11
+        assert [argv for argv in calls if cli._read_plain(argv[0], argv[1:]) is None] == []
+
 
 class TestConjectureScanLimit:
-    def test_dmax_past_the_ternary_limit_fails_before_any_unit(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("dmax", [circulant._TERNARY_LIMIT + 1, 10**12])
+    def test_dmax_past_the_ternary_limit_fails_before_any_unit(self, capsys, monkeypatch, dmax):
         def no_scan(action):
             raise AssertionError(f"scanned {action}")
 
         monkeypatch.setattr(wlp, "invariant_monomials", no_scan)
-        code, out, err = run_cli(capsys, "conjecture-scan", "--dmax",
-                                 str(circulant._TERNARY_LIMIT + 1))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "conjecture-scan", "--dmax", str(dmax))
+        assert time.perf_counter() - start < 1.0  # no walk over every d up to dmax
         assert code == 1 and out == ""
         limit = circulant._TERNARY_LIMIT
         assert err == (f"gtsys: error: the conjecture scan has a size limit: its largest d "
@@ -672,8 +690,8 @@ class TestLibraryLimits:
 
 
 class TestSurfaceSuiteMemo:
-    """surface.classical_suite computes the suite once per d; surface and
-    report's surface section build their dicts from it on every call."""
+    """report keeps its surface section per d, in cli._d_sections; surface
+    computes the suite on every call."""
 
     @pytest.mark.parametrize("d", surface._SURFACE_RANGE)
     def test_cold_and_warm_calls_print_the_same(self, d, capsys, fresh_memos):
@@ -683,11 +701,10 @@ class TestSurfaceSuiteMemo:
         for argv in calls:
             fresh_memos()
             cold = run_cli(capsys, *argv)
-            assert surface.classical_suite.cache_info().currsize == 1, argv
             warm = run_cli(capsys, *argv)
             assert cold[0] == 0 and cold == warm, argv
 
-    def test_each_suite_function_runs_once_per_d(self, capsys, monkeypatch, fresh_memos):
+    def test_report_runs_each_suite_function_once_per_d(self, capsys, monkeypatch, fresh_memos):
         names = ("exponent_polytope_degree", "polytope_smoothness", "determinantal_generators",
                  "betti_table")
         runs = []
@@ -706,16 +723,17 @@ class TestSurfaceSuiteMemo:
                          ("report", "--d", str(d), "--a", "2"),
                          ("report", "--d", str(d), "--action", "0,1,2", "--format", "md")):
                 assert run_cli(capsys, *argv)[0] == 0, argv
-        assert sorted(runs) == sorted((name, d) for name in names for d in surface._SURFACE_RANGE)
+        # once for the first report of each d, once for its surface call
+        assert sorted(runs) == sorted((name, d) for name in names
+                                      for d in surface._SURFACE_RANGE for _ in range(2))
 
-    def test_a_failed_computation_is_not_kept(self, capsys, monkeypatch, fresh_suite):
+    def test_a_failed_computation_is_not_kept(self, capsys, monkeypatch):
         params = actions._classical_exponents(9)
         params[2], params[3] = params[3], params[2]
         monkeypatch.setattr(surface, "_classical_exponents", lambda _: params)
         code, out, err = run_cli(capsys, "surface", "--d", "9")
         assert (code, out) == (2, "")
         assert err == "gtsys: consistency failure: pullback of a presentation generator is nonzero at d=9\n"
-        assert fresh_suite.cache_info().currsize == 0
         monkeypatch.undo()
         code, out, _ = run_cli(capsys, "surface", "--d", "9")
         assert code == 0 and json.loads(out)["results"]["presentation"]["pullbacks_vanish"]
@@ -779,7 +797,6 @@ class TestReportMemo:
             2, "", "gtsys: consistency failure: pullback of a presentation generator is "
                    "nonzero at d=9\n")
         assert cli._d_sections.cache_info().currsize == 0
-        assert surface.classical_suite.cache_info().currsize == 0
         monkeypatch.undo()
         code, out, _ = run_cli(capsys, "report", "--d", "9", "--a", "2")
         assert code == 0 and json.loads(out)["results"]["surface"]["presentation"]["pullbacks_vanish"]
@@ -995,10 +1012,30 @@ class TestExitCodeContract:
         assert found == []
 
 
+# the parsers that build_parser() builds, by prog: gtsys and one per command
+FULL_PARSER = ["gtsys", *(f"gtsys {name}" for name in cli._COMMANDS)]
+
+
+@pytest.fixture
+def built_parsers(monkeypatch):
+    """The prog of every argparse parser built from here on, subparsers
+    included."""
+    built = []
+    cls = cli._parser_class()
+    init = cls.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", counted)
+    return built
+
+
 class TestInProcessReuse:
-    """main reads a plain call from the option table and builds no parser; it
-    builds each command's parser once, for the other calls, and reuses it.
-    The answers must not change."""
+    """main reads a plain call from the option table and builds no parser;
+    any other call builds the full parser for itself.  Repeated calls in one
+    process give the answers of the first."""
 
     EXAMPLES = [
         ("invariants", "--d", "7", "--action", "0,1,3"),
@@ -1028,25 +1065,17 @@ class TestInProcessReuse:
             out_path.unlink()
         return code, out, err, written
 
-    def test_repeated_calls_match_fresh_parsers(self, capsys, monkeypatch, tmp_path):
+    def test_repeated_calls_give_the_first_answers(self, capsys, tmp_path, built_parsers):
         out_path = tmp_path / "report.json"
-        fresh = []
+        first = []
         for argv in self.EXAMPLES:
-            monkeypatch.setattr(cli, "_PARSERS", {})  # a new parser for this call
-            fresh.append(self._call(capsys, argv, out_path))
-            # a plain call builds no parser
-            assert list(cli._PARSERS) == ([argv[0]] if argv in self.NOT_PLAIN else [])
-        assert [r[0] for r in fresh] == [0] * 8 + [1, 1, 0, 0, 0]
-        monkeypatch.setattr(cli, "_PARSERS", {})
-        for argv in self.EXAMPLES:
-            self._call(capsys, argv, out_path)
-        shared = dict(cli._PARSERS)
-        assert set(shared) == {argv[0] for argv in self.NOT_PLAIN}
+            built_parsers.clear()
+            first.append(self._call(capsys, argv, out_path))
+            assert built_parsers == (FULL_PARSER if argv in self.NOT_PLAIN else []), argv
+        assert [r[0] for r in first] == [0] * 8 + [1, 1, 0, 0, 0]
         for _ in range(2):
-            for argv, expected in zip(self.EXAMPLES, fresh):
+            for argv, expected in zip(self.EXAMPLES, first):
                 assert self._call(capsys, argv, out_path) == expected, argv
-        assert cli._PARSERS == shared
-        assert all(cli._PARSERS[name] is parser for name, parser in shared.items())
 
     def test_repeated_parses_match_fresh_parsers(self, tmp_path):
         for argv in self.EXAMPLES[:9] + self.EXAMPLES[10:]:
@@ -1059,10 +1088,10 @@ class TestInProcessReuse:
         args = build_parser().parse_args(["surface", "--d", "5"])
         assert not any(callable(v) for v in vars(args).values())
 
-    def test_replaced_command_takes_effect_after_first_call(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_PARSERS", {})
+    def test_replaced_command_takes_effect_after_first_call(self, capsys, monkeypatch,
+                                                            built_parsers):
         code, out, _ = run_cli(capsys, "surface", "--d", "5")
-        assert code == 0 and cli._PARSERS == {}  # a plain call builds no parser
+        assert code == 0 and built_parsers == []  # a plain call builds no parser
 
         def stub(args):
             return cli._report("surface", {"d": args.d}, {"stub": True}, [])
@@ -1073,10 +1102,10 @@ class TestInProcessReuse:
         assert json.loads(out)["results"] == {"stub": True}
 
 
-class TestOneParserPerCommand:
+class TestOneArgparseRoute:
     """main reads a plain call from the option table, and parses any other
-    call that starts with a command by that command's parser alone; every
-    exit, message and parsed value is build_parser()'s."""
+    call by build_parser(); every exit, message and parsed value is
+    build_parser()'s."""
 
     COMMANDS = list(cli._COMMANDS)
     FAILURES = [
@@ -1127,7 +1156,8 @@ class TestOneParserPerCommand:
         return code, out, err, result
 
     @pytest.mark.parametrize("argv", FAILURES + VALID, ids=lambda argv: " ".join(argv) or "none")
-    def test_main_parses_as_the_full_parser(self, capsys, monkeypatch, tmp_path, argv):
+    def test_main_parses_as_the_full_parser(self, capsys, monkeypatch, tmp_path, argv,
+                                            built_parsers):
         monkeypatch.chdir(tmp_path)  # --out x.json writes the stub's empty report here
         code, out, err, reference = self._outcome(
             capsys, lambda: build_parser().parse_args(list(argv)))
@@ -1135,23 +1165,24 @@ class TestOneParserPerCommand:
         for name in self.COMMANDS:
             monkeypatch.setattr(cli, "cmd_" + name.replace("-", "_"),
                                 lambda args: parsed.append(args) or "")
-        monkeypatch.setattr(cli, "_PARSER", None)
-        monkeypatch.setattr(cli, "_PARSERS", {})
+        built_parsers.clear()
         got = self._outcome(capsys, lambda: main(list(argv)))
+        built = list(built_parsers)
         if reference is None:  # a usage error, or help
             assert (argv in self.FAILURES, got, parsed) == (True, (code, out, err, None), [])
+            assert built == FULL_PARSER
         elif reference.command is None:
             usage = build_parser().format_usage()
             assert got == (None, "", usage + "gtsys: error: a command is required\n", 1)
             assert parsed == []
+            assert built == FULL_PARSER * 2  # one parses, and one prints the usage
         else:
             assert argv in self.VALID
             assert got == (None, "", "", 0)
             assert [vars(args) for args in parsed] == [vars(reference)]
             assert parsed[0].command == argv[0]
-            # a plain call builds no parser; any other, its command's alone
-            assert list(cli._PARSERS) == ([] if argv in self.PLAIN else [argv[0]])
-            assert cli._PARSER is None
+            # a plain call builds no parser; any other, the full parser
+            assert built == ([] if argv in self.PLAIN else FULL_PARSER)
 
     def test_report_and_gt_verdict_share_the_general_l_option(self, capsys):
         assert cli._COMMANDS["report"][1] is cli._COMMANDS["gt-verdict"][1]
@@ -1175,7 +1206,7 @@ class TestHelpAndUsageBytes:
     def test_every_help_and_usage_failure_is_recorded(self, recorded):
         assert usage_bytes.COMMANDS == tuple(cli._COMMANDS)
         helps = [("-h",), ()] + [(name, "-h") for name in cli._COMMANDS]
-        failures = TestOneParserPerCommand.FAILURES
+        failures = TestOneArgparseRoute.FAILURES
         assert set(recorded) == set(usage_bytes.CALLS) == set(helps + failures)
 
     @pytest.mark.parametrize("argv", usage_bytes.CALLS, ids=lambda argv: " ".join(argv) or "none")

@@ -296,27 +296,24 @@ class TestBettiTables:
 
 class TestClassicalSuite:
     @pytest.mark.parametrize("d", surface._SURFACE_RANGE)
-    def test_suite_is_the_four_results(self, d, fresh_suite):
-        suite = fresh_suite(d)
+    def test_suite_is_the_four_results(self, d):
+        suite = surface.classical_suite(d)
         ideal = generalized_classical(d)
         assert suite == surface.ClassicalSuite(
             ideal, exponent_polytope_degree(ideal), polytope_smoothness(ideal),
             determinantal_generators(d), betti_table(d),
         )
-        assert fresh_suite(d) is suite
+        assert surface.classical_suite(d) == suite
         with pytest.raises(AttributeError):
             suite.betti = None
 
-    def test_memo_holds_only_the_range(self, fresh_suite):
+    def test_refuses_every_d_outside_the_range(self):
         lo, hi = surface._SURFACE_RANGE[0], surface._SURFACE_RANGE[-1]
         refused = []
-        for _ in range(2):
-            for d in range(-1, 21):
-                try:
-                    fresh_suite(d)
-                except ValueError as exc:
-                    assert str(exc) == f"the surface suite is supported for {lo} <= d <= {hi}"
-                    refused.append(d)
-        outside = [d for d in range(-1, 21) if d not in surface._SURFACE_RANGE]
-        assert refused == outside * 2
-        assert fresh_suite.cache_info().currsize == len(surface._SURFACE_RANGE)
+        for d in range(-1, 21):
+            try:
+                surface.classical_suite(d)
+            except ValueError as exc:
+                assert str(exc) == f"the surface suite is supported for {lo} <= d <= {hi}"
+                refused.append(d)
+        assert refused == [d for d in range(-1, 21) if d not in surface._SURFACE_RANGE]

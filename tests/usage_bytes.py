@@ -1,6 +1,6 @@
 """The help and usage bytes of gtsys, pinned: exit code, stdout and stderr of
 `gtsys -h`, of each command's -h, of no arguments and of the usage errors of
-tests/test_cli.py::TestOneParserPerCommand, each through cli.main in-process
+tests/test_cli.py::TestOneArgparseRoute, each through cli.main in-process
 at a help width of 80 columns.
 
 argparse words and wraps some lines differently from one Python version to
