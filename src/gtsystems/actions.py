@@ -3,9 +3,12 @@
 An action is a weight triple (a,b,c): the group generator scales the variables
 by zeta^a, zeta^b, zeta^c.  A degree-d monomial x^al y^be z^ga is invariant
 exactly when a*al + b*be + c*ga = 0 (mod d).  invariant_exponents is the one
-solver of that congruence, for any weights and degree: the invariant ideal,
-the bound of check_invariant_limit and the Newton power sums of circulant all
-read it.  The direct scan of the simplex is its oracle in the tests.
+solver of that congruence, for any weights and degree: the invariant ideal
+and the Newton power sums of circulant read it.  invariant_count counts the
+solutions of three weights by floor sums, in O(log d), without listing them:
+mu, the nullity of every verdict (wlp.conjugate_nullity) and the limit of
+check_invariant_limit read it.  The direct scan of the simplex is the
+oracle of both in the tests.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ __all__ = [
     "InvalidActionError",
     "check_invariant_limit",
     "generalized_classical",
+    "invariant_count",
     "invariant_exponents",
     "invariant_monomials",
     "monomial_str",
@@ -28,7 +32,7 @@ __all__ = [
 ]
 
 
-# Largest number of monomials invariant_monomials may yield, bounded before
+# Largest number of monomials invariant_monomials may yield, counted before
 # the enumeration starts (check_invariant_limit).
 INVARIANT_LIMIT = 10**6
 
@@ -55,7 +59,9 @@ class Action(Record):
         super().__init__(d, w)
 
     def normalized(self) -> tuple:
-        return normalize_action(self.d, *self.weights)
+        """normalize_action of the weights, read off the validated ones."""
+        d, w = self.d, self.weights
+        return tuple(sorted((v - w[0]) % d for v in w))
 
     def to_json(self):
         return {"d": self.d, "weights": list(self.weights)}
@@ -68,8 +74,7 @@ def normalize_action(d, a, b, c) -> tuple:
     """Canonical weights of a faithful action: subtract the first weight, then
     sort.  A plain tuple, as they need not be faithful: (5,1,1) mod 6 gives
     (0,2,2)."""
-    probe = Action(d, (a, b, c))
-    return tuple(sorted((w - probe.weights[0]) % d for w in probe.weights))
+    return Action(d, (a, b, c)).normalized()
 
 
 class GTIdeal(Record):
@@ -87,9 +92,12 @@ class GTIdeal(Record):
         # one pass tells a strictly descending input, which needs no sort
         if any(g <= h for g, h in zip(gens, gens[1:])):
             gens = tuple(sorted(set(gens), reverse=True))
-        for g in gens:
-            if len(g) != 3 or min(g) < 0 or sum(g) != d:
-                raise ValueError(f"bad degree-{d} generator {g}")
+        # whole-tuple passes, lengths first, so min sees no empty generator;
+        # only a failed pass looks for the first bad one
+        if gens and (set(map(len, gens)) != {3} or min(map(min, gens)) < 0
+                     or set(map(sum, gens)) != {d}):
+            bad = next(g for g in gens if len(g) != 3 or min(g) < 0 or sum(g) != d)
+            raise ValueError(f"bad degree-{d} generator {bad}")
         super().__init__(d, gens, action)
 
     @property
@@ -97,8 +105,11 @@ class GTIdeal(Record):
         return len(self.generators)
 
     def has_pure_powers(self):
-        need = {(self.d, 0, 0), (0, self.d, 0), (0, 0, self.d)}
-        return need.issubset(set(self.generators))
+        """x^d, y^d and z^d are generators: in descending order x^d is the
+        first and z^d the last."""
+        d, gens = self.d, self.generators
+        return (bool(gens) and gens[0] == (d, 0, 0) and gens[-1] == (0, 0, d)
+                and (0, d, 0) in gens)
 
     def generator_strings(self):
         return [monomial_str(g) for g in self.generators]
@@ -149,34 +160,83 @@ def invariant_exponents(d, weights, n):
     return found
 
 
-def _class_bound(d, a, b, c):
-    """The bound N + h*N/2 of check_invariant_limit for the weights in this order."""
-    h = math.gcd(b - c, d)
-    t = h // math.gcd(a - c, h)
-    n = d // t + 1
-    return n + n * h // 2
+def _floor_sum(n, m, a, b):
+    """sum_{t < n} floor((a*t + b) / m) for m >= 1 and any integers a, b, in
+    O(log m) steps of Euclid's algorithm (the AtCoder Library's floor_sum;
+    Graham, Knuth and Patashnik, Concrete Mathematics, section 3.5)."""
+    total = 0
+    while n:
+        q, a = divmod(a, m)
+        r, b = divmod(b, m)
+        total += n * (n - 1) // 2 * q + n * r
+        top = a * n + b
+        if top < m:
+            break
+        # the lattice points under the line, counted by columns instead
+        n, b = divmod(top, m)
+        m, a = a, m
+    return total
+
+
+def invariant_count(d, weights, n):
+    """The number of exponent vectors (i, j, k) with i + j + k = n and
+    a*i + b*j + c*k = 0 (mod d), for three weights (a, b, c) and n >= 0:
+    len(invariant_exponents(d, weights, n)), in O(log d) operations on
+    integers.  mu is invariant_count(d, weights, d).
+
+    With i = n - j - k the congruence reads p*j + q*k = r (mod d), where
+    p = b - a, q = c - a and r = -a*n.  Let h = gcd(p, d) and M = d / h.
+    A j exists exactly when q*k = r (mod h).  With h' = gcd(q, h) that has
+    solutions only when h' divides r, and then k runs over one class
+    k0 + s*t, t >= 0, with s = h / h'.  For each such k, p*j = r - q*k
+    (mod d) puts j in one class modulo M, J0 + C*t (mod M), where u is the
+    inverse of p/h modulo M, J0 = u*(r - q*k0)/h mod M and
+    C = -u*q*s/h mod M.  The number of j in [0, n - k] of class
+    rho(t) = (J0 + C*t) mod M is floor((n - k - rho(t)) / M) + 1, which is
+    0 when rho(t) > n - k, as rho(t) < M.  Writing rho(t) as
+    J0 + C*t - M*floor((J0 + C*t) / M) and summing over the
+    T = floor((n - k0) / s) + 1 values of t gives
+
+        T + floor_sum(T, M, -(s + C), n - k0 - J0) + floor_sum(T, M, C, J0).
+
+    For weights (0, p, q) at n = d, r = k0 = J0 = 0 and this is
+    T + floor_sum(T, M, -(s + C), n) + floor_sum(T, M, C, 0)."""
+    a, b, c = weights
+    p, q, r = b - a, c - a, -a * n
+    h = math.gcd(p, d)
+    hq = math.gcd(q, h)
+    if r % hq:
+        return 0
+    s, big_m = h // hq, d // h
+    k0 = r // hq * pow(q // hq, -1, s) % s
+    if k0 > n:
+        return 0
+    u = pow(p // h, -1, big_m)
+    j0 = (r - q * k0) // h * u % big_m
+    step = -(q * s // h) * u % big_m
+    big_t = (n - k0) // s + 1
+    return (big_t + _floor_sum(big_t, big_m, -(s + step), n - k0 - j0)
+            + _floor_sum(big_t, big_m, step, j0))
 
 
 def check_invariant_limit(action: Action):
-    """Raise ValueError when invariant_monomials could yield more than
-    INVARIANT_LIMIT monomials.  In the classes of invariant_exponents, with
-    h = gcd(b - c, d) and t = h / gcd(a - c, h), the last two exponents of
-    x^(d-n) y^be z^ga have solutions exactly when t divides n (a*d = 0), and
-    then at most n*h/d + 1 of them.  Summed over the N = d // t + 1 values
-    n = k*t that is N + t*h*N*(N - 1) / (2d), which is N + h*N/2 as t
-    divides d.  The number of monomials does not change when the variables
-    are permuted, so the bound is the least of that formula over the three
-    cyclic orders of the weights (swapping the last two weights keeps h and
-    t).  It is exact for (1, 1, 1) and for every action that moves one
-    variable only, and more than d/2 in every order, so twice it also bounds
-    the d + 1 x-exponents that the enumeration visits."""
+    """Raise ValueError when the action has more than INVARIANT_LIMIT
+    invariant monomials of degree d: the exact number, invariant_count,
+    which the refusal names.  A d with at most INVARIANT_LIMIT monomials of
+    degree d in all, (d + 1)(d + 2)/2, passes without a count.  The count
+    is at least d/2 + 5/2: the (j, k) of the invariant x^i y^j z^k form a
+    lattice of index d/g <= d in Z^2, and the triangle j, k >= 0,
+    j + k <= d has its three vertices on it and area d^2/2, so Pick's
+    theorem gives at least d/2 + 1 + 3/2 lattice points in it.  So the
+    limit also bounds the d + 1 x-exponents that the enumeration visits."""
     d = action.d
-    a, b, c = action.weights
-    bound = min(_class_bound(d, *w) for w in ((a, b, c), (b, c, a), (c, a, b)))
-    if bound > INVARIANT_LIMIT:
+    if (d + 1) * (d + 2) // 2 <= INVARIANT_LIMIT:
+        return
+    mu = invariant_count(d, action.weights, d)
+    if mu > INVARIANT_LIMIT:
         raise ValueError(
             f"the invariant enumeration has a size limit of {INVARIANT_LIMIT} monomials "
-            f"(INVARIANT_LIMIT); the action {action} may have up to {bound}"
+            f"(INVARIANT_LIMIT); the action {action} has {mu}"
         )
 
 

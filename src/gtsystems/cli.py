@@ -18,7 +18,7 @@ from _json import encode_basestring_ascii as _json_str
 from types import SimpleNamespace
 
 from . import __version__
-from .actions import Action, invariant_monomials
+from .actions import Action, invariant_count, invariant_monomials
 from .circulant import check_ternary_limit, circulant_det_symbolic, coefficient_query
 from .errors import ConsistencyError
 from .wlp import (
@@ -80,6 +80,18 @@ def _report(command, inputs, results, checks):
 # ---------------------------------------------------------------- commands
 
 
+def _invariant_ideal(action):
+    """The invariant ideal of the action, enumerated by invariant_monomials,
+    for the commands that print or sweep its generators; their number must
+    be the count invariant_count, else ConsistencyError."""
+    ideal = invariant_monomials(action)
+    mu = invariant_count(action.d, action.weights, action.d)
+    if ideal.mu != mu:
+        raise ConsistencyError(
+            f"{ideal.mu} invariant monomials enumerated where the count gives {mu}")
+    return ideal
+
+
 def _invariants_report(ideal):
     d, action = ideal.d, ideal.action
     checks = [
@@ -101,13 +113,14 @@ def _invariants_report(ideal):
 
 
 def cmd_invariants(args):
-    return _invariants_report(invariant_monomials(_parse_action(args)))
+    return _invariants_report(_invariant_ideal(_parse_action(args)))
 
 
-def _verdict_report(ideal, general_l, seed):
-    nullity = conjugate_nullity(ideal.action)
-    verdict = WlpVerdict.from_nullity(ideal, nullity)
-    artinian = ideal.has_pure_powers()
+def _verdict_report(action, mu, nullity, artinian, general_l, seed):
+    """The verdict of the full invariant ideal of the action, with mu
+    generators, the nullity and all three pure powers when artinian."""
+    d = action.d
+    verdict = WlpVerdict.from_counts(d, action, mu, nullity, artinian)
     checks = [
         _check("artinian", "pass" if artinian else "finding",
                "contains all three pure powers" if artinian else "missing a pure power"),
@@ -136,11 +149,16 @@ def _verdict_report(ideal, general_l, seed):
         ]
         results["base_rank"] = base_rank
         checks.append(_check("general_form_ranks_agree", "pass", f"base rank {base_rank}"))
-    return _report("gt-verdict", {"d": ideal.d, "action": str(ideal.action)}, results, checks)
+    return _report("gt-verdict", {"d": d, "action": str(action)}, results, checks)
 
 
 def cmd_gt_verdict(args):
-    return _verdict_report(invariant_monomials(_parse_action(args)), args.general_l, args.seed)
+    """The verdict from two counts, in O(log d): no ideal is built, and the
+    pure powers are invariant, as a*d = 0."""
+    action = _parse_action(args)
+    d = action.d
+    return _verdict_report(action, invariant_count(d, action.weights, d),
+                           conjugate_nullity(action), True, args.general_l, args.seed)
 
 
 def _minimal_report(r, cross_check=False, subset_oracle=False):
@@ -173,7 +191,7 @@ def _minimal_report(r, cross_check=False, subset_oracle=False):
 def cmd_minimal(args):
     action = _parse_action(args)
     check_minimality_route(action)  # before the invariant enumeration
-    r = restriction(invariant_monomials(action))
+    r = restriction(_invariant_ideal(action))
     return _minimal_report(r, cross_check=True, subset_oracle=args.subset_oracle)
 
 
@@ -391,9 +409,10 @@ def cmd_report(args):
         classification._check_classify_limit(d)
     if minimal:
         check_minimality_route(action)
-    ideal = invariant_monomials(action)
-    # one restriction, which holds its nullity against the count that the
-    # verdict reads: the minimal section and the membership forms read it
+    ideal = _invariant_ideal(action)
+    # one restriction, which holds its nullity against the count of
+    # conjugate forms: the verdict, the minimal section and the membership
+    # forms read it
     r = restriction(ideal)
     shared, shared_checks = _d_sections(d)
     sections = {}
@@ -406,7 +425,8 @@ def cmd_report(args):
         )
 
     absorb("invariants", _invariants_report(ideal))
-    absorb("verdict", _verdict_report(ideal, args.general_l, args.seed))
+    absorb("verdict", _verdict_report(action, ideal.mu, r.nullity, ideal.has_pure_powers(),
+                                      args.general_l, args.seed))
 
     if minimal and r.togliatti:
         absorb("minimal", _minimal_report(r))
@@ -527,9 +547,10 @@ _INF = float("inf")
 def _json_write(value, nl, out):
     """Append value to out as json.dumps(value, indent=2, sort_keys=True)
     writes it, nested at the line prefix nl, with the type tests in json's
-    order.  A container writes its str and int items itself, and recurses
-    for the rest; a _Section at _SECTION_NL appends its stored text.  A key
-    that is no str, or a value of no JSON type, raises TypeError."""
+    order.  A container writes its str, int, bool and None items itself,
+    and recurses for the rest; a _Section at _SECTION_NL appends its stored
+    text.  A key that is no str, or a value of no JSON type, raises
+    TypeError."""
     append = out.append
     if isinstance(value, str):
         append(_json_str(value))
@@ -560,6 +581,10 @@ def _json_write(value, nl, out):
                 append(lead + _json_str(v))
             elif t is int:
                 append(lead + int.__repr__(v))
+            elif t is bool:
+                append(lead + ("true" if v else "false"))
+            elif v is None:
+                append(lead + "null")
             else:
                 append(lead)
                 _json_write(v, inner, out)
@@ -580,6 +605,10 @@ def _json_write(value, nl, out):
                 append(lead + _json_str(k) + ": " + _json_str(v))
             elif t is int:
                 append(lead + _json_str(k) + ": " + int.__repr__(v))
+            elif t is bool:
+                append(lead + _json_str(k) + (": true" if v else ": false"))
+            elif v is None:
+                append(lead + _json_str(k) + ": null")
             else:
                 append(lead + _json_str(k) + ": ")
                 _json_write(v, inner, out)

@@ -15,13 +15,11 @@ __all__ = ["SparsePoly"]
 
 def monomial_str(exp, names=("x", "y", "z")):
     """The monomial of the exponents exp, as x^2z; the constant one is 1."""
-    if not any(exp):
-        return "1"
-    return "".join(
-        names[i] + (f"^{p}" if p > 1 else "")
-        for i, p in enumerate(exp)
-        if p
-    )
+    text = ""
+    for name, p in zip(names, exp):
+        if p:
+            text += f"{name}^{p}" if p > 1 else name
+    return text or "1"
 
 
 class SparsePoly:

@@ -52,9 +52,13 @@ For the full invariant ideal of an action (a, b, c) the nullity is a count
 4. The kernel is P' times the invariant forms of degree d - d', and the
    nullity is their number, #{i + j + k = d - d' : p'j + q'k = 0 (mod d')}:
    1 when g = 1, 10 for (1, 1, 1) mod 4 and 12 for (1, 1, 4) mod 9.
-The verdict reads that count and sweeps nothing.  restriction raises
-ConsistencyError when the nullity of a full invariant ideal is any other;
-a subset labelled with the action may have a smaller one.
+The count is actions.invariant_count: two floor sums, O(log d) steps of
+Euclid's algorithm, with no monomial listed.  mu is the same count at
+degree d, and the pure powers are always invariant (a*d = 0), so the
+verdict reads two counts, builds no ideal and sweeps nothing.
+restriction raises ConsistencyError when the nullity of a full invariant
+ideal is any other; a subset labelled with the action may have a smaller
+one.
 
 For L = x + y + z the eigenvalue product of the action lies in that kernel,
 so when the kernel has dimension 1 its vector is the product's coefficient
@@ -71,7 +75,7 @@ import math
 from functools import cached_property
 
 from ._record import Record
-from .actions import Action, GTIdeal, invariant_exponents, invariant_monomials
+from .actions import Action, GTIdeal, invariant_count, invariant_monomials
 from .circulant import _TERNARY_LIMIT, circulant_product
 from .errors import ConsistencyError
 from .polymat import SparsePoly, fraction_free_step
@@ -143,18 +147,13 @@ def _candidate(ideal: GTIdeal) -> bool:
     return ideal.has_pure_powers() and ideal.mu <= ideal.d + 1
 
 
-def _togliatti(ideal: GTIdeal, nullity: int) -> bool:
-    """A Togliatti candidate on which x + y + z fails injectivity."""
-    return nullity >= 1 and _candidate(ideal)
-
-
 def conjugate_nullity(action: Action) -> int:
     """The nullity of E at x + y + z for the full invariant ideal of the
     action: the number of invariant forms of degree d - d' (module
-    docstring), counted by invariant_exponents, so 1 when g = 1."""
+    docstring), counted by invariant_count, so 1 when g = 1."""
     d, (a, b, c) = action.d, action.weights
     g = math.gcd(b - a, c - a, d)
-    return len(invariant_exponents(d, (0, b - a, c - a), d - d // g))
+    return invariant_count(d, (0, b - a, c - a), d - d // g)
 
 
 def random_scales(rng):
@@ -189,17 +188,23 @@ class WlpVerdict(Record):
         """The verdict from the nullity of E at x + y + z, which is the
         dimension of the kernel at degree d-1 -> d: for the full invariant
         ideal of an action, conjugate_nullity(action), hence the method."""
-        d, mu = ideal.d, ideal.mu
+        return cls.from_counts(ideal.d, ideal.action, ideal.mu, nullity,
+                               ideal.has_pure_powers())
+
+    @classmethod
+    def from_counts(cls, d, action, mu, nullity, artinian) -> WlpVerdict:
+        """The verdict of an ideal with mu generators of degree d, all three
+        pure powers among them when artinian, from its nullity.  For the
+        full invariant ideal of an action, mu = invariant_count(d, weights,
+        d), the nullity is conjugate_nullity(action) and artinian holds, as
+        a*d = 0: no ideal is built."""
         dim_src, dim_tgt = d * (d + 1) // 2, (d + 1) * (d + 2) // 2 - mu
         rank = dim_src - nullity
-        return cls(
-            action=ideal.action, d=d, mu=mu, dim_source=dim_src, dim_target=dim_tgt,
-            rank=rank if d <= RANK_REPORT_LIMIT else None,
-            fails_injectivity=nullity > 0,
-            fails_wlp_at_d_minus_1=rank < min(dim_src, dim_tgt),
-            generator_bound_ok=mu <= d + 1, is_togliatti=_togliatti(ideal, nullity),
-            method="conjugate_forms",
-        )
+        bound_ok = mu <= d + 1
+        # the fields in order, so Record binds no keywords
+        return cls(action, d, mu, dim_src, dim_tgt, rank if d <= RANK_REPORT_LIMIT else None,
+                   nullity > 0, rank < min(dim_src, dim_tgt), bound_ok,
+                   nullity >= 1 and artinian and bound_ok, "conjugate_forms")
 
 
 class Restriction(Record):
@@ -210,7 +215,8 @@ class Restriction(Record):
 
     @property
     def togliatti(self) -> bool:
-        return _togliatti(self.ideal, self.nullity)
+        """A Togliatti candidate on which x + y + z fails injectivity."""
+        return self.nullity >= 1 and _candidate(self.ideal)
 
     @property
     def minimal(self) -> bool:

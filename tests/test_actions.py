@@ -1,5 +1,6 @@
 """Diagonal cyclic group actions and their invariant monomial ideals."""
 
+import itertools
 import math
 import operator
 import random
@@ -13,6 +14,7 @@ from gtsystems.actions import (
     InvalidActionError,
     check_invariant_limit,
     generalized_classical,
+    invariant_count,
     invariant_exponents,
     invariant_monomials,
     monomial_str,
@@ -192,6 +194,66 @@ class TestInvariantExponents:
                 d, weights, n)
 
 
+class TestInvariantCount:
+    """invariant_count against its oracle, len(invariant_exponents(...))."""
+
+    @pytest.mark.parametrize("d", range(2, 31))
+    def test_equals_the_enumeration_on_every_faithful_triple(self, d):
+        # at the degrees every verdict reads: mu (n = d) and the nullity
+        # (n = d - d/g), for the shifted weights
+        for a, b, c in faithful_actions(d):
+            g = math.gcd(b - a, c - a, d)
+            weights = (0, b - a, c - a)
+            for n in (d, d - d // g):
+                assert invariant_count(d, weights, n) == len(
+                    invariant_exponents(d, weights, n)), (d, weights, n)
+
+    def test_equals_the_enumeration_on_random_weights(self):
+        # any integers, negative ones too, at any degree up to d + 5
+        rng = random.Random(3011)
+        for _ in range(1500):
+            d = rng.randint(1, 400)
+            weights = tuple(rng.randint(-3 * d, 3 * d) for _ in range(3))
+            n = rng.randint(0, d + 5)
+            assert invariant_count(d, weights, n) == len(invariant_exponents(d, weights, n)), (
+                d, weights, n)
+
+    def test_equals_the_scan_on_small_degrees(self):
+        # the simplex scan itself, for every weight triple mod d
+        for d in range(1, 8):
+            for weights in itertools.product(range(d), repeat=3):
+                for n in range(2 * d + 2):
+                    assert invariant_count(d, weights, n) == len(
+                        brute_exponents(d, weights, n)), (d, weights, n)
+
+    def test_pick_lower_bound_of_check_invariant_limit(self):
+        # mu >= d/2 + 5/2 on every faithful action, tight at (0, 1, 2) mod 3;
+        # shifting the weights keeps mu, so (0, b, c) covers them all
+        for d in range(2, 81):
+            least = min(invariant_count(d, (0, b, c), d) for b in range(d) for c in range(d)
+                        if math.gcd(b, c, d) == 1)
+            assert least >= (d + 5) / 2, d
+        assert invariant_count(3, (0, 1, 2), 3) == 4
+
+    def test_floor_sum_equals_the_sum(self):
+        rng = random.Random(73)
+        for _ in range(3000):
+            n, m = rng.randint(0, 30), rng.randint(1, 30)
+            a, b = rng.randint(-100, 100), rng.randint(-100, 100)
+            assert actions._floor_sum(n, m, a, b) == sum((a * t + b) // m for t in range(n)), (
+                n, m, a, b)
+
+    @pytest.mark.parametrize("d", [10**18, 10**18 + 9, 2**64])
+    def test_closed_forms_at_huge_d(self, d):
+        # (0, 0, 0): every monomial of degree n, C(n + 2, 2); (1, 1, 1): all
+        # of degree d and none of degree d - 1; (0, 0, 1): x^i y^j z^k with
+        # d | k, so d + 2 of degree d
+        assert invariant_count(d, (0, 0, 0), d - 1) == d * (d + 1) // 2
+        assert invariant_count(d, (1, 1, 1), d) == (d + 1) * (d + 2) // 2
+        assert invariant_count(d, (1, 1, 1), d - 1) == 0
+        assert invariant_count(d, (0, 0, 1), d) == d + 2
+
+
 class TestGTIdeal:
     def test_unordered_input_is_sorted_and_deduplicated(self):
         gens = [[0, 3, 0], (3, 0, 0), (1, 1, 1), (3, 0, 0), (0, 0, 3)]
@@ -204,18 +266,39 @@ class TestGTIdeal:
         assert GTIdeal(3, gens).generators == gens
         assert GTIdeal(3, [list(g) for g in gens]).generators == gens
 
-    @pytest.mark.parametrize("bad", [(2, 0, 0), (4, -1, 0), (1, 1, 1, 0), (3, 0)])
+    @pytest.mark.parametrize("bad", [(2, 0, 0), (4, -1, 0), (1, 1, 1, 0), (3, 0), ()])
     def test_every_generator_is_validated_in_either_order(self, bad):
         ordered = sorted([(3, 0, 0), (0, 0, 3), bad], reverse=True)
         for gens in (ordered, ordered[::-1]):
-            with pytest.raises(ValueError, match="bad degree-3 generator"):
+            with pytest.raises(ValueError) as info:
                 GTIdeal(3, gens)
+            assert str(info.value) == f"bad degree-3 generator {bad}"
+
+    def test_the_first_bad_generator_is_named(self):
+        # in the descending order the ideal keeps: (4, -1, 0) before (1, 1, 1, 0)
+        for gens in ([(1, 1, 1, 0), (3, 0, 0), (4, -1, 0)], [(3, 0, 0), (2, 0, 0), (0, 2, 0)]):
+            first = next(g for g in sorted(gens, reverse=True) if len(g) != 3 or min(g) < 0
+                         or sum(g) != 3)
+            with pytest.raises(ValueError) as info:
+                GTIdeal(3, gens)
+            assert str(info.value) == f"bad degree-3 generator {first}"
+
+    def test_has_pure_powers_equals_the_set_test(self):
+        rng = random.Random(557)
+        for _ in range(2000):
+            d = rng.randint(1, 9)
+            pool = simplex(d)
+            gens = rng.sample(pool, rng.randint(0, len(pool)))
+            if rng.random() < 0.5:
+                gens += [(d, 0, 0), (0, d, 0), (0, 0, d)][:rng.randint(0, 3)]
+            want = {(d, 0, 0), (0, d, 0), (0, 0, d)} <= set(gens)
+            assert GTIdeal(d, gens).has_pure_powers() is want, (d, gens)
 
 
 class TestInvariantLimit:
     def _bound_holds(self, monkeypatch, d, weights):
-        # with the limit one below mu the check must refuse: its bound is at
-        # least the number of monomials
+        # with the limit one below mu the check must refuse, and with the
+        # limit at mu it must pass: it compares the exact number of monomials
         mu = len(brute_invariants(d, weights))
         action = Action(d, weights)
         monkeypatch.setattr(actions, "INVARIANT_LIMIT", mu - 1)
@@ -223,6 +306,8 @@ class TestInvariantLimit:
             check_invariant_limit(action)
         with pytest.raises(ValueError, match="size limit"):
             invariant_monomials(action)
+        monkeypatch.setattr(actions, "INVARIANT_LIMIT", mu)
+        check_invariant_limit(action)
         monkeypatch.undo()
 
     @pytest.mark.parametrize("d", range(2, 13))
@@ -248,22 +333,28 @@ class TestInvariantLimit:
     @pytest.mark.parametrize("d", range(2, 17))
     def test_bound_holds_in_every_order_of_the_variables(self, monkeypatch, d):
         # with the limit at 0 every action is refused, by a message that
-        # names the bound; faithful_actions lists each triple in every order
+        # names its exact mu; faithful_actions lists each triple in every order
         monkeypatch.setattr(actions, "INVARIANT_LIMIT", 0)
         for weights in faithful_actions(d):
-            with pytest.raises(ValueError, match=r"may have up to \d+$") as info:
-                check_invariant_limit(Action(d, weights))
-            bound = int(str(info.value).rsplit(" ", 1)[1])
+            action = Action(d, weights)
+            with pytest.raises(ValueError) as info:
+                check_invariant_limit(action)
             mu = len(invariant_exponents(d, weights, d))
-            assert bound >= mu, weights
-            if len(set(weights)) < 3:
-                # one variable moves (or none): exact in one order
-                assert bound == mu, weights
+            assert str(info.value) == (
+                f"the invariant enumeration has a size limit of 0 monomials (INVARIANT_LIMIT); "
+                f"the action {action} has {mu}"), weights
 
     def test_one_moving_variable_passes_in_every_order(self):
         # mu = d + 2 < INVARIANT_LIMIT whichever variable moves
         for weights in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
             check_invariant_limit(Action(700000, weights))
+
+    def test_an_action_the_old_bound_refused_is_admitted(self):
+        # (0, 2, 5) at d = 1000003 has 500004 monomials; a bound over the
+        # classes of the enumeration said 1500006
+        action = Action(1000003, (0, 2, 5))
+        assert invariant_count(action.d, action.weights, action.d) == 500004
+        check_invariant_limit(action)
 
     def test_limit_value(self):
         assert actions.INVARIANT_LIMIT == 10**6
@@ -299,6 +390,8 @@ class TestSequencesAndHelpers:
         assert monomial_str((2, 0, 1)) == "x^2z"
         assert monomial_str((1, 1, 1)) == "xyz"
         assert monomial_str((0, 3, 0)) == "y^3"
+        assert monomial_str((0, 0, 0)) == "1"
+        assert monomial_str((0, 1, 0, 12), ("x0", "x1", "x2", "x3")) == "x1x3^12"
 
 
 class TestGeneralizedClassical:

@@ -3,11 +3,13 @@
 import argparse
 import ast
 import importlib
+import inspect
 import json
 import math
 import os
 import subprocess
 import sys
+import textwrap
 import time
 from pathlib import Path
 
@@ -286,10 +288,11 @@ class TestOneIdealPerCommand:
         ("invariants", "--d", "7", "--a", "3"),
     ])
     def test_one_invariant_scan_per_command(self, capsys, monkeypatch, argv):
+        # gt-verdict counts and scans nothing
         scans = _spy_invariant_monomials(monkeypatch)
         code, _, err = run_cli(capsys, *argv)
         assert code == 0, err
-        assert len(scans) == 1
+        assert len(scans) == (argv[0] != "gt-verdict")
 
     def test_report_builds_no_namespace(self, monkeypatch):
         args = build_parser().parse_args(["report", "--d", "7", "--action", "0,1,3"])
@@ -602,6 +605,86 @@ class TestVerdictAtLargeD:
         assert all(s["rank"] == results["base_rank"] for s in results["general_form_samples"])
 
 
+def _mutant_count(monkeypatch, old, new):
+    """Replace actions.invariant_count, in every module that holds it, by a
+    copy of its source with the one line old replaced by new."""
+    source = textwrap.dedent(inspect.getsource(actions.invariant_count))
+    assert source.count(old) == 1, old
+    namespace = dict(vars(actions))
+    exec(compile(source.replace(old, new), actions.__file__, "exec"), namespace)
+    for module in (actions, wlp, cli):
+        monkeypatch.setattr(module, "invariant_count", namespace["invariant_count"])
+
+
+class TestCountedVerdict:
+    """gt-verdict from the counts mu and nullity in O(log d); the commands
+    that enumerate hold the enumeration against the count."""
+
+    def test_prime_d_past_10_to_the_18(self, capsys):
+        # d = 10^18 + 3 is prime: mu = 3 + (d - 1)/2, as for every prime d
+        # and three distinct weights, and g = 1 gives nullity 1, so the rank
+        # of each --general-l form is dim_source - 1
+        d = 10**18 + 3
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "gt-verdict", "--d", str(d), "--action", "0,2,5",
+                                 "--general-l", "1")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0, err
+        results = json.loads(out)["results"]
+        verdict = results["verdict"]
+        assert verdict["mu"] == 3 + (d - 1) // 2 == 500000000000000004
+        assert verdict["dim_source"] == d * (d + 1) // 2
+        assert results["base_rank"] == verdict["dim_source"] - 1
+        assert (verdict["fails_injectivity"], verdict["is_togliatti"], verdict["rank"]) == (
+            True, True, None)
+
+    def test_every_monomial_invariant_at_10_to_the_18(self, capsys):
+        # (1, 1, 1): every monomial of degree d is invariant, mu = C(d + 2, 2),
+        # and the nullity is every form of degree d - 1, C(d + 1, 2), the whole
+        # source: base rank 0
+        d = 10**18
+        code, out, err = run_cli(capsys, "gt-verdict", "--d", str(d), "--action", "1,1,1",
+                                 "--general-l", "1")
+        assert code == 0, err
+        results = json.loads(out)["results"]
+        assert results["verdict"]["mu"] == (d + 2) * (d + 1) // 2
+        assert wlp.conjugate_nullity(actions.Action(d, (1, 1, 1))) == (d + 1) * d // 2
+        assert results["base_rank"] == results["verdict"]["dim_source"] - (d + 1) * d // 2 == 0
+
+    @pytest.mark.parametrize("argv", [
+        ("--d", "7", "--a", "3"),
+        ("--d", "9", "--action", "1,1,4", "--general-l", "2"),
+        ("--d", "1000000000000000003", "--action", "0,2,5"),
+    ])
+    def test_gt_verdict_builds_no_ideal(self, capsys, monkeypatch, argv):
+        code, want, err = run_cli(capsys, "gt-verdict", *argv)
+        assert code == 0, err
+
+        def no_ideal(*args, **kwargs):
+            raise AssertionError("gt-verdict built an ideal")
+
+        monkeypatch.setattr(actions.GTIdeal, "__init__", no_ideal)
+        assert run_cli(capsys, "gt-verdict", *argv) == (0, want, "")
+
+    @pytest.mark.parametrize("argv", [
+        ("report", "--d", "7", "--action", "0,1,3"),
+        ("minimal", "--d", "13", "--a", "4"),
+        ("invariants", "--d", "12", "--action", "5,7,5"),
+    ])
+    def test_a_count_off_by_one_in_t_exits_2(self, capsys, monkeypatch, argv):
+        mu = actions.invariant_monomials(actions.Action(
+            int(argv[2]), (0, 1, int(argv[4])) if argv[3] == "--a" else
+            tuple(map(int, argv[4].split(","))))).mu
+        # T one short drops k = d, the monomial z^d (one T too many adds a k
+        # past n, whose term floor((n - k - rho) / M) + 1 is 0)
+        _mutant_count(monkeypatch, "big_t = (n - k0) // s + 1", "big_t = (n - k0) // s")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        prefix = (f"gtsys: consistency failure: {mu} invariant monomials enumerated "
+                  f"where the count gives ")
+        assert err.startswith(prefix) and int(err[len(prefix):]) != mu
+
+
 class TestCirculantSection:
     def test_section_above_former_limit(self, capsys):
         code, out, _ = run_cli(capsys, "circulant", "--d", "100", "--a", "1", "--b", "3")
@@ -817,18 +900,33 @@ class TestReportMemo:
 
 
 class TestInvariantLimit:
-    @pytest.mark.parametrize("argv", [
-        ("invariants", "--d", "100000000", "--a", "3"),
-        ("gt-verdict", "--d", "100000000", "--a", "3"),
-        ("invariants", "--d", "5000", "--action", "1,1,1"),
-    ])
+    # each refused call and its exact mu: (0, 1, 0) moves y alone, so its
+    # invariant monomials are those with d | j, d + 2 of them, and (1, 1, 1)
+    # keeps every monomial, C(d + 2, 2)
+    REFUSED = {
+        ("invariants", "--d", "100000000", "--a", "3"): 50000003,
+        ("invariants", "--d", "2000000", "--action", "0,1,0"): 2000002,
+        ("invariants", "--d", "5000", "--action", "1,1,1"): 5001 * 5002 // 2,
+    }
+
+    @pytest.mark.parametrize("argv", list(REFUSED))
     def test_refused_at_once_with_the_limit_named(self, capsys, argv):
+        mu = self.REFUSED[argv]
         start = time.perf_counter()
         code, out, err = run_cli(capsys, *argv)
         assert time.perf_counter() - start < 1.0
         assert code == 1 and out == ""
-        assert err.startswith(f"gtsys: error: the invariant enumeration has a size limit of "
-                              f"{actions.INVARIANT_LIMIT} monomials (INVARIANT_LIMIT)")
+        action = actions.Action(int(argv[2]), (0, 1, 3) if argv[3] == "--a" else
+                                tuple(map(int, argv[4].split(","))))
+        assert err == (f"gtsys: error: the invariant enumeration has a size limit of "
+                       f"{actions.INVARIANT_LIMIT} monomials (INVARIANT_LIMIT); "
+                       f"the action {action} has {mu}\n")
+
+    def test_gt_verdict_is_not_limited(self, capsys):
+        # the verdict counts: the action refused above answers with its mu
+        code, out, err = run_cli(capsys, "gt-verdict", "--d", "100000000", "--a", "3")
+        assert code == 0, err
+        assert json.loads(out)["results"]["verdict"]["mu"] == 50000003
 
     def test_report_checks_it_before_the_partition(self, capsys, monkeypatch):
         def no_partition(d):

@@ -52,8 +52,8 @@ def test_readme_block_runs(block):
     assert proc.stdout
 
 
-def test_all_ten_readme_gtsys_examples_found():
-    assert len(README_GTSYS) == 10
+def test_all_eleven_readme_gtsys_examples_found():
+    assert len(README_GTSYS) == 11
 
 
 def _readme_claim(argv, out, cwd):
@@ -66,6 +66,11 @@ def _readme_claim(argv, out, cwd):
         results = json.loads(out)["results"]
         assert results["base_rank"] == 1125749
         assert [s["rank"] for s in results["general_form_samples"]] == [1125749]
+    elif command == "gt-verdict" and "1000000000000000003" in argv:  # d prime: mu 3+(d-1)/2
+        d = 10**18 + 3
+        verdict = json.loads(out)["results"]["verdict"]
+        assert (verdict["mu"], verdict["fails_injectivity"], verdict["is_togliatti"]) == (
+            3 + (d - 1) // 2, True, True)
     elif command == "gt-verdict" and "100000" in argv:  # mu 50005: a count, no elimination
         verdict = json.loads(out)["results"]["verdict"]
         assert (verdict["mu"], verdict["fails_injectivity"], verdict["method"]) == (
@@ -101,7 +106,8 @@ def _readme_claim(argv, out, cwd):
 
 def _example_id(line):
     return (line.split()[1] + ("-general-l" if "--general-l" in line else "")
-            + ("-d100000" if "--d 100000" in line else ""))
+            + ("-d100000" if "--d 100000 " in line else "")
+            + ("-d1000000000000000003" if "--d 1000000000000000003 " in line else ""))
 
 
 @pytest.mark.parametrize("line", README_GTSYS, ids=_example_id)

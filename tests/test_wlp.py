@@ -14,7 +14,7 @@ from test_circulant import ternary_oracle
 from test_polymat import bareiss_oracle, signed_binomial_rows
 
 from gtsystems import circulant, cli, wlp
-from gtsystems.actions import Action, GTIdeal, invariant_monomials
+from gtsystems.actions import Action, GTIdeal, invariant_count, invariant_monomials
 from gtsystems.circulant import circulant_product
 from gtsystems.cli import main
 from gtsystems.errors import ConsistencyError
@@ -375,7 +375,8 @@ class TestSweep:
         ideal = invariant_monomials(Action(d, weights))
         assert not _shifted_faithful(d, ideal.action.weights)
         assert restriction(ideal).nullity == conjugate_nullity(ideal.action) == nullity
-        mutant(monkeypatch, "conjugate_nullity", "return len(", "return 1 + len(")
+        mutant(monkeypatch, "conjugate_nullity", "return invariant_count(",
+               "return 1 + invariant_count(")
         message = f"nullity {nullity} of E where the conjugate forms give {nullity + 1}"
         with pytest.raises(ConsistencyError, match=message):
             wlp.restriction(ideal)
@@ -449,7 +450,8 @@ class TestSweep:
     ])
     def test_a_count_off_by_one_exits_2_where_the_sweep_runs(self, capsys, monkeypatch, argv,
                                                               nullity):
-        mutant(monkeypatch, "conjugate_nullity", "return len(", "return 1 + len(")
+        mutant(monkeypatch, "conjugate_nullity", "return invariant_count(",
+               "return 1 + invariant_count(")
         assert main(argv) == 2, argv
         out, err = capsys.readouterr()
         assert out == "" and err == (f"gtsys: consistency failure: nullity {nullity} of E "
@@ -495,6 +497,18 @@ class TestSweep:
 
 
 class TestVerdicts:
+    @pytest.mark.parametrize("d", range(2, 15))
+    def test_counts_give_the_verdict_of_the_enumerated_ideal(self, d):
+        # gt-verdict's route (two counts, no ideal) against the enumeration
+        for weights in itertools.product(range(d), repeat=3):
+            if math.gcd(*weights, d) != 1:
+                continue
+            action = Action(d, weights)
+            ideal = invariant_monomials(action)
+            nullity = conjugate_nullity(action)
+            assert WlpVerdict.from_counts(d, action, invariant_count(d, weights, d), nullity,
+                                          True) == WlpVerdict.from_nullity(ideal, nullity), weights
+
     def test_classical_degree_three(self):
         ideal = invariant_monomials(Action(3, (0, 1, 2)))
         v = WlpVerdict.from_nullity(ideal, conjugate_nullity(ideal.action))
