@@ -92,11 +92,13 @@ def _invariant_ideal(action):
     return ideal
 
 
-def _invariants_report(ideal):
+def _invariants_section(ideal, prefix=""):
+    """The results of invariants and its checks, each named prefix + its
+    name: report takes them as they are, with no second copy."""
     d, action = ideal.d, ideal.action
     checks = [
         _check(
-            "generator_bound",
+            prefix + "generator_bound",
             "pass" if ideal.mu <= d + 1 else "finding",
             f"mu={ideal.mu}, d+1={d + 1}",
         )
@@ -109,28 +111,32 @@ def _invariants_report(ideal):
         "exponents": [list(g) for g in ideal.generators],
         "artinian": ideal.has_pure_powers(),
     }
-    return _report("invariants", {"d": d, "action": str(action)}, results, checks)
+    return results, checks
 
 
 def cmd_invariants(args):
-    return _invariants_report(_invariant_ideal(_parse_action(args)))
+    action = _parse_action(args)
+    return _report("invariants", {"d": action.d, "action": str(action)},
+                   *_invariants_section(_invariant_ideal(action)))
 
 
-def _verdict_report(action, mu, nullity, artinian, general_l, seed):
-    """The verdict of the full invariant ideal of the action, with mu
-    generators, the nullity and all three pure powers when artinian."""
+def _verdict_section(action, mu, nullity, artinian, general_l, seed, prefix=""):
+    """The results of gt-verdict and its checks, named as in
+    _invariants_section: the verdict of the full invariant ideal of the
+    action, with mu generators, the nullity and all three pure powers when
+    artinian."""
     d = action.d
     verdict = WlpVerdict.from_counts(d, action, mu, nullity, artinian)
     checks = [
-        _check("artinian", "pass" if artinian else "finding",
+        _check(prefix + "artinian", "pass" if artinian else "finding",
                "contains all three pure powers" if artinian else "missing a pure power"),
         _check(
-            "injectivity_fails",
+            prefix + "injectivity_fails",
             "pass" if verdict.fails_injectivity else "finding",
             f"rank={verdict.rank}, dim_source={verdict.dim_source}",
         ),
         _check(
-            "generator_bound",
+            prefix + "generator_bound",
             "pass" if verdict.generator_bound_ok else "finding",
             f"mu={verdict.mu}",
         ),
@@ -148,8 +154,9 @@ def _verdict_report(action, mu, nullity, artinian, general_l, seed):
             {"coeffs": list(random_scales(rng)), "rank": base_rank} for _ in range(general_l)
         ]
         results["base_rank"] = base_rank
-        checks.append(_check("general_form_ranks_agree", "pass", f"base rank {base_rank}"))
-    return _report("gt-verdict", {"d": d, "action": str(action)}, results, checks)
+        checks.append(_check(prefix + "general_form_ranks_agree", "pass",
+                             f"base rank {base_rank}"))
+    return results, checks
 
 
 def cmd_gt_verdict(args):
@@ -157,15 +164,17 @@ def cmd_gt_verdict(args):
     pure powers are invariant, as a*d = 0."""
     action = _parse_action(args)
     d = action.d
-    return _verdict_report(action, invariant_count(d, action.weights, d),
-                           conjugate_nullity(action), True, args.general_l, args.seed)
+    return _report("gt-verdict", {"d": d, "action": str(action)},
+                   *_verdict_section(action, invariant_count(d, action.weights, d),
+                                     conjugate_nullity(action), True, args.general_l, args.seed))
 
 
-def _minimal_report(r, cross_check=False, subset_oracle=False):
-    """Minimality of a Togliatti system, read off its restriction r.  With
-    cross_check, r.newton_product() compares the Newton-expanded product
-    with r.product; cross_check and routes_agree say that it did, that is
-    up to the ternary limit with nullity 1."""
+def _minimal_section(r, cross_check=False, subset_oracle=False, prefix=""):
+    """The results of minimal and its checks, named as in
+    _invariants_section: minimality of a Togliatti system, read off its
+    restriction r.  With cross_check, r.newton_product() compares the
+    Newton-expanded product with r.product; cross_check and routes_agree
+    say that it did, that is up to the ternary limit with nullity 1."""
     ideal, minimal, product = r.ideal, r.minimal, r.product
     compared = cross_check and r.newton_product() is not None and product is not None
     results = {
@@ -176,23 +185,25 @@ def _minimal_report(r, cross_check=False, subset_oracle=False):
         "cross_check": "newton_product" if compared else None,
     }
     checks = [
-        _check("minimal_circulant", "pass" if minimal else "finding",
+        _check(prefix + "minimal_circulant", "pass" if minimal else "finding",
                "ternary product support equals the invariant set" if minimal
                else "support misses part of the invariant set"),
     ]
     if subset_oracle:
         results["minimal_subset_oracle"] = minimal
-        checks.append(_check("minimal_subset_oracle", "pass" if minimal else "finding"))
+        checks.append(_check(prefix + "minimal_subset_oracle",
+                             "pass" if minimal else "finding"))
         if compared:
-            checks.append(_check("routes_agree", "pass"))
-    return _report("minimal", {"d": ideal.d, "action": str(ideal.action)}, results, checks)
+            checks.append(_check(prefix + "routes_agree", "pass"))
+    return results, checks
 
 
 def cmd_minimal(args):
     action = _parse_action(args)
     check_minimality_route(action)  # before the invariant enumeration
     r = restriction(_invariant_ideal(action))
-    return _minimal_report(r, cross_check=True, subset_oracle=args.subset_oracle)
+    return _report("minimal", {"d": action.d, "action": str(action)},
+                   *_minimal_section(r, cross_check=True, subset_oracle=args.subset_oracle))
 
 
 def cmd_classify(args):
@@ -415,21 +426,16 @@ def cmd_report(args):
     # forms read it
     r = restriction(ideal)
     shared, shared_checks = _d_sections(d)
+    # each section with its checks, named section.check once
     sections = {}
-    checks = []
-
-    def absorb(prefix, sub):
-        sections[prefix] = sub["results"]
-        checks.extend(
-            _check(f"{prefix}.{c['name']}", c["status"], c["detail"]) for c in sub["checks"]
-        )
-
-    absorb("invariants", _invariants_report(ideal))
-    absorb("verdict", _verdict_report(action, ideal.mu, r.nullity, ideal.has_pure_powers(),
-                                      args.general_l, args.seed))
-
+    sections["invariants"], checks = _invariants_section(ideal, "invariants.")
+    sections["verdict"], more = _verdict_section(action, ideal.mu, r.nullity,
+                                                 ideal.has_pure_powers(), args.general_l,
+                                                 args.seed, "verdict.")
+    checks += more
     if minimal and r.togliatti:
-        absorb("minimal", _minimal_report(r))
+        sections["minimal"], more = _minimal_section(r, prefix="minimal.")
+        checks += more
     elif minimal:
         # minimality is defined for Togliatti systems only
         sections["minimal"] = {
