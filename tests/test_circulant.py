@@ -16,6 +16,7 @@ from gtsystems.circulant import (
     coefficient_query,
 )
 from gtsystems.cyclotomic import CyclotomicInt
+from gtsystems.errors import ConsistencyError
 from gtsystems.polymat import SparsePoly
 
 
@@ -115,6 +116,17 @@ class TestGeneralCirculant:
         for exp in det.support():
             assert sum(e for e in exp) == d
             assert sum(i * e for i, e in enumerate(exp)) % d == 0
+
+    @pytest.mark.parametrize("d", range(2, 8))
+    def test_a_term_off_the_rule_raises(self, monkeypatch, d):
+        # v_0^(d-1) v_1 has index sum 1: the determinant checks every term
+        real = circulant.circulant_product
+        monkeypatch.setattr(circulant, "circulant_product", lambda n, w: SparsePoly(
+            n, add(real(n, w).terms, {(n - 1, 1) + (0,) * (n - 2): 1})))
+        with pytest.raises(ConsistencyError, match="violates the index-sum rule"):
+            circulant_det_symbolic(d)
+        with pytest.raises(ConsistencyError, match="violates the index-sum rule"):
+            coefficient_query(d, [0] * d)
 
     @pytest.mark.parametrize("d", (3, 5, 7))
     def test_all_admissible_coefficients_nonzero_for_small_odd_prime(self, d):

@@ -7,6 +7,7 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -545,6 +546,22 @@ class TestBenchContract:
         assert len(verdicts[answers.KNOWN_FAILURE]) == 5, verdicts[answers.KNOWN_FAILURE]
         assert all(a.startswith("minimal") for a in verdicts[answers.KNOWN_FAILURE])
 
+    @pytest.mark.parametrize("workload", ["scan", "batch"])
+    def test_scan_and_batch_calls(self, capsys, monkeypatch, workload):
+        # every recorded call, the full ones and the toy ones, answers as
+        # recorded and exits 0
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+        answers = importlib.import_module("answers")
+        workloads = importlib.import_module("workloads")
+        expected = answers.load(workload)
+        calls = {"scan": workloads.SCAN + workloads.SCAN_TOY,
+                 "batch": workloads.BATCH + workloads.BATCH_TOY}[workload]
+        assert {answers.key(argv) for argv in calls} == set(expected)
+        for argv in calls:
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 0, (argv, err)
+            assert answers.check(argv, expected[answers.key(argv)], code, out) == answers.OK, argv
+
     def test_every_call_is_plain(self, monkeypatch):
         # the benchmark times the route of plain calls, the option table: a
         # call that argparse parses would time the other route
@@ -670,19 +687,20 @@ class TestCountedVerdict:
         ("report", "--d", "7", "--action", "0,1,3"),
         ("minimal", "--d", "13", "--a", "4"),
         ("invariants", "--d", "12", "--action", "5,7,5"),
+        ("conjecture-scan", "--dmax", "7"),
+        ("circulant", "--d", "7", "--a", "1", "--b", "3"),
     ])
     def test_a_count_off_by_one_in_t_exits_2(self, capsys, monkeypatch, argv):
-        mu = actions.invariant_monomials(actions.Action(
-            int(argv[2]), (0, 1, int(argv[4])) if argv[3] == "--a" else
-            tuple(map(int, argv[4].split(","))))).mu
+        assert run_cli(capsys, *argv)[0] == 0
         # T one short drops k = d, the monomial z^d (one T too many adds a k
-        # past n, whose term floor((n - k - rho) / M) + 1 is 0)
+        # past n, whose term floor((n - k - rho) / M) + 1 is 0); every command
+        # that enumerates holds its list to the count in invariant_monomials
         _mutant_count(monkeypatch, "big_t = (n - k0) // s + 1", "big_t = (n - k0) // s")
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
-        prefix = (f"gtsys: consistency failure: {mu} invariant monomials enumerated "
-                  f"where the count gives ")
-        assert err.startswith(prefix) and int(err[len(prefix):]) != mu
+        match = re.fullmatch(r"gtsys: consistency failure: (\d+) invariant monomials "
+                             r"enumerated where the count gives (\d+)\n", err)
+        assert match and match[1] != match[2], err
 
 
 class TestCirculantSection:
@@ -724,6 +742,18 @@ class TestCirculantLimits:
         code, out, err = run_cli(capsys, "circulant", "--d", "7", "--a", "1", "--b", "3")
         assert code == 2 and out == ""
         assert err == f"gtsys: consistency failure: {message}\n"
+
+    @pytest.mark.parametrize("extra", [(), ("--coeff", "0,0,0,0,0"), ("--coeff", "0,0,0,0,1")],
+                             ids=["full", "coeff_sum_0", "coeff_sum_1"])
+    def test_a_term_off_the_index_sum_rule_exits_2(self, capsys, monkeypatch, extra):
+        # v_0^4 v_1 has index sum 1 mod 5: the determinant raises on its
+        # whole support, whichever coefficient is queried
+        real = circulant.circulant_product
+        monkeypatch.setattr(circulant, "circulant_product", lambda d, w: polymat.SparsePoly(
+            d, add(real(d, w).terms, {(d - 1, 1) + (0,) * (d - 2): 1})))
+        code, out, err = run_cli(capsys, "circulant", "--d", "5", *extra)
+        assert (code, out) == (2, "")
+        assert err == "gtsys: consistency failure: determinant support violates the index-sum rule\n"
 
     def test_general_form_at_d9(self, capsys):
         code, out, _ = run_cli(capsys, "circulant", "--d", "9")
@@ -1027,17 +1057,24 @@ class TestClassifyPartition:
         assert out == ""
         assert f"d <= {classification._CLASSIFY_LIMIT}" in err
 
-    def test_report_checks_the_limit_before_any_section(self, capsys, monkeypatch):
-        def no_scan(action):
-            raise AssertionError("report scanned invariants above the classification limit")
+    @pytest.mark.parametrize("option,value,message", [
+        ("--a", "3", f"minimality has a size limit: it is decided for d <= {wlp.MINIMALITY_LIMIT}"),
+        ("--action", "0,0,1", "the invariant enumeration has a size limit of 1000000 monomials "
+                              "(INVARIANT_LIMIT); the action (0,0,1) mod 1000001 has 1000003"),
+    ], ids=["distinct_weights", "repeated_weight"])
+    def test_report_checks_the_limit_before_any_section(self, capsys, monkeypatch, option,
+                                                         value, message):
+        # the limits before the partition leave no report at d > 10^6: three
+        # distinct weights stop at the minimality limit, and a repeated
+        # weight gives mu >= d + 2 > INVARIANT_LIMIT
+        def no_scan(*args):
+            raise AssertionError("report enumerated invariants past the classify limit")
 
-        monkeypatch.setattr(cli, "invariant_monomials", no_scan)
-        monkeypatch.setattr(wlp, "invariant_monomials", no_scan)
-        limit = classification._CLASSIFY_LIMIT
-        code, out, err = run_cli(capsys, "report", "--d", str(limit + 1), "--a", "3")
-        assert code == 1
-        assert out == ""
-        assert f"d <= {limit}" in err
+        monkeypatch.setattr(actions, "invariant_exponents", no_scan)
+        d = classification._CLASSIFY_LIMIT + 1
+        assert d == 10**6 + 1
+        code, out, err = run_cli(capsys, "report", "--d", str(d), option, value)
+        assert (code, out, err) == (1, "", f"gtsys: error: {message}\n")
 
     @pytest.mark.parametrize("command", ["report", "minimal"])
     def test_minimality_limit_checked_before_the_scan(self, capsys, monkeypatch, command):

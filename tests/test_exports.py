@@ -118,6 +118,34 @@ def test_cli_holds_no_private_wlp_object():
     assert held == []
 
 
+def test_cli_holds_no_check_of_the_library():
+    # every consistency check and size gate lives in the module that owns
+    # the fact: cli raises no ConsistencyError of its own and calls no
+    # private function of another gtsystems module
+    tree = ast.parse(inspect.getsource(gtsystems.cli))
+
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    modules, imported = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names = {alias.asname or alias.name for alias in node.names}
+            if node.module is None:
+                modules |= names
+            else:
+                imported |= set(filter(private, names))
+    errors = {"ConsistencyError", "NonIntegerError"}
+    raised = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Raise)
+              and node.exc is not None
+              and any(getattr(n, "id", None) in errors for n in ast.walk(node.exc))]
+    calls = [ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and ((isinstance(node.func, ast.Attribute) and private(node.func.attr)
+                   and getattr(node.func.value, "id", None) in modules)
+                  or getattr(node.func, "id", None) in imported)]
+    assert (raised, calls) == ([], [])
+
+
 def test_one_restriction_per_ideal_api():
     from gtsystems import conjugate_nullity, restriction
 
