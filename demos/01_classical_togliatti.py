@@ -26,7 +26,8 @@ ideal = invariant_monomials(action)
 print("action weights:", action.weights, "on K[x,y,z]_3")
 print("invariant monomials:", ", ".join(monomial_str(m) for m in ideal.generators))
 
-verdict = WlpVerdict.from_nullity(ideal, conjugate_nullity(action))  # a count, no elimination
+# two counts, no elimination: mu and the nullity; all three pure powers are invariant
+verdict = WlpVerdict.from_counts(3, action, ideal.mu, conjugate_nullity(action), True)
 r = restriction(ideal)  # E at x + y + z, decided once by its unit pivots
 print(f"multiplication by x+y+z in degree 2 -> 3: rank {verdict.rank} of {verdict.dim_source}")
 print("fails injectivity:", verdict.fails_injectivity)

@@ -21,7 +21,7 @@ _ORIGIN = {
         "classification": ("class_count_formulas", "classify_moves",
                            "prime_and_primepower_counts"),
         "cyclotomic": ("CyclotomicInt", "cyclotomic_polynomial"),
-        "errors": ("ConsistencyError", "NonIntegerError"),
+        "errors": ("ConsistencyError", "NonIntegerError", "SizeLimitError"),
         "polymat": ("SparsePoly",),
         "surface": ("betti_table", "classical_suite", "determinantal_generators",
                     "exponent_polytope_degree", "polytope_smoothness"),

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 
 from ._record import Record
-from .errors import ConsistencyError
+from .errors import ConsistencyError, SizeLimitError
 from .polymat import monomial_str
 
 __all__ = [
@@ -223,7 +223,7 @@ def invariant_count(d, weights, n):
 
 def check_invariant_limit(action: Action) -> int:
     """The number mu of invariant monomials of degree d of the action,
-    invariant_count; ValueError, naming mu, when it passes INVARIANT_LIMIT.
+    invariant_count; SizeLimitError, naming mu, past INVARIANT_LIMIT.
     The count is at least d/2 + 5/2: the (j, k) of the invariant x^i y^j z^k
     form a lattice of index d/g <= d in Z^2, and the triangle j, k >= 0,
     j + k <= d has its three vertices on it and area d^2/2, so Pick's
@@ -232,10 +232,8 @@ def check_invariant_limit(action: Action) -> int:
     d = action.d
     mu = invariant_count(d, action.weights, d)
     if mu > INVARIANT_LIMIT:
-        raise ValueError(
-            f"the invariant enumeration has a size limit of {INVARIANT_LIMIT} monomials "
-            f"(INVARIANT_LIMIT); the action {action} has {mu}"
-        )
+        raise SizeLimitError(f"the number of invariant monomials of the action {action}", mu,
+                             "INVARIANT_LIMIT", INVARIANT_LIMIT)
     return mu
 
 

@@ -14,7 +14,7 @@ import math
 
 from ._record import Record
 from .cyclotomic import CyclotomicInt
-from .errors import ConsistencyError
+from .errors import ConsistencyError, SizeLimitError
 
 __all__ = [
     "Arrangement",
@@ -31,7 +31,7 @@ __all__ = [
 # Largest d for which build_arrangement builds each arrangement kind; the
 # census tests every candidate point against every line exactly, so its cost
 # grows quickly with d.
-_ARRANGEMENT_LIMITS = {"ceva": 8, "hd": 8, "fermat": 12}
+ARRANGEMENT_LIMITS = {"ceva": 8, "hd": 8, "fermat": 12}
 
 
 def cross(u, v):
@@ -92,13 +92,14 @@ def _coordinate_lines(d):
 def build_arrangement(kind, d) -> Arrangement:
     """kind 'ceva' (d^2 lines), 'hd' (ceva plus the coordinate triangle) or
     'fermat' (the 3d lines splitting x^d-y^d, x^d-z^d, y^d-z^d), for
-    3 <= d <= _ARRANGEMENT_LIMITS[kind]."""
+    3 <= d <= ARRANGEMENT_LIMITS[kind]."""
     if d < 3:
         raise ValueError("need d >= 3")
-    if kind not in _ARRANGEMENT_LIMITS:
+    if kind not in ARRANGEMENT_LIMITS:
         raise ValueError(f"unknown arrangement kind {kind!r}")
-    if d > _ARRANGEMENT_LIMITS[kind]:
-        raise ValueError(f"arrangement {kind} is supported for d <= {_ARRANGEMENT_LIMITS[kind]}")
+    if d > ARRANGEMENT_LIMITS[kind]:
+        raise SizeLimitError(f"the d of the {kind} arrangement", d,
+                             f"ARRANGEMENT_LIMITS[{kind!r}]", ARRANGEMENT_LIMITS[kind])
     if kind == "ceva":
         lines = _ceva_lines(d)
     elif kind == "hd":

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 
 from .actions import invariant_exponents
-from .errors import ConsistencyError, NonIntegerError
+from .errors import ConsistencyError, NonIntegerError, SizeLimitError
 from .polymat import SparsePoly
 
 __all__ = [
@@ -35,8 +35,9 @@ __all__ = [
     "coefficient_query",
 ]
 
-_GENERAL_LIMIT = 12
-_TERNARY_LIMIT = 128
+# Largest d of the general form and of a ternary product (check_ternary_limit)
+GENERAL_LIMIT = 12
+TERNARY_LIMIT = 128
 
 
 def circulant_product(d, positions) -> SparsePoly:
@@ -99,8 +100,10 @@ def circulant_det_symbolic(d) -> SparsePoly:
     Every term v^e has index sum sum_i i * e_i = 0 (mod d), as scaling
     each v_i by zeta^i permutes the forms; a term that breaks the rule
     raises ConsistencyError."""
-    if not 2 <= d <= _GENERAL_LIMIT:
-        raise ValueError(f"general form supported for 2 <= d <= {_GENERAL_LIMIT}")
+    if d < 2:
+        raise ValueError("need d >= 2")
+    if d > GENERAL_LIMIT:
+        raise SizeLimitError("the d of the general form", d, "GENERAL_LIMIT", GENERAL_LIMIT)
     det = circulant_product(d, range(d))
     if any(sum(i * m for i, m in enumerate(e)) % d for e in det.terms):
         raise ConsistencyError("determinant support violates the index-sum rule")
@@ -108,9 +111,9 @@ def circulant_det_symbolic(d) -> SparsePoly:
 
 
 def check_ternary_limit(d):
-    """Raise ValueError unless the ternary product is supported at order d."""
-    if not 3 <= d <= _TERNARY_LIMIT:
-        raise ValueError(f"ternary form supported for 3 <= d <= {_TERNARY_LIMIT}")
+    """Raise SizeLimitError when d passes TERNARY_LIMIT."""
+    if d > TERNARY_LIMIT:
+        raise SizeLimitError("the d of a ternary product", d, "TERNARY_LIMIT", TERNARY_LIMIT)
 
 
 def coefficient_query(d, indices) -> int:

@@ -13,7 +13,7 @@ import math
 from itertools import combinations
 
 from ._record import Record
-from .errors import ConsistencyError
+from .errors import ConsistencyError, SizeLimitError
 
 __all__ = [
     "ClassCountReport",
@@ -27,15 +27,17 @@ __all__ = [
     "prime_and_primepower_counts",
 ]
 
-_FACTOR_LIMIT = 10 ** 6
-# classification needs the factorization of d for the closed-form counts
-_CLASSIFY_LIMIT = _FACTOR_LIMIT
+# Largest d that classify_moves partitions and factorize factors, by trial
+# division, for the closed-form counts
+CLASSIFY_LIMIT = 10 ** 6
 
 
 def factorize(n: int) -> dict:
-    """Prime factorization by trial division (supported up to 10^6)."""
-    if not 1 <= n <= _FACTOR_LIMIT:
-        raise ValueError(f"factorization supported for 1..{_FACTOR_LIMIT}")
+    """Prime factorization by trial division, for 1 <= n <= CLASSIFY_LIMIT."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if n > CLASSIFY_LIMIT:
+        raise SizeLimitError("the number to factor", n, "CLASSIFY_LIMIT", CLASSIFY_LIMIT)
     out = {}
     m = n
     p = 2
@@ -119,18 +121,14 @@ class ClassPartition(Record):
         }
 
 
-def _check_classify_limit(d):
-    if d > _CLASSIFY_LIMIT:
-        raise ValueError(f"classification supported for d <= {_CLASSIFY_LIMIT}")
-
-
 def classify_moves(d) -> ClassPartition:
     """Partition {2, ..., d-1} into move-closure classes.
 
     One ascending sweep: every a not yet placed is the least member of its
     class, so the classes come out ordered by their least member.
     """
-    _check_classify_limit(d)
+    if d > CLASSIFY_LIMIT:
+        raise SizeLimitError("the d of a classification", d, "CLASSIFY_LIMIT", CLASSIFY_LIMIT)
     if d < 4:
         raise ValueError("need d >= 4")
     placed = bytearray(d)
@@ -254,9 +252,8 @@ def class_count_formulas(d, partition: ClassPartition | None = None) -> ClassCou
     The oracle (move closure plus class typing) is authoritative; formula
     deviations are reported as findings, not raised.  A caller that already
     holds ``classify_moves(d)`` passes it as ``partition``; otherwise it is
-    computed here.
+    computed here; factorize refuses a d past CLASSIFY_LIMIT.
     """
-    _check_classify_limit(d)
     if d < 5:
         raise ValueError("need d >= 5")
     if partition is not None and partition.d != d:

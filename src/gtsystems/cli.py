@@ -20,7 +20,7 @@ from types import SimpleNamespace
 from . import __version__
 from .actions import Action, invariant_count, invariant_monomials
 from .circulant import check_ternary_limit, circulant_det_symbolic, coefficient_query
-from .errors import ConsistencyError
+from .errors import ConsistencyError, SizeLimitError
 from .wlp import (
     WlpVerdict,
     check_minimality_route,
@@ -147,14 +147,27 @@ def _verdict_section(action, mu, nullity, artinian, general_l, seed, prefix=""):
     return results, checks
 
 
+def _general_l(args):
+    """The number of --general-l samples, refused before any is drawn: a
+    negative one is invalid, and one past GENERAL_L_LIMIT a size limit."""
+    n = args.general_l
+    if n < 0:
+        raise ValueError(f"--general-l expects a number of samples >= 0, got {n}")
+    if n > GENERAL_L_LIMIT:
+        raise SizeLimitError("the number of --general-l samples", n, "GENERAL_L_LIMIT",
+                             GENERAL_L_LIMIT)
+    return n
+
+
 def cmd_gt_verdict(args):
     """The verdict from two counts, in O(log d): no ideal is built, and the
     pure powers are invariant, as a*d = 0."""
+    general_l = _general_l(args)
     action = _parse_action(args)
     d = action.d
     return _report("gt-verdict", {"d": d, "action": str(action)},
                    *_verdict_section(action, invariant_count(d, action.weights, d),
-                                     conjugate_nullity(action), True, args.general_l, args.seed))
+                                     conjugate_nullity(action), True, general_l, args.seed))
 
 
 def _minimal_section(r, cross_check=False, subset_oracle=False, prefix=""):
@@ -380,7 +393,7 @@ def _d_sections(d):
             checks.append(_check("classify.formula_oracle_agreement",
                                  "pass" if not counts.findings else "finding",
                                  ", ".join(counts.findings) or "all fields agree"))
-    if d in surface._SURFACE_RANGE:
+    if 3 <= d <= surface.SURFACE_LIMIT:
         results, more = _surface_section(d, "surface.")
         sections.append(("surface", results))
         checks += more
@@ -389,6 +402,7 @@ def _d_sections(d):
 
 
 def cmd_report(args):
+    general_l = _general_l(args)
     action = _parse_action(args)
     d = args.d
     minimal = len(set(action.weights)) == 3
@@ -408,7 +422,7 @@ def cmd_report(args):
     sections = {}
     sections["invariants"], checks = _invariants_section(ideal, "invariants.")
     sections["verdict"], more = _verdict_section(action, ideal.mu, r.nullity,
-                                                 ideal.has_pure_powers(), args.general_l,
+                                                 ideal.has_pure_powers(), general_l,
                                                  args.seed, "verdict.")
     checks += more
     if minimal and r.togliatti:
@@ -628,30 +642,11 @@ def _emit(text, out_path):
 
 # ---------------------------------------------------------------- wiring
 
-# The most samples --general-l draws.  The samples cost time and memory
-# linearly: at the limit gt-verdict and report take 1.2-1.5 s with a peak
-# resident set of about 110 MiB as fresh processes printing JSON (Python
+# The most samples --general-l draws (_general_l).  The samples cost time and
+# memory linearly: at the limit gt-verdict and report take 1.2-1.5 s with a
+# peak resident set of about 110 MiB as fresh processes printing JSON (Python
 # 3.11, one core of a shared Xeon host).
 GENERAL_L_LIMIT = 100_000
-
-
-def _count(text):
-    """The --general-l value: a number of samples, so at least 0 and at most
-    GENERAL_L_LIMIT.  A bad value raises argparse's ArgumentTypeError, a
-    usage error."""
-    try:
-        n = int(text)
-    except ValueError:
-        problem = f"invalid int value: {text!r}"
-    else:
-        if 0 <= n <= GENERAL_L_LIMIT:
-            return n
-        problem = (f"the number of samples must be >= 0, got {n}" if n < 0 else
-                   f"the number of samples has a size limit of {GENERAL_L_LIMIT} "
-                   f"(GENERAL_L_LIMIT), got {n}")
-    import argparse
-
-    raise argparse.ArgumentTypeError(problem)
 
 
 # The options of the commands, each the option name and the keywords that
@@ -667,7 +662,7 @@ _ACTION = (
 )
 _VERDICT = _FORMAT_OUT + _D + _ACTION + (
     ("--seed", {"type": int, "default": DEFAULT_SEED}),
-    ("--general-l", {"type": _count, "default": 0, "dest": "general_l",
+    ("--general-l", {"type": int, "default": 0, "dest": "general_l",
                      "help": "also sample N random linear forms and compare ranks"}),
 )
 # --action and --a name the action twice, so one call takes at most one
@@ -811,6 +806,9 @@ def main(argv=None) -> int:
     except ConsistencyError as exc:
         print(f"gtsys: consistency failure: {exc}", file=sys.stderr)
         return 2
+    except SizeLimitError as exc:
+        print(f"gtsys: size limit: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, OverflowError) as exc:
         print(f"gtsys: error: {exc}", file=sys.stderr)
         return 1

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 
-from .errors import ConsistencyError, NonIntegerError
+from .errors import ConsistencyError
 
 __all__ = [
     "CyclotomicInt",
@@ -102,14 +102,6 @@ class CyclotomicInt:
         v[k % order] = 1
         return cls(order, v)
 
-    @classmethod
-    def zero(cls, order):
-        return cls.from_int(order, 0)
-
-    @classmethod
-    def one(cls, order):
-        return cls.from_int(order, 1)
-
     def _operand(self, other):
         """other as an element of the same order; None when it is neither an
         int nor an element."""
@@ -168,12 +160,6 @@ class CyclotomicInt:
 
     def is_zero(self):
         return not any(self.reduced())
-
-    def as_integer(self):
-        r = self.reduced()
-        if any(r[1:]):
-            raise NonIntegerError(f"not a rational integer: {self!r}")
-        return r[0]
 
     def __eq__(self, other):
         if isinstance(other, CyclotomicInt) and self.order != other.order:

@@ -11,7 +11,7 @@ presentation of the classical surface is built from binomials, and each one
 is checked by comparing the exponent images of its two terms.
 
 classical_suite(d) gathers the whole suite of the degree-d classical system;
-it is the one place that checks the range of d the suite supports.
+it is the one place that checks SURFACE_LIMIT, the largest d of the suite.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import math
 
 from ._record import Record
 from .actions import GTIdeal, _classical_exponents, generalized_classical
-from .errors import ConsistencyError
+from .errors import ConsistencyError, SizeLimitError
 from .polymat import SparsePoly
 
 __all__ = [
@@ -37,9 +37,9 @@ __all__ = [
     "polytope_smoothness",
 ]
 
-# The orders d for which classical_suite runs the surface suite of the
+# The largest d for which classical_suite runs the surface suite of the
 # classical system.
-_SURFACE_RANGE = range(3, 13)
+SURFACE_LIMIT = 12
 
 
 def _convex_hull(points):
@@ -391,11 +391,11 @@ class ClassicalSuite(Record):
 
 
 def classical_suite(d) -> ClassicalSuite:
-    """The suite for 3 <= d <= 12 (_SURFACE_RANGE), computed with every
-    consistency check; any other d raises ValueError."""
-    if d not in _SURFACE_RANGE:
-        raise ValueError("the surface suite is supported for "
-                         f"{_SURFACE_RANGE.start} <= d <= {_SURFACE_RANGE[-1]}")
+    """The suite for 3 <= d <= SURFACE_LIMIT, computed with every
+    consistency check: a d past the limit raises SizeLimitError, and one
+    below 3 a ValueError (generalized_classical)."""
+    if d > SURFACE_LIMIT:
+        raise SizeLimitError("the d of the surface suite", d, "SURFACE_LIMIT", SURFACE_LIMIT)
     ideal = generalized_classical(d)
     return ClassicalSuite(ideal, exponent_polytope_degree(ideal), polytope_smoothness(ideal),
                           determinantal_generators(d), betti_table(d))

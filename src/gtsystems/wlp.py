@@ -76,8 +76,8 @@ from functools import cached_property
 
 from ._record import Record
 from .actions import Action, GTIdeal, invariant_count, invariant_monomials
-from .circulant import _TERNARY_LIMIT, circulant_product
-from .errors import ConsistencyError
+from .circulant import TERNARY_LIMIT, check_ternary_limit, circulant_product
+from .errors import ConsistencyError, SizeLimitError
 from .polymat import SparsePoly, fraction_free_step
 
 __all__ = [
@@ -184,14 +184,6 @@ class WlpVerdict(Record):
         }
 
     @classmethod
-    def from_nullity(cls, ideal: GTIdeal, nullity: int) -> WlpVerdict:
-        """The verdict from the nullity of E at x + y + z, which is the
-        dimension of the kernel at degree d-1 -> d: for the full invariant
-        ideal of an action, conjugate_nullity(action), hence the method."""
-        return cls.from_counts(ideal.d, ideal.action, ideal.mu, nullity,
-                               ideal.has_pure_powers())
-
-    @classmethod
     def from_counts(cls, d, action, mu, nullity, artinian) -> WlpVerdict:
         """The verdict of an ideal with mu generators of degree d, all three
         pure powers among them when artinian, from its nullity.  For the
@@ -270,7 +262,7 @@ class Restriction(Record):
         term; otherwise ConsistencyError.  With any other nullity nothing is
         compared with v."""
         ideal = self.ideal
-        if ideal.action is None or ideal.d > _TERNARY_LIMIT:
+        if ideal.action is None or ideal.d > TERNARY_LIMIT:
             return None
         newton = circulant_product(ideal.d, ideal.action.weights)
         if not newton.support() <= set(ideal.generators):
@@ -287,11 +279,8 @@ def restriction(ideal: GTIdeal) -> Restriction:
     d, mu, gens = ideal.d, ideal.mu, ideal.generators
     width = d + 1
     if mu * width > ELIMINATION_LIMIT:
-        raise ValueError(
-            f"the elimination has a size limit of {ELIMINATION_LIMIT} matrix cells "
-            f"(ELIMINATION_LIMIT); the ideal at d = {d} with {mu} generators "
-            f"needs {mu * width}"
-        )
+        raise SizeLimitError(f"the cell count mu * (d + 1) of E for {mu} generators at d = {d}",
+                             mu * width, "ELIMINATION_LIMIT", ELIMINATION_LIMIT)
     candidate = _candidate(ideal)
     firsts, key, elim = max((({g[k] for g in gens}, k, e) for k, e in _ORDERS),
                             key=lambda t: len(t[0]))
@@ -348,13 +337,14 @@ def restriction(ideal: GTIdeal) -> Restriction:
 
 
 def check_minimality_route(action: Action):
-    """Raise ValueError unless minimality is decided for the action: three
-    distinct weights and d within MINIMALITY_LIMIT.  It needs no ideal, so it
-    can run before the invariant scan."""
+    """Raise ValueError unless the action has three distinct weights, and
+    SizeLimitError when its d passes MINIMALITY_LIMIT.  It needs no ideal, so
+    it can run before the invariant scan."""
     if len(set(action.weights)) < 3:
         raise ValueError("repeated weights do not give a Togliatti system")
     if action.d > MINIMALITY_LIMIT:
-        raise ValueError(f"minimality has a size limit: it is decided for d <= {MINIMALITY_LIMIT}")
+        raise SizeLimitError("the d of a minimality test", action.d, "MINIMALITY_LIMIT",
+                             MINIMALITY_LIMIT)
 
 
 def conjecture_scan(d_values):
@@ -370,11 +360,10 @@ def conjecture_scan(d_values):
     one of the two minimality routes fails.  Pairs with a == b provably keep
     the Lefschetz property and are recorded as degenerate; units that are
     not Togliatti systems are recorded as such.  Before the first unit the
-    d values are checked against the ternary limit, up to the first past it.
+    first d past the ternary limit, if any, is refused (check_ternary_limit).
     """
-    if any(d > _TERNARY_LIMIT for d in d_values):
-        raise ValueError(f"the conjecture scan has a size limit: its largest d (--dmax) "
-                         f"must be at most {_TERNARY_LIMIT}")
+    for d in d_values:
+        check_ternary_limit(d)
     findings = []
     units = []
     for d in d_values:

@@ -34,7 +34,7 @@ def test_criterion_01_classical_degree_three():
         action = g.Action(3, (0, 1, 2))
         ideal = g.invariant_monomials(action)
         assert set(ideal.generators) == {(3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)}
-        verdict = WlpVerdict.from_nullity(ideal, conjugate_nullity(action))
+        verdict = WlpVerdict.from_counts(3, action, ideal.mu, conjugate_nullity(action), True)
         assert verdict.rank == 5
         assert verdict.dim_source == 6
         assert verdict.fails_injectivity

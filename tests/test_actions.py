@@ -8,7 +8,7 @@ import random
 import pytest
 
 from gtsystems import actions
-from gtsystems.errors import ConsistencyError
+from gtsystems.errors import ConsistencyError, SizeLimitError
 from gtsystems.actions import (
     Action,
     GTIdeal,
@@ -303,9 +303,9 @@ class TestInvariantLimit:
         mu = len(brute_invariants(d, weights))
         action = Action(d, weights)
         monkeypatch.setattr(actions, "INVARIANT_LIMIT", mu - 1)
-        with pytest.raises(ValueError, match="INVARIANT_LIMIT"):
+        with pytest.raises(SizeLimitError, match="INVARIANT_LIMIT"):
             check_invariant_limit(action)
-        with pytest.raises(ValueError, match="size limit"):
+        with pytest.raises(SizeLimitError, match="INVARIANT_LIMIT"):
             invariant_monomials(action)
         monkeypatch.setattr(actions, "INVARIANT_LIMIT", mu)
         check_invariant_limit(action)
@@ -328,7 +328,7 @@ class TestInvariantLimit:
                                            (5000, (1, 1, 1)), (2 * 10**6, (0, 1, 0))])
     def test_refused_before_any_enumeration(self, d, weights):
         # none of these could be enumerated in a test's lifetime
-        with pytest.raises(ValueError, match=f"size limit of {actions.INVARIANT_LIMIT} monomials"):
+        with pytest.raises(SizeLimitError, match=f"past INVARIANT_LIMIT = {actions.INVARIANT_LIMIT}$"):
             invariant_monomials(Action(d, weights))
 
     @pytest.mark.parametrize("d", range(2, 17))
@@ -338,12 +338,12 @@ class TestInvariantLimit:
         monkeypatch.setattr(actions, "INVARIANT_LIMIT", 0)
         for weights in faithful_actions(d):
             action = Action(d, weights)
-            with pytest.raises(ValueError) as info:
+            with pytest.raises(SizeLimitError) as info:
                 check_invariant_limit(action)
             mu = len(invariant_exponents(d, weights, d))
             assert str(info.value) == (
-                f"the invariant enumeration has a size limit of 0 monomials (INVARIANT_LIMIT); "
-                f"the action {action} has {mu}"), weights
+                f"the number of invariant monomials of the action {action} is {mu}, "
+                f"past INVARIANT_LIMIT = 0"), weights
 
     def test_one_moving_variable_passes_in_every_order(self):
         # mu = d + 2 < INVARIANT_LIMIT whichever variable moves
@@ -390,7 +390,7 @@ class TestInvariantLimit:
         assert actions.INVARIANT_LIMIT == 10**6
         # the fully degenerate action at d = 1412 has 998 991 monomials and passes
         check_invariant_limit(Action(1412, (1, 1, 1)))
-        with pytest.raises(ValueError):
+        with pytest.raises(SizeLimitError):
             check_invariant_limit(Action(1413, (1, 1, 1)))
 
 

@@ -16,7 +16,7 @@ from gtsystems.circulant import (
     coefficient_query,
 )
 from gtsystems.cyclotomic import CyclotomicInt
-from gtsystems.errors import ConsistencyError
+from gtsystems.errors import ConsistencyError, SizeLimitError
 from gtsystems.polymat import SparsePoly
 
 
@@ -43,7 +43,11 @@ def rotation_oracle(d, nvars, factors):
                 acc = nxt.get(new_exp)
                 nxt[new_exp] = rot if acc is None else tuple(x + y for x, y in zip(acc, rot))
         state = {e: v for e, v in nxt.items() if any(v)}
-    terms = {e: CyclotomicInt(d, vec).as_integer() for e, vec in state.items()}
+    terms = {}
+    for e, vec in state.items():
+        reduced = CyclotomicInt(d, vec).reduced()
+        assert not any(reduced[1:]), f"coefficient of {e} is no rational integer"
+        terms[e] = reduced[0]
     return SparsePoly(nvars, terms)
 
 
@@ -243,24 +247,30 @@ class TestNewtonKernelAgainstRotationOracle:
 
 class TestSpecValidation:
     def test_rejects_oversized_general_order(self):
-        for d in (1, circulant._GENERAL_LIMIT + 1, 40):
-            with pytest.raises(ValueError, match=f"2 <= d <= {circulant._GENERAL_LIMIT}"):
+        # d = 1 is invalid input; past GENERAL_LIMIT it is a size limit
+        with pytest.raises(ValueError, match="need d >= 2") as info:
+            circulant_det_symbolic(1)
+        assert not isinstance(info.value, SizeLimitError)
+        for d in (circulant.GENERAL_LIMIT + 1, 40):
+            with pytest.raises(SizeLimitError) as info:
                 circulant_det_symbolic(d)
+            assert str(info.value) == (f"the d of the general form is {d}, "
+                                       f"past GENERAL_LIMIT = {circulant.GENERAL_LIMIT}")
 
     def test_coefficient_query_checks_the_general_limit(self, monkeypatch):
         def no_expansion(*args):
             raise AssertionError("expanded above the general limit")
 
         monkeypatch.setattr(circulant, "circulant_product", no_expansion)
-        d = circulant._GENERAL_LIMIT + 1
-        with pytest.raises(ValueError, match=f"d <= {circulant._GENERAL_LIMIT}"):
+        d = circulant.GENERAL_LIMIT + 1
+        with pytest.raises(SizeLimitError, match=f"past GENERAL_LIMIT = {circulant.GENERAL_LIMIT}$"):
             coefficient_query(d, [0] * d)
 
     def test_ternary_limit(self):
-        check_ternary_limit(circulant._TERNARY_LIMIT)
-        assert len(circulant_product(circulant._TERNARY_LIMIT, (0, 1, 3)).terms) == 67
-        with pytest.raises(ValueError, match=f"3 <= d <= {circulant._TERNARY_LIMIT}"):
-            check_ternary_limit(circulant._TERNARY_LIMIT + 1)
+        check_ternary_limit(circulant.TERNARY_LIMIT)
+        assert len(circulant_product(circulant.TERNARY_LIMIT, (0, 1, 3)).terms) == 67
+        with pytest.raises(SizeLimitError, match=f"past TERNARY_LIMIT = {circulant.TERNARY_LIMIT}$"):
+            check_ternary_limit(circulant.TERNARY_LIMIT + 1)
 
     def test_kernel_rejects_empty_input(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ import pytest
 from gtsystems import classification
 from gtsystems.actions import Action, invariant_monomials
 from gtsystems.classification import (
-    _CLASSIFY_LIMIT,
+    CLASSIFY_LIMIT,
     _class_kind,
     _phi6_compatible,
     class_count_formulas,
@@ -20,7 +20,7 @@ from gtsystems.classification import (
     prime_and_primepower_counts,
     totient,
 )
-from gtsystems.errors import ConsistencyError
+from gtsystems.errors import ConsistencyError, SizeLimitError
 
 # Verbatim reference partitions for small primes.
 REFERENCE_PARTITIONS = {
@@ -232,7 +232,13 @@ class TestSweepAgainstQuadraticClosure:
 
 class TestClassifyLimit:
     def test_limit_is_the_factorization_limit(self):
-        assert _CLASSIFY_LIMIT == classification._FACTOR_LIMIT
+        assert factorize(CLASSIFY_LIMIT) == {2: 6, 5: 6}
+        with pytest.raises(SizeLimitError) as info:
+            factorize(CLASSIFY_LIMIT + 1)
+        assert str(info.value) == "the number to factor is 1000001, past CLASSIFY_LIMIT = 1000000"
+        with pytest.raises(ValueError, match="need n >= 1") as info:
+            factorize(0)
+        assert not isinstance(info.value, SizeLimitError)
 
     @pytest.mark.parametrize("func", [classify_moves, class_count_formulas])
     def test_limit_checked_before_any_orbit(self, monkeypatch, func):
@@ -240,8 +246,10 @@ class TestClassifyLimit:
             raise AssertionError("orbit ran above the classification limit")
 
         monkeypatch.setattr(classification, "orbit", no_orbit)
-        with pytest.raises(ValueError, match=f"d <= {_CLASSIFY_LIMIT}"):
-            func(_CLASSIFY_LIMIT + 1)
+        with pytest.raises(SizeLimitError) as info:
+            func(CLASSIFY_LIMIT + 1)
+        assert (info.value.name, info.value.limit, info.value.size) == (
+            "CLASSIFY_LIMIT", CLASSIFY_LIMIT, CLASSIFY_LIMIT + 1)
 
 
 class TestIdealEquivalenceOracle:

@@ -108,10 +108,11 @@ class TestExitCodes:
         ("report", "--d", "7", "--a", "3", "--general-l", "-1"),
     ])
     def test_negative_general_l_rejected(self, capsys, argv):
+        # invalid input, refused by the command with no usage line
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert out == ""
-        assert "argument --general-l: the number of samples must be >= 0" in err
+        assert err == f"gtsys: error: --general-l expects a number of samples >= 0, got {argv[-1]}\n"
 
     @pytest.mark.parametrize("n", [cli.GENERAL_L_LIMIT + 1, 10**9])
     @pytest.mark.parametrize("command", ["gt-verdict", "report"])
@@ -120,10 +121,12 @@ class TestExitCodes:
             raise AssertionError("a sample was drawn")
 
         monkeypatch.setattr(cli, "random_scales", no_sample)
+        for name in ("invariant_count", "invariant_monomials"):  # nor anything counted
+            monkeypatch.setattr(cli, name, no_sample)
         code, out, err = run_cli(capsys, command, "--d", "7", "--a", "3", "--general-l", str(n))
         assert code == 1 and out == ""
-        assert err.endswith(f"gtsys {command}: error: argument --general-l: the number of "
-                            f"samples has a size limit of 100000 (GENERAL_L_LIMIT), got {n}\n")
+        assert err == (f"gtsys: size limit: the number of --general-l samples is {n}, "
+                       f"past GENERAL_L_LIMIT = 100000\n")
 
     def test_general_l_at_its_limit(self, capsys):
         assert cli.GENERAL_L_LIMIT == 100000
@@ -371,8 +374,8 @@ class TestTogliattiFirst:
 
     @pytest.mark.parametrize("argv,printed", [
         (("minimal", "--d", "13", "--a", "4", "--subset-oracle"), True),
-        (("minimal", "--d", str(circulant._TERNARY_LIMIT), "--a", "3", "--subset-oracle"), True),
-        (("minimal", "--d", str(circulant._TERNARY_LIMIT + 1), "--a", "3", "--subset-oracle"),
+        (("minimal", "--d", str(circulant.TERNARY_LIMIT), "--a", "3", "--subset-oracle"), True),
+        (("minimal", "--d", str(circulant.TERNARY_LIMIT + 1), "--a", "3", "--subset-oracle"),
          False),
         (("minimal", "--d", "13", "--a", "4"), False),
     ])
@@ -383,7 +386,7 @@ class TestTogliattiFirst:
         names = [c["name"] for c in report["checks"]]
         assert ("routes_agree" in names) == printed
         assert (report["results"]["cross_check"] == "newton_product") == (
-            int(argv[2]) <= circulant._TERNARY_LIMIT)
+            int(argv[2]) <= circulant.TERNARY_LIMIT)
 
     def test_newton_disagreement_exits_2(self, capsys, monkeypatch):
         real = circulant.circulant_product
@@ -491,7 +494,8 @@ class TestOneRestrictionPerCommand:
 
     def test_library_verdict_sweeps_nothing(self, sweeps):
         ideal = actions.invariant_monomials(actions.Action(13, (0, 1, 4)))
-        verdict = wlp.WlpVerdict.from_nullity(ideal, wlp.conjugate_nullity(ideal.action))
+        verdict = wlp.WlpVerdict.from_counts(13, ideal.action, ideal.mu,
+                                             wlp.conjugate_nullity(ideal.action), True)
         assert verdict.is_togliatti and verdict.method == "conjugate_forms" and sweeps == []
 
     def test_gt_verdict_at_d_3000_needs_no_elimination(self, capsys, sweeps):
@@ -578,7 +582,7 @@ class TestBenchContract:
 
 
 class TestConjectureScanLimit:
-    @pytest.mark.parametrize("dmax", [circulant._TERNARY_LIMIT + 1, 10**12])
+    @pytest.mark.parametrize("dmax", [circulant.TERNARY_LIMIT + 1, 10**12])
     def test_dmax_past_the_ternary_limit_fails_before_any_unit(self, capsys, monkeypatch, dmax):
         def no_scan(action):
             raise AssertionError(f"scanned {action}")
@@ -588,9 +592,10 @@ class TestConjectureScanLimit:
         code, out, err = run_cli(capsys, "conjecture-scan", "--dmax", str(dmax))
         assert time.perf_counter() - start < 1.0  # no walk over every d up to dmax
         assert code == 1 and out == ""
-        limit = circulant._TERNARY_LIMIT
-        assert err == (f"gtsys: error: the conjecture scan has a size limit: its largest d "
-                       f"(--dmax) must be at most {limit}\n")
+        limit = circulant.TERNARY_LIMIT
+        # the first d past the limit, which the scan would need first
+        assert err == (f"gtsys: size limit: the d of a ternary product is {limit + 1}, "
+                       f"past TERNARY_LIMIT = {limit}\n")
 
 
 class TestVerdictAtLargeD:
@@ -769,7 +774,7 @@ class TestCirculantLimits:
     def test_general_form_limit_is_the_library_limit(self, capsys, extra):
         code, _, err = run_cli(capsys, "circulant", "--d", "13", *extra)
         assert code == 1
-        assert "d <= 12" in err
+        assert err == "gtsys: size limit: the d of the general form is 13, past GENERAL_LIMIT = 12\n"
 
     @pytest.mark.parametrize("a,b", [(3, 2), (3, 3), (0, 2), (2, 7)])
     def test_section_positions_rule(self, capsys, a, b):
@@ -778,24 +783,105 @@ class TestCirculantLimits:
         assert "need 1 <= a < b <= d-1" in err
 
 
+# every size limit: the module, constant and key it is read from, and one
+# call just past it with the size that call asks for
+SIZE_LIMITS = [
+    (actions, "INVARIANT_LIMIT", None,
+     ("invariants", "--d", "999999", "--action", "0,0,1"), 1000001),  # mu = d + 2
+    (wlp, "ELIMINATION_LIMIT", None,  # mu * (d + 1) = 3163 * 3162; 3162 * 3161 passes
+     ("report", "--d", "3161", "--action", "0,0,1"), 10001406),
+    (wlp, "MINIMALITY_LIMIT", None, ("minimal", "--d", "257", "--a", "3"), 257),
+    (circulant, "TERNARY_LIMIT", None, ("circulant", "--d", "129", "--a", "1", "--b", "3"), 129),
+    (circulant, "GENERAL_LIMIT", None, ("circulant", "--d", "13"), 13),
+    (classification, "CLASSIFY_LIMIT", None, ("classify", "--d", "1000001"), 1000001),
+    (surface, "SURFACE_LIMIT", None, ("surface", "--d", "13"), 13),
+    (arrangements, "ARRANGEMENT_LIMITS", "ceva", ("arrangement", "--type", "ceva", "--d", "9"), 9),
+    (arrangements, "ARRANGEMENT_LIMITS", "hd", ("arrangement", "--type", "hd", "--d", "9"), 9),
+    (arrangements, "ARRANGEMENT_LIMITS", "fermat",
+     ("arrangement", "--type", "fermat", "--d", "13"), 13),
+    (cli, "GENERAL_L_LIMIT", None, ("gt-verdict", "--d", "7", "--a", "3", "--general-l", "100001"),
+     100001),
+]
+
+
+def _limit_id(case):
+    return case[1] if case[2] is None else f"{case[1]}[{case[2]}]"
+
+
+class TestSizeLimitRefusals:
+    """A request past a size limit exits 1 as a size limit that names the
+    constant, its value and the size asked for; malformed input keeps the
+    error prefix."""
+
+    @pytest.mark.parametrize("case", SIZE_LIMITS, ids=_limit_id)
+    def test_every_limit_refuses_as_a_size_limit(self, capsys, case):
+        module, name, key, argv, size = case
+        limit = getattr(module, name) if key is None else getattr(module, name)[key]
+        label = name if key is None else f"{name}[{key!r}]"
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, ""), err
+        assert err.startswith("gtsys: size limit: ")
+        assert err.endswith(f" is {size}, past {label} = {limit}\n"), err
+
+    @pytest.mark.parametrize("argv,message", [
+        (("invariants", "--d", "5", "--action", "1,2"),
+         "--action expects three comma-separated weights"),
+        (("invariants", "--d", "4", "--action", "0,2,2"),
+         "gcd(0, 2, 2, 4) != 1: the action is not faithful"),
+        (("minimal", "--d", "7", "--action", "0,1,1"),
+         "repeated weights do not give a Togliatti system"),
+        (("circulant", "--d", "1"), "need d >= 2"),
+        (("surface", "--d", "2"), "need d >= 3"),
+        (("gt-verdict", "--d", "7", "--a", "3", "--general-l", "-1"),
+         "--general-l expects a number of samples >= 0, got -1"),
+    ], ids=["bad_action", "non_faithful", "repeated_weights", "circulant_d1", "surface_d2",
+            "negative_general_l"])
+    def test_malformed_input_keeps_the_error_prefix(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (1, "", f"gtsys: error: {message}\n")
+
+    def test_the_readme_table_states_each_constant(self):
+        # the constant column names module.CONSTANT, and the limit column
+        # states its value after "<=", per kind for ARRANGEMENT_LIMITS
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        table = readme.split("| request | limit | constant |\n|---|---|---|\n", 1)[1]
+        stated = {}
+        for row in table.split("\n\n", 1)[0].splitlines():
+            _, limit, constant = row.strip("| ").split(" | ")
+            module, name = re.search(r"`(\w+)\.([A-Z_]+)`", constant).groups()
+            value = getattr(importlib.import_module(f"gtsystems.{module}"), name)
+            if isinstance(value, dict):
+                assert dict((k, int(n)) for k, n in re.findall(r"`(\w+)`: `d <= (\d+)`", limit)
+                            ) == value, row
+            else:
+                assert re.findall(r"<= (\d+)", limit) == [str(value)], row
+            stated[name] = module
+        assert stated == {name: module.__name__.rpartition(".")[2]
+                          for module, name, _, _, _ in SIZE_LIMITS}
+
+
+# the d of the surface suite, 3 <= d <= SURFACE_LIMIT
+SURFACE_DS = range(3, surface.SURFACE_LIMIT + 1)
+
+
 class TestLibraryLimits:
     @pytest.mark.parametrize("kind,limit", [("ceva", 8), ("hd", 8), ("fermat", 12)])
     def test_arrangement_limit(self, capsys, kind, limit):
-        # build_arrangement checks the limit; the CLI prints its message as before
-        assert arrangements._ARRANGEMENT_LIMITS[kind] == limit
+        # build_arrangement checks the limit; the CLI prints it as a size limit
+        assert arrangements.ARRANGEMENT_LIMITS[kind] == limit
         code, out, err = run_cli(capsys, "arrangement", "--type", kind, "--d", str(limit + 1))
         assert (code, out, err) == (
-            1, "", f"gtsys: error: arrangement {kind} is supported for d <= {limit}\n")
+            1, "", f"gtsys: size limit: the d of the {kind} arrangement is {limit + 1}, "
+                   f"past ARRANGEMENT_LIMITS[{kind!r}] = {limit}\n")
 
     def test_surface_range(self, capsys):
-        lo, hi = surface._SURFACE_RANGE[0], surface._SURFACE_RANGE[-1]
-        for d in (lo - 1, hi + 1):
-            code, _, err = run_cli(capsys, "surface", "--d", str(d))
-            assert code == 1
-            assert err == f"gtsys: error: the surface suite is supported for {lo} <= d <= {hi}\n"
+        hi = surface.SURFACE_LIMIT
+        assert run_cli(capsys, "surface", "--d", "2") == (1, "", "gtsys: error: need d >= 3\n")
+        assert run_cli(capsys, "surface", "--d", str(hi + 1)) == (
+            1, "", f"gtsys: size limit: the d of the surface suite is {hi + 1}, "
+                   f"past SURFACE_LIMIT = {hi}\n")
 
     def test_report_gates_surface_by_the_same_range(self, capsys):
-        hi = surface._SURFACE_RANGE[-1]
+        hi = surface.SURFACE_LIMIT
         for d, present in ((hi, True), (hi + 1, False)):
             code, out, _ = run_cli(capsys, "report", "--d", str(d), "--a", "2")
             assert code == 0
@@ -806,7 +892,7 @@ class TestSurfaceSuiteMemo:
     """report keeps its surface section per d, in cli._d_sections; surface
     computes the suite on every call."""
 
-    @pytest.mark.parametrize("d", surface._SURFACE_RANGE)
+    @pytest.mark.parametrize("d", SURFACE_DS)
     def test_cold_and_warm_calls_print_the_same(self, d, capsys, fresh_memos):
         calls = [("surface", "--d", str(d), "--format", fmt) for fmt in ("json", "md", "csv")]
         calls += [("report", "--d", str(d), "--action", "0,1,2", "--format", fmt)
@@ -830,7 +916,7 @@ class TestSurfaceSuiteMemo:
 
         for name in names:
             monkeypatch.setattr(surface, name, spy(name, getattr(surface, name)))
-        for d in surface._SURFACE_RANGE:
+        for d in SURFACE_DS:
             for argv in (("report", "--d", str(d), "--a", "1"),
                          ("surface", "--d", str(d)),
                          ("report", "--d", str(d), "--a", "2"),
@@ -838,7 +924,7 @@ class TestSurfaceSuiteMemo:
                 assert run_cli(capsys, *argv)[0] == 0, argv
         # once for the first report of each d, once for its surface call
         assert sorted(runs) == sorted((name, d) for name in names
-                                      for d in surface._SURFACE_RANGE for _ in range(2))
+                                      for d in SURFACE_DS for _ in range(2))
 
     def test_a_failed_computation_is_not_kept(self, capsys, monkeypatch):
         params = actions._classical_exponents(9)
@@ -948,9 +1034,8 @@ class TestInvariantLimit:
         assert code == 1 and out == ""
         action = actions.Action(int(argv[2]), (0, 1, 3) if argv[3] == "--a" else
                                 tuple(map(int, argv[4].split(","))))
-        assert err == (f"gtsys: error: the invariant enumeration has a size limit of "
-                       f"{actions.INVARIANT_LIMIT} monomials (INVARIANT_LIMIT); "
-                       f"the action {action} has {mu}\n")
+        assert err == (f"gtsys: size limit: the number of invariant monomials of the action "
+                       f"{action} is {mu}, past INVARIANT_LIMIT = {actions.INVARIANT_LIMIT}\n")
 
     def test_gt_verdict_is_not_limited(self, capsys):
         # the verdict counts: the action refused above answers with its mu
@@ -965,7 +1050,7 @@ class TestInvariantLimit:
         monkeypatch.setattr(classification, "classify_moves", no_partition)
         code, out, err = run_cli(capsys, "report", "--d", "5000", "--action", "1,1,1")
         assert code == 1 and out == ""
-        assert "(INVARIANT_LIMIT)" in err
+        assert err.startswith("gtsys: size limit: ") and "INVARIANT_LIMIT" in err
 
 
 class TestEliminationLimit:
@@ -975,8 +1060,9 @@ class TestEliminationLimit:
         code, out, err = run_cli(capsys, "report", "--d", "100000", "--action", "0,0,1")
         assert time.perf_counter() - start < 1.0
         assert code == 1 and out == ""
-        assert err.startswith(f"gtsys: error: the elimination has a size limit of "
-                              f"{wlp.ELIMINATION_LIMIT} matrix cells (ELIMINATION_LIMIT)")
+        assert err == ("gtsys: size limit: the cell count mu * (d + 1) of E for 100002 "
+                       "generators at d = 100000 is 10000300002, past ELIMINATION_LIMIT = "
+                       f"{wlp.ELIMINATION_LIMIT}\n")
 
     def test_gt_verdict_is_answered_past_it(self, capsys, sweeps):
         # the verdict counts conjugate forms and builds no E
@@ -1006,7 +1092,7 @@ class TestEliminationLimit:
         monkeypatch.setattr(classification, "classify_moves", no_partition)
         code, out, err = run_cli(capsys, "report", "--d", "100000", "--action", "0,0,1")
         assert code == 1 and out == ""
-        assert "(ELIMINATION_LIMIT)" in err
+        assert err.startswith("gtsys: size limit: ") and "ELIMINATION_LIMIT" in err
 
 
 def _spy_partitions(monkeypatch):
@@ -1052,15 +1138,17 @@ class TestClassifyPartition:
             raise AssertionError("the partition ran above the classification limit")
 
         monkeypatch.setattr(classification, "orbit", no_orbit)
-        code, out, err = run_cli(capsys, "classify", "--d", str(classification._CLASSIFY_LIMIT + 1))
+        code, out, err = run_cli(capsys, "classify", "--d", str(classification.CLASSIFY_LIMIT + 1))
         assert code == 1
         assert out == ""
-        assert f"d <= {classification._CLASSIFY_LIMIT}" in err
+        assert err == ("gtsys: size limit: the d of a classification is 1000001, "
+                       f"past CLASSIFY_LIMIT = {classification.CLASSIFY_LIMIT}\n")
 
     @pytest.mark.parametrize("option,value,message", [
-        ("--a", "3", f"minimality has a size limit: it is decided for d <= {wlp.MINIMALITY_LIMIT}"),
-        ("--action", "0,0,1", "the invariant enumeration has a size limit of 1000000 monomials "
-                              "(INVARIANT_LIMIT); the action (0,0,1) mod 1000001 has 1000003"),
+        ("--a", "3", "the d of a minimality test is 1000001, "
+                     f"past MINIMALITY_LIMIT = {wlp.MINIMALITY_LIMIT}"),
+        ("--action", "0,0,1", "the number of invariant monomials of the action (0,0,1) mod "
+                              "1000001 is 1000003, past INVARIANT_LIMIT = 1000000"),
     ], ids=["distinct_weights", "repeated_weight"])
     def test_report_checks_the_limit_before_any_section(self, capsys, monkeypatch, option,
                                                          value, message):
@@ -1071,10 +1159,10 @@ class TestClassifyPartition:
             raise AssertionError("report enumerated invariants past the classify limit")
 
         monkeypatch.setattr(actions, "invariant_exponents", no_scan)
-        d = classification._CLASSIFY_LIMIT + 1
+        d = classification.CLASSIFY_LIMIT + 1
         assert d == 10**6 + 1
         code, out, err = run_cli(capsys, "report", "--d", str(d), option, value)
-        assert (code, out, err) == (1, "", f"gtsys: error: {message}\n")
+        assert (code, out, err) == (1, "", f"gtsys: size limit: {message}\n")
 
     @pytest.mark.parametrize("command", ["report", "minimal"])
     def test_minimality_limit_checked_before_the_scan(self, capsys, monkeypatch, command):
@@ -1087,8 +1175,8 @@ class TestClassifyPartition:
         code, out, err = run_cli(capsys, command, "--d", str(limit + 1), "--a", "3")
         assert code == 1
         assert out == ""
-        assert err == ("gtsys: error: minimality has a size limit: "
-                       f"it is decided for d <= {limit}\n")
+        assert err == (f"gtsys: size limit: the d of a minimality test is {limit + 1}, "
+                       f"past MINIMALITY_LIMIT = {limit}\n")
 
     def test_overlapping_classes_exit_2(self, capsys, monkeypatch):
         monkeypatch.setattr(classification, "orbit", lambda d, a: (a, d - 1))
@@ -1253,7 +1341,6 @@ class TestOneArgparseRoute:
         *[(name, "--d", "7", "extra") for name in COMMANDS],
         ("report", "--d", "7", "--action", "0,1,3", "--a", "4"),
         ("invariants", "--d", "7", "--action", "0,1,3", "--a", "4"),
-        ("gt-verdict", "--d", "7", "--a", "3", "--general-l", "-1"),
         ("report", "--d", "7", "--a", "3", "--general-l", "x"),
         ("report", "--d", "7", "--a", "3", "extra", "more"),
         ("minimal", "--d", "7", "--action", "0,1,3", "--subset-oracle", "--bogus"),
@@ -1275,6 +1362,7 @@ class TestOneArgparseRoute:
         ("invariants", "--d", "7", "--action=0,1,3"),
         ("invariants", "--d", "7", "--a", "-1"),
         ("invariants", "--d=7", "--a=-1", "--format", "md"),
+        ("gt-verdict", "--d", "7", "--a", "3", "--general-l", "-1"),  # the command refuses it
         ("gt-verdict", "--d", "7", "--act", "0,1,3"),  # an abbreviation
         ("conjecture-scan", "--dm", "5"),  # an abbreviation
         ("conjecture-scan", "--dmax", "5", "--d", "7"),  # --d abbreviates --dmax here
@@ -1342,7 +1430,9 @@ class TestHelpAndUsageBytes:
         assert usage_bytes.COMMANDS == tuple(cli._COMMANDS)
         helps = [("-h",), ()] + [(name, "-h") for name in cli._COMMANDS]
         failures = TestOneArgparseRoute.FAILURES
-        assert set(recorded) == set(usage_bytes.CALLS) == set(helps + failures)
+        assert usage_bytes.REFUSED in TestOneArgparseRoute.VALID
+        assert set(recorded) == set(usage_bytes.CALLS) == set(helps + failures
+                                                              + [usage_bytes.REFUSED])
 
     @pytest.mark.parametrize("argv", usage_bytes.CALLS, ids=lambda argv: " ".join(argv) or "none")
     def test_bytes_as_recorded(self, recorded, monkeypatch, argv):

@@ -146,6 +146,47 @@ def test_cli_holds_no_check_of_the_library():
     assert (raised, calls) == ([], [])
 
 
+def _limit_refused_by_value_error(tree):
+    """The lines of every raise ValueError(...) that reads a size limit: one
+    whose arguments read a name or attribute ending in _LIMIT, _LIMITS or
+    _RANGE, or one directly under an if whose test orders a value against
+    such a name (a kind looked up in a table of limits is no such test)."""
+
+    def reads_limit(node):
+        return any((getattr(n, "id", None) or getattr(n, "attr", "")).endswith(
+            ("_LIMIT", "_LIMITS", "_RANGE")) for n in ast.walk(node))
+
+    def orders_by_limit(test):
+        return any(isinstance(n, ast.Compare) and reads_limit(n)
+                   and any(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in n.ops)
+                   for n in ast.walk(test))
+
+    def value_errors(body):
+        return [n for n in body if isinstance(n, ast.Raise) and isinstance(n.exc, ast.Call)
+                and getattr(n.exc.func, "id", None) == "ValueError"]
+
+    found = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Raise)
+             and value_errors([n]) and reads_limit(n.exc)]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.If) and orders_by_limit(node.test):
+            found += [n.lineno for n in value_errors(node.body)]
+    return sorted(set(found))
+
+
+def test_every_size_limit_refuses_by_size_limit_error():
+    # a limit is this tool's budget, not invalid input: no plain ValueError
+    # may refuse a request past one
+    refused = {module.__name__: _limit_refused_by_value_error(ast.parse(inspect.getsource(module)))
+               for module in MODULES}
+    assert {name: lines for name, lines in refused.items() if lines} == {}
+    # the guard sees both shapes of such a refusal, and passes a lower bound
+    assert _limit_refused_by_value_error(ast.parse(
+        "if d > X_LIMIT:\n    raise ValueError('too big')\n"
+        "if d < 3:\n    raise ValueError('need d >= 3')\n"
+        "if kind not in X_LIMITS:\n    raise ValueError('unknown kind')\n"
+        "raise ValueError(f'supported for d in {_X_RANGE}')\n")) == [2, 7]
+
+
 def test_one_restriction_per_ideal_api():
     from gtsystems import conjugate_nullity, restriction
 

@@ -98,7 +98,7 @@ def test_read_plain_declines_or_agrees_with_argparse(name):
     ["invariants", "--d", "7", "--a", "-1"],
     ["invariants", "--d", "7", "--a", "--", "3"],
     ["invariants", "--d", "x", "--a", "3"],
-    ["gt-verdict", "--d", "7", "--a", "3", "--general-l", str(cli.GENERAL_L_LIMIT + 1)],
+    ["gt-verdict", "--d", "7", "--a", "3", "--general-l", "2.5"],  # no int
     ["surface", "--d", "7", "--format", "xml"],
     ["arrangement", "--d", "3"],  # --type is required
     ["invariants", "--action", "0,1,3"],  # --d is required
@@ -109,3 +109,11 @@ def test_read_plain_declines_or_agrees_with_argparse(name):
 ])
 def test_read_plain_declines(argv):
     assert cli._read_plain(argv[0], argv[1:]) is None
+
+
+def test_a_count_past_its_limit_is_read_plain():
+    # --general-l is a plain int: the command, not the parser, refuses the
+    # count past GENERAL_L_LIMIT, as a size limit
+    n = cli.GENERAL_L_LIMIT + 1
+    args = cli._read_plain("gt-verdict", ["--d", "7", "--a", "3", "--general-l", str(n)])
+    assert args.general_l == n

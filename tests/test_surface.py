@@ -8,7 +8,7 @@ from polyring import add, mul, variable
 
 from gtsystems import surface
 from gtsystems.actions import Action, _classical_exponents, generalized_classical, invariant_monomials
-from gtsystems.errors import ConsistencyError
+from gtsystems.errors import ConsistencyError, SizeLimitError
 from gtsystems.polymat import SparsePoly
 from gtsystems.surface import (
     SmoothnessReport,
@@ -295,7 +295,7 @@ class TestBettiTables:
 
 
 class TestClassicalSuite:
-    @pytest.mark.parametrize("d", surface._SURFACE_RANGE)
+    @pytest.mark.parametrize("d", range(3, surface.SURFACE_LIMIT + 1))
     def test_suite_is_the_four_results(self, d):
         suite = surface.classical_suite(d)
         ideal = generalized_classical(d)
@@ -308,12 +308,16 @@ class TestClassicalSuite:
             suite.betti = None
 
     def test_refuses_every_d_outside_the_range(self):
-        lo, hi = surface._SURFACE_RANGE[0], surface._SURFACE_RANGE[-1]
-        refused = []
+        # below 3 the input is invalid; past SURFACE_LIMIT it is a size limit
+        hi = surface.SURFACE_LIMIT
+        invalid, limited = [], []
         for d in range(-1, 21):
             try:
                 surface.classical_suite(d)
+            except SizeLimitError as exc:
+                assert str(exc) == f"the d of the surface suite is {d}, past SURFACE_LIMIT = {hi}"
+                limited.append(d)
             except ValueError as exc:
-                assert str(exc) == f"the surface suite is supported for {lo} <= d <= {hi}"
-                refused.append(d)
-        assert refused == [d for d in range(-1, 21) if d not in surface._SURFACE_RANGE]
+                assert str(exc) == "need d >= 3"
+                invalid.append(d)
+        assert (invalid, limited) == (list(range(-1, 3)), list(range(hi + 1, 21)))

@@ -17,7 +17,7 @@ from gtsystems import circulant, cli, wlp
 from gtsystems.actions import Action, GTIdeal, invariant_count, invariant_monomials
 from gtsystems.circulant import circulant_product
 from gtsystems.cli import main
-from gtsystems.errors import ConsistencyError
+from gtsystems.errors import ConsistencyError, SizeLimitError
 from gtsystems.polymat import SparsePoly
 from gtsystems.wlp import (
     RANK_REPORT_LIMIT,
@@ -278,9 +278,10 @@ class TestEliminationLimit:
         # (0, 0, 1) at d = 100000: 100002 generators, 10^10 cells of E
         ideal = invariant_monomials(Action(100000, (0, 0, 1)))
         assert ideal.mu * (ideal.d + 1) > wlp.ELIMINATION_LIMIT
-        message = f"size limit of {wlp.ELIMINATION_LIMIT} matrix cells \\(ELIMINATION_LIMIT\\)"
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(SizeLimitError) as info:
             restriction(ideal)
+        assert str(info.value) == ("the cell count mu * (d + 1) of E for 100002 generators at "
+                                   "d = 100000 is 10000300002, past ELIMINATION_LIMIT = 10000000")
         # the count needs no elimination
         assert conjugate_nullity(ideal.action) == 1
 
@@ -289,7 +290,7 @@ class TestEliminationLimit:
         monkeypatch.setattr(wlp, "ELIMINATION_LIMIT", ideal.mu * 8)
         assert restriction(ideal).nullity == 1
         monkeypatch.setattr(wlp, "ELIMINATION_LIMIT", ideal.mu * 8 - 1)
-        with pytest.raises(ValueError, match="ELIMINATION_LIMIT"):
+        with pytest.raises(SizeLimitError, match="ELIMINATION_LIMIT"):
             restriction(ideal)
 
     def test_no_ideal_up_to_the_minimality_limit_is_refused(self):
@@ -496,6 +497,15 @@ class TestSweep:
         assert min(stepped.values()) > 0, stepped
 
 
+def _verdict(ideal, nullity=None):
+    """The verdict of an enumerated ideal, read off the ideal itself: its
+    mu and pure powers, and by default the nullity of its action."""
+    if nullity is None:
+        nullity = conjugate_nullity(ideal.action)
+    return WlpVerdict.from_counts(ideal.d, ideal.action, ideal.mu, nullity,
+                                  ideal.has_pure_powers())
+
+
 class TestVerdicts:
     @pytest.mark.parametrize("d", range(2, 15))
     def test_counts_give_the_verdict_of_the_enumerated_ideal(self, d):
@@ -507,11 +517,11 @@ class TestVerdicts:
             ideal = invariant_monomials(action)
             nullity = conjugate_nullity(action)
             assert WlpVerdict.from_counts(d, action, invariant_count(d, weights, d), nullity,
-                                          True) == WlpVerdict.from_nullity(ideal, nullity), weights
+                                          True) == _verdict(ideal, nullity), weights
 
     def test_classical_degree_three(self):
         ideal = invariant_monomials(Action(3, (0, 1, 2)))
-        v = WlpVerdict.from_nullity(ideal, conjugate_nullity(ideal.action))
+        v = _verdict(ideal)
         assert v.mu == 4
         assert (v.dim_source, v.dim_target) == (6, 6)
         assert v.rank == 5
@@ -522,19 +532,19 @@ class TestVerdicts:
     @pytest.mark.parametrize("d,a", [(5, 2), (7, 3), (11, 4), (13, 6)])
     def test_prime_actions_are_gt_systems(self, d, a):
         ideal = invariant_monomials(Action(d, (0, 1, a)))
-        v = WlpVerdict.from_nullity(ideal, conjugate_nullity(ideal.action))
+        v = _verdict(ideal)
         assert v.mu == 3 + (d - 1) // 2
         assert v.fails_injectivity and v.is_togliatti and v.to_json()["is_gt"]
 
     def test_injectivity_failure_has_corank_exactly_one_for_primes(self):
         for d, a in ((5, 2), (7, 3), (11, 2)):
             ideal = invariant_monomials(Action(d, (0, 1, a)))
-            v = WlpVerdict.from_nullity(ideal, conjugate_nullity(ideal.action))
+            v = _verdict(ideal)
             assert v.rank == v.dim_source - 1
 
     def test_degenerate_direction_is_not_togliatti(self):
         ideal = invariant_monomials(Action(3, (0, 1, 1)))
-        v = WlpVerdict.from_nullity(ideal, conjugate_nullity(ideal.action))
+        v = _verdict(ideal)
         assert not v.is_togliatti  # mu = 5 exceeds d + 1 = 4
 
     def test_exact_verdict_above_rank_report_limit(self):
@@ -542,7 +552,7 @@ class TestVerdicts:
         ideal = invariant_monomials(Action(d, (0, 1, 3)))
         nullity = conjugate_nullity(ideal.action)
         assert nullity == 1
-        v = WlpVerdict.from_nullity(ideal, nullity)
+        v = _verdict(ideal, nullity)
         assert v.method == "conjugate_forms"
         assert v.rank is None
         assert v.fails_injectivity and v.fails_wlp_at_d_minus_1 and v.is_togliatti
@@ -551,7 +561,7 @@ class TestVerdicts:
         d = RANK_REPORT_LIMIT + 1
         for weights in ((0, 1, 3), (0, 1, 1), (0, 0, 1)):
             ideal = invariant_monomials(Action(d, weights))
-            v = WlpVerdict.from_nullity(ideal, conjugate_nullity(ideal.action))
+            v = _verdict(ideal)
             rank, dim_src = oracle_rank(ideal)
             assert v.dim_source == dim_src, weights
             assert v.fails_injectivity == (rank < dim_src), weights
@@ -560,20 +570,20 @@ class TestVerdicts:
     def test_repeated_weight_at_large_d(self):
         # (0, a, a) and (0, 0, c) used to raise above d = 16
         ideal = invariant_monomials(Action(40, (0, 1, 1)))
-        v = WlpVerdict.from_nullity(ideal, conjugate_nullity(ideal.action))
+        v = _verdict(ideal)
         assert v.mu == 42
         assert v.fails_injectivity
         assert v.fails_wlp_at_d_minus_1 is False
         assert not v.is_togliatti  # mu 42 > d + 1
         ideal = invariant_monomials(Action(20, (0, 0, 1)))
-        assert WlpVerdict.from_nullity(ideal, conjugate_nullity(ideal.action)).fails_injectivity
+        assert _verdict(ideal).fails_injectivity
 
     def test_verdict_beyond_product_limit(self):
         # the ternary product stops at d = 128; the verdict does not
         ideal = invariant_monomials(Action(200, (0, 1, 3)))
         nullity = conjugate_nullity(ideal.action)
         assert nullity == 1
-        v = WlpVerdict.from_nullity(ideal, nullity)
+        v = _verdict(ideal, nullity)
         assert v.mu == 103
         assert v.fails_injectivity and v.is_togliatti
         assert v.rank is None
@@ -610,8 +620,9 @@ class TestMinimality:
         assert actions == 1782
 
     def test_minimality_route_rejects_equal_weights(self):
-        with pytest.raises(ValueError, match="repeated weights"):
+        with pytest.raises(ValueError, match="repeated weights") as info:
             wlp.check_minimality_route(Action(5, (0, 1, 1)))
+        assert not isinstance(info.value, SizeLimitError)
 
     @pytest.mark.parametrize("d,a", [(3, 2), (5, 2), (7, 3), (11, 5)])
     def test_subset_oracle_route(self, d, a):
@@ -831,10 +842,10 @@ class TestEigenvalueProductFromKernel:
         assert product.terms == circulant_product(d, (0, 1, a)).terms
 
     def test_works_past_the_ternary_limit(self):
-        # the ternary product stops at circulant._TERNARY_LIMIT; the kernel
+        # the ternary product stops at circulant.TERNARY_LIMIT; the kernel
         # vector does not
         d = 200
-        assert d > circulant._TERNARY_LIMIT
+        assert d > circulant.TERNARY_LIMIT
         ideal = invariant_monomials(Action(d, (0, 1, 3)))
         product = restriction(ideal).product
         assert product.coefficient((d, 0, 0)) == 1
@@ -861,7 +872,7 @@ class TestEigenvalueProductFromKernel:
             raise AssertionError(f"expanded at d = {d}")
 
         monkeypatch.setattr(wlp, "circulant_product", no_expansion)
-        d = circulant._TERNARY_LIMIT + 1
+        d = circulant.TERNARY_LIMIT + 1
         assert restriction(invariant_monomials(Action(d, (0, 1, 3)))).newton_product() is None
         ideal = GTIdeal(3, invariant_monomials(Action(3, (0, 1, 2))).generators)
         assert restriction(ideal).newton_product() is None
@@ -932,11 +943,12 @@ class TestConjectureScan:
             raise AssertionError(f"scanned {action}")
 
         monkeypatch.setattr(wlp, "invariant_monomials", no_scan)
-        message = f"its largest d \\(--dmax\\) must be at most {circulant._TERNARY_LIMIT}"
-        with pytest.raises(ValueError, match=message):
-            conjecture_scan(range(3, circulant._TERNARY_LIMIT + 2))
-        with pytest.raises(ValueError):
-            conjecture_scan([circulant._TERNARY_LIMIT + 1, 5])
+        limit = circulant.TERNARY_LIMIT
+        for d_values in (range(3, limit + 2), [limit + 1, 5], range(3, 10**12)):
+            with pytest.raises(SizeLimitError) as info:
+                conjecture_scan(d_values)
+            assert str(info.value) == (f"the d of a ternary product is {limit + 1}, "
+                                       f"past TERNARY_LIMIT = {limit}")
 
     def test_one_enumeration_and_one_restriction_per_unit(self, sweeps, monkeypatch):
         enumerations = []
@@ -970,7 +982,7 @@ class TestConjectureScan:
         for u in units:
             weights = (0, u["a"], u["b"])
             ideal = invariant_monomials(Action(u["d"], weights))
-            verdict = WlpVerdict.from_nullity(ideal, conjugate_nullity(ideal.action))
+            verdict = _verdict(ideal)
             assert (u["mu"], u["togliatti"]) == (verdict.mu, verdict.is_togliatti), u
             circ = circulant_product(u["d"], weights).support() == set(ideal.generators)
             assert u["minimal_circulant"] == circ, u

@@ -1,7 +1,8 @@
 """The help and usage bytes of gtsys, pinned: exit code, stdout and stderr of
-`gtsys -h`, of each command's -h, of no arguments and of the usage errors of
-tests/test_cli.py::TestOneArgparseRoute, each through cli.main in-process
-at a help width of 80 columns.
+`gtsys -h`, of each command's -h, of no arguments, of the usage errors of
+tests/test_cli.py::TestOneArgparseRoute and of REFUSED, a malformed value
+that the parser takes and the command refuses, each through cli.main
+in-process at a help width of 80 columns.
 
 argparse words and wraps some lines differently from one Python version to
 the next, so usage_bytes.json holds the records of each X.Y it was made with.
@@ -20,6 +21,9 @@ from pathlib import Path
 FIXTURE = Path(__file__).resolve().with_suffix(".json")
 COLUMNS = "80"
 
+# a negative --general-l: an int to the parser, invalid input to the command
+REFUSED = ("gt-verdict", "--d", "7", "--a", "3", "--general-l", "-1")
+
 COMMANDS = ("invariants", "gt-verdict", "minimal", "classify", "circulant",
             "conjecture-scan", "surface", "arrangement", "report")
 
@@ -33,7 +37,7 @@ CALLS = [
     *[(name, "--d", "7", "extra") for name in COMMANDS],
     ("report", "--d", "7", "--action", "0,1,3", "--a", "4"),
     ("invariants", "--d", "7", "--action", "0,1,3", "--a", "4"),
-    ("gt-verdict", "--d", "7", "--a", "3", "--general-l", "-1"),
+    REFUSED,
     ("report", "--d", "7", "--a", "3", "--general-l", "x"),
     ("report", "--d", "7", "--a", "3", "extra", "more"),
     ("minimal", "--d", "7", "--action", "0,1,3", "--subset-oracle", "--bogus"),
