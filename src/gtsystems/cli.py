@@ -5,7 +5,7 @@ inputs, results and a list of checks {name, status, detail} with status one
 of pass, fail or finding.  Output is byte-deterministic for fixed inputs:
 JSON is the canonical format, markdown and csv are renderings of the same
 report.  Exit codes: 0 for clean runs (findings included), 1 for invalid
-input, 2 when an internal cross-check fails.
+input or a request past a size limit, 2 when an internal cross-check fails.
 """
 
 from __future__ import annotations
@@ -30,15 +30,14 @@ from .wlp import (
     restriction,
 )
 
-# classification, surface and arrangements (with cyclotomic), csv, json and
-# random are imported by the commands that use them, on their first call: the
-# per-ideal commands and their fresh processes never load them, report loads
-# no arrangements, and json loads only for --stream and csv.  The records
-# are plain frozen classes (_record), so no gtsys process imports
-# dataclasses, and with it inspect.  A plain call (full option names, each
-# once, values that do not start with -) is read from the option table
-# _COMMANDS, and loads no argparse, gettext or locale; any other call is
-# parsed by the argparse parser of all nine commands, built for it (_parse)
+# classification, surface and arrangements (with cyclotomic), csv and random
+# are imported by the commands that use them, on their first call: the
+# per-ideal commands never load them, and report no arrangements.  No gtsys
+# process imports json (_json_write writes every JSON text, --stream lines and
+# csv cells too), nor dataclasses with inspect (the records are _record
+# classes).  A plain call (full option names, each once, values that do not
+# start with -) is read from _COMMANDS and loads no argparse, gettext or
+# locale; any other call is parsed by the argparse parser, built for it (_parse)
 
 DEFAULT_SEED = 20260814
 
@@ -288,11 +287,9 @@ def cmd_conjecture_scan(args):
         raise ValueError("--stream prints JSON lines; it takes no --format " + args.format)
     scan = conjecture_scan(range(3, args.dmax + 1))
     if args.stream:
-        import json
-
         # JSON lines, one per unit, in place of a report; printed when the
         # scan has ended
-        return "".join(json.dumps(u, sort_keys=True) + "\n" for u in scan["units"])
+        return "".join(_json_text(u, None) + "\n" for u in scan["units"])
     findings = scan["findings"]
     checks = [
         _check("no_counterexamples", "pass" if not findings else "finding",
@@ -514,9 +511,7 @@ def _flatten(prefix, value, rows):
         for k in value:
             _flatten(f"{prefix}.{k}" if prefix else str(k), value[k], rows)
     elif isinstance(value, list):
-        import json
-
-        rows.append((prefix, json.dumps(value, sort_keys=True)))
+        rows.append((prefix, _json_text(value, None)))
     else:
         rows.append((prefix, value))
 
@@ -539,55 +534,39 @@ def _render_csv(report):
     return buf.getvalue()
 
 
-_INF = float("inf")
+# the JSON text of each scalar type a report holds, by exact type: no
+# report holds a float or a subclass of these
+_SCALARS = {
+    str: _json_str,
+    int: int.__repr__,
+    bool: ("false", "true").__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
 
 
 def _json_write(value, nl, out):
-    """Append value to out as json.dumps(value, indent=2, sort_keys=True)
-    writes it, nested at the line prefix nl, with the type tests in json's
-    order.  A container writes its str, int, bool and None items itself,
-    and recurses for the rest; a _Section at _SECTION_NL appends its stored
-    text.  A key that is no str, or a value of no JSON type, raises
-    TypeError."""
-    append = out.append
-    if isinstance(value, str):
-        append(_json_str(value))
-    elif value is None:
-        append("null")
-    elif value is True:
-        append("true")
-    elif value is False:
-        append("false")
-    elif isinstance(value, int):
-        append(int.__repr__(value))
-    elif isinstance(value, float):
-        if value != value:
-            append("NaN")
-        elif value in (_INF, -_INF):
-            append("Infinity" if value > 0 else "-Infinity")
-        else:
-            append(float.__repr__(value))
-    elif isinstance(value, (list, tuple)):
+    """Append the dict, list or tuple value to out as json.dumps(value,
+    indent=2, sort_keys=True) writes it, nested at the line prefix nl, or
+    with nl None as json.dumps(value, sort_keys=True) writes it on one line.
+    Each item of a _SCALARS type is written from that table, and any other
+    item recurses; a _Section at _SECTION_NL appends its stored text.  A key
+    that is no str, or a value of no type here, raises TypeError."""
+    append, scalar = out.append, _SCALARS.get
+    inner = None if nl is None else nl + "  "
+    if isinstance(value, (list, tuple)):
         if not value:
             append("[]")
             return
-        inner = nl + "  "
-        lead, sep = "[" + inner, "," + inner
+        lead, sep = ("[", ", ") if nl is None else ("[" + inner, "," + inner)
         for v in value:
-            t = type(v)
-            if t is str:
-                append(lead + _json_str(v))
-            elif t is int:
-                append(lead + int.__repr__(v))
-            elif t is bool:
-                append(lead + ("true" if v else "false"))
-            elif v is None:
-                append(lead + "null")
-            else:
+            f = scalar(type(v))
+            if f is None:
                 append(lead)
                 _json_write(v, inner, out)
+            else:
+                append(lead + f(v))
             lead = sep
-        append(nl + "]")
+        append("]" if nl is None else nl + "]")
     elif isinstance(value, dict):
         if type(value) is _Section and nl == _SECTION_NL:
             append(value.json)
@@ -595,23 +574,16 @@ def _json_write(value, nl, out):
         if not value:
             append("{}")
             return
-        inner = nl + "  "
-        lead, sep = "{" + inner, "," + inner
+        lead, sep = ("{", ", ") if nl is None else ("{" + inner, "," + inner)
         for k, v in sorted(value.items()):
-            t = type(v)
-            if t is str:
-                append(lead + _json_str(k) + ": " + _json_str(v))
-            elif t is int:
-                append(lead + _json_str(k) + ": " + int.__repr__(v))
-            elif t is bool:
-                append(lead + _json_str(k) + (": true" if v else ": false"))
-            elif v is None:
-                append(lead + _json_str(k) + ": null")
-            else:
+            f = scalar(type(v))
+            if f is None:
                 append(lead + _json_str(k) + ": ")
                 _json_write(v, inner, out)
+            else:
+                append(lead + _json_str(k) + ": " + f(v))
             lead = sep
-        append(nl + "}")
+        append("}" if nl is None else nl + "}")
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 

@@ -28,7 +28,8 @@ RECORD = "_record"
 ARGPARSE = ("argparse", "gettext", "locale")
 
 # standard library modules that no plain gtsys call loads: the records are
-# not dataclasses, and json loads only for --stream and csv
+# not dataclasses, and cli's own writer writes every JSON text, --stream lines
+# and csv cells included
 UNUSED_STDLIB = ("dataclasses", "inspect", "json", *ARGPARSE)
 
 
@@ -71,7 +72,11 @@ def loaded_after(argv):
     ("conjecture-scan", "--dmax", "5"),
     ("surface", "--d", "6"),
     ("arrangement", "--type", "fermat", "--d", "3"),
-], ids=lambda argv: argv[0])
+    ("conjecture-scan", "--dmax", "5", "--stream"),
+    ("report", "--d", "7", "--action", "0,1,3", "--format", "csv"),
+    ("classify", "--d", "12", "--format", "md"),
+], ids=lambda argv: "-".join([argv[0], *(a.lstrip("-") for a in argv[1:]
+                                            if a in ("--stream", "csv", "md"))]))
 def test_no_command_loads_dataclasses_inspect_or_json(argv):
     code, loaded, top = loaded_after(argv)
     assert code == 0
