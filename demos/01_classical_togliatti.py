@@ -4,17 +4,17 @@ The ideal (x^3, y^3, z^3, xyz) is the invariant ideal of the order-3
 diagonal action with weights (0, 1, 2).  Multiplication by x + y + z on
 the quotient drops rank exactly once between degrees 2 and 3, and the
 system is minimal: no proper subset of the generators reproduces the
-failure.  The verdict reads the count of conjugate forms
-(conjugate_nullity); one call, restriction(ideal), gives the Togliatti
-property and minimality, and its newton_product() expands the product of
-the conjugate forms by Newton's identities, the circulant route.
+failure.  The verdict, WlpVerdict.of(action), reads two counts of the
+action, mu and the conjugate forms; one call, restriction(ideal), gives
+the Togliatti property and minimality, and its newton_product() expands
+the product of the conjugate forms by Newton's identities, the circulant
+route.
 """
 
 from gtsystems import (
     Action,
     WlpVerdict,
     circulant_det_symbolic,
-    conjugate_nullity,
     invariant_monomials,
     restriction,
 )
@@ -27,7 +27,7 @@ print("action weights:", action.weights, "on K[x,y,z]_3")
 print("invariant monomials:", ", ".join(monomial_str(m) for m in ideal.generators))
 
 # two counts, no elimination: mu and the nullity; all three pure powers are invariant
-verdict = WlpVerdict.from_counts(3, action, ideal.mu, conjugate_nullity(action), True)
+verdict = WlpVerdict.of(action)
 r = restriction(ideal)  # E at x + y + z, decided once by its unit pivots
 print(f"multiplication by x+y+z in degree 2 -> 3: rank {verdict.rank} of {verdict.dim_source}")
 print("fails injectivity:", verdict.fails_injectivity)

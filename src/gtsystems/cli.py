@@ -18,7 +18,7 @@ from _json import encode_basestring_ascii as _json_str
 from types import SimpleNamespace
 
 from . import __version__
-from .actions import Action, invariant_count, invariant_monomials
+from .actions import Action, invariant_monomials
 from .circulant import check_ternary_limit, circulant_det_symbolic, coefficient_query
 from .errors import ConsistencyError, SizeLimitError
 from .wlp import (
@@ -107,16 +107,14 @@ def cmd_invariants(args):
                    *_invariants_section(invariant_monomials(action)))
 
 
-def _verdict_section(action, mu, nullity, artinian, general_l, seed, prefix=""):
+def _verdict_section(action, general_l, seed, prefix=""):
     """The results of gt-verdict and its checks, named as in
     _invariants_section: the verdict of the full invariant ideal of the
-    action, with mu generators, the nullity and all three pure powers when
-    artinian."""
-    d = action.d
-    verdict = WlpVerdict.from_counts(d, action, mu, nullity, artinian)
+    action, WlpVerdict.of(action), from two counts."""
+    verdict = WlpVerdict.of(action)
     checks = [
-        _check(prefix + "artinian", "pass" if artinian else "finding",
-               "contains all three pure powers" if artinian else "missing a pure power"),
+        # the ideal of an action holds all three pure powers, as a*d = 0 mod d
+        _check(prefix + "artinian", "pass", "contains all three pure powers"),
         _check(
             prefix + "injectivity_fails",
             "pass" if verdict.fails_injectivity else "finding",
@@ -133,7 +131,7 @@ def _verdict_section(action, mu, nullity, artinian, general_l, seed, prefix=""):
         import random
 
         rng = random.Random(seed)
-        base_rank = verdict.dim_source - nullity
+        base_rank = verdict.dim_source - conjugate_nullity(action)  # rank is None past d = 16
         # every sampled form has nonzero coefficients, so its nullity is that
         # of x + y + z, the count of conjugate forms (wlp docstring): nothing
         # is swept
@@ -163,10 +161,8 @@ def cmd_gt_verdict(args):
     pure powers are invariant, as a*d = 0."""
     general_l = _general_l(args)
     action = _parse_action(args)
-    d = action.d
-    return _report("gt-verdict", {"d": d, "action": str(action)},
-                   *_verdict_section(action, invariant_count(d, action.weights, d),
-                                     conjugate_nullity(action), True, general_l, args.seed))
+    return _report("gt-verdict", {"d": action.d, "action": str(action)},
+                   *_verdict_section(action, general_l, args.seed))
 
 
 def _minimal_section(r, cross_check=False, subset_oracle=False, prefix=""):
@@ -411,16 +407,14 @@ def cmd_report(args):
         check_minimality_route(action)
     ideal = invariant_monomials(action)
     # one restriction, which holds its nullity against the count of
-    # conjugate forms: the verdict, the minimal section and the membership
-    # forms read it
+    # conjugate forms: the minimal section and the membership forms read it,
+    # and the verdict reads the counts alone, as gt-verdict does
     r = restriction(ideal)
     shared, shared_checks = _d_sections(d)
     # each section with its checks, named section.check once
     sections = {}
     sections["invariants"], checks = _invariants_section(ideal, "invariants.")
-    sections["verdict"], more = _verdict_section(action, ideal.mu, r.nullity,
-                                                 ideal.has_pure_powers(), general_l,
-                                                 args.seed, "verdict.")
+    sections["verdict"], more = _verdict_section(action, general_l, args.seed, "verdict.")
     checks += more
     if minimal and r.togliatti:
         sections["minimal"], more = _minimal_section(r, prefix="minimal.")
@@ -465,7 +459,7 @@ def _md_cell(v):
 
 
 def _md_table(rows):
-    keys = list(rows[0].keys())
+    keys = list(dict.fromkeys(k for r in rows for k in r))  # every row's keys, first seen first
     lines = ["| " + " | ".join(keys) + " |", "|" + " --- |" * len(keys)]
     for r in rows:
         lines.append("| " + " | ".join(_md_cell(r.get(k, "")) for k in keys) + " |")
@@ -477,7 +471,6 @@ def _is_table(v):
         isinstance(v, list)
         and v
         and all(isinstance(r, dict) for r in v)
-        and all(set(r) == set(v[0]) for r in v)
         and all(not isinstance(x, dict) for r in v for x in r.values())
     )
 
@@ -512,8 +505,8 @@ def _flatten(prefix, value, rows):
             _flatten(f"{prefix}.{k}" if prefix else str(k), value[k], rows)
     elif isinstance(value, list):
         rows.append((prefix, _json_text(value, None)))
-    else:
-        rows.append((prefix, value))
+    else:  # a str as it is; null, true, false and ints as the JSON spells them
+        rows.append((prefix, value if type(value) is str else _SCALARS[type(value)](value)))
 
 
 def _render_csv(report):

@@ -55,7 +55,8 @@ For the full invariant ideal of an action (a, b, c) the nullity is a count
 The count is actions.invariant_count: two floor sums, O(log d) steps of
 Euclid's algorithm, with no monomial listed.  mu is the same count at
 degree d, and the pure powers are always invariant (a*d = 0), so the
-verdict reads two counts, builds no ideal and sweeps nothing.
+verdict, WlpVerdict.of(action), reads two counts, builds no ideal and
+sweeps nothing.
 restriction raises ConsistencyError when the nullity of a full invariant
 ideal is any other; a subset labelled with the action may have a smaller
 one.
@@ -169,7 +170,7 @@ class WlpVerdict(Record):
 
     def to_json(self):
         return {
-            "action": self.action.to_json() if self.action else None,
+            "action": self.action.to_json(),
             "d": self.d,
             "mu": self.mu,
             "dim_source": self.dim_source,
@@ -184,19 +185,20 @@ class WlpVerdict(Record):
         }
 
     @classmethod
-    def from_counts(cls, d, action, mu, nullity, artinian) -> WlpVerdict:
-        """The verdict of an ideal with mu generators of degree d, all three
-        pure powers among them when artinian, from its nullity.  For the
-        full invariant ideal of an action, mu = invariant_count(d, weights,
-        d), the nullity is conjugate_nullity(action) and artinian holds, as
-        a*d = 0: no ideal is built."""
+    def of(cls, action: Action) -> WlpVerdict:
+        """The verdict of the full invariant ideal of the action, from two
+        counts in O(log d): mu = invariant_count(d, weights, d) and the
+        nullity conjugate_nullity(action).  All three pure powers are
+        invariant, as a*d = 0, so no ideal is built."""
+        d = action.d
+        mu, nullity = invariant_count(d, action.weights, d), conjugate_nullity(action)
         dim_src, dim_tgt = d * (d + 1) // 2, (d + 1) * (d + 2) // 2 - mu
         rank = dim_src - nullity
         bound_ok = mu <= d + 1
         # the fields in order, so Record binds no keywords
         return cls(action, d, mu, dim_src, dim_tgt, rank if d <= RANK_REPORT_LIMIT else None,
                    nullity > 0, rank < min(dim_src, dim_tgt), bound_ok,
-                   nullity >= 1 and artinian and bound_ok, "conjugate_forms")
+                   nullity >= 1 and bound_ok, "conjugate_forms")
 
 
 class Restriction(Record):

@@ -13,7 +13,7 @@ from test_circulant import circulant_det_oracle
 import gtsystems as g
 from gtsystems.circulant import circulant_det_symbolic, circulant_product, coefficient_query
 from gtsystems.classification import class_count_formulas, classify_moves, is_prime, prime_and_primepower_counts
-from gtsystems.wlp import WlpVerdict, conjugate_nullity, restriction
+from gtsystems.wlp import WlpVerdict, restriction
 
 
 @contextmanager
@@ -34,7 +34,7 @@ def test_criterion_01_classical_degree_three():
         action = g.Action(3, (0, 1, 2))
         ideal = g.invariant_monomials(action)
         assert set(ideal.generators) == {(3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)}
-        verdict = WlpVerdict.from_counts(3, action, ideal.mu, conjugate_nullity(action), True)
+        verdict = WlpVerdict.of(action)
         assert verdict.rank == 5
         assert verdict.dim_source == 6
         assert verdict.fails_injectivity

@@ -121,8 +121,8 @@ class TestExitCodes:
             raise AssertionError("a sample was drawn")
 
         monkeypatch.setattr(cli, "random_scales", no_sample)
-        for name in ("invariant_count", "invariant_monomials"):  # nor anything counted
-            monkeypatch.setattr(cli, name, no_sample)
+        monkeypatch.setattr(cli, "invariant_monomials", no_sample)  # nor anything counted
+        monkeypatch.setattr(wlp, "invariant_count", no_sample)
         code, out, err = run_cli(capsys, command, "--d", "7", "--a", "3", "--general-l", str(n))
         assert code == 1 and out == ""
         assert err == (f"gtsys: size limit: the number of --general-l samples is {n}, "
@@ -494,8 +494,7 @@ class TestOneRestrictionPerCommand:
 
     def test_library_verdict_sweeps_nothing(self, sweeps):
         ideal = actions.invariant_monomials(actions.Action(13, (0, 1, 4)))
-        verdict = wlp.WlpVerdict.from_counts(13, ideal.action, ideal.mu,
-                                             wlp.conjugate_nullity(ideal.action), True)
+        verdict = wlp.WlpVerdict.of(ideal.action)
         assert verdict.is_togliatti and verdict.method == "conjugate_forms" and sweeps == []
 
     def test_gt_verdict_at_d_3000_needs_no_elimination(self, capsys, sweeps):
@@ -634,7 +633,7 @@ def _mutant_count(monkeypatch, old, new):
     assert source.count(old) == 1, old
     namespace = dict(vars(actions))
     exec(compile(source.replace(old, new), actions.__file__, "exec"), namespace)
-    for module in (actions, wlp, cli):
+    for module in (actions, wlp):
         monkeypatch.setattr(module, "invariant_count", namespace["invariant_count"])
 
 
@@ -706,6 +705,62 @@ class TestCountedVerdict:
         match = re.fullmatch(r"gtsys: consistency failure: (\d+) invariant monomials "
                              r"enumerated where the count gives (\d+)\n", err)
         assert match and match[1] != match[2], err
+
+
+def _verdict_of(report):
+    """The verdict section of a report, all of gt-verdict's results, and its
+    three verdict checks, unprefixed."""
+    results = report["results"]
+    if report["command"] == "report":
+        results = results["verdict"]
+    checks = [{**c, "name": c["name"].removeprefix("verdict.")} for c in report["checks"]
+              if c["name"].startswith("verdict.") or report["command"] == "gt-verdict"]
+    return results, checks
+
+
+class TestOneVerdict:
+    """report and gt-verdict give one verdict, WlpVerdict.of(action), whatever
+    report's restriction says."""
+
+    def test_report_verdict_of_the_interactive_pool(self, capsys, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+        workloads = importlib.import_module("workloads")
+        reports = [argv for argv in workloads.load_pool() if argv[0] == "report"]
+        assert len(reports) == 108
+        for argv in reports:
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 0, (argv, err)
+            verdict, checks = _verdict_of(json.loads(out))
+            code, out, err = run_cli(capsys, "gt-verdict", *argv[1:])
+            assert code == 0, (argv, err)
+            assert (verdict, checks) == _verdict_of(json.loads(out)), argv
+            assert [c["name"] for c in checks] == [
+                "artinian", "injectivity_fails", "generator_bound"], argv
+            action = actions.Action(int(argv[2]), tuple(map(int, argv[4].split(","))))
+            want = json.loads(json.dumps(wlp.WlpVerdict.of(action).to_json()))
+            assert verdict == {"verdict": want}, argv
+
+    @pytest.mark.parametrize("argv", [
+        ("--d", "7", "--action", "0,1,3"),
+        ("--d", "9", "--action", "1,1,4"),
+        ("--d", "30", "--action", "0,2,5"),
+        ("--d", "40", "--action", "0,1,1"),
+    ])
+    def test_report_verdict_reads_no_restriction(self, capsys, monkeypatch, argv):
+        code, want, err = run_cli(capsys, "report", *argv)
+        assert code == 0, err
+        real, calls = wlp.restriction, []
+
+        def one_more(ideal):
+            r = real(ideal)
+            calls.append(r)
+            return r.replace(nullity=r.nullity + 1)
+
+        monkeypatch.setattr(cli, "restriction", one_more)
+        code, out, err = run_cli(capsys, "report", *argv)
+        assert code == 0, err
+        assert len(calls) == 1
+        assert _verdict_of(json.loads(out)) == _verdict_of(json.loads(want))
 
 
 class TestCirculantSection:
@@ -1467,6 +1522,19 @@ class TestFormats:
         assert code == 0
         assert out.startswith("# gtsys classify")
         assert "| members | size | type |" in out
+
+    def test_markdown_table_of_rows_with_different_keys(self, capsys):
+        # the units of a scan differ in their keys: one table holds them all,
+        # a column for every key, blank where a unit has none
+        code, out, _ = run_cli(capsys, "conjecture-scan", "--dmax", "4", "--format", "md")
+        assert code == 0
+        assert "{'" not in out
+        lines = out.splitlines()
+        table = lines[lines.index("### units") + 1:]
+        assert table[0] == ("| d | a | b | status | mu | minimal_circulant | togliatti "
+                            "| minimal_oracle |")
+        assert table[2] == "| 3 | 1 | 1 | degenerate_wlp |  |  |  |  |"
+        assert table[3] == "| 3 | 1 | 2 | ok | 4 | True | True | True |"
 
     def test_csv(self, capsys):
         code, out, _ = run_cli(capsys, "invariants", "--d", "3", "--a", "2", "--format", "csv")

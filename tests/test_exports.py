@@ -78,6 +78,10 @@ def test_removed_members_are_gone():
     assert not hasattr(gtsystems.Action, "is_m_family")
     assert "source" not in gtsystems.Action._fields
     assert "is_gt" not in gtsystems.WlpVerdict._fields
+    # WlpVerdict.of(action) is the one constructor beside the record's own
+    assert [n for n, v in vars(gtsystems.WlpVerdict).items() if isinstance(v, classmethod)] == [
+        "of"]
+    assert not hasattr(gtsystems.cli, "invariant_count")  # the verdict counts in wlp
     assert not hasattr(gtsystems.SparsePoly, "map_coefficients")
     assert not hasattr(gtsystems.CyclotomicInt, "__pow__")
     assert not hasattr(gtsystems.CyclotomicInt, "substitute_power")

@@ -14,7 +14,7 @@ from test_circulant import ternary_oracle
 from test_polymat import bareiss_oracle, signed_binomial_rows
 
 from gtsystems import circulant, cli, wlp
-from gtsystems.actions import Action, GTIdeal, invariant_count, invariant_monomials
+from gtsystems.actions import Action, GTIdeal, invariant_monomials
 from gtsystems.circulant import circulant_product
 from gtsystems.cli import main
 from gtsystems.errors import ConsistencyError, SizeLimitError
@@ -497,31 +497,36 @@ class TestSweep:
         assert min(stepped.values()) > 0, stepped
 
 
-def _verdict(ideal, nullity=None):
-    """The verdict of an enumerated ideal, read off the ideal itself: its
-    mu and pure powers, and by default the nullity of its action."""
-    if nullity is None:
-        nullity = conjugate_nullity(ideal.action)
-    return WlpVerdict.from_counts(ideal.d, ideal.action, ideal.mu, nullity,
-                                  ideal.has_pure_powers())
+def _verdict(ideal):
+    """The verdict of an enumerated ideal, built here from the ideal and its
+    sweep: mu and the pure powers read off the generators, the nullity off
+    restriction(ideal), in the order of WlpVerdict's fields."""
+    d, mu, nullity = ideal.d, ideal.mu, restriction(ideal).nullity
+    dim_source, dim_target = d * (d + 1) // 2, (d + 1) * (d + 2) // 2 - mu
+    rank = dim_source - nullity
+    bound_ok = mu <= d + 1
+    return WlpVerdict(ideal.action, d, mu, dim_source, dim_target,
+                      rank if d <= RANK_REPORT_LIMIT else None, nullity > 0,
+                      rank < min(dim_source, dim_target), bound_ok,
+                      nullity >= 1 and ideal.has_pure_powers() and bound_ok, "conjugate_forms")
 
 
 class TestVerdicts:
     @pytest.mark.parametrize("d", range(2, 15))
     def test_counts_give_the_verdict_of_the_enumerated_ideal(self, d):
-        # gt-verdict's route (two counts, no ideal) against the enumeration
+        # WlpVerdict.of (two counts, no ideal) against the enumeration and the
+        # sweep, for every faithful action; its ideal always holds the three
+        # pure powers (a*d = 0 mod d), which the verdict takes for granted
         for weights in itertools.product(range(d), repeat=3):
             if math.gcd(*weights, d) != 1:
                 continue
             action = Action(d, weights)
             ideal = invariant_monomials(action)
-            nullity = conjugate_nullity(action)
-            assert WlpVerdict.from_counts(d, action, invariant_count(d, weights, d), nullity,
-                                          True) == _verdict(ideal, nullity), weights
+            assert ideal.has_pure_powers(), weights
+            assert WlpVerdict.of(action) == _verdict(ideal), weights
 
     def test_classical_degree_three(self):
-        ideal = invariant_monomials(Action(3, (0, 1, 2)))
-        v = _verdict(ideal)
+        v = WlpVerdict.of(Action(3, (0, 1, 2)))
         assert v.mu == 4
         assert (v.dim_source, v.dim_target) == (6, 6)
         assert v.rank == 5
@@ -531,28 +536,23 @@ class TestVerdicts:
 
     @pytest.mark.parametrize("d,a", [(5, 2), (7, 3), (11, 4), (13, 6)])
     def test_prime_actions_are_gt_systems(self, d, a):
-        ideal = invariant_monomials(Action(d, (0, 1, a)))
-        v = _verdict(ideal)
+        v = WlpVerdict.of(Action(d, (0, 1, a)))
         assert v.mu == 3 + (d - 1) // 2
         assert v.fails_injectivity and v.is_togliatti and v.to_json()["is_gt"]
 
     def test_injectivity_failure_has_corank_exactly_one_for_primes(self):
         for d, a in ((5, 2), (7, 3), (11, 2)):
-            ideal = invariant_monomials(Action(d, (0, 1, a)))
-            v = _verdict(ideal)
+            v = WlpVerdict.of(Action(d, (0, 1, a)))
             assert v.rank == v.dim_source - 1
 
     def test_degenerate_direction_is_not_togliatti(self):
-        ideal = invariant_monomials(Action(3, (0, 1, 1)))
-        v = _verdict(ideal)
+        v = WlpVerdict.of(Action(3, (0, 1, 1)))
         assert not v.is_togliatti  # mu = 5 exceeds d + 1 = 4
 
     def test_exact_verdict_above_rank_report_limit(self):
-        d = RANK_REPORT_LIMIT + 1
-        ideal = invariant_monomials(Action(d, (0, 1, 3)))
-        nullity = conjugate_nullity(ideal.action)
-        assert nullity == 1
-        v = _verdict(ideal, nullity)
+        action = Action(RANK_REPORT_LIMIT + 1, (0, 1, 3))
+        assert conjugate_nullity(action) == 1
+        v = WlpVerdict.of(action)
         assert v.method == "conjugate_forms"
         assert v.rank is None
         assert v.fails_injectivity and v.fails_wlp_at_d_minus_1 and v.is_togliatti
@@ -561,7 +561,7 @@ class TestVerdicts:
         d = RANK_REPORT_LIMIT + 1
         for weights in ((0, 1, 3), (0, 1, 1), (0, 0, 1)):
             ideal = invariant_monomials(Action(d, weights))
-            v = _verdict(ideal)
+            v = WlpVerdict.of(ideal.action)
             rank, dim_src = oracle_rank(ideal)
             assert v.dim_source == dim_src, weights
             assert v.fails_injectivity == (rank < dim_src), weights
@@ -569,21 +569,18 @@ class TestVerdicts:
 
     def test_repeated_weight_at_large_d(self):
         # (0, a, a) and (0, 0, c) used to raise above d = 16
-        ideal = invariant_monomials(Action(40, (0, 1, 1)))
-        v = _verdict(ideal)
+        v = WlpVerdict.of(Action(40, (0, 1, 1)))
         assert v.mu == 42
         assert v.fails_injectivity
         assert v.fails_wlp_at_d_minus_1 is False
         assert not v.is_togliatti  # mu 42 > d + 1
-        ideal = invariant_monomials(Action(20, (0, 0, 1)))
-        assert _verdict(ideal).fails_injectivity
+        assert WlpVerdict.of(Action(20, (0, 0, 1))).fails_injectivity
 
     def test_verdict_beyond_product_limit(self):
         # the ternary product stops at d = 128; the verdict does not
-        ideal = invariant_monomials(Action(200, (0, 1, 3)))
-        nullity = conjugate_nullity(ideal.action)
-        assert nullity == 1
-        v = _verdict(ideal, nullity)
+        action = Action(200, (0, 1, 3))
+        assert conjugate_nullity(action) == 1
+        v = WlpVerdict.of(action)
         assert v.mu == 103
         assert v.fails_injectivity and v.is_togliatti
         assert v.rank is None
@@ -982,7 +979,7 @@ class TestConjectureScan:
         for u in units:
             weights = (0, u["a"], u["b"])
             ideal = invariant_monomials(Action(u["d"], weights))
-            verdict = _verdict(ideal)
+            verdict = WlpVerdict.of(ideal.action)
             assert (u["mu"], u["togliatti"]) == (verdict.mu, verdict.is_togliatti), u
             circ = circulant_product(u["d"], weights).support() == set(ideal.generators)
             assert u["minimal_circulant"] == circ, u
