@@ -29,7 +29,7 @@ _ORIGIN = {
     }.items()
     for name in names
 }
-_SUBMODULES = frozenset(_ORIGIN.values()) | {"cli"}
+_SUBMODULES = frozenset(_ORIGIN.values()) | {"cli", "primes"}
 
 __all__ = sorted([*_ORIGIN, "__version__"])
 

@@ -14,45 +14,29 @@ from itertools import combinations
 
 from ._record import Record
 from .errors import ConsistencyError, SizeLimitError
+from .primes import factorize
 
 __all__ = [
     "ClassCountReport",
     "ClassCounts",
     "ClassPartition",
+    "check_classify_limit",
     "class_count_formulas",
     "classify_moves",
-    "factorize",
-    "is_prime",
     "orbit",
     "prime_and_primepower_counts",
 ]
 
-# Largest d that classify_moves partitions and factorize factors, by trial
-# division, for the closed-form counts
+# Largest d that classify_moves partitions and the closed-form counts
+# factor, by trial division (primes.factorize)
 CLASSIFY_LIMIT = 10 ** 6
 
 
-def factorize(n: int) -> dict:
-    """Prime factorization by trial division, for 1 <= n <= CLASSIFY_LIMIT."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if n > CLASSIFY_LIMIT:
-        raise SizeLimitError("the number to factor", n, "CLASSIFY_LIMIT", CLASSIFY_LIMIT)
-    out = {}
-    m = n
-    p = 2
-    while p * p <= m:
-        while m % p == 0:
-            out[p] = out.get(p, 0) + 1
-            m //= p
-        p += 1 if p == 2 else 2
-    if m > 1:
-        out[m] = out.get(m, 0) + 1
-    return out
-
-
-def is_prime(n: int) -> bool:
-    return n >= 2 and factorize(n) == {n: 1}
+def check_classify_limit(d):
+    """Raise SizeLimitError when d passes CLASSIFY_LIMIT: the partition, the
+    class counts and the prime-power counts all check it first."""
+    if d > CLASSIFY_LIMIT:
+        raise SizeLimitError("the d of a classification", d, "CLASSIFY_LIMIT", CLASSIFY_LIMIT)
 
 
 def totient(n: int) -> int:
@@ -127,8 +111,7 @@ def classify_moves(d) -> ClassPartition:
     One ascending sweep: every a not yet placed is the least member of its
     class, so the classes come out ordered by their least member.
     """
-    if d > CLASSIFY_LIMIT:
-        raise SizeLimitError("the d of a classification", d, "CLASSIFY_LIMIT", CLASSIFY_LIMIT)
+    check_classify_limit(d)
     if d < 4:
         raise ValueError("need d >= 4")
     placed = bytearray(d)
@@ -252,8 +235,9 @@ def class_count_formulas(d, partition: ClassPartition | None = None) -> ClassCou
     The oracle (move closure plus class typing) is authoritative; formula
     deviations are reported as findings, not raised.  A caller that already
     holds ``classify_moves(d)`` passes it as ``partition``; otherwise it is
-    computed here; factorize refuses a d past CLASSIFY_LIMIT.
+    computed here.  A d past CLASSIFY_LIMIT is refused first.
     """
+    check_classify_limit(d)
     if d < 5:
         raise ValueError("need d >= 5")
     if partition is not None and partition.d != d:
@@ -265,7 +249,9 @@ def class_count_formulas(d, partition: ClassPartition | None = None) -> ClassCou
 
 
 def prime_and_primepower_counts(d) -> int:
-    """Class count for d prime or a prime power, by the closed forms."""
+    """Class count for d prime or a prime power, by the closed forms; a d
+    past CLASSIFY_LIMIT is refused first."""
+    check_classify_limit(d)
     fac = factorize(d)
     if len(fac) != 1:
         raise ValueError("d must be a prime power")

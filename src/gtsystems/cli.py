@@ -19,7 +19,6 @@ from types import SimpleNamespace
 
 from . import __version__
 from .actions import Action, invariant_monomials
-from .circulant import check_ternary_limit, circulant_det_symbolic, coefficient_query
 from .errors import ConsistencyError, SizeLimitError
 from .wlp import (
     WlpVerdict,
@@ -30,9 +29,11 @@ from .wlp import (
     restriction,
 )
 
-# classification, surface and arrangements (with cyclotomic), csv and random
-# are imported by the commands that use them, on their first call: the
-# per-ideal commands never load them, and report no arrangements.  No gtsys
+# circulant, classification, surface and arrangements (with cyclotomic), csv
+# and random are imported by the commands that use them, on their first call:
+# the per-ideal commands never load classification, surface or arrangements,
+# minimal, gt-verdict and invariants never load circulant (only a Newton
+# expansion does), and report loads no arrangements.  No gtsys
 # process imports json (_json_write writes every JSON text, --stream lines and
 # csv cells too), nor dataclasses with inspect (the records are _record
 # classes).  A plain call (full option names, each once, values that do not
@@ -168,17 +169,18 @@ def cmd_gt_verdict(args):
 def _minimal_section(r, cross_check=False, subset_oracle=False, prefix=""):
     """The results of minimal and its checks, named as in
     _invariants_section: minimality of a Togliatti system, read off its
-    restriction r.  With cross_check, r.newton_product() compares the
-    Newton-expanded product with r.product; cross_check and routes_agree
-    say that it did, that is up to the ternary limit with nullity 1."""
-    ideal, minimal, product = r.ideal, r.minimal, r.product
-    compared = cross_check and r.newton_product() is not None and product is not None
+    restriction r.  With cross_check, r.evaluation_check() compares r.product
+    with the eigenvalue product at two points mod a prime p = 1 (mod d), and
+    a mismatch raises ConsistencyError; cross_check and routes_agree say that
+    it did, that is with nullity 1, at every d."""
+    ideal, minimal = r.ideal, r.minimal
+    compared = cross_check and r.evaluation_check()
     results = {
         "action": {"d": ideal.d, "weights": list(ideal.action.normalized())},
         "minimal_circulant": minimal,
         "minimal_subset_oracle": None,
         "route": "kernel_vector",
-        "cross_check": "newton_product" if compared else None,
+        "cross_check": "evaluation_mod_p" if compared else None,
     }
     checks = [
         _check(prefix + "minimal_circulant", "pass" if minimal else "finding",
@@ -230,6 +232,8 @@ def cmd_classify(args):
 
 
 def cmd_circulant(args):
+    from .circulant import check_ternary_limit, circulant_det_symbolic, coefficient_query
+
     d = args.d
     inputs = {"d": d}
     checks = []
@@ -453,9 +457,11 @@ def cmd_report(args):
 
 
 def _md_cell(v):
+    """A list or tuple as the cells of its items, joined by ", "; any other
+    value as its _cell."""
     if isinstance(v, (list, tuple)):
-        return ", ".join(str(x) for x in v)
-    return str(v)
+        return ", ".join(map(_cell, v))
+    return _cell(v)
 
 
 def _md_table(rows):
@@ -503,10 +509,8 @@ def _flatten(prefix, value, rows):
     if isinstance(value, dict):
         for k in value:
             _flatten(f"{prefix}.{k}" if prefix else str(k), value[k], rows)
-    elif isinstance(value, list):
-        rows.append((prefix, _json_text(value, None)))
-    else:  # a str as it is; null, true, false and ints as the JSON spells them
-        rows.append((prefix, value if type(value) is str else _SCALARS[type(value)](value)))
+    else:
+        rows.append((prefix, _cell(value)))
 
 
 def _render_csv(report):
@@ -535,6 +539,15 @@ _SCALARS = {
     bool: ("false", "true").__getitem__,
     type(None): {None: "null"}.__getitem__,
 }
+
+
+def _cell(value):
+    """value as a cell of md or csv: a str as it is, and any other value as
+    its one-line JSON text, so null, true and false as JSON spells them."""
+    if type(value) is str:
+        return value
+    scalar = _SCALARS.get(type(value))
+    return _json_text(value, None) if scalar is None else scalar(value)
 
 
 def _json_write(value, nl, out):

@@ -65,21 +65,36 @@ For L = x + y + z the eigenvalue product of the action lies in that kernel,
 so when the kernel has dimension 1 its vector is the product's coefficient
 vector, scaled.  restriction(ideal) decides E once, by the sweep, and the
 Togliatti predicate, minimality and the product are read off the
-Restriction it returns.  Restriction.newton_product() is the one
-cross-check of the product against its Newton expansion, for minimal,
-report and conjecture_scan alike.
+Restriction it returns.
+
+Restriction.evaluation_check() cross-checks the product at every d, in
+O(d + mu) steps.  The product P has integer coefficients, and sending zeta
+to an element w of order d in F_p, for a prime p = 1 (mod d), is a ring
+map; so at any point (x0, y0, z0) of F_p^3
+
+    prod_j (w^(ja) x0 + w^(jb) y0 + w^(jc) z0) = sum_i q_i x0^i y0^j z0^k (mod p),
+
+with q = v / v_(x^d), signed, on the right.  A mismatch proves a fault.
+If the two sides differ over Z, a point misses the difference with
+probability at most d/p (Schwartz-Zippel), unless p divides every
+coefficient of the difference; p is drawn near 2^61 from a range seeded by
+d, and two points are seeded by d and the action.  minimal reads it.
+Restriction.newton_product(), the full Newton expansion up to the ternary
+limit, stays where the expansion is the answer or a recorded field: the
+printed polynomial of circulant --a --b, report's membership forms of an
+ideal without v, and conjecture_scan's minimal_circulant.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from ._record import Record
 from .actions import Action, GTIdeal, invariant_count, invariant_monomials
-from .circulant import TERNARY_LIMIT, check_ternary_limit, circulant_product
 from .errors import ConsistencyError, SizeLimitError
 from .polymat import SparsePoly, fraction_free_step
+from .primes import prime_1_mod, root_of_order
 
 __all__ = [
     "WlpVerdict",
@@ -127,6 +142,15 @@ class _SignedBinomials(dict):
             row[m + 1] = row[k - m - 1] = c
         self[k] = row
         return row
+
+
+@lru_cache(maxsize=256)
+def _prime_field(d):
+    """(p, w): the least prime p = 1 (mod d) from a start near 2^61 seeded by
+    d (Fibonacci hashing), and an element w of order d in F_p.  A prime
+    search takes 0.2-0.7 ms, so each d keeps its pair; at most 256 of them."""
+    p = prime_1_mod(d, (1 << 61) + d * 0x9E3779B97F4A7C15 % (1 << 58))
+    return p, root_of_order(d, p)
 
 
 def _check_kernel_vector(ideal: GTIdeal, v, binomials):
@@ -256,13 +280,48 @@ class Restriction(Record):
             raise ConsistencyError("the product's support disagrees with minimality")
         return SparsePoly(3, terms)
 
+    def evaluation_check(self) -> bool:
+        """Evaluate self.product and the eigenvalue product of the action
+        (a, b, c) at two points of F_p (module docstring); True when they
+        agree, ConsistencyError when they do not, and False, with nothing
+        compared, when there is no product (nullity other than 1, or no
+        action).  O(d + mu) steps, at every d."""
+        product = self.product
+        if product is None:
+            return False
+        d, weights = self.ideal.d, self.ideal.action.weights
+        p, w = _prime_field(d)
+        wa, wb, wc = (pow(w, e, p) for e in weights)
+        seed = 6 * ((weights[0] % d * d + weights[1] % d) * d + weights[2] % d)
+        for point in range(2):
+            # powers of 3 mod p, at exponents seeded by the action
+            x, y, z = (pow(3, seed + 3 * point + k + 1, p) for k in range(3))
+            lhs, ra, rb, rc = 1, 1, 1, 1  # ra, rb, rc = w^(ja), w^(jb), w^(jc)
+            for _ in range(d):
+                lhs = lhs * (ra * x + rb * y + rc * z) % p
+                ra, rb, rc = ra * wa % p, rb * wb % p, rc * wc % p
+            xs, ys, zs = [1], [1], [1]  # the powers 0..d of x, y and z mod p
+            for _ in range(d):
+                xs.append(xs[-1] * x % p)
+                ys.append(ys[-1] * y % p)
+                zs.append(zs[-1] * z % p)
+            rhs = sum(q * xs[i] * ys[j] * zs[k] for (i, j, k), q in product.terms.items())
+            if (lhs - rhs) % p:
+                raise ConsistencyError(
+                    "the eigenvalue product mod p disagrees with the kernel vector")
+        return True
+
     def newton_product(self) -> SparsePoly | None:
         """The eigenvalue product expanded by Newton's identities
         (circulant_product) at the action's own weights, or None past the
         ternary limit or without an action.  Its support must lie in the
         generator set, and with nullity 1 it must equal self.product term by
         term; otherwise ConsistencyError.  With any other nullity nothing is
-        compared with v."""
+        compared with v.  It serves circulant --a --b, report's membership
+        forms of an ideal without v, and conjecture_scan, which print or
+        record the expansion; minimal reads evaluation_check instead."""
+        from .circulant import TERNARY_LIMIT, circulant_product
+
         ideal = self.ideal
         if ideal.action is None or ideal.d > TERNARY_LIMIT:
             return None
@@ -364,6 +423,8 @@ def conjecture_scan(d_values):
     not Togliatti systems are recorded as such.  Before the first unit the
     first d past the ternary limit, if any, is refused (check_ternary_limit).
     """
+    from .circulant import check_ternary_limit
+
     for d in d_values:
         check_ternary_limit(d)
     findings = []

@@ -12,7 +12,8 @@ from test_circulant import circulant_det_oracle
 
 import gtsystems as g
 from gtsystems.circulant import circulant_det_symbolic, circulant_product, coefficient_query
-from gtsystems.classification import class_count_formulas, classify_moves, is_prime, prime_and_primepower_counts
+from gtsystems.classification import class_count_formulas, classify_moves, prime_and_primepower_counts
+from gtsystems.primes import is_prime
 from gtsystems.wlp import WlpVerdict, restriction
 
 

@@ -14,13 +14,12 @@ from gtsystems.classification import (
     _phi6_compatible,
     class_count_formulas,
     classify_moves,
-    factorize,
-    is_prime,
     orbit,
     prime_and_primepower_counts,
     totient,
 )
 from gtsystems.errors import ConsistencyError, SizeLimitError
+from gtsystems.primes import factorize, is_prime
 
 # Verbatim reference partitions for small primes.
 REFERENCE_PARTITIONS = {
@@ -232,20 +231,25 @@ class TestSweepAgainstQuadraticClosure:
 
 class TestClassifyLimit:
     def test_limit_is_the_factorization_limit(self):
+        # the counts factor d by trial division, which the limit bounds
         assert factorize(CLASSIFY_LIMIT) == {2: 6, 5: 6}
+        assert prime_and_primepower_counts(2**19) == 2**17 + 1
         with pytest.raises(SizeLimitError) as info:
-            factorize(CLASSIFY_LIMIT + 1)
-        assert str(info.value) == "the number to factor is 1000001, past CLASSIFY_LIMIT = 1000000"
-        with pytest.raises(ValueError, match="need n >= 1") as info:
-            factorize(0)
-        assert not isinstance(info.value, SizeLimitError)
+            prime_and_primepower_counts(CLASSIFY_LIMIT + 1)
+        assert str(info.value) == ("the d of a classification is 1000001, "
+                                   "past CLASSIFY_LIMIT = 1000000")
 
-    @pytest.mark.parametrize("func", [classify_moves, class_count_formulas])
+    @pytest.mark.parametrize("func", [classify_moves, class_count_formulas,
+                                      prime_and_primepower_counts])
     def test_limit_checked_before_any_orbit(self, monkeypatch, func):
         def no_orbit(d, a):
             raise AssertionError("orbit ran above the classification limit")
 
+        def no_factors(n):
+            raise AssertionError("factored above the classification limit")
+
         monkeypatch.setattr(classification, "orbit", no_orbit)
+        monkeypatch.setattr(classification, "factorize", no_factors)
         with pytest.raises(SizeLimitError) as info:
             func(CLASSIFY_LIMIT + 1)
         assert (info.value.name, info.value.limit, info.value.size) == (

@@ -32,6 +32,20 @@ def _doubled(product):
     return lambda d, w: polymat.SparsePoly(3, add({}, product(d, w).terms, 2))
 
 
+def _mutant(monkeypatch, old, new):
+    """Replace Restriction.evaluation_check by its own source with the one
+    occurrence of old changed to new: a source mutant of the check."""
+    source = textwrap.dedent(inspect.getsource(wlp.Restriction.evaluation_check))
+    assert source.count(old) == 1, old
+    namespace = {}
+    exec(compile(source.replace(old, new), wlp.__file__, "exec"), vars(wlp), namespace)
+    monkeypatch.setattr(wlp.Restriction, "evaluation_check", namespace["evaluation_check"])
+
+
+EVALUATION_FAILURE = ("gtsys: consistency failure: the eigenvalue product mod p disagrees "
+                      "with the kernel vector\n")
+
+
 def run_cli(capsys, *argv):
     try:
         code = main(list(argv))
@@ -313,7 +327,8 @@ class TestOneIdealPerCommand:
 
 
 def _spy_circulant_products(monkeypatch):
-    """Count the Newton expansions in every module that holds the function."""
+    """Count the Newton expansions: every caller reads the function from
+    circulant when it runs."""
     calls = []
     real = circulant.circulant_product
 
@@ -321,8 +336,7 @@ def _spy_circulant_products(monkeypatch):
         calls.append((d, tuple(positions)))
         return real(d, positions)
 
-    for module in (circulant, wlp):
-        monkeypatch.setattr(module, "circulant_product", spy)
+    monkeypatch.setattr(circulant, "circulant_product", spy)
     return calls
 
 
@@ -352,17 +366,18 @@ class TestTogliattiFirst:
         assert code == 1 and out == ""
         assert err == f"gtsys: error: {wlp.NOT_TOGLIATTI}\n"
 
-    @pytest.mark.parametrize("argv,cross_check", [
-        (("minimal", "--d", "7", "--action", "0,1,3"), "newton_product"),
-        (("minimal", "--d", "13", "--a", "4", "--subset-oracle"), "newton_product"),
-        (("minimal", "--d", "200", "--a", "3"), None),
+    @pytest.mark.parametrize("argv", [
+        ("minimal", "--d", "7", "--action", "0,1,3"),
+        ("minimal", "--d", "13", "--a", "4", "--subset-oracle"),
+        ("minimal", "--d", "200", "--a", "3"),
+        ("minimal", "--d", "256", "--action", "0,5,17"),
     ])
-    def test_minimal_names_its_route(self, capsys, argv, cross_check):
+    def test_minimal_names_its_route(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, err
         results = json.loads(out)["results"]
         assert results["route"] == "kernel_vector"
-        assert results["cross_check"] == cross_check
+        assert results["cross_check"] == "evaluation_mod_p"
         assert results["minimal_circulant"] is True
 
     def test_report_names_its_route(self, capsys):
@@ -376,29 +391,74 @@ class TestTogliattiFirst:
         (("minimal", "--d", "13", "--a", "4", "--subset-oracle"), True),
         (("minimal", "--d", str(circulant.TERNARY_LIMIT), "--a", "3", "--subset-oracle"), True),
         (("minimal", "--d", str(circulant.TERNARY_LIMIT + 1), "--a", "3", "--subset-oracle"),
-         False),
+         True),
+        (("minimal", "--d", str(wlp.MINIMALITY_LIMIT), "--action", "0,5,17", "--subset-oracle"),
+         True),
         (("minimal", "--d", "13", "--a", "4"), False),
     ])
-    def test_routes_agree_only_after_the_newton_cross_check(self, capsys, argv, printed):
+    def test_routes_agree_only_after_the_evaluation_cross_check(self, capsys, monkeypatch, argv,
+                                                                printed):
+        expansions = _spy_circulant_products(monkeypatch)
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, err
         report = json.loads(out)
         names = [c["name"] for c in report["checks"]]
         assert ("routes_agree" in names) == printed
-        assert (report["results"]["cross_check"] == "newton_product") == (
-            int(argv[2]) <= circulant.TERNARY_LIMIT)
+        assert report["results"]["cross_check"] == "evaluation_mod_p"
+        assert expansions == []  # minimal expands no product at any d
 
-    def test_newton_disagreement_exits_2(self, capsys, monkeypatch):
-        real = circulant.circulant_product
-        monkeypatch.setattr(wlp, "circulant_product", _doubled(real))
+    def test_evaluation_disagreement_exits_2(self, capsys, monkeypatch):
+        # the product read off v, doubled: the check at the first point fails
+        real = wlp.Restriction.product.func
+        monkeypatch.setattr(wlp.Restriction, "product", property(
+            lambda r: polymat.SparsePoly(3, add({}, real(r).terms, 2))))
         code, out, err = run_cli(capsys, "minimal", "--d", "7", "--action", "0,1,3")
-        assert code == 2 and out == ""
-        assert "the Newton product disagrees with the kernel vector" in err
+        assert (code, out, err) == (2, "", EVALUATION_FAILURE)
+
+    @pytest.mark.parametrize("argv", [
+        ("minimal", "--d", "7", "--action", "0,1,3"),
+        ("minimal", "--d", "30", "--action", "0,2,5", "--subset-oracle"),
+        ("minimal", "--d", "200", "--action", "4,1,7"),
+    ])
+    def test_a_changed_v_entry_exits_2(self, capsys, monkeypatch, argv):
+        # one entry of v moved by v_(x^d): the product stays integral, with
+        # the same support, so only the evaluation can tell
+        real = wlp.restriction
+
+        def changed(ideal):
+            r = real(ideal)
+            v = list(r.v)
+            i = next(i for i in range(1, len(v)) if v[i] not in (0, -v[0]))
+            v[i] += v[0]
+            return r.replace(v=tuple(v))
+
+        monkeypatch.setattr(cli, "restriction", changed)
+        assert run_cli(capsys, *argv) == (2, "", EVALUATION_FAILURE)
+
+    @pytest.mark.parametrize("old,new", [
+        # the linear factor of P at j = 1 dropped (w^b has order d here)
+        ("lhs = lhs * (ra * x + rb * y + rc * z) % p",
+         "lhs = lhs * (ra * x + rb * y + rc * z) % p if rb != wb else lhs"),
+        # a root of order d / q, q the least prime factor of d
+        ("p, w = _prime_field(d)",
+         "p, w = _prime_field(d); w = pow(w, min(q for q in range(2, d + 1) if d % q == 0), p)"),
+        # every factor stepped by w^a: the weights b and c read as a
+        ("wa, wb, wc = (pow(w, e, p) for e in weights)",
+         "wa, wb, wc = (pow(w, weights[0], p) for e in weights)"),
+    ], ids=["dropped_factor", "root_of_wrong_order", "wrong_weight"])
+    @pytest.mark.parametrize("argv", [
+        ("minimal", "--d", "7", "--action", "0,1,3"),
+        ("minimal", "--d", "15", "--action", "0,1,4", "--subset-oracle"),
+        ("minimal", "--d", "256", "--action", "0,5,17"),
+    ])
+    def test_source_mutants_of_the_check_exit_2(self, capsys, monkeypatch, old, new, argv):
+        _mutant(monkeypatch, old, new)
+        assert run_cli(capsys, *argv) == (2, "", EVALUATION_FAILURE)
 
     def test_scan_newton_disagreement_exits_2(self, capsys, monkeypatch):
         # the same products' supports agree; the scan compares every term
         real = circulant.circulant_product
-        monkeypatch.setattr(wlp, "circulant_product", _doubled(real))
+        monkeypatch.setattr(circulant, "circulant_product", _doubled(real))
         code, out, err = run_cli(capsys, "conjecture-scan", "--dmax", "5")
         assert code == 2 and out == ""
         assert err == "gtsys: consistency failure: the Newton product disagrees with the kernel vector\n"
@@ -441,10 +501,10 @@ class TestOneRestrictionPerCommand:
         (("gt-verdict", "--d", "7", "--a", "3", "--general-l", "2"), False, 0, 0),
         (("gt-verdict", "--d", "30", "--action", "0,2,5"), True, 0, 0),
         (("gt-verdict", "--d", "30", "--action", "0,2,5", "--general-l", "3"), True, 0, 0),
-        (("minimal", "--d", "7", "--action", "0,1,3"), False, 1, 1),
-        (("minimal", "--d", "13", "--a", "4", "--subset-oracle"), False, 1, 1),
+        (("minimal", "--d", "7", "--action", "0,1,3"), False, 1, 0),
+        (("minimal", "--d", "13", "--a", "4", "--subset-oracle"), False, 1, 0),
         (("minimal", "--d", "200", "--a", "3"), False, 1, 0),
-        (("minimal", "--d", "30", "--action", "0,2,5"), True, 1, 1),
+        (("minimal", "--d", "30", "--action", "0,2,5"), True, 1, 0),
     ])
     def test_counts(self, capsys, monkeypatch, sweeps, argv, stepped, restrictions, products):
         expansions = _spy_circulant_products(monkeypatch)
@@ -782,7 +842,7 @@ class TestCirculantLimits:
         def no_expansion(*args):
             raise AssertionError("the section was expanded before validation")
 
-        monkeypatch.setattr(wlp, "circulant_product", no_expansion)
+        monkeypatch.setattr(circulant, "circulant_product", no_expansion)
         code, _, err = run_cli(capsys, "circulant", "--d", "128", "--a", "32", "--b", "64")
         assert code == 1
         assert "gcd(0, 32, 64, 128) != 1: the action is not faithful" in err
@@ -797,8 +857,7 @@ class TestCirculantLimits:
                                                          message):
         # a wrong Newton product is a failed cross-check, not a finding
         real = circulant.circulant_product
-        for module in (circulant, wlp):
-            monkeypatch.setattr(module, "circulant_product", lambda d, w: change(real(d, w)))
+        monkeypatch.setattr(circulant, "circulant_product", lambda d, w: change(real(d, w)))
         code, out, err = run_cli(capsys, "circulant", "--d", "7", "--a", "1", "--b", "3")
         assert code == 2 and out == ""
         assert err == f"gtsys: consistency failure: {message}\n"
@@ -1534,7 +1593,21 @@ class TestFormats:
         assert table[0] == ("| d | a | b | status | mu | minimal_circulant | togliatti "
                             "| minimal_oracle |")
         assert table[2] == "| 3 | 1 | 1 | degenerate_wlp |  |  |  |  |"
-        assert table[3] == "| 3 | 1 | 2 | ok | 4 | True | True | True |"
+        assert table[3] == "| 3 | 1 | 2 | ok | 4 | true | true | true |"
+
+    def test_markdown_spells_bool_and_none_as_json(self, capsys):
+        # in a line, in a table cell and inside a list cell, as the JSON and
+        # csv renderings spell them
+        code, out, _ = run_cli(capsys, "minimal", "--d", "7", "--action", "0,1,3", "--format",
+                               "md")
+        assert code == 0
+        assert "- minimal_circulant: true\n- minimal_subset_oracle: null\n" in out
+        assert not re.search(r"\b(True|False|None)\b", out)
+        code, out, _ = run_cli(capsys, "classify", "--d", "13", "--format", "md")
+        assert "- N21: true\n" in out and "- N22: false\n" in out
+        assert cli._md_cell([True, False, None, 3, "x^2y", [0, "y"]]) == (
+            'true, false, null, 3, x^2y, [0, "y"]')
+        assert cli._md_cell([[7, 0, 0], [0, 7, 0]]) == "[7, 0, 0], [0, 7, 0]"  # as before
 
     def test_csv(self, capsys):
         code, out, _ = run_cli(capsys, "invariants", "--d", "3", "--a", "2", "--format", "csv")

@@ -19,7 +19,7 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 HEAVY = ("arrangements", "classification", "cyclotomic", "surface")
 
 SUBMODULES = ("actions", "arrangements", "circulant", "classification", "cli",
-              "cyclotomic", "errors", "polymat", "surface", "wlp")
+              "cyclotomic", "errors", "polymat", "primes", "surface", "wlp")
 
 # the frozen-record base, which every module with a record imports
 RECORD = "_record"
@@ -84,26 +84,29 @@ def test_no_command_loads_dataclasses_inspect_or_json(argv):
     assert not top & set(UNUSED_STDLIB), sorted(top & set(UNUSED_STDLIB))
 
 
-@pytest.mark.parametrize("argv", [
-    ("minimal", "--d", "7", "--action", "0,1,3", "--subset-oracle"),
-    ("gt-verdict", "--d", "7", "--a", "3", "--general-l", "2"),
-    ("invariants", "--d", "7", "--a", "3"),
-    ("conjecture-scan", "--dmax", "5"),
-    ("circulant", "--d", "6"),
+@pytest.mark.parametrize("argv,expands", [
+    (("minimal", "--d", "7", "--action", "0,1,3", "--subset-oracle"), False),
+    (("gt-verdict", "--d", "7", "--a", "3", "--general-l", "2"), False),
+    (("invariants", "--d", "7", "--a", "3"), False),
+    (("conjecture-scan", "--dmax", "5"), True),
+    (("circulant", "--d", "6"), True),
 ])
-def test_per_ideal_commands_load_no_heavy_module(argv):
+def test_per_ideal_commands_load_no_heavy_module(argv, expands):
+    # minimal cross-checks its product mod p (primes), and only the commands
+    # that print or record a Newton expansion load circulant
     code, loaded, _ = loaded_after(argv)
     assert code == 0
     assert not loaded & set(HEAVY), sorted(loaded & set(HEAVY))
-    assert {"cli", "actions", "wlp", "circulant", "polymat", "errors", RECORD} <= loaded
+    assert {"cli", "actions", "wlp", "primes", "polymat", "errors", RECORD} <= loaded
+    assert ("circulant" in loaded) == expands
 
 
 def test_report_loads_no_census_module():
     # the membership forms read the restriction's product: no arrangements,
-    # and with them no cyclotomic
+    # and with them no cyclotomic, and no Newton expansion, so no circulant
     code, loaded, _ = loaded_after(("report", "--d", "7", "--action", "0,1,3"))
     assert code == 0
-    assert loaded == set(SUBMODULES) - {"arrangements", "cyclotomic"} | {RECORD}
+    assert loaded == set(SUBMODULES) - {"arrangements", "cyclotomic", "circulant"} | {RECORD}
 
 
 def test_bare_import_loads_no_submodule_and_resolves_every_name():

@@ -52,8 +52,8 @@ def test_readme_block_runs(block):
     assert proc.stdout
 
 
-def test_all_eleven_readme_gtsys_examples_found():
-    assert len(README_GTSYS) == 11
+def test_all_twelve_readme_gtsys_examples_found():
+    assert len(README_GTSYS) == 12
 
 
 def _readme_claim(argv, out, cwd):
@@ -79,6 +79,9 @@ def _readme_claim(argv, out, cwd):
         verdict = json.loads(out)["results"]["verdict"]
         assert (verdict["rank"], verdict["dim_source"], verdict["fails_injectivity"]) == (
             27, 28, True)
+    elif command == "minimal":  # minimal: true, cross_check evaluation_mod_p
+        results = json.loads(out)["results"]
+        assert (results["minimal_circulant"], results["cross_check"]) == (True, "evaluation_mod_p")
     elif command == "classify":  # class table: (2,7,12) (3,5,6,8,9,11) (4,10)
         table = out.split("#### classes\n", 1)[1].split("\n### ", 1)[0]
         members = [row.split(" | ")[0].lstrip("| ") for row in table.splitlines()[2:]]

@@ -868,7 +868,7 @@ class TestEigenvalueProductFromKernel:
         def no_expansion(d, positions):
             raise AssertionError(f"expanded at d = {d}")
 
-        monkeypatch.setattr(wlp, "circulant_product", no_expansion)
+        monkeypatch.setattr(circulant, "circulant_product", no_expansion)
         d = circulant.TERNARY_LIMIT + 1
         assert restriction(invariant_monomials(Action(d, (0, 1, 3)))).newton_product() is None
         ideal = GTIdeal(3, invariant_monomials(Action(3, (0, 1, 2))).generators)
@@ -884,7 +884,7 @@ class TestEigenvalueProductFromKernel:
 
     def test_newton_product_is_compared_only_with_nullity_one(self, monkeypatch):
         real = circulant_product
-        monkeypatch.setattr(wlp, "circulant_product",
+        monkeypatch.setattr(circulant, "circulant_product",
                             lambda d, w: SparsePoly(3, add({}, real(d, w).terms, 2)))
         r = restriction(invariant_monomials(Action(7, (0, 1, 3))))
         with pytest.raises(ConsistencyError, match="disagrees with the kernel vector"):
@@ -902,6 +902,73 @@ class TestEigenvalueProductFromKernel:
         assert tampered.minimal
         with pytest.raises(ConsistencyError, match="support"):
             tampered.product
+
+
+class TestEvaluationCheck:
+    # the product read off v against the eigenvalue product at two points of
+    # F_p, p = 1 (mod d) near 2^61
+
+    def test_agrees_with_the_newton_product_on_every_unit_to_d_40(self):
+        # (0, ka, kb) for a unit k has the ideal and the product of (0, a, b),
+        # as j -> jk permutes the factors: Newton runs once per ideal
+        newton = {}
+        units = 0
+        for d in range(3, 41):
+            for a in range(1, d):
+                for b in range(a + 1, d):
+                    if math.gcd(a, b, d) != 1:
+                        continue
+                    r = restriction(invariant_monomials(Action(d, (0, a, b))))
+                    if r.product is None:
+                        assert r.evaluation_check() is False
+                        continue
+                    assert r.evaluation_check() is True
+                    if r.ideal.generators not in newton:
+                        newton[r.ideal.generators] = r.newton_product().terms
+                    assert newton[r.ideal.generators] == r.product.terms, (d, a, b)
+                    units += 1
+        assert units == 8410
+
+    @pytest.mark.parametrize("d,weights", [(7, (0, 1, 3)), (30, (0, 2, 5)), (127, (0, 5, 17)),
+                                           (256, (0, 5, 17)), (13, (4, 8, 11))])
+    def test_every_changed_coefficient_is_caught(self, d, weights):
+        r = restriction(invariant_monomials(Action(d, weights)))
+        assert r.evaluation_check()
+        for g in r.product.terms:
+            wrong = r.replace()
+            terms = dict(r.product.terms)
+            terms[g] += 1
+            wrong.__dict__["product"] = SparsePoly(3, terms)
+            with pytest.raises(ConsistencyError, match="mod p disagrees with the kernel vector"):
+                wrong.evaluation_check()
+
+    def test_nothing_is_compared_without_a_product(self, monkeypatch):
+        def no_field(d):
+            raise AssertionError("a prime was drawn")
+
+        monkeypatch.setattr(wlp, "_prime_field", no_field)
+        r = restriction(invariant_monomials(Action(7, (0, 1, 3))))
+        assert r.replace(nullity=2).evaluation_check() is False
+        ideal = GTIdeal(3, invariant_monomials(Action(3, (0, 1, 2))).generators)
+        assert restriction(ideal).evaluation_check() is False  # no action
+
+    def test_the_field_is_drawn_once_per_d(self):
+        wlp._prime_field.cache_clear()
+        for weights in ((0, 1, 3), (0, 1, 5), (0, 2, 3)):
+            assert restriction(invariant_monomials(Action(7, weights))).evaluation_check()
+        info = wlp._prime_field.cache_info()
+        assert (info.misses, info.hits, info.maxsize) == (1, 2, 256)
+        p, w = wlp._prime_field(7)
+        assert p % 7 == 1 and 2**61 <= p < 2**61 + 2**59 and pow(w, 7, p) == 1 != w
+
+    def test_runs_past_the_ternary_limit_at_o_d_plus_mu(self, monkeypatch):
+        def no_expansion(d, positions):
+            raise AssertionError(f"expanded at d = {d}")
+
+        monkeypatch.setattr(circulant, "circulant_product", no_expansion)
+        d = wlp.MINIMALITY_LIMIT
+        assert d > circulant.TERNARY_LIMIT
+        assert restriction(invariant_monomials(Action(d, (0, 5, 17)))).evaluation_check()
 
 
 class TestConjectureScan:
