@@ -75,10 +75,15 @@ map; so at any point (x0, y0, z0) of F_p^3
     prod_j (w^(ja) x0 + w^(jb) y0 + w^(jc) z0) = sum_i q_i x0^i y0^j z0^k (mod p),
 
 with q = v / v_(x^d), signed, on the right.  A mismatch proves a fault.
-If the two sides differ over Z, a point misses the difference with
-probability at most d/p (Schwartz-Zippel), unless p divides every
-coefficient of the difference; p is drawn near 2^61 from a range seeded by
-d, and two points are seeded by d and the action.  minimal reads it.
+If the two sides differ over Z by D, then unless p divides every
+coefficient of D, D vanishes on at most a d/p share of F_p^3
+(Schwartz-Zippel): a uniform point misses it with probability at most
+d/p, and the hashed points below stand in for uniform ones.  p is drawn near
+2^61 from a range seeded by d.  Both sides are homogeneous of degree d, so
+a point counts only up to scaling: each of the two points takes its three
+coordinates from separate splitmix64 hashes of a counter seeded by d and
+the action (_check_points), so the points are projectively distinct and
+lie on no line or curve fixed in advance.  minimal reads it.
 Restriction.newton_product(), the full Newton expansion up to the ternary
 limit, stays where the expansion is the answer or a recorded field: the
 printed polynomial of circulant --a --b, report's membership forms of an
@@ -151,6 +156,28 @@ def _prime_field(d):
     search takes 0.2-0.7 ms, so each d keeps its pair; at most 256 of them."""
     p = prime_1_mod(d, (1 << 61) + d * 0x9E3779B97F4A7C15 % (1 << 58))
     return p, root_of_order(d, p)
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def _splitmix64(n):
+    """The n-th output of splitmix64 (Steele, Lea and Flood, OOPSLA 2014)
+    from state 0: a bijective, nonlinear mix of n to 64 bits."""
+    z = (n + 1) * 0x9E3779B97F4A7C15 & _MASK64
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _MASK64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & _MASK64
+    return z ^ z >> 31
+
+
+def _check_points(d, weights, p):
+    """The two points (x0, y0, z0) of F_p^3 at which evaluation_check
+    compares: coordinate k of point t is the splitmix64 hash of the
+    counter 6 * seed + 3t + k, mod p, with seed the code of d and the
+    action mod d.  Each coordinate has its own hash, so no coordinate is a
+    fixed multiple of another."""
+    seed = ((d * d + weights[0] % d) * d + weights[1] % d) * d + weights[2] % d
+    return [tuple(_splitmix64(6 * seed + 3 * t + k) % p for k in range(3)) for t in range(2)]
 
 
 def _check_kernel_vector(ideal: GTIdeal, v, binomials):
@@ -292,10 +319,7 @@ class Restriction(Record):
         d, weights = self.ideal.d, self.ideal.action.weights
         p, w = _prime_field(d)
         wa, wb, wc = (pow(w, e, p) for e in weights)
-        seed = 6 * ((weights[0] % d * d + weights[1] % d) * d + weights[2] % d)
-        for point in range(2):
-            # powers of 3 mod p, at exponents seeded by the action
-            x, y, z = (pow(3, seed + 3 * point + k + 1, p) for k in range(3))
+        for x, y, z in _check_points(d, weights, p):
             lhs, ra, rb, rc = 1, 1, 1, 1  # ra, rb, rc = w^(ja), w^(jb), w^(jc)
             for _ in range(d):
                 lhs = lhs * (ra * x + rb * y + rc * z) % p

@@ -416,6 +416,27 @@ class TestTogliattiFirst:
         assert (code, out, err) == (2, "", EVALUATION_FAILURE)
 
     @pytest.mark.parametrize("argv", [
+        ("minimal", "--d", "7", "--action", "0,1,2"),
+        ("minimal", "--d", "128", "--action", "0,1,2", "--subset-oracle"),
+        ("minimal", "--d", "256", "--action", "0,5,10"),
+    ])
+    def test_a_swap_of_equal_weight_coefficients_exits_2(self, capsys, monkeypatch, argv):
+        # a + c = 2b (mod d): the coefficients of m*xz and m*y^2, both
+        # invariant and of equal weight, swapped at the first pair that differs
+        real = wlp.Restriction.product.func
+
+        def swapped(r):
+            terms = dict(real(r).terms)
+            (i, j, k), other = next(
+                (g, (g[0] - 1, g[1] + 2, g[2] - 1)) for g in terms
+                if g[0] and g[2] and terms.get((g[0] - 1, g[1] + 2, g[2] - 1), terms[g]) != terms[g])
+            terms[(i, j, k)], terms[other] = terms[other], terms[(i, j, k)]
+            return polymat.SparsePoly(3, terms)
+
+        monkeypatch.setattr(wlp.Restriction, "product", property(swapped))
+        assert run_cli(capsys, *argv) == (2, "", EVALUATION_FAILURE)
+
+    @pytest.mark.parametrize("argv", [
         ("minimal", "--d", "7", "--action", "0,1,3"),
         ("minimal", "--d", "30", "--action", "0,2,5", "--subset-oracle"),
         ("minimal", "--d", "200", "--action", "4,1,7"),

@@ -942,6 +942,40 @@ class TestEvaluationCheck:
             with pytest.raises(ConsistencyError, match="mod p disagrees with the kernel vector"):
                 wrong.evaluation_check()
 
+    @pytest.mark.parametrize("d,weights", [(7, (0, 1, 2)), (30, (0, 1, 2)), (31, (1, 3, 5)),
+                                           (128, (0, 1, 2)), (256, (0, 5, 10))])
+    def test_a_swap_of_equal_weight_coefficients_is_caught(self, d, weights):
+        # with a + c = 2b (mod d), m*xz and m*y^2 are both invariant; a swap
+        # of their coefficients keeps every monomial's weight, and one fixed
+        # ray of points, such as (t, 3t, 9t), would give both the same value
+        assert (weights[0] + weights[2] - 2 * weights[1]) % d == 0
+        r = restriction(invariant_monomials(Action(d, weights)))
+        terms = r.product.terms
+        swaps = 0
+        for (i, j, k), q in terms.items():
+            other = (i - 1, j + 2, k - 1)
+            if i and k and terms.get(other, q) != q:
+                wrong = r.replace()
+                swapped = dict(terms)
+                swapped[(i, j, k)], swapped[other] = terms[other], q
+                wrong.__dict__["product"] = SparsePoly(3, swapped)
+                with pytest.raises(ConsistencyError, match="mod p disagrees with the kernel vector"):
+                    wrong.evaluation_check()
+                swaps += 1
+        assert swaps > 0
+
+    @pytest.mark.parametrize("d", [3, 7, 30, 256])
+    def test_the_points_are_projectively_distinct_and_seeded_by_the_action(self, d):
+        p, _ = wlp._prime_field(d)
+        rays = set()
+        for weights in ((0, 1, 2), (0, 1, 3 % d), (1, 2, 0), (0, 2, 1)):
+            (x, y, z), (x2, y2, z2) = wlp._check_points(d, weights, p)
+            assert x * y * z * x2 * y2 * z2 % p
+            # no 2x2 minor of the two points vanishes: they differ projectively
+            assert (x * y2 - y * x2) % p and (x * z2 - z * x2) % p and (y * z2 - z * y2) % p
+            rays.add((y * pow(x, -1, p) % p, z * pow(x, -1, p) % p))
+        assert len(rays) == 4
+
     def test_nothing_is_compared_without_a_product(self, monkeypatch):
         def no_field(d):
             raise AssertionError("a prime was drawn")
