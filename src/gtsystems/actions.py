@@ -7,9 +7,9 @@ solver of that congruence, for any weights and degree: the invariant ideal
 and the Newton power sums of circulant read it.  invariant_count counts the
 solutions of three weights by floor sums, in O(log d), without listing them:
 mu, the nullity of every verdict (wlp.conjugate_nullity) and the limit of
-check_invariant_limit read it, and invariant_monomials holds its list to
-that count.  The direct scan of the simplex is the oracle of both in the
-tests.
+check_invariant_limit read it, and each listing of an invariant ideal,
+invariant_monomials or wlp.Restriction.of, is held to that count.  The
+direct scan of the simplex is the oracle of both in the tests.
 """
 
 from __future__ import annotations
@@ -83,8 +83,8 @@ class GTIdeal(Record):
     """Artinian monomial ideal generated in a single degree d.
 
     Generators are exponent triples summing to d, kept in descending
-    lexicographic order.  The action is recorded when the ideal arose as the
-    full invariant ideal of one.
+    lexicographic order.  The action is recorded when the ideal arose from
+    one, as its full invariant ideal or a subset of that.
     """
 
     __slots__ = ("d", "generators", "action")
@@ -239,10 +239,13 @@ def check_invariant_limit(action: Action) -> int:
 
 def invariant_monomials(action: Action) -> GTIdeal:
     """All invariant degree-d monomials of the action, in descending
-    lexicographic order (invariant_exponents at n = d), bounded first by
-    check_invariant_limit.  The enumeration must list as many as that
-    count, else ConsistencyError."""
-    mu = check_invariant_limit(action)
+    lexicographic order: _enumerated, after check_invariant_limit."""
+    return _enumerated(action, check_invariant_limit(action))
+
+
+def _enumerated(action: Action, mu) -> GTIdeal:
+    """The invariant ideal of the action, listed by invariant_exponents at
+    n = d; ConsistencyError unless the list has mu, the count, members."""
     d = action.d
     gens = invariant_exponents(d, action.weights, d)
     if len(gens) != mu:

@@ -21,12 +21,12 @@ from . import __version__
 from .actions import Action, invariant_monomials
 from .errors import ConsistencyError, SizeLimitError
 from .wlp import (
+    Restriction,
     WlpVerdict,
-    check_minimality_route,
+    check_distinct_weights,
     conjecture_scan,
     conjugate_nullity,
     random_scales,
-    restriction,
 )
 
 # circulant, classification, surface and arrangements (with cyclotomic), csv
@@ -198,8 +198,8 @@ def _minimal_section(r, cross_check=False, subset_oracle=False, prefix=""):
 
 def cmd_minimal(args):
     action = _parse_action(args)
-    check_minimality_route(action)  # before the invariant enumeration
-    r = restriction(invariant_monomials(action))
+    check_distinct_weights(action)  # before the count
+    r = Restriction.of(action)
     return _report("minimal", {"d": action.d, "action": str(action)},
                    *_minimal_section(r, cross_check=True, subset_oracle=args.subset_oracle))
 
@@ -208,22 +208,9 @@ def cmd_classify(args):
     from . import classification
 
     d = args.d
-    partition = classification.classify_moves(d)
-    results = {"partition": partition.to_json()}
-    checks = [
-        _check("partition_sizes", "pass", f"{len(partition.classes)} classes"),
-    ]
-    if d >= 5:
-        report = classification.class_count_formulas(d, partition)
-        results["counts"] = report.to_json()
-        checks.append(
-            _check(
-                "formula_oracle_agreement",
-                "pass" if not report.findings else "finding",
-                "all fields agree" if not report.findings
-                else "formula/oracle mismatch at " + ", ".join(report.findings),
-            )
-        )
+    results, more = _classify_section(d)
+    checks = [_check("partition_sizes", "pass", f"{len(results['partition']['classes'])} classes"),
+              *more]
     try:
         results["closed_form_count"] = classification.prime_and_primepower_counts(d)
     except ValueError:
@@ -256,15 +243,15 @@ def cmd_circulant(args):
             raise ValueError("need 1 <= a < b <= d-1")
         action = Action(d, (0, args.a, args.b))  # rejects a non-faithful section
         check_ternary_limit(d)
-        ideal = invariant_monomials(action)
+        r = Restriction.of(action)
         # the Newton product, cross-checked against the ideal and against v
-        poly = restriction(ideal).newton_product()
-        complete = poly.support() == set(ideal.generators)
+        poly = r.newton_product()
+        complete = poly.support() == set(r.ideal.generators)
         inputs.update({"a": args.a, "b": args.b})
         checks.append(
             _check("support_equals_invariant_set",
                    "pass" if complete else "finding",
-                   f"{len(poly.terms)} terms vs mu={ideal.mu}")
+                   f"{len(poly.terms)} terms vs mu={r.ideal.mu}")
         )
         results = {
             "n_terms": len(poly.terms),
@@ -327,6 +314,22 @@ def _surface_section(d, prefix=""):
     return results, checks
 
 
+def _classify_section(d, prefix=""):
+    """The results of classify but its closed form, and their check, named
+    as in _invariants_section: the partition, and from d = 5 the counts."""
+    from . import classification
+
+    partition = classification.classify_moves(d)
+    results, checks = {"partition": partition.to_json()}, []
+    if d >= 5:
+        counts = classification.class_count_formulas(d, partition)
+        results["counts"] = counts.to_json()
+        checks.append(_check(prefix + "formula_oracle_agreement",
+                             "pass" if not counts.findings else "finding",
+                             ", ".join(counts.findings) or "all fields agree"))
+    return results, checks
+
+
 def cmd_surface(args):
     return _report("surface", {"d": args.d}, *_surface_section(args.d))
 
@@ -376,20 +379,14 @@ def _d_sections(d):
     """report's sections that depend on d alone, built with every check on the
     first call for each d, as (name, marshal bytes of the dict, JSON text at
     _SECTION_NL), and their checks as built; a raise is never kept.  The
-    largest entry, the partition at d = 3160, the largest d of a report
-    (cmd_report), is 0.2 MiB, so the memo stays near 11 MiB."""
-    from . import classification, surface
+    largest entry, the partition at d = 4469, the largest d of a report
+    (cmd_report), is 0.3 MiB, so the memo stays near 16 MiB."""
+    from . import surface
 
     sections, checks = [], []
     if d >= 4:
-        partition = classification.classify_moves(d)
-        sections.append(("classification", partition.to_json()))
-        if d >= 5:
-            counts = classification.class_count_formulas(d, partition)
-            sections.append(("class_counts", counts.to_json()))
-            checks.append(_check("classify.formula_oracle_agreement",
-                                 "pass" if not counts.findings else "finding",
-                                 ", ".join(counts.findings) or "all fields agree"))
+        results, checks = _classify_section(d, "classify.")
+        sections += zip(("classification", "class_counts"), results.values())  # counts from d = 5
     if 3 <= d <= surface.SURFACE_LIMIT:
         results, more = _surface_section(d, "surface.")
         sections.append(("surface", results))
@@ -403,17 +400,11 @@ def cmd_report(args):
     action = _parse_action(args)
     d = args.d
     minimal = len(set(action.weights)) == 3
-    # every size limit before the partition: the minimality limit for three
-    # distinct weights (d <= 256), then the invariant and elimination limits;
-    # a repeated weight gives mu >= d + 2, which ELIMINATION_LIMIT refuses
-    # past d = 3160, so no report reaches the classify limit
-    if minimal:
-        check_minimality_route(action)
-    ideal = invariant_monomials(action)
-    # one restriction, which holds its nullity against the count of
-    # conjugate forms: the minimal section and the membership forms read it,
-    # and the verdict reads the counts alone, as gt-verdict does
-    r = restriction(ideal)
+    # one restriction, refused from the count before the partition; as
+    # mu >= d/2 + 5/2, every E past d = 4469 passes ELIMINATION_LIMIT, so no
+    # report reaches the classify limit.  The verdict reads the counts alone
+    r = Restriction.of(action)
+    ideal = r.ideal
     shared, shared_checks = _d_sections(d)
     # each section with its checks, named section.check once
     sections = {}

@@ -56,10 +56,10 @@ The count is actions.invariant_count: two floor sums, O(log d) steps of
 Euclid's algorithm, with no monomial listed.  mu is the same count at
 degree d, and the pure powers are always invariant (a*d = 0), so the
 verdict, WlpVerdict.of(action), reads two counts, builds no ideal and
-sweeps nothing.
-restriction raises ConsistencyError when the nullity of a full invariant
-ideal is any other; a subset labelled with the action may have a smaller
-one.
+sweeps nothing.  Restriction.of(action) refuses from the count mu, lists
+the full invariant ideal, sweeps it, and raises ConsistencyError on any
+other nullity; restriction(ideal) sweeps any ideal and checks no count, as
+a subset labelled with the action may have a smaller nullity.
 
 For L = x + y + z the eigenvalue product of the action lies in that kernel,
 so when the kernel has dimension 1 its vector is the product's coefficient
@@ -83,11 +83,8 @@ d/p, and the hashed points below stand in for uniform ones.  p is drawn near
 a point counts only up to scaling: each of the two points takes its three
 coordinates from separate splitmix64 hashes of a counter seeded by d and
 the action (_check_points), so the points are projectively distinct and
-lie on no line or curve fixed in advance.  minimal reads it.
-Restriction.newton_product(), the full Newton expansion up to the ternary
-limit, stays where the expansion is the answer or a recorded field: the
-printed polynomial of circulant --a --b, report's membership forms of an
-ideal without v, and conjecture_scan's minimal_circulant.
+lie on no line or curve fixed in advance.  minimal reads it, and the
+other routes Restriction.newton_product().
 """
 
 from __future__ import annotations
@@ -96,7 +93,7 @@ import math
 from functools import cached_property, lru_cache
 
 from ._record import Record
-from .actions import Action, GTIdeal, invariant_count, invariant_monomials
+from .actions import Action, GTIdeal, _enumerated, check_invariant_limit, invariant_count
 from .errors import ConsistencyError, SizeLimitError
 from .polymat import SparsePoly, fraction_free_step
 from .primes import prime_1_mod, root_of_order
@@ -104,7 +101,7 @@ from .primes import prime_1_mod, root_of_order
 __all__ = [
     "WlpVerdict",
     "Restriction",
-    "check_minimality_route",
+    "check_distinct_weights",
     "conjecture_scan",
     "conjugate_nullity",
     "random_scales",
@@ -117,16 +114,11 @@ __all__ = [
 # recorded again.
 RANK_REPORT_LIMIT = 16
 
-# Largest d at which report and minimal decide minimality: a contract, not
-# a cost, as the sweep takes at most 0.01 s at d <= 256 and 0.02-0.03 s
-# for (0, 3, 7) at d = 420 (Python 3.11, one Xeon core).
-MINIMALITY_LIMIT = 256
-
-# Largest number of cells mu * (d+1) of E, checked before the sweep starts,
-# so that no command runs for minutes or exhausts memory on one.  The worst
-# case measured inside it is (0, 2, 5) at d = 4440 (9.9 million cells): the
-# sweep takes 22-26 s and peaks at 632 MiB resident (Python 3.11, one Xeon
-# core, shared); at d = 2520 (3.2 million cells) it takes 2.5-3.7 s.
+# Largest number of cells mu * (d+1) of E, checked from the count before any
+# monomial is listed, so that no command runs for minutes or exhausts memory
+# on one.  The worst case measured inside it, (0, 2, 5) at d = 4440 (9.9
+# million cells), takes 21 s in minimal or report as a fresh process and
+# peaks at 632 MiB resident (Python 3.11, one shared Xeon core).
 ELIMINATION_LIMIT = 10**7
 
 # The variable orders of the sweep: (the exponent read as the first column,
@@ -253,10 +245,25 @@ class WlpVerdict(Record):
 
 
 class Restriction(Record):
-    """E at x + y + z for an ideal, decided once by restriction(ideal): the
+    """E at x + y + z, decided once (restriction, Restriction.of): the
     nullity and, for a Togliatti system, the checked kernel vector v."""
 
     __slots__ = ("ideal", "nullity", "v", "__dict__")  # __dict__ holds product
+
+    @classmethod
+    def of(cls, action: Action) -> Restriction:
+        """E of the full invariant ideal of the action, the counterpart of
+        WlpVerdict.of: INVARIANT_LIMIT and then ELIMINATION_LIMIT refuse
+        from the one count mu before any monomial is listed, and a nullity
+        other than conjugate_nullity(action) raises ConsistencyError."""
+        mu = check_invariant_limit(action)
+        _check_cells(mu, action.d)
+        r = restriction(_enumerated(action, mu))
+        count = conjugate_nullity(action)
+        if r.nullity != count:
+            raise ConsistencyError(
+                f"nullity {r.nullity} of E where the conjugate forms give {count}")
+        return r
 
     @property
     def togliatti(self) -> bool:
@@ -357,15 +364,21 @@ class Restriction(Record):
         return newton
 
 
+def _check_cells(mu, d):
+    """SizeLimitError when the mu * (d + 1) cells of E pass ELIMINATION_LIMIT."""
+    if mu * (d + 1) > ELIMINATION_LIMIT:
+        raise SizeLimitError(f"the cell count mu * (d + 1) of E for {mu} generators at d = {d}",
+                             mu * (d + 1), "ELIMINATION_LIMIT", ELIMINATION_LIMIT)
+
+
 def restriction(ideal: GTIdeal) -> Restriction:
-    """Decide E at x + y + z once, by the sweep of the module docstring: for
-    a Togliatti candidate with a kernel the last leftover row gives v, and
-    v.E = 0 is checked; other ideals are no Togliatti systems and get no v."""
+    """Decide E at x + y + z of any ideal once, by the sweep of the module
+    docstring: for a Togliatti candidate with a kernel the last leftover row
+    gives v, and v.E = 0 is checked; other ideals are no Togliatti systems
+    and get no v.  The nullity is held to no count (Restriction.of is)."""
     d, mu, gens = ideal.d, ideal.mu, ideal.generators
     width = d + 1
-    if mu * width > ELIMINATION_LIMIT:
-        raise SizeLimitError(f"the cell count mu * (d + 1) of E for {mu} generators at d = {d}",
-                             mu * width, "ELIMINATION_LIMIT", ELIMINATION_LIMIT)
+    _check_cells(mu, d)
     candidate = _candidate(ideal)
     firsts, key, elim = max((({g[k] for g in gens}, k, e) for k, e in _ORDERS),
                             key=lambda t: len(t[0]))
@@ -414,30 +427,21 @@ def restriction(ideal: GTIdeal) -> Restriction:
     if candidate and nullity:
         v = tuple(rows[-1][width:])
         _check_kernel_vector(ideal, v, binomials)
-    if ideal.action is not None:
-        count = conjugate_nullity(ideal.action)
-        if nullity != count and gens == invariant_monomials(ideal.action).generators:
-            raise ConsistencyError(f"nullity {nullity} of E where the conjugate forms give {count}")
     return Restriction(ideal, nullity, v)
 
 
-def check_minimality_route(action: Action):
-    """Raise ValueError unless the action has three distinct weights, and
-    SizeLimitError when its d passes MINIMALITY_LIMIT.  It needs no ideal, so
-    it can run before the invariant scan."""
+def check_distinct_weights(action: Action):
+    """ValueError unless the weights are distinct: a repeat gives mu >= d + 2."""
     if len(set(action.weights)) < 3:
         raise ValueError("repeated weights do not give a Togliatti system")
-    if action.d > MINIMALITY_LIMIT:
-        raise SizeLimitError("the d of a minimality test", action.d, "MINIMALITY_LIMIT",
-                             MINIMALITY_LIMIT)
 
 
 def conjecture_scan(d_values):
     """Scan actions (0, a, b) for failures of minimality.
 
     For every d and every 1 <= a < b <= d-1 with gcd(a, b, d) = 1 the
-    invariant ideal is built and its E decided once.  Its restriction gives the
-    Togliatti verdict and, for every Togliatti unit, the kernel-vector
+    invariant ideal is built and its E decided once (Restriction.of), which
+    gives the Togliatti verdict and, for every Togliatti unit, the kernel-vector
     minimality; its newton_product() gives the circulant route, the support
     of the Newton-expanded product compared with the generator set, and with
     nullity 1 checks that product against v term by term (a mismatch raises
@@ -462,8 +466,8 @@ def conjecture_scan(d_values):
                 if a == b:
                     units.append({"d": d, "a": a, "b": b, "status": "degenerate_wlp"})
                     continue
-                ideal = invariant_monomials(Action(d, (0, a, b)))
-                r = restriction(ideal)
+                r = Restriction.of(Action(d, (0, a, b)))
+                ideal = r.ideal
                 unit = {
                     "d": d, "a": a, "b": b, "mu": ideal.mu,
                     "minimal_circulant": r.newton_product().support() == set(ideal.generators),

@@ -19,9 +19,10 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture
 def sweeps(monkeypatch):
-    """One entry per call of wlp.restriction, whoever makes it: the ideal and
-    the widths of the rows that its sweep gave a fraction-free step."""
-    from gtsystems import cli, wlp
+    """One entry per call of wlp.restriction, whoever makes it (the commands
+    call it through wlp.Restriction.of): the ideal and the widths of the rows
+    that its sweep gave a fraction-free step."""
+    from gtsystems import wlp
 
     calls = []
     real_restriction, real_step = wlp.restriction, wlp.fraction_free_step
@@ -34,8 +35,7 @@ def sweeps(monkeypatch):
         calls[-1][1].append(len(row))
         return real_step(row, *args)
 
-    for module in (wlp, cli):
-        monkeypatch.setattr(module, "restriction", restriction)
+    monkeypatch.setattr(wlp, "restriction", restriction)
     monkeypatch.setattr(wlp, "fraction_free_step", step)
     return calls
 

@@ -202,18 +202,20 @@ class TestExitCodes:
 
 
 def _spy_invariant_monomials(monkeypatch):
-    """Count the invariant scans in every gtsystems module that holds the
-    function; the returned list grows by one action per scan."""
+    """Count the invariant scans: each one, by invariant_monomials or by
+    wlp.Restriction.of, lists the ideal by actions._enumerated, which is
+    spied in every gtsystems module that holds it; the returned list grows
+    by one action per scan."""
     calls = []
-    real = actions.invariant_monomials
+    real = actions._enumerated
 
-    def spy(action):
+    def spy(action, mu):
         calls.append(action)
-        return real(action)
+        return real(action, mu)
 
     for module in (gtsystems, actions, arrangements, circulant, classification, cli, surface, wlp):
-        if getattr(module, "invariant_monomials", None) is real:
-            monkeypatch.setattr(module, "invariant_monomials", spy)
+        if getattr(module, "_enumerated", None) is real:
+            monkeypatch.setattr(module, "_enumerated", spy)
     return calls
 
 
@@ -371,6 +373,13 @@ class TestTogliattiFirst:
         ("minimal", "--d", "13", "--a", "4", "--subset-oracle"),
         ("minimal", "--d", "200", "--a", "3"),
         ("minimal", "--d", "256", "--action", "0,5,17"),
+        # past d = 256, where minimal answered nothing before: the sweep
+        # decides wherever E fits ELIMINATION_LIMIT, in the paper's family
+        # and, for (0, 6, 55), outside it (no weight difference is a unit)
+        ("minimal", "--d", "420", "--action", "0,3,7"),
+        ("minimal", "--d", "1000", "--action", "0,1,3"),
+        ("minimal", "--d", "1050", "--action", "0,6,55"),
+        ("minimal", "--d", "2310", "--action", "0,6,55"),
     ])
     def test_minimal_names_its_route(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -392,8 +401,7 @@ class TestTogliattiFirst:
         (("minimal", "--d", str(circulant.TERNARY_LIMIT), "--a", "3", "--subset-oracle"), True),
         (("minimal", "--d", str(circulant.TERNARY_LIMIT + 1), "--a", "3", "--subset-oracle"),
          True),
-        (("minimal", "--d", str(wlp.MINIMALITY_LIMIT), "--action", "0,5,17", "--subset-oracle"),
-         True),
+        (("minimal", "--d", "1000", "--action", "0,5,17", "--subset-oracle"), True),
         (("minimal", "--d", "13", "--a", "4"), False),
     ])
     def test_routes_agree_only_after_the_evaluation_cross_check(self, capsys, monkeypatch, argv,
@@ -453,7 +461,7 @@ class TestTogliattiFirst:
             v[i] += v[0]
             return r.replace(v=tuple(v))
 
-        monkeypatch.setattr(cli, "restriction", changed)
+        monkeypatch.setattr(wlp, "restriction", changed)
         assert run_cli(capsys, *argv) == (2, "", EVALUATION_FAILURE)
 
     @pytest.mark.parametrize("old,new", [
@@ -486,13 +494,14 @@ class TestTogliattiFirst:
 
     def test_nullity_two_is_not_minimal_and_not_cross_checked(self, capsys, monkeypatch):
         # a Togliatti system with nullity 2 is not minimal, whatever the
-        # Newton product's support; nothing is compared with v
-        real = wlp.restriction
+        # Newton product's support; nothing is compared with v.  Set after
+        # Restriction.of, which would refuse it against the count
+        real = wlp.Restriction.of
 
-        def nullity_two(ideal):
-            return real(ideal).replace(nullity=2)
+        def nullity_two(cls, action):
+            return real(action).replace(nullity=2)
 
-        monkeypatch.setattr(cli, "restriction", nullity_two)
+        monkeypatch.setattr(wlp.Restriction, "of", classmethod(nullity_two))
         for extra in ((), ("--subset-oracle",)):
             code, out, err = run_cli(capsys, "minimal", "--d", "7", "--action", "0,1,3", *extra)
             assert code == 0, err
@@ -600,11 +609,9 @@ class TestOneRestrictionPerCommand:
         assert [s["rank"] for s in results["general_form_samples"]] == [results["base_rank"]] * 2
         assert elapsed < 1.0, elapsed
 
-    def test_minimal_at_the_minimality_limit_is_fast(self, capsys):
-        d = wlp.MINIMALITY_LIMIT
-        assert d >= 256
+    def test_minimal_past_d_256_is_fast(self, capsys):
         start = time.perf_counter()
-        code, out, err = run_cli(capsys, "minimal", "--d", "256", "--a", "3")
+        code, out, err = run_cli(capsys, "minimal", "--d", "1000", "--a", "3")
         elapsed = time.perf_counter() - start
         assert code == 0, err
         assert json.loads(out)["results"]["minimal_circulant"] is True
@@ -664,10 +671,10 @@ class TestBenchContract:
 class TestConjectureScanLimit:
     @pytest.mark.parametrize("dmax", [circulant.TERNARY_LIMIT + 1, 10**12])
     def test_dmax_past_the_ternary_limit_fails_before_any_unit(self, capsys, monkeypatch, dmax):
-        def no_scan(action):
+        def no_scan(cls, action):
             raise AssertionError(f"scanned {action}")
 
-        monkeypatch.setattr(wlp, "invariant_monomials", no_scan)
+        monkeypatch.setattr(wlp.Restriction, "of", classmethod(no_scan))
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "conjecture-scan", "--dmax", str(dmax))
         assert time.perf_counter() - start < 1.0  # no walk over every d up to dmax
@@ -830,14 +837,14 @@ class TestOneVerdict:
     def test_report_verdict_reads_no_restriction(self, capsys, monkeypatch, argv):
         code, want, err = run_cli(capsys, "report", *argv)
         assert code == 0, err
-        real, calls = wlp.restriction, []
+        real, calls = wlp.Restriction.of, []
 
-        def one_more(ideal):
-            r = real(ideal)
+        def one_more(cls, action):
+            r = real(action)
             calls.append(r)
             return r.replace(nullity=r.nullity + 1)
 
-        monkeypatch.setattr(cli, "restriction", one_more)
+        monkeypatch.setattr(wlp.Restriction, "of", classmethod(one_more))
         code, out, err = run_cli(capsys, "report", *argv)
         assert code == 0, err
         assert len(calls) == 1
@@ -925,7 +932,6 @@ SIZE_LIMITS = [
      ("invariants", "--d", "999999", "--action", "0,0,1"), 1000001),  # mu = d + 2
     (wlp, "ELIMINATION_LIMIT", None,  # mu * (d + 1) = 3163 * 3162; 3162 * 3161 passes
      ("report", "--d", "3161", "--action", "0,0,1"), 10001406),
-    (wlp, "MINIMALITY_LIMIT", None, ("minimal", "--d", "257", "--a", "3"), 257),
     (circulant, "TERNARY_LIMIT", None, ("circulant", "--d", "129", "--a", "1", "--b", "3"), 129),
     (circulant, "GENERAL_LIMIT", None, ("circulant", "--d", "13"), 13),
     (classification, "CLASSIFY_LIMIT", None, ("classify", "--d", "1000001"), 1000001),
@@ -1280,16 +1286,16 @@ class TestClassifyPartition:
                        f"past CLASSIFY_LIMIT = {classification.CLASSIFY_LIMIT}\n")
 
     @pytest.mark.parametrize("option,value,message", [
-        ("--a", "3", "the d of a minimality test is 1000001, "
-                     f"past MINIMALITY_LIMIT = {wlp.MINIMALITY_LIMIT}"),
+        ("--a", "3", "the cell count mu * (d + 1) of E for 500003 generators at d = 1000001 is "
+                     f"500004000006, past ELIMINATION_LIMIT = {wlp.ELIMINATION_LIMIT}"),
         ("--action", "0,0,1", "the number of invariant monomials of the action (0,0,1) mod "
                               "1000001 is 1000003, past INVARIANT_LIMIT = 1000000"),
     ], ids=["distinct_weights", "repeated_weight"])
     def test_report_checks_the_limit_before_any_section(self, capsys, monkeypatch, option,
                                                          value, message):
-        # the limits before the partition leave no report at d > 10^6: three
-        # distinct weights stop at the minimality limit, and a repeated
-        # weight gives mu >= d + 2 > INVARIANT_LIMIT
+        # the limits before the partition leave no report at d > 10^6: a
+        # repeated weight gives mu >= d + 2 > INVARIANT_LIMIT, and any action
+        # mu >= d/2 + 5/2, so E passes ELIMINATION_LIMIT from d = 4470
         def no_scan(*args):
             raise AssertionError("report enumerated invariants past the classify limit")
 
@@ -1299,19 +1305,26 @@ class TestClassifyPartition:
         code, out, err = run_cli(capsys, "report", "--d", str(d), option, value)
         assert (code, out, err) == (1, "", f"gtsys: size limit: {message}\n")
 
-    @pytest.mark.parametrize("command", ["report", "minimal"])
-    def test_minimality_limit_checked_before_the_scan(self, capsys, monkeypatch, command):
-        def no_scan(action):
-            raise AssertionError(f"{command} scanned invariants above the minimality limit")
+    @pytest.mark.parametrize("argv,message", [
+        (("report", "--d", "999998", "--action", "0,0,1"),
+         "the cell count mu * (d + 1) of E for 1000000 generators at d = 999998 is "
+         "999999000000, past ELIMINATION_LIMIT = 10000000"),
+        # (0, 6, 55) outside the paper's family: 2345 generators
+        (("minimal", "--d", "4620", "--action", "0,6,55"),
+         "the cell count mu * (d + 1) of E for 2345 generators at d = 4620 is "
+         "10836245, past ELIMINATION_LIMIT = 10000000"),
+        (("invariants", "--d", "1000003", "--action", "0,0,1"),
+         "the number of invariant monomials of the action (0,0,1) mod 1000003 is "
+         "1000005, past INVARIANT_LIMIT = 1000000"),
+    ], ids=["report_elimination", "minimal_elimination", "invariants"])
+    def test_every_per_action_refusal_comes_before_the_listing(self, capsys, monkeypatch, argv,
+                                                              message):
+        # each limit refuses from the count: no monomial is listed
+        def no_scan(*args):
+            raise AssertionError(f"{argv[0]} listed invariants past a limit")
 
-        monkeypatch.setattr(cli, "invariant_monomials", no_scan)
-        monkeypatch.setattr(wlp, "invariant_monomials", no_scan)
-        limit = wlp.MINIMALITY_LIMIT
-        code, out, err = run_cli(capsys, command, "--d", str(limit + 1), "--a", "3")
-        assert code == 1
-        assert out == ""
-        assert err == (f"gtsys: size limit: the d of a minimality test is {limit + 1}, "
-                       f"past MINIMALITY_LIMIT = {limit}\n")
+        monkeypatch.setattr(actions, "invariant_exponents", no_scan)
+        assert run_cli(capsys, *argv) == (1, "", f"gtsys: size limit: {message}\n")
 
     def test_overlapping_classes_exit_2(self, capsys, monkeypatch):
         monkeypatch.setattr(classification, "orbit", lambda d, a: (a, d - 1))

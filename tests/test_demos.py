@@ -52,8 +52,8 @@ def test_readme_block_runs(block):
     assert proc.stdout
 
 
-def test_all_twelve_readme_gtsys_examples_found():
-    assert len(README_GTSYS) == 12
+def test_all_thirteen_readme_gtsys_examples_found():
+    assert len(README_GTSYS) == 13
 
 
 def _readme_claim(argv, out, cwd):
@@ -110,6 +110,7 @@ def _readme_claim(argv, out, cwd):
 def _example_id(line):
     return (line.split()[1] + ("-general-l" if "--general-l" in line else "")
             + ("-d100000" if "--d 100000 " in line else "")
+            + ("-d1000" if "--d 1000 " in line else "")
             + ("-d1000000000000000003" if "--d 1000000000000000003 " in line else ""))
 
 

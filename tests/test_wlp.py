@@ -293,11 +293,16 @@ class TestEliminationLimit:
         with pytest.raises(SizeLimitError, match="ELIMINATION_LIMIT"):
             restriction(ideal)
 
-    def test_no_ideal_up_to_the_minimality_limit_is_refused(self):
-        # an ideal of degree d has at most the (d+1)(d+2)/2 monomials of degree d
-        d = wlp.MINIMALITY_LIMIT
-        assert (d + 1) * (d + 2) // 2 * (d + 1) <= wlp.ELIMINATION_LIMIT
-        assert restriction(invariant_monomials(Action(d, (0, 0, 1)))).nullity == 1
+    def test_no_ideal_up_to_d_270_is_refused(self):
+        # an ideal of degree d has at most the (d+1)(d+2)/2 monomials of
+        # degree d: all of them fit up to d = 270, and not at d = 271
+        def cells(d):
+            return (d + 1) * (d + 2) // 2 * (d + 1)
+
+        assert cells(270) <= wlp.ELIMINATION_LIMIT < cells(271)
+        assert restriction(invariant_monomials(Action(270, (0, 0, 1)))).nullity == 1
+        # (1, 1, 1) keeps all of them: the d + 1 first columns are unit pivots
+        assert wlp.Restriction.of(Action(270, (1, 1, 1))).nullity == 270 * 271 // 2
 
     def test_the_interactive_pool_stays_far_below_it(self):
         # at most 3480 cells: the repeated-weight (6, 6, 13) at d = 28, mu = 120
@@ -332,14 +337,15 @@ def _shifted_faithful(d, weights):
 
 
 def mutant(monkeypatch, name, old, new):
-    """Replace the wlp function `name`, for wlp and cli alike, by a copy of
-    its source with the one line `old` replaced by `new`."""
+    """Replace the wlp function `name`, for wlp and for cli where cli imports
+    it, by a copy of its source with the one line `old` replaced by `new`."""
     source = textwrap.dedent(inspect.getsource(getattr(wlp, name)))
     assert source.count(old) == 1, old
     namespace = dict(vars(wlp))
     exec(compile(source.replace(old, new), wlp.__file__, "exec"), namespace)
     for module in (wlp, cli):
-        monkeypatch.setattr(module, name, namespace[name])
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, namespace[name])
     return namespace
 
 
@@ -380,7 +386,8 @@ class TestSweep:
                "return 1 + invariant_count(")
         message = f"nullity {nullity} of E where the conjugate forms give {nullity + 1}"
         with pytest.raises(ConsistencyError, match=message):
-            wlp.restriction(ideal)
+            wlp.Restriction.of(ideal.action)
+        assert wlp.restriction(ideal).nullity == nullity  # the plain sweep holds it to nothing
 
     def test_the_invariant_leaves_a_subset_labelled_with_the_action(self):
         # (0, 1, 3) mod 7 without x^4 y z^2, a term of the product: nullity 0
@@ -390,6 +397,33 @@ class TestSweep:
         assert _shifted_faithful(7, ideal.action.weights)
         r = restriction(smaller)
         assert (r.nullity, r.v, r.togliatti) == (0, None, False)
+
+    def test_of_is_the_sweep_of_the_listed_ideal(self, sweeps):
+        # every faithful (a, b, c), a <= b <= c < d <= 14: Restriction.of
+        # lists the ideal once and sweeps it once, with the nullity and v of
+        # the two-step route
+        actions = 0
+        for d in range(2, 15):
+            for a, b, c in itertools.combinations_with_replacement(range(d), 3):
+                if math.gcd(a, b, c, d) != 1:
+                    continue
+                action = Action(d, (a, b, c))
+                sweeps.clear()
+                r = wlp.Restriction.of(action)
+                ideal = invariant_monomials(action)
+                assert r.ideal == ideal and [i for i, _ in sweeps] == [ideal], action
+                plain = restriction(ideal)
+                assert (r.nullity, r.v) == (plain.nullity, plain.v), action
+                actions += 1
+        assert actions == 2129
+
+    def test_a_nullity_off_by_one_passes_the_plain_sweep_only(self, monkeypatch):
+        mutant_restriction(monkeypatch, "nullity = mu - len(firsts)",
+                           "nullity = mu - len(firsts) + 1")
+        action = Action(7, (0, 1, 3))
+        assert wlp.restriction(invariant_monomials(action)).nullity == 2
+        with pytest.raises(ConsistencyError, match="nullity 2 of E where the conjugate forms give 1"):
+            wlp.Restriction.of(action)
 
     def test_the_count_is_no_sweep(self, sweeps):
         ideal = invariant_monomials(Action(13, (0, 1, 4)))
@@ -434,8 +468,11 @@ class TestSweep:
         ["minimal", "--d", "7", "--action", "0,1,3"],
         ["report", "--d", "3000", "--action", "0,0,1"],
         ["conjecture-scan", "--dmax", "5"],
+        ["circulant", "--d", "7", "--a", "1", "--b", "3"],
     ])
     def test_a_nullity_off_by_one_exits_2(self, capsys, monkeypatch, argv):
+        # the sweep's nullity one too many: Restriction.of, which every
+        # command calls, is the check that catches it
         mutant_restriction(monkeypatch, "nullity = mu - len(firsts)",
                            "nullity = mu - len(firsts) + 1")
         assert main(argv) == 2, argv
@@ -618,7 +655,7 @@ class TestMinimality:
 
     def test_minimality_route_rejects_equal_weights(self):
         with pytest.raises(ValueError, match="repeated weights") as info:
-            wlp.check_minimality_route(Action(5, (0, 1, 1)))
+            wlp.check_distinct_weights(Action(5, (0, 1, 1)))
         assert not isinstance(info.value, SizeLimitError)
 
     @pytest.mark.parametrize("d,a", [(3, 2), (5, 2), (7, 3), (11, 5)])
@@ -1000,7 +1037,7 @@ class TestEvaluationCheck:
             raise AssertionError(f"expanded at d = {d}")
 
         monkeypatch.setattr(circulant, "circulant_product", no_expansion)
-        d = wlp.MINIMALITY_LIMIT
+        d = 256
         assert d > circulant.TERNARY_LIMIT
         assert restriction(invariant_monomials(Action(d, (0, 5, 17)))).evaluation_check()
 
@@ -1037,10 +1074,10 @@ class TestConjectureScan:
             assert u["minimal_oracle"] is True
 
     def test_ternary_limit_checked_before_the_first_unit(self, monkeypatch):
-        def no_scan(action):
+        def no_scan(cls, action):
             raise AssertionError(f"scanned {action}")
 
-        monkeypatch.setattr(wlp, "invariant_monomials", no_scan)
+        monkeypatch.setattr(wlp.Restriction, "of", classmethod(no_scan))
         limit = circulant.TERNARY_LIMIT
         for d_values in (range(3, limit + 2), [limit + 1, 5], range(3, 10**12)):
             with pytest.raises(SizeLimitError) as info:
@@ -1050,13 +1087,13 @@ class TestConjectureScan:
 
     def test_one_enumeration_and_one_restriction_per_unit(self, sweeps, monkeypatch):
         enumerations = []
-        real = wlp.invariant_monomials
+        real = wlp._enumerated
 
-        def spy(action):
+        def spy(action, mu):
             enumerations.append(action)
-            return real(action)
+            return real(action, mu)
 
-        monkeypatch.setattr(wlp, "invariant_monomials", spy)
+        monkeypatch.setattr(wlp, "_enumerated", spy)
         out = conjecture_scan(range(3, 13))
         assert sum(u["status"] == "ok" for u in out["units"]) == 196
         assert len(enumerations) == 196
