@@ -5,30 +5,24 @@ diagonal action with weights (0, 1, 2).  Multiplication by x + y + z on
 the quotient drops rank exactly once between degrees 2 and 3, and the
 system is minimal: no proper subset of the generators reproduces the
 failure.  The verdict, WlpVerdict.of(action), reads two counts of the
-action, mu and the conjugate forms; one call, restriction(ideal), gives
-the Togliatti property and minimality, and its newton_product() expands
-the product of the conjugate forms by Newton's identities, the circulant
-route.
+action, mu and the conjugate forms; one call, Restriction.of(action),
+lists the invariant ideal and gives the Togliatti property and
+minimality, and its newton_product() expands the product of the
+conjugate forms by Newton's identities, the circulant route.
 """
 
-from gtsystems import (
-    Action,
-    WlpVerdict,
-    circulant_det_symbolic,
-    invariant_monomials,
-    restriction,
-)
+from gtsystems import Action, Restriction, WlpVerdict, circulant_det_symbolic
 from gtsystems.actions import monomial_str
 
 action = Action(3, (0, 1, 2))
-ideal = invariant_monomials(action)
+r = Restriction.of(action)  # the invariant ideal, and E at x + y + z decided once
+ideal = r.ideal
 
 print("action weights:", action.weights, "on K[x,y,z]_3")
 print("invariant monomials:", ", ".join(monomial_str(m) for m in ideal.generators))
 
 # two counts, no elimination: mu and the nullity; all three pure powers are invariant
 verdict = WlpVerdict.of(action)
-r = restriction(ideal)  # E at x + y + z, decided once by its unit pivots
 print(f"multiplication by x+y+z in degree 2 -> 3: rank {verdict.rank} of {verdict.dim_source}")
 print("fails injectivity:", verdict.fails_injectivity)
 print("generator bound mu <= d+1 holds:", verdict.generator_bound_ok)

@@ -4,21 +4,22 @@ The product of the conjugate linear forms x + zeta^j y + zeta^(aj) z over
 all j lands inside the invariant ideal.  Its j = 0 factor is x + y + z, so
 the product of the other d - 1 factors is a form of degree d - 1 that
 multiplication by x + y + z sends to zero in the quotient.  One call,
-restriction(ideal), decides E by one sweep of its columns (here a forward
-substitution through its unit pivots) and reads the product off the kernel
+Restriction.of(action), lists the invariant ideal, decides E by one sweep
+of its columns (here a forward substitution through its unit pivots),
+holds the nullity to its count and reads the product off the kernel
 vector of E, with no expansion; its newton_product() expands the same
 product by Newton's identities and checks it against the kernel vector.  The product
 also witnesses minimality: its support uses every invariant monomial, so
 removing any generator breaks the containment.
 """
 
-from gtsystems import Action, invariant_monomials, restriction
+from gtsystems import Action, Restriction
 from gtsystems.actions import monomial_str
 
 d, a = 7, 3
 action = Action(d, (0, 1, a))
-ideal = invariant_monomials(action)
-r = restriction(ideal)
+r = Restriction.of(action)
+ideal = r.ideal
 
 product = r.newton_product()  # expanded by Newton's identities
 print(f"product of the {d} conjugate forms at (d, a) = ({d}, {a}):")

@@ -7,7 +7,7 @@ multiplicity d.  Every census meets each point once, at its first line
 pair, collects the lines through it by exact cyclotomic incidence tests,
 and is double-checked against the pairing identity
 sum_p C(mult(p), 2) = C(#lines, 2).  Last, the eigenvalue product of an
-action lies in its invariant ideal: restriction(ideal).newton_product()
+action lies in its invariant ideal: Restriction.of(action).newton_product()
 expands it and checks it against the kernel vector.
 """
 
@@ -15,11 +15,10 @@ import math
 
 from gtsystems import (
     Action,
+    Restriction,
     build_arrangement,
     ceva_configuration,
     freeness_diagnostic,
-    invariant_monomials,
-    restriction,
     singular_census,
 )
 
@@ -44,8 +43,8 @@ print()
 print("the eigenvalue product lies in the ideal (Newton expansion, checked against")
 print("the kernel vector; scaling x, y, z by nonzero integers keeps its support):")
 for d, a in ((5, 2), (7, 3), (9, 4)):
-    ideal = invariant_monomials(Action(d, (0, 1, a)))
-    product = restriction(ideal).newton_product()
+    r = Restriction.of(Action(d, (0, 1, a)))
+    ideal, product = r.ideal, r.newton_product()
     inside = product.support() <= set(ideal.generators)
     print(f"  (d, a) = ({d}, {a}): product supported on {len(product.terms)} "
           f"of the {ideal.mu} invariant monomials, inside the ideal: {inside}")

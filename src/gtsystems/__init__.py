@@ -25,7 +25,8 @@ _ORIGIN = {
         "polymat": ("SparsePoly",),
         "surface": ("betti_table", "classical_suite", "determinantal_generators",
                     "exponent_polytope_degree", "polytope_smoothness"),
-        "wlp": ("WlpVerdict", "conjecture_scan", "conjugate_nullity", "restriction"),
+        "wlp": ("Restriction", "WlpVerdict", "conjecture_scan", "conjugate_nullity",
+                "restriction"),
     }.items()
     for name in names
 }

@@ -7,9 +7,10 @@ solver of that congruence, for any weights and degree: the invariant ideal
 and the Newton power sums of circulant read it.  invariant_count counts the
 solutions of three weights by floor sums, in O(log d), without listing them:
 mu, the nullity of every verdict (wlp.conjugate_nullity) and the limit of
-check_invariant_limit read it, and each listing of an invariant ideal,
-invariant_monomials or wlp.Restriction.of, is held to that count.  The
-direct scan of the simplex is the oracle of both in the tests.
+check_invariant_limit read it.  invariant_monomials is the one listing of
+an invariant ideal and holds it to that count; wlp.Restriction.of and
+generalized_classical, the classical system, list through it.  The direct
+scan of the simplex is the oracle of both in the tests.
 """
 
 from __future__ import annotations
@@ -239,14 +240,10 @@ def check_invariant_limit(action: Action) -> int:
 
 def invariant_monomials(action: Action) -> GTIdeal:
     """All invariant degree-d monomials of the action, in descending
-    lexicographic order: _enumerated, after check_invariant_limit."""
-    return _enumerated(action, check_invariant_limit(action))
-
-
-def _enumerated(action: Action, mu) -> GTIdeal:
-    """The invariant ideal of the action, listed by invariant_exponents at
-    n = d; ConsistencyError unless the list has mu, the count, members."""
-    d = action.d
+    lexicographic order, listed by invariant_exponents at n = d after
+    check_invariant_limit; ConsistencyError unless the list has mu, the
+    count, members.  It is the one listing of an action's ideal."""
+    d, mu = action.d, check_invariant_limit(action)
     gens = invariant_exponents(d, action.weights, d)
     if len(gens) != mu:
         raise ConsistencyError(
@@ -254,17 +251,11 @@ def _enumerated(action: Action, mu) -> GTIdeal:
     return GTIdeal(d, tuple(gens), action)
 
 
-def _classical_exponents(d):
-    """The exponents of x^d, y^d, z^d, x^k y^k z^eps, ..., x^2 y^2 z^(d-4),
-    xyz^(d-2) in this order, with k = floor(d/2) and eps = d mod 2.  The
-    order numbers the variables of surface.determinantal_generators."""
+def generalized_classical(d) -> GTIdeal:
+    """The classical system x^d, y^d, z^d, x^k y^k z^eps, ..., xyz^(d-2), with
+    k = floor(d/2) and eps = d mod 2: the invariant ideal of the action with
+    weights (0, 2, 1), listed by invariant_monomials and so held to the
+    count.  ValueError for d < 3."""
     if d < 3:
         raise ValueError("need d >= 3")
-    k = d // 2
-    return [(d, 0, 0), (0, d, 0), (0, 0, d)] + [(i, i, d - 2 * i) for i in range(k, 0, -1)]
-
-
-def generalized_classical(d) -> GTIdeal:
-    """The system x^d, y^d, z^d, x^k y^k z^eps, ..., xyz^(d-2), whose monomial
-    set coincides with the invariant ideal of the action with weights (0, 2, 1)."""
-    return GTIdeal(d, tuple(_classical_exponents(d)), action=Action(d, (0, 2, 1)))
+    return invariant_monomials(Action(d, (0, 2, 1)))

@@ -10,8 +10,9 @@ directions at each vertex form a basis of the difference lattice.  The
 presentation of the classical surface is built from binomials, and each one
 is checked by comparing the exponent images of its two terms.
 
-classical_suite(d) gathers the whole suite of the degree-d classical system;
-it is the one place that checks SURFACE_LIMIT, the largest d of the suite.
+classical_suite(d) gathers the whole suite of the degree-d classical system,
+whose ideal the enumerator lists (actions.generalized_classical); it is the
+one place that checks SURFACE_LIMIT, the largest d of the suite.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 
 from ._record import Record
-from .actions import GTIdeal, _classical_exponents, generalized_classical
+from .actions import GTIdeal, generalized_classical
 from .errors import ConsistencyError, SizeLimitError
 from .polymat import SparsePoly
 
@@ -257,6 +258,14 @@ class GeneratorPresentation(Record):
         }
 
 
+def _classical_exponents(d):
+    """The generators x^d, y^d, z^d, x^k y^k z^eps, ..., xyz^(d-2) of
+    generalized_classical(d), k = floor(d/2), eps = d mod 2, in the order
+    that numbers the variables x0..x(k+2) of determinantal_generators."""
+    k = d // 2
+    return [(d, 0, 0), (0, d, 0), (0, 0, d)] + [(i, i, d - 2 * i) for i in range(k, 0, -1)]
+
+
 def determinantal_generators(d) -> GeneratorPresentation:
     """Presentation of the image surface of the degree-d classical system.
 
@@ -392,8 +401,8 @@ class ClassicalSuite(Record):
 
 def classical_suite(d) -> ClassicalSuite:
     """The suite for 3 <= d <= SURFACE_LIMIT, computed with every
-    consistency check: a d past the limit raises SizeLimitError, and one
-    below 3 a ValueError (generalized_classical)."""
+    consistency check and the ideal held to its count: a d past the limit
+    raises SizeLimitError, and one below 3 a ValueError (generalized_classical)."""
     if d > SURFACE_LIMIT:
         raise SizeLimitError("the d of the surface suite", d, "SURFACE_LIMIT", SURFACE_LIMIT)
     ideal = generalized_classical(d)

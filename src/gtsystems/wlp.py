@@ -93,7 +93,7 @@ import math
 from functools import cached_property, lru_cache
 
 from ._record import Record
-from .actions import Action, GTIdeal, _enumerated, check_invariant_limit, invariant_count
+from .actions import Action, GTIdeal, check_invariant_limit, invariant_count, invariant_monomials
 from .errors import ConsistencyError, SizeLimitError
 from .polymat import SparsePoly, fraction_free_step
 from .primes import prime_1_mod, root_of_order
@@ -254,11 +254,11 @@ class Restriction(Record):
     def of(cls, action: Action) -> Restriction:
         """E of the full invariant ideal of the action, the counterpart of
         WlpVerdict.of: INVARIANT_LIMIT and then ELIMINATION_LIMIT refuse
-        from the one count mu before any monomial is listed, and a nullity
-        other than conjugate_nullity(action) raises ConsistencyError."""
-        mu = check_invariant_limit(action)
-        _check_cells(mu, action.d)
-        r = restriction(_enumerated(action, mu))
+        from the count mu before any monomial is listed, invariant_monomials
+        lists the ideal, held to that count, and a nullity other than
+        conjugate_nullity(action) raises ConsistencyError."""
+        _check_cells(check_invariant_limit(action), action.d)
+        r = restriction(invariant_monomials(action))
         count = conjugate_nullity(action)
         if r.nullity != count:
             raise ConsistencyError(
@@ -344,18 +344,20 @@ class Restriction(Record):
 
     def newton_product(self) -> SparsePoly | None:
         """The eigenvalue product expanded by Newton's identities
-        (circulant_product) at the action's own weights, or None past the
-        ternary limit or without an action.  Its support must lie in the
+        (circulant_product) at the action's own weights, or None without an
+        action; past TERNARY_LIMIT SizeLimitError, before any expansion
+        (check_ternary_limit), as in the CLI.  Its support must lie in the
         generator set, and with nullity 1 it must equal self.product term by
         term; otherwise ConsistencyError.  With any other nullity nothing is
         compared with v.  It serves circulant --a --b, report's membership
         forms of an ideal without v, and conjecture_scan, which print or
         record the expansion; minimal reads evaluation_check instead."""
-        from .circulant import TERNARY_LIMIT, circulant_product
+        from .circulant import check_ternary_limit, circulant_product
 
         ideal = self.ideal
-        if ideal.action is None or ideal.d > TERNARY_LIMIT:
+        if ideal.action is None:
             return None
+        check_ternary_limit(ideal.d)
         newton = circulant_product(ideal.d, ideal.action.weights)
         if not newton.support() <= set(ideal.generators):
             raise ConsistencyError("product escapes the invariant monomial span")
@@ -375,7 +377,8 @@ def restriction(ideal: GTIdeal) -> Restriction:
     """Decide E at x + y + z of any ideal once, by the sweep of the module
     docstring: for a Togliatti candidate with a kernel the last leftover row
     gives v, and v.E = 0 is checked; other ideals are no Togliatti systems
-    and get no v.  The nullity is held to no count (Restriction.of is)."""
+    and get no v.  The nullity is held to no count: for an action,
+    Restriction.of lists the invariant ideal and holds both to theirs."""
     d, mu, gens = ideal.d, ideal.mu, ideal.generators
     width = d + 1
     _check_cells(mu, d)

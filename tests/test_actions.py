@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from gtsystems import actions
+from gtsystems import actions, surface
 from gtsystems.errors import ConsistencyError, SizeLimitError
 from gtsystems.actions import (
     Action,
@@ -436,9 +436,21 @@ class TestGeneralizedClassical:
         assert ideal.mu == 3 + k
 
     def test_matches_invariant_set_of_standard_action(self):
-        # For odd d the generalized classical system is the invariant ideal of
-        # the weight-(0,2,1) action up to the documented generator ordering.
-        for d in (3, 5, 7):
+        # the classical system is the invariant ideal of the weights (0, 2, 1)
+        for d in range(3, 13):
             gens = set(generalized_classical(d).generators)
             inv = brute_invariants(d, (0, 2, 1))
             assert gens == inv
+
+    def test_is_the_enumerated_ideal_to_d_2000(self):
+        # the enumerator lists the paper's system, in descending order
+        for d in range(3, 2001):
+            ideal = generalized_classical(d)
+            assert ideal == invariant_monomials(Action(d, (0, 2, 1))), d
+            assert ideal.generators == tuple(sorted(surface._classical_exponents(d),
+                                                    reverse=True)), d
+
+    @pytest.mark.parametrize("d", [-1, 0, 1, 2])
+    def test_needs_d_at_least_3(self, d):
+        with pytest.raises(ValueError, match=r"^need d >= 3$"):
+            generalized_classical(d)

@@ -202,20 +202,20 @@ class TestExitCodes:
 
 
 def _spy_invariant_monomials(monkeypatch):
-    """Count the invariant scans: each one, by invariant_monomials or by
-    wlp.Restriction.of, lists the ideal by actions._enumerated, which is
-    spied in every gtsystems module that holds it; the returned list grows
-    by one action per scan."""
+    """Count the invariant scans: each one, also by wlp.Restriction.of or
+    actions.generalized_classical, lists the ideal by invariant_monomials,
+    which is spied in every gtsystems module that holds it; the returned
+    list grows by one action per scan."""
     calls = []
-    real = actions._enumerated
+    real = actions.invariant_monomials
 
-    def spy(action, mu):
+    def spy(action):
         calls.append(action)
-        return real(action, mu)
+        return real(action)
 
     for module in (gtsystems, actions, arrangements, circulant, classification, cli, surface, wlp):
-        if getattr(module, "_enumerated", None) is real:
-            monkeypatch.setattr(module, "_enumerated", spy)
+        if getattr(module, "invariant_monomials", None) is real:
+            monkeypatch.setattr(module, "invariant_monomials", spy)
     return calls
 
 
@@ -307,12 +307,16 @@ class TestOneIdealPerCommand:
         ("minimal", "--d", "13", "--a", "4", "--subset-oracle"),
         ("invariants", "--d", "7", "--a", "3"),
     ])
-    def test_one_invariant_scan_per_command(self, capsys, monkeypatch, argv):
-        # gt-verdict counts and scans nothing
+    def test_one_invariant_scan_per_command(self, capsys, monkeypatch, fresh_memos, argv):
+        # gt-verdict counts and scans nothing; report also lists the classical
+        # ideal of its surface section, once per d, as the d-only sections are kept
         scans = _spy_invariant_monomials(monkeypatch)
-        code, _, err = run_cli(capsys, *argv)
-        assert code == 0, err
-        assert len(scans) == (argv[0] != "gt-verdict")
+        for _ in range(2):
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 0, err
+        own = scans[:1] if argv[0] != "gt-verdict" else []
+        classical = [actions.Action(int(argv[2]), (0, 2, 1))] if argv[0] == "report" else []
+        assert scans == own + classical + own
 
     def test_report_builds_no_namespace(self, monkeypatch):
         args = build_parser().parse_args(["report", "--d", "7", "--action", "0,1,3"])
@@ -1067,8 +1071,16 @@ class TestSurfaceSuiteMemo:
         assert sorted(runs) == sorted((name, d) for name in names
                                       for d in SURFACE_DS for _ in range(2))
 
+    def test_the_classical_ideal_is_held_to_the_count(self, capsys, monkeypatch):
+        # the ideal of the suite comes from the one enumerator, checked by mu
+        real = actions.invariant_exponents
+        monkeypatch.setattr(actions, "invariant_exponents", lambda *args: real(*args)[1:])
+        assert run_cli(capsys, "surface", "--d", "9") == (
+            2, "", "gtsys: consistency failure: 6 invariant monomials enumerated "
+                   "where the count gives 7\n")
+
     def test_a_failed_computation_is_not_kept(self, capsys, monkeypatch):
-        params = actions._classical_exponents(9)
+        params = surface._classical_exponents(9)
         params[2], params[3] = params[3], params[2]
         monkeypatch.setattr(surface, "_classical_exponents", lambda _: params)
         code, out, err = run_cli(capsys, "surface", "--d", "9")
@@ -1130,7 +1142,7 @@ class TestReportMemo:
         assert run_cli(capsys, *argv) == cold and calls == [13]
 
     def test_a_failed_surface_suite_is_not_kept(self, capsys, monkeypatch, fresh_memos):
-        params = actions._classical_exponents(9)
+        params = surface._classical_exponents(9)
         params[2], params[3] = params[3], params[2]
         monkeypatch.setattr(surface, "_classical_exponents", lambda _: params)
         assert run_cli(capsys, "report", "--d", "9", "--a", "2") == (

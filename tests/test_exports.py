@@ -191,6 +191,24 @@ def test_every_size_limit_refuses_by_size_limit_error():
         "raise ValueError(f'supported for d in {_X_RANGE}')\n")) == [2, 7]
 
 
+def test_restriction_is_exported():
+    from gtsystems import Restriction
+
+    assert Restriction is gtsystems.wlp.Restriction
+    assert "Restriction" in gtsystems.__all__
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a relative import of a gtsystems module names only its public names
+    # (or a dunder such as __version__)
+    for module in MODULES:
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                private = [a.name for a in node.names
+                           if a.name.startswith("_") and not a.name.endswith("__")]
+                assert not private, (module.__name__, node.module, private)
+
+
 def test_one_restriction_per_ideal_api():
     from gtsystems import conjugate_nullity, restriction
 

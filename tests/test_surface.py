@@ -7,7 +7,7 @@ import pytest
 from polyring import add, mul, variable
 
 from gtsystems import surface
-from gtsystems.actions import Action, _classical_exponents, generalized_classical, invariant_monomials
+from gtsystems.actions import Action, generalized_classical, invariant_monomials
 from gtsystems.errors import ConsistencyError, SizeLimitError
 from gtsystems.polymat import SparsePoly
 from gtsystems.surface import (
@@ -45,7 +45,7 @@ def presentation_oracle(d):
         for i in range(len(row1))
         for j in range(i + 1, len(row1))
     ] + extra
-    params = [{e: 1} for e in _classical_exponents(d)]
+    params = [{e: 1} for e in surface._classical_exponents(d)]
     pullbacks = []
     for g in gens:
         out = {}
@@ -196,7 +196,7 @@ class TestParametrizationAndGenerators:
     @pytest.mark.parametrize("d", range(3, 13))
     def test_parametrization_size(self, d):
         k = d // 2
-        monos = _classical_exponents(d)
+        monos = surface._classical_exponents(d)
         assert len(monos) == k + 3
         assert monos[:3] == [(d, 0, 0), (0, d, 0), (0, 0, d)]
         assert monos[3:] == [(i, i, d - 2 * i) for i in range(k, 0, -1)]
@@ -233,7 +233,7 @@ class TestParametrizationAndGenerators:
 
     @pytest.mark.parametrize("d", [5, 6, 9])
     def test_wrong_parametrization_is_a_consistency_error(self, d, monkeypatch):
-        params = _classical_exponents(d)
+        params = surface._classical_exponents(d)
         params[2], params[3] = params[3], params[2]
         monkeypatch.setattr(surface, "_classical_exponents", lambda _: params)
         with pytest.raises(ConsistencyError, match=f"pullback .* nonzero at d={d}"):

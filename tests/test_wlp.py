@@ -21,6 +21,7 @@ from gtsystems.errors import ConsistencyError, SizeLimitError
 from gtsystems.polymat import SparsePoly
 from gtsystems.wlp import (
     RANK_REPORT_LIMIT,
+    Restriction,
     WlpVerdict,
     conjecture_scan,
     conjugate_nullity,
@@ -907,7 +908,11 @@ class TestEigenvalueProductFromKernel:
 
         monkeypatch.setattr(circulant, "circulant_product", no_expansion)
         d = circulant.TERNARY_LIMIT + 1
-        assert restriction(invariant_monomials(Action(d, (0, 1, 3)))).newton_product() is None
+        r = Restriction.of(Action(d, (0, 1, 3)))
+        with pytest.raises(SizeLimitError) as info:
+            r.newton_product()
+        assert str(info.value) == (f"the d of a ternary product is {d}, "
+                                   f"past TERNARY_LIMIT = {circulant.TERNARY_LIMIT}")
         ideal = GTIdeal(3, invariant_monomials(Action(3, (0, 1, 2))).generators)
         assert restriction(ideal).newton_product() is None
 
@@ -1087,13 +1092,13 @@ class TestConjectureScan:
 
     def test_one_enumeration_and_one_restriction_per_unit(self, sweeps, monkeypatch):
         enumerations = []
-        real = wlp._enumerated
+        real = invariant_monomials
 
-        def spy(action, mu):
+        def spy(action):
             enumerations.append(action)
-            return real(action, mu)
+            return real(action)
 
-        monkeypatch.setattr(wlp, "_enumerated", spy)
+        monkeypatch.setattr(wlp, "invariant_monomials", spy)
         out = conjecture_scan(range(3, 13))
         assert sum(u["status"] == "ok" for u in out["units"]) == 196
         assert len(enumerations) == 196
