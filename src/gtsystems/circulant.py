@@ -100,14 +100,19 @@ def circulant_det_symbolic(d) -> SparsePoly:
     Every term v^e has index sum sum_i i * e_i = 0 (mod d), as scaling
     each v_i by zeta^i permutes the forms; a term that breaks the rule
     raises ConsistencyError."""
-    if d < 2:
-        raise ValueError("need d >= 2")
-    if d > GENERAL_LIMIT:
-        raise SizeLimitError("the d of the general form", d, "GENERAL_LIMIT", GENERAL_LIMIT)
+    _check_general_d(d)
     det = circulant_product(d, range(d))
     if any(sum(i * m for i, m in enumerate(e)) % d for e in det.terms):
         raise ConsistencyError("determinant support violates the index-sum rule")
     return det
+
+
+def _check_general_d(d):
+    """ValueError for d < 2, then SizeLimitError past GENERAL_LIMIT."""
+    if d < 2:
+        raise ValueError("need d >= 2")
+    if d > GENERAL_LIMIT:
+        raise SizeLimitError("the d of the general form", d, "GENERAL_LIMIT", GENERAL_LIMIT)
 
 
 def check_ternary_limit(d):
@@ -120,14 +125,12 @@ def coefficient_query(d, indices) -> int:
     """Exact coefficient of the monomial v_(i1) ... v_(id) in the determinant.
 
     The query is a multiset of d row indices; entries outside 0..d-1 or a
-    wrong count are rejected.
+    wrong count are rejected, after the checks of d itself.
     """
+    _check_general_d(d)
     indices = list(indices)
     if len(indices) != d:
         raise ValueError(f"need exactly {d} indices")
     if any(not 0 <= i < d for i in indices):
         raise ValueError("indices must lie in 0..d-1")
-    exp = [0] * d
-    for i in indices:
-        exp[i] += 1
-    return circulant_det_symbolic(d).coefficient(exp)
+    return circulant_det_symbolic(d).coefficient([indices.count(i) for i in range(d)])

@@ -21,9 +21,9 @@ from . import __version__
 from .actions import Action, invariant_monomials
 from .errors import ConsistencyError, SizeLimitError
 from .wlp import (
+    NOT_TOGLIATTI,
     Restriction,
     WlpVerdict,
-    check_distinct_weights,
     conjecture_scan,
     conjugate_nullity,
     random_scales,
@@ -108,11 +108,9 @@ def cmd_invariants(args):
                    *_invariants_section(invariant_monomials(action)))
 
 
-def _verdict_section(action, general_l, seed, prefix=""):
+def _verdict_section(verdict, general_l, seed, prefix=""):
     """The results of gt-verdict and its checks, named as in
-    _invariants_section: the verdict of the full invariant ideal of the
-    action, WlpVerdict.of(action), from two counts."""
-    verdict = WlpVerdict.of(action)
+    _invariants_section: verdict is WlpVerdict.of(action), from two counts."""
     checks = [
         # the ideal of an action holds all three pure powers, as a*d = 0 mod d
         _check(prefix + "artinian", "pass", "contains all three pure powers"),
@@ -132,7 +130,7 @@ def _verdict_section(action, general_l, seed, prefix=""):
         import random
 
         rng = random.Random(seed)
-        base_rank = verdict.dim_source - conjugate_nullity(action)  # rank is None past d = 16
+        base_rank = verdict.dim_source - conjugate_nullity(verdict.action)  # .rank: None past 16
         # every sampled form has nonzero coefficients, so its nullity is that
         # of x + y + z, the count of conjugate forms (wlp docstring): nothing
         # is swept
@@ -163,7 +161,7 @@ def cmd_gt_verdict(args):
     general_l = _general_l(args)
     action = _parse_action(args)
     return _report("gt-verdict", {"d": action.d, "action": str(action)},
-                   *_verdict_section(action, general_l, args.seed))
+                   *_verdict_section(WlpVerdict.of(action), general_l, args.seed))
 
 
 def _minimal_section(r, cross_check=False, subset_oracle=False, prefix=""):
@@ -198,7 +196,9 @@ def _minimal_section(r, cross_check=False, subset_oracle=False, prefix=""):
 
 def cmd_minimal(args):
     action = _parse_action(args)
-    check_distinct_weights(action)  # before the count
+    # minimality applies to Togliatti systems alone: two counts, before any limit
+    if not WlpVerdict.of(action).is_togliatti:
+        raise ValueError(NOT_TOGLIATTI)
     r = Restriction.of(action)
     return _report("minimal", {"d": action.d, "action": str(action)},
                    *_minimal_section(r, cross_check=True, subset_oracle=args.subset_oracle))
@@ -399,27 +399,23 @@ def cmd_report(args):
     general_l = _general_l(args)
     action = _parse_action(args)
     d = args.d
-    minimal = len(set(action.weights)) == 3
-    # one restriction, refused from the count before the partition; as
+    # one restriction, refused from the count before the partition: as
     # mu >= d/2 + 5/2, every E past d = 4469 passes ELIMINATION_LIMIT, so no
-    # report reaches the classify limit.  The verdict reads the counts alone
+    # report reaches the classify limit.  The verdict, from counts, gates minimality
     r = Restriction.of(action)
-    ideal = r.ideal
+    verdict = WlpVerdict.of(action)
     shared, shared_checks = _d_sections(d)
     # each section with its checks, named section.check once
     sections = {}
-    sections["invariants"], checks = _invariants_section(ideal, "invariants.")
-    sections["verdict"], more = _verdict_section(action, general_l, args.seed, "verdict.")
+    sections["invariants"], checks = _invariants_section(r.ideal, "invariants.")
+    sections["verdict"], more = _verdict_section(verdict, general_l, args.seed, "verdict.")
     checks += more
-    if minimal and r.togliatti:
+    if verdict.is_togliatti:
         sections["minimal"], more = _minimal_section(r, prefix="minimal.")
         checks += more
-    elif minimal:
-        # minimality is defined for Togliatti systems only
-        sections["minimal"] = {
-            "applies": False,
-            "reason": f"not a Togliatti system: mu={ideal.mu}, d+1={d + 1}, nullity={r.nullity}",
-        }
+    else:
+        sections["minimal"] = {"applies": False, "reason": (
+            f"not a Togliatti system: mu={verdict.mu}, d+1={d + 1}, nullity={r.nullity}")}
 
     # a new dict for each d-only section, from bytes no caller sees, and for
     # each of its checks, so a caller that changes one changes no later report

@@ -12,7 +12,8 @@ is checked by comparing the exponent images of its two terms.
 
 classical_suite(d) gathers the whole suite of the degree-d classical system,
 whose ideal the enumerator lists (actions.generalized_classical); it is the
-one place that checks SURFACE_LIMIT, the largest d of the suite.
+one place that checks SURFACE_LIMIT, the largest d of the suite.  The
+presentation numbers its variables from that same listing.
 """
 
 from __future__ import annotations
@@ -258,16 +259,16 @@ class GeneratorPresentation(Record):
         }
 
 
-def _classical_exponents(d):
-    """The generators x^d, y^d, z^d, x^k y^k z^eps, ..., xyz^(d-2) of
-    generalized_classical(d), k = floor(d/2), eps = d mod 2, in the order
-    that numbers the variables x0..x(k+2) of determinantal_generators."""
-    k = d // 2
-    return [(d, 0, 0), (0, d, 0), (0, 0, d)] + [(i, i, d - 2 * i) for i in range(k, 0, -1)]
-
-
 def determinantal_generators(d) -> GeneratorPresentation:
-    """Presentation of the image surface of the degree-d classical system.
+    """Presentation of the image surface of generalized_classical(d)."""
+    return _presentation(generalized_classical(d))
+
+
+def _presentation(ideal: GTIdeal) -> GeneratorPresentation:
+    """Presentation of the image surface of the classical system ideal, in
+    the variables x0..x(k+2) for its generators x^d, y^d, z^d, x^k y^k z^eps,
+    ..., xyz^(d-2), k = floor(d/2), eps = d mod 2: the pure powers, then the
+    rest, each in listed (descending) order.
 
     Every generator is a binomial in x0..x(k+2).  Both parities share the
     2 x k matrix with rows x3..x(k+2) and x4..x(k+2), x2.  For odd d the
@@ -276,8 +277,7 @@ def determinantal_generators(d) -> GeneratorPresentation:
     pulls back to zero exactly when the exponent images of m and n under the
     parametrization agree, which is verified here.
     """
-    if d < 3:
-        raise ValueError("need d >= 3")
+    d = ideal.d
     k = d // 2
     nv = k + 3
     mono = lambda *idx: tuple(idx.count(i) for i in range(nv))
@@ -295,7 +295,7 @@ def determinantal_generators(d) -> GeneratorPresentation:
     ]
     binomials = minors + ([] if d % 2 else [column])
 
-    params = _classical_exponents(d)
+    params = sorted(ideal.generators, key=lambda g: d not in g)  # stable: the pure powers first
     # the image of x_i1*x_i2*... is params[i1] + params[i2] + ...
     image = lambda e: [sum(c) for c in
                        zip(*(params[i] for i, p in enumerate(e) for _ in range(p)))]
@@ -407,4 +407,4 @@ def classical_suite(d) -> ClassicalSuite:
         raise SizeLimitError("the d of the surface suite", d, "SURFACE_LIMIT", SURFACE_LIMIT)
     ideal = generalized_classical(d)
     return ClassicalSuite(ideal, exponent_polytope_degree(ideal), polytope_smoothness(ideal),
-                          determinantal_generators(d), betti_table(d))
+                          _presentation(ideal), betti_table(d))

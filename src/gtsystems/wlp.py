@@ -56,10 +56,14 @@ The count is actions.invariant_count: two floor sums, O(log d) steps of
 Euclid's algorithm, with no monomial listed.  mu is the same count at
 degree d, and the pure powers are always invariant (a*d = 0), so the
 verdict, WlpVerdict.of(action), reads two counts, builds no ideal and
-sweeps nothing.  Restriction.of(action) refuses from the count mu, lists
-the full invariant ideal, sweeps it, and raises ConsistencyError on any
-other nullity; restriction(ideal) sweeps any ideal and checks no count, as
-a subset labelled with the action may have a smaller nullity.
+sweeps nothing.  The nullity is at least 1 (x^(d-d') is invariant), so the
+ideal is a Togliatti system exactly when mu <= d + 1: is_togliatti, the one
+gate of minimality in minimal and report (mu > d + 1 exactly for a repeated
+weight or g > 1, on every faithful action with d <= 60).  Restriction.of
+refuses from the count mu, lists the full invariant ideal, sweeps it, and
+raises ConsistencyError on any other nullity; restriction(ideal) sweeps any
+ideal and checks no count, as a subset labelled with the action may have a
+smaller nullity.
 
 For L = x + y + z the eigenvalue product of the action lies in that kernel,
 so when the kernel has dimension 1 its vector is the product's coefficient
@@ -101,7 +105,6 @@ from .primes import prime_1_mod, root_of_order
 __all__ = [
     "WlpVerdict",
     "Restriction",
-    "check_distinct_weights",
     "conjecture_scan",
     "conjugate_nullity",
     "random_scales",
@@ -231,10 +234,12 @@ class WlpVerdict(Record):
     def of(cls, action: Action) -> WlpVerdict:
         """The verdict of the full invariant ideal of the action, from two
         counts in O(log d): mu = invariant_count(d, weights, d) and the
-        nullity conjugate_nullity(action).  All three pure powers are
-        invariant, as a*d = 0, so no ideal is built."""
+        nullity conjugate_nullity(action), held to at least 1.  All three
+        pure powers are invariant, as a*d = 0, so no ideal is built."""
         d = action.d
         mu, nullity = invariant_count(d, action.weights, d), conjugate_nullity(action)
+        if nullity < 1:
+            raise ConsistencyError(f"{nullity} conjugate forms counted, where x^(d - d') is one")
         dim_src, dim_tgt = d * (d + 1) // 2, (d + 1) * (d + 2) // 2 - mu
         rank = dim_src - nullity
         bound_ok = mu <= d + 1
@@ -431,12 +436,6 @@ def restriction(ideal: GTIdeal) -> Restriction:
         v = tuple(rows[-1][width:])
         _check_kernel_vector(ideal, v, binomials)
     return Restriction(ideal, nullity, v)
-
-
-def check_distinct_weights(action: Action):
-    """ValueError unless the weights are distinct: a repeat gives mu >= d + 2."""
-    if len(set(action.weights)) < 3:
-        raise ValueError("repeated weights do not give a Togliatti system")
 
 
 def conjecture_scan(d_values):

@@ -266,6 +266,16 @@ class TestSpecValidation:
         with pytest.raises(SizeLimitError, match=f"past GENERAL_LIMIT = {circulant.GENERAL_LIMIT}$"):
             coefficient_query(d, [0] * d)
 
+    @pytest.mark.parametrize("d", [-3, 0, 1, circulant.GENERAL_LIMIT + 1, 100])
+    def test_coefficient_query_checks_d_before_the_indices(self, d):
+        # the query refuses d as the general form does, whatever the indices
+        with pytest.raises(ValueError) as general:
+            circulant_det_symbolic(d)
+        for indices in ([1], [0] * max(d, 0), [d + 5] * 3):
+            with pytest.raises(type(general.value)) as query:
+                coefficient_query(d, indices)
+            assert str(query.value) == str(general.value)
+
     def test_ternary_limit(self):
         check_ternary_limit(circulant.TERNARY_LIMIT)
         assert len(circulant_product(circulant.TERNARY_LIMIT, (0, 1, 3)).terms) == 67

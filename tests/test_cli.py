@@ -4,6 +4,7 @@ import argparse
 import ast
 import importlib
 import inspect
+import itertools
 import json
 import math
 import os
@@ -17,6 +18,7 @@ from pathlib import Path
 import pytest
 import usage_bytes
 from polyring import add
+from test_surface import misordered_listing
 from test_wlp import oracle_rank
 
 import gtsystems
@@ -240,8 +242,8 @@ class TestFaithfulActions:
         assert math.gcd(*shifted, int(d)) > 1
         invariants = results if command == "invariants" else results["invariants"]
         assert invariants["normalized"] == {"d": int(d), "weights": shifted}
-        if command == "report":
-            assert ("minimal" in results) == (len(set(w)) == 3)
+        if command == "report":  # g > 1, so no Togliatti system
+            assert results["minimal"]["applies"] is False
 
     @pytest.mark.parametrize("d,weights", [c[1:] for c in UNFAITHFUL_SHIFTS if c[0] == "report"])
     def test_report_agrees_with_an_equivalent_action(self, capsys, d, weights):
@@ -288,7 +290,7 @@ class TestFaithfulActions:
         scans = _spy_invariant_monomials(monkeypatch)
         code, out, err = run_cli(capsys, "minimal", *argv)
         assert code == 1 and out == ""
-        assert err == "gtsys: error: repeated weights do not give a Togliatti system\n"
+        assert err == f"gtsys: error: {wlp.NOT_TOGLIATTI}\n"
         assert scans == []
 
     def test_non_faithful_input_is_still_rejected(self, capsys):
@@ -371,6 +373,50 @@ class TestTogliattiFirst:
         code, out, err = run_cli(capsys, "minimal", "--d", "6", "--action", "1,3,5")
         assert code == 1 and out == ""
         assert err == f"gtsys: error: {wlp.NOT_TOGLIATTI}\n"
+
+    def test_minimal_refuses_from_the_count_alone(self, capsys, monkeypatch):
+        # a repeated weight or g = gcd(b - a, c - a, d) > 1 gives no Togliatti
+        # system; minimal says so from the verdict's counts, with no listing
+        def no_listing(*args):
+            raise AssertionError("minimal listed a monomial of a non-Togliatti action")
+
+        monkeypatch.setattr(actions, "invariant_exponents", no_listing)
+        refused = set()
+        for d in range(3, 31):
+            for a, b, c in itertools.combinations_with_replacement(range(d), 3):
+                if math.gcd(a, b, c, d) != 1:
+                    continue
+                repeated, g = len({a, b, c}) < 3, math.gcd(b - a, c - a, d)
+                if not repeated and g == 1:
+                    continue
+                argv = ("minimal", "--d", str(d), "--action", f"{a},{b},{c}")
+                assert run_cli(capsys, *argv) == (
+                    1, "", f"gtsys: error: {wlp.NOT_TOGLIATTI}\n"), argv
+                refused.add((repeated, g > 1))
+        # both kinds occur, g > 1 with distinct weights e.g. at --d 9 --action 1,4,7
+        assert refused == {(True, False), (True, True), (False, True)}
+
+    def test_minimal_refuses_past_every_size_limit(self, capsys, monkeypatch):
+        # mu = 13504501 passes INVARIANT_LIMIT, but the verdict answers first
+        scans = _spy_invariant_monomials(monkeypatch)
+        assert run_cli(capsys, "minimal", "--d", "9000", "--action", "1,3001,6001") == (
+            1, "", f"gtsys: error: {wlp.NOT_TOGLIATTI}\n")
+        assert scans == []
+
+    def test_every_repeated_weight_report_says_minimality_does_not_apply(self, capsys):
+        reports = 0
+        for d in range(3, 13):
+            for a, b, c in itertools.combinations_with_replacement(range(d), 3):
+                if math.gcd(a, b, c, d) != 1 or len({a, b, c}) == 3:
+                    continue
+                code, out, err = run_cli(capsys, "report", "--d", str(d), "--action",
+                                         f"{a},{b},{c}")
+                assert code == 0, err
+                minimal = json.loads(out)["results"]["minimal"]
+                assert minimal["applies"] is False, (d, a, b, c)
+                assert minimal["reason"].startswith("not a Togliatti system: mu="), (d, a, b, c)
+                reports += 1
+        assert reports > 0
 
     @pytest.mark.parametrize("argv", [
         ("minimal", "--d", "7", "--action", "0,1,3"),
@@ -790,13 +836,19 @@ class TestCountedVerdict:
         assert run_cli(capsys, *argv)[0] == 0
         # T one short drops k = d, the monomial z^d (one T too many adds a k
         # past n, whose term floor((n - k - rho) / M) + 1 is 0); every command
-        # that enumerates holds its list to the count in invariant_monomials
+        # that enumerates holds its list to the count in invariant_monomials,
+        # but minimal, which reads the verdict first: the nullity count of
+        # degree 0 drops the constant x^0 too, and is held to at least 1
         _mutant_count(monkeypatch, "big_t = (n - k0) // s + 1", "big_t = (n - k0) // s")
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
-        match = re.fullmatch(r"gtsys: consistency failure: (\d+) invariant monomials "
-                             r"enumerated where the count gives (\d+)\n", err)
-        assert match and match[1] != match[2], err
+        if argv[0] == "minimal":
+            assert err == ("gtsys: consistency failure: 0 conjugate forms counted, "
+                           "where x^(d - d') is one\n")
+        else:
+            match = re.fullmatch(r"gtsys: consistency failure: (\d+) invariant monomials "
+                                 r"enumerated where the count gives (\d+)\n", err)
+            assert match and match[1] != match[2], err
 
 
 def _verdict_of(report):
@@ -922,6 +974,14 @@ class TestCirculantLimits:
         assert code == 1
         assert err == "gtsys: size limit: the d of the general form is 13, past GENERAL_LIMIT = 12\n"
 
+    @pytest.mark.parametrize("d", ["-3", "1", "13", "100"])
+    @pytest.mark.parametrize("coeff", ["1", "0", "0,0,5"])
+    def test_coeff_refuses_d_as_the_general_form(self, capsys, d, coeff):
+        # d is checked before any index: --d -3 said "need exactly -3 indices"
+        general = run_cli(capsys, "circulant", "--d", d)
+        assert general[:2] == (1, "")
+        assert run_cli(capsys, "circulant", "--d", d, "--coeff", coeff) == general
+
     @pytest.mark.parametrize("a,b", [(3, 2), (3, 3), (0, 2), (2, 7)])
     def test_section_positions_rule(self, capsys, a, b):
         code, _, err = run_cli(capsys, "circulant", "--d", "7", "--a", str(a), "--b", str(b))
@@ -973,8 +1033,7 @@ class TestSizeLimitRefusals:
          "--action expects three comma-separated weights"),
         (("invariants", "--d", "4", "--action", "0,2,2"),
          "gcd(0, 2, 2, 4) != 1: the action is not faithful"),
-        (("minimal", "--d", "7", "--action", "0,1,1"),
-         "repeated weights do not give a Togliatti system"),
+        (("minimal", "--d", "7", "--action", "0,1,1"), wlp.NOT_TOGLIATTI),
         (("circulant", "--d", "1"), "need d >= 2"),
         (("surface", "--d", "2"), "need d >= 3"),
         (("gt-verdict", "--d", "7", "--a", "3", "--general-l", "-1"),
@@ -1049,7 +1108,7 @@ class TestSurfaceSuiteMemo:
             assert cold[0] == 0 and cold == warm, argv
 
     def test_report_runs_each_suite_function_once_per_d(self, capsys, monkeypatch, fresh_memos):
-        names = ("exponent_polytope_degree", "polytope_smoothness", "determinantal_generators",
+        names = ("exponent_polytope_degree", "polytope_smoothness", "_presentation",
                  "betti_table")
         runs = []
 
@@ -1080,9 +1139,7 @@ class TestSurfaceSuiteMemo:
                    "where the count gives 7\n")
 
     def test_a_failed_computation_is_not_kept(self, capsys, monkeypatch):
-        params = surface._classical_exponents(9)
-        params[2], params[3] = params[3], params[2]
-        monkeypatch.setattr(surface, "_classical_exponents", lambda _: params)
+        misordered_listing(monkeypatch)
         code, out, err = run_cli(capsys, "surface", "--d", "9")
         assert (code, out) == (2, "")
         assert err == "gtsys: consistency failure: pullback of a presentation generator is nonzero at d=9\n"
@@ -1142,9 +1199,7 @@ class TestReportMemo:
         assert run_cli(capsys, *argv) == cold and calls == [13]
 
     def test_a_failed_surface_suite_is_not_kept(self, capsys, monkeypatch, fresh_memos):
-        params = surface._classical_exponents(9)
-        params[2], params[3] = params[3], params[2]
-        monkeypatch.setattr(surface, "_classical_exponents", lambda _: params)
+        misordered_listing(monkeypatch)
         assert run_cli(capsys, "report", "--d", "9", "--a", "2") == (
             2, "", "gtsys: consistency failure: pullback of a presentation generator is "
                    "nonzero at d=9\n")

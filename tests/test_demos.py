@@ -45,11 +45,42 @@ def test_all_three_readme_blocks_found():
     assert len(README_BLOCKS) == 3
 
 
+# the value that the comment on each print of a README block states whole,
+# by block and in print order, or None where the comment only describes it
+README_PRINTED = [
+    ["['x^7', 'x^4yz^2', 'x^2y^4z', 'xy^2z^4', 'y^7', 'z^7']", None, "True 27 28", "1 True True",
+     None],
+    ["[(2, 7, 12), (3, 5, 6, 8, 9, 11), (4, 10)]",
+     "ClassCounts(N21=6, N22=0, N23=80, N3=1, N4=129, N6=22)", None],
+    ["9", "((0,0,1), (1,2,1), (1,3,2), (2,4,2))", "((3, 16), (4, 3))"],
+]
+
+
+def _print_comments(block):
+    """The comment on each print of block, in order: on the print's own line,
+    or on the next line when the print has none there."""
+    lines = block.splitlines() + [""]
+    comments = []
+    for line, after in zip(lines, lines[1:]):
+        if line.startswith("print("):
+            _, sep, comment = line.partition("  # ")
+            comments.append(comment if sep else after.removeprefix("# "))
+    return comments
+
+
 @pytest.mark.parametrize("block", README_BLOCKS, ids=lambda b: b.split("\n")[0][:40])
 def test_readme_block_runs(block):
     proc = _run(["-c", block])
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout
+    # one line per print, each equal, but for spaces, to the value its
+    # comment states
+    printed, comments = proc.stdout.splitlines(), _print_comments(block)
+    stated = README_PRINTED[README_BLOCKS.index(block)]
+    assert len(printed) == len(comments) == len(stated)
+    for line, comment, value in zip(printed, comments, stated):
+        if value is not None:
+            assert comment.startswith(value), comment
+            assert line.replace(" ", "") == value.replace(" ", ""), (line, value)
 
 
 def test_all_thirteen_readme_gtsys_examples_found():

@@ -7,7 +7,8 @@ import pytest
 from polyring import add, mul, variable
 
 from gtsystems import surface
-from gtsystems.actions import Action, generalized_classical, invariant_monomials
+from gtsystems._record import Record
+from gtsystems.actions import Action, GTIdeal, generalized_classical, invariant_monomials
 from gtsystems.errors import ConsistencyError, SizeLimitError
 from gtsystems.polymat import SparsePoly
 from gtsystems.surface import (
@@ -21,6 +22,33 @@ from gtsystems.surface import (
 
 
 # ------------------------------------------------------------------ oracles
+
+
+def classical_exponents(d):
+    """The classical system written out by hand in the order that numbers
+    the variables x0..x(k+2) of the presentation: x^d, y^d, z^d, then
+    x^k y^k z^eps, ..., xyz^(d-2), k = floor(d/2), eps = d mod 2."""
+    k = d // 2
+    return [(d, 0, 0), (0, d, 0), (0, 0, d)] + [(i, i, d - 2 * i) for i in range(k, 0, -1)]
+
+
+def misordered_listing(monkeypatch):
+    """Patch surface.generalized_classical to list the classical system with
+    its second and third generators, x^k y^k z^eps and the next one, swapped
+    (for d >= 4): the presentation then numbers x3 and x4 the other way
+    round.  The record is built past GTIdeal's sort, as a faulty listing
+    would give it."""
+    real = surface.generalized_classical
+
+    def listing(d):
+        ideal = real(d)
+        gens = list(ideal.generators)
+        gens[1], gens[2] = gens[2], gens[1]
+        out = object.__new__(GTIdeal)
+        Record.__init__(out, d, tuple(gens), ideal.action)
+        return out
+
+    monkeypatch.setattr(surface, "generalized_classical", listing)
 
 
 def presentation_oracle(d):
@@ -45,7 +73,7 @@ def presentation_oracle(d):
         for i in range(len(row1))
         for j in range(i + 1, len(row1))
     ] + extra
-    params = [{e: 1} for e in surface._classical_exponents(d)]
+    params = [{e: 1} for e in classical_exponents(d)]
     pullbacks = []
     for g in gens:
         out = {}
@@ -195,12 +223,12 @@ class TestComplementAndSmoothness:
 class TestParametrizationAndGenerators:
     @pytest.mark.parametrize("d", range(3, 13))
     def test_parametrization_size(self, d):
-        k = d // 2
-        monos = surface._classical_exponents(d)
-        assert len(monos) == k + 3
-        assert monos[:3] == [(d, 0, 0), (0, d, 0), (0, 0, d)]
-        assert monos[3:] == [(i, i, d - 2 * i) for i in range(k, 0, -1)]
-        assert set(monos) == set(generalized_classical(d).generators)
+        # the presentation numbers its variables by the listing: the pure
+        # powers first, then the rest, each in listed order
+        gens = generalized_classical(d).generators
+        assert len(gens) == d // 2 + 3
+        assert [g for g in gens if d in g] + [g for g in gens if d not in g] == (
+            classical_exponents(d))
 
     @pytest.mark.parametrize("d", range(3, 13))
     def test_pullbacks_vanish(self, d):
@@ -233,9 +261,7 @@ class TestParametrizationAndGenerators:
 
     @pytest.mark.parametrize("d", [5, 6, 9])
     def test_wrong_parametrization_is_a_consistency_error(self, d, monkeypatch):
-        params = surface._classical_exponents(d)
-        params[2], params[3] = params[3], params[2]
-        monkeypatch.setattr(surface, "_classical_exponents", lambda _: params)
+        misordered_listing(monkeypatch)
         with pytest.raises(ConsistencyError, match=f"pullback .* nonzero at d={d}"):
             determinantal_generators(d)
 

@@ -655,8 +655,11 @@ class TestMinimality:
         assert actions == 1782
 
     def test_minimality_route_rejects_equal_weights(self):
-        with pytest.raises(ValueError, match="repeated weights") as info:
-            wlp.check_distinct_weights(Action(5, (0, 1, 1)))
+        # the verdict's counts say no Togliatti system; the sweep agrees
+        action = Action(5, (0, 1, 1))
+        assert not WlpVerdict.of(action).is_togliatti
+        with pytest.raises(ValueError, match=f"^{wlp.NOT_TOGLIATTI}$") as info:
+            Restriction.of(action).minimal
         assert not isinstance(info.value, SizeLimitError)
 
     @pytest.mark.parametrize("d,a", [(3, 2), (5, 2), (7, 3), (11, 5)])
